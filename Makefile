@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-storage test-shards bench bench-storage bench-planner bench-shard check fmt fuzz-short trace-demo crash-demo audit-demo soak-demo failover-demo
+.PHONY: build test test-storage test-shards bench bench-storage bench-planner bench-shard check loc fmt fuzz-short trace-demo crash-demo audit-demo soak-demo failover-demo
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,16 @@ check:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) test -race ./...
+
+# loc prints non-test Go lines per internal/* package — the trajectory
+# of ROADMAP needle 2 (less code for the same behaviour). CI runs it
+# after check so every PR log shows it.
+loc:
+	@for d in internal/*/; do \
+		printf '%6d %s\n' "$$(cat $$(ls $$d*.go | grep -v _test.go) /dev/null | wc -l)" "$$d"; \
+	done; \
+	printf '%6d total non-test Go lines outside benchmark/\n' \
+		"$$(git ls-files '*.go' | grep -v -e _test.go -e '^benchmark/' | xargs cat | wc -l)"
 
 fmt:
 	gofmt -w .

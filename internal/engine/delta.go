@@ -3,13 +3,13 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"prodsys/internal/lock"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/trace"
-	"prodsys/internal/wal"
 )
 
 // DeltaOp is one operation of a batch submitted to ApplyDelta: an
@@ -47,142 +47,65 @@ func (e *Engine) ApplyDelta(ops []DeltaOp) ([]relation.TupleID, error) {
 
 // ApplyDeltaContext is ApplyDelta honoring ctx: cancellation is
 // observed before any lock is acquired; once the batch holds its class
-// locks it applies atomically to completion.
+// locks it applies atomically to completion. It only describes the
+// batch as a unit — class X-locks plus the op-list body — for commit,
+// which logs whatever was applied as one atomic batch record.
 func (e *Engine) ApplyDeltaContext(ctx context.Context, ops []DeltaOp) ([]relation.TupleID, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	if err := e.checkWritable(); err != nil {
-		return nil, err
-	}
-	// Validate classes before mutating anything.
-	classes := map[string]bool{}
+	// One relation-level lock acquisition per class per batch (§5.2's
+	// granularity, amortized), in a deterministic global order. Classes
+	// are validated before anything mutates.
+	u := unit{scope: "batch", txn: lock.TxnID(e.nextTxn.Add(1))}
 	for _, op := range ops {
 		if _, ok := e.db.Get(op.Class); !ok {
 			return nil, fmt.Errorf("engine: %w %s", ErrUnknownClass, op.Class)
 		}
-		classes[op.Class] = true
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	tBatch := e.tr.Now()
-	// One relation-level lock acquisition per class per batch (§5.2's
-	// granularity, amortized), in a deterministic global order.
-	names := make([]string, 0, len(classes))
-	for c := range classes {
-		names = append(names, c)
-	}
-	sort.Strings(names)
-	txn := lock.TxnID(e.nextTxn.Add(1))
-	for _, c := range names {
-		if err := e.locks.Acquire(txn, lock.RelationTarget(c), lock.Exclusive); err != nil {
-			e.locks.Release(txn)
-			return nil, err
+		i := sort.Search(len(u.locks), func(i int) bool { return u.locks[i].tgt.Relation >= op.Class })
+		if i == len(u.locks) || u.locks[i].tgt.Relation != op.Class {
+			u.locks = slices.Insert(u.locks, i, lockReq{tgt: lock.RelationTarget(op.Class), mode: lock.Exclusive})
 		}
 	}
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			e.locks.Release(txn)
-		}
+	var ids []relation.TupleID
+	tBatch, applied := e.tr.Now(), false
+	u.body = func(rec *opRecorder) (err error) {
+		applied = true
+		ids, err = e.applyDeltaLocked(ops, rec)
+		return err
 	}
-	defer release()
-	if e.tr.Enabled() {
-		defer func() {
-			e.tr.Emit(trace.Event{
-				Kind: trace.KindBatchApply, At: tBatch, Dur: e.tr.Now() - tBatch,
-				CE: -1, ID: uint64(txn), Count: int64(len(ops)),
-			})
-		}()
-	}
-
-	// With a WAL attached the applied operations are collected and logged
-	// as one atomic batch record at the commit point — still under
-	// maintMu, before the lock release. When a mid-batch error leaves an
-	// applied prefix, that prefix is real (it was propagated to the
-	// matcher), so it is logged too. A panicked batch is the exception:
-	// its ops are rolled back and nothing reaches the log. The append
-	// failing with nothing landed rolls the batch back the same way
-	// (commitUnitLocked), keeping memory and log in agreement.
-	var durLog *wal.Log
-	var durSeq uint64
-	ids, err := func() ([]relation.TupleID, error) {
-		e.maintMu.Lock()
-		defer e.maintMu.Unlock()
-		e.stats.Inc(metrics.SerialOps)
-		e.stats.Inc(metrics.BatchDeltas)
-		e.stats.Add(metrics.BatchTuples, int64(len(ops)))
-
-		var walOps []wal.Op
-		rec := &opRecorder{}
-		ids, err := func() (ids []relation.TupleID, err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					e.rollbackLocked(rec)
-					walOps = nil
-					ids, err = nil, e.containPanic("batch", r)
-				}
-			}()
-			return e.applyDeltaLocked(ops, &walOps, rec)
-		}()
-		if e.wal == nil || len(walOps) == 0 {
-			return ids, err
-		}
-		l, seq, lerr := e.commitUnitLocked("", true, walOps, rec)
-		if lerr != nil {
-			if err == nil {
-				err = lerr
-			}
-			return ids, err
-		}
-		durLog, durSeq = l, seq
-		return ids, err
-	}()
-	// Early lock release: the batch's position in the log is fixed, so
-	// the class locks drop before the (possibly group-coalesced) fsync
-	// wait — concurrent same-class committers can append while this one
-	// waits for the leader's sync.
-	release()
-	if derr := e.waitDurable(durLog, durSeq); derr != nil && err == nil {
-		err = derr
+	err := e.commit(ctx, u)
+	if applied && e.tr.Enabled() {
+		e.tr.Emit(trace.Event{
+			Kind: trace.KindBatchApply, At: tBatch, Dur: e.tr.Now() - tBatch,
+			CE: -1, ID: uint64(u.txn), Count: int64(len(ops)),
+		})
 	}
 	return ids, err
 }
 
 // applyDeltaLocked is the mutation body of ApplyDeltaContext: maintMu
-// and the batch's class locks are held, walOps collects the redo record
-// for the commit point, rec collects undo ops for panic containment.
-func (e *Engine) applyDeltaLocked(ops []DeltaOp, walOps *[]wal.Op, rec *opRecorder) ([]relation.TupleID, error) {
+// and the batch's class locks are held; rec collects the redo record
+// for the commit point and the undo ops for panic containment.
+func (e *Engine) applyDeltaLocked(ops []DeltaOp, rec *opRecorder) ([]relation.TupleID, error) {
+	e.stats.Inc(metrics.SerialOps)
+	e.stats.Inc(metrics.BatchDeltas)
+	e.stats.Add(metrics.BatchTuples, int64(len(ops)))
 	ids := make([]relation.TupleID, len(ops))
 	if e.wmObserver != nil {
 		// Sequential fallback: views must see one change at a time.
-		// assertLocked/retractLocked record undo (and redo) into rec as
-		// soon as the storage op lands, so a maintenance panic mid-op
-		// still rolls back; the batch redo record is taken from rec at
-		// the end rather than re-collected here.
-		var seqErr error
 		for i, op := range ops {
+			var err error
 			if op.Retract {
-				if _, err := e.retractLocked(op.Class, op.ID, rec); err != nil {
-					seqErr = err
-					break
-				}
-				continue
+				_, err = e.deleteLocked(op.Class, op.ID, rec)
+			} else {
+				ids[i], err = e.insertLocked(op.Class, 0, op.Tuple, rec)
 			}
-			id, err := e.assertLocked(op.Class, op.Tuple, rec)
 			if err != nil {
-				seqErr = err
-				break
+				return ids, err
 			}
-			ids[i] = id
 		}
-		if e.wal != nil {
-			*walOps = append(*walOps, rec.ops...)
-		}
-		return ids, seqErr
+		return ids, nil
 	}
 
 	// Set-oriented path: mutate the WM relations first, then run the
@@ -211,10 +134,7 @@ func (e *Engine) applyDeltaLocked(ops []DeltaOp, walOps *[]wal.Op, rec *opRecord
 				break
 			}
 			e.stats.Inc(metrics.Counter("updates_" + op.Class))
-			rec.undo = append(rec.undo, undoOp{class: op.Class, id: op.ID, tuple: t})
-			if e.wal != nil {
-				*walOps = append(*walOps, wal.Op{Retract: true, Class: op.Class, ID: op.ID})
-			}
+			rec.deleted(op.Class, op.ID, t)
 			if inserted[born{op.Class, op.ID}] && delta.CancelInsert(op.Class, op.ID) {
 				continue // net zero: born and died within this batch
 			}
@@ -237,10 +157,7 @@ func (e *Engine) applyDeltaLocked(ops []DeltaOp, walOps *[]wal.Op, rec *opRecord
 		for k, ent := range entries {
 			ids[i+k] = ent.ID
 			e.stats.Inc(metrics.Counter("updates_" + op.Class))
-			rec.undo = append(rec.undo, undoOp{retract: true, class: op.Class, id: ent.ID})
-			if e.wal != nil {
-				*walOps = append(*walOps, wal.Op{Class: op.Class, ID: ent.ID, Tuple: ent.Tuple})
-			}
+			rec.inserted(op.Class, ent.ID, ent.Tuple)
 			inserted[born{op.Class, ent.ID}] = true
 			delta.AddInsert(op.Class, ent.ID, ent.Tuple)
 		}

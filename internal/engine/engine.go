@@ -264,10 +264,11 @@ func (e *Engine) SetWAL(l *wal.Log) { e.wal = l }
 func (e *Engine) WAL() *wal.Log { return e.wal }
 
 // opRecorder accumulates the WM operations of one unit: the redo ops
-// the commit hook appends to the write-ahead log as one atomic record
-// group, and the undo ops that reverse the unit if it panics before
-// commit.
+// the commit point appends to the write-ahead log as one atomic record
+// group (collected only while a WAL is attached), and the undo ops that
+// reverse the unit if it panics before commit or its append never lands.
 type opRecorder struct {
+	redo bool // a WAL is attached: collect ops
 	ops  []wal.Op
 	undo []undoOp
 }
@@ -280,12 +281,28 @@ type undoOp struct {
 	tuple   relation.Tuple // the deleted tuple, for re-insertion
 }
 
-// recorder returns a fresh recorder. Every firing records its ops: the
-// redo side feeds the WAL commit hook (ignored when no WAL is
-// attached), the undo side makes the firing reversible when its RHS or
-// maintenance panics.
-func (e *Engine) recorder() *opRecorder {
-	return &opRecorder{}
+// inserted and deleted record one landed storage write. Callers record
+// between the storage write and matcher maintenance: a panic in
+// maintenance must find the storage op already on the undo list. A nil
+// recorder (replay, undo, exploration) records nothing.
+func (r *opRecorder) inserted(class string, id relation.TupleID, t relation.Tuple) {
+	if r == nil {
+		return
+	}
+	r.undo = append(r.undo, undoOp{retract: true, class: class, id: id})
+	if r.redo {
+		r.ops = append(r.ops, wal.Op{Class: class, ID: id, Tuple: t})
+	}
+}
+
+func (r *opRecorder) deleted(class string, id relation.TupleID, t relation.Tuple) {
+	if r == nil {
+		return
+	}
+	r.undo = append(r.undo, undoOp{class: class, id: id, tuple: t})
+	if r.redo {
+		r.ops = append(r.ops, wal.Op{Retract: true, Class: class, ID: id})
+	}
 }
 
 // rollbackLocked reverse-applies the recorded undo ops, newest first,
@@ -295,17 +312,14 @@ func (e *Engine) recorder() *opRecorder {
 // there. The integrity auditor is the backstop for any residue. Caller
 // holds maintMu.
 func (e *Engine) rollbackLocked(rec *opRecorder) {
-	if rec == nil {
-		return
-	}
 	for i := len(rec.undo) - 1; i >= 0; i-- {
 		u := rec.undo[i]
 		func() {
 			defer func() { _ = recover() }()
 			if u.retract {
-				_, _ = e.retractLocked(u.class, u.id, nil)
+				_, _ = e.deleteLocked(u.class, u.id, nil)
 			} else {
-				_ = e.replayAssertLocked(u.class, u.id, u.tuple)
+				_, _ = e.insertLocked(u.class, u.id, u.tuple, nil)
 			}
 		}()
 	}
@@ -313,46 +327,26 @@ func (e *Engine) rollbackLocked(rec *opRecorder) {
 	rec.ops = nil
 }
 
-// rollback is rollbackLocked taking maintMu itself.
-func (e *Engine) rollback(rec *opRecorder) {
-	e.maintMu.Lock()
-	defer e.maintMu.Unlock()
-	e.rollbackLocked(rec)
-}
-
-// containPanic converts a recovered panic value into an ErrRulePanic,
-// counting and tracing the containment.
-func (e *Engine) containPanic(scope string, r any) error {
-	e.stats.Inc(metrics.PanicsContained)
-	if e.tr.Enabled() {
-		e.tr.Emit(trace.Event{
-			Kind: trace.KindPanicContained, At: e.tr.Now(),
-			CE: -1, Extra: fmt.Sprintf("%s: %v", scope, r),
-		})
-	}
-	return fmt.Errorf("%w: %s: %v", ErrRulePanic, scope, r)
-}
-
-// safeApplyActions is applyActions with fault containment: a panic in
-// the RHS interpreter, a called Go function, or matcher maintenance is
-// recovered, the unit's recorded WM effects are rolled back (through
-// storage, matcher, and observer), and the panic surfaces as an
-// ErrRulePanic. When lockedMu is true the caller holds maintMu and the
-// rollback runs under it; otherwise the rollback takes maintMu itself
-// (the per-op closures of applyActions release it before unwinding).
-func (e *Engine) safeApplyActions(in *conflict.Instantiation, lockedMu bool, rec *opRecorder) (halted bool, err error) {
+// contained runs fn with fault containment: a panic — in the RHS
+// interpreter, a called Go function, matcher maintenance or a
+// validation join — is recovered, counted, traced and surfaced as an
+// ErrRulePanic instead of killing the worker.
+func (e *Engine) contained(scope string, fn func() error) (err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			halted = false
-			err = e.containPanic("rule "+in.Rule.Name, r)
-			if lockedMu {
-				e.rollbackLocked(rec)
-			} else {
-				e.rollback(rec)
-			}
+		r := recover()
+		if r == nil {
+			return
 		}
+		e.stats.Inc(metrics.PanicsContained)
+		if e.tr.Enabled() {
+			e.tr.Emit(trace.Event{
+				Kind: trace.KindPanicContained, At: e.tr.Now(),
+				CE: -1, Extra: fmt.Sprintf("%s: %v", scope, r),
+			})
+		}
+		err = fmt.Errorf("%w: %s: %v", ErrRulePanic, scope, r)
 	}()
-	return e.applyActions(in, lockedMu, rec)
+	return fn()
 }
 
 // ReadOnly reports whether a WAL failure has flipped the engine into
@@ -385,9 +379,9 @@ func (e *Engine) enterReadOnly(cause error) error {
 	return fmt.Errorf("%w: %w", ErrReadOnly, cause)
 }
 
-// checkWritable gates the write entry points: a closed engine rejects
-// with ErrClosed, a degraded one with ErrReadOnly (carrying the cause).
-func (e *Engine) checkWritable() error {
+// checkOpen rejects a closed engine with ErrClosed and a degraded one
+// with ErrReadOnly (carrying the cause).
+func (e *Engine) checkOpen() error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
@@ -396,6 +390,15 @@ func (e *Engine) checkWritable() error {
 			return fmt.Errorf("%w: %w", ErrReadOnly, cause)
 		}
 		return ErrReadOnly
+	}
+	return nil
+}
+
+// checkWritable gates the write entry points: checkOpen, plus the
+// replica gate (ErrReplica).
+func (e *Engine) checkWritable() error {
+	if err := e.checkOpen(); err != nil {
+		return err
 	}
 	if e.replica.Load() {
 		return ErrReplica
@@ -419,8 +422,127 @@ func (e *Engine) Shutdown() error {
 	return l.Close()
 }
 
-// commitUnitLocked appends one committed unit at the §5.2 commit point
-// and runs a due checkpoint compaction; maintMu must be held. Failure
+// unit describes one atomic write. Every write path — API batches and
+// QUEL statements (ApplyDeltaContext), rule firings of both executors
+// (fire), restored dumps (LogRestored) — only fills in a unit; commit
+// is the one place that sequences locking, maintenance, logging and
+// durability.
+type unit struct {
+	scope string // names the unit in a contained panic's error
+	// key is a firing's instantiation key: the unit is logged as a txn
+	// unit, so replay restores refraction. "" logs a batch unit.
+	key   string
+	txn   lock.TxnID // owner of locks
+	locks []lockReq  // 2PL plan, in acquisition order
+	// lockTimeout, when positive, bounds the acquisition of the whole
+	// plan — the firing watchdog (Config.TxnTimeout).
+	lockTimeout time.Duration
+	// validate, when set, runs once the plan is held and before the
+	// maintenance section; an error abandons the unit untouched.
+	validate func() error
+	// body mutates WM through rec under maintMu. An error leaves the
+	// ops already applied in place: they were propagated to the
+	// matcher, so they are real and are logged. A panic rolls them back.
+	body func(rec *opRecorder) error
+}
+
+// commit is the engine's single write pipeline, the paper's §5.2 rule
+// stated once: a unit's WM writes and the maintenance they trigger run
+// inside a non-interleavable section, and the commit point comes only
+// after that maintenance completes. The stages, in order:
+//
+//  1. checkWritable (closed, degraded and replica engines reject), then
+//     ctx — cancellation is observed before any lock is acquired; a unit
+//     holding its locks runs to completion
+//  2. acquire the unit's 2PL lock plan
+//  3. validate under those locks
+//  4. maintMu.Lock            ┐
+//  5. body, panic-contained,  │ runLocked: the
+//     recording redo + undo   │ non-interleavable
+//  6. WAL append              │ section
+//  7. due checkpoint          │
+//  8. maintMu.Unlock          ┘
+//  9. early lock release: the unit's position in the log is fixed, so
+//     its locks drop before the (possibly group-coalesced) fsync wait.
+//     The log is sequential, so a later unit durable implies this one.
+//  10. WaitDurable, outside maintMu so concurrent committers pile onto
+//     one leader fsync. A group-sync failure degrades the engine
+//     read-only: the unit is applied and logged, but durability can no
+//     longer be promised for anyone after it.
+func (e *Engine) commit(ctx context.Context, u unit) error {
+	if err := e.checkWritable(); err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	held := len(u.locks) > 0
+	release := func() {
+		if held {
+			held = false
+			e.locks.Release(u.txn)
+		}
+	}
+	defer release() // every exit drops the locks, contained panics included
+	deadline := time.Now().Add(u.lockTimeout)
+	for _, req := range u.locks {
+		var rem time.Duration // 0 waits indefinitely
+		if u.lockTimeout > 0 {
+			// The whole plan shares one watchdog deadline; a unit whose
+			// earlier waits ate the budget fails fast on the rest.
+			rem = max(time.Until(deadline), time.Nanosecond)
+		}
+		if err := e.locks.AcquireTimeout(u.txn, req.tgt, req.mode, rem); err != nil {
+			return err
+		}
+	}
+	if u.validate != nil {
+		if err := e.contained(u.scope, u.validate); err != nil {
+			return err
+		}
+	}
+	l, seq, err := e.runLocked(u)
+	release()
+	if l != nil {
+		if derr := l.WaitDurable(seq); derr != nil {
+			derr = e.enterReadOnly(derr)
+			if err == nil {
+				err = derr
+			}
+		}
+	}
+	return err
+}
+
+// runLocked is commit's non-interleavable section (stages 4–8). It
+// returns the log handle and the unit's sequence for the post-unlock
+// durable wait (nil when nothing was appended).
+func (e *Engine) runLocked(u unit) (*wal.Log, uint64, error) {
+	e.maintMu.Lock()
+	defer e.maintMu.Unlock()
+	rec := &opRecorder{redo: e.wal != nil}
+	err := e.contained(u.scope, func() error { return u.body(rec) })
+	if errors.Is(err, ErrRulePanic) {
+		// Rollback before log: a panicked unit is undone through storage,
+		// matcher and observer, and the WAL never sees it.
+		e.rollbackLocked(rec)
+		return nil, 0, err
+	}
+	// Whatever stays applied is logged, so memory and log agree. A unit
+	// that applied nothing is logged only as a completed firing: its
+	// key must survive a restart to keep the instantiation refracted.
+	if e.wal == nil || (len(rec.ops) == 0 && (err != nil || u.key == "")) {
+		return nil, 0, err
+	}
+	l, seq, lerr := e.logLocked(u.key, rec)
+	if err == nil {
+		err = lerr
+	}
+	return l, seq, err
+}
+
+// logLocked appends one committed unit at the §5.2 commit point and
+// runs a due checkpoint compaction; maintMu must be held. Failure
 // handling is the graceful-degradation policy:
 //
 //   - Append failure with no records landed (LastSeq unchanged): the
@@ -430,20 +552,14 @@ func (e *Engine) Shutdown() error {
 //   - Append failure after records landed (the inline sync of
 //     SyncAlways/SyncInterval), or a checkpoint failure: the unit IS in
 //     the log, so memory is kept and only the degradation flag flips.
-//
-// On success it returns the log handle and the unit's sequence for the
-// caller's post-unlock waitDurable (both zero when no WAL is attached).
-func (e *Engine) commitUnitLocked(key string, batch bool, ops []wal.Op, rec *opRecorder) (*wal.Log, uint64, error) {
+func (e *Engine) logLocked(key string, rec *opRecorder) (*wal.Log, uint64, error) {
 	l := e.wal
-	if l == nil {
-		return nil, 0, nil
-	}
 	before := l.LastSeq()
 	var aerr error
-	if batch {
-		aerr = l.AppendBatch(ops)
+	if key == "" {
+		aerr = l.AppendBatch(rec.ops)
 	} else {
-		aerr = l.AppendTxn(key, ops)
+		aerr = l.AppendTxn(key, rec.ops)
 	}
 	if aerr != nil {
 		if l.LastSeq() == before {
@@ -451,7 +567,6 @@ func (e *Engine) commitUnitLocked(key string, batch bool, ops []wal.Op, rec *opR
 			if errors.Is(aerr, wal.ErrClosed) && e.closed.Load() {
 				return nil, 0, fmt.Errorf("%w: %w", ErrClosed, aerr)
 			}
-			return nil, 0, e.enterReadOnly(aerr)
 		}
 		return nil, 0, e.enterReadOnly(aerr)
 	}
@@ -466,22 +581,6 @@ func (e *Engine) commitUnitLocked(key string, batch bool, ops []wal.Op, rec *opR
 	return l, seq, nil
 }
 
-// waitDurable blocks until the unit at seq is on stable storage — the
-// group-commit rendezvous under wal.SyncGroup, a no-op otherwise. It
-// must be called after maintMu is released, so concurrent committers
-// can pile onto one leader fsync. A group-sync failure degrades the
-// engine read-only: the unit is applied and logged, but durability can
-// no longer be promised for anyone after it.
-func (e *Engine) waitDurable(l *wal.Log, seq uint64) error {
-	if l == nil || seq == 0 {
-		return nil
-	}
-	if err := l.WaitDurable(seq); err != nil {
-		return e.enterReadOnly(err)
-	}
-	return nil
-}
-
 // Checkpoint forces a WAL checkpoint compaction under the maintenance
 // lock. A no-op without an attached WAL.
 func (e *Engine) Checkpoint() error {
@@ -494,26 +593,37 @@ func (e *Engine) Checkpoint() error {
 }
 
 // Replay applies recovered WAL units through storage and matcher
-// maintenance: assertions restore their original tuple IDs (so
-// conflict-set keys and recency survive the restart), retractions
-// delete, and each rule-firing unit's instantiation key is re-marked
-// fired, restoring refraction state. It returns the number of WM
-// operations applied. Call before SetWAL, so replayed units are not
-// re-logged.
+// maintenance (applyLogged) and returns the number of WM operations
+// applied. Call before SetWAL, so replayed units are not re-logged.
 func (e *Engine) Replay(txns []wal.Txn) (int, error) {
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
+	n, err := e.applyLogged(txns)
+	if err != nil {
+		return n, fmt.Errorf("engine: replay: %w", err)
+	}
+	return n, nil
+}
+
+// applyLogged is the one apply loop for logged units — recovery replay
+// and replica apply both run it, so a replica's derived state is the
+// same function of the same log as the primary's. Assertions restore
+// their original tuple IDs (so conflict-set keys and recency survive),
+// retractions delete, and each rule-firing unit's instantiation key is
+// re-marked fired, restoring refraction state. It returns the number
+// of WM operations applied. Caller holds maintMu.
+func (e *Engine) applyLogged(txns []wal.Txn) (int, error) {
 	ops := 0
 	for _, t := range txns {
 		for _, op := range t.Ops {
 			var err error
 			if op.Retract {
-				err = e.replayRetractLocked(op.Class, op.ID)
+				_, err = e.deleteLocked(op.Class, op.ID, nil)
 			} else {
-				err = e.replayAssertLocked(op.Class, op.ID, op.Tuple)
+				_, err = e.insertLocked(op.Class, op.ID, op.Tuple, nil)
 			}
 			if err != nil {
-				return ops, fmt.Errorf("engine: replay: %w", err)
+				return ops, err
 			}
 			ops++
 		}
@@ -524,108 +634,29 @@ func (e *Engine) Replay(txns []wal.Txn) (int, error) {
 	return ops, nil
 }
 
-// replayAssertLocked re-inserts a logged tuple under its original ID and
-// runs matcher maintenance. Recovery counters are the caller's concern;
-// the regular execution counters are left untouched.
-func (e *Engine) replayAssertLocked(class string, id relation.TupleID, t relation.Tuple) error {
-	rel, ok := e.db.Get(class)
-	if !ok {
-		return fmt.Errorf("%w %s", ErrUnknownClass, class)
-	}
-	if err := rel.InsertAt(id, t); err != nil {
-		return err
-	}
-	stored, _ := rel.Get(id)
-	if err := e.matcher.Insert(class, id, stored); err != nil {
-		return err
-	}
-	if e.wmObserver != nil {
-		e.wmObserver(true, class, id, stored)
-	}
-	return nil
-}
-
-// LogRestored appends one batch record covering tuples restored outside
-// the engine's own paths (System.RestoreWM), so a later recovery
-// reproduces them under their original IDs. A no-op without a WAL.
-func (e *Engine) LogRestored(rts []relation.RestoredTuple) error {
-	if e.wal == nil || len(rts) == 0 {
-		return nil
-	}
-	ops := make([]wal.Op, len(rts))
-	for i, rt := range rts {
-		ops[i] = wal.Op{Class: rt.Class, ID: rt.ID, Tuple: rt.Tuple}
-	}
-	e.maintMu.Lock()
-	l, seq, err := e.commitUnitLocked("", true, ops, nil)
-	e.maintMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return e.waitDurable(l, seq)
-}
-
-// replayRetractLocked re-applies a logged retraction.
-func (e *Engine) replayRetractLocked(class string, id relation.TupleID) error {
-	rel, ok := e.db.Get(class)
-	if !ok {
-		return fmt.Errorf("%w %s", ErrUnknownClass, class)
-	}
-	t, err := rel.Delete(id)
-	if err != nil {
-		return err
-	}
-	if err := e.matcher.Delete(class, id, t); err != nil {
-		return err
-	}
-	if e.wmObserver != nil {
-		e.wmObserver(false, class, id, t)
-	}
-	return nil
-}
-
-// Assert inserts a WM element and runs the maintenance process. It is the
-// entry point for initial facts and external updates; with a WAL
-// attached the change is logged (and synced per policy) before Assert
-// returns.
-func (e *Engine) Assert(class string, t relation.Tuple) (relation.TupleID, error) {
-	if err := e.checkWritable(); err != nil {
-		return 0, err
-	}
-	e.maintMu.Lock()
-	rec := e.recorder()
-	id, err := e.assertLocked(class, t, rec)
-	if err != nil {
-		e.maintMu.Unlock()
-		return id, err
-	}
-	l, seq, err := e.commitUnitLocked("", true, rec.ops, rec)
-	e.maintMu.Unlock()
-	if err != nil {
-		return id, err
-	}
-	return id, e.waitDurable(l, seq)
-}
-
-// assertLocked inserts a tuple and runs maintenance. rec, when non-nil,
-// records the redo and undo ops as soon as the storage write lands —
-// before matcher maintenance — so a maintenance panic still rolls the
-// storage change back.
-func (e *Engine) assertLocked(class string, t relation.Tuple, rec *opRecorder) (relation.TupleID, error) {
+// insertLocked is the one WM insert primitive: it stores t in class —
+// under id when nonzero (replay, replica apply and undo reproduce the
+// logged ID), under a fresh ID otherwise — and runs the maintenance
+// process. rec records the redo and undo ops as soon as the storage
+// write lands — before matcher maintenance — so a maintenance panic
+// still rolls the storage change back. Caller holds maintMu.
+func (e *Engine) insertLocked(class string, id relation.TupleID, t relation.Tuple, rec *opRecorder) (relation.TupleID, error) {
 	rel, ok := e.db.Get(class)
 	if !ok {
 		return 0, fmt.Errorf("engine: %w %s", ErrUnknownClass, class)
 	}
 	t0 := e.tr.Now()
-	id, err := rel.Insert(t)
+	var err error
+	if id == 0 {
+		id, err = rel.Insert(t)
+	} else {
+		err = rel.InsertAt(id, t)
+	}
 	if err != nil {
 		return 0, err
 	}
 	stored, _ := rel.Get(id)
-	if rec != nil {
-		rec.ops = append(rec.ops, wal.Op{Class: class, ID: id, Tuple: stored})
-		rec.undo = append(rec.undo, undoOp{retract: true, class: class, id: id})
-	}
+	rec.inserted(class, id, stored)
 	e.stats.Inc(metrics.SerialOps)
 	e.stats.Inc(metrics.Counter("updates_" + class))
 	if err := e.matcher.Insert(class, id, stored); err != nil {
@@ -644,31 +675,10 @@ func (e *Engine) assertLocked(class string, t relation.Tuple, rec *opRecorder) (
 	return id, nil
 }
 
-// Retract deletes a WM element and runs the maintenance process; with a
-// WAL attached the change is logged before Retract returns.
-func (e *Engine) Retract(class string, id relation.TupleID) error {
-	if err := e.checkWritable(); err != nil {
-		return err
-	}
-	e.maintMu.Lock()
-	rec := e.recorder()
-	if _, err := e.retractLocked(class, id, rec); err != nil {
-		e.maintMu.Unlock()
-		return err
-	}
-	l, seq, err := e.commitUnitLocked("", true, rec.ops, rec)
-	e.maintMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return e.waitDurable(l, seq)
-}
-
-// retractLocked deletes a tuple and runs maintenance, returning the
-// deleted tuple. rec, when non-nil, records the redo and undo ops as
-// soon as the storage delete lands — before matcher maintenance — so a
-// maintenance panic still rolls the storage change back.
-func (e *Engine) retractLocked(class string, id relation.TupleID, rec *opRecorder) (relation.Tuple, error) {
+// deleteLocked is the one WM delete primitive, insertLocked's mirror:
+// it removes the tuple, records it, runs the maintenance process and
+// returns the deleted tuple. Caller holds maintMu.
+func (e *Engine) deleteLocked(class string, id relation.TupleID, rec *opRecorder) (relation.Tuple, error) {
 	rel, ok := e.db.Get(class)
 	if !ok {
 		return nil, fmt.Errorf("engine: %w %s", ErrUnknownClass, class)
@@ -678,10 +688,7 @@ func (e *Engine) retractLocked(class string, id relation.TupleID, rec *opRecorde
 	if err != nil {
 		return nil, err
 	}
-	if rec != nil {
-		rec.ops = append(rec.ops, wal.Op{Retract: true, Class: class, ID: id})
-		rec.undo = append(rec.undo, undoOp{class: class, id: id, tuple: t})
-	}
+	rec.deleted(class, id, t)
 	e.stats.Inc(metrics.SerialOps)
 	e.stats.Inc(metrics.Counter("updates_" + class))
 	if err := e.matcher.Delete(class, id, t); err != nil {
@@ -699,7 +706,26 @@ func (e *Engine) retractLocked(class string, id relation.TupleID, rec *opRecorde
 	return t, nil
 }
 
-// LoadFacts asserts the facts of a parsed program.
+// Assert inserts a WM element and runs the maintenance process: a
+// one-op ApplyDelta. It is the entry point for initial facts and
+// external updates; with a WAL attached the change is logged (and
+// synced per policy) before Assert returns.
+func (e *Engine) Assert(class string, t relation.Tuple) (relation.TupleID, error) {
+	ids, err := e.ApplyDelta([]DeltaOp{{Class: class, Tuple: t}})
+	if len(ids) == 0 {
+		return 0, err
+	}
+	return ids[0], err
+}
+
+// Retract deletes a WM element and runs the maintenance process: a
+// one-op ApplyDelta.
+func (e *Engine) Retract(class string, id relation.TupleID) error {
+	_, err := e.ApplyDelta([]DeltaOp{{Retract: true, Class: class, ID: id}})
+	return err
+}
+
+// LoadFacts asserts the facts of a parsed program, one unit per fact.
 func (e *Engine) LoadFacts(prog *lang.Program) error {
 	for _, f := range prog.Facts {
 		class, tup, err := rules.FactTuple(e.set, f)
@@ -713,41 +739,30 @@ func (e *Engine) LoadFacts(prog *lang.Program) error {
 	return nil
 }
 
-// applyActions interprets the RHS of a fired instantiation. When lockedMu
-// is true the caller already holds maintMu (concurrent executor inside
-// its commit-scope). rec, when non-nil, collects the applied WM ops for
-// the caller's commit-point WAL append; the ops deliberately bypass the
-// per-op logging of the public Assert/Retract, which would split one
-// atomic firing across several log units. Returns whether a halt action
-// ran.
-func (e *Engine) applyActions(in *conflict.Instantiation, lockedMu bool, rec *opRecorder) (bool, error) {
-	// Recording happens inside assertLocked/retractLocked, between the
-	// storage write and matcher maintenance: a panic in maintenance must
-	// find the storage op already on the undo list.
-	baseAssert := func(class string, t relation.Tuple) (relation.TupleID, error) {
-		return e.assertLocked(class, t, rec)
+// LogRestored commits one redo-only unit covering tuples restored
+// outside the engine's own paths (System.RestoreWM), so a later
+// recovery reproduces them under their original IDs. A no-op without a
+// WAL.
+func (e *Engine) LogRestored(rts []relation.RestoredTuple) error {
+	if e.wal == nil || len(rts) == 0 {
+		return nil
 	}
-	baseRetract := func(class string, id relation.TupleID) (relation.Tuple, error) {
-		return e.retractLocked(class, id, rec)
-	}
-	if !lockedMu {
-		innerAssert, innerRetract := baseAssert, baseRetract
-		baseAssert = func(class string, t relation.Tuple) (relation.TupleID, error) {
-			e.maintMu.Lock()
-			defer e.maintMu.Unlock()
-			return innerAssert(class, t)
+	return e.commit(context.Background(), unit{scope: "restore", body: func(rec *opRecorder) error {
+		rec.ops = make([]wal.Op, len(rts))
+		for i, rt := range rts {
+			rec.ops[i] = wal.Op{Class: rt.Class, ID: rt.ID, Tuple: rt.Tuple}
 		}
-		baseRetract = func(class string, id relation.TupleID) (relation.Tuple, error) {
-			e.maintMu.Lock()
-			defer e.maintMu.Unlock()
-			return innerRetract(class, id)
-		}
-	}
-	assert := baseAssert
-	retract := func(class string, id relation.TupleID) error {
-		_, err := baseRetract(class, id)
-		return err
-	}
+		return nil
+	}})
+}
+
+// applyActions interprets the RHS of a fired instantiation op at a
+// time, so a modify reads the live tuple its own earlier actions left.
+// The caller holds maintMu for the whole firing: no other unit can land
+// between two actions, or between the retract and assert halves of one
+// modify. rec collects the applied WM ops for the firing's single
+// commit-point WAL append. Returns whether a halt action ran.
+func (e *Engine) applyActions(in *conflict.Instantiation, rec *opRecorder) (bool, error) {
 	b := in.Bindings.Clone()
 	halted := false
 	for _, act := range in.Rule.Actions {
@@ -763,18 +778,14 @@ func (e *Engine) applyActions(in *conflict.Instantiation, lockedMu bool, rec *op
 				}
 				t[pos] = v
 			}
-			if _, err := assert(act.Class, t); err != nil {
+			if _, err := e.insertLocked(act.Class, 0, t, rec); err != nil {
 				return halted, err
 			}
 		case lang.ActRemove:
 			ceIdx := act.CE - 1
-			id := in.TupleIDs[ceIdx]
-			class := in.Rule.CEs[ceIdx].Class
-			if err := retract(class, id); err != nil {
-				// The element may already be gone (removed twice by one
-				// RHS, or by a concurrent transaction); OPS5 ignores this.
-				continue
-			}
+			// The element may already be gone (removed twice by one RHS,
+			// or by a concurrent transaction); OPS5 ignores this.
+			_, _ = e.deleteLocked(in.Rule.CEs[ceIdx].Class, in.TupleIDs[ceIdx], rec)
 		case lang.ActModify:
 			ceIdx := act.CE - 1
 			id := in.TupleIDs[ceIdx]
@@ -797,10 +808,10 @@ func (e *Engine) applyActions(in *conflict.Instantiation, lockedMu bool, rec *op
 				t[pos] = v
 			}
 			// A modification is a deletion followed by an insertion (§3.1).
-			if err := retract(class, id); err != nil {
+			if _, err := e.deleteLocked(class, id, rec); err != nil {
 				continue
 			}
-			if _, err := assert(class, t); err != nil {
+			if _, err := e.insertLocked(class, 0, t, rec); err != nil {
 				return halted, err
 			}
 		case lang.ActWrite:
@@ -851,7 +862,42 @@ func (e *Engine) applyActions(in *conflict.Instantiation, lockedMu bool, rec *op
 // (every possible Select choice of §2.1). Exploration firings are not
 // WAL-logged; the harness explores alternatives, it does not commit.
 func (e *Engine) ApplyForExploration(in *conflict.Instantiation) (halted bool, err error) {
-	return e.applyActions(in, false, nil)
+	e.maintMu.Lock()
+	defer e.maintMu.Unlock()
+	return e.applyActions(in, nil)
+}
+
+// errAlreadyFired aborts a firing whose instantiation another executor
+// fired first; it classifies as ErrStale.
+var errAlreadyFired = fmt.Errorf("%w: already fired", ErrStale)
+
+// fire commits one firing of in as a unit. u carries what the executor
+// adds — the concurrent executor's lock plan and validation, nothing
+// for the serial one; fire supplies the firing key and the body: the
+// refraction check-and-mark, then the RHS, all inside the maintenance
+// section, so an instantiation fires at most once across executors.
+// A panicked firing stays marked (quarantined, so a panic cannot loop).
+func (e *Engine) fire(ctx context.Context, in *conflict.Instantiation, u unit) (halted bool, err error) {
+	u.scope, u.key = "rule "+in.Rule.Name, in.Key()
+	u.body = func(rec *opRecorder) (err error) {
+		if e.cs.HasFired(u.key) {
+			return errAlreadyFired
+		}
+		e.cs.MarkFired(u.key)
+		if e.tr.Enabled() {
+			t0 := e.tr.Now()
+			defer func() {
+				e.tr.Emit(trace.Event{
+					Kind: trace.KindRuleFire, At: t0, Dur: e.tr.Now() - t0,
+					Rule: in.Rule.Name, CE: -1, ID: uint64(u.txn), Count: 1, Extra: u.key,
+				})
+			}()
+		}
+		halted, err = e.applyActions(in, rec)
+		return err
+	}
+	err = e.commit(ctx, u)
+	return halted, err
 }
 
 // RunSerial executes the OPS5 recognize-act cycle: Match (incremental,
@@ -862,7 +908,7 @@ func (e *Engine) RunSerial() (Result, error) {
 }
 
 // RunSerialContext is RunSerial honoring ctx: cancellation is observed
-// between recognize-act cycles (a cycle in progress completes).
+// between firings (a firing in progress completes).
 func (e *Engine) RunSerialContext(ctx context.Context) (Result, error) {
 	var res Result
 	e.halted.Store(false)
@@ -893,38 +939,20 @@ func (e *Engine) RunSerialContext(ctx context.Context) (Result, error) {
 			if bi != in && !e.cs.Contains(bi.Key()) {
 				continue // retracted by an earlier member of the batch
 			}
-			e.cs.MarkFired(bi.Key())
-			rec := e.recorder()
-			t0 := e.tr.Now()
-			halted, err := e.safeApplyActions(bi, false, rec)
-			if e.tr.Enabled() {
-				e.tr.Emit(trace.Event{
-					Kind: trace.KindRuleFire, At: t0, Dur: e.tr.Now() - t0,
-					Rule: bi.Rule.Name, CE: -1, Count: 1, Extra: bi.Key(),
-				})
+			// Each firing is one unit with no locks: the maintenance
+			// section alone serializes it against concurrent commits.
+			halted, err := e.fire(ctx, bi, unit{})
+			if errors.Is(err, ErrRulePanic) {
+				// Contained: the firing's effects were rolled back and the
+				// cycle keeps serving.
+				res.Panics++
+				continue
+			}
+			if errors.Is(err, ErrStale) {
+				continue
 			}
 			if err != nil {
-				if errors.Is(err, ErrRulePanic) {
-					// Contained: the firing's effects were rolled back, the
-					// instantiation stays fired (quarantined, so a panic
-					// cannot loop), and the cycle keeps serving.
-					res.Panics++
-					continue
-				}
 				return res, err
-			}
-			if e.wal != nil {
-				// Commit point: the firing's maintenance is complete; log
-				// it as one unit before the cycle moves on.
-				e.maintMu.Lock()
-				l, seq, lerr := e.commitUnitLocked(bi.Key(), false, rec.ops, rec)
-				e.maintMu.Unlock()
-				if lerr == nil {
-					lerr = e.waitDurable(l, seq)
-				}
-				if lerr != nil {
-					return res, lerr
-				}
 			}
 			res.Firings++
 			e.stats.Inc(metrics.RuleFirings)
@@ -969,10 +997,7 @@ func (e *Engine) lockPlan(in *conflict.Instantiation) []lockReq {
 			ce := in.Rule.CEs[act.CE-1]
 			want(lock.TupleTarget(ce.Class, in.TupleIDs[act.CE-1]), lock.Exclusive)
 			if e.negClasses[ce.Class] {
-				// Deletions also change NOT EXISTS results.
-				want(lock.RelationTarget(ce.Class), lock.Exclusive)
-			}
-			if act.Kind == lang.ActModify && e.negClasses[ce.Class] {
+				// Deletions (a modify's included) also change NOT EXISTS results.
 				want(lock.RelationTarget(ce.Class), lock.Exclusive)
 			}
 		case lang.ActMake:
@@ -992,150 +1017,57 @@ func (e *Engine) lockPlan(in *conflict.Instantiation) []lockReq {
 	return plan
 }
 
-// runTxn executes one instantiation as a transaction: acquire locks,
-// validate, act, complete maintenance, commit (release). The returned
-// error classifies aborts. Cancellation is observed before lock
-// acquisition; once locks are held the transaction runs to completion.
-func (e *Engine) runTxn(ctx context.Context, in *conflict.Instantiation) (err error) {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := e.checkWritable(); err != nil {
-		return err
-	}
+// runTxn executes one instantiation as a transaction: the firing unit
+// plus the 2PL lock plan and the validation under it. The returned
+// error classifies aborts.
+func (e *Engine) runTxn(ctx context.Context, in *conflict.Instantiation) error {
 	txn := lock.TxnID(e.nextTxn.Add(1))
-	// Backstop containment: a panic anywhere in the transaction outside
-	// safeApplyActions (lock planning, validation joins) still releases
-	// the transaction's locks and surfaces as an abort instead of
-	// killing the worker. safeApplyActions handles the act+maintenance
-	// region itself (it must roll back under maintMu).
-	defer func() {
-		if r := recover(); r != nil {
-			e.locks.Release(txn)
-			e.stats.Inc(metrics.TxnAborts)
-			e.emitTxnAbort(in, txn, "panic")
-			err = e.containPanic("txn rule "+in.Rule.Name, r)
-		}
-	}()
 	plan := e.lockPlan(in)
-	var deadline time.Time
-	if e.cfg.TxnTimeout > 0 {
-		deadline = time.Now().Add(e.cfg.TxnTimeout)
-	}
 	t0 := e.tr.Now()
-	for _, req := range plan {
-		var aerr error
-		if e.cfg.TxnTimeout > 0 {
-			// The whole plan shares one watchdog deadline; a transaction
-			// whose earlier waits ate the budget fails fast on the rest.
-			rem := time.Until(deadline)
-			if rem <= 0 {
-				rem = time.Nanosecond
-			}
-			aerr = e.locks.AcquireTimeout(txn, req.tgt, req.mode, rem)
-		} else {
-			aerr = e.locks.Acquire(txn, req.tgt, req.mode)
+	_, err := e.fire(ctx, in, unit{txn: txn, locks: plan, lockTimeout: e.cfg.TxnTimeout, validate: func() error {
+		if e.tr.Enabled() {
+			e.tr.Emit(trace.Event{
+				Kind: trace.KindLockAcquire, At: t0, Dur: e.tr.Now() - t0,
+				Rule: in.Rule.Name, CE: -1, ID: uint64(txn), Count: int64(len(plan)),
+			})
 		}
-		if aerr != nil {
+		if e.cfg.CommitEarly {
+			// Protocol violation: release locks before acting/maintaining.
 			e.locks.Release(txn)
-			// Deadlock victim or watchdog timeout. Count it here so the
-			// TxnAborts counter agrees with Result.Aborts and the
-			// txn_abort event stream: the lock manager's abortLocked
-			// cannot know whether the victim belongs to a rule-firing
-			// transaction.
-			e.stats.Inc(metrics.TxnAborts)
-			reason := "deadlock"
-			if errors.Is(aerr, lock.ErrTimeout) {
-				reason = "timeout"
-			}
-			e.emitTxnAbort(in, txn, reason)
-			return aerr
 		}
+		return e.stillApplicable(in)
+	}})
+	// Every aborted attempt is counted here, so the TxnAborts counter
+	// agrees with Result.Aborts and the txn_abort event stream: the lock
+	// manager's abortLocked cannot know whether a deadlock victim belongs
+	// to a rule-firing transaction.
+	reason := ""
+	switch {
+	case err == nil:
+	case errors.Is(err, lock.ErrTimeout):
+		reason = "timeout"
+	case errors.Is(err, lock.ErrAborted):
+		reason = "deadlock"
+	case errors.Is(err, ErrBlocked):
+		reason = "blocked"
+	case errors.Is(err, errAlreadyFired):
+		reason = "already fired"
+	case errors.Is(err, ErrStale):
+		reason = "stale"
+	case errors.Is(err, ErrRulePanic):
+		reason = "panic"
 	}
-	if e.tr.Enabled() {
-		e.tr.Emit(trace.Event{
-			Kind: trace.KindLockAcquire, At: t0, Dur: e.tr.Now() - t0,
-			Rule: in.Rule.Name, CE: -1, ID: uint64(txn), Count: int64(len(plan)),
-		})
-	}
-	commit := func() { e.locks.Release(txn) }
-	if e.cfg.CommitEarly {
-		// Protocol violation: release locks before acting/maintaining.
-		commit()
-		commit = func() {}
-	}
-
-	// Validation: matched tuples must still exist; negated conditions
-	// must still be NOT EXISTS (checked under the relation read lock).
-	for i, ce := range in.Rule.CEs {
-		if ce.Negated {
-			if joiner.Exists(e.db, ce, in.Bindings, e.stats) {
-				commit()
-				e.stats.Inc(metrics.TxnAborts)
-				e.emitTxnAbort(in, txn, "blocked")
-				return ErrBlocked
-			}
-			continue
-		}
-		var cur relation.Tuple
-		ok := false
-		if rel, lerr := e.db.Lookup(ce.Class); lerr == nil {
-			cur, ok = rel.Get(in.TupleIDs[i])
-		}
-		if !ok || !cur.Equal(in.Tuples[i]) {
-			commit()
-			e.stats.Inc(metrics.TxnAborts)
-			e.emitTxnAbort(in, txn, "stale")
-			return ErrStale
-		}
-	}
-
-	// Act + maintenance inside the serialized maintenance section; the
-	// commit point comes only after the maintenance completes (§5.2).
-	e.maintMu.Lock()
-	if e.cs.HasFired(in.Key()) {
-		e.maintMu.Unlock()
-		commit()
+	if reason != "" {
 		e.stats.Inc(metrics.TxnAborts)
-		e.emitTxnAbort(in, txn, "already fired")
-		return ErrStale
-	}
-	e.cs.MarkFired(in.Key())
-	rec := e.recorder()
-	tAct := e.tr.Now()
-	_, err = e.safeApplyActions(in, true, rec)
-	if e.tr.Enabled() {
-		e.tr.Emit(trace.Event{
-			Kind: trace.KindRuleFire, At: tAct, Dur: e.tr.Now() - tAct,
-			Rule: in.Rule.Name, CE: -1, ID: uint64(txn), Count: 1, Extra: in.Key(),
-		})
-	}
-	// Commit point (§5.2): maintenance is complete; the unit is appended
-	// (fixing its log position) before the locks release. Under the
-	// group-commit policy the locks drop here — early lock release — and
-	// the acknowledgement below still waits for the group fsync: the log
-	// is sequential, so a later unit durable implies this one is too. A
-	// panicked unit was rolled back and is never logged.
-	var durLog *wal.Log
-	var durSeq uint64
-	var logErr error
-	if err == nil {
-		durLog, durSeq, logErr = e.commitUnitLocked(in.Key(), false, rec.ops, rec)
-	}
-	e.maintMu.Unlock()
-	commit()
-	if err != nil {
-		if errors.Is(err, ErrRulePanic) {
-			e.stats.Inc(metrics.TxnAborts)
-			e.emitTxnAbort(in, txn, "panic")
+		if e.tr.Enabled() {
+			e.tr.Emit(trace.Event{
+				Kind: trace.KindTxnAbort, At: e.tr.Now(),
+				Rule: in.Rule.Name, CE: -1, ID: uint64(txn), Extra: reason,
+			})
 		}
+	}
+	if err != nil {
 		return err
-	}
-	if logErr != nil {
-		return logErr
-	}
-	if derr := e.waitDurable(durLog, durSeq); derr != nil {
-		return derr
 	}
 	e.stats.Inc(metrics.RuleFirings)
 	e.stats.Inc(metrics.TxnCommits)
@@ -1148,16 +1080,27 @@ func (e *Engine) runTxn(ctx context.Context, in *conflict.Instantiation) (err er
 	return nil
 }
 
-// emitTxnAbort records one transaction abort in the trace, keeping the
-// txn_abort event count in lock-step with the TxnAborts counter.
-func (e *Engine) emitTxnAbort(in *conflict.Instantiation, txn lock.TxnID, reason string) {
-	if !e.tr.Enabled() {
-		return
+// stillApplicable is a transaction's validation, run under its lock
+// plan: matched tuples must still exist unchanged (else ErrStale);
+// negated conditions must still be NOT EXISTS, checked under the
+// relation read lock (else ErrBlocked).
+func (e *Engine) stillApplicable(in *conflict.Instantiation) error {
+	for i, ce := range in.Rule.CEs {
+		if ce.Negated {
+			if joiner.Exists(e.db, ce, in.Bindings, e.stats) {
+				return ErrBlocked
+			}
+			continue
+		}
+		rel, err := e.db.Lookup(ce.Class)
+		if err != nil {
+			return ErrStale
+		}
+		if cur, ok := rel.Get(in.TupleIDs[i]); !ok || !cur.Equal(in.Tuples[i]) {
+			return ErrStale
+		}
 	}
-	e.tr.Emit(trace.Event{
-		Kind: trace.KindTxnAbort, At: e.tr.Now(),
-		Rule: in.Rule.Name, CE: -1, ID: uint64(txn), Extra: reason,
-	})
+	return nil
 }
 
 // Deadlock-victim retry bounds: exponential backoff from

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"io"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
 	"prodsys/internal/value"
+	"prodsys/internal/wal"
 )
 
 // panicOnClass wraps a matcher and panics on the first Insert targeting
@@ -172,9 +174,10 @@ const watchdogSrc = `
     (call nap)
     (remove 1))
 
-(p fast
+(p slow2
     (Item ^v 1)
   -->
+    (call nap)
     (remove 1))
 
 (Item 1)
@@ -200,10 +203,11 @@ func TestTxnTimeoutWatchdog(t *testing.T) {
 	if err := e.LoadFacts(prog); err != nil {
 		t.Fatal(err)
 	}
-	// Both instantiations want an exclusive lock on the same tuple. One
-	// sleeps 80ms while holding it; the other's waits exceed the 10ms
-	// budget, so the watchdog aborts and retries it instead of letting
-	// it block unboundedly.
+	// Both instantiations want an exclusive lock on the same tuple.
+	// Whichever gets it first (conflict-set arrival order differs between
+	// sharded and unsharded catalogs) sleeps 80ms while holding it; the
+	// other's waits exceed the 10ms budget, so the watchdog aborts and
+	// retries it instead of letting it block unboundedly.
 	res, err := e.RunConcurrent()
 	if err != nil {
 		t.Fatalf("concurrent run failed: %v", err)
@@ -216,5 +220,47 @@ func TestTxnTimeoutWatchdog(t *testing.T) {
 	}
 	if res.Aborts < 1 {
 		t.Fatalf("Aborts = %d, want >= 1 (watchdog abort counted)", res.Aborts)
+	}
+}
+
+// TestAssertPanicContained pins the direct write path to the commit
+// pipeline's containment: a maintenance panic under engine.Assert
+// surfaces as ErrRulePanic, working memory is rolled back, nothing
+// reaches the WAL, and the maintenance mutex is free for the next
+// write (it used to stay locked forever).
+func TestAssertPanicContained(t *testing.T) {
+	e, stats := panicHarness(t, Config{})
+	l, _, err := wal.Open(filepath.Join(t.TempDir(), "wm.wal"), wal.Options{Stats: stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetWAL(l)
+	defer e.Shutdown()
+
+	if _, err := e.Assert("B", relation.Tuple{value.OfInt(7)}); !errors.Is(err, ErrRulePanic) {
+		t.Fatalf("Assert error = %v, want ErrRulePanic", err)
+	}
+	if got := countTuples(t, e, "B"); got != 0 {
+		t.Fatalf("B count = %d, want 0 (panicked assert rolled back)", got)
+	}
+	if got := stats.Get(metrics.WALAppends); got != 0 {
+		t.Fatalf("wal_appends = %d, want 0 (a panicked unit is never logged)", got)
+	}
+	// The fault was one-shot; the next write must not find maintMu held.
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Assert("B", relation.Tuple{value.OfInt(8)})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("post-panic Assert failed: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("post-panic Assert deadlocked on the maintenance mutex")
+	}
+	if got := stats.Get(metrics.WALAppends); got != 1 {
+		t.Fatalf("wal_appends = %d, want 1", got)
 	}
 }

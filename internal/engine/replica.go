@@ -37,8 +37,8 @@ func (e *Engine) IsReplica() bool { return e.replica.Load() }
 // ApplyReplicaTxns applies committed units shipped from the primary:
 // the raw record bytes are mirrored verbatim into the local WAL (so
 // the replica's log stays byte-identical to the primary's, offsets and
-// all), then each unit runs through the same storage+matcher
-// maintenance as recovery replay, including refraction re-marking.
+// all), then the units run through applyLogged — the same loop as
+// recovery replay, including refraction re-marking.
 // epoch names the primary log epoch the bytes came from, for tracing.
 //
 // A local append failure degrades the engine read-only exactly like a
@@ -47,34 +47,19 @@ func (e *Engine) IsReplica() bool { return e.replica.Load() }
 func (e *Engine) ApplyReplicaTxns(epoch uint64, raw []byte, txns []wal.Txn) error {
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	if e.readOnly.Load() {
-		return e.checkWritableIgnoringReplica()
+	// The apply path is exempt from the replica gate but not from
+	// shutdown or degradation.
+	if err := e.checkOpen(); err != nil {
+		return err
 	}
 	if l := e.wal; l != nil && len(raw) > 0 {
 		if err := l.AppendRaw(raw, len(txns)); err != nil {
 			return e.enterReadOnly(err)
 		}
 	}
-	ops := 0
-	for _, t := range txns {
-		for _, op := range t.Ops {
-			var err error
-			if op.Retract {
-				err = e.replayRetractLocked(op.Class, op.ID)
-			} else {
-				err = e.replayAssertLocked(op.Class, op.ID, op.Tuple)
-			}
-			if err != nil {
-				return fmt.Errorf("engine: replica apply: %w", err)
-			}
-			ops++
-		}
-		if !t.Batch && t.Key != "" {
-			e.cs.MarkFired(t.Key)
-		}
+	ops, err := e.applyLogged(txns)
+	if err != nil {
+		return fmt.Errorf("engine: replica apply: %w", err)
 	}
 	e.stats.Add(metrics.ReplicaTxns, int64(len(txns)))
 	e.stats.Add(metrics.ReplicaOps, int64(ops))
@@ -86,19 +71,6 @@ func (e *Engine) ApplyReplicaTxns(epoch uint64, raw []byte, txns []wal.Txn) erro
 		})
 	}
 	return nil
-}
-
-// checkWritableIgnoringReplica reports the closed/read-only portion of
-// checkWritable — the apply path is exempt from the replica gate but
-// not from degradation.
-func (e *Engine) checkWritableIgnoringReplica() error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	if cause := e.ReadOnlyCause(); cause != nil {
-		return fmt.Errorf("%w: %w", ErrReadOnly, cause)
-	}
-	return ErrReadOnly
 }
 
 // ReplicaBootstrap replaces the replica's whole working memory with a
@@ -130,7 +102,7 @@ func (e *Engine) ReplicaBootstrap(epoch uint64, dump []byte) (int, error) {
 			return true
 		})
 		for _, id := range ids {
-			if err := e.replayRetractLocked(name, id); err != nil {
+			if _, err := e.deleteLocked(name, id, nil); err != nil {
 				return 0, fmt.Errorf("engine: bootstrap clear: %w", err)
 			}
 		}

@@ -40,6 +40,10 @@ func TestDeadlockVictimRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Loading the facts consumed transaction IDs (each fact is a one-op
+	// unit); the run's attempts take the next ones.
+	first := lock.TxnID(e.nextTxn.Load()) + 1
+
 	type outcome struct {
 		res Result
 		err error
@@ -50,10 +54,10 @@ func TestDeadlockVictimRetried(t *testing.T) {
 		done <- outcome{res, err}
 	}()
 
-	// Attempt 1 (txn 1) queues behind the blocker; victimize it.
+	// Attempt 1 (txn first) queues behind the blocker; victimize it.
 	waitFor(t, "first attempt to queue", func() bool { return e.stats.Get(metrics.LockWaits) >= 1 })
-	e.locks.Abort(1)
-	// The retry (txn 2) queues again; let it through.
+	e.locks.Abort(first)
+	// The retry (txn first+1) queues again; let it through.
 	waitFor(t, "retry to queue", func() bool { return e.stats.Get(metrics.LockWaits) >= 2 })
 	e.locks.Release(blocker)
 
@@ -93,6 +97,8 @@ func TestRetriesBoundedUnderPersistentVictimization(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	first := lock.TxnID(e.nextTxn.Load()) + 1
+
 	type outcome struct {
 		res Result
 		err error
@@ -107,7 +113,7 @@ func TestRetriesBoundedUnderPersistentVictimization(t *testing.T) {
 	attempts := maxTxnRetries + 1
 	for i := 1; i <= attempts; i++ {
 		waitFor(t, "attempt to queue", func() bool { return e.stats.Get(metrics.LockWaits) >= int64(i) })
-		e.locks.Abort(lock.TxnID(i))
+		e.locks.Abort(first + lock.TxnID(i-1))
 	}
 
 	out := <-done

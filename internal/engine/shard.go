@@ -46,15 +46,9 @@ type shardTask struct {
 func (e *Engine) shardWorkers(space int) int {
 	w := e.cfg.ShardWorkers
 	if w == 0 {
-		w = runtime.NumCPU()
-		if w < 2 {
-			w = 2
-		}
+		w = max(2, runtime.NumCPU())
 	}
-	if w > space {
-		w = space
-	}
-	return w
+	return min(w, space)
 }
 
 // splitDelta partitions a batch delta by the tuples' shards, preserving

@@ -1,37 +1,15 @@
 package marker
 
-import "prodsys/internal/relation"
+import (
+	"prodsys/internal/match"
+	"prodsys/internal/relation"
+)
 
-// Basic Locking's derived state is the marker map, but a deletion must
-// read the deleted tuple's markers to know which rules to wake BEFORE
-// discarding them — marker upkeep and detection cannot be phase-split.
-// Everything therefore runs in the detection phase: the marker map is
-// mutex-guarded, each tuple's marker entry is touched only by its own
-// deletion (tuples live on exactly one shard), and every wake-time
-// re-evaluation runs against final WM state, so per-shard sub-batches
-// commute.
+// A deletion must read the deleted tuple's markers to know which rules
+// to wake BEFORE discarding them, so marker upkeep cannot be split from
+// detection: match.Shardable's maintain phase is a no-op and the whole
+// sub-delta runs in detection. The marker map is mutex-guarded and every
+// wake-time re-evaluation sees final WM state, so sub-batches commute.
+func (m *Matcher) ShardMaintain(*relation.Delta) error { return nil }
 
-// ShardMaintain implements match.Shardable phase 1: a no-op — marker
-// bookkeeping is inseparable from wake-up detection (see above).
-func (m *Matcher) ShardMaintain(d *relation.Delta) error { return nil }
-
-// ShardDetect implements match.Shardable phase 2: the tuple-at-a-time
-// path over one shard's sub-delta, deletions first.
-func (m *Matcher) ShardDetect(d *relation.Delta) error {
-	classes := d.Classes()
-	for _, class := range classes {
-		for _, e := range d.Deletes(class) {
-			if err := m.Delete(class, e.ID, e.Tuple); err != nil {
-				return err
-			}
-		}
-	}
-	for _, class := range classes {
-		for _, e := range d.Inserts(class) {
-			if err := m.Insert(class, e.ID, e.Tuple); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+func (m *Matcher) ShardDetect(d *relation.Delta) error { return match.ApplyDelta(m, d) }

@@ -1,8 +1,7 @@
 // Package match defines the interface every matching algorithm in this
-// repository implements: the classic Rete network (internal/rete), its
-// straightforward DBMS translation (internal/dbrete), the paper's
-// simplified re-evaluation algorithm (internal/requery), and the
-// matching-pattern algorithm that is the paper's contribution
+// repository implements: the classic Rete network (internal/rete), the
+// paper's simplified re-evaluation algorithm (internal/requery), and
+// the matching-pattern algorithm that is the paper's contribution
 // (internal/core).
 //
 // A matcher observes working-memory changes and maintains a conflict set.

@@ -1,35 +1,15 @@
 package ptree
 
-import "prodsys/internal/relation"
+import (
+	"prodsys/internal/match"
+	"prodsys/internal/relation"
+)
 
-// The predicate index is built once from the (static) rule set and only
-// probed afterwards — R-tree searches are read-only and safe for
-// concurrent workers. There is no per-tuple derived state to maintain,
-// so sharded processing runs entirely in the detection phase: every
-// probe-seeded join and negated re-derivation evaluates against final
-// WM state, so per-shard sub-batches commute.
+// The condition R-tree is built once from the (static) rule set and only
+// probed afterwards — searches are read-only and safe for concurrent
+// workers — so match.Shardable's maintain phase is a no-op and the whole
+// sub-delta runs in detection. Every probe-seeded join and negated
+// re-derivation sees final WM state, so per-shard sub-batches commute.
+func (m *Matcher) ShardMaintain(*relation.Delta) error { return nil }
 
-// ShardMaintain implements match.Shardable phase 1: a no-op — the
-// condition R-tree depends only on the rule set, not on WM contents.
-func (m *Matcher) ShardMaintain(d *relation.Delta) error { return nil }
-
-// ShardDetect implements match.Shardable phase 2: the tuple-at-a-time
-// path over one shard's sub-delta, deletions first.
-func (m *Matcher) ShardDetect(d *relation.Delta) error {
-	classes := d.Classes()
-	for _, class := range classes {
-		for _, e := range d.Deletes(class) {
-			if err := m.Delete(class, e.ID, e.Tuple); err != nil {
-				return err
-			}
-		}
-	}
-	for _, class := range classes {
-		for _, e := range d.Inserts(class) {
-			if err := m.Insert(class, e.ID, e.Tuple); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+func (m *Matcher) ShardDetect(d *relation.Delta) error { return match.ApplyDelta(m, d) }

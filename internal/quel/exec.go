@@ -216,11 +216,16 @@ func (in *Interp) enumerate(st *Stmt, fn func(b binding) error) error {
 	return rec(0)
 }
 
-// runTriggers drains the conflict set after a data change.
-func (in *Interp) runTriggers(res *Result) error {
+// write commits one statement's changes as a single engine delta — one
+// locked, logged, all-or-nothing unit (a crash recovers the whole
+// statement or none of it) — then drains the conflict set, firing the
+// triggers the change enabled.
+func (in *Interp) write(ops []engine.DeltaOp) (*Result, error) {
+	if _, err := in.eng.ApplyDelta(ops); err != nil {
+		return nil, err
+	}
 	r, err := in.eng.RunSerial()
-	res.Fired += r.Firings
-	return err
+	return &Result{Affected: len(ops), Fired: r.Firings}, err
 }
 
 func (in *Interp) retrieve(st *Stmt) (*Result, error) {
@@ -279,12 +284,7 @@ func (in *Interp) append(st *Stmt) (*Result, error) {
 		}
 		t[pos] = as.Expr.Const
 	}
-	res := &Result{}
-	if _, err := in.eng.Assert(st.Class, t); err != nil {
-		return nil, err
-	}
-	res.Affected = 1
-	return res, in.runTriggers(res)
+	return in.write([]engine.DeltaOp{{Class: st.Class, Tuple: t}})
 }
 
 func (in *Interp) delete(st *Stmt) (*Result, error) {
@@ -302,19 +302,12 @@ func (in *Interp) delete(st *Stmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
-	ordered := make([]relation.TupleID, 0, len(ids))
+	ops := make([]engine.DeltaOp, 0, len(ids))
 	for id := range ids {
-		ordered = append(ordered, id)
+		ops = append(ops, engine.DeltaOp{Retract: true, Class: cls, ID: id})
 	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-	for _, id := range ordered {
-		if err := in.eng.Retract(cls, id); err != nil {
-			return nil, err
-		}
-		res.Affected++
-	}
-	return res, in.runTriggers(res)
+	sort.Slice(ops, func(i, j int) bool { return ops[i].ID < ops[j].ID })
+	return in.write(ops)
 }
 
 func (in *Interp) replace(st *Stmt) (*Result, error) {
@@ -325,11 +318,7 @@ func (in *Interp) replace(st *Stmt) (*Result, error) {
 	attrs := in.tr.Classes[cls]
 	// Compute each target's replacement tuple; the first qualifying
 	// combination wins when several assign the same target.
-	type change struct {
-		id relation.TupleID
-		t  relation.Tuple
-	}
-	var changes []change
+	var ops []engine.DeltaOp
 	seen := map[relation.TupleID]bool{}
 	err = in.enumerate(st, func(b binding) error {
 		ent := b[st.Var]
@@ -349,22 +338,17 @@ func (in *Interp) replace(st *Stmt) (*Result, error) {
 			}
 			nt[pos] = v
 		}
-		changes = append(changes, change{ent.id, nt})
+		// A replace is a delete followed by an insert (§3.1).
+		ops = append(ops, engine.DeltaOp{Retract: true, Class: cls, ID: ent.id},
+			engine.DeltaOp{Class: cls, Tuple: nt})
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
-	for _, ch := range changes {
-		// A replace is a delete followed by an insert (§3.1).
-		if err := in.eng.Retract(cls, ch.id); err != nil {
-			return nil, err
-		}
-		if _, err := in.eng.Assert(cls, ch.t); err != nil {
-			return nil, err
-		}
-		res.Affected++
+	res, err := in.write(ops)
+	if res != nil {
+		res.Affected = len(ops) / 2
 	}
-	return res, in.runTriggers(res)
+	return res, err
 }

@@ -8,6 +8,7 @@ import (
 	"prodsys/internal/conflict"
 	"prodsys/internal/core"
 	"prodsys/internal/engine"
+	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
@@ -138,12 +139,20 @@ append to Emp (name = "Mike", salary = 1)
 
 // fixture builds an engine with Emp/Dept plus the translated ALWAYS rules.
 type fixture struct {
-	eng *engine.Engine
-	in  *Interp
-	tr  *Translator
+	eng   *engine.Engine
+	in    *Interp
+	tr    *Translator
+	stats *metrics.Set
 }
 
 func setup(t *testing.T, alwaysStmts []string) *fixture {
+	t.Helper()
+	return setupWrapped(t, alwaysStmts, func(m match.Matcher) match.Matcher { return m })
+}
+
+// setupWrapped is setup with the matcher passed through wrap, for tests
+// that inject faults into the maintenance process.
+func setupWrapped(t *testing.T, alwaysStmts []string, wrap func(match.Matcher) match.Matcher) *fixture {
 	t.Helper()
 	classes := map[string][]string{
 		"Emp":  {"name", "salary", "dno"},
@@ -176,12 +185,12 @@ func setup(t *testing.T, alwaysStmts []string) *fixture {
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
-	m := core.New(set, db, conflict.NewSet(stats), stats)
+	m := wrap(core.New(set, db, conflict.NewSet(stats), stats))
 	eng := engine.New(set, db, m, stats, engine.Config{})
 	if err := eng.LoadFacts(prog); err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{eng: eng, in: NewInterp(eng, tr), tr: tr}
+	return &fixture{eng: eng, in: NewInterp(eng, tr), tr: tr, stats: stats}
 }
 
 func (f *fixture) mustExec(t *testing.T, stmt string) *Result {

@@ -1,36 +1,15 @@
 package requery
 
-import "prodsys/internal/relation"
+import (
+	"prodsys/internal/match"
+	"prodsys/internal/relation"
+)
 
-// The simplified algorithm keeps no incremental derived state — every
-// change re-evaluates the affected residual joins against working
-// memory. Sharded processing therefore has an empty maintenance phase,
-// and the whole batch path runs as detection: the planner and conflict
-// set are both safe for concurrent use, and every derivation and
-// negation check evaluates against final WM state (the engine's
-// ApplyDelta precondition), so per-shard sub-batches commute.
+// The simplified algorithm keeps no incremental derived state, so
+// match.Shardable's maintain phase is a no-op and the whole batch path
+// runs as detection. The planner and conflict set are safe for
+// concurrent use and every derivation and negation check evaluates
+// against final WM state, so per-shard sub-batches commute.
+func (m *Matcher) ShardMaintain(*relation.Delta) error { return nil }
 
-// ShardMaintain implements match.Shardable phase 1: a no-op — the
-// simplified algorithm materializes nothing between cycles.
-func (m *Matcher) ShardMaintain(d *relation.Delta) error { return nil }
-
-// ShardDetect implements match.Shardable phase 2: the existing batch
-// path over one shard's sub-delta, deletions first.
-func (m *Matcher) ShardDetect(d *relation.Delta) error {
-	classes := d.Classes()
-	for _, class := range classes {
-		if e := d.Deletes(class); len(e) > 0 {
-			if err := m.DeleteBatch(class, e); err != nil {
-				return err
-			}
-		}
-	}
-	for _, class := range classes {
-		if e := d.Inserts(class); len(e) > 0 {
-			if err := m.InsertBatch(class, e); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+func (m *Matcher) ShardDetect(d *relation.Delta) error { return match.ApplyDelta(m, d) }
