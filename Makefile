@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-storage test-shards bench bench-storage bench-planner bench-shard check loc fmt fuzz-short trace-demo crash-demo audit-demo soak-demo failover-demo
+.PHONY: build test test-storage bench check loc fmt fuzz-short trace-demo crash-demo audit-demo soak-demo failover-demo
 
 build:
 	$(GO) build ./...
@@ -14,37 +14,10 @@ test-storage:
 	PRODSYS_STORAGE=row $(GO) test ./...
 	PRODSYS_STORAGE=columnar $(GO) test ./...
 
-# test-shards runs the tier-1 suite once unsharded and once with every
-# relation hash-partitioned four ways; PRODSYS_SHARDS sets the
-# process-wide default shard count (docs/SHARDING.md).
-test-shards:
-	PRODSYS_SHARDS=1 $(GO) test ./...
-	PRODSYS_SHARDS=4 $(GO) test ./...
-
+# bench is the repository's one ruler (benchmark/README.md): one
+# measured run of the four pinned workloads under BENCHMARK.json.
 bench:
-	$(GO) test -bench=. -benchmem .
-
-# bench-storage runs the storage benchmark — the payroll insert batch
-# crossed over backend (row|columnar) × index availability × matcher —
-# printing the table and writing the results to BENCH_6.json.
-bench-storage:
-	$(GO) run ./cmd/psbench -storage-bench BENCH_6.json
-
-# bench-planner runs the join-planner benchmark — fixed vs cost-based
-# order on the chain and payroll workloads through core and requery,
-# with plan-cache hit rates — printing the table and writing the
-# results to BENCH_7.json.
-bench-planner:
-	$(GO) run ./cmd/psbench -planner-bench BENCH_7.json
-
-# bench-shard runs the shard-scaling benchmark — the payroll insert
-# batch on a 4-way sharded catalog at 1/2/4/8 scheduler workers vs the
-# unsharded serial baseline — printing the table and writing the
-# results (with the runner's CPU count) to BENCH_9.json. The speedup
-# column is bounded by the runner's cores; EXPERIMENTS.md E17 records
-# the interpretation.
-bench-shard:
-	$(GO) run ./cmd/psbench -shard-bench BENCH_9.json
+	bash benchmark/run.sh
 
 # check is the extended verification: static analysis, formatting, and
 # the full test suite under the race detector. staticcheck runs when

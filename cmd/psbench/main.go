@@ -9,21 +9,9 @@
 //	psbench -exp e2,e7      # selected experiments
 //	psbench -list           # list available experiments
 //	psbench -trace out.json # trace demo: payroll run, profile + Chrome trace
-//
-//	psbench -storage-bench BENCH_6.json
-//	  storage benchmark: payroll insert batch crossed over backend
-//	  (row|columnar) × index availability × matcher, printed as a table
-//	  and written to the named file as JSON
-//
-//	psbench -shard-bench BENCH_9.json
-//	  shard-scaling benchmark: the payroll insert batch on a 4-way
-//	  sharded catalog at 1/2/4/8 scheduler workers vs the unsharded
-//	  serial baseline, printed as a table and written to the named
-//	  file as JSON (the runner's CPU count is recorded per row)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -119,54 +107,6 @@ func traceDemo(path, matcher string, nOps int) error {
 	return nil
 }
 
-// storageBench runs the storage benchmark and writes the results to
-// path as JSON, printing the aligned table to stdout.
-func storageBench(path string, ruleCount, nOps int) error {
-	rows := experiments.StorageBench(ruleCount, nOps)
-	fmt.Print(experiments.StorageTable(rows).String())
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nstorage benchmark written to %s\n", path)
-	return nil
-}
-
-// plannerBench runs the join-planner benchmark and writes the results
-// to path as JSON, printing the aligned table to stdout.
-func plannerBench(path string, scale float64) error {
-	rows := experiments.PlannerBench(scale)
-	fmt.Print(experiments.PlannerTable(rows).String())
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nplanner benchmark written to %s\n", path)
-	return nil
-}
-
-// shardBench runs the shard-scaling benchmark and writes the results
-// to path as JSON, printing the aligned table to stdout.
-func shardBench(path string, ruleCount, nOps int) error {
-	rows := experiments.ShardBench(ruleCount, nOps)
-	fmt.Print(experiments.ShardTable(rows).String())
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nshard benchmark written to %s\n", path)
-	return nil
-}
-
 func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale factor (0 < scale ≤ 1 for quicker runs)")
 	exps := flag.String("exp", "", "comma-separated experiment IDs (default: all)")
@@ -174,38 +114,7 @@ func main() {
 	traceOut := flag.String("trace", "", "run the payroll trace demo and write a Chrome trace_event file to this path")
 	traceMatcher := flag.String("trace-matcher", "core", "matcher for the trace demo")
 	traceOps := flag.Int("trace-ops", 400, "operation count for the trace demo")
-	storageOut := flag.String("storage-bench", "", "run the storage benchmark and write JSON results to this path")
-	storageRules := flag.Int("storage-rules", 50, "rule count for the storage benchmark")
-	storageOps := flag.Int("storage-ops", 1500, "operation count for the storage benchmark")
-	plannerOut := flag.String("planner-bench", "", "run the join-planner benchmark and write JSON results to this path")
-	shardOut := flag.String("shard-bench", "", "run the shard-scaling benchmark and write JSON results to this path")
-	shardRules := flag.Int("shard-rules", 50, "rule count for the shard-scaling benchmark")
-	shardOps := flag.Int("shard-ops", 1500, "operation count for the shard-scaling benchmark")
 	flag.Parse()
-
-	if *shardOut != "" {
-		if err := shardBench(*shardOut, *shardRules, *shardOps); err != nil {
-			fmt.Fprintln(os.Stderr, "psbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *plannerOut != "" {
-		if err := plannerBench(*plannerOut, *scale); err != nil {
-			fmt.Fprintln(os.Stderr, "psbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *storageOut != "" {
-		if err := storageBench(*storageOut, *storageRules, *storageOps); err != nil {
-			fmt.Fprintln(os.Stderr, "psbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *traceOut != "" {
 		if err := traceDemo(*traceOut, *traceMatcher, *traceOps); err != nil {

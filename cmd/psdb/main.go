@@ -41,8 +41,6 @@ func main() {
 	strategy := flag.String("strategy", "fifo", "conflict resolution: fifo|lex|priority|random")
 	storage := flag.String("storage", "", "tuple storage backend: row|columnar (empty = process default)")
 	storageByClass := flag.String("storage-by-class", "", "per-class backend overrides, e.g. Emp=columnar,Dept=row")
-	shards := flag.Int("shards", 0, "shard WM relations and matcher state this many ways [1,64]; 0 = PRODSYS_SHARDS or 1")
-	shardWorkers := flag.Int("shard-workers", 0, "parallel match scheduler pool size; 0 = auto, negative = serial maintenance")
 	seed := flag.Int64("seed", 1, "seed for the random strategy")
 	concurrent := flag.Bool("concurrent", false, "fire applicable rules concurrently as transactions (§5)")
 	workers := flag.Int("workers", 4, "concurrent executor pool size")
@@ -90,8 +88,6 @@ func main() {
 		Strategy:           prodsys.Strategy(*strategy),
 		Storage:            prodsys.Storage(*storage),
 		StorageByClass:     perClass,
-		Shards:             *shards,
-		ShardWorkers:       *shardWorkers,
 		Planner:            prodsys.Planner(*plannerMode),
 		Seed:               *seed,
 		Workers:            *workers,

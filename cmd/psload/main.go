@@ -49,7 +49,6 @@ func main() {
 	failover := flag.Bool("chaos-failover", false, "run the replication failover drill: kill the primary, promote the replica, fence and rejoin the old primary (needs -spawn and -wal)")
 	cycles := flag.Int("cycles", 5, "kill→promote→rejoin cycles (with -chaos-failover)")
 	replicaAddr := flag.String("replica-addr", "127.0.0.1:8373", "replica address (with -chaos-failover)")
-	shards := flag.Int("shards", 0, "forwarded to the spawned psserve as -shards (with -spawn)")
 	seed := flag.Int64("seed", 1, "workload RNG seed")
 	label := flag.String("label", "mixed", "workload label recorded in the report")
 	out := flag.String("out", "", "append the JSON report to this file (array of runs)")
@@ -91,7 +90,7 @@ func main() {
 		}
 		srv = &serverProc{
 			bin: *psserve, addr: *addr, program: *program, wal: wal,
-			maxInFlight: *maxInFlight, maxQueue: *maxQueue, shards: *shards,
+			maxInFlight: *maxInFlight, maxQueue: *maxQueue,
 		}
 		if err := srv.start(); err != nil {
 			fmt.Fprintf(os.Stderr, "psload: spawn: %v\n", err)
@@ -105,7 +104,7 @@ func main() {
 		if *failover {
 			srvB = &serverProc{
 				bin: *psserve, addr: *replicaAddr, program: *program, wal: *walPath + ".b",
-				maxInFlight: *maxInFlight, maxQueue: *maxQueue, shards: *shards,
+				maxInFlight: *maxInFlight, maxQueue: *maxQueue,
 				replicaOf: "http://" + *addr,
 			}
 			if err := srvB.start(); err != nil {
@@ -838,7 +837,6 @@ func (h *harness) fill(rep *report) {
 type serverProc struct {
 	bin, addr, program, wal string
 	maxInFlight, maxQueue   int
-	shards                  int
 	replicaOf               string
 	cmd                     *exec.Cmd
 }
@@ -849,7 +847,6 @@ func (p *serverProc) start() error {
 		"-wal-sync", "group",
 		"-max-inflight", strconv.Itoa(p.maxInFlight),
 		"-max-queue", strconv.Itoa(p.maxQueue),
-		"-shards", strconv.Itoa(p.shards),
 	}
 	if p.replicaOf != "" {
 		args = append(args, "-replica-of", p.replicaOf)

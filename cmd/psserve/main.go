@@ -46,8 +46,6 @@ func main() {
 	walSync := flag.String("wal-sync", "group", "WAL sync policy: always|interval|never|group")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after this many logged units (0 = never)")
 	matcher := flag.String("matcher", "core", "matching algorithm: rete|requery|core|core-parallel|marker|ptree")
-	shards := flag.Int("shards", 0, "shard WM relations and matcher state this many ways [1,64]; 0 = PRODSYS_SHARDS or 1")
-	shardWorkers := flag.Int("shard-workers", 0, "parallel match scheduler pool size; 0 = auto, negative = serial maintenance")
 	maxInFlight := flag.Int("max-inflight", 32, "max concurrently executing requests")
 	maxQueue := flag.Int("max-queue", 128, "max requests waiting for a slot before shedding 429")
 	requestTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline propagated into the engine")
@@ -63,8 +61,6 @@ func main() {
 
 	sys, err := prodsys.LoadFile(*program, prodsys.Options{
 		Matcher:            prodsys.Matcher(*matcher),
-		Shards:             *shards,
-		ShardWorkers:       *shardWorkers,
 		Out:                os.Stdout,
 		WALPath:            *walPath,
 		WALSync:            prodsys.WALSyncMode(*walSync),

@@ -81,12 +81,38 @@ type tupleRef struct {
 	id    relation.TupleID
 }
 
+// tupleIndex maps a tuple to the keys of the instantiations it supports.
+type tupleIndex map[tupleRef]map[string]struct{}
+
+func (ix tupleIndex) link(ref tupleRef, key string) {
+	set := ix[ref]
+	if set == nil {
+		set = make(map[string]struct{})
+		ix[ref] = set
+	}
+	set[key] = struct{}{}
+}
+
+func (ix tupleIndex) unlink(ref tupleRef, key string) {
+	if set := ix[ref]; set != nil {
+		delete(set, key)
+		if len(set) == 0 {
+			delete(ix, ref)
+		}
+	}
+}
+
 // Set is the conflict set. All methods are safe for concurrent use.
 type Set struct {
-	mu       sync.Mutex
-	items    map[string]*Instantiation
-	byTuple  map[tupleRef]map[string]struct{}
-	fired    map[string]bool
+	mu      sync.Mutex
+	items   map[string]*Instantiation
+	byTuple tupleIndex
+	// fired maps each refracted key to the tuples supporting it and
+	// firedBy is the reverse index, so ForgetTuple can drop the keys a
+	// deleted tuple supported: tuple IDs are never reused, so such a key
+	// can never be derived again and its mark is dead weight.
+	fired    map[string][]tupleRef
+	firedBy  tupleIndex
 	seq      uint64
 	stats    *metrics.Set
 	observer func(added bool, in *Instantiation)
@@ -116,8 +142,9 @@ func (s *Set) SetObserver(fn func(added bool, in *Instantiation)) {
 func NewSet(stats *metrics.Set) *Set {
 	return &Set{
 		items:   make(map[string]*Instantiation),
-		byTuple: make(map[tupleRef]map[string]struct{}),
-		fired:   make(map[string]bool),
+		byTuple: make(tupleIndex),
+		fired:   make(map[string][]tupleRef),
+		firedBy: make(tupleIndex),
 		stats:   stats,
 	}
 }
@@ -146,13 +173,7 @@ func (s *Set) AddAll(ins []*Instantiation) int {
 			if in.Rule.CEs[i].Negated || id == 0 {
 				continue
 			}
-			ref := tupleRef{class: in.Rule.CEs[i].Class, id: id}
-			set := s.byTuple[ref]
-			if set == nil {
-				set = make(map[string]struct{})
-				s.byTuple[ref] = set
-			}
-			set[key] = struct{}{}
+			s.byTuple.link(tupleRef{class: in.Rule.CEs[i].Class, id: id}, key)
 		}
 		s.stats.Inc(metrics.Instantiations)
 		if s.tr.Enabled() {
@@ -180,13 +201,7 @@ func (s *Set) removeLocked(key string) bool {
 		if in.Rule.CEs[i].Negated || id == 0 {
 			continue
 		}
-		ref := tupleRef{class: in.Rule.CEs[i].Class, id: id}
-		if set := s.byTuple[ref]; set != nil {
-			delete(set, key)
-			if len(set) == 0 {
-				delete(s.byTuple, ref)
-			}
-		}
+		s.byTuple.unlink(tupleRef{class: in.Rule.CEs[i].Class, id: id}, key)
 	}
 	s.stats.Inc(metrics.Retractions)
 	if s.tr.Enabled() {
@@ -273,44 +288,6 @@ func (s *Set) Items() []*Instantiation {
 	return out
 }
 
-// Sequence returns the current arrival-sequence high-water mark. The
-// parallel match scheduler records it before fanning a batch out to
-// concurrent shard workers, then calls Canonicalize with it afterwards.
-func (s *Set) Sequence() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
-// Canonicalize re-assigns the arrival sequence numbers of every
-// instantiation added after mark, in sorted-key order. Concurrent shard
-// workers race to insert, so raw Seq values depend on scheduling; the
-// set MEMBERSHIP is order-independent (every derivation evaluates
-// against final WM state), and re-sequencing the batch's additions by
-// key makes recency-based selection deterministic too — a sharded run
-// selects exactly what an unsharded run would.
-func (s *Set) Canonicalize(mark uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var keys []string
-	for k, in := range s.items {
-		if in.Seq > mark {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) == 0 {
-		s.seq = mark
-		return
-	}
-	sort.Strings(keys)
-	seq := mark
-	for _, k := range keys {
-		seq++
-		s.items[k].Seq = seq
-	}
-	s.seq = seq
-}
-
 // Keys returns the sorted keys of the live instantiations; the primary
 // tool of the cross-matcher agreement tests.
 func (s *Set) Keys() []string {
@@ -325,11 +302,27 @@ func (s *Set) Keys() []string {
 }
 
 // MarkFired records that an instantiation has fired, so refraction will
-// keep it from being selected again even if re-derived.
+// keep it from being selected again even if re-derived — for instance
+// after a negated condition element blocks and later unblocks it. The
+// mark lasts until ForgetTuple reports one of the supporting tuples
+// deleted; a key with no live instantiation is marked for good.
 func (s *Set) MarkFired(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.fired[key] = true
+	if _, marked := s.fired[key]; !marked {
+		var refs []tupleRef
+		if in := s.items[key]; in != nil {
+			for i, id := range in.TupleIDs {
+				if in.Rule.CEs[i].Negated || id == 0 {
+					continue
+				}
+				ref := tupleRef{class: in.Rule.CEs[i].Class, id: id}
+				refs = append(refs, ref)
+				s.firedBy.link(ref, key)
+			}
+		}
+		s.fired[key] = refs
+	}
 	s.removeLocked(key)
 }
 
@@ -337,7 +330,33 @@ func (s *Set) MarkFired(key string) {
 func (s *Set) HasFired(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.fired[key]
+	_, marked := s.fired[key]
+	return marked
+}
+
+// FiredLen returns the number of refraction marks held.
+func (s *Set) FiredLen() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.fired)
+}
+
+// ForgetTuple drops the refraction mark of every fired instantiation
+// the given working-memory tuple supported. The engine calls it once a
+// unit that deleted the tuple can no longer be rolled back.
+func (s *Set) ForgetTuple(class string, id relation.TupleID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	gone := tupleRef{class: class, id: id}
+	for key := range s.firedBy[gone] {
+		for _, ref := range s.fired[key] {
+			if ref != gone {
+				s.firedBy.unlink(ref, key)
+			}
+		}
+		delete(s.fired, key)
+	}
+	delete(s.firedBy, gone)
 }
 
 // Select picks the next instantiation to fire under the given strategy,
@@ -347,7 +366,7 @@ func (s *Set) Select(strategy Strategy) *Instantiation {
 	s.mu.Lock()
 	cands := make([]*Instantiation, 0, len(s.items))
 	for key, in := range s.items {
-		if !s.fired[key] {
+		if _, marked := s.fired[key]; !marked {
 			cands = append(cands, in)
 		}
 	}
@@ -366,7 +385,7 @@ func (s *Set) SelectAll() []*Instantiation {
 	defer s.mu.Unlock()
 	out := make([]*Instantiation, 0, len(s.items))
 	for key, in := range s.items {
-		if !s.fired[key] {
+		if _, marked := s.fired[key]; !marked {
 			out = append(out, in)
 		}
 	}
@@ -379,8 +398,9 @@ func (s *Set) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.items = make(map[string]*Instantiation)
-	s.byTuple = make(map[tupleRef]map[string]struct{})
-	s.fired = make(map[string]bool)
+	s.byTuple = make(tupleIndex)
+	s.fired = make(map[string][]tupleRef)
+	s.firedBy = make(tupleIndex)
 	s.seq = 0
 }
 

@@ -149,6 +149,42 @@ func TestRefraction(t *testing.T) {
 	}
 }
 
+func TestForgetTuplePrunesFiredKeys(t *testing.T) {
+	_, r1, r2 := fixture(t)
+	s := NewSet(nil)
+	// Three fired keys share A:1; one of them also rests on B:2.
+	for _, in := range []*Instantiation{inst(r1, 1, 2), inst(r1, 1, 3), inst(r2, 1), inst(r2, 4)} {
+		s.Add(in)
+		s.MarkFired(in.Key())
+	}
+	if s.FiredLen() != 4 {
+		t.Fatalf("FiredLen = %d, want 4", s.FiredLen())
+	}
+	// A retraction that leaves every supporting tuple alive (a negated
+	// condition element blocking the rule) keeps the key refracted.
+	s.Add(inst(r1, 1, 2))
+	s.Remove("First|1|2")
+	if !s.HasFired("First|1|2") {
+		t.Fatal("retraction without a tuple delete dropped the refraction mark")
+	}
+	// B:2 and A:2 are different tuples.
+	s.ForgetTuple("A", 2)
+	if s.FiredLen() != 4 {
+		t.Fatalf("FiredLen = %d after forgetting an unrelated tuple, want 4", s.FiredLen())
+	}
+	s.ForgetTuple("B", 2)
+	if s.HasFired("First|1|2") || s.FiredLen() != 3 {
+		t.Fatalf("First|1|2 still marked after B:2 was deleted (FiredLen %d)", s.FiredLen())
+	}
+	s.ForgetTuple("A", 1)
+	if s.FiredLen() != 1 || !s.HasFired("Second|4") {
+		t.Fatalf("FiredLen = %d after A:1 was deleted, want only Second|4", s.FiredLen())
+	}
+	if len(s.firedBy) != 1 {
+		t.Fatalf("reverse index holds %d tuples, want 1: %v", len(s.firedBy), s.firedBy)
+	}
+}
+
 func TestSelectEmpty(t *testing.T) {
 	s := NewSet(nil)
 	if s.Select(FIFO{}) != nil {

@@ -92,16 +92,8 @@ func (m *Matcher) AuditDerived(db *relation.DB, only map[string]bool, emit func(
 	}
 	sort.Strings(classes)
 	for _, class := range classes {
-		// Shard partitions hold disjoint slices of each pattern's support;
-		// the ground truth is per merged pattern, so audit the union.
-		merged := m.stores[class].mergeByKey()
-		keys := make([]string, 0, len(merged))
-		for k := range merged {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			p := merged[key]
+		for _, p := range m.stores[class].patterns() {
+			key := p.key
 			rname := p.ce.Rule.Name
 			if only != nil && !only[rname] {
 				continue
@@ -163,33 +155,31 @@ func (m *Matcher) AuditDerived(db *relation.DB, only map[string]bool, emit func(
 // over the WM relations. only == nil rebuilds every rule.
 func (m *Matcher) RebuildRules(db *relation.DB, only map[string]bool) error {
 	sel := func(r *rules.Rule) bool { return only == nil || only[r.Name] }
-	for _, cst := range m.stores {
-		cst.all(func(st *store) {
-			st.mu.Lock()
-			for key, p := range st.byKey {
-				if !sel(p.ce.Rule) {
-					continue
-				}
+	for _, st := range m.stores {
+		st.mu.Lock()
+		for key, p := range st.byKey {
+			if !sel(p.ce.Rule) {
+				continue
+			}
+			if p.original {
+				p.support = make(map[int]idSet)
+				continue
+			}
+			delete(st.byKey, key)
+		}
+		for k, list := range st.byCE {
+			if !sel(k.rule) {
+				continue
+			}
+			kept := list[:0]
+			for _, p := range list {
 				if p.original {
-					p.support = make(map[int]idSet)
-					continue
+					kept = append(kept, p)
 				}
-				delete(st.byKey, key)
 			}
-			for k, list := range st.byCE {
-				if !sel(k.rule) {
-					continue
-				}
-				kept := list[:0]
-				for _, p := range list {
-					if p.original {
-						kept = append(kept, p)
-					}
-				}
-				st.byCE[k] = kept
-			}
-			st.mu.Unlock()
-		})
+			st.byCE[k] = kept
+		}
+		st.mu.Unlock()
 	}
 	m.refMu.Lock()
 	for wk, slots := range m.byTuple {
@@ -222,7 +212,7 @@ func (m *Matcher) RebuildRules(db *relation.DB, only map[string]bool) error {
 			src := src
 			rel.Scan(func(id relation.TupleID, t relation.Tuple) bool {
 				if tb, ok := src.MatchPattern(t, nil); ok {
-					m.propagate(src, id, tb, m.shardOf(src.Class, t))
+					m.propagate(src, id, tb)
 				}
 				return true
 			})
@@ -247,20 +237,12 @@ func (m *Matcher) CorruptDerived(rng *rand.Rand) string {
 	}
 	var cands []cand
 	for _, class := range classes {
-		m.stores[class].all(func(st *store) {
-			st.mu.Lock()
-			keys := make([]string, 0, len(st.byKey))
-			for k, p := range st.byKey {
-				if !p.original && len(p.support) > 0 {
-					keys = append(keys, k)
-				}
+		st := m.stores[class]
+		for _, p := range st.patterns() {
+			if !p.original && len(p.support) > 0 {
+				cands = append(cands, cand{st: st, key: p.key})
 			}
-			sort.Strings(keys)
-			st.mu.Unlock()
-			for _, k := range keys {
-				cands = append(cands, cand{st: st, key: k})
-			}
-		})
+		}
 	}
 	if len(cands) == 0 {
 		return ""

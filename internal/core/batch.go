@@ -14,20 +14,11 @@ import (
 // This file is the matching-pattern algorithm's set-oriented path: one
 // batch of same-class WM changes is maintained with one COND-relation
 // scan per (class, condition element) pair, propagation grouped so every
-// target COND partition is locked (and, under simulated I/O, written)
+// target COND relation is locked (and, under simulated I/O, written)
 // once per batch, and — for deletions — one re-derivation per negatively
 // dependent rule per batch. This is the set-at-a-time processing the
 // paper claims as the DBMS advantage (§4.2, §5.1), applied to the
 // maintenance process itself.
-//
-// The path is split into a maintenance half (support withdrawal +
-// pattern propagation, mutating COND state only) and a detection half
-// (conflict-set updates only). The classic BatchMatcher entry points
-// run both halves back to back; the match.Shardable entry points
-// (ShardMaintain/ShardDetect) expose them separately so the engine's
-// parallel scheduler can run all shards' maintenance to a barrier
-// before any shard detects — the ordering that makes concurrent
-// per-shard processing equivalent to the serial path.
 
 // contribution is one projected matching pattern awaiting upsert into a
 // target condition element's COND relation.
@@ -35,14 +26,6 @@ type contribution struct {
 	srcIdx int
 	id     relation.TupleID
 	bind   rules.Bindings
-}
-
-// groupKey batches contributions per (target CE, contributing shard):
-// one group maps to exactly one COND partition, so concurrent shard
-// workers never contend on a partition lock.
-type groupKey struct {
-	k     ceKey
-	shard int
 }
 
 // InsertBatch implements match.BatchMatcher. Unlike the tuple-at-a-time
@@ -85,11 +68,11 @@ func (m *Matcher) sweepNegated(class string, entries []relation.DeltaEntry) {
 
 // maintainInserts is the maintenance half of an insert batch: project
 // every batch tuple's bindings onto its related condition elements,
-// grouping the contributions per (target CE, shard) so each target COND
-// partition is touched once per batch.
+// grouping the contributions per target CE so each target COND relation
+// is touched once per batch.
 func (m *Matcher) maintainInserts(class string, entries []relation.DeltaEntry) {
-	grouped := make(map[groupKey][]contribution)
-	var order []groupKey
+	grouped := make(map[ceKey][]contribution)
+	var order []ceKey
 	for _, ce := range m.set.ByClass[class] {
 		if ce.Negated {
 			continue
@@ -103,7 +86,6 @@ func (m *Matcher) maintainInserts(class string, entries []relation.DeltaEntry) {
 			if !ok {
 				continue
 			}
-			shard := m.shardOf(class, e.Tuple)
 			for _, j := range targets {
 				target := ce.Rule.CEs[j]
 				proj := rules.Bindings{}
@@ -115,11 +97,11 @@ func (m *Matcher) maintainInserts(class string, entries []relation.DeltaEntry) {
 				if len(proj) == 0 {
 					continue
 				}
-				gk := groupKey{k: ceKey{rule: ce.Rule, ce: j}, shard: shard}
-				if _, seen := grouped[gk]; !seen {
-					order = append(order, gk)
+				k := ceKey{rule: ce.Rule, ce: j}
+				if _, seen := grouped[k]; !seen {
+					order = append(order, k)
 				}
-				grouped[gk] = append(grouped[gk], contribution{srcIdx: ce.Index, id: e.ID, bind: proj})
+				grouped[k] = append(grouped[k], contribution{srcIdx: ce.Index, id: e.ID, bind: proj})
 			}
 		}
 	}
@@ -129,8 +111,8 @@ func (m *Matcher) maintainInserts(class string, entries []relation.DeltaEntry) {
 			m.upsertMany(order[i], grouped[order[i]])
 		})
 	} else {
-		for _, gk := range order {
-			m.upsertMany(gk, grouped[gk])
+		for _, k := range order {
+			m.upsertMany(k, grouped[k])
 		}
 	}
 }
@@ -142,17 +124,14 @@ func (m *Matcher) maintainInserts(class string, entries []relation.DeltaEntry) {
 const condHashJoinMin = 16
 
 // detectInserts is the detection half of an insert batch: one
-// COND-relation pass per condition element for the whole batch (across
-// every shard partition); the conflict set is fed incrementally as
-// candidates survive verification. The batch is hash-joined against the
+// COND-relation pass per condition element for the whole batch; the
+// conflict set is fed incrementally as candidates survive verification.
+// The batch is hash-joined against the
 // snapshot on the condition element's first equality variable: a pattern
 // binding that variable can only match tuples carrying the OPS5-equal
 // value at the variable's attribute, so each entry probes one bucket
 // plus the patterns leaving the variable unbound, instead of scanning
-// the whole snapshot — which matters doubly under the sharded two-phase
-// schedule, where detection always sees the complete post-batch COND
-// state rather than the thinner mid-batch snapshots of the interleaved
-// serial path.
+// the whole snapshot.
 func (m *Matcher) detectInserts(class string, entries []relation.DeltaEntry) {
 	st := m.stores[class]
 	for _, ce := range m.set.ByClass[class] {
@@ -253,14 +232,13 @@ func (m *Matcher) detectInserts(class string, entries []relation.DeltaEntry) {
 	}
 }
 
-// upsertMany applies a batch of contributions to one COND partition
+// upsertMany applies a batch of contributions to one COND relation
 // under a single store lock (and, when simulated I/O is configured, a
 // single page write), then records the new support links under a single
 // reverse-index lock.
-func (m *Matcher) upsertMany(gk groupKey, contribs []contribution) {
-	k := gk.k
+func (m *Matcher) upsertMany(k ceKey, contribs []contribution) {
 	target := k.rule.CEs[k.ce]
-	tst := m.stores[target.Class].subs[gk.shard]
+	tst := m.stores[target.Class]
 	m.stats.Add(metrics.MaintenanceOps, int64(len(contribs)))
 	t0 := m.tr.Now()
 	if m.tr.Enabled() {
@@ -312,13 +290,13 @@ func (m *Matcher) upsertMany(gk groupKey, contribs []contribution) {
 	}
 	m.refMu.Lock()
 	for _, l := range links {
-		m.byTuple[l.wk] = append(m.byTuple[l.wk], patSlot{p: l.p, ceIdx: l.srcIdx, st: tst})
+		m.byTuple[l.wk] = append(m.byTuple[l.wk], patSlot{p: l.p, ceIdx: l.srcIdx})
 	}
 	m.refMu.Unlock()
 }
 
 // DeleteBatch implements match.BatchMatcher: every batch tuple's support
-// withdrawals are grouped per COND partition, instantiations are
+// withdrawals are grouped per COND relation, instantiations are
 // retracted per tuple, and rules negatively dependent on the class are
 // re-derived once for the whole batch instead of once per deleted tuple.
 func (m *Matcher) DeleteBatch(class string, entries []relation.DeltaEntry) error {
@@ -329,10 +307,8 @@ func (m *Matcher) DeleteBatch(class string, entries []relation.DeltaEntry) error
 
 // withdrawDeletes is the maintenance half of a delete batch: the
 // support slots fed by the batch tuples are withdrawn (the counter
-// decrement of §4.2.2), grouped per COND partition — one lock
-// acquisition per touched partition per batch. Because a tuple's
-// contributions live only on its own shard's partitions, a per-shard
-// sub-batch touches no other shard's COND state.
+// decrement of §4.2.2), grouped per COND relation — one lock
+// acquisition per touched relation per batch.
 func (m *Matcher) withdrawDeletes(class string, entries []relation.DeltaEntry) {
 	type slotRef struct {
 		slot patSlot
@@ -352,7 +328,7 @@ func (m *Matcher) withdrawDeletes(class string, entries []relation.DeltaEntry) {
 	byStore := make(map[*store][]slotRef)
 	var storeOrder []*store
 	for _, sr := range slots {
-		st := sr.slot.st
+		st := m.stores[sr.slot.p.ce.Class]
 		if _, seen := byStore[st]; !seen {
 			storeOrder = append(storeOrder, st)
 		}
@@ -414,43 +390,4 @@ func (m *Matcher) detectDeletes(class string, entries []relation.DeltaEntry) {
 			})
 		}
 	}
-}
-
-// ShardMaintain implements match.Shardable phase 1 for one shard's
-// sub-delta: COND-state maintenance only. Every touched partition
-// belongs to this sub-delta's shard, so concurrent workers are
-// contention-free on COND locks (the reverse index is the one shared
-// structure, taken once per class per direction).
-func (m *Matcher) ShardMaintain(d *relation.Delta) error {
-	classes := d.Classes()
-	for _, class := range classes {
-		if e := d.Deletes(class); len(e) > 0 {
-			m.withdrawDeletes(class, e)
-		}
-	}
-	for _, class := range classes {
-		if e := d.Inserts(class); len(e) > 0 {
-			m.maintainInserts(class, e)
-		}
-	}
-	return nil
-}
-
-// ShardDetect implements match.Shardable phase 2 for one shard's
-// sub-delta: conflict-set updates against the complete post-batch COND
-// state (all shards' maintenance has run — the engine's barrier).
-func (m *Matcher) ShardDetect(d *relation.Delta) error {
-	classes := d.Classes()
-	for _, class := range classes {
-		if e := d.Deletes(class); len(e) > 0 {
-			m.detectDeletes(class, e)
-		}
-	}
-	for _, class := range classes {
-		if e := d.Inserts(class); len(e) > 0 {
-			m.sweepNegated(class, e)
-			m.detectInserts(class, e)
-		}
-	}
-	return nil
 }

@@ -76,7 +76,9 @@ func patternKey(ce *rules.CE, bind rules.Bindings) string {
 	return fmt.Sprintf("%s|%d|%s", ce.Rule.Name, ce.CEN(), bind.Key())
 }
 
-// store is one partition of a COND relation.
+// store is the COND relation of one class. The original COND tuples
+// seeded at construction never gain support (propagation always projects
+// a non-empty binding) and head their condition element's list.
 type store struct {
 	mu    sync.Mutex
 	byCE  map[ceKey][]*pattern
@@ -87,55 +89,23 @@ func newStore() *store {
 	return &store{byCE: make(map[ceKey][]*pattern), byKey: make(map[string]*pattern)}
 }
 
-// snapshotInto appends a copy of the pattern list for one condition
-// element to dst.
-func (s *store) snapshotInto(k ceKey, dst []*pattern) []*pattern {
+// snapshot copies the pattern list for one condition element.
+func (s *store) snapshot(k ceKey) []*pattern {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append(dst, s.byCE[k]...)
+	return append([]*pattern(nil), s.byCE[k]...)
 }
 
-// classStore is the COND relation of one class, partitioned by the
-// shard of the contributing WM tuple: subs[i] holds the matching
-// patterns projected from shard-i tuples, so per-shard maintenance
-// (phase 1 of match.Shardable) touches exactly one partition per worker
-// and workers never contend on a COND store lock. orig holds the
-// original COND tuples seeded at construction; they never gain support
-// (propagation always projects a non-empty binding) and are immutable
-// after New. Detection takes the union across orig and every partition
-// — the same mark union §4.2.3 already takes across singly-sourced
-// patterns, so a pattern key split across shards (each side carrying
-// the support its own shard contributed) detects identically to the
-// unsharded single pattern.
-type classStore struct {
-	orig *store
-	subs []*store
-}
-
-func newClassStore(shards int) *classStore {
-	cs := &classStore{orig: newStore(), subs: make([]*store, shards)}
-	for i := range cs.subs {
-		cs.subs[i] = newStore()
+// patterns returns every COND tuple of the store in key order.
+func (s *store) patterns() []*pattern {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]*pattern, 0, len(s.byKey))
+	for _, p := range s.byKey {
+		out = append(out, p)
 	}
-	return cs
-}
-
-// snapshot copies the pattern lists for one condition element across
-// the originals and every shard partition.
-func (cs *classStore) snapshot(k ceKey) []*pattern {
-	pats := cs.orig.snapshotInto(k, nil)
-	for _, sub := range cs.subs {
-		pats = sub.snapshotInto(k, pats)
-	}
-	return pats
-}
-
-// all visits every partition including the originals.
-func (cs *classStore) all(fn func(*store)) {
-	fn(cs.orig)
-	for _, sub := range cs.subs {
-		fn(sub)
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
 }
 
 // wmeKey identifies a working-memory tuple.
@@ -144,13 +114,10 @@ type wmeKey struct {
 	id    relation.TupleID
 }
 
-// patSlot locates one support entry of a pattern, together with the
-// COND partition holding it (the shard partition the supporting tuple
-// contributed to), so withdrawal locks exactly that partition.
+// patSlot locates one support entry of a pattern.
 type patSlot struct {
 	p     *pattern
 	ceIdx int
-	st    *store
 }
 
 // Matcher is the matching-pattern matcher.
@@ -159,8 +126,7 @@ type Matcher struct {
 	db       *relation.DB
 	cs       *conflict.Set
 	stats    *metrics.Set
-	stores   map[string]*classStore
-	nShards  int
+	stores   map[string]*store
 	parallel bool
 	ioDelay  time.Duration
 	tr       *trace.Tracer
@@ -208,8 +174,7 @@ func New(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set, 
 		db:           db,
 		cs:           cs,
 		stats:        stats,
-		stores:       make(map[string]*classStore),
-		nShards:      1,
+		stores:       make(map[string]*store),
 		contributors: make(map[*rules.CE][]int),
 		targets:      make(map[*rules.CE][]int),
 		byTuple:      make(map[wmeKey][]patSlot),
@@ -217,13 +182,8 @@ func New(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set, 
 	for _, o := range opts {
 		o(m)
 	}
-	if db != nil {
-		if n := db.ShardSpace(); n > 1 {
-			m.nShards = n
-		}
-	}
 	for name := range set.Classes {
-		m.stores[name] = newClassStore(m.nShards)
+		m.stores[name] = newStore()
 	}
 	for _, r := range set.Rules {
 		for _, ce := range r.CEs {
@@ -237,7 +197,7 @@ func New(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set, 
 				original: true,
 			}
 			p.key = patternKey(ce, p.bind)
-			st := m.stores[ce.Class].orig
+			st := m.stores[ce.Class]
 			k := ceKey{rule: r, ce: ce.Index}
 			st.byCE[k] = append(st.byCE[k], p)
 			st.byKey[p.key] = p
@@ -306,22 +266,10 @@ func (m *Matcher) Name() string {
 // ConflictSet implements match.Matcher.
 func (m *Matcher) ConflictSet() *conflict.Set { return m.cs }
 
-// shardOf maps a WM tuple to the derived-state partition its
-// contributions land on — the shard of the tuple in its own class, so
-// COND partitions align with storage partitions and per-shard
-// maintenance is contention-free.
-func (m *Matcher) shardOf(class string, t relation.Tuple) int {
-	if m.nShards <= 1 {
-		return 0
-	}
-	return m.db.ShardOf(class, t)
-}
-
 // Insert implements match.Matcher. The WM relation already contains the
 // tuple.
 func (m *Matcher) Insert(class string, id relation.TupleID, t relation.Tuple) error {
 	st := m.stores[class]
-	shard := m.shardOf(class, t)
 	for _, ce := range m.set.ByClass[class] {
 		m.stats.Inc(metrics.PatternSearches)
 		if ce.Negated {
@@ -374,7 +322,7 @@ func (m *Matcher) Insert(class string, id relation.TupleID, t relation.Tuple) er
 		// bound by OTHER condition elements (non-binding equality
 		// occurrences here) still project their values.
 		if tb, ok := ce.MatchPattern(t, nil); ok {
-			m.propagate(ce, id, tb, shard)
+			m.propagate(ce, id, tb)
 		}
 	}
 	return nil
@@ -428,9 +376,8 @@ func (m *Matcher) retractBlocked(ce *rules.CE, t relation.Tuple) {
 // propagate performs the maintenance process: project the new tuple's
 // bindings onto every variable-sharing related condition element and
 // insert (or reinforce) the resulting matching pattern in that COND
-// relation (on the contributing tuple's shard partition), optionally in
-// parallel.
-func (m *Matcher) propagate(ce *rules.CE, id relation.TupleID, tb rules.Bindings, shard int) {
+// relation, optionally in parallel.
+func (m *Matcher) propagate(ce *rules.CE, id relation.TupleID, tb rules.Bindings) {
 	targets := m.targets[ce]
 	if len(targets) == 0 {
 		return
@@ -438,12 +385,12 @@ func (m *Matcher) propagate(ce *rules.CE, id relation.TupleID, tb rules.Bindings
 	if m.parallel && len(targets) > 1 {
 		m.stats.Inc(metrics.ParallelBatches)
 		forwardPanics(len(targets), func(i int) {
-			m.propagateTo(ce, id, tb, targets[i], shard)
+			m.propagateTo(ce, id, tb, targets[i])
 		})
 		return
 	}
 	for _, j := range targets {
-		m.propagateTo(ce, id, tb, j, shard)
+		m.propagateTo(ce, id, tb, j)
 	}
 }
 
@@ -480,9 +427,8 @@ func forwardPanics(n int, fn func(i int)) {
 }
 
 // propagateTo inserts the tuple's projected matching pattern into the
-// COND relation of one related condition element, on the contributing
-// tuple's shard partition.
-func (m *Matcher) propagateTo(ce *rules.CE, id relation.TupleID, tb rules.Bindings, j, shard int) {
+// COND relation of one related condition element.
+func (m *Matcher) propagateTo(ce *rules.CE, id relation.TupleID, tb rules.Bindings, j int) {
 	m.stats.Inc(metrics.MaintenanceOps)
 	t0 := m.tr.Now()
 	if m.ioDelay > 0 {
@@ -498,7 +444,7 @@ func (m *Matcher) propagateTo(ce *rules.CE, id relation.TupleID, tb rules.Bindin
 	if len(proj) == 0 {
 		return
 	}
-	m.upsert(m.stores[target.Class].subs[shard], ceKey{rule: ce.Rule, ce: j}, target, proj, ce.Index, id)
+	m.upsert(m.stores[target.Class], ceKey{rule: ce.Rule, ce: j}, target, proj, ce.Index, id)
 	if m.tr.Enabled() {
 		m.tr.Emit(trace.Event{
 			Kind: trace.KindPatternPropagate, At: t0, Dur: m.tr.Now() - t0,
@@ -536,15 +482,14 @@ func (m *Matcher) upsert(tst *store, k ceKey, target *rules.CE, bind rules.Bindi
 	}
 	tst.mu.Unlock()
 	if !dup {
-		m.link(wmeKey{class: target.Rule.CEs[srcIdx].Class, id: id}, p, srcIdx, tst)
+		m.link(wmeKey{class: target.Rule.CEs[srcIdx].Class, id: id}, p, srcIdx)
 	}
 }
 
-// link records that the WM tuple supports pattern p at slot ceIdx in
-// COND partition st.
-func (m *Matcher) link(wk wmeKey, p *pattern, ceIdx int, st *store) {
+// link records that the WM tuple supports pattern p at slot ceIdx.
+func (m *Matcher) link(wk wmeKey, p *pattern, ceIdx int) {
 	m.refMu.Lock()
-	m.byTuple[wk] = append(m.byTuple[wk], patSlot{p: p, ceIdx: ceIdx, st: st})
+	m.byTuple[wk] = append(m.byTuple[wk], patSlot{p: p, ceIdx: ceIdx})
 	m.refMu.Unlock()
 }
 
@@ -562,7 +507,7 @@ func (m *Matcher) Delete(class string, id relation.TupleID, _ relation.Tuple) er
 
 	for _, slot := range slots {
 		p := slot.p
-		st := slot.st
+		st := m.stores[p.ce.Class]
 		st.mu.Lock()
 		if set := p.support[slot.ceIdx]; set != nil {
 			delete(set, id)
@@ -610,78 +555,32 @@ func (m *Matcher) Delete(class string, id relation.TupleID, _ relation.Tuple) er
 	return nil
 }
 
-// PatternCount reports the number of distinct stored matching patterns
-// (original COND tuples excluded) — the space cost of §4.2.3. A pattern
-// key split across shard partitions (each holding the support its own
-// shard contributed) counts once, so the figure is comparable across
-// shard configurations.
+// PatternCount reports the number of stored matching patterns (original
+// COND tuples excluded) — the space cost of §4.2.3.
 func (m *Matcher) PatternCount() int {
-	keys := make(map[string]bool)
-	for _, cst := range m.stores {
-		cst.all(func(st *store) {
-			st.mu.Lock()
-			for k, p := range st.byKey {
-				if !p.original {
-					keys[k] = true
-				}
-			}
-			st.mu.Unlock()
-		})
-	}
-	return len(keys)
-}
-
-// mergedPattern is one COND tuple as rendered to observers: the support
-// union of every shard partition holding the same pattern key.
-type mergedPattern struct {
-	ce       *rules.CE
-	bind     rules.Bindings
-	support  map[int]idSet
-	original bool
-}
-
-// mergeByKey unions a class's patterns across the originals and every
-// shard partition, keyed by pattern key. Support ID sets are disjoint
-// across partitions (a tuple contributes only to its own shard), so the
-// union reproduces exactly the single-store state of an unsharded run.
-func (cst *classStore) mergeByKey() map[string]*mergedPattern {
-	merged := make(map[string]*mergedPattern)
-	cst.all(func(st *store) {
+	n := 0
+	for _, st := range m.stores {
 		st.mu.Lock()
-		for k, p := range st.byKey {
-			mp := merged[k]
-			if mp == nil {
-				mp = &mergedPattern{ce: p.ce, bind: p.bind, support: make(map[int]idSet), original: p.original}
-				merged[k] = mp
-			}
-			mp.original = mp.original || p.original
-			for idx, ids := range p.support {
-				set := mp.support[idx]
-				if set == nil {
-					set = make(idSet, len(ids))
-					mp.support[idx] = set
-				}
-				for id := range ids {
-					set[id] = struct{}{}
-				}
+		for _, p := range st.byKey {
+			if !p.original {
+				n++
 			}
 		}
 		st.mu.Unlock()
-	})
-	return merged
+	}
+	return n
 }
 
 // DumpCond renders one class's COND relation, mirroring the tables of
 // Example 5 in the paper; used by the psbench figure commands and tests.
-// Shard partitions are merged, so the rendering is identical across
-// shard configurations.
 func (m *Matcher) DumpCond(class string) []string {
-	cst := m.stores[class]
-	if cst == nil {
+	st := m.stores[class]
+	if st == nil {
 		return nil
 	}
 	var out []string
-	for _, p := range cst.mergeByKey() {
+	st.mu.Lock()
+	for _, p := range st.byKey {
 		marks := make([]string, 0, len(p.support))
 		for ceIdx, ids := range p.support {
 			marks = append(marks, fmt.Sprintf("%s:%d×%d", p.ce.Rule.CEs[ceIdx].Class, ceIdx+1, len(ids)))
@@ -694,6 +593,7 @@ func (m *Matcher) DumpCond(class string) []string {
 		out = append(out, fmt.Sprintf("%s CEN=%d {%s} marks=%v%s",
 			p.ce.Rule.Name, p.ce.CEN(), p.bind.Key(), marks, tag))
 	}
+	st.mu.Unlock()
 	sort.Strings(out)
 	return out
 }

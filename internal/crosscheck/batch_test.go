@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"prodsys/internal/audit"
 	"prodsys/internal/conflict"
 	"prodsys/internal/core"
 	"prodsys/internal/engine"
@@ -26,7 +27,14 @@ import (
 
 var batchMatcherKinds = []string{"rete", "rete-shared", "requery", "core", "core-parallel", "marker", "ptree"}
 
-func newBatchEngine(t *testing.T, src, kind string) *engine.Engine {
+// batchEngine is an engine plus the integrity auditor over its derived
+// state.
+type batchEngine struct {
+	*engine.Engine
+	aud *audit.Auditor
+}
+
+func newBatchEngine(t *testing.T, src, kind string) *batchEngine {
 	t.Helper()
 	set, _, err := rules.CompileSource(src)
 	if err != nil {
@@ -57,7 +65,7 @@ func newBatchEngine(t *testing.T, src, kind string) *engine.Engine {
 	default:
 		t.Fatalf("unknown matcher kind %q", kind)
 	}
-	return engine.New(set, db, m, stats, engine.Config{})
+	return &batchEngine{engine.New(set, db, m, stats, engine.Config{}), audit.New(set, db, m, stats)}
 }
 
 // runBatchEquivalence feeds one random op stream to a per-tuple engine
@@ -124,6 +132,15 @@ func runBatchEquivalence(t *testing.T, spec randomSpec, kind string, seed int64,
 		if got, want := bat.SnapshotWM(), seq.SnapshotWM(); got != want {
 			t.Fatalf("%s: batched WM:\n%s\nsequential WM:\n%s", ctx, got, want)
 		}
+	}
+	// Equal conflict sets could both be wrong about the matcher's own
+	// memories: the batched engine's derived state must audit clean.
+	rep, err := bat.aud.Run(audit.Options{})
+	if err != nil {
+		t.Fatalf("%s %s seed=%d: audit: %v", kind, spec.name, seed, err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("%s %s seed=%d: audit: %d divergences: %v", kind, spec.name, seed, len(rep.Divergences), rep.Divergences)
 	}
 }
 

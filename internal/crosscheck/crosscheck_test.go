@@ -263,6 +263,18 @@ var specs = []randomSpec{
 		},
 	},
 	{
+		// Every condition element propagates to two others of the same
+		// class, so core-parallel's propagation goroutines contend on
+		// one COND store — the case the race detector must see.
+		name: "triangle",
+		src: `
+(literalize A x y)
+(p Tri (A ^x <u> ^y <v>) (A ^x <v> ^y <w>) (A ^x <w> ^y <u>) --> (halt))`,
+		classes: map[string]func(*rand.Rand) []value.V{
+			"A": func(r *rand.Rand) []value.V { return []value.V{smallInt(r), smallInt(r)} },
+		},
+	},
+	{
 		name: "disjunction",
 		src: `
 (literalize Light color n)

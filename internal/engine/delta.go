@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"prodsys/internal/lock"
+	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/trace"
@@ -172,7 +173,7 @@ func (e *Engine) applyDeltaLocked(ops []DeltaOp, rec *opRecorder) ([]relation.Tu
 			e.stats.Inc(metrics.BatchPropagations)
 		}
 	}
-	if err := e.maintainDelta(delta); err != nil {
+	if err := match.ApplyDelta(e.matcher, delta); err != nil {
 		return ids, err
 	}
 	return ids, opErr

@@ -102,11 +102,6 @@ type Config struct {
 	// jitter — so retry schedules are reproducible run-to-run under a
 	// fixed seed instead of drawing from the process-global source.
 	Seed int64
-	// ShardWorkers sizes the parallel match scheduler's worker pool when
-	// the catalog is sharded and the matcher implements match.Shardable.
-	// 0 means min(shard space, max(2, NumCPU)); negative (or a shard
-	// space of 1) disables parallel maintenance entirely.
-	ShardWorkers int
 }
 
 // Result summarizes a run.
@@ -531,12 +526,22 @@ func (e *Engine) runLocked(u unit) (*wal.Log, uint64, error) {
 	// Whatever stays applied is logged, so memory and log agree. A unit
 	// that applied nothing is logged only as a completed firing: its
 	// key must survive a restart to keep the instantiation refracted.
-	if e.wal == nil || (len(rec.ops) == 0 && (err != nil || u.key == "")) {
-		return nil, 0, err
+	var l *wal.Log
+	var seq uint64
+	if e.wal != nil && (len(rec.ops) > 0 || (err == nil && u.key != "")) {
+		var lerr error
+		l, seq, lerr = e.logLocked(u.key, rec)
+		if err == nil {
+			err = lerr
+		}
 	}
-	l, seq, lerr := e.logLocked(u.key, rec)
-	if err == nil {
-		err = lerr
+	// Past the last rollback point (an append that never landed empties
+	// rec.undo): fired keys built on the unit's deleted tuples can never
+	// be derived again, so their refraction marks go.
+	for _, op := range rec.undo {
+		if !op.retract {
+			e.cs.ForgetTuple(op.class, op.id)
+		}
 	}
 	return l, seq, err
 }
@@ -610,15 +615,21 @@ func (e *Engine) Replay(txns []wal.Txn) (int, error) {
 // same function of the same log as the primary's. Assertions restore
 // their original tuple IDs (so conflict-set keys and recency survive),
 // retractions delete, and each rule-firing unit's instantiation key is
-// re-marked fired, restoring refraction state. It returns the number
-// of WM operations applied. Caller holds maintMu.
+// re-marked fired before its ops run, as fire does, restoring
+// refraction state. It returns the number of WM operations applied.
+// Caller holds maintMu.
 func (e *Engine) applyLogged(txns []wal.Txn) (int, error) {
 	ops := 0
 	for _, t := range txns {
+		if !t.Batch && t.Key != "" {
+			e.cs.MarkFired(t.Key)
+		}
 		for _, op := range t.Ops {
 			var err error
 			if op.Retract {
-				_, err = e.deleteLocked(op.Class, op.ID, nil)
+				if _, err = e.deleteLocked(op.Class, op.ID, nil); err == nil {
+					e.cs.ForgetTuple(op.Class, op.ID)
+				}
 			} else {
 				_, err = e.insertLocked(op.Class, op.ID, op.Tuple, nil)
 			}
@@ -626,9 +637,6 @@ func (e *Engine) applyLogged(txns []wal.Txn) (int, error) {
 				return ops, err
 			}
 			ops++
-		}
-		if !t.Batch && t.Key != "" {
-			e.cs.MarkFired(t.Key)
 		}
 	}
 	return ops, nil

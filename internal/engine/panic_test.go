@@ -204,9 +204,7 @@ func TestTxnTimeoutWatchdog(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both instantiations want an exclusive lock on the same tuple.
-	// Whichever gets it first (conflict-set arrival order differs between
-	// sharded and unsharded catalogs) sleeps 80ms while holding it; the
-	// other's waits exceed the 10ms budget, so the watchdog aborts and
+	// Whichever gets it first sleeps 80ms while holding it; the other's waits exceed the 10ms budget, so the watchdog aborts and
 	// retries it instead of letting it block unboundedly.
 	res, err := e.RunConcurrent()
 	if err != nil {

@@ -190,8 +190,14 @@ func (e *Engine) PromoteFinish() error {
 }
 
 // WALPosition reports the live epoch and byte size of the attached
-// log — the replication feed cursor. ok is false without a WAL.
+// log — the replication feed cursor. ok is false without a WAL. It
+// reads under the maintenance lock: ApplyReplicaTxns mirrors the
+// shipped bytes before it applies them, and a position that ran ahead
+// of working memory and the conflict set would let "caught up" — and a
+// promotion decision — be observed on a half-applied unit.
 func (e *Engine) WALPosition() (epoch uint64, size int64, ok bool) {
+	e.maintMu.Lock()
+	defer e.maintMu.Unlock()
 	l := e.wal
 	if l == nil {
 		return 0, 0, false

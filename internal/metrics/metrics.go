@@ -66,13 +66,6 @@ const (
 	BatchTuples       Counter = "batch_tuples"       // tuples carried by those deltas
 	BatchPropagations Counter = "batch_propagations" // per-(class,direction) maintenance passes
 
-	// Shard-scheduler level (engine parallel match maintenance).
-	ShardCount      Counter = "shards"           // configured shard space (gauge via Max)
-	ShardMaintains  Counter = "shard_maintains"  // per-shard maintenance tasks executed
-	ShardSteals     Counter = "shard_steals"     // tasks taken from another worker's queue
-	CrossShardTxns  Counter = "cross_shard_txns" // deltas whose tuples spanned >1 shard
-	ShardRebalances Counter = "shard_rebalance"  // oversized shard tasks split per class
-
 	// Durability level (internal/wal).
 	TxnRetries     Counter = "txn_retries"     // deadlock victims retried with backoff
 	WALAppends     Counter = "wal_appends"     // committed units (txns + batches) logged

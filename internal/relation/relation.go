@@ -52,31 +52,18 @@ func New(schema *Schema, stats *metrics.Set) *Relation {
 // NewWithStorage creates an empty relation served by the given storage
 // backend. stats may be nil.
 func NewWithStorage(schema *Schema, stats *metrics.Set, kind StorageKind) *Relation {
-	return newRelation(schema, stats, kind, newInternTable(), 1)
-}
-
-// NewSharded creates an empty relation partitioned across shards
-// sub-stores of the given backend by the hash of the first attribute
-// (see shard.go). shards <= 1 yields a plain relation. stats may be nil.
-func NewSharded(schema *Schema, stats *metrics.Set, kind StorageKind, shards int) *Relation {
-	return newRelation(schema, stats, kind, newInternTable(), shards)
+	return newRelation(schema, stats, kind, newInternTable())
 }
 
 // newRelation wires a relation to a (possibly catalog-shared) intern
-// table, sharding the store when shards > 1.
-func newRelation(schema *Schema, stats *metrics.Set, kind StorageKind, intern *internTable, shards int) *Relation {
-	var st Store
-	if shards > 1 {
-		st = newShardedStore(kind, schema.Arity(), shards)
-	} else {
-		st = newStore(kind, schema.Arity())
-	}
+// table.
+func newRelation(schema *Schema, stats *metrics.Set, kind StorageKind, intern *internTable) *Relation {
 	return &Relation{
 		schema:   schema,
 		pageSize: DefaultPageSize,
 		stats:    stats,
 		intern:   intern,
-		store:    st,
+		store:    newStore(kind, schema.Arity()),
 	}
 }
 
@@ -405,29 +392,24 @@ func (r *Relation) Clear() {
 // DB is a catalog of relations sharing one metrics set, one
 // value-interning table, and a storage-backend configuration.
 type DB struct {
-	mu            sync.RWMutex
-	rels          map[string]*Relation
-	stats         *metrics.Set
-	def           StorageKind
-	byClass       map[string]StorageKind
-	defShards     int
-	shardsByClass map[string]int
-	intern        *internTable
+	mu      sync.RWMutex
+	rels    map[string]*Relation
+	stats   *metrics.Set
+	def     StorageKind
+	byClass map[string]StorageKind
+	intern  *internTable
 }
 
 // NewDB creates an empty catalog whose relations default to
 // DefaultStorageKind() (StorageRow unless overridden by the
-// PRODSYS_STORAGE environment variable) and DefaultShardCount()
-// (unsharded unless overridden by PRODSYS_SHARDS). stats may be nil.
+// PRODSYS_STORAGE environment variable). stats may be nil.
 func NewDB(stats *metrics.Set) *DB {
 	return &DB{
-		rels:          make(map[string]*Relation),
-		stats:         stats,
-		def:           DefaultStorageKind(),
-		byClass:       make(map[string]StorageKind),
-		defShards:     DefaultShardCount(),
-		shardsByClass: make(map[string]int),
-		intern:        newInternTable(),
+		rels:    make(map[string]*Relation),
+		stats:   stats,
+		def:     DefaultStorageKind(),
+		byClass: make(map[string]StorageKind),
+		intern:  newInternTable(),
 	}
 }
 
@@ -468,83 +450,6 @@ func (db *DB) SetClassStorage(name string, kind StorageKind) error {
 	return nil
 }
 
-// SetDefaultShards selects the shard count for relations created from
-// now on; 0 resets to the process default (PRODSYS_SHARDS or 1).
-// Existing relations are unaffected.
-func (db *DB) SetDefaultShards(n int) error {
-	v, err := ParseShards(n)
-	if err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.defShards = v
-	return nil
-}
-
-// SetClassShards overrides the shard count for one future relation by
-// name (0 selects the process default at creation time). It is an error
-// if the relation already exists.
-func (db *DB) SetClassShards(name string, n int) error {
-	v, err := ParseShards(n)
-	if err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, exists := db.rels[name]; exists {
-		return fmt.Errorf("relation %s already exists", name)
-	}
-	db.shardsByClass[name] = v
-	return nil
-}
-
-// ShardsFor reports the shard count a relation of the given name has
-// (when live) or would be created with.
-func (db *DB) ShardsFor(name string) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if r, ok := db.rels[name]; ok {
-		return r.Shards()
-	}
-	if n, ok := db.shardsByClass[name]; ok {
-		return n
-	}
-	return db.defShards
-}
-
-// ShardSpace is the catalog-wide shard fan-out: the maximum shard count
-// across the live relations and the creation default. It sizes the
-// per-shard partitioning of matcher derived state and the engine's
-// sub-delta split (a class with fewer shards simply never routes to the
-// upper shard indices).
-func (db *DB) ShardSpace() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	space := db.defShards
-	for _, r := range db.rels {
-		if n := r.Shards(); n > space {
-			space = n
-		}
-	}
-	if space < 1 {
-		space = 1
-	}
-	return space
-}
-
-// ShardOf maps a (class, tuple) pair to its shard index — 0 for
-// unknown or unsharded classes. Matchers use it to place derived state
-// (matching patterns, support links) on the shard of the contributing
-// WM tuple, aligning derived-state partitions with storage partitions.
-func (db *DB) ShardOf(class string, t Tuple) int {
-	r, ok := db.Get(class)
-	if !ok {
-		return 0
-	}
-	return r.ShardOf(t)
-}
-
 // StorageFor reports the backend a relation of the given name has (when
 // live) or would be created with.
 func (db *DB) StorageFor(name string) StorageKind {
@@ -576,11 +481,7 @@ func (db *DB) Create(name string, attrs ...string) (*Relation, error) {
 	if k, ok := db.byClass[name]; ok {
 		kind = k
 	}
-	shards := db.defShards
-	if n, ok := db.shardsByClass[name]; ok {
-		shards = n
-	}
-	r := newRelation(schema, db.stats, kind, db.intern, shards)
+	r := newRelation(schema, db.stats, kind, db.intern)
 	db.rels[name] = r
 	return r, nil
 }

@@ -15,7 +15,7 @@ import (
 // thesis is that working memory is relational data; making the relation
 // a thin concurrency/accounting shell over an exchangeable access-method
 // layer is the DBMS reading of that thesis (§3.2), and the seam the
-// cost-based planner and sharding arcs build on.
+// cost-based planner builds on.
 
 // StorageKind names a tuple storage backend.
 type StorageKind string
@@ -151,13 +151,8 @@ type IndexStat struct {
 type StoreStats struct {
 	// Backend is the storage kind serving the relation.
 	Backend StorageKind
-	// Tuples is the live cardinality. For a sharded relation this is
-	// the aggregate across every shard — the figure planner estimates
-	// and drift invalidation must consume.
+	// Tuples is the live cardinality.
 	Tuples int
-	// Shards is the shard count of a horizontally partitioned relation;
-	// zero means the store is a plain (unsharded) backend.
-	Shards int
 	// Indexes lists the secondary indexes in ascending position order.
 	Indexes []IndexStat
 }

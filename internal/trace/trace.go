@@ -42,8 +42,7 @@ const (
 	KindTxnCommit   // a rule-firing transaction committed
 	KindTxnAbort    // a rule-firing transaction aborted (Extra = reason)
 	// Batch layer.
-	KindBatchApply    // a set-oriented delta was applied (Count = operations)
-	KindShardMaintain // one shard's sub-delta ran a scheduler phase (ID = shard, Count = tuples, Extra = phase/worker)
+	KindBatchApply // a set-oriented delta was applied (Count = operations)
 	// Durability layer.
 	KindWALAppend      // a committed unit was appended to the write-ahead log (Count = records)
 	KindWALSync        // the log was fsynced (Dur = sync time)
@@ -78,7 +77,6 @@ var kindNames = [kindCount]string{
 	KindTxnCommit:        "txn_commit",
 	KindTxnAbort:         "txn_abort",
 	KindBatchApply:       "batch_apply",
-	KindShardMaintain:    "shard_maintain",
 	KindWALAppend:        "wal_append",
 	KindWALSync:          "wal_sync",
 	KindCheckpoint:       "checkpoint",

@@ -107,11 +107,8 @@ type RelationStorage struct {
 	Name string
 	// Backend is the storage backend serving the relation.
 	Backend Storage
-	// Tuples is the live cardinality — for a sharded relation, the
-	// aggregate across every shard.
+	// Tuples is the live cardinality.
 	Tuples int
-	// Shards is the relation's shard count; zero means unsharded.
-	Shards int
 	// Indexes lists the secondary indexes in attribute-position order.
 	Indexes []IndexInfo
 }
@@ -214,16 +211,6 @@ type ReplicationStats struct {
 	FencedWrites int64 // writes rejected by stale-epoch fencing
 }
 
-// ShardStats counts parallel match-scheduler operations (the sharded
-// working-memory arc; see docs/SHARDING.md).
-type ShardStats struct {
-	Shards         int64 // configured shard space (high-water gauge)
-	Maintains      int64 // per-shard maintenance/detection tasks executed
-	Steals         int64 // tasks taken from another worker's queue
-	CrossShardTxns int64 // deltas whose tuples spanned more than one shard
-	Rebalances     int64 // oversized shard tasks split per class
-}
-
 // IntegrityStats counts audit, repair, and fault-containment
 // operations.
 type IntegrityStats struct {
@@ -265,7 +252,6 @@ type Snapshot struct {
 	Durability  DurabilityStats
 	Server      ServerStats
 	Replication ReplicationStats
-	Shard       ShardStats
 	Integrity   IntegrityStats
 	Counters    map[string]int64
 }
@@ -285,7 +271,7 @@ func (s *System) Metrics() Snapshot {
 			continue
 		}
 		st := rel.Stats()
-		rs := RelationStorage{Name: name, Backend: Storage(st.Backend), Tuples: st.Tuples, Shards: st.Shards}
+		rs := RelationStorage{Name: name, Backend: Storage(st.Backend), Tuples: st.Tuples}
 		for _, ix := range st.Indexes {
 			rs.Indexes = append(rs.Indexes, IndexInfo{Attr: ix.Attr, Pos: ix.Pos, Distinct: ix.Distinct})
 		}
@@ -383,13 +369,6 @@ func newSnapshot(m map[string]int64) Snapshot {
 			Promotions:   m["promotions"],
 			FencedWrites: m["fenced_writes"],
 		},
-		Shard: ShardStats{
-			Shards:         m["shards"],
-			Maintains:      m["shard_maintains"],
-			Steals:         m["shard_steals"],
-			CrossShardTxns: m["cross_shard_txns"],
-			Rebalances:     m["shard_rebalance"],
-		},
 		Integrity: IntegrityStats{
 			AuditRuns:         m["audit_runs"],
 			AuditRulesChecked: m["audit_rules_checked"],
@@ -439,9 +418,6 @@ func (sn Snapshot) String() string {
 	}
 	for _, rs := range sn.Storage.Relations {
 		fmt.Fprintf(&b, "storage/%-16s backend=%s tuples=%d", rs.Name, rs.Backend, rs.Tuples)
-		if rs.Shards > 1 {
-			fmt.Fprintf(&b, " shards=%d", rs.Shards)
-		}
 		for _, ix := range rs.Indexes {
 			fmt.Fprintf(&b, " ix(%s)=%d", ix.Attr, ix.Distinct)
 		}
@@ -454,10 +430,6 @@ func (sn Snapshot) String() string {
 	if rp := sn.Replication; rp.TxnsApplied|rp.Bytes|rp.Snapshots|rp.FeedsServed|rp.Promotions|rp.FencedWrites != 0 {
 		fmt.Fprintf(&b, "replication txns=%d ops=%d bytes=%d snapshots=%d lag_bytes=%d feeds=%d frames=%d promotions=%d fenced=%d\n",
 			rp.TxnsApplied, rp.OpsApplied, rp.Bytes, rp.Snapshots, rp.LagBytes, rp.FeedsServed, rp.FeedFrames, rp.Promotions, rp.FencedWrites)
-	}
-	if sh := sn.Shard; sh.Shards|sh.Maintains|sh.Steals|sh.CrossShardTxns|sh.Rebalances != 0 {
-		fmt.Fprintf(&b, "shard shards=%d maintains=%d steals=%d cross_shard_txns=%d rebalances=%d\n",
-			sh.Shards, sh.Maintains, sh.Steals, sh.CrossShardTxns, sh.Rebalances)
 	}
 	return b.String()
 }

@@ -193,22 +193,6 @@ type Options struct {
 	// StorageByClass overrides the storage backend for individual WM
 	// classes, keyed by class name; classes not listed use Storage.
 	StorageByClass map[string]Storage
-	// Shards horizontally partitions every WM relation — and the
-	// matchers' per-rule derived state — into that many shards by a hash
-	// of each tuple's first attribute, enabling the parallel match
-	// scheduler for shardable matchers (core, core-parallel, requery,
-	// marker, ptree; rete matchers fall back to serial maintenance).
-	// 0 means the process default (the PRODSYS_SHARDS environment
-	// variable when set to a value in [1,64], else 1 = unsharded);
-	// values outside [1,64] are rejected. See docs/SHARDING.md.
-	Shards int
-	// ShardByClass overrides the shard count for individual WM classes,
-	// keyed by class name; classes not listed use Shards.
-	ShardByClass map[string]int
-	// ShardWorkers sizes the parallel match scheduler's worker pool.
-	// 0 means min(shard space, max(2, NumCPU)); negative disables
-	// parallel maintenance even on a sharded catalog.
-	ShardWorkers int
 	// Planner selects how LHS joins are ordered in the joiner-based
 	// matchers (requery, core, core-parallel, marker, ptree): the
 	// default PlannerCost compiles and caches cost-based join orders
@@ -322,14 +306,6 @@ func Load(src string, opts Options) (*System, error) {
 			return nil, fmt.Errorf("prodsys: %w", err)
 		}
 	}
-	if err := db.SetDefaultShards(opts.Shards); err != nil {
-		return nil, fmt.Errorf("prodsys: %w", err)
-	}
-	for class, n := range opts.ShardByClass {
-		if err := db.SetClassShards(class, n); err != nil {
-			return nil, fmt.Errorf("prodsys: %w", err)
-		}
-	}
 	if err := rules.BuildDB(set, db); err != nil {
 		return nil, err
 	}
@@ -387,16 +363,15 @@ func Load(src string, opts Options) (*System, error) {
 	}
 	sys.out = out
 	sys.eng = engine.New(set, db, sys.matcher, stats, engine.Config{
-		Strategy:     strat,
-		MaxFirings:   opts.MaxFirings,
-		Workers:      opts.Workers,
-		Out:          out,
-		CommitEarly:  opts.CommitEarly,
-		SetAtATime:   opts.SetAtATime,
-		Tracer:       tr,
-		TxnTimeout:   opts.TxnTimeout,
-		Seed:         opts.Seed,
-		ShardWorkers: opts.ShardWorkers,
+		Strategy:    strat,
+		MaxFirings:  opts.MaxFirings,
+		Workers:     opts.Workers,
+		Out:         out,
+		CommitEarly: opts.CommitEarly,
+		SetAtATime:  opts.SetAtATime,
+		Tracer:      tr,
+		TxnTimeout:  opts.TxnTimeout,
+		Seed:        opts.Seed,
 	})
 	if err := sys.openWAL(opts); err != nil {
 		return nil, err
