@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-storage bench check loc fmt fuzz-short trace-demo crash-demo audit-demo soak-demo failover-demo
+.PHONY: build test test-storage bench exact-diff check loc fmt fuzz-short trace-demo crash-demo audit-demo soak-demo failover-demo
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,15 @@ test-storage:
 # measured run of the four pinned workloads under BENCHMARK.json.
 bench:
 	bash benchmark/run.sh
+
+# exact-diff prints the benchmark's exact work counters (traced pass,
+# scale 0.1) of the embedded workloads at BASE and in the working tree
+# side by side, and fails if the computed result — state hash,
+# instantiations, retractions, firings, final conflict-set size, tuples
+# inserted/deleted — differs. CI runs it against a pull request's base.
+BASE ?= HEAD~1
+exact-diff:
+	bash scripts/exact-diff.sh $(BASE)
 
 # check is the extended verification: static analysis, formatting, and
 # the full test suite under the race detector. staticcheck runs when

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"prodsys/internal/audit"
 	"prodsys/internal/metrics"
@@ -14,65 +15,45 @@ import (
 // This file implements the integrity-audit hooks over the COND
 // relations: the ground truth of every matching pattern and its Mark
 // counters (§4.2.2) is recomputed by replaying the maintenance
-// projection over the base WM relations and diffed against the stores.
-
-// expEntry is the recomputed ground truth of one matching pattern.
-type expEntry struct {
-	ce  *rules.CE
-	sup map[int]idSet
-}
+// projection over the base WM relations into empty copies of the shape
+// indexes, and diffed against the stores.
 
 // expectedSupport replays the maintenance projection from WM: for every
 // positive source condition element, each matching WM tuple projects its
-// bindings onto the source's targets, reproducing exactly the patterns
-// and support sets the incremental path should have accumulated.
-func (m *Matcher) expectedSupport(db *relation.DB, only map[string]bool) map[string]*expEntry {
-	exp := make(map[string]*expEntry)
+// bindings along the source's routes, reproducing exactly the patterns
+// and support sets the incremental path should have accumulated. The
+// result maps each live shape to its recomputed copy.
+func (m *Matcher) expectedSupport(db *relation.DB, only map[string]bool) map[*shape]*shape {
+	exp := make(map[*shape]*shape)
 	for _, r := range m.set.Rules {
 		if only != nil && !only[r.Name] {
 			continue
 		}
-		for _, src := range r.CEs {
-			if src.Negated {
+		for _, ce := range r.CEs {
+			if ce.Negated {
 				continue
 			}
-			targets := m.targets[src]
-			if len(targets) == 0 {
+			src := m.cond[ce]
+			rel, ok := db.Get(ce.Class)
+			if len(src.targets) == 0 || !ok {
 				continue
 			}
-			rel, ok := db.Get(src.Class)
-			if !ok {
-				continue
-			}
-			srcIdx := src.Index
 			rel.Scan(func(id relation.TupleID, t relation.Tuple) bool {
-				tb, ok := src.MatchPattern(t, nil)
-				if !ok {
+				if !src.alone(t) {
 					return true
 				}
-				for _, j := range targets {
-					target := r.CEs[j]
-					proj := rules.Bindings{}
-					for _, v := range target.Vars() {
-						if val, ok := tb[v]; ok {
-							proj[v] = val
-						}
+				for i := range src.targets {
+					ed := &src.targets[i]
+					sh := exp[ed.sh]
+					if sh == nil {
+						sh = ed.sh.empty()
+						exp[ed.sh] = sh
 					}
-					if len(proj) == 0 {
-						continue
+					p := sh.find(t, ed.pos)
+					if p == nil {
+						p = sh.add(t, ed.pos)
 					}
-					key := patternKey(target, proj)
-					e := exp[key]
-					if e == nil {
-						e = &expEntry{ce: target, sup: make(map[int]idSet)}
-						exp[key] = e
-					}
-					set := e.sup[srcIdx]
-					if set == nil {
-						set = make(idSet)
-						e.sup[srcIdx] = set
-					}
-					set[id] = struct{}{}
+					p.addSupport(ed.src, id)
 				}
 				return true
 			})
@@ -93,91 +74,61 @@ func (m *Matcher) AuditDerived(db *relation.DB, only map[string]bool, emit func(
 	sort.Strings(classes)
 	for _, class := range classes {
 		for _, p := range m.stores[class].patterns() {
-			key := p.key
-			rname := p.ce.Rule.Name
-			if only != nil && !only[rname] {
+			ce := p.sh.ci.ce
+			if only != nil && !only[ce.Rule.Name] {
 				continue
 			}
-			e := exp[key]
-			delete(exp, key)
-			if e == nil {
-				if p.original {
-					// Original COND tuples carry no support by construction.
-					if len(p.support) > 0 {
-						emit(audit.Divergence{Class: audit.DivMarkCounter, Rule: rname, CE: p.ce.Index, Key: key,
-							Expected: "no support on original COND tuple",
-							Actual:   fmt.Sprintf("%d support slot(s)", len(p.support))})
-					}
-					continue
+			key := p.String()
+			var want *pattern
+			if sh := exp[p.sh]; sh != nil {
+				if want = sh.twin(p); want != nil {
+					sh.remove(want)
 				}
-				emit(audit.Divergence{Class: audit.DivPatternPhantom, Rule: rname, CE: p.ce.Index, Key: key,
+			}
+			if want == nil {
+				emit(audit.Divergence{Class: audit.DivPatternPhantom, Rule: ce.Rule.Name, CE: ce.Index, Key: key,
 					Expected: "pattern absent", Actual: supportString(p.support)})
 				continue
 			}
-			idxSet := map[int]bool{}
-			for i := range p.support {
-				idxSet[i] = true
-			}
-			for i := range e.sup {
-				idxSet[i] = true
-			}
-			idxs := make([]int, 0, len(idxSet))
-			for i := range idxSet {
-				idxs = append(idxs, i)
-			}
-			sort.Ints(idxs)
-			for _, idx := range idxs {
-				got, want := p.support[idx], e.sup[idx]
-				if !sameIDSet(got, want) {
-					emit(audit.Divergence{Class: audit.DivMarkCounter, Rule: rname, CE: p.ce.Index,
-						Key:      fmt.Sprintf("%s#%d", key, idx),
-						Expected: idsString(want), Actual: idsString(got)})
+			for _, idx := range supportSources(p.support, want.support) {
+				got, truth := p.ids(idx), want.ids(idx)
+				if !equalIDs(got, truth) {
+					emit(audit.Divergence{Class: audit.DivMarkCounter, Rule: ce.Rule.Name, CE: ce.Index,
+						Key:      key + "#" + strconv.Itoa(idx),
+						Expected: idsString(truth), Actual: idsString(got)})
 				}
 			}
 		}
 	}
 	// Whatever ground truth remains was never materialized.
-	left := make([]string, 0, len(exp))
-	for k := range exp {
-		left = append(left, k)
+	var left []*pattern
+	for _, sh := range exp {
+		sh.each(func(p *pattern) { left = append(left, p) })
 	}
-	sort.Strings(left)
-	for _, key := range left {
-		e := exp[key]
-		emit(audit.Divergence{Class: audit.DivPatternMissing, Rule: e.ce.Rule.Name, CE: e.ce.Index, Key: key,
-			Expected: supportString(e.sup), Actual: "pattern absent"})
+	sortPatterns(left)
+	for _, p := range left {
+		ce := p.sh.ci.ce
+		emit(audit.Divergence{Class: audit.DivPatternMissing, Rule: ce.Rule.Name, CE: ce.Index, Key: p.String(),
+			Expected: supportString(p.support), Actual: "pattern absent"})
 	}
 }
 
 // RebuildRules implements audit.DerivedRebuilder: the selected rules'
-// derived patterns are dropped (originals keep their COND tuples but
-// shed support) and re-derived by replaying the maintenance projection
-// over the WM relations. only == nil rebuilds every rule.
+// matching patterns are dropped (the original COND tuples are the
+// condition elements themselves and stay) and re-derived by replaying the
+// maintenance projection over the WM relations. only == nil rebuilds
+// every rule.
 func (m *Matcher) RebuildRules(db *relation.DB, only map[string]bool) error {
 	sel := func(r *rules.Rule) bool { return only == nil || only[r.Name] }
 	for _, st := range m.stores {
 		st.mu.Lock()
-		for key, p := range st.byKey {
-			if !sel(p.ce.Rule) {
+		for _, ci := range st.conds {
+			if !sel(ci.ce.Rule) {
 				continue
 			}
-			if p.original {
-				p.support = make(map[int]idSet)
-				continue
+			for _, sh := range ci.shapes {
+				sh.pats, sh.n = make(map[bindKey]*pattern), 0
 			}
-			delete(st.byKey, key)
-		}
-		for k, list := range st.byCE {
-			if !sel(k.rule) {
-				continue
-			}
-			kept := list[:0]
-			for _, p := range list {
-				if p.original {
-					kept = append(kept, p)
-				}
-			}
-			st.byCE[k] = kept
 		}
 		st.mu.Unlock()
 	}
@@ -185,7 +136,7 @@ func (m *Matcher) RebuildRules(db *relation.DB, only map[string]bool) error {
 	for wk, slots := range m.byTuple {
 		kept := slots[:0]
 		for _, s := range slots {
-			if !sel(s.p.ce.Rule) {
+			if !sel(s.p.sh.ci.ce.Rule) {
 				kept = append(kept, s)
 			}
 		}
@@ -201,28 +152,27 @@ func (m *Matcher) RebuildRules(db *relation.DB, only map[string]bool) error {
 		if !sel(r) {
 			continue
 		}
-		for _, src := range r.CEs {
-			if src.Negated || len(m.targets[src]) == 0 {
+		for _, ce := range r.CEs {
+			if ce.Negated || len(m.cond[ce].targets) == 0 {
 				continue
 			}
-			rel, ok := db.Get(src.Class)
+			rel, ok := db.Get(ce.Class)
 			if !ok {
 				continue
 			}
-			src := src
+			var entries []relation.DeltaEntry
 			rel.Scan(func(id relation.TupleID, t relation.Tuple) bool {
-				if tb, ok := src.MatchPattern(t, nil); ok {
-					m.propagate(src, id, tb)
-				}
+				entries = append(entries, relation.DeltaEntry{ID: id, Tuple: t})
 				return true
 			})
+			m.maintain([]*condIndex{m.cond[ce]}, entries)
 		}
 	}
 	m.stats.Inc(metrics.MatcherRebuilds)
 	return nil
 }
 
-// CorruptDerived implements audit.Corrupter: one derived pattern's Mark
+// CorruptDerived implements audit.Corrupter: one matching pattern's Mark
 // counter is damaged, either by dropping a real supporting tuple ID or
 // by adding a phantom one.
 func (m *Matcher) CorruptDerived(rng *rand.Rand) string {
@@ -231,87 +181,88 @@ func (m *Matcher) CorruptDerived(rng *rand.Rand) string {
 		classes = append(classes, c)
 	}
 	sort.Strings(classes)
-	type cand struct {
-		st  *store
-		key string
-	}
-	var cands []cand
+	var cands []*pattern
 	for _, class := range classes {
-		st := m.stores[class]
-		for _, p := range st.patterns() {
-			if !p.original && len(p.support) > 0 {
-				cands = append(cands, cand{st: st, key: p.key})
+		for _, p := range m.stores[class].patterns() {
+			if len(p.support) > 0 {
+				cands = append(cands, p)
 			}
 		}
 	}
 	if len(cands) == 0 {
 		return ""
 	}
-	c := cands[rng.Intn(len(cands))]
-	c.st.mu.Lock()
-	defer c.st.mu.Unlock()
-	p := c.st.byKey[c.key]
-	if p == nil || len(p.support) == 0 {
+	p := cands[rng.Intn(len(cands))]
+	st := p.sh.ci.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(p.support) == 0 {
 		return ""
 	}
-	idxs := make([]int, 0, len(p.support))
-	for i := range p.support {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
+	idxs := supportSources(p.support, nil)
 	idx := idxs[rng.Intn(len(idxs))]
-	set := p.support[idx]
-	if rng.Intn(2) == 0 && len(set) > 0 {
-		ids := make([]relation.TupleID, 0, len(set))
-		for id := range set {
-			ids = append(ids, id)
+	var s *support
+	for i := range p.support {
+		if p.support[i].src == idx {
+			s = &p.support[i]
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		id := ids[rng.Intn(len(ids))]
-		delete(set, id)
-		return fmt.Sprintf("core: dropped support %s#%d id=%d", c.key, idx, id)
+	}
+	if rng.Intn(2) == 0 && len(s.ids) > 0 {
+		id := s.ids[rng.Intn(len(s.ids))]
+		s.ids = removeID(s.ids, id)
+		return fmt.Sprintf("core: dropped support %s#%d id=%d", p, idx, id)
 	}
 	bogus := relation.TupleID(1<<40) + relation.TupleID(rng.Intn(1<<16))
-	set[bogus] = struct{}{}
-	return fmt.Sprintf("core: added phantom support %s#%d id=%d", c.key, idx, bogus)
+	s.ids, _ = insertID(s.ids, bogus)
+	return fmt.Sprintf("core: added phantom support %s#%d id=%d", p, idx, bogus)
 }
 
-func sameIDSet(a, b idSet) bool {
+// supportSources lists the contributing condition elements either
+// support list names, ascending.
+func supportSources(a, b []support) []int {
+	var out []int
+	for _, list := range [][]support{a, b} {
+		for _, s := range list {
+			if i := sort.SearchInts(out, s.src); i == len(out) || out[i] != s.src {
+				out = append(out, 0)
+				copy(out[i+1:], out[i:])
+				out[i] = s.src
+			}
+		}
+	}
+	return out
+}
+
+func equalIDs(a, b []relation.TupleID) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	for id := range a {
-		if _, ok := b[id]; !ok {
+	for i := range a {
+		if a[i] != b[i] {
 			return false
 		}
 	}
 	return true
 }
 
-func idsString(s idSet) string {
-	if len(s) == 0 {
+func idsString(ids []relation.TupleID) string {
+	if len(ids) == 0 {
 		return "no supporters"
 	}
-	ids := make([]relation.TupleID, 0, len(s))
-	for id := range s {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return fmt.Sprintf("supporters %v", ids)
 }
 
-func supportString(sup map[int]idSet) string {
+func supportString(sup []support) string {
 	if len(sup) == 0 {
 		return "no support"
 	}
-	idxs := make([]int, 0, len(sup))
-	for i := range sup {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	parts := make([]string, 0, len(idxs))
-	for _, i := range idxs {
-		parts = append(parts, fmt.Sprintf("#%d×%d", i, len(sup[i])))
+	parts := make([]string, 0, len(sup))
+	for _, i := range supportSources(sup, nil) {
+		for _, s := range sup {
+			if s.src == i {
+				parts = append(parts, fmt.Sprintf("#%d×%d", i, len(s.ids)))
+			}
+		}
 	}
 	return fmt.Sprintf("support %v", parts)
 }

@@ -8,24 +8,25 @@ import (
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
 	"prodsys/internal/trace"
-	"prodsys/internal/value"
 )
 
 // This file is the matching-pattern algorithm's set-oriented path: one
 // batch of same-class WM changes is maintained with one COND-relation
-// scan per (class, condition element) pair, propagation grouped so every
+// search per (condition element, tuple) pair, propagation grouped so every
 // target COND relation is locked (and, under simulated I/O, written)
 // once per batch, and — for deletions — one re-derivation per negatively
 // dependent rule per batch. This is the set-at-a-time processing the
 // paper claims as the DBMS advantage (§4.2, §5.1), applied to the
-// maintenance process itself.
+// maintenance process itself. The maintenance helpers (maintain, upsert,
+// withdraw) serve the tuple path too.
 
 // contribution is one projected matching pattern awaiting upsert into a
-// target condition element's COND relation.
+// target condition element's COND relation: the values e.pos selects from
+// tuple t, supported by t.
 type contribution struct {
-	srcIdx int
-	id     relation.TupleID
-	bind   rules.Bindings
+	e  *edge
+	id relation.TupleID
+	t  relation.Tuple
 }
 
 // InsertBatch implements match.BatchMatcher. Unlike the tuple-at-a-time
@@ -37,262 +38,150 @@ type contribution struct {
 // ordering would, and the verification join filters the extra candidates
 // exactly as it filters false drops.
 func (m *Matcher) InsertBatch(class string, entries []relation.DeltaEntry) error {
-	m.sweepNegated(class, entries)
-	m.maintainInserts(class, entries)
+	m.stores[class].live += len(entries)
+	for _, ce := range m.set.ByClass[class] {
+		if ce.Negated {
+			m.stats.Inc(metrics.PatternSearches)
+			m.retractBlocked(ce, entries)
+		}
+	}
+	m.maintain(m.stores[class].conds, entries)
 	m.detectInserts(class, entries)
 	return nil
 }
 
-// sweepNegated retracts, once per negated condition element per batch,
-// every instantiation some batch tuple now blocks.
-func (m *Matcher) sweepNegated(class string, entries []relation.DeltaEntry) {
-	for _, ce := range m.set.ByClass[class] {
-		if !ce.Negated {
-			continue
-		}
-		m.stats.Inc(metrics.PatternSearches)
-		ceCopy := ce
-		m.cs.RemoveWhere(func(in *conflict.Instantiation) bool {
-			if in.Rule != ceCopy.Rule {
-				return false
-			}
-			for _, e := range entries {
-				if _, blocked := ceCopy.MatchWith(e.Tuple, in.Bindings); blocked {
-					return true
-				}
-			}
-			return false
-		})
+// maintain is the maintenance process (§4.2.2): every entry matching one
+// of the source condition elements projects its bindings onto that
+// element's targets. Contributions are grouped per target so each COND
+// relation is touched once per call; under core-parallel the groups are
+// upserted concurrently.
+func (m *Matcher) maintain(srcs []*condIndex, entries []relation.DeltaEntry) {
+	type group struct {
+		target   *condIndex
+		contribs []contribution
 	}
-}
-
-// maintainInserts is the maintenance half of an insert batch: project
-// every batch tuple's bindings onto its related condition elements,
-// grouping the contributions per target CE so each target COND relation
-// is touched once per batch.
-func (m *Matcher) maintainInserts(class string, entries []relation.DeltaEntry) {
-	grouped := make(map[ceKey][]contribution)
-	var order []ceKey
-	for _, ce := range m.set.ByClass[class] {
-		if ce.Negated {
+	var groups []group
+	var gbuf [8]int
+	for _, src := range srcs {
+		if len(src.targets) == 0 {
 			continue
 		}
-		targets := m.targets[ce]
-		if len(targets) == 0 {
-			continue
+		// gidx[i] caches the group of src.targets[i], found on first use.
+		gidx := gbuf[:0]
+		for range src.targets {
+			gidx = append(gidx, -1)
 		}
 		for _, e := range entries {
-			tb, ok := ce.MatchPattern(e.Tuple, nil)
-			if !ok {
+			if !src.alone(e.Tuple) {
 				continue
 			}
-			for _, j := range targets {
-				target := ce.Rule.CEs[j]
-				proj := rules.Bindings{}
-				for _, v := range target.Vars() {
-					if val, ok := tb[v]; ok {
-						proj[v] = val
+			for i := range src.targets {
+				ed := &src.targets[i]
+				if gidx[i] < 0 {
+					g := 0
+					for g < len(groups) && groups[g].target != ed.sh.ci {
+						g++
 					}
+					if g == len(groups) {
+						groups = append(groups, group{target: ed.sh.ci})
+					}
+					gidx[i] = g
 				}
-				if len(proj) == 0 {
-					continue
-				}
-				k := ceKey{rule: ce.Rule, ce: j}
-				if _, seen := grouped[k]; !seen {
-					order = append(order, k)
-				}
-				grouped[k] = append(grouped[k], contribution{srcIdx: ce.Index, id: e.ID, bind: proj})
+				g := &groups[gidx[i]]
+				g.contribs = append(g.contribs, contribution{e: ed, id: e.ID, t: e.Tuple})
 			}
 		}
 	}
-	if m.parallel && len(order) > 1 {
+	if m.parallel && len(groups) > 1 {
 		m.stats.Inc(metrics.ParallelBatches)
-		forwardPanics(len(order), func(i int) {
-			m.upsertMany(order[i], grouped[order[i]])
+		forwardPanics(len(groups), func(i int) {
+			m.upsert(groups[i].target, groups[i].contribs)
 		})
-	} else {
-		for _, k := range order {
-			m.upsertMany(k, grouped[k])
-		}
+		return
+	}
+	for _, g := range groups {
+		m.upsert(g.target, g.contribs)
 	}
 }
 
-// condHashJoinMin is the COND snapshot size below which detectInserts
-// keeps the plain nested-loop scan: building the hash buckets costs one
-// pass over the snapshot, which only pays off once the per-entry scan it
-// replaces is larger than that.
-const condHashJoinMin = 16
-
-// detectInserts is the detection half of an insert batch: one
-// COND-relation pass per condition element for the whole batch; the
-// conflict set is fed incrementally as candidates survive verification.
-// The batch is hash-joined against the
-// snapshot on the condition element's first equality variable: a pattern
-// binding that variable can only match tuples carrying the OPS5-equal
-// value at the variable's attribute, so each entry probes one bucket
-// plus the patterns leaving the variable unbound, instead of scanning
-// the whole snapshot.
-func (m *Matcher) detectInserts(class string, entries []relation.DeltaEntry) {
-	st := m.stores[class]
-	for _, ce := range m.set.ByClass[class] {
-		if ce.Negated {
-			continue
-		}
-		m.stats.Inc(metrics.PatternSearches)
-		k := ceKey{rule: ce.Rule, ce: ce.Index}
-		pats := st.snapshot(k)
-		// The probe variable is the equality variable bound by the most
-		// patterns — patterns projected from a joining condition element
-		// bind the join variables, not this element's locally-bound ones,
-		// so the choice has to follow the data, not the source order.
-		probePos, probeVar := -1, ""
-		if len(pats) >= condHashJoinMin {
-			bestCount := 0
-			seen := map[string]bool{}
-			for _, vt := range ce.VarTests {
-				if vt.Op != value.OpEq || seen[vt.Var] {
-					continue
-				}
-				seen[vt.Var] = true
-				n := 0
-				for _, p := range pats {
-					if _, ok := p.bind[vt.Var]; ok {
-						n++
-					}
-				}
-				if n > bestCount {
-					probePos, probeVar, bestCount = vt.Pos, vt.Var, n
-				}
-			}
-		}
-		var buckets map[value.V][]*pattern
-		var residual []*pattern
-		if probePos >= 0 {
-			buckets = make(map[value.V][]*pattern)
-			for _, p := range pats {
-				if bv, ok := p.bind[probeVar]; ok {
-					buckets[bv.Key()] = append(buckets[bv.Key()], p)
-				} else {
-					residual = append(residual, p)
-				}
-			}
-		}
-		var checked int64
-		var fires []relation.DeltaEntry
-		t0 := m.tr.Now()
-		for _, e := range entries {
-			var matchedAny bool
-			marks := map[int]bool{}
-			scan := func(list []*pattern) {
-				for _, p := range list {
-					checked++
-					if _, ok := ce.MatchPattern(e.Tuple, p.bind); !ok {
-						continue
-					}
-					matchedAny = true
-					for y, ids := range p.support {
-						if len(ids) > 0 {
-							marks[y] = true
-						}
-					}
-				}
-			}
-			if buckets != nil {
-				if probePos < len(e.Tuple) {
-					scan(buckets[e.Tuple[probePos].Key()])
-				}
-				scan(residual)
-			} else {
-				scan(pats)
-			}
-			if !matchedAny {
-				continue
-			}
-			fire := true
-			for _, j := range m.contributors[ce] {
-				if !marks[j] {
-					fire = false
-					break
-				}
-			}
-			if fire {
-				fires = append(fires, e)
-			}
-		}
-		m.stats.Add(metrics.CandidateChecks, checked)
-		if m.tr.Enabled() {
-			m.tr.Emit(trace.Event{
-				Kind: trace.KindCondScan, At: t0, Dur: m.tr.Now() - t0,
-				Rule: ce.Rule.Name, CE: ce.Index, Class: class, Count: checked,
-			})
-		}
-		for _, e := range fires {
-			m.verifyAndEmit(ce, e.ID, e.Tuple)
-		}
-	}
-}
-
-// upsertMany applies a batch of contributions to one COND relation
-// under a single store lock (and, when simulated I/O is configured, a
-// single page write), then records the new support links under a single
-// reverse-index lock.
-func (m *Matcher) upsertMany(k ceKey, contribs []contribution) {
-	target := k.rule.CEs[k.ce]
-	tst := m.stores[target.Class]
+// upsert applies a group of contributions to one COND relation under a
+// single store lock (and, when simulated I/O is configured, a single page
+// write): each finds or creates its pattern through the shape index and
+// records its tuple as a supporter. The new support links then go into
+// the reverse index under a single lock.
+func (m *Matcher) upsert(target *condIndex, contribs []contribution) {
 	m.stats.Add(metrics.MaintenanceOps, int64(len(contribs)))
 	t0 := m.tr.Now()
 	if m.tr.Enabled() {
 		defer func() {
 			m.tr.Emit(trace.Event{
 				Kind: trace.KindPatternPropagate, At: t0, Dur: m.tr.Now() - t0,
-				Rule: k.rule.Name, CE: k.ce, Class: target.Class, Count: int64(len(contribs)),
+				Rule: target.ce.Rule.Name, CE: target.ce.Index, Class: target.ce.Class, Count: int64(len(contribs)),
 			})
 		}()
 	}
 	if m.ioDelay > 0 {
-		time.Sleep(m.ioDelay) // one simulated COND-relation page write per batch
+		time.Sleep(m.ioDelay) // one simulated COND-relation page write
 	}
 	type newLink struct {
-		wk     wmeKey
-		p      *pattern
-		srcIdx int
+		wk   wmeKey
+		slot patSlot
 	}
 	var links []newLink
-	tst.mu.Lock()
+	target.st.mu.Lock()
 	for _, c := range contribs {
-		key := patternKey(target, c.bind)
-		p, exists := tst.byKey[key]
-		if !exists {
-			p = &pattern{
-				ce:      target,
-				bind:    c.bind,
-				support: make(map[int]idSet),
-				key:     key,
-			}
-			tst.byKey[key] = p
-			tst.byCE[k] = append(tst.byCE[k], p)
+		p := c.e.sh.find(c.t, c.e.pos)
+		if p == nil {
+			p = c.e.sh.add(c.t, c.e.pos)
 			m.stats.Inc(metrics.PatternsStored)
 			m.stats.Inc(metrics.CondTuplesStored)
 		}
-		set := p.support[c.srcIdx]
-		if set == nil {
-			set = make(idSet)
-			p.support[c.srcIdx] = set
-		}
-		if _, dup := set[c.id]; !dup {
-			set[c.id] = struct{}{}
-			links = append(links, newLink{wk: wmeKey{class: k.rule.CEs[c.srcIdx].Class, id: c.id}, p: p, srcIdx: c.srcIdx})
+		if p.addSupport(c.e.src, c.id) {
+			links = append(links, newLink{wk: wmeKey{class: c.e.srcClass, id: c.id}, slot: patSlot{p: p, ceIdx: c.e.src}})
 		}
 	}
-	tst.mu.Unlock()
+	target.st.mu.Unlock()
 	if len(links) == 0 {
 		return
 	}
 	m.refMu.Lock()
 	for _, l := range links {
-		m.byTuple[l.wk] = append(m.byTuple[l.wk], patSlot{p: l.p, ceIdx: l.srcIdx})
+		m.byTuple[l.wk] = append(m.byTuple[l.wk], l.slot)
 	}
 	m.refMu.Unlock()
+}
+
+// detectInserts is the detection half of an insert batch: one search of
+// each condition element's COND relation per batch tuple, then the
+// conflict-set update for every candidate that fired.
+func (m *Matcher) detectInserts(class string, entries []relation.DeltaEntry) {
+	for _, ci := range m.stores[class].conds {
+		m.stats.Inc(metrics.PatternSearches)
+		type fired struct {
+			e        relation.DeltaEntry
+			partners []relation.TupleID
+		}
+		var fires []fired
+		var checked int64
+		t0 := m.tr.Now()
+		for _, e := range entries {
+			d := m.detect(ci, e.Tuple)
+			checked += d.checked
+			if d.fire {
+				fires = append(fires, fired{e: e, partners: d.partners})
+			}
+		}
+		m.stats.Add(metrics.CandidateChecks, checked)
+		if m.tr.Enabled() {
+			m.tr.Emit(trace.Event{
+				Kind: trace.KindCondScan, At: t0, Dur: m.tr.Now() - t0,
+				Rule: ci.ce.Rule.Name, CE: ci.ce.Index, Class: class, Count: checked,
+			})
+		}
+		for _, f := range fires {
+			m.emit(ci, f.e.ID, f.e.Tuple, f.partners)
+		}
+	}
 }
 
 // DeleteBatch implements match.BatchMatcher: every batch tuple's support
@@ -300,16 +189,17 @@ func (m *Matcher) upsertMany(k ceKey, contribs []contribution) {
 // retracted per tuple, and rules negatively dependent on the class are
 // re-derived once for the whole batch instead of once per deleted tuple.
 func (m *Matcher) DeleteBatch(class string, entries []relation.DeltaEntry) error {
-	m.withdrawDeletes(class, entries)
+	m.stores[class].live -= len(entries)
+	m.withdraw(class, entries)
 	m.detectDeletes(class, entries)
 	return nil
 }
 
-// withdrawDeletes is the maintenance half of a delete batch: the
-// support slots fed by the batch tuples are withdrawn (the counter
-// decrement of §4.2.2), grouped per COND relation — one lock
-// acquisition per touched relation per batch.
-func (m *Matcher) withdrawDeletes(class string, entries []relation.DeltaEntry) {
+// withdraw is the maintenance half of a delete: the support slots fed by
+// the deleted tuples are withdrawn (the counter decrement of §4.2.2),
+// grouped per COND relation — one lock acquisition per touched relation.
+// A pattern left without supporters dies.
+func (m *Matcher) withdraw(class string, entries []relation.DeltaEntry) {
 	type slotRef struct {
 		slot patSlot
 		id   relation.TupleID
@@ -328,7 +218,7 @@ func (m *Matcher) withdrawDeletes(class string, entries []relation.DeltaEntry) {
 	byStore := make(map[*store][]slotRef)
 	var storeOrder []*store
 	for _, sr := range slots {
-		st := m.stores[sr.slot.p.ce.Class]
+		st := sr.slot.p.sh.ci.st
 		if _, seen := byStore[st]; !seen {
 			storeOrder = append(storeOrder, st)
 		}
@@ -338,25 +228,9 @@ func (m *Matcher) withdrawDeletes(class string, entries []relation.DeltaEntry) {
 		st.mu.Lock()
 		for _, sr := range byStore[st] {
 			p := sr.slot.p
-			if set := p.support[sr.slot.ceIdx]; set != nil {
-				delete(set, sr.id)
-				if len(set) == 0 {
-					delete(p.support, sr.slot.ceIdx)
-				}
-			}
-			if !p.original && len(p.support) == 0 {
-				if _, live := st.byKey[p.key]; live {
-					delete(st.byKey, p.key)
-					k := ceKey{rule: p.ce.Rule, ce: p.ce.Index}
-					list := st.byCE[k]
-					for i, q := range list {
-						if q == p {
-							st.byCE[k] = append(list[:i], list[i+1:]...)
-							break
-						}
-					}
-					m.stats.Inc(metrics.PatternsDeleted)
-				}
+			p.dropSupport(sr.slot.ceIdx, sr.id)
+			if len(p.support) == 0 && p.sh.remove(p) {
+				m.stats.Inc(metrics.PatternsDeleted)
 			}
 		}
 		st.mu.Unlock()

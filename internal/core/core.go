@@ -10,8 +10,13 @@
 // §4.2.2; we keep the supporting tuple IDs so deletion is exact, the
 // counter being the set's cardinality).
 //
-// Detection is a single search of one COND relation: a newly inserted
-// tuple is matched against the class's patterns, and the rule becomes a
+// Each condition element's COND relation is one persistent index keyed by
+// pattern shape — the sorted set of variables a pattern binds, fixed per
+// contributing condition element — and, within a shape, by the
+// OPS5-equality class of the bound values (index.go). Detection is a
+// single search of one COND relation: a newly inserted tuple probes one
+// bucket per shape it keys (scanning only the original COND tuple and the
+// shapes reachable solely through inequalities), and the rule becomes a
 // firing candidate when the union of marks across the patterns it matches
 // covers every related condition element that shares variables with this
 // one. No hierarchical propagation precedes the conflict-set update
@@ -28,7 +33,11 @@
 // compacted"; left unchecked they grow with the product of partial join
 // results. The compaction trades a few more false drops — which the paper
 // tolerates (§2.3) and which the verification join filters — for linear
-// COND-relation growth.
+// COND-relation growth. For an exact rule — two positive condition
+// elements sharing a variable, each testing only variables it
+// equality-binds itself — the matched pattern's marks name precisely the
+// partner tuples, so detection emits the instantiations from them with no
+// verification join and no false drops (DESIGN.md §2.1).
 //
 // Negated condition elements are enforced at verification time (the NOT
 // EXISTS check of §5.2) rather than through inverted marks.
@@ -37,6 +46,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -46,67 +56,8 @@ import (
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
 	"prodsys/internal/trace"
+	"prodsys/internal/value"
 )
-
-// idSet is a set of supporting tuple IDs.
-type idSet map[relation.TupleID]struct{}
-
-// ceKey identifies a condition element within the rule set.
-type ceKey struct {
-	rule *rules.Rule
-	ce   int
-}
-
-// pattern is one COND-relation tuple: the attribute restrictions of a
-// condition element, partially instantiated by bind, supported per
-// contributing condition element.
-type pattern struct {
-	ce   *rules.CE
-	bind rules.Bindings
-	// support maps a contributing CE index (an RCE) to the IDs of the
-	// working-memory tuples of that condition element's class whose
-	// projections created this pattern.
-	support  map[int]idSet
-	original bool
-	key      string
-}
-
-// patternKey canonically names a pattern.
-func patternKey(ce *rules.CE, bind rules.Bindings) string {
-	return fmt.Sprintf("%s|%d|%s", ce.Rule.Name, ce.CEN(), bind.Key())
-}
-
-// store is the COND relation of one class. The original COND tuples
-// seeded at construction never gain support (propagation always projects
-// a non-empty binding) and head their condition element's list.
-type store struct {
-	mu    sync.Mutex
-	byCE  map[ceKey][]*pattern
-	byKey map[string]*pattern
-}
-
-func newStore() *store {
-	return &store{byCE: make(map[ceKey][]*pattern), byKey: make(map[string]*pattern)}
-}
-
-// snapshot copies the pattern list for one condition element.
-func (s *store) snapshot(k ceKey) []*pattern {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*pattern(nil), s.byCE[k]...)
-}
-
-// patterns returns every COND tuple of the store in key order.
-func (s *store) patterns() []*pattern {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*pattern, 0, len(s.byKey))
-	for _, p := range s.byKey {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out
-}
 
 // wmeKey identifies a working-memory tuple.
 type wmeKey struct {
@@ -127,18 +78,11 @@ type Matcher struct {
 	cs       *conflict.Set
 	stats    *metrics.Set
 	stores   map[string]*store
+	cond     map[*rules.CE]*condIndex
 	parallel bool
 	ioDelay  time.Duration
 	tr       *trace.Tracer
 	pl       *joiner.Planner
-
-	// contributors[ce] lists the indices of the other positive condition
-	// elements of ce's rule that can deliver a matching pattern to ce's
-	// COND relation (they equality-bind a variable ce references); the
-	// fire check requires a mark from each. targets[ce] is the inverse:
-	// the condition elements ce's own insertions must propagate to.
-	contributors map[*rules.CE][]int
-	targets      map[*rules.CE][]int
 
 	// refMu guards byTuple, the reverse index from a WM tuple to the
 	// pattern support slots it feeds.
@@ -166,55 +110,65 @@ func WithSimulatedIO(d time.Duration) Option {
 	return func(m *Matcher) { m.ioDelay = d }
 }
 
-// New builds the matcher over the engine's WM catalog, seeding every
-// positive condition element's original COND tuple. stats may be nil.
+// New builds the matcher over the engine's WM catalog: one COND index per
+// positive condition element, seeded with its original COND tuple, and
+// the shapes and maintenance routes between them. stats may be nil.
 func New(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set, opts ...Option) *Matcher {
 	m := &Matcher{
-		set:          set,
-		db:           db,
-		cs:           cs,
-		stats:        stats,
-		stores:       make(map[string]*store),
-		contributors: make(map[*rules.CE][]int),
-		targets:      make(map[*rules.CE][]int),
-		byTuple:      make(map[wmeKey][]patSlot),
+		set:     set,
+		db:      db,
+		cs:      cs,
+		stats:   stats,
+		stores:  make(map[string]*store),
+		cond:    make(map[*rules.CE]*condIndex),
+		byTuple: make(map[wmeKey][]patSlot),
 	}
 	for _, o := range opts {
 		o(m)
 	}
 	for name := range set.Classes {
-		m.stores[name] = newStore()
+		m.stores[name] = &store{}
 	}
 	for _, r := range set.Rules {
 		for _, ce := range r.CEs {
 			if ce.Negated {
 				continue
 			}
-			p := &pattern{
-				ce:       ce,
-				bind:     rules.Bindings{},
-				support:  make(map[int]idSet),
-				original: true,
-			}
-			p.key = patternKey(ce, p.bind)
 			st := m.stores[ce.Class]
-			k := ceKey{rule: r, ce: ce.Index}
-			st.byCE[k] = append(st.byCE[k], p)
-			st.byKey[p.key] = p
+			ci := newCondIndex(ce, st)
+			st.conds = append(st.conds, ci)
+			m.cond[ce] = ci
 			m.stats.Inc(metrics.CondTuplesStored)
-			m.contributors[ce] = positiveSharers(r, ce.Index)
 		}
 	}
-	// targets is the inverse of contributors: i propagates to j exactly
-	// when i contributes to j.
 	for _, r := range set.Rules {
 		for _, ce := range r.CEs {
 			if ce.Negated {
 				continue
 			}
-			for _, j := range m.contributors[ce] {
-				src := r.CEs[j]
-				m.targets[src] = append(m.targets[src], ce.Index)
+			ci := m.cond[ce]
+			ci.contributors = positiveSharers(r, ce.Index)
+			ci.partner = exactPartner(r, ci.contributors)
+			// Contributor i projects the variables it equality-binds that
+			// this element references: one shape per distinct set.
+			for _, i := range ci.contributors {
+				src := r.CEs[i]
+				var vars []string
+				for _, v := range src.ExtractableVars() {
+					if indexOf(ce.Vars(), v) >= 0 {
+						vars = append(vars, v)
+					}
+				}
+				sort.Strings(vars)
+				e := edge{src: i, srcClass: src.Class, sh: ci.shapeFor(vars)}
+				for _, v := range vars {
+					e.pos = append(e.pos, eqPos(src, v))
+				}
+				m.cond[src].targets = append(m.cond[src].targets, e)
+			}
+			if ci.partner >= 0 {
+				v := ci.shapes[0].vars[0]
+				ci.ownPos, ci.partnerPos = eqPos(ce, v), eqPos(r.CEs[ci.partner], v)
 			}
 		}
 	}
@@ -247,6 +201,41 @@ func positiveSharers(r *rules.Rule, i int) []int {
 	return out
 }
 
+// exactPartner returns the index of the other condition element when r is
+// exact, -1 otherwise. r is exact when it has exactly two condition
+// elements, both positive, that share a variable (each contributes to the
+// other), and every inequality either one makes tests a variable it has
+// already equality-bound itself. Then a tuple matching a pattern joins
+// every tuple supporting it, and every partner it joins supports the one
+// pattern it keys: the marks are exact (Example 5's multiply-marked
+// precision, recovered without storing those rows), and detection emits
+// the instantiations itself. A cross-element inequality (chain's
+// `window`), a negated element or a third element disqualifies the rule,
+// which keeps the verification join.
+func exactPartner(r *rules.Rule, contributors []int) int {
+	if len(r.CEs) != 2 || len(contributors) != 1 {
+		return -1
+	}
+	for _, ce := range r.CEs {
+		if ce.Negated {
+			return -1
+		}
+		for i, vt := range ce.VarTests {
+			if vt.Op == value.OpEq {
+				continue
+			}
+			bound := false
+			for _, w := range ce.VarTests[:i] {
+				bound = bound || (w.Var == vt.Var && w.Op == value.OpEq)
+			}
+			if !bound {
+				return -1
+			}
+		}
+	}
+	return contributors[0]
+}
+
 // SetTracer implements match.Traceable: condition scans, verification
 // joins and pattern propagations are emitted as trace events.
 func (m *Matcher) SetTracer(tr *trace.Tracer) { m.tr = tr }
@@ -269,63 +258,124 @@ func (m *Matcher) ConflictSet() *conflict.Set { return m.cs }
 // Insert implements match.Matcher. The WM relation already contains the
 // tuple.
 func (m *Matcher) Insert(class string, id relation.TupleID, t relation.Tuple) error {
+	one := []relation.DeltaEntry{{ID: id, Tuple: t}}
 	st := m.stores[class]
+	st.live++
+	conds := st.conds
 	for _, ce := range m.set.ByClass[class] {
 		m.stats.Inc(metrics.PatternSearches)
 		if ce.Negated {
-			m.retractBlocked(ce, t)
+			m.retractBlocked(ce, one)
 			continue
 		}
-		k := ceKey{rule: ce.Rule, ce: ce.Index}
-		// The single search of COND-class: which patterns does t match,
-		// and what is the union of their marks?
-		var matchedAny bool
-		var checked int64
+		src := conds[:1]
+		ci := src[0]
+		conds = conds[1:]
 		t0 := m.tr.Now()
-		marks := map[int]bool{}
-		for _, p := range st.snapshot(k) {
-			checked++
-			if _, ok := ce.MatchPattern(t, p.bind); !ok {
-				continue
-			}
-			matchedAny = true
-			for y, ids := range p.support {
-				if len(ids) > 0 {
-					marks[y] = true
-				}
-			}
-		}
-		m.stats.Add(metrics.CandidateChecks, checked)
+		d := m.detect(ci, t)
+		m.stats.Add(metrics.CandidateChecks, d.checked)
 		if m.tr.Enabled() {
 			m.tr.Emit(trace.Event{
 				Kind: trace.KindCondScan, At: t0, Dur: m.tr.Now() - t0,
-				Rule: ce.Rule.Name, CE: ce.Index, Class: class, ID: uint64(id), Count: checked,
+				Rule: ce.Rule.Name, CE: ce.Index, Class: class, ID: uint64(id), Count: d.checked,
 			})
 		}
-		if !matchedAny {
-			continue
+		// Conflict set first (§4.2.3), maintenance second.
+		if d.fire {
+			m.emit(ci, id, t, d.partners)
 		}
-		// Conflict set first (§4.2.3): the rule is applicable when every
-		// variable-sharing RCE has contributed a compatible pattern.
-		fire := true
-		for _, j := range m.contributors[ce] {
-			if !marks[j] {
-				fire = false
-				break
-			}
-		}
-		if fire {
-			m.verifyAndEmit(ce, id, t)
-		}
-		// Maintenance second: propagate this tuple's bindings. The full
-		// variable assignment is extracted pattern-style so that variables
-		// bound by OTHER condition elements (non-binding equality
-		// occurrences here) still project their values.
-		if tb, ok := ce.MatchPattern(t, nil); ok {
-			m.propagate(ce, id, tb)
-		}
+		m.maintain(src, one)
 	}
 	return nil
+}
+
+// emit adds the instantiations a firing candidate completes: straight
+// from the marks for an exact rule, through the verification join
+// otherwise.
+func (m *Matcher) emit(ci *condIndex, id relation.TupleID, t relation.Tuple, partners []relation.TupleID) {
+	if ci.partner >= 0 {
+		m.emitExact(ci, id, t, partners)
+	} else {
+		m.verifyAndEmit(ci.ce, id, t)
+	}
+}
+
+// exactInst holds one exact instantiation and its tuple arrays in a
+// single allocation.
+type exactInst struct {
+	in     conflict.Instantiation
+	ids    [2]relation.TupleID
+	tuples [2]relation.Tuple
+}
+
+// emitExact pairs t with each partner tuple its matched patterns carry,
+// ascending by tuple ID — the order the verification join's index-eq and
+// scan access paths would produce. Each pair is re-checked with MatchWith
+// (which also builds the bindings), so an emitted instantiation always
+// satisfies the LHS; exactness is what makes the list complete. In a
+// self-join t itself is a candidate partner even before its own
+// projection is maintained, as it is for the verification join.
+//
+// The marks name every partner the matcher has maintained. When WM holds
+// partner tuples it has not been handed yet — a later class of the same
+// batch, or a checkpoint restore in progress — the partner relation is
+// probed on the join value instead, so each instantiation still arrives
+// exactly when the verification join would add it.
+func (m *Matcher) emitExact(ci *condIndex, id relation.TupleID, t relation.Tuple, partners []relation.TupleID) {
+	ce := ci.ce
+	other := ce.Rule.CEs[ci.partner]
+	rel, ok := m.db.Get(other.Class)
+	if !ok {
+		return
+	}
+	switch {
+	case rel.Len() != m.stores[other.Class].live:
+		m.stats.Inc(metrics.JoinsComputed)
+		partners = rel.SelectEq(ci.partnerPos, t[ci.ownPos])
+	case other.Class == ce.Class:
+		partners = withID(partners, id)
+	}
+	t0 := m.tr.Now()
+	tb, _ := ce.MatchWith(t, nil)
+	ins := make([]*conflict.Instantiation, 0, len(partners))
+	for _, pid := range partners {
+		u, live := rel.Get(pid)
+		if !live {
+			continue
+		}
+		b, ok := other.MatchWith(u, tb)
+		if !ok {
+			continue
+		}
+		x := &exactInst{}
+		x.ids[ce.Index], x.tuples[ce.Index] = id, t
+		x.ids[other.Index], x.tuples[other.Index] = pid, u
+		x.in = conflict.Instantiation{Rule: ce.Rule, TupleIDs: x.ids[:], Tuples: x.tuples[:], Bindings: b}
+		ins = append(ins, &x.in)
+	}
+	m.cs.AddAll(ins)
+	if m.tr.Enabled() {
+		m.tr.Emit(trace.Event{
+			Kind: trace.KindJoinEval, At: t0, Dur: m.tr.Now() - t0,
+			Rule: ce.Rule.Name, CE: ce.Index, Class: ce.Class, ID: uint64(id), Count: int64(len(ins)),
+		})
+	}
+	if len(ins) == 0 {
+		m.stats.Inc(metrics.FalseDrops)
+	}
+}
+
+// withID returns ids with id merged in, leaving ids itself untouched (it
+// may alias a pattern's support).
+func withID(ids []relation.TupleID, id relation.TupleID) []relation.TupleID {
+	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
+	if i < len(ids) && ids[i] == id {
+		return ids
+	}
+	out := make([]relation.TupleID, 0, len(ids)+1)
+	out = append(out, ids[:i]...)
+	out = append(out, id)
+	return append(out, ids[i:]...)
 }
 
 // verifyAndEmit runs the selection-driven join seeded by the new tuple
@@ -361,37 +411,20 @@ func (m *Matcher) verifyAndEmit(ce *rules.CE, id relation.TupleID, t relation.Tu
 	}
 }
 
-// retractBlocked removes instantiations whose negated condition element
-// the new tuple now satisfies.
-func (m *Matcher) retractBlocked(ce *rules.CE, t relation.Tuple) {
+// retractBlocked removes every instantiation of ce's rule that one of the
+// new tuples blocks through the negated condition element ce.
+func (m *Matcher) retractBlocked(ce *rules.CE, entries []relation.DeltaEntry) {
 	m.cs.RemoveWhere(func(in *conflict.Instantiation) bool {
 		if in.Rule != ce.Rule {
 			return false
 		}
-		_, blocked := ce.MatchWith(t, in.Bindings)
-		return blocked
+		for _, e := range entries {
+			if _, blocked := ce.MatchWith(e.Tuple, in.Bindings); blocked {
+				return true
+			}
+		}
+		return false
 	})
-}
-
-// propagate performs the maintenance process: project the new tuple's
-// bindings onto every variable-sharing related condition element and
-// insert (or reinforce) the resulting matching pattern in that COND
-// relation, optionally in parallel.
-func (m *Matcher) propagate(ce *rules.CE, id relation.TupleID, tb rules.Bindings) {
-	targets := m.targets[ce]
-	if len(targets) == 0 {
-		return
-	}
-	if m.parallel && len(targets) > 1 {
-		m.stats.Inc(metrics.ParallelBatches)
-		forwardPanics(len(targets), func(i int) {
-			m.propagateTo(ce, id, tb, targets[i])
-		})
-		return
-	}
-	for _, j := range targets {
-		m.propagateTo(ce, id, tb, j)
-	}
 }
 
 // forwardPanics runs fn(i) for each i in [0, n) concurrently and, after
@@ -426,133 +459,13 @@ func forwardPanics(n int, fn func(i int)) {
 	}
 }
 
-// propagateTo inserts the tuple's projected matching pattern into the
-// COND relation of one related condition element.
-func (m *Matcher) propagateTo(ce *rules.CE, id relation.TupleID, tb rules.Bindings, j int) {
-	m.stats.Inc(metrics.MaintenanceOps)
-	t0 := m.tr.Now()
-	if m.ioDelay > 0 {
-		time.Sleep(m.ioDelay) // simulated COND-relation page write
-	}
-	target := ce.Rule.CEs[j]
-	proj := rules.Bindings{}
-	for _, v := range target.Vars() {
-		if val, ok := tb[v]; ok {
-			proj[v] = val
-		}
-	}
-	if len(proj) == 0 {
-		return
-	}
-	m.upsert(m.stores[target.Class], ceKey{rule: ce.Rule, ce: j}, target, proj, ce.Index, id)
-	if m.tr.Enabled() {
-		m.tr.Emit(trace.Event{
-			Kind: trace.KindPatternPropagate, At: t0, Dur: m.tr.Now() - t0,
-			Rule: ce.Rule.Name, CE: j, Class: target.Class, ID: uint64(id), Count: 1,
-		})
-	}
-}
-
-// upsert creates or reinforces the matching pattern (target, bind),
-// recording the new tuple as a supporter of the source condition element.
-func (m *Matcher) upsert(tst *store, k ceKey, target *rules.CE, bind rules.Bindings, srcIdx int, id relation.TupleID) {
-	key := patternKey(target, bind)
-	tst.mu.Lock()
-	p, exists := tst.byKey[key]
-	if !exists {
-		p = &pattern{
-			ce:      target,
-			bind:    bind,
-			support: make(map[int]idSet),
-			key:     key,
-		}
-		tst.byKey[key] = p
-		tst.byCE[k] = append(tst.byCE[k], p)
-		m.stats.Inc(metrics.PatternsStored)
-		m.stats.Inc(metrics.CondTuplesStored)
-	}
-	set := p.support[srcIdx]
-	if set == nil {
-		set = make(idSet)
-		p.support[srcIdx] = set
-	}
-	_, dup := set[id]
-	if !dup {
-		set[id] = struct{}{}
-	}
-	tst.mu.Unlock()
-	if !dup {
-		m.link(wmeKey{class: target.Rule.CEs[srcIdx].Class, id: id}, p, srcIdx)
-	}
-}
-
-// link records that the WM tuple supports pattern p at slot ceIdx.
-func (m *Matcher) link(wk wmeKey, p *pattern, ceIdx int) {
-	m.refMu.Lock()
-	m.byTuple[wk] = append(m.byTuple[wk], patSlot{p: p, ceIdx: ceIdx})
-	m.refMu.Unlock()
-}
-
 // Delete implements match.Matcher. The WM relation no longer contains the
 // tuple. Every pattern support slot fed by the tuple is withdrawn (the
 // counter decrement of §4.2.2); patterns with no remaining supporters
 // die. Instantiations built on the tuple are retracted, and rules
 // negatively dependent on the class are re-derived.
-func (m *Matcher) Delete(class string, id relation.TupleID, _ relation.Tuple) error {
-	wk := wmeKey{class: class, id: id}
-	m.refMu.Lock()
-	slots := m.byTuple[wk]
-	delete(m.byTuple, wk)
-	m.refMu.Unlock()
-
-	for _, slot := range slots {
-		p := slot.p
-		st := m.stores[p.ce.Class]
-		st.mu.Lock()
-		if set := p.support[slot.ceIdx]; set != nil {
-			delete(set, id)
-			if len(set) == 0 {
-				delete(p.support, slot.ceIdx)
-			}
-		}
-		if !p.original && len(p.support) == 0 {
-			delete(st.byKey, p.key)
-			k := ceKey{rule: p.ce.Rule, ce: p.ce.Index}
-			list := st.byCE[k]
-			for i, q := range list {
-				if q == p {
-					st.byCE[k] = append(list[:i], list[i+1:]...)
-					break
-				}
-			}
-			m.stats.Inc(metrics.PatternsDeleted)
-		}
-		st.mu.Unlock()
-	}
-
-	m.cs.RemoveByTuple(class, id)
-
-	// Deletion may unblock negatively dependent rules.
-	seen := map[*rules.Rule]bool{}
-	for _, ce := range m.set.ByClass[class] {
-		if !ce.Negated || seen[ce.Rule] {
-			continue
-		}
-		seen[ce.Rule] = true
-		var found int64
-		t0 := m.tr.Now()
-		m.pl.Enumerate(m.db, ce.Rule, nil, nil, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, b rules.Bindings) {
-			found++
-			m.cs.Add(&conflict.Instantiation{Rule: ce.Rule, TupleIDs: ids, Tuples: tuples, Bindings: b})
-		})
-		if m.tr.Enabled() {
-			m.tr.Emit(trace.Event{
-				Kind: trace.KindJoinEval, At: t0, Dur: m.tr.Now() - t0,
-				Rule: ce.Rule.Name, CE: ce.Index, Class: class, ID: uint64(id), Count: found,
-			})
-		}
-	}
-	return nil
+func (m *Matcher) Delete(class string, id relation.TupleID, t relation.Tuple) error {
+	return m.DeleteBatch(class, []relation.DeltaEntry{{ID: id, Tuple: t}})
 }
 
 // PatternCount reports the number of stored matching patterns (original
@@ -561,9 +474,9 @@ func (m *Matcher) PatternCount() int {
 	n := 0
 	for _, st := range m.stores {
 		st.mu.Lock()
-		for _, p := range st.byKey {
-			if !p.original {
-				n++
+		for _, ci := range st.conds {
+			for _, sh := range ci.shapes {
+				n += sh.n
 			}
 		}
 		st.mu.Unlock()
@@ -572,7 +485,7 @@ func (m *Matcher) PatternCount() int {
 }
 
 // DumpCond renders one class's COND relation, mirroring the tables of
-// Example 5 in the paper; used by the psbench figure commands and tests.
+// Example 5 in the paper; used by tests and for debugging.
 func (m *Matcher) DumpCond(class string) []string {
 	st := m.stores[class]
 	if st == nil {
@@ -580,18 +493,20 @@ func (m *Matcher) DumpCond(class string) []string {
 	}
 	var out []string
 	st.mu.Lock()
-	for _, p := range st.byKey {
-		marks := make([]string, 0, len(p.support))
-		for ceIdx, ids := range p.support {
-			marks = append(marks, fmt.Sprintf("%s:%d×%d", p.ce.Rule.CEs[ceIdx].Class, ceIdx+1, len(ids)))
+	for _, ci := range st.conds {
+		out = append(out, fmt.Sprintf("%s CEN=%d {} marks=[] (original)", ci.ce.Rule.Name, ci.ce.CEN()))
+		for _, sh := range ci.shapes {
+			sh.each(func(p *pattern) {
+				marks := make([]string, 0, len(p.support))
+				for _, s := range p.support {
+					marks = append(marks, fmt.Sprintf("%s:%d×%d", ci.ce.Rule.CEs[s.src].Class, s.src+1, len(s.ids)))
+				}
+				sort.Strings(marks)
+				var b strings.Builder
+				p.writeBindings(&b)
+				out = append(out, fmt.Sprintf("%s CEN=%d {%s} marks=%v", ci.ce.Rule.Name, ci.ce.CEN(), b.String(), marks))
+			})
 		}
-		sort.Strings(marks)
-		tag := ""
-		if p.original {
-			tag = " (original)"
-		}
-		out = append(out, fmt.Sprintf("%s CEN=%d {%s} marks=%v%s",
-			p.ce.Rule.Name, p.ce.CEN(), p.bind.Key(), marks, tag))
 	}
 	st.mu.Unlock()
 	sort.Strings(out)

@@ -240,7 +240,7 @@ func buildStep(rel *relation.Relation, ce *rules.CE, bound map[string]bool) *Pla
 			if bestEq < 0 || d > bestEqDistinct {
 				bestEq, bestEqDistinct = i, d
 			}
-		case p.op != value.OpNe:
+		case p.op != value.OpNe && rel.HasOrderedIndex(p.pos):
 			if bestRange < 0 {
 				bestRange = i
 			}

@@ -197,7 +197,7 @@ func (s *colStore) SelectEq(pos int, v value.V) ([]TupleID, bool) {
 }
 
 func (s *colStore) SelectRange(pos int, b Bounds) ([]TupleID, bool) {
-	if ix := s.indexes[pos]; ix != nil {
+	if ix := s.indexes[pos]; ix != nil && ix.ordered {
 		return ix.rangeIDs(b), true
 	}
 	col := s.cols[pos]
@@ -210,23 +210,26 @@ func (s *colStore) SelectRange(pos int, b Bounds) ([]TupleID, bool) {
 	return out, false
 }
 
-func (s *colStore) CreateIndex(pos int) {
-	if _, exists := s.indexes[pos]; exists {
-		return
-	}
-	ix := newAttrIndex()
-	col := s.cols[pos]
-	for i, id := range s.ids {
-		if !s.dead[i] {
-			ix.add(col[i], id)
+func (s *colStore) CreateIndex(pos int, ordered bool) {
+	ix := s.indexes[pos]
+	if ix == nil {
+		ix = newAttrIndex(false)
+		col := s.cols[pos]
+		for i, id := range s.ids {
+			if !s.dead[i] {
+				ix.add(col[i], id)
+			}
 		}
+		s.indexes[pos] = ix
 	}
-	s.indexes[pos] = ix
+	if ordered {
+		ix.order()
+	}
 }
 
-func (s *colStore) HasIndex(pos int) bool {
-	_, ok := s.indexes[pos]
-	return ok
+func (s *colStore) HasIndex(pos int) (indexed, ordered bool) {
+	ix := s.indexes[pos]
+	return ix != nil, ix != nil && ix.ordered
 }
 
 func (s *colStore) Clear() {

@@ -8,17 +8,20 @@ import (
 
 // attrIndex is one secondary index over a single attribute position,
 // maintained by both storage backends. It pairs a hash map for O(1)
-// equality probes with sorted key lists for ordered range probes — the
-// "sorted in addition to hash" access paths of ROADMAP item 3. Keys are
+// equality probes with, when ordered, sorted key lists for range probes —
+// the "sorted in addition to hash" access paths of ROADMAP item 3. Every
+// change memmoves the sorted lists, so an attribute only ever
+// equality-probed keeps the hash side alone. Keys are
 // normalized with value.V.Key(), so Int/Float and Str/Sym collapse the
 // same way value.Equal does. Nil values are not indexed: OPS5 equality
 // and range comparisons never admit nil, so a nil-valued tuple can
 // never be an index hit (probing for nil correctly yields nothing,
 // matching the scan path).
 type attrIndex struct {
-	hash map[value.V]map[TupleID]struct{}
-	num  []ordEntry // numeric keys, ascending by numeric value
-	txt  []ordEntry // textual keys, ascending by string
+	hash    map[value.V]map[TupleID]struct{}
+	ordered bool
+	num     []ordEntry // numeric keys, ascending by numeric value
+	txt     []ordEntry // textual keys, ascending by string
 }
 
 // ordEntry groups the IDs carrying one distinct key value.
@@ -27,8 +30,29 @@ type ordEntry struct {
 	ids []TupleID // ascending
 }
 
-func newAttrIndex() *attrIndex {
-	return &attrIndex{hash: make(map[value.V]map[TupleID]struct{})}
+func newAttrIndex(ordered bool) *attrIndex {
+	return &attrIndex{hash: make(map[value.V]map[TupleID]struct{}), ordered: ordered}
+}
+
+// order adds the ordered side to a hash-only index.
+func (ix *attrIndex) order() {
+	if ix.ordered {
+		return
+	}
+	ix.ordered = true
+	for k, set := range ix.hash {
+		for id := range set {
+			ix.addOrdered(k, id)
+		}
+	}
+}
+
+func (ix *attrIndex) addOrdered(k value.V, id TupleID) {
+	if k.IsNumeric() {
+		ix.num = ordInsert(ix.num, k, id)
+	} else {
+		ix.txt = ordInsert(ix.txt, k, id)
+	}
 }
 
 func (ix *attrIndex) add(v value.V, id TupleID) {
@@ -42,10 +66,8 @@ func (ix *attrIndex) add(v value.V, id TupleID) {
 		ix.hash[k] = set
 	}
 	set[id] = struct{}{}
-	if k.IsNumeric() {
-		ix.num = ordInsert(ix.num, k, id)
-	} else {
-		ix.txt = ordInsert(ix.txt, k, id)
+	if ix.ordered {
+		ix.addOrdered(k, id)
 	}
 }
 
@@ -59,6 +81,9 @@ func (ix *attrIndex) remove(v value.V, id TupleID) {
 		if len(set) == 0 {
 			delete(ix.hash, k)
 		}
+	}
+	if !ix.ordered {
+		return
 	}
 	if k.IsNumeric() {
 		ix.num = ordRemove(ix.num, k, id)

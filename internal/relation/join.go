@@ -72,7 +72,7 @@ func JoinProbe(t Tuple, rel *Relation, conds []JoinCond, rs []Restriction) []Tup
 	// ordered index. "t[L] op u[R]" constrains u[R] by the flipped
 	// operator against the known left value.
 	for _, jc := range conds {
-		if !rel.HasIndex(jc.RightPos) {
+		if !rel.HasOrderedIndex(jc.RightPos) {
 			continue
 		}
 		if b, ok := RangeFor(jc.Op.Flip(), t[jc.LeftPos]); ok {

@@ -107,13 +107,20 @@ func (r *Relation) Stats() StoreStats {
 // CreateIndex builds (idempotently) secondary indexes — hash for
 // equality probes, ordered for range probes — on the attribute at
 // position pos.
-func (r *Relation) CreateIndex(pos int) error {
+func (r *Relation) CreateIndex(pos int) error { return r.createIndex(pos, true) }
+
+// CreateHashIndex builds (idempotently) the hash side alone on the
+// attribute at position pos: equality probes without the ordered side's
+// per-change upkeep. A later CreateIndex adds the ordered side.
+func (r *Relation) CreateHashIndex(pos int) error { return r.createIndex(pos, false) }
+
+func (r *Relation) createIndex(pos int, ordered bool) error {
 	if pos < 0 || pos >= r.schema.Arity() {
 		return fmt.Errorf("relation %s: index position %d out of range", r.Name(), pos)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.store.CreateIndex(pos)
+	r.store.CreateIndex(pos, ordered)
 	return nil
 }
 
@@ -121,7 +128,17 @@ func (r *Relation) CreateIndex(pos int) error {
 func (r *Relation) HasIndex(pos int) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.store.HasIndex(pos)
+	indexed, _ := r.store.HasIndex(pos)
+	return indexed
+}
+
+// HasOrderedIndex reports whether the index on attribute position pos
+// can serve range probes.
+func (r *Relation) HasOrderedIndex(pos int) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	_, ordered := r.store.HasIndex(pos)
+	return ordered
 }
 
 // internTuple canonicalizes the string payloads of a freshly cloned
@@ -312,7 +329,7 @@ func (r *Relation) Select(rs []Restriction) []TupleID {
 		var rb Bounds
 		for _, c := range rs {
 			b, ok := RangeFor(c.Op, c.Val)
-			if !ok || !r.HasIndex(c.Pos) {
+			if !ok || !r.HasOrderedIndex(c.Pos) {
 				continue
 			}
 			if rangePos < 0 {

@@ -86,7 +86,7 @@ func (s *rowStore) SelectEq(pos int, v value.V) ([]TupleID, bool) {
 }
 
 func (s *rowStore) SelectRange(pos int, b Bounds) ([]TupleID, bool) {
-	if ix := s.indexes[pos]; ix != nil {
+	if ix := s.indexes[pos]; ix != nil && ix.ordered {
 		return ix.rangeIDs(b), true
 	}
 	var out []TupleID
@@ -98,20 +98,23 @@ func (s *rowStore) SelectRange(pos int, b Bounds) ([]TupleID, bool) {
 	return out, false
 }
 
-func (s *rowStore) CreateIndex(pos int) {
-	if _, exists := s.indexes[pos]; exists {
-		return
+func (s *rowStore) CreateIndex(pos int, ordered bool) {
+	ix := s.indexes[pos]
+	if ix == nil {
+		ix = newAttrIndex(false)
+		for id, t := range s.tuples {
+			ix.add(t[pos], id)
+		}
+		s.indexes[pos] = ix
 	}
-	ix := newAttrIndex()
-	for id, t := range s.tuples {
-		ix.add(t[pos], id)
+	if ordered {
+		ix.order()
 	}
-	s.indexes[pos] = ix
 }
 
-func (s *rowStore) HasIndex(pos int) bool {
-	_, ok := s.indexes[pos]
-	return ok
+func (s *rowStore) HasIndex(pos int) (indexed, ordered bool) {
+	ix := s.indexes[pos]
+	return ix != nil, ix != nil && ix.ordered
 }
 
 func (s *rowStore) Clear() {

@@ -190,12 +190,15 @@ type Store interface {
 	// probe served the call; otherwise the store fell back to scanning.
 	SelectEq(pos int, v value.V) (ids []TupleID, indexed bool)
 	// SelectRange returns the IDs (ascending) of tuples whose attribute
-	// at pos lies within b. indexed reports an ordered-index probe.
+	// at pos lies within b. indexed reports an ordered-index probe; a
+	// hash-only index cannot serve one, so the store scans.
 	SelectRange(pos int, b Bounds) (ids []TupleID, indexed bool)
-	// CreateIndex builds (idempotently) hash+ordered indexes on pos.
-	CreateIndex(pos int)
-	// HasIndex reports whether pos is indexed.
-	HasIndex(pos int) bool
+	// CreateIndex builds (idempotently) a hash index on pos and, when
+	// ordered, its ordered side (an existing hash-only index gains it).
+	CreateIndex(pos int, ordered bool)
+	// HasIndex reports whether pos is indexed, and whether the index
+	// has its ordered side.
+	HasIndex(pos int) (indexed, ordered bool)
 	// Clear removes every tuple but keeps the indexes.
 	Clear()
 	// Stats snapshots cardinality and per-index distinct counts.

@@ -33,13 +33,20 @@ func randVal(rng *rand.Rand) value.V {
 // churn: n inserts interleaved with random deletes.
 func buildRandom(t *testing.T, kind StorageKind, indexed []int, seed int64, n int) *Relation {
 	t.Helper()
+	return buildRandomWith(t, kind, indexed, (*Relation).CreateIndex, seed, n)
+}
+
+// buildRandomWith is buildRandom with the index constructor as a
+// parameter (hash+ordered or hash-only).
+func buildRandomWith(t *testing.T, kind StorageKind, indexed []int, create func(*Relation, int) error, seed int64, n int) *Relation {
+	t.Helper()
 	schema, err := NewSchema("T", "a", "b", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rel := NewWithStorage(schema, &metrics.Set{}, kind)
 	for _, pos := range indexed {
-		if err := rel.CreateIndex(pos); err != nil {
+		if err := create(rel, pos); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,6 +135,76 @@ func TestPropSelectAgreesWithScan(t *testing.T) {
 					t.Fatalf("trial %d: SelectRange(%d, %+v) = %v, oracle %v", trial, pos, b, got, wantR)
 				}
 			}
+		})
+	}
+}
+
+// TestPropHashOnlyIndex repeats the oracle checks with hash-only indexes
+// (positions 1 and 2) on both backends: equality probes are served by the
+// index, range selections fall back to a scan — SelectRange reports no
+// ordered probe — and every answer equals the scan oracle's. Adding the
+// ordered side later makes ranges index probes that stay exact under
+// further churn.
+func TestPropHashOnlyIndex(t *testing.T) {
+	ops := []value.Op{value.OpEq, value.OpNe, value.OpLt, value.OpLe, value.OpGt, value.OpGe}
+	for _, kind := range StorageKinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			rel := buildRandomWith(t, kind, []int{1, 2}, (*Relation).CreateHashIndex, 17, 400)
+			if !rel.HasIndex(1) || rel.HasOrderedIndex(1) || rel.HasOrderedIndex(0) {
+				t.Fatalf("index kinds: hash(1)=%v ordered(1)=%v ordered(0)=%v", rel.HasIndex(1), rel.HasOrderedIndex(1), rel.HasOrderedIndex(0))
+			}
+			rng := rand.New(rand.NewSource(5))
+			checkRanges := func(wantProbe bool) {
+				t.Helper()
+				for trial := 0; trial < 300; trial++ {
+					pos := rng.Intn(3)
+					v := randVal(rng)
+					rs := []Restriction{{Pos: pos, Op: ops[rng.Intn(len(ops))], Val: v}}
+					want := scanWhere(rel, func(t Tuple) bool { return SatisfiesAll(t, rs) })
+					if got := sorted(rel.Select(rs)); !reflect.DeepEqual(got, sorted(want)) {
+						t.Fatalf("trial %d: Select(%v) = %v, scan oracle = %v", trial, rs, got, want)
+					}
+					lookups := rel.stats.Get(metrics.IndexLookups)
+					wantEq := scanWhere(rel, func(t Tuple) bool { return value.Equal(t[pos], v) })
+					if got := rel.SelectEq(pos, v); !reflect.DeepEqual(sorted(got), sorted(wantEq)) {
+						t.Fatalf("trial %d: SelectEq(%d, %v) = %v, oracle %v", trial, pos, v, got, wantEq)
+					}
+					if probed := rel.stats.Get(metrics.IndexLookups) > lookups; probed != (pos > 0) {
+						t.Fatalf("trial %d: SelectEq(%d) index probe = %v", trial, pos, probed)
+					}
+					b, ok := RangeFor(ops[2+rng.Intn(4)], v)
+					if !ok {
+						continue
+					}
+					probes := rel.stats.Get(metrics.IndexRangeProbes)
+					wantR := scanWhere(rel, func(t Tuple) bool { return b.Contains(t[pos]) })
+					if got := rel.SelectRange(pos, b); !reflect.DeepEqual(sorted(got), sorted(wantR)) {
+						t.Fatalf("trial %d: SelectRange(%d, %+v) = %v, oracle %v", trial, pos, b, got, wantR)
+					}
+					if probed := rel.stats.Get(metrics.IndexRangeProbes) > probes; probed != (wantProbe && pos == 1) {
+						t.Fatalf("trial %d: SelectRange(%d) ordered probe = %v", trial, pos, probed)
+					}
+				}
+			}
+			checkRanges(false)
+			if err := rel.CreateIndex(1); err != nil {
+				t.Fatal(err)
+			}
+			if !rel.HasOrderedIndex(1) || rel.HasOrderedIndex(2) {
+				t.Fatal("CreateIndex(1) should add the ordered side to position 1 only")
+			}
+			for i := 0; i < 200; i++ {
+				id, err := rel.Insert(Tuple{randVal(rng), randVal(rng), randVal(rng)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i%3 == 0 {
+					if _, err := rel.Delete(id - TupleID(rng.Intn(50))); err != nil {
+						continue // already gone
+					}
+				}
+			}
+			checkRanges(true)
 		})
 	}
 }

@@ -250,9 +250,9 @@ func indexable(op value.Op) bool { return op != value.OpNe }
 // class, indexing every attribute that appears in an equality or range
 // test of some condition element (a cheap physical-design heuristic
 // standing in for the paper's "intelligent indexing"). Each index
-// carries both a hash side (equality probes) and an ordered side
-// (range probes), so alpha selections like "^salary > n" become index
-// probes instead of class scans.
+// carries a hash side (equality probes) and, where a range probe can
+// reach the attribute, an ordered side, so alpha selections like
+// "^salary > n" become index probes instead of class scans.
 func BuildDB(set *Set, db *relation.DB) error {
 	if err := BuildCatalog(set, db); err != nil {
 		return err
@@ -275,24 +275,33 @@ func BuildCatalog(set *Set, db *relation.DB) error {
 
 // BuildIndexes applies the physical-design heuristic to an existing
 // catalog: every attribute appearing in an indexable condition-element
-// test gets a hash+ordered secondary index.
+// test gets a secondary index — hash+ordered where a range probe can
+// reach it (see rangeProbed), hash only otherwise, since the ordered side
+// costs a sorted-list update on every change.
 func BuildIndexes(set *Set, db *relation.DB) error {
+	ranged := rangeProbed(set)
 	for _, name := range set.ClassNames() {
 		rel, err := db.Lookup(name)
 		if err != nil {
 			return err
 		}
+		index := func(pos int) error {
+			if ranged[name][pos] {
+				return rel.CreateIndex(pos)
+			}
+			return rel.CreateHashIndex(pos)
+		}
 		for _, ce := range set.ByClass[name] {
 			for _, c := range ce.Consts {
 				if indexable(c.Op) {
-					if err := rel.CreateIndex(c.Pos); err != nil {
+					if err := index(c.Pos); err != nil {
 						return err
 					}
 				}
 			}
 			for _, vt := range ce.VarTests {
 				if indexable(vt.Op) {
-					if err := rel.CreateIndex(vt.Pos); err != nil {
+					if err := index(vt.Pos); err != nil {
 						return err
 					}
 				}
@@ -300,6 +309,45 @@ func BuildIndexes(set *Set, db *relation.DB) error {
 		}
 	}
 	return nil
+}
+
+// rangeProbed returns, per class, the attribute positions a range probe
+// can reach: those with a <, <=, > or >= constant or variable test, plus
+// the equality positions of every variable another condition element of
+// the rule compares with a range operator (the flipped-operand probe,
+// which bounds the binding side by the comparing side's value).
+func rangeProbed(set *Set) map[string]map[int]bool {
+	out := map[string]map[int]bool{}
+	mark := func(class string, pos int) {
+		if out[class] == nil {
+			out[class] = map[int]bool{}
+		}
+		out[class][pos] = true
+	}
+	isRange := func(op value.Op) bool { return op != value.OpEq && op != value.OpNe }
+	for _, r := range set.Rules {
+		for _, ce := range r.CEs {
+			for _, c := range ce.Consts {
+				if isRange(c.Op) {
+					mark(ce.Class, c.Pos)
+				}
+			}
+			for _, vt := range ce.VarTests {
+				if !isRange(vt.Op) {
+					continue
+				}
+				mark(ce.Class, vt.Pos)
+				for _, other := range r.CEs {
+					for _, ot := range other.VarTests {
+						if other != ce && ot.Var == vt.Var && ot.Op == value.OpEq {
+							mark(other.Class, ot.Pos)
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
 }
 
 // CompileSource parses and compiles in one step.

@@ -340,6 +340,43 @@ func TestBuildDB(t *testing.T) {
 	}
 }
 
+// TestBuildIndexesOrderedOnlyWhereRanged checks the ordered index side is
+// requested only where a range probe can reach it: a range constant or
+// variable test, or the equality position of a variable another
+// condition element compares with a range operator.
+func TestBuildIndexesOrderedOnlyWhereRanged(t *testing.T) {
+	set := compile(t, `
+(literalize Probe lo hi)
+(literalize K v w)
+(literalize Emp salary dno)
+(p window (Probe ^lo <l> ^hi <h>) (K ^v {> <l> < <h>} ^w <x>) --> (halt))
+(p band (Emp ^salary > 500 ^dno <d>) (K ^w <d>) --> (halt))`)
+	db := relation.NewDB(nil)
+	if err := BuildDB(set, db); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		class   string
+		pos     int
+		ordered bool
+	}{
+		{"Probe", 0, true}, // <l> is range-compared by K
+		{"Probe", 1, true}, // <h> likewise
+		{"K", 0, true},     // the range variable tests themselves
+		{"K", 1, false},    // equality joins only
+		{"Emp", 0, true},   // range constant
+		{"Emp", 1, false},  // equality join only
+	} {
+		rel := db.MustGet(c.class)
+		if !rel.HasIndex(c.pos) {
+			t.Errorf("%s #%d should be indexed", c.class, c.pos)
+		}
+		if got := rel.HasOrderedIndex(c.pos); got != c.ordered {
+			t.Errorf("%s #%d ordered = %v, want %v", c.class, c.pos, got, c.ordered)
+		}
+	}
+}
+
 func TestResolveTerm(t *testing.T) {
 	b := Bindings{"x": value.OfInt(7)}
 	v, err := ResolveTerm(lang.VarTerm("x"), b)
