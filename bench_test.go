@@ -1,5 +1,5 @@
 // Benchmarks: one testing.B entry per experiment of the DESIGN.md index
-// (E1–E5, E7, E9–E11 are timing experiments; E6 and E8 are exhaustive
+// (E1–E4, E7, E9–E11 are timing experiments; E6 and E8 are exhaustive
 // correctness checks exposed as tests; the figures are structural and
 // regenerated by cmd/psbench). Run with:
 //
@@ -9,7 +9,6 @@ package prodsys_test
 import (
 	"io"
 	"testing"
-	"time"
 
 	"prodsys"
 	"prodsys/internal/conflict"
@@ -17,13 +16,11 @@ import (
 	"prodsys/internal/engine"
 	"prodsys/internal/experiments"
 	"prodsys/internal/joiner"
-	"prodsys/internal/marker"
 	"prodsys/internal/match"
+	"prodsys/internal/matchers"
 	"prodsys/internal/metrics"
 	"prodsys/internal/ptree"
 	"prodsys/internal/relation"
-	"prodsys/internal/requery"
-	"prodsys/internal/rete"
 	"prodsys/internal/rules"
 	"prodsys/internal/value"
 	"prodsys/internal/view"
@@ -42,23 +39,9 @@ func newMatcher(b *testing.B, src, name string) (*relation.DB, match.Matcher, *m
 	if err := rules.BuildDB(set, db); err != nil {
 		b.Fatal(err)
 	}
-	cs := conflict.NewSet(stats)
-	var m match.Matcher
-	switch name {
-	case "rete":
-		m = rete.New(set, cs, stats)
-	case "requery":
-		m = requery.New(set, db, cs, stats)
-	case "core":
-		m = core.New(set, db, cs, stats)
-	case "core-parallel":
-		m = core.New(set, db, cs, stats, core.WithParallelPropagation())
-	case "marker":
-		m = marker.New(set, db, cs, stats)
-	case "ptree":
-		m = ptree.NewMatcher(set, db, cs, stats)
-	default:
-		b.Fatalf("unknown matcher %q", name)
+	m, err := matchers.New(name, set, db, conflict.NewSet(stats), stats)
+	if err != nil {
+		b.Fatal(err)
 	}
 	return db, m, stats
 }
@@ -174,37 +157,6 @@ func BenchmarkE4FalseDrops(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkE5ParallelPropagation times hub insertion on the star
-// workload with simulated COND-relation I/O, serial vs parallel.
-func BenchmarkE5ParallelPropagation(b *testing.B) {
-	const satellites = 8
-	src := workload.StarRules(satellites)
-	for _, parallel := range []bool{false, true} {
-		name := "serial"
-		opts := []core.Option{core.WithSimulatedIO(50 * time.Microsecond)} // 50µs in ns
-		if parallel {
-			name = "parallel"
-			opts = append(opts, core.WithParallelPropagation())
-		}
-		b.Run(name, func(b *testing.B) {
-			set, _, err := rules.CompileSource(src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			stats := &metrics.Set{}
-			db := relation.NewDB(stats)
-			if err := rules.BuildDB(set, db); err != nil {
-				b.Fatal(err)
-			}
-			m := core.New(set, db, conflict.NewSet(stats), stats, opts...)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				insertNotify(b, db, m, "Hub", workload.StarHub(satellites, i))
-			}
-		})
 	}
 }
 
@@ -385,15 +337,9 @@ func BenchmarkBatchAssert(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		cs := conflict.NewSet(stats)
-		var m match.Matcher
-		switch name {
-		case "core":
-			m = core.New(set, db, cs, stats)
-		case "requery":
-			m = requery.New(set, db, cs, stats)
-		case "rete":
-			m = rete.New(set, cs, stats)
+		m, err := matchers.New(name, set, db, conflict.NewSet(stats), stats)
+		if err != nil {
+			b.Fatal(err)
 		}
 		return engine.New(set, db, m, stats, engine.Config{Out: io.Discard})
 	}
@@ -479,16 +425,12 @@ func BenchmarkBatchAssert(b *testing.B) {
 		if err := rules.BuildDB(set, db); err != nil {
 			b.Fatal(err)
 		}
-		cs := conflict.NewSet(stats)
-		var m match.Matcher
-		switch name {
-		case "core":
-			m = core.New(set, db, cs, stats)
-		case "requery":
-			m = requery.New(set, db, cs, stats)
+		m, err := matchers.New(name, set, db, conflict.NewSet(stats), stats)
+		if err != nil {
+			b.Fatal(err)
 		}
 		if planned {
-			match.AttachPlanner(m, joiner.NewPlanner(db, stats))
+			m.SetPlanner(joiner.NewPlanner(db, stats))
 		}
 		return engine.New(set, db, m, stats, engine.Config{Out: io.Discard})
 	}

@@ -43,7 +43,6 @@ func registry(scale float64) map[string]func() experiments.Table {
 		"e4": func() experiments.Table {
 			return experiments.E4FalseDrops([]float64{0, 0.25, 0.5, 0.75, 0.9}, n(1000))
 		},
-		"e5":  func() experiments.Table { return experiments.E5ParallelPropagation(n(300)) },
 		"e6":  func() experiments.Table { return experiments.E6Serializability(6) },
 		"e7":  func() experiments.Table { return experiments.E7ConcurrentThroughput(8, n(64), []int{1, 2, 4, 8}) },
 		"e8":  func() experiments.Table { return experiments.E8ScheduleCount() },
@@ -58,7 +57,7 @@ func registry(scale float64) map[string]func() experiments.Table {
 // order is the presentation order.
 var order = []string{
 	"fig1", "fig2", "fig3",
-	"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
+	"e1", "e2", "e3", "e4", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
 }
 
 // traceDemo loads the 50-rule payroll program, records a traced batch
@@ -112,7 +111,7 @@ func main() {
 	exps := flag.String("exp", "", "comma-separated experiment IDs (default: all)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	traceOut := flag.String("trace", "", "run the payroll trace demo and write a Chrome trace_event file to this path")
-	traceMatcher := flag.String("trace-matcher", "core", "matcher for the trace demo")
+	traceMatcher := flag.String("trace-matcher", "core", fmt.Sprint("matcher for the trace demo, one of ", prodsys.Matchers()))
 	traceOps := flag.Int("trace-ops", 400, "operation count for the trace demo")
 	flag.Parse()
 

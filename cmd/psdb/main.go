@@ -37,7 +37,7 @@ import (
 )
 
 func main() {
-	matcher := flag.String("matcher", "core", "matching algorithm: rete|requery|core|core-parallel|marker|ptree")
+	matcher := flag.String("matcher", "core", fmt.Sprint("matching algorithm, one of ", prodsys.Matchers()))
 	strategy := flag.String("strategy", "fifo", "conflict resolution: fifo|lex|priority|random")
 	storage := flag.String("storage", "", "tuple storage backend: row|columnar (empty = process default)")
 	storageByClass := flag.String("storage-by-class", "", "per-class backend overrides, e.g. Emp=columnar,Dept=row")

@@ -21,7 +21,7 @@ import (
 
 func main() {
 	rulesPath := flag.String("rules", "", "additional OPS5 rule file loaded alongside the QUEL script")
-	matcher := flag.String("matcher", "core", "matching algorithm")
+	matcher := flag.String("matcher", "core", fmt.Sprint("matching algorithm, one of ", prodsys.Matchers()))
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: psq [flags] setup.quel")

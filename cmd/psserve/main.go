@@ -45,7 +45,7 @@ func main() {
 	walPath := flag.String("wal", "", "write-ahead log file; reopening recovers committed state")
 	walSync := flag.String("wal-sync", "group", "WAL sync policy: always|interval|never|group")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after this many logged units (0 = never)")
-	matcher := flag.String("matcher", "core", "matching algorithm: rete|requery|core|core-parallel|marker|ptree")
+	matcher := flag.String("matcher", "core", fmt.Sprint("matching algorithm, one of ", prodsys.Matchers()))
 	maxInFlight := flag.Int("max-inflight", 32, "max concurrently executing requests")
 	maxQueue := flag.Int("max-queue", 128, "max requests waiting for a slot before shedding 429")
 	requestTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline propagated into the engine")

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"prodsys/internal/audit"
+	"prodsys/internal/match"
 )
 
 // This file is the public surface of the integrity subsystem: online
@@ -31,7 +32,7 @@ type AuditDivergence struct {
 }
 
 // String renders the divergence for logs and error output.
-func (d AuditDivergence) String() string { return audit.Divergence(d).String() }
+func (d AuditDivergence) String() string { return match.Divergence(d).String() }
 
 // AuditReport is the outcome of one System.Audit run.
 type AuditReport struct {
@@ -118,13 +119,6 @@ func convertAuditReport(rep *audit.Report) *AuditReport {
 func (s *System) InjectCorruption(seed int64) string {
 	rng := rand.New(rand.NewSource(seed))
 	var desc string
-	s.eng.WithMaintenanceLock(func() {
-		if c, ok := s.matcher.(audit.Corrupter); ok {
-			desc = c.CorruptDerived(rng)
-		}
-		if desc == "" {
-			desc = audit.CorruptConflictSet(s.matcher.ConflictSet(), rng)
-		}
-	})
+	s.eng.WithMaintenanceLock(func() { desc = audit.Corrupt(s.matcher, rng) })
 	return desc
 }

@@ -16,7 +16,6 @@ package audit
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"prodsys/internal/conflict"
@@ -27,71 +26,6 @@ import (
 	"prodsys/internal/rules"
 	"prodsys/internal/trace"
 )
-
-// Divergence classes: which derived structure disagrees with the ground
-// truth recomputed from working memory.
-const (
-	// DivConflictMissing: a satisfied, unfired instantiation is absent
-	// from the conflict set.
-	DivConflictMissing = "conflict-missing"
-	// DivConflictPhantom: the conflict set holds an instantiation the WM
-	// no longer supports.
-	DivConflictPhantom = "conflict-phantom"
-	// DivMarkCounter: a matching pattern's per-RCE support (the Mark
-	// counter of §4.2.2) disagrees with the supporting tuples in WM.
-	DivMarkCounter = "mark-counter"
-	// DivPatternMissing: a matching pattern the WM implies is absent from
-	// its COND relation.
-	DivPatternMissing = "pattern-missing"
-	// DivPatternPhantom: a COND relation holds a matching pattern with no
-	// supporting WM tuples.
-	DivPatternPhantom = "pattern-phantom"
-	// DivTokenMissing: a partial match implied by the WM is absent from a
-	// Rete beta memory, negative node, or production node.
-	DivTokenMissing = "token-missing"
-	// DivTokenPhantom: a Rete token store holds a partial match the WM no
-	// longer supports.
-	DivTokenPhantom = "token-phantom"
-	// DivAlphaMissing / DivAlphaPhantom: a Rete alpha memory disagrees
-	// with the WM tuples passing its variable-free tests.
-	DivAlphaMissing = "alpha-missing"
-	DivAlphaPhantom = "alpha-phantom"
-	// DivMarkMissing: a Basic Locking tuple marker required by a live
-	// instantiation is gone (a future update would be silently dropped).
-	DivMarkMissing = "marker-missing"
-	// DivIndexMissing / DivIndexPhantom: the predicate index disagrees
-	// with the rule set's condition elements.
-	DivIndexMissing = "index-missing"
-	DivIndexPhantom = "index-phantom"
-)
-
-// Divergence is one disagreement between a matcher's derived state and
-// the ground truth recomputed from the base WM relations.
-type Divergence struct {
-	// Class is one of the Div* constants.
-	Class string
-	// Rule names the affected rule; empty when the divergence is not
-	// attributable to one rule (shared alpha memories), which forces a
-	// full rebuild on repair.
-	Rule string
-	// CE is the condition element index, -1 when rule- or set-level.
-	CE int
-	// Key identifies the diverging entry (instantiation key, pattern key,
-	// token signature, tuple reference).
-	Key string
-	// Expected and Actual describe both sides of the disagreement.
-	Expected string
-	Actual   string
-}
-
-// String renders the divergence for traces and error output.
-func (d Divergence) String() string {
-	where := d.Rule
-	if where == "" {
-		where = "-"
-	}
-	return fmt.Sprintf("%s %s %s: expected %s, actual %s", d.Class, where, d.Key, d.Expected, d.Actual)
-}
 
 // Report is the outcome of one audit run.
 type Report struct {
@@ -104,7 +38,7 @@ type Report struct {
 	Sampled bool
 	// Divergences lists every disagreement found, deterministically
 	// ordered.
-	Divergences []Divergence
+	Divergences []match.Divergence
 	// Repaired counts divergences addressed by the repair pass.
 	Repaired int
 	// Rebuilt reports whether the repair rebuilt matcher derived state.
@@ -113,32 +47,6 @@ type Report struct {
 
 // Clean reports whether the audit found no divergence.
 func (r *Report) Clean() bool { return len(r.Divergences) == 0 }
-
-// DerivedAuditor is implemented by matchers with derived state beyond
-// the conflict set. AuditDerived recomputes that state's ground truth
-// from the WM relations in db and emits one Divergence per
-// disagreement. only, when non-nil, restricts the audit to the named
-// rules (the sampled mode); nil means audit everything.
-type DerivedAuditor interface {
-	AuditDerived(db *relation.DB, only map[string]bool, emit func(Divergence))
-}
-
-// DerivedRebuilder is implemented by matchers that can rebuild their
-// derived state from the WM relations. only, when non-nil, limits the
-// rebuild to the named rules' state; nil demands a full rebuild.
-// Matchers whose internal sharing makes per-rule surgery unsafe may
-// always rebuild fully.
-type DerivedRebuilder interface {
-	RebuildRules(db *relation.DB, only map[string]bool) error
-}
-
-// Corrupter is implemented by matchers that can deliberately corrupt
-// their own derived state — the fault-injection hook the detection
-// tests drive. It returns a description of the corruption, or "" when
-// there is nothing to corrupt.
-type Corrupter interface {
-	CorruptDerived(rng *rand.Rand) string
-}
 
 // Options tunes one audit run.
 type Options struct {
@@ -192,7 +100,7 @@ func (a *Auditor) Gate() (*Report, error) {
 }
 
 // Run performs one audit: conflict-set ground truth for the selected
-// rules, then the matcher's own derived state via DerivedAuditor. With
+// rules, then the matcher's own derived state via its AuditDerived. With
 // opts.Repair, divergent rules' derived state is rebuilt from WM and
 // the conflict set reconciled. The returned report is always non-nil;
 // the error reports a failed rebuild.
@@ -216,13 +124,11 @@ func (a *Auditor) Run(opts Options) (*Report, error) {
 		a.cursor = (a.cursor + opts.MaxRules) % len(all)
 	}
 	rep.RulesChecked = len(selected)
-	emit := func(d Divergence) { rep.Divergences = append(rep.Divergences, d) }
+	emit := func(d match.Divergence) { rep.Divergences = append(rep.Divergences, d) }
 
 	t0 := a.tr.Now()
 	a.auditConflictSet(selected, emit)
-	if da, ok := a.m.(DerivedAuditor); ok {
-		da.AuditDerived(a.db, only, emit)
-	}
+	a.m.AuditDerived(a.db, only, emit)
 	sort.Slice(rep.Divergences, func(i, j int) bool {
 		di, dj := rep.Divergences[i], rep.Divergences[j]
 		if di.Class != dj.Class {
@@ -262,7 +168,7 @@ func (a *Auditor) Run(opts Options) (*Report, error) {
 // auditConflictSet diffs the conflict set's unfired instantiations
 // against the full LHS joins of the selected rules, honoring refraction
 // (fired keys are expected to be absent).
-func (a *Auditor) auditConflictSet(selected []*rules.Rule, emit func(Divergence)) {
+func (a *Auditor) auditConflictSet(selected []*rules.Rule, emit func(match.Divergence)) {
 	cs := a.m.ConflictSet()
 	sel := make(map[string]bool, len(selected))
 	for _, r := range selected {
@@ -291,13 +197,13 @@ func (a *Auditor) auditConflictSet(selected []*rules.Rule, emit func(Divergence)
 		act := actual[r.Name]
 		for k := range expected {
 			if !act[k] {
-				emit(Divergence{Class: DivConflictMissing, Rule: r.Name, CE: -1, Key: k,
+				emit(match.Divergence{Class: match.DivConflictMissing, Rule: r.Name, CE: -1, Key: k,
 					Expected: "instantiation in conflict set", Actual: "absent"})
 			}
 		}
 		for k := range act {
 			if !expected[k] {
-				emit(Divergence{Class: DivConflictPhantom, Rule: r.Name, CE: -1, Key: k,
+				emit(match.Divergence{Class: match.DivConflictPhantom, Rule: r.Name, CE: -1, Key: k,
 					Expected: "absent", Actual: "instantiation in conflict set"})
 			}
 		}
@@ -319,16 +225,14 @@ func (a *Auditor) repair(rep *Report) error {
 		affected[d.Rule] = true
 	}
 	t0 := a.tr.Now()
-	if rb, ok := a.m.(DerivedRebuilder); ok {
-		sel := affected
-		if !ruleLevel {
-			sel = nil // unattributable divergence: rebuild everything
-		}
-		if err := rb.RebuildRules(a.db, sel); err != nil {
-			return fmt.Errorf("audit: rebuild: %w", err)
-		}
-		rep.Rebuilt = true
+	sel := affected
+	if !ruleLevel {
+		sel = nil // unattributable divergence: rebuild everything
 	}
+	if err := a.m.RebuildRules(a.db, sel); err != nil {
+		return fmt.Errorf("audit: rebuild: %w", err)
+	}
+	rep.Rebuilt = true
 
 	// Reconcile the conflict set: phantoms out, missing instantiations in.
 	cs := a.m.ConflictSet()

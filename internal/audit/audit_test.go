@@ -6,18 +6,17 @@ import (
 
 	"prodsys/internal/audit"
 	"prodsys/internal/conflict"
-	"prodsys/internal/core"
 	"prodsys/internal/match"
+	"prodsys/internal/matchers"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
-	"prodsys/internal/rete"
 	"prodsys/internal/rules"
 	"prodsys/internal/workload"
 )
 
 // buildMatcher compiles the payroll rule set and returns the stack the
-// auditor needs, with the matcher chosen by the constructor.
-func buildMatcher(t *testing.T, mk func(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set) match.Matcher) (*rules.Set, *relation.DB, match.Matcher, *metrics.Set) {
+// auditor needs, with the named matcher.
+func buildMatcher(t *testing.T, name string) (*rules.Set, *relation.DB, match.Matcher, *metrics.Set) {
 	t.Helper()
 	set, _, err := rules.CompileSource(workload.PayrollRules(6, false))
 	if err != nil {
@@ -28,7 +27,11 @@ func buildMatcher(t *testing.T, mk func(set *rules.Set, db *relation.DB, cs *con
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
-	return set, db, mk(set, db, conflict.NewSet(stats), stats), stats
+	m, err := matchers.New(name, set, db, conflict.NewSet(stats), stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set, db, m, stats
 }
 
 // runWorkload streams ops through the relations and the (wrapped)
@@ -66,26 +69,15 @@ func runWorkload(t *testing.T, db *relation.DB, m match.Matcher, ops []workload.
 	}
 }
 
-// TestFaultInjectorMidWorkload drives the injection wrapper over the
-// matchers the issue singles out — COND Mark counters (core) and Rete
-// beta tokens — corrupting every 40th maintenance call mid-workload,
-// then requires the auditor to detect live damage and repair it so a
-// re-audit is clean.
+// TestFaultInjectorMidWorkload drives the injection wrapper over every
+// matcher — COND Mark counters (core), Rete beta tokens, rule markers,
+// the condition index, and the conflict set itself (requery) —
+// corrupting every 40th maintenance call mid-workload, then requires the
+// auditor to detect live damage and repair it so a re-audit is clean.
 func TestFaultInjectorMidWorkload(t *testing.T) {
-	cases := []struct {
-		name string
-		mk   func(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set) match.Matcher
-	}{
-		{"core", func(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set) match.Matcher {
-			return core.New(set, db, cs, stats)
-		}},
-		{"rete", func(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set) match.Matcher {
-			return rete.New(set, cs, stats)
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			set, db, inner, stats := buildMatcher(t, tc.mk)
+	for _, name := range matchers.Names() {
+		t.Run(name, func(t *testing.T) {
+			set, db, inner, stats := buildMatcher(t, name)
 			fi := audit.NewFaultInjector(inner, 17, 40)
 			runWorkload(t, db, fi, workload.PayrollOps(23, 300, 0.25))
 			if len(fi.Injected()) == 0 {
@@ -131,9 +123,7 @@ func TestFaultInjectorMidWorkload(t *testing.T) {
 // successive runs cover the whole set (the cursor wraps), and every run
 // reports the sampled flag with the window size.
 func TestSampledCursorRotates(t *testing.T) {
-	set, db, m, stats := buildMatcher(t, func(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set) match.Matcher {
-		return core.New(set, db, cs, stats)
-	})
+	set, db, m, stats := buildMatcher(t, "core")
 	runWorkload(t, db, m, workload.PayrollOps(5, 120, 0.2))
 	aud := audit.New(set, db, m, stats)
 	for run := 0; run < 3; run++ {

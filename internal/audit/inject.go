@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"prodsys/internal/conflict"
+	"prodsys/internal/joiner"
 	"prodsys/internal/match"
 	"prodsys/internal/relation"
 	"prodsys/internal/trace"
@@ -15,7 +16,7 @@ import (
 // counters, beta tokens, markers, index entries, or conflict-set
 // instantiations — either on demand (Corrupt) or every EveryN forwarded
 // maintenance calls, simulating the silent state damage the auditor
-// exists to catch. It passes through the audit interfaces of the inner
+// exists to catch. It forwards the whole matcher contract to the inner
 // matcher, so an Auditor over the wrapper audits the real state.
 type FaultInjector struct {
 	inner  match.Matcher
@@ -41,7 +42,10 @@ func (f *FaultInjector) Name() string { return f.inner.Name() }
 func (f *FaultInjector) ConflictSet() *conflict.Set { return f.inner.ConflictSet() }
 
 // SetTracer forwards the tracer to the wrapped matcher.
-func (f *FaultInjector) SetTracer(tr *trace.Tracer) { match.AttachTracer(f.inner, tr) }
+func (f *FaultInjector) SetTracer(tr *trace.Tracer) { f.inner.SetTracer(tr) }
+
+// SetPlanner forwards the planner to the wrapped matcher.
+func (f *FaultInjector) SetPlanner(p *joiner.Planner) { f.inner.SetPlanner(p) }
 
 // Insert forwards the insertion, then maybe injects a fault.
 func (f *FaultInjector) Insert(class string, id relation.TupleID, t relation.Tuple) error {
@@ -57,46 +61,40 @@ func (f *FaultInjector) Delete(class string, id relation.TupleID, t relation.Tup
 	return err
 }
 
-// InsertBatch forwards through the inner matcher's native batch path
-// when it has one; the whole batch counts as one maintenance call.
+// InsertBatch forwards the batch; the whole batch counts as one
+// maintenance call.
 func (f *FaultInjector) InsertBatch(class string, entries []relation.DeltaEntry) error {
-	err := match.InsertBatch(f.inner, class, entries)
+	err := f.inner.InsertBatch(class, entries)
 	f.tick()
 	return err
 }
 
 // DeleteBatch mirrors InsertBatch for removals.
 func (f *FaultInjector) DeleteBatch(class string, entries []relation.DeltaEntry) error {
-	err := match.DeleteBatch(f.inner, class, entries)
+	err := f.inner.DeleteBatch(class, entries)
 	f.tick()
 	return err
 }
 
-// AuditDerived forwards to the wrapped matcher's auditor hook.
-func (f *FaultInjector) AuditDerived(db *relation.DB, only map[string]bool, emit func(Divergence)) {
-	if da, ok := f.inner.(DerivedAuditor); ok {
-		da.AuditDerived(db, only, emit)
-	}
+// AuditDerived forwards to the wrapped matcher.
+func (f *FaultInjector) AuditDerived(db *relation.DB, only map[string]bool, emit func(match.Divergence)) {
+	f.inner.AuditDerived(db, only, emit)
 }
 
-// RebuildRules forwards to the wrapped matcher's rebuild hook.
+// RebuildRules forwards to the wrapped matcher.
 func (f *FaultInjector) RebuildRules(db *relation.DB, only map[string]bool) error {
-	if rb, ok := f.inner.(DerivedRebuilder); ok {
-		return rb.RebuildRules(db, only)
-	}
-	return nil
+	return f.inner.RebuildRules(db, only)
 }
 
 // CorruptDerived corrupts the wrapped matcher's state with the caller's
-// rng (the Corrupter contract); the injector's own schedule uses Corrupt.
+// rng; the injector's own schedule uses Corrupt.
 func (f *FaultInjector) CorruptDerived(rng *rand.Rand) string {
-	return f.corruptWith(rng)
+	return Corrupt(f.inner, rng)
 }
 
 // Corrupt damages the wrapped matcher's derived state now, using the
 // injector's seeded rng, and returns a description of what was broken
-// ("" when there was nothing to corrupt). Matchers whose only derived
-// state is the conflict set get a conflict-set corruption.
+// ("" when there was nothing to corrupt).
 func (f *FaultInjector) Corrupt() string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -126,31 +124,26 @@ func (f *FaultInjector) tick() {
 
 // corruptLocked requires f.mu.
 func (f *FaultInjector) corruptLocked() string {
-	desc := f.corruptWith(f.rng)
+	desc := Corrupt(f.inner, f.rng)
 	if desc != "" {
 		f.injected = append(f.injected, desc)
 	}
 	return desc
 }
 
-func (f *FaultInjector) corruptWith(rng *rand.Rand) string {
-	if c, ok := f.inner.(Corrupter); ok {
-		if desc := c.CorruptDerived(rng); desc != "" {
-			return desc
-		}
+// Corrupt damages m's derived state with rng and describes the damage:
+// the matcher's own corruption (CorruptDerived) when it has derived state
+// to break, otherwise one random unfired instantiation dropped from the
+// conflict set. Returns "" only when both are empty.
+func Corrupt(m match.Matcher, rng *rand.Rand) string {
+	if desc := m.CorruptDerived(rng); desc != "" {
+		return desc
 	}
-	return CorruptConflictSet(f.inner.ConflictSet(), rng)
-}
-
-// CorruptConflictSet drops one random unfired instantiation from the
-// conflict set — the corruption mode for matchers whose only derived
-// state is the conflict set itself. Returns "" when the set is empty.
-func CorruptConflictSet(cs *conflict.Set, rng *rand.Rand) string {
-	items := cs.SelectAll()
+	items := m.ConflictSet().SelectAll()
 	if len(items) == 0 {
 		return ""
 	}
 	in := items[rng.Intn(len(items))]
-	cs.Remove(in.Key())
+	m.ConflictSet().Remove(in.Key())
 	return fmt.Sprintf("conflict: dropped instantiation %s", in.Key())
 }

@@ -6,7 +6,7 @@ import (
 	"sort"
 	"strconv"
 
-	"prodsys/internal/audit"
+	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
@@ -62,10 +62,10 @@ func (m *Matcher) expectedSupport(db *relation.DB, only map[string]bool) map[*sh
 	return exp
 }
 
-// AuditDerived implements audit.DerivedAuditor: the stores' matching
+// AuditDerived implements match.Matcher: the stores' matching
 // patterns and per-RCE support sets are diffed against the ground truth
 // recomputed from WM.
-func (m *Matcher) AuditDerived(db *relation.DB, only map[string]bool, emit func(audit.Divergence)) {
+func (m *Matcher) AuditDerived(db *relation.DB, only map[string]bool, emit func(match.Divergence)) {
 	exp := m.expectedSupport(db, only)
 	classes := make([]string, 0, len(m.stores))
 	for c := range m.stores {
@@ -86,14 +86,14 @@ func (m *Matcher) AuditDerived(db *relation.DB, only map[string]bool, emit func(
 				}
 			}
 			if want == nil {
-				emit(audit.Divergence{Class: audit.DivPatternPhantom, Rule: ce.Rule.Name, CE: ce.Index, Key: key,
+				emit(match.Divergence{Class: match.DivPatternPhantom, Rule: ce.Rule.Name, CE: ce.Index, Key: key,
 					Expected: "pattern absent", Actual: supportString(p.support)})
 				continue
 			}
 			for _, idx := range supportSources(p.support, want.support) {
 				got, truth := p.ids(idx), want.ids(idx)
 				if !equalIDs(got, truth) {
-					emit(audit.Divergence{Class: audit.DivMarkCounter, Rule: ce.Rule.Name, CE: ce.Index,
+					emit(match.Divergence{Class: match.DivMarkCounter, Rule: ce.Rule.Name, CE: ce.Index,
 						Key:      key + "#" + strconv.Itoa(idx),
 						Expected: idsString(truth), Actual: idsString(got)})
 				}
@@ -108,12 +108,12 @@ func (m *Matcher) AuditDerived(db *relation.DB, only map[string]bool, emit func(
 	sortPatterns(left)
 	for _, p := range left {
 		ce := p.sh.ci.ce
-		emit(audit.Divergence{Class: audit.DivPatternMissing, Rule: ce.Rule.Name, CE: ce.Index, Key: p.String(),
+		emit(match.Divergence{Class: match.DivPatternMissing, Rule: ce.Rule.Name, CE: ce.Index, Key: p.String(),
 			Expected: supportString(p.support), Actual: "pattern absent"})
 	}
 }
 
-// RebuildRules implements audit.DerivedRebuilder: the selected rules'
+// RebuildRules implements match.Matcher: the selected rules'
 // matching patterns are dropped (the original COND tuples are the
 // condition elements themselves and stay) and re-derived by replaying the
 // maintenance projection over the WM relations. only == nil rebuilds
@@ -121,7 +121,6 @@ func (m *Matcher) AuditDerived(db *relation.DB, only map[string]bool, emit func(
 func (m *Matcher) RebuildRules(db *relation.DB, only map[string]bool) error {
 	sel := func(r *rules.Rule) bool { return only == nil || only[r.Name] }
 	for _, st := range m.stores {
-		st.mu.Lock()
 		for _, ci := range st.conds {
 			if !sel(ci.ce.Rule) {
 				continue
@@ -130,9 +129,7 @@ func (m *Matcher) RebuildRules(db *relation.DB, only map[string]bool) error {
 				sh.pats, sh.n = make(map[bindKey]*pattern), 0
 			}
 		}
-		st.mu.Unlock()
 	}
-	m.refMu.Lock()
 	for wk, slots := range m.byTuple {
 		kept := slots[:0]
 		for _, s := range slots {
@@ -146,7 +143,6 @@ func (m *Matcher) RebuildRules(db *relation.DB, only map[string]bool) error {
 			m.byTuple[wk] = kept
 		}
 	}
-	m.refMu.Unlock()
 
 	for _, r := range m.set.Rules {
 		if !sel(r) {
@@ -172,7 +168,7 @@ func (m *Matcher) RebuildRules(db *relation.DB, only map[string]bool) error {
 	return nil
 }
 
-// CorruptDerived implements audit.Corrupter: one matching pattern's Mark
+// CorruptDerived implements match.Matcher: one matching pattern's Mark
 // counter is damaged, either by dropping a real supporting tuple ID or
 // by adding a phantom one.
 func (m *Matcher) CorruptDerived(rng *rand.Rand) string {
@@ -193,12 +189,6 @@ func (m *Matcher) CorruptDerived(rng *rand.Rand) string {
 		return ""
 	}
 	p := cands[rng.Intn(len(cands))]
-	st := p.sh.ci.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if len(p.support) == 0 {
-		return ""
-	}
 	idxs := supportSources(p.support, nil)
 	idx := idxs[rng.Intn(len(idxs))]
 	var s *support

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"prodsys/internal/conflict"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
@@ -13,12 +11,11 @@ import (
 // This file is the matching-pattern algorithm's set-oriented path: one
 // batch of same-class WM changes is maintained with one COND-relation
 // search per (condition element, tuple) pair, propagation grouped so every
-// target COND relation is locked (and, under simulated I/O, written)
-// once per batch, and — for deletions — one re-derivation per negatively
-// dependent rule per batch. This is the set-at-a-time processing the
-// paper claims as the DBMS advantage (§4.2, §5.1), applied to the
-// maintenance process itself. The maintenance helpers (maintain, upsert,
-// withdraw) serve the tuple path too.
+// target COND relation is touched once per batch, and — for deletions —
+// one re-derivation per negatively dependent rule per batch. This is the
+// set-at-a-time processing the paper claims as the DBMS advantage (§4.2,
+// §5.1), applied to the maintenance process itself. The maintenance
+// helpers (maintain, upsert, withdraw) serve the tuple path too.
 
 // contribution is one projected matching pattern awaiting upsert into a
 // target condition element's COND relation: the values e.pos selects from
@@ -29,7 +26,7 @@ type contribution struct {
 	t  relation.Tuple
 }
 
-// InsertBatch implements match.BatchMatcher. Unlike the tuple-at-a-time
+// InsertBatch implements match.Matcher. Unlike the tuple-at-a-time
 // path — which updates the conflict set before maintaining the COND
 // relations (§4.2.3) — the batch path runs the whole batch's maintenance
 // first and detects afterwards, so a tuple whose marks are completed by
@@ -53,8 +50,7 @@ func (m *Matcher) InsertBatch(class string, entries []relation.DeltaEntry) error
 // maintain is the maintenance process (§4.2.2): every entry matching one
 // of the source condition elements projects its bindings onto that
 // element's targets. Contributions are grouped per target so each COND
-// relation is touched once per call; under core-parallel the groups are
-// upserted concurrently.
+// relation is touched once per call.
 func (m *Matcher) maintain(srcs []*condIndex, entries []relation.DeltaEntry) {
 	type group struct {
 		target   *condIndex
@@ -92,23 +88,15 @@ func (m *Matcher) maintain(srcs []*condIndex, entries []relation.DeltaEntry) {
 			}
 		}
 	}
-	if m.parallel && len(groups) > 1 {
-		m.stats.Inc(metrics.ParallelBatches)
-		forwardPanics(len(groups), func(i int) {
-			m.upsert(groups[i].target, groups[i].contribs)
-		})
-		return
-	}
 	for _, g := range groups {
 		m.upsert(g.target, g.contribs)
 	}
 }
 
-// upsert applies a group of contributions to one COND relation under a
-// single store lock (and, when simulated I/O is configured, a single page
-// write): each finds or creates its pattern through the shape index and
-// records its tuple as a supporter. The new support links then go into
-// the reverse index under a single lock.
+// upsert applies a group of contributions to one COND relation: each
+// finds or creates its pattern through the shape index, records its tuple
+// as a supporter and, when the support is new, links it into the reverse
+// index.
 func (m *Matcher) upsert(target *condIndex, contribs []contribution) {
 	m.stats.Add(metrics.MaintenanceOps, int64(len(contribs)))
 	t0 := m.tr.Now()
@@ -120,15 +108,6 @@ func (m *Matcher) upsert(target *condIndex, contribs []contribution) {
 			})
 		}()
 	}
-	if m.ioDelay > 0 {
-		time.Sleep(m.ioDelay) // one simulated COND-relation page write
-	}
-	type newLink struct {
-		wk   wmeKey
-		slot patSlot
-	}
-	var links []newLink
-	target.st.mu.Lock()
 	for _, c := range contribs {
 		p := c.e.sh.find(c.t, c.e.pos)
 		if p == nil {
@@ -137,18 +116,10 @@ func (m *Matcher) upsert(target *condIndex, contribs []contribution) {
 			m.stats.Inc(metrics.CondTuplesStored)
 		}
 		if p.addSupport(c.e.src, c.id) {
-			links = append(links, newLink{wk: wmeKey{class: c.e.srcClass, id: c.id}, slot: patSlot{p: p, ceIdx: c.e.src}})
+			wk := wmeKey{class: c.e.srcClass, id: c.id}
+			m.byTuple[wk] = append(m.byTuple[wk], patSlot{p: p, ceIdx: c.e.src})
 		}
 	}
-	target.st.mu.Unlock()
-	if len(links) == 0 {
-		return
-	}
-	m.refMu.Lock()
-	for _, l := range links {
-		m.byTuple[l.wk] = append(m.byTuple[l.wk], l.slot)
-	}
-	m.refMu.Unlock()
 }
 
 // detectInserts is the detection half of an insert batch: one search of
@@ -184,10 +155,10 @@ func (m *Matcher) detectInserts(class string, entries []relation.DeltaEntry) {
 	}
 }
 
-// DeleteBatch implements match.BatchMatcher: every batch tuple's support
-// withdrawals are grouped per COND relation, instantiations are
-// retracted per tuple, and rules negatively dependent on the class are
-// re-derived once for the whole batch instead of once per deleted tuple.
+// DeleteBatch implements match.Matcher: every batch tuple's support is
+// withdrawn, instantiations are retracted per tuple, and rules negatively
+// dependent on the class are re-derived once for the whole batch instead
+// of once per deleted tuple.
 func (m *Matcher) DeleteBatch(class string, entries []relation.DeltaEntry) error {
 	m.stores[class].live -= len(entries)
 	m.withdraw(class, entries)
@@ -196,44 +167,18 @@ func (m *Matcher) DeleteBatch(class string, entries []relation.DeltaEntry) error
 }
 
 // withdraw is the maintenance half of a delete: the support slots fed by
-// the deleted tuples are withdrawn (the counter decrement of §4.2.2),
-// grouped per COND relation — one lock acquisition per touched relation.
-// A pattern left without supporters dies.
+// the deleted tuples are withdrawn (the counter decrement of §4.2.2). A
+// pattern left without supporters dies.
 func (m *Matcher) withdraw(class string, entries []relation.DeltaEntry) {
-	type slotRef struct {
-		slot patSlot
-		id   relation.TupleID
-	}
-	var slots []slotRef
-	m.refMu.Lock()
 	for _, e := range entries {
 		wk := wmeKey{class: class, id: e.ID}
 		for _, s := range m.byTuple[wk] {
-			slots = append(slots, slotRef{slot: s, id: e.ID})
-		}
-		delete(m.byTuple, wk)
-	}
-	m.refMu.Unlock()
-
-	byStore := make(map[*store][]slotRef)
-	var storeOrder []*store
-	for _, sr := range slots {
-		st := sr.slot.p.sh.ci.st
-		if _, seen := byStore[st]; !seen {
-			storeOrder = append(storeOrder, st)
-		}
-		byStore[st] = append(byStore[st], sr)
-	}
-	for _, st := range storeOrder {
-		st.mu.Lock()
-		for _, sr := range byStore[st] {
-			p := sr.slot.p
-			p.dropSupport(sr.slot.ceIdx, sr.id)
-			if len(p.support) == 0 && p.sh.remove(p) {
+			s.p.dropSupport(s.ceIdx, e.ID)
+			if len(s.p.support) == 0 && s.p.sh.remove(s.p) {
 				m.stats.Inc(metrics.PatternsDeleted)
 			}
 		}
-		st.mu.Unlock()
+		delete(m.byTuple, wk)
 	}
 }
 

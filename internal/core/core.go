@@ -22,8 +22,7 @@
 // one. No hierarchical propagation precedes the conflict-set update
 // (§4.2.3: "the conflict set is updated first, and then the maintenance
 // process follows"). Maintenance then propagates the new bindings into
-// the COND relations of the related classes, optionally in parallel (the
-// algorithm is "fully parallelizable").
+// the COND relations of the related classes.
 //
 // Where the paper's Example 5 also builds multiply-marked patterns by
 // unifying existing patterns with each new contribution ((4,7,b) with
@@ -41,14 +40,20 @@
 //
 // Negated condition elements are enforced at verification time (the NOT
 // EXISTS check of §5.2) rather than through inverted marks.
+//
+// The matcher holds no locks of its own. Like every match.Matcher it is
+// called only under the engine's maintenance mutex (or, for Load's
+// checkpoint restore, before the system is shared), so each entry point —
+// maintenance, detection, audit, rebuild — runs alone. §4.2.3's
+// parallel propagation to the related COND relations is not implemented:
+// measured on two cores it ran at 0.71–0.90× of the serial path
+// (EXPERIMENTS.md E5).
 package core
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"prodsys/internal/conflict"
 	"prodsys/internal/joiner"
@@ -73,47 +78,24 @@ type patSlot struct {
 
 // Matcher is the matching-pattern matcher.
 type Matcher struct {
-	set      *rules.Set
-	db       *relation.DB
-	cs       *conflict.Set
-	stats    *metrics.Set
-	stores   map[string]*store
-	cond     map[*rules.CE]*condIndex
-	parallel bool
-	ioDelay  time.Duration
-	tr       *trace.Tracer
-	pl       *joiner.Planner
+	set    *rules.Set
+	db     *relation.DB
+	cs     *conflict.Set
+	stats  *metrics.Set
+	stores map[string]*store
+	cond   map[*rules.CE]*condIndex
+	tr     *trace.Tracer
+	pl     *joiner.Planner
 
-	// refMu guards byTuple, the reverse index from a WM tuple to the
-	// pattern support slots it feeds.
-	refMu   sync.Mutex
+	// byTuple is the reverse index from a WM tuple to the pattern support
+	// slots it feeds.
 	byTuple map[wmeKey][]patSlot
-}
-
-// Option configures the matcher.
-type Option func(*Matcher)
-
-// WithParallelPropagation propagates matching patterns to the COND
-// relations of related classes concurrently, one goroutine per target
-// class (§4.2.3: "propagation of changes can be performed in parallel to
-// all the COND relations").
-func WithParallelPropagation() Option {
-	return func(m *Matcher) { m.parallel = true }
-}
-
-// WithSimulatedIO injects a per-propagation-target delay, modelling COND
-// relations on secondary storage (the paper's setting: "assuming
-// secondary storage is used to store the WM elements", §3.2). The delay
-// makes the benefit of parallel propagation measurable on hardware where
-// the in-memory pattern update is otherwise instantaneous.
-func WithSimulatedIO(d time.Duration) Option {
-	return func(m *Matcher) { m.ioDelay = d }
 }
 
 // New builds the matcher over the engine's WM catalog: one COND index per
 // positive condition element, seeded with its original COND tuple, and
 // the shapes and maintenance routes between them. stats may be nil.
-func New(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set, opts ...Option) *Matcher {
+func New(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set) *Matcher {
 	m := &Matcher{
 		set:     set,
 		db:      db,
@@ -122,9 +104,6 @@ func New(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set, 
 		stores:  make(map[string]*store),
 		cond:    make(map[*rules.CE]*condIndex),
 		byTuple: make(map[wmeKey][]patSlot),
-	}
-	for _, o := range opts {
-		o(m)
 	}
 	for name := range set.Classes {
 		m.stores[name] = &store{}
@@ -135,7 +114,7 @@ func New(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set, 
 				continue
 			}
 			st := m.stores[ce.Class]
-			ci := newCondIndex(ce, st)
+			ci := newCondIndex(ce)
 			st.conds = append(st.conds, ci)
 			m.cond[ce] = ci
 			m.stats.Inc(metrics.CondTuplesStored)
@@ -236,21 +215,16 @@ func exactPartner(r *rules.Rule, contributors []int) int {
 	return contributors[0]
 }
 
-// SetTracer implements match.Traceable: condition scans, verification
+// SetTracer implements match.Matcher: condition scans, verification
 // joins and pattern propagations are emitted as trace events.
 func (m *Matcher) SetTracer(tr *trace.Tracer) { m.tr = tr }
 
-// SetPlanner implements match.Planned: verification joins and negated
+// SetPlanner implements match.Matcher: verification joins and negated
 // re-derivations run under the planner's cost-based join order.
 func (m *Matcher) SetPlanner(p *joiner.Planner) { m.pl = p }
 
 // Name implements match.Matcher.
-func (m *Matcher) Name() string {
-	if m.parallel {
-		return "core-parallel"
-	}
-	return "core"
-}
+func (m *Matcher) Name() string { return "core" }
 
 // ConflictSet implements match.Matcher.
 func (m *Matcher) ConflictSet() *conflict.Set { return m.cs }
@@ -427,38 +401,6 @@ func (m *Matcher) retractBlocked(ce *rules.CE, entries []relation.DeltaEntry) {
 	})
 }
 
-// forwardPanics runs fn(i) for each i in [0, n) concurrently and, after
-// every goroutine finishes, re-raises the first captured panic in the
-// caller. A panic inside parallel maintenance thereby surfaces
-// synchronously where the executor's fault containment can catch it,
-// instead of killing the process from an unrecoverable goroutine.
-func forwardPanics(n int, fn func(i int)) {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var pv any
-	var panicked bool
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if !panicked {
-						panicked, pv = true, r
-					}
-					mu.Unlock()
-				}
-			}()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-	if panicked {
-		panic(pv)
-	}
-}
-
 // Delete implements match.Matcher. The WM relation no longer contains the
 // tuple. Every pattern support slot fed by the tuple is withdrawn (the
 // counter decrement of §4.2.2); patterns with no remaining supporters
@@ -473,13 +415,11 @@ func (m *Matcher) Delete(class string, id relation.TupleID, t relation.Tuple) er
 func (m *Matcher) PatternCount() int {
 	n := 0
 	for _, st := range m.stores {
-		st.mu.Lock()
 		for _, ci := range st.conds {
 			for _, sh := range ci.shapes {
 				n += sh.n
 			}
 		}
-		st.mu.Unlock()
 	}
 	return n
 }
@@ -492,7 +432,6 @@ func (m *Matcher) DumpCond(class string) []string {
 		return nil
 	}
 	var out []string
-	st.mu.Lock()
 	for _, ci := range st.conds {
 		out = append(out, fmt.Sprintf("%s CEN=%d {} marks=[] (original)", ci.ce.Rule.Name, ci.ce.CEN()))
 		for _, sh := range ci.shapes {
@@ -508,7 +447,6 @@ func (m *Matcher) DumpCond(class string) []string {
 			})
 		}
 	}
-	st.mu.Unlock()
 	sort.Strings(out)
 	return out
 }

@@ -30,7 +30,7 @@ type fixture struct {
 	st *metrics.Set
 }
 
-func setup(t *testing.T, src string, opts ...Option) *fixture {
+func setup(t *testing.T, src string) *fixture {
 	t.Helper()
 	set, _, err := rules.CompileSource(src)
 	if err != nil {
@@ -42,7 +42,7 @@ func setup(t *testing.T, src string, opts ...Option) *fixture {
 		t.Fatal(err)
 	}
 	cs := conflict.NewSet(st)
-	return &fixture{m: New(set, db, cs, st, opts...), db: db, cs: cs, st: st}
+	return &fixture{m: New(set, db, cs, st), db: db, cs: cs, st: st}
 }
 
 func (f *fixture) insert(t *testing.T, class string, vals ...value.V) relation.TupleID {
@@ -222,39 +222,6 @@ func TestNegationRetractAndUnblock(t *testing.T) {
 	f.remove(t, "Dept", d)
 	if f.cs.Len() != 1 {
 		t.Fatalf("unblock should re-derive: %v", f.cs.Keys())
-	}
-}
-
-func TestParallelPropagationEquivalence(t *testing.T) {
-	serial := setup(t, threeWaySrc)
-	par := setup(t, threeWaySrc, WithParallelPropagation())
-	if par.m.Name() != "core-parallel" || serial.m.Name() != "core" {
-		t.Fatalf("names: %q %q", serial.m.Name(), par.m.Name())
-	}
-	seq := [][]value.V{
-		{value.OfInt(4), value.OfInt(5), value.OfSym("b")},
-		{value.OfInt(4), value.OfInt(7), value.OfSym("b")},
-	}
-	classes := []string{"B", "B"}
-	for i := range seq {
-		serial.insert(t, classes[i], seq[i]...)
-		par.insert(t, classes[i], seq[i]...)
-	}
-	serial.insert(t, "C", value.OfSym("c"), value.OfInt(7), value.OfInt(8))
-	par.insert(t, "C", value.OfSym("c"), value.OfInt(7), value.OfInt(8))
-	serial.insert(t, "A", value.OfInt(4), value.OfSym("a"), value.OfInt(8))
-	par.insert(t, "A", value.OfInt(4), value.OfSym("a"), value.OfInt(8))
-	sk, pk := serial.cs.Keys(), par.cs.Keys()
-	if len(sk) != len(pk) {
-		t.Fatalf("serial %v vs parallel %v", sk, pk)
-	}
-	for i := range sk {
-		if sk[i] != pk[i] {
-			t.Fatalf("serial %v vs parallel %v", sk, pk)
-		}
-	}
-	if par.st.Get(metrics.ParallelBatches) == 0 {
-		t.Error("parallel batches should be counted")
 	}
 }
 

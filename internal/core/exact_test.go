@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"prodsys/internal/audit"
 	"prodsys/internal/conflict"
 	"prodsys/internal/joiner"
 	"prodsys/internal/match"
@@ -198,7 +197,7 @@ func runExactAgreement(t *testing.T, r *rand.Rand, src string, wantExact, batche
 		}
 	}
 	var divs []string
-	exact.AuditDerived(db, nil, func(d audit.Divergence) { divs = append(divs, d.String()) })
+	exact.AuditDerived(db, nil, func(d match.Divergence) { divs = append(divs, d.String()) })
 	if len(divs) > 0 {
 		t.Fatalf("%s: audit: %v", ctx, divs)
 	}

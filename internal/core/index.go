@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
@@ -352,7 +351,6 @@ type edge struct {
 // and the matching patterns, indexed by shape.
 type condIndex struct {
 	ce *rules.CE
-	st *store
 	// local[i] is the index of the first equality test of VarTests[i]'s
 	// variable earlier in this condition element, or -1.
 	local  []int
@@ -372,8 +370,8 @@ type condIndex struct {
 	partner, ownPos, partnerPos int
 }
 
-func newCondIndex(ce *rules.CE, st *store) *condIndex {
-	ci := &condIndex{ce: ce, st: st, partner: -1, local: make([]int, len(ce.VarTests))}
+func newCondIndex(ce *rules.CE) *condIndex {
+	ci := &condIndex{ce: ce, partner: -1, local: make([]int, len(ce.VarTests))}
 	for i, vt := range ce.VarTests {
 		ci.local[i] = -1
 		for j := 0; j < i; j++ {
@@ -445,7 +443,6 @@ func (m *Matcher) detect(ci *condIndex, t relation.Tuple) (d detection) {
 	}
 	var buf [4]*pattern
 	matched := buf[:0]
-	ci.st.mu.Lock()
 	for _, sh := range ci.shapes {
 		if sh.probe == nil {
 			for _, head := range sh.pats {
@@ -457,7 +454,6 @@ func (m *Matcher) detect(ci *condIndex, t relation.Tuple) (d detection) {
 			matched, d.checked = sh.checkChain(t, sh.pats[k], matched, d.checked)
 		}
 	}
-	ci.st.mu.Unlock()
 	if ci.partner >= 0 {
 		d.partners = unionIDs(matched, ci.partner)
 		d.fire = len(d.partners) > 0
@@ -506,20 +502,15 @@ func unionIDs(matched []*pattern, src int) []relation.TupleID {
 }
 
 // store is the COND relation set of one class: the condition elements
-// defined on it, in rule order. mu guards their indexes (core-parallel
-// propagates into them from several goroutines at once). live counts the
-// class's WM tuples the matcher has been handed; it is touched only by
-// the serial entry points (Insert, InsertBatch, DeleteBatch).
+// defined on it, in rule order. live counts the class's WM tuples the
+// matcher has been handed.
 type store struct {
-	mu    sync.Mutex
 	conds []*condIndex
 	live  int
 }
 
 // patterns returns every matching pattern of the store, sorted by name.
 func (s *store) patterns() []*pattern {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var out []*pattern
 	for _, ci := range s.conds {
 		for _, sh := range ci.shapes {

@@ -128,7 +128,7 @@ func reboot(t *testing.T, m prodsys.Matcher, image map[string][]byte) *prodsys.S
 // once per matcher, then crashes it at every single WAL record boundary
 // by truncating the log to that prefix and rebooting. The recovered
 // state must equal the live state captured after exactly the units
-// committed in that prefix — for all seven matching algorithms, since
+// committed in that prefix — for every matching algorithm, since
 // recovery replays through each matcher's own maintenance path.
 func TestRecoveryAtEveryRecordBoundary(t *testing.T) {
 	const iters = 105

@@ -8,15 +8,10 @@ import (
 
 	"prodsys/internal/audit"
 	"prodsys/internal/conflict"
-	"prodsys/internal/core"
 	"prodsys/internal/engine"
-	"prodsys/internal/marker"
-	"prodsys/internal/match"
+	"prodsys/internal/matchers"
 	"prodsys/internal/metrics"
-	"prodsys/internal/ptree"
 	"prodsys/internal/relation"
-	"prodsys/internal/requery"
-	"prodsys/internal/rete"
 	"prodsys/internal/rules"
 )
 
@@ -24,8 +19,6 @@ import (
 // matcher, a batched engine (ApplyDelta) and a tuple-at-a-time engine
 // (Assert/Retract) consume the same random op stream and must hold
 // identical conflict sets and WM after every batch.
-
-var batchMatcherKinds = []string{"rete", "rete-shared", "requery", "core", "core-parallel", "marker", "ptree"}
 
 // batchEngine is an engine plus the integrity auditor over its derived
 // state.
@@ -45,25 +38,9 @@ func newBatchEngine(t *testing.T, src, kind string) *batchEngine {
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
-	cs := conflict.NewSet(stats)
-	var m match.Matcher
-	switch kind {
-	case "rete":
-		m = rete.New(set, cs, stats)
-	case "rete-shared":
-		m = rete.NewShared(set, cs, stats)
-	case "requery":
-		m = requery.New(set, db, cs, stats)
-	case "core":
-		m = core.New(set, db, cs, stats)
-	case "core-parallel":
-		m = core.New(set, db, cs, stats, core.WithParallelPropagation())
-	case "marker":
-		m = marker.New(set, db, cs, stats)
-	case "ptree":
-		m = ptree.NewMatcher(set, db, cs, stats)
-	default:
-		t.Fatalf("unknown matcher kind %q", kind)
+	m, err := matchers.New(kind, set, db, conflict.NewSet(stats), stats)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return &batchEngine{engine.New(set, db, m, stats, engine.Config{}), audit.New(set, db, m, stats)}
 }
@@ -145,7 +122,7 @@ func runBatchEquivalence(t *testing.T, spec randomSpec, kind string, seed int64,
 }
 
 func TestBatchEquivalence(t *testing.T) {
-	for _, kind := range batchMatcherKinds {
+	for _, kind := range matchers.Names() {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
 			for _, spec := range specs {
@@ -164,7 +141,7 @@ func TestBatchEquivalenceLongChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long churn")
 	}
-	for _, kind := range batchMatcherKinds {
+	for _, kind := range matchers.Names() {
 		runBatchEquivalence(t, specs[0], kind, 777, 150)
 		runBatchEquivalence(t, specs[1], kind, 778, 150)
 	}

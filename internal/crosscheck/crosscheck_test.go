@@ -1,8 +1,11 @@
-// Package crosscheck validates that every matcher — the Rete network,
-// the simplified re-evaluation algorithm, and the matching-pattern
-// algorithm — maintains an identical conflict set over arbitrary
-// insert/delete streams. requery is a direct transcription of the
-// declarative LHS semantics and serves as the oracle.
+// Package crosscheck is the matcher conformance suite: every matcher in
+// the internal/matchers table — the Rete network, the simplified
+// re-evaluation algorithm, the matching-pattern algorithm and the
+// [STON86a] baselines — must maintain an identical conflict set over
+// arbitrary insert/delete streams, tuple-at-a-time and batched, and audit
+// clean. requery is a direct transcription of the declarative LHS
+// semantics and serves as the oracle. The suite iterates the table, so a
+// newly registered matcher is held to it by construction.
 package crosscheck
 
 import (
@@ -12,14 +15,10 @@ import (
 	"testing"
 
 	"prodsys/internal/conflict"
-	"prodsys/internal/core"
-	"prodsys/internal/marker"
 	"prodsys/internal/match"
+	"prodsys/internal/matchers"
 	"prodsys/internal/metrics"
-	"prodsys/internal/ptree"
 	"prodsys/internal/relation"
-	"prodsys/internal/requery"
-	"prodsys/internal/rete"
 	"prodsys/internal/rules"
 	"prodsys/internal/value"
 )
@@ -33,7 +32,7 @@ type session struct {
 	live     map[string][]relation.TupleID
 }
 
-func newSession(t *testing.T, src string, parallelCore bool) *session {
+func newSession(t *testing.T, src string) *session {
 	t.Helper()
 	set, _, err := rules.CompileSource(src)
 	if err != nil {
@@ -43,25 +42,22 @@ func newSession(t *testing.T, src string, parallelCore bool) *session {
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
-	var coreOpts []core.Option
-	if parallelCore {
-		coreOpts = append(coreOpts, core.WithParallelPropagation())
+	return &session{t: t, set: set, db: db, live: map[string][]relation.TupleID{}, matchers: allMatchers(t, set, db)}
+}
+
+// allMatchers builds one of every registered matcher over the catalog,
+// each with its own conflict set.
+func allMatchers(t *testing.T, set *rules.Set, db *relation.DB) []match.Matcher {
+	t.Helper()
+	var out []match.Matcher
+	for _, name := range matchers.Names() {
+		m, err := matchers.New(name, set, db, conflict.NewSet(nil), &metrics.Set{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, m)
 	}
-	s := &session{
-		t:    t,
-		set:  set,
-		db:   db,
-		live: map[string][]relation.TupleID{},
-		matchers: []match.Matcher{
-			rete.New(set, conflict.NewSet(nil), &metrics.Set{}),
-			rete.NewShared(set, conflict.NewSet(nil), &metrics.Set{}),
-			requery.New(set, db, conflict.NewSet(nil), &metrics.Set{}),
-			core.New(set, db, conflict.NewSet(nil), &metrics.Set{}, coreOpts...),
-			marker.New(set, db, conflict.NewSet(nil), &metrics.Set{}),
-			ptree.NewMatcher(set, db, conflict.NewSet(nil), &metrics.Set{}),
-		},
-	}
-	return s
+	return out
 }
 
 func (s *session) insert(class string, vals ...value.V) relation.TupleID {
@@ -135,7 +131,7 @@ const payrollSrc = `
 `
 
 func TestPayrollScriptAgreement(t *testing.T) {
-	s := newSession(t, payrollSrc, false)
+	s := newSession(t, payrollSrc)
 	mike := s.insert("Emp", value.OfSym("Mike"), value.OfInt(30), value.OfInt(1000), value.OfInt(1), value.OfSym("Sam"))
 	s.agree("after Mike")
 	sam := s.insert("Emp", value.OfSym("Sam"), value.OfInt(50), value.OfInt(900), value.OfInt(1), value.OfSym("Pat"))
@@ -173,7 +169,7 @@ const threeWaySrc = `
 `
 
 func TestExample5SequenceAgreement(t *testing.T) {
-	s := newSession(t, threeWaySrc, false)
+	s := newSession(t, threeWaySrc)
 	s.insert("B", value.OfInt(4), value.OfInt(5), value.OfSym("b"))
 	s.agree("B(4,5,b)")
 	s.insert("C", value.OfSym("c"), value.OfInt(7), value.OfInt(8))
@@ -198,7 +194,7 @@ const negationSrc = `
 `
 
 func TestNegationScriptAgreement(t *testing.T) {
-	s := newSession(t, negationSrc, false)
+	s := newSession(t, negationSrc)
 	ann := s.insert("Emp", value.OfSym("Ann"), value.OfInt(7))
 	s.agree("Ann")
 	d7 := s.insert("Dept", value.OfInt(7), value.OfSym("Toy"))
@@ -217,7 +213,7 @@ const selfJoinSrc = `
 `
 
 func TestSelfJoinAgreement(t *testing.T) {
-	s := newSession(t, selfJoinSrc, false)
+	s := newSession(t, selfJoinSrc)
 	s.insert("A", value.OfInt(3), value.OfInt(3))
 	s.agree("self pair")
 	s.insert("A", value.OfInt(5), value.OfInt(3))
@@ -263,9 +259,10 @@ var specs = []randomSpec{
 		},
 	},
 	{
-		// Every condition element propagates to two others of the same
-		// class, so core-parallel's propagation goroutines contend on
-		// one COND store — the case the race detector must see.
+		// A cyclic variable graph over one class: every condition element
+		// propagates matching patterns to two others in the same COND
+		// store, and each new tuple can complete a triangle at any of
+		// the three positions.
 		name: "triangle",
 		src: `
 (literalize A x y)
@@ -314,10 +311,10 @@ var specs = []randomSpec{
 	},
 }
 
-func runRandomAgreement(t *testing.T, spec randomSpec, seed int64, steps int, parallel bool) {
+func runRandomAgreement(t *testing.T, spec randomSpec, seed int64, steps int) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	s := newSession(t, spec.src, parallel)
+	s := newSession(t, spec.src)
 	classes := make([]string, 0, len(spec.classes))
 	for c := range spec.classes {
 		classes = append(classes, c)
@@ -345,18 +342,7 @@ func TestRandomizedAgreement(t *testing.T) {
 		spec := spec
 		t.Run(spec.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 6; seed++ {
-				runRandomAgreement(t, spec, seed, 120, false)
-			}
-		})
-	}
-}
-
-func TestRandomizedAgreementParallelCore(t *testing.T) {
-	for _, spec := range specs {
-		spec := spec
-		t.Run(spec.name, func(t *testing.T) {
-			for seed := int64(100); seed <= 102; seed++ {
-				runRandomAgreement(t, spec, seed, 80, true)
+				runRandomAgreement(t, spec, seed, 120)
 			}
 		})
 	}
@@ -366,6 +352,6 @@ func TestLongChurnAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long churn")
 	}
-	runRandomAgreement(t, specs[0], 999, 600, false)
-	runRandomAgreement(t, specs[1], 998, 600, false)
+	runRandomAgreement(t, specs[0], 999, 600)
+	runRandomAgreement(t, specs[1], 998, 600)
 }

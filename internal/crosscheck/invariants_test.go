@@ -103,7 +103,7 @@ func TestConflictSetMatchesFromScratch(t *testing.T) {
 		spec := spec
 		t.Run(spec.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(77))
-			s := newSession(t, spec.src, false)
+			s := newSession(t, spec.src)
 			classes := make([]string, 0, len(spec.classes))
 			for c := range spec.classes {
 				classes = append(classes, c)
@@ -123,7 +123,7 @@ func TestConflictSetMatchesFromScratch(t *testing.T) {
 				}
 			}
 			// From-scratch oracle over the surviving WM.
-			fresh := newSession(t, spec.src, false)
+			fresh := newSession(t, spec.src)
 			for _, cls := range classes {
 				s.db.MustGet(cls).Scan(func(_ relation.TupleID, tup relation.Tuple) bool {
 					// Re-insert preserving values (ids differ; compare sizes

@@ -6,23 +6,21 @@ import (
 	"testing"
 
 	"prodsys/internal/joiner"
-	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/workload"
 )
 
 // newPlannedSession builds a storage session on the process-default
-// backend (the CI matrix's PRODSYS_STORAGE) and attaches a cost-based
-// planner to every matcher that supports one. Matchers that never call
-// the joiner (rete variants) ignore the attach — they stay in the
-// lockstep comparison as additional oracles.
+// backend (the CI matrix's PRODSYS_STORAGE) and hands a cost-based
+// planner to every matcher. Rete never calls the joiner and ignores it —
+// it stays in the lockstep comparison as an additional oracle.
 func newPlannedSession(t *testing.T, src string) *storageSession {
 	t.Helper()
 	s := newStorageSession(t, src, relation.DefaultStorageKind())
 	pl := joiner.NewPlanner(s.db, s.stats)
 	for _, m := range s.matchers {
-		match.AttachPlanner(m, pl)
+		m.SetPlanner(pl)
 	}
 	return s
 }
@@ -76,7 +74,7 @@ func runPlannerCrosscheck(t *testing.T, src string, ops []workload.Op, checkEver
 }
 
 // TestPlannerCrosscheckPayroll checks the planner property on the
-// randomized payroll workload (two-way joins, churn): all seven matchers
+// randomized payroll workload (two-way joins, churn): every matcher
 // with cost-based planning attached produce exactly the conflict sets of
 // the fixed-order evaluation, audited clean at every checkpoint.
 func TestPlannerCrosscheckPayroll(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"prodsys/internal/engine"
+	"prodsys/internal/matchers"
 	"prodsys/internal/relation"
 	"prodsys/internal/value"
 )
@@ -24,7 +25,7 @@ func TestFiredKeysPrunedAcrossWaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	const orders = 1
-	for _, kind := range batchMatcherKinds {
+	for _, kind := range matchers.Names() {
 		for _, concurrent := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/concurrent=%v", kind, concurrent), func(t *testing.T) {
 				waves := 2000
@@ -81,7 +82,7 @@ func TestBlockedKeyStaysRefracted(t *testing.T) {
 (literalize Done id)
 (p finish (Job ^id <j>) - (Done ^id <j>) --> (make Done ^id <j>))
 `
-	for _, kind := range batchMatcherKinds {
+	for _, kind := range matchers.Names() {
 		t.Run(kind, func(t *testing.T) {
 			e := newBatchEngine(t, src, kind)
 			if _, err := e.Assert("Job", relation.Tuple{value.OfInt(7)}); err != nil {

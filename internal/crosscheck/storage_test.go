@@ -6,21 +6,15 @@ import (
 	"testing"
 
 	"prodsys/internal/audit"
-	"prodsys/internal/conflict"
-	"prodsys/internal/core"
-	"prodsys/internal/marker"
 	"prodsys/internal/match"
 	"prodsys/internal/metrics"
-	"prodsys/internal/ptree"
 	"prodsys/internal/relation"
-	"prodsys/internal/requery"
-	"prodsys/internal/rete"
 	"prodsys/internal/rules"
 	"prodsys/internal/workload"
 )
 
 // storageSession drives one WM catalog on a chosen storage backend and
-// all seven matchers in lockstep.
+// every registered matcher in lockstep.
 type storageSession struct {
 	t        *testing.T
 	set      *rules.Set
@@ -44,22 +38,7 @@ func newStorageSession(t *testing.T, src string, kind relation.StorageKind) *sto
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
-	return &storageSession{
-		t:     t,
-		set:   set,
-		db:    db,
-		stats: stats,
-		live:  map[string][]relation.TupleID{},
-		matchers: []match.Matcher{
-			rete.New(set, conflict.NewSet(nil), &metrics.Set{}),
-			rete.NewShared(set, conflict.NewSet(nil), &metrics.Set{}),
-			requery.New(set, db, conflict.NewSet(nil), &metrics.Set{}),
-			core.New(set, db, conflict.NewSet(nil), &metrics.Set{}),
-			core.New(set, db, conflict.NewSet(nil), &metrics.Set{}, core.WithParallelPropagation()),
-			marker.New(set, db, conflict.NewSet(nil), &metrics.Set{}),
-			ptree.NewMatcher(set, db, conflict.NewSet(nil), &metrics.Set{}),
-		},
-	}
+	return &storageSession{t: t, set: set, db: db, stats: stats, live: map[string][]relation.TupleID{}, matchers: allMatchers(t, set, db)}
 }
 
 func (s *storageSession) apply(ops []workload.Op) {
@@ -139,7 +118,7 @@ func (s *storageSession) auditAll(context string) {
 }
 
 // TestStorageBackendCrosscheck runs the randomized payroll workload on
-// the row and columnar backends, holding all seven matchers in lockstep
+// the row and columnar backends, holding every matcher in lockstep
 // on each. Every checkpoint asserts (1) all matchers agree with the
 // requery oracle, and (2) the full integrity audit is clean; at the end
 // the two backends must have produced identical conflict-set histories.

@@ -7,12 +7,9 @@ import (
 	"testing"
 
 	"prodsys/internal/conflict"
-	"prodsys/internal/core"
-	"prodsys/internal/match"
+	"prodsys/internal/matchers"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
-	"prodsys/internal/requery"
-	"prodsys/internal/rete"
 	"prodsys/internal/rules"
 	"prodsys/internal/value"
 )
@@ -29,15 +26,9 @@ func harness(t *testing.T, src, matcherName string, cfg Config) *Engine {
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
-	cs := conflict.NewSet(stats)
-	var m match.Matcher
-	switch matcherName {
-	case "rete":
-		m = rete.New(set, cs, stats)
-	case "requery":
-		m = requery.New(set, db, cs, stats)
-	default:
-		m = core.New(set, db, cs, stats)
+	m, err := matchers.New(matcherName, set, db, conflict.NewSet(stats), stats)
+	if err != nil {
+		t.Fatal(err)
 	}
 	e := New(set, db, m, stats, cfg)
 	if err := e.LoadFacts(prog); err != nil {

@@ -34,6 +34,12 @@ func (p *panicOnClass) Insert(class string, id relation.TupleID, t relation.Tupl
 	return p.Matcher.Insert(class, id, t)
 }
 
+// InsertBatch routes batches through Insert, so a batched maintenance
+// pass hits the injected panic too.
+func (p *panicOnClass) InsertBatch(class string, entries []relation.DeltaEntry) error {
+	return match.PerTuple(class, entries, p.Insert)
+}
+
 const panicSrc = `
 (literalize A v)
 (literalize B v)

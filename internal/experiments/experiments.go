@@ -1,6 +1,6 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment in the DESIGN.md index (E1–E11 plus the paper's three
-// figures), each returning a printable table. The cmd/psbench binary
+// per experiment in the DESIGN.md index (E1–E13 except the retired E5,
+// plus the paper's three figures), each returning a printable table. The cmd/psbench binary
 // prints them; bench_test.go wraps the hot kernels in testing.B loops.
 //
 // The paper reports no measured numbers, so each table's "expected shape"
@@ -14,14 +14,10 @@ import (
 	"time"
 
 	"prodsys/internal/conflict"
-	"prodsys/internal/core"
-	"prodsys/internal/marker"
 	"prodsys/internal/match"
+	"prodsys/internal/matchers"
 	"prodsys/internal/metrics"
-	"prodsys/internal/ptree"
 	"prodsys/internal/relation"
-	"prodsys/internal/requery"
-	"prodsys/internal/rete"
 	"prodsys/internal/rules"
 	"prodsys/internal/workload"
 )
@@ -82,67 +78,31 @@ type session struct {
 	live    map[string][]relation.TupleID
 }
 
-// newSession compiles src and builds the named matcher.
-func newSession(src, matcherName string) (*session, error) {
+// newSession compiles src and builds the matcher mk returns. It panics
+// on setup errors (workload sources are trusted).
+func newSession(src string, mk func(*rules.Set, *relation.DB, *conflict.Set, *metrics.Set) match.Matcher) *session {
 	set, _, err := rules.CompileSource(src)
 	if err != nil {
-		return nil, err
+		panic(err)
 	}
 	stats := &metrics.Set{}
 	db := relation.NewDB(stats)
 	if err := rules.BuildDB(set, db); err != nil {
-		return nil, err
+		panic(err)
 	}
-	cs := conflict.NewSet(stats)
-	var m match.Matcher
-	switch matcherName {
-	case "rete":
-		m = rete.New(set, cs, stats)
-	case "rete-shared":
-		m = rete.NewShared(set, cs, stats)
-	case "requery":
-		m = requery.New(set, db, cs, stats)
-	case "core":
-		m = core.New(set, db, cs, stats)
-	case "core-parallel":
-		m = core.New(set, db, cs, stats, core.WithParallelPropagation())
-	case "marker":
-		m = marker.New(set, db, cs, stats)
-	case "ptree":
-		m = ptree.NewMatcher(set, db, cs, stats)
-	default:
-		return nil, fmt.Errorf("experiments: unknown matcher %q", matcherName)
-	}
-	return &session{set: set, db: db, matcher: m, stats: stats, live: map[string][]relation.TupleID{}}, nil
+	m := mk(set, db, conflict.NewSet(stats), stats)
+	return &session{set: set, db: db, matcher: m, stats: stats, live: map[string][]relation.TupleID{}}
 }
 
-// mustSession panics on setup errors (workload sources are trusted).
+// mustSession builds a session over the named matcher.
 func mustSession(src, matcherName string) *session {
-	s, err := newSession(src, matcherName)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// mustSessionOpts builds a session over the core matcher with explicit
-// options.
-func mustSessionOpts(src string, opts ...core.Option) *session {
-	set, _, err := rules.CompileSource(src)
-	if err != nil {
-		panic(err)
-	}
-	stats := &metrics.Set{}
-	db := relation.NewDB(stats)
-	if err := rules.BuildDB(set, db); err != nil {
-		panic(err)
-	}
-	cs := conflict.NewSet(stats)
-	return &session{
-		set: set, db: db, stats: stats,
-		matcher: core.New(set, db, cs, stats, opts...),
-		live:    map[string][]relation.TupleID{},
-	}
+	return newSession(src, func(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set) match.Matcher {
+		m, err := matchers.New(matcherName, set, db, cs, stats)
+		if err != nil {
+			panic(err)
+		}
+		return m
+	})
 }
 
 // insert stores the tuple in WM and notifies the matcher.
@@ -237,7 +197,6 @@ func All(scale float64) []Table {
 		E2MatchTime([]int{10, 100, 1000}, n(2000)),
 		E3Space([]int{10, 100}, n(1000)),
 		E4FalseDrops([]float64{0, 0.25, 0.5, 0.75, 0.9}, n(1000)),
-		E5ParallelPropagation(n(300)),
 		E6Serializability(6),
 		E7ConcurrentThroughput(8, n(64), []int{1, 2, 4, 8}),
 		E8ScheduleCount(),

@@ -5,10 +5,14 @@ import (
 	"strings"
 	"time"
 
+	"prodsys/internal/conflict"
 	"prodsys/internal/core"
 	"prodsys/internal/marker"
+	"prodsys/internal/match"
 	"prodsys/internal/metrics"
+	"prodsys/internal/relation"
 	"prodsys/internal/rete"
+	"prodsys/internal/rules"
 	"prodsys/internal/workload"
 )
 
@@ -202,50 +206,6 @@ func E4FalseDrops(overlaps []float64, inserts int) Table {
 	return t
 }
 
-// E5ParallelPropagation compares serial and parallel matching-pattern
-// maintenance on a star join whose hub propagates to 8 COND relations
-// per insert (§4.2.3: "propagation of changes can be performed in
-// parallel to all the COND relations. In contrast to that, the Rete
-// Network method is highly sequential"). A 200µs simulated page write per
-// COND-relation update models the paper's secondary-storage setting; the
-// in-memory update alone is too cheap to parallelize.
-func E5ParallelPropagation(hubs int) Table {
-	const satellites = 8
-	const ioDelay = 200 * time.Microsecond
-	t := Table{
-		ID:    "E5",
-		Title: fmt.Sprintf("matching-pattern maintenance, serial vs parallel (star of %d, %d hub inserts, %v simulated I/O per COND update)", satellites, hubs, ioDelay),
-		Columns: []string{
-			"matcher", "total ms", "µs/insert", "maintenance ops", "patterns stored",
-		},
-		Note: "each hub insert updates 8 COND relations; the parallel matcher overlaps their (simulated) page writes, approaching the latency of the slowest single update — the flattened hierarchy of §4",
-	}
-	src := workload.StarRules(satellites)
-	for _, parallel := range []bool{false, true} {
-		opts := []core.Option{core.WithSimulatedIO(ioDelay)}
-		name := "core"
-		if parallel {
-			opts = append(opts, core.WithParallelPropagation())
-			name = "core-parallel"
-		}
-		s := mustSessionOpts(src, opts...)
-		d := timeIt(func() {
-			for h := 0; h < hubs; h++ {
-				s.insert("Hub", workload.StarHub(satellites, h))
-			}
-		})
-		sn := s.stats.Snapshot()
-		t.Rows = append(t.Rows, []string{
-			name,
-			fmt.Sprintf("%.2f", float64(d.Microseconds())/1e3),
-			fmt.Sprintf("%.1f", float64(d.Microseconds())/float64(hubs)),
-			fmt.Sprintf("%d", sn.Get(metrics.MaintenanceOps)),
-			fmt.Sprintf("%d", sn.Get(metrics.PatternsStored)),
-		})
-	}
-	return t
-}
-
 // E12SharedNetwork measures the effect of beta-prefix sharing — the
 // multiple-query optimization the paper defers to future work (§6,
 // [SELL88]): rules with common condition-element prefixes share the
@@ -257,18 +217,20 @@ func E12SharedNetwork(families, variants, inserts int) Table {
 		Columns: []string{
 			"matcher", "total ms", "activations", "tokens stored", "instantiations",
 		},
-		Note: "each family's variants share a two-condition prefix; the shared network compiles the prefix once, cutting activations and token storage without changing the conflict set",
+		Note: "each family's variants share a two-condition prefix; the shared network (rete) compiles the prefix once, cutting activations and token storage against the unshared baseline without changing the conflict set",
 	}
 	src := sharedFamiliesSrc(families, variants)
 	stream := workload.PayrollOps(21, inserts, 0.2)
+	unshared := newSession(src, func(set *rules.Set, _ *relation.DB, cs *conflict.Set, stats *metrics.Set) match.Matcher {
+		return rete.NewUnshared(set, cs, stats)
+	})
 	var inst []int64
-	for _, m := range []string{"rete", "rete-shared"} {
-		s := mustSession(src, m)
+	for _, s := range []*session{unshared, mustSession(src, "rete")} {
 		d := timeIt(func() { s.apply(stream) })
 		sn := s.stats.Snapshot()
 		inst = append(inst, sn.Get(metrics.Instantiations))
 		t.Rows = append(t.Rows, []string{
-			m,
+			s.matcher.Name(),
 			fmt.Sprintf("%.2f", float64(d.Microseconds())/1e3),
 			fmt.Sprintf("%d", sn.Get(metrics.NodeActivations)),
 			fmt.Sprintf("%d", sn.Get(metrics.TokensStored)),

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	"prodsys/internal/audit"
 	"prodsys/internal/conflict"
 	"prodsys/internal/joiner"
+	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
@@ -19,10 +19,10 @@ import (
 // that no longer support a match are by design (the algorithm tolerates
 // false drops), so no phantom class is reported.
 
-// AuditDerived implements audit.DerivedAuditor: for each selected rule,
+// AuditDerived implements match.Matcher: for each selected rule,
 // the full LHS join is recomputed from WM and each supporting tuple's
 // marker checked.
-func (m *Matcher) AuditDerived(db *relation.DB, only map[string]bool, emit func(audit.Divergence)) {
+func (m *Matcher) AuditDerived(db *relation.DB, only map[string]bool, emit func(match.Divergence)) {
 	for _, r := range m.set.Rules {
 		if only != nil && !only[r.Name] {
 			continue
@@ -42,7 +42,7 @@ func (m *Matcher) AuditDerived(db *relation.DB, only map[string]bool, emit func(
 				_, marked := m.marks[key][r]
 				m.mu.Unlock()
 				if !marked {
-					emit(audit.Divergence{Class: audit.DivMarkMissing, Rule: r.Name, CE: i,
+					emit(match.Divergence{Class: match.DivMarkMissing, Rule: r.Name, CE: i,
 						Key:      fmt.Sprintf("%s:%d", ce.Class, ids[i]),
 						Expected: "tuple marked with rule", Actual: "no marker"})
 				}
@@ -51,7 +51,7 @@ func (m *Matcher) AuditDerived(db *relation.DB, only map[string]bool, emit func(
 	}
 }
 
-// RebuildRules implements audit.DerivedRebuilder: the selected rules'
+// RebuildRules implements match.Matcher: the selected rules'
 // markers are re-derived by re-running their LHS joins and re-marking
 // every supporting tuple. Existing markers are left in place (stale
 // ones are harmless).
@@ -70,7 +70,7 @@ func (m *Matcher) RebuildRules(db *relation.DB, only map[string]bool) error {
 	return nil
 }
 
-// CorruptDerived implements audit.Corrupter: one marker required by a
+// CorruptDerived implements match.Matcher: one marker required by a
 // live instantiation is removed, simulating a lost mark bit.
 func (m *Matcher) CorruptDerived(rng *rand.Rand) string {
 	type cand struct {

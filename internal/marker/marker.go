@@ -20,6 +20,7 @@ import (
 
 	"prodsys/internal/conflict"
 	"prodsys/internal/joiner"
+	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
@@ -116,11 +117,11 @@ func intervalFor(ce *rules.CE) interval {
 	return iv
 }
 
-// SetTracer implements match.Traceable: marker/interval lookups and
+// SetTracer implements match.Matcher: marker/interval lookups and
 // wake-time re-evaluations are emitted as trace events.
 func (m *Matcher) SetTracer(tr *trace.Tracer) { m.tr = tr }
 
-// SetPlanner implements match.Planned: wake-time re-evaluations run
+// SetPlanner implements match.Matcher: wake-time re-evaluations run
 // under the planner's cost-based join order.
 func (m *Matcher) SetPlanner(p *joiner.Planner) { m.pl = p }
 
@@ -299,6 +300,17 @@ func (m *Matcher) Delete(class string, id relation.TupleID, t relation.Tuple) er
 		}
 	}
 	return nil
+}
+
+// InsertBatch implements match.Matcher tuple-at-a-time: Basic Locking
+// has no set-oriented path.
+func (m *Matcher) InsertBatch(class string, entries []relation.DeltaEntry) error {
+	return match.PerTuple(class, entries, m.Insert)
+}
+
+// DeleteBatch implements match.Matcher tuple-at-a-time.
+func (m *Matcher) DeleteBatch(class string, entries []relation.DeltaEntry) error {
+	return match.PerTuple(class, entries, m.Delete)
 }
 
 // MarkCount reports the number of (tuple, rule) marker pairs — the space

@@ -1,8 +1,9 @@
-// Package match defines the interface every matching algorithm in this
-// repository implements: the classic Rete network (internal/rete), the
-// paper's simplified re-evaluation algorithm (internal/requery), and
-// the matching-pattern algorithm that is the paper's contribution
-// (internal/core).
+// Package match defines the one contract every matching algorithm in
+// this repository implements: the Rete network (internal/rete), the
+// paper's simplified re-evaluation algorithm (internal/requery), the
+// matching-pattern algorithm that is the paper's contribution
+// (internal/core), and the [STON86a] baselines Basic Locking
+// (internal/marker) and Predicate Indexing (internal/ptree).
 //
 // A matcher observes working-memory changes and maintains a conflict set.
 // The engine owns the WM relations; it notifies the matcher after each
@@ -10,14 +11,20 @@
 // changes to working memory propagate into the match network, which emits
 // changes to the conflict set.
 //
-// Matchers that additionally implement BatchMatcher process whole deltas
-// set-at-a-time — the paper's central claim that a DBMS wins by handling
-// WM changes as sets rather than tuple-at-a-time (§4.2, §5.1). The
-// package-level InsertBatch/DeleteBatch adapters fall back to per-tuple
-// notification for matchers without a native batch path.
+// Whole deltas arrive set-at-a-time through InsertBatch/DeleteBatch — the
+// paper's central claim that a DBMS wins by handling WM changes as sets
+// rather than tuple-at-a-time (§4.2, §5.1). A matcher without a native
+// batch path implements them with PerTuple. Every matcher also answers
+// the integrity auditor (AuditDerived, RebuildRules, CorruptDerived); one
+// whose only derived state is the conflict set implements them as no-ops.
+//
+// Implementations need no locks: the engine calls every method under its
+// maintenance mutex, one call at a time.
 package match
 
 import (
+	"math/rand"
+
 	"prodsys/internal/conflict"
 	"prodsys/internal/joiner"
 	"prodsys/internal/relation"
@@ -28,43 +35,73 @@ import (
 type Matcher interface {
 	// Name identifies the algorithm in experiment output.
 	Name() string
+	// ConflictSet exposes the maintained conflict set.
+	ConflictSet() *conflict.Set
 	// Insert notifies the matcher that tuple t was stored in the class's
 	// WM relation under the given ID.
 	Insert(class string, id relation.TupleID, t relation.Tuple) error
 	// Delete notifies the matcher that the identified tuple is being
 	// removed. t is the tuple's value at removal time.
 	Delete(class string, id relation.TupleID, t relation.Tuple) error
-	// ConflictSet exposes the maintained conflict set.
-	ConflictSet() *conflict.Set
-}
-
-// Traceable is implemented by matchers that can emit structured
-// execution events (condition scans, joins, propagations) through a
-// trace.Tracer.
-type Traceable interface {
+	// InsertBatch notifies the matcher that every entry's tuple was stored
+	// in the class's WM relation. The WM already reflects the whole batch.
+	InsertBatch(class string, entries []relation.DeltaEntry) error
+	// DeleteBatch notifies the matcher that every entry's tuple was
+	// removed; entry tuples hold the values at removal time.
+	DeleteBatch(class string, entries []relation.DeltaEntry) error
+	// SetTracer wires the execution tracer: condition scans, joins and
+	// propagations are emitted as events. A nil tracer disables emission.
 	SetTracer(*trace.Tracer)
-}
-
-// AttachTracer hands the tracer to the matcher if it supports tracing.
-func AttachTracer(m Matcher, tr *trace.Tracer) {
-	if t, ok := m.(Traceable); ok {
-		t.SetTracer(tr)
-	}
-}
-
-// Planned is implemented by matchers whose LHS evaluation goes through
-// internal/joiner and can therefore be routed through a cost-based
-// join planner. A nil planner restores the fixed source-order
-// evaluation.
-type Planned interface {
+	// SetPlanner routes LHS joins through the cost-based join planner; nil
+	// restores the fixed source-order evaluation. Matchers with their own
+	// incremental network (Rete) ignore it.
 	SetPlanner(*joiner.Planner)
+	// AuditDerived recomputes the ground truth of the matcher's derived
+	// state beyond the conflict set from the WM relations in db and emits
+	// one Divergence per disagreement. only, when non-nil, restricts the
+	// audit to the named rules (the sampled mode); nil means everything.
+	AuditDerived(db *relation.DB, only map[string]bool, emit func(Divergence))
+	// RebuildRules rebuilds the derived state from the WM relations. only,
+	// when non-nil, limits the rebuild to the named rules' state; nil
+	// demands a full rebuild. Matchers whose internal sharing makes
+	// per-rule surgery unsafe may always rebuild fully.
+	RebuildRules(db *relation.DB, only map[string]bool) error
+	// CorruptDerived deliberately damages the derived state — the
+	// fault-injection hook the detection tests drive — and describes the
+	// damage, or returns "" when there is nothing to corrupt.
+	CorruptDerived(rng *rand.Rand) string
 }
 
-// AttachPlanner hands the planner to the matcher if its join paths
-// support planning; matchers with their own incremental networks
-// (Rete) ignore it.
-func AttachPlanner(m Matcher, p *joiner.Planner) {
-	if x, ok := m.(Planned); ok {
-		x.SetPlanner(p)
+// PerTuple is the batch path of a matcher without a native one: fn (its
+// Insert or Delete) runs once per entry, in order.
+func PerTuple(class string, entries []relation.DeltaEntry, fn func(class string, id relation.TupleID, t relation.Tuple) error) error {
+	for _, e := range entries {
+		if err := fn(class, e.ID, e.Tuple); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// ApplyDelta drains a whole batch through the matcher: deletions first,
+// then insertions, class by class in deterministic order. The caller must
+// have applied every change to the WM relations already, so the matchers
+// that re-derive from working memory see the batch's final state.
+func ApplyDelta(m Matcher, d *relation.Delta) error {
+	classes := d.Classes()
+	for _, class := range classes {
+		if del := d.Deletes(class); len(del) > 0 {
+			if err := m.DeleteBatch(class, del); err != nil {
+				return err
+			}
+		}
+	}
+	for _, class := range classes {
+		if ins := d.Inserts(class); len(ins) > 0 {
+			if err := m.InsertBatch(class, ins); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -49,17 +49,16 @@ const (
 	PlanInvalidations Counter = "plan_invalidations" // plans discarded on stats drift
 
 	// Conflict-set / execution level.
-	Instantiations  Counter = "instantiations"
-	Retractions     Counter = "retractions"
-	RuleFirings     Counter = "rule_firings"
-	LockWaits       Counter = "lock_waits"
-	LockAcquired    Counter = "locks_acquired"
-	TxnCommits      Counter = "txn_commits"
-	TxnAborts       Counter = "txn_aborts"
-	Deadlocks       Counter = "deadlocks"
-	SerialOps       Counter = "serial_ops" // non-interleaved operation slots
-	MaintenanceOps  Counter = "maintenance_ops"
-	ParallelBatches Counter = "parallel_batches"
+	Instantiations Counter = "instantiations"
+	Retractions    Counter = "retractions"
+	RuleFirings    Counter = "rule_firings"
+	LockWaits      Counter = "lock_waits"
+	LockAcquired   Counter = "locks_acquired"
+	TxnCommits     Counter = "txn_commits"
+	TxnAborts      Counter = "txn_aborts"
+	Deadlocks      Counter = "deadlocks"
+	SerialOps      Counter = "serial_ops" // non-interleaved operation slots
+	MaintenanceOps Counter = "maintenance_ops"
 
 	// Batch-pipeline level (engine.ApplyDelta).
 	BatchDeltas       Counter = "batch_deltas"       // deltas applied set-at-a-time

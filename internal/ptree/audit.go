@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
-	"prodsys/internal/audit"
+	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
@@ -18,8 +18,8 @@ import (
 // foreign entries may appear. (Rectangles are recomputed from the CE on
 // insert, so presence is the whole invariant.)
 
-// AuditDerived implements audit.DerivedAuditor.
-func (m *Matcher) AuditDerived(_ *relation.DB, only map[string]bool, emit func(audit.Divergence)) {
+// AuditDerived implements match.Matcher.
+func (m *Matcher) AuditDerived(_ *relation.DB, only map[string]bool, emit func(match.Divergence)) {
 	classes := make([]string, 0, len(m.index.trees))
 	for c := range m.index.trees {
 		classes = append(classes, c)
@@ -45,7 +45,7 @@ func (m *Matcher) AuditDerived(_ *relation.DB, only map[string]bool, emit func(a
 				continue
 			}
 			if !present[ce] {
-				emit(audit.Divergence{Class: audit.DivIndexMissing, Rule: ce.Rule.Name, CE: ce.Index,
+				emit(match.Divergence{Class: match.DivIndexMissing, Rule: ce.Rule.Name, CE: ce.Index,
 					Key:      fmt.Sprintf("%s/%s#%d", class, ce.Rule.Name, ce.Index),
 					Expected: "condition element indexed", Actual: "absent from condition R-tree"})
 			}
@@ -66,14 +66,14 @@ func (m *Matcher) AuditDerived(_ *relation.DB, only map[string]bool, emit func(a
 			if only != nil && !only[ce.Rule.Name] {
 				continue
 			}
-			emit(audit.Divergence{Class: audit.DivIndexPhantom, Rule: ce.Rule.Name, CE: ce.Index,
+			emit(match.Divergence{Class: match.DivIndexPhantom, Rule: ce.Rule.Name, CE: ce.Index,
 				Key:      fmt.Sprintf("%s/%s#%d", class, ce.Rule.Name, ce.Index),
 				Expected: "absent", Actual: "foreign entry in condition R-tree"})
 		}
 	}
 }
 
-// RebuildRules implements audit.DerivedRebuilder: the index is static
+// RebuildRules implements match.Matcher: the index is static
 // per rule set, so the rebuild reindexes everything regardless of only.
 func (m *Matcher) RebuildRules(_ *relation.DB, _ map[string]bool) error {
 	m.index = NewIndex(m.set, m.stats)
@@ -81,7 +81,7 @@ func (m *Matcher) RebuildRules(_ *relation.DB, _ map[string]bool) error {
 	return nil
 }
 
-// CorruptDerived implements audit.Corrupter: the index is rebuilt with
+// CorruptDerived implements match.Matcher: the index is rebuilt with
 // one randomly chosen condition element left out — the derived-index
 // analogue of a lost COND tuple.
 func (m *Matcher) CorruptDerived(rng *rand.Rand) string {

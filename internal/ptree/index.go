@@ -5,6 +5,7 @@ import (
 
 	"prodsys/internal/conflict"
 	"prodsys/internal/joiner"
+	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
@@ -151,11 +152,11 @@ type Matcher struct {
 	pl    *joiner.Planner
 }
 
-// SetTracer implements match.Traceable: R-tree probes and seeded join
+// SetTracer implements match.Matcher: R-tree probes and seeded join
 // evaluations are emitted as trace events.
 func (m *Matcher) SetTracer(tr *trace.Tracer) { m.tr = tr }
 
-// SetPlanner implements match.Planned: seeded verification joins and
+// SetPlanner implements match.Matcher: seeded verification joins and
 // negated re-derivations run under the planner's cost-based join order.
 func (m *Matcher) SetPlanner(p *joiner.Planner) { m.pl = p }
 
@@ -244,4 +245,15 @@ func (m *Matcher) Delete(class string, id relation.TupleID, t relation.Tuple) er
 		}
 	}
 	return nil
+}
+
+// InsertBatch implements match.Matcher tuple-at-a-time: Predicate
+// Indexing has no set-oriented path.
+func (m *Matcher) InsertBatch(class string, entries []relation.DeltaEntry) error {
+	return match.PerTuple(class, entries, m.Insert)
+}
+
+// DeleteBatch implements match.Matcher tuple-at-a-time.
+func (m *Matcher) DeleteBatch(class string, entries []relation.DeltaEntry) error {
+	return match.PerTuple(class, entries, m.Delete)
 }

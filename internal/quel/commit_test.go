@@ -73,6 +73,11 @@ func (p *panicOnInsert) Insert(class string, id relation.TupleID, t relation.Tup
 	return p.Matcher.Insert(class, id, t)
 }
 
+// InsertBatch routes the statement's batch through Insert.
+func (p *panicOnInsert) InsertBatch(class string, entries []relation.DeltaEntry) error {
+	return match.PerTuple(class, entries, p.Insert)
+}
+
 func TestAppendPanicContained(t *testing.T) {
 	f := setupWrapped(t, nil, func(m match.Matcher) match.Matcher {
 		return &panicOnInsert{Matcher: m, class: "Emp"}

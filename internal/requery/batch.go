@@ -34,7 +34,7 @@ func joinKey(ce *rules.CE, t relation.Tuple) string {
 	return b.String()
 }
 
-// InsertBatch implements match.BatchMatcher. For each positive condition
+// InsertBatch implements match.Matcher. For each positive condition
 // element, alpha-passing batch tuples are grouped by join key; one group
 // representative seeds the rule's LHS evaluation, and every complete
 // combination is replayed for each group member — yielding exactly the
@@ -107,7 +107,7 @@ func (m *Matcher) InsertBatch(class string, entries []relation.DeltaEntry) error
 	return nil
 }
 
-// DeleteBatch implements match.BatchMatcher: instantiations supported by
+// DeleteBatch implements match.Matcher: instantiations supported by
 // the deleted tuples are retracted, and each rule negatively dependent on
 // the class is re-derived once for the whole batch instead of once per
 // deleted tuple.

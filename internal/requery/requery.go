@@ -12,9 +12,11 @@ package requery
 
 import (
 	"fmt"
+	"math/rand"
 
 	"prodsys/internal/conflict"
 	"prodsys/internal/joiner"
+	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
@@ -31,11 +33,11 @@ type Matcher struct {
 	pl    *joiner.Planner
 }
 
-// SetTracer implements match.Traceable: COND-relation searches and join
+// SetTracer implements match.Matcher: COND-relation searches and join
 // re-evaluations are emitted as trace events.
 func (m *Matcher) SetTracer(tr *trace.Tracer) { m.tr = tr }
 
-// SetPlanner implements match.Planned: LHS re-evaluations run under
+// SetPlanner implements match.Matcher: LHS re-evaluations run under
 // the planner's cost-based join order (nil restores source order).
 func (m *Matcher) SetPlanner(p *joiner.Planner) { m.pl = p }
 
@@ -144,6 +146,19 @@ func (m *Matcher) retractBlocked(ce *rules.CE, t relation.Tuple) {
 		return blocked
 	})
 }
+
+// AuditDerived implements match.Matcher. The simplified algorithm keeps
+// no derived state beyond the conflict set, which the auditor checks
+// itself, so there is nothing further to audit.
+func (m *Matcher) AuditDerived(*relation.DB, map[string]bool, func(match.Divergence)) {}
+
+// RebuildRules implements match.Matcher: with no derived state there is
+// nothing to rebuild; the auditor reconciles the conflict set.
+func (m *Matcher) RebuildRules(*relation.DB, map[string]bool) error { return nil }
+
+// CorruptDerived implements match.Matcher: there is no derived state to
+// corrupt, so it returns "" and audit.Corrupt damages the conflict set.
+func (m *Matcher) CorruptDerived(*rand.Rand) string { return "" }
 
 // Rederive rebuilds the whole conflict set from the current WM contents;
 // used by tests as the declarative ground truth.

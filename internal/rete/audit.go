@@ -6,8 +6,8 @@ import (
 	"sort"
 	"strings"
 
-	"prodsys/internal/audit"
 	"prodsys/internal/joiner"
+	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
@@ -62,10 +62,10 @@ func idsSignature(ces []*rules.CE, ids []relation.TupleID) string {
 	return b.String()
 }
 
-// AuditDerived implements audit.DerivedAuditor. Alpha memories are
+// AuditDerived implements match.Matcher. Alpha memories are
 // shared across rules, so they are audited only in full mode
 // (only == nil); beta chains are audited per selected rule.
-func (net *Network) AuditDerived(db *relation.DB, only map[string]bool, emit func(audit.Divergence)) {
+func (net *Network) AuditDerived(db *relation.DB, only map[string]bool, emit func(match.Divergence)) {
 	if only == nil {
 		net.auditAlpha(db, emit)
 	}
@@ -81,7 +81,7 @@ func (net *Network) AuditDerived(db *relation.DB, only map[string]bool, emit fun
 // against the WM tuples passing its variable-free tests. Divergences
 // carry no rule name — alpha memories are shared — which forces a full
 // rebuild on repair.
-func (net *Network) auditAlpha(db *relation.DB, emit func(audit.Divergence)) {
+func (net *Network) auditAlpha(db *relation.DB, emit func(match.Divergence)) {
 	sigs := make([]string, 0, len(net.alphaBySig))
 	for s := range net.alphaBySig {
 		sigs = append(sigs, s)
@@ -106,7 +106,7 @@ func (net *Network) auditAlpha(db *relation.DB, emit func(audit.Divergence)) {
 				return true
 			})
 			for _, id := range missing {
-				emit(audit.Divergence{Class: audit.DivAlphaMissing, CE: -1,
+				emit(match.Divergence{Class: match.DivAlphaMissing, CE: -1,
 					Key:      fmt.Sprintf("%s id=%d", sig, id),
 					Expected: "WME in alpha memory", Actual: "absent"})
 			}
@@ -117,7 +117,7 @@ func (net *Network) auditAlpha(db *relation.DB, emit func(audit.Divergence)) {
 		}
 		sort.Slice(phantoms, func(i, j int) bool { return phantoms[i] < phantoms[j] })
 		for _, id := range phantoms {
-			emit(audit.Divergence{Class: audit.DivAlphaPhantom, CE: -1,
+			emit(match.Divergence{Class: match.DivAlphaPhantom, CE: -1,
 				Key:      fmt.Sprintf("%s id=%d", sig, id),
 				Expected: "absent", Actual: "WME in alpha memory"})
 		}
@@ -127,7 +127,7 @@ func (net *Network) auditAlpha(db *relation.DB, emit func(audit.Divergence)) {
 // auditChain diffs one rule's token stores — level by level — against
 // the prefix joins recomputed from WM, then the production node against
 // the full join.
-func (net *Network) auditChain(db *relation.DB, ch *ruleChain, emit func(audit.Divergence)) {
+func (net *Network) auditChain(db *relation.DB, ch *ruleChain, emit func(match.Divergence)) {
 	r := ch.rule
 	for i := range r.CEs {
 		prefix := *r
@@ -173,7 +173,7 @@ func (net *Network) auditChain(db *relation.DB, ch *ruleChain, emit func(audit.D
 
 // diffSignatures emits token-missing/token-phantom divergences for the
 // count differences between the recomputed and stored partial matches.
-func diffSignatures(r *rules.Rule, ce int, where string, expected, actual map[string]int, emit func(audit.Divergence)) {
+func diffSignatures(r *rules.Rule, ce int, where string, expected, actual map[string]int, emit func(match.Divergence)) {
 	keySet := map[string]bool{}
 	for k := range expected {
 		keySet[k] = true
@@ -196,18 +196,18 @@ func diffSignatures(r *rules.Rule, ce int, where string, expected, actual map[st
 			label = "ε" // a match with no positive levels
 		}
 		if a < e {
-			emit(audit.Divergence{Class: audit.DivTokenMissing, Rule: r.Name, CE: ce, Key: label,
+			emit(match.Divergence{Class: match.DivTokenMissing, Rule: r.Name, CE: ce, Key: label,
 				Expected: fmt.Sprintf("%d token(s) in %s", e, where),
 				Actual:   fmt.Sprintf("%d", a)})
 		} else {
-			emit(audit.Divergence{Class: audit.DivTokenPhantom, Rule: r.Name, CE: ce, Key: label,
+			emit(match.Divergence{Class: match.DivTokenPhantom, Rule: r.Name, CE: ce, Key: label,
 				Expected: fmt.Sprintf("%d token(s) in %s", e, where),
 				Actual:   fmt.Sprintf("%d", a)})
 		}
 	}
 }
 
-// RebuildRules implements audit.DerivedRebuilder. Alpha and beta
+// RebuildRules implements match.Matcher. Alpha and beta
 // sharing make per-rule surgery unsafe, so the network is always
 // recompiled in full — only is ignored — and every WM tuple re-inserted
 // in ascending ID order. The conflict set is reconciled by the auditor
@@ -237,7 +237,7 @@ func (net *Network) RebuildRules(db *relation.DB, _ map[string]bool) error {
 	return nil
 }
 
-// CorruptDerived implements audit.Corrupter: one beta-memory token is
+// CorruptDerived implements match.Matcher: one beta-memory token is
 // dropped without the tree-based cleanup, leaving the memory silently
 // inconsistent with its neighbours — the classic lost-token fault.
 func (net *Network) CorruptDerived(rng *rand.Rand) string {

@@ -56,7 +56,7 @@ func (n *negativeNode) rightActivateBatch(ws []*WME) {
 	}
 }
 
-// InsertBatch implements match.BatchMatcher: the batch enters the
+// InsertBatch implements match.Matcher: the batch enters the
 // network as a token set, amortizing the alpha checks and the beta-memory
 // sweeps over every WME in the batch.
 func (net *Network) InsertBatch(class string, entries []relation.DeltaEntry) error {
@@ -115,7 +115,7 @@ func (net *Network) InsertBatch(class string, entries []relation.DeltaEntry) err
 	return nil
 }
 
-// DeleteBatch implements match.BatchMatcher. All batch WMEs leave their
+// DeleteBatch implements match.Matcher. All batch WMEs leave their
 // alpha memories before any token tree is torn down, so the unblocking
 // cascades at negative nodes never materialize transient tokens paired
 // with a WME that is also dying in this batch.

@@ -12,7 +12,10 @@
 // The implementation follows Doorenbos' formulation with tree-based token
 // removal. Alpha memories are shared between condition elements with the
 // same class and variable-free tests (the sharing visible in Figure 3 of
-// the paper); beta chains are per rule.
+// the paper), and so are the beta chains of rules with a common prefix of
+// condition elements, as in OPS5's own Rete. The unshared compile, one
+// beta chain per rule, survives only as the baseline of experiment E12
+// (NewUnshared).
 package rete
 
 import (
@@ -22,6 +25,7 @@ import (
 	"time"
 
 	"prodsys/internal/conflict"
+	"prodsys/internal/joiner"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
@@ -389,8 +393,9 @@ type Network struct {
 	ruleChains   []*ruleChain
 
 	// share enables beta-prefix sharing across rules (the multiple-query
-	// optimization of §6: common subchains compiled once); chains caches
-	// the store reached after each distinct condition-element prefix.
+	// optimization of §6: common subchains compiled once; off only in the
+	// NewUnshared baseline); chains caches the store reached after each
+	// distinct condition-element prefix.
 	share  bool
 	chains map[string]*chainStep
 }
@@ -413,20 +418,22 @@ type ruleChain struct {
 	pn     *pnode
 }
 
-// New compiles the rule set into a Rete network maintaining cs.
-// stats may be nil.
+// New compiles the rule set into a Rete network maintaining cs, with
+// beta-prefix sharing: rules with a common prefix of condition elements
+// (same classes, variable-free tests and join tests) share the two-input
+// nodes and memories of that prefix. This is also the multiple-query
+// optimization the paper names as future work (§3.2/§6: "it would be
+// advantageous to build a global compiled plan that avoids multiple
+// relation accesses", citing [SELL86, SELL88]). stats may be nil.
 func New(set *rules.Set, cs *conflict.Set, stats *metrics.Set) *Network {
-	return compileNetwork(set, cs, stats, false)
+	return compileNetwork(set, cs, stats, true)
 }
 
-// NewShared compiles the rule set with beta-prefix sharing: rules with a
-// common prefix of condition elements (same classes, variable-free tests
-// and join tests) share the two-input nodes and memories of that prefix.
-// This is the multiple-query optimization the paper names as future work
-// (§3.2/§6: "it would be advantageous to build a global compiled plan
-// that avoids multiple relation accesses", citing [SELL86, SELL88]).
-func NewShared(set *rules.Set, cs *conflict.Set, stats *metrics.Set) *Network {
-	return compileNetwork(set, cs, stats, true)
+// NewUnshared compiles one beta chain per rule, sharing only alpha
+// memories — the baseline experiment E12 measures New against. It is not
+// a product matcher.
+func NewUnshared(set *rules.Set, cs *conflict.Set, stats *metrics.Set) *Network {
+	return compileNetwork(set, cs, stats, false)
 }
 
 func compileNetwork(set *rules.Set, cs *conflict.Set, stats *metrics.Set, share bool) *Network {
@@ -449,14 +456,19 @@ func compileNetwork(set *rules.Set, cs *conflict.Set, stats *metrics.Set, share 
 	return net
 }
 
-// SetTracer implements match.Traceable: alpha-chain checks and
-// join-node right activations are emitted as trace events.
+// SetTracer implements match.Matcher: alpha-chain checks and join-node
+// right activations are emitted as trace events.
 func (net *Network) SetTracer(tr *trace.Tracer) { net.tr = tr }
+
+// SetPlanner implements match.Matcher. The network joins incrementally
+// through its own memories and never calls the joiner, so there is
+// nothing to plan.
+func (net *Network) SetPlanner(*joiner.Planner) {}
 
 // Name implements match.Matcher.
 func (net *Network) Name() string {
-	if net.share {
-		return "rete-shared"
+	if !net.share {
+		return "rete-unshared"
 	}
 	return "rete"
 }

@@ -12,6 +12,9 @@ import (
 	"prodsys/internal/value"
 )
 
+// These tests hold New's beta-prefix-shared network against the
+// unshared compile (NewUnshared), the reference it must agree with.
+
 // prefixSharingSrc: three rules sharing their first two condition
 // elements, diverging on the third.
 const prefixSharingSrc = `
@@ -47,14 +50,14 @@ func buildBoth(t *testing.T, src string) (plain, shared *Network, plainStats, sh
 		t.Fatal(err)
 	}
 	plainStats, sharedStats = &metrics.Set{}, &metrics.Set{}
-	plain = New(set, conflict.NewSet(nil), plainStats)
+	plain = NewUnshared(set, conflict.NewSet(nil), plainStats)
 	// Compile a second, independent set for the shared network so rule
 	// pointers differ but semantics match.
 	set2, _, err := rules.CompileSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared = NewShared(set2, conflict.NewSet(nil), sharedStats)
+	shared = New(set2, conflict.NewSet(nil), sharedStats)
 	return plain, shared, plainStats, sharedStats
 }
 
@@ -65,7 +68,7 @@ func feedBoth(a, b *Network, class string, id relation.TupleID, t relation.Tuple
 
 func TestSharedNetworkNameAndEquivalence(t *testing.T) {
 	plain, shared, _, _ := buildBoth(t, prefixSharingSrc)
-	if plain.Name() != "rete" || shared.Name() != "rete-shared" {
+	if plain.Name() != "rete-unshared" || shared.Name() != "rete" {
 		t.Fatalf("names: %q %q", plain.Name(), shared.Name())
 	}
 	feedBoth(plain, shared, "Goal", 1, relation.Tuple{value.OfSym("Simplify"), value.OfSym("e1")})
@@ -149,14 +152,14 @@ func TestSharedChainCacheSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := NewShared(set, conflict.NewSet(nil), nil)
+	shared := New(set, conflict.NewSet(nil), nil)
 	// Distinct prefixes: [Goal], [Goal,Expr], [Goal,Expr,Ctx=verbose],
 	// [Goal,Expr,Ctx=strict] = 4.
 	if got := len(shared.chains); got != 4 {
 		t.Fatalf("cached chain steps = %d, want 4", got)
 	}
-	plain := New(set, conflict.NewSet(nil), nil)
+	plain := NewUnshared(set, conflict.NewSet(nil), nil)
 	if len(plain.chains) != 0 {
-		t.Fatal("plain network must not cache chains")
+		t.Fatal("unshared network must not cache chains")
 	}
 }

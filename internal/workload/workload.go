@@ -244,41 +244,6 @@ func TaskFacts(k int, skewed bool, m int) []Op {
 	return ops
 }
 
-// StarRules builds a hub-and-satellite rule: one Hub condition element
-// sharing a distinct variable with each of k satellite classes. Every Hub
-// insertion must propagate its bindings to k COND relations — the widest
-// fan-out for the parallel-propagation experiment (§4.2.3).
-func StarRules(k int) string {
-	var b strings.Builder
-	b.WriteString("(literalize Hub")
-	for i := 0; i < k; i++ {
-		fmt.Fprintf(&b, " a%d", i)
-	}
-	b.WriteString(")\n")
-	for i := 0; i < k; i++ {
-		fmt.Fprintf(&b, "(literalize S%d x)\n", i)
-	}
-	b.WriteString("(p star\n    (Hub")
-	for i := 0; i < k; i++ {
-		fmt.Fprintf(&b, " ^a%d <v%d>", i, i)
-	}
-	b.WriteString(")\n")
-	for i := 0; i < k; i++ {
-		fmt.Fprintf(&b, "    (S%d ^x <v%d>)\n", i, i)
-	}
-	b.WriteString("  -->\n    (remove 1))\n")
-	return b.String()
-}
-
-// StarHub builds the nth hub tuple for a k-satellite star.
-func StarHub(k, n int) relation.Tuple {
-	t := make(relation.Tuple, k)
-	for i := range t {
-		t[i] = value.OfInt(int64(n*100 + i))
-	}
-	return t
-}
-
 // ManufacturingRules is a small forward-chaining job-shop program: orders
 // advance through cut, drill and polish stations; a station can reject an
 // order lacking its prerequisite.

@@ -148,17 +148,16 @@ type MatchStats struct {
 
 // ExecutionStats counts conflict-set and executor operations.
 type ExecutionStats struct {
-	Instantiations  int64
-	Retractions     int64
-	RuleFirings     int64
-	LockWaits       int64
-	LocksAcquired   int64
-	TxnCommits      int64
-	TxnAborts       int64
-	Deadlocks       int64
-	SerialOps       int64
-	MaintenanceOps  int64
-	ParallelBatches int64
+	Instantiations int64
+	Retractions    int64
+	RuleFirings    int64
+	LockWaits      int64
+	LocksAcquired  int64
+	TxnCommits     int64
+	TxnAborts      int64
+	Deadlocks      int64
+	SerialOps      int64
+	MaintenanceOps int64
 }
 
 // BatchStats counts set-oriented batch-pipeline operations.
@@ -318,17 +317,16 @@ func newSnapshot(m map[string]int64) Snapshot {
 			PlanInvalidations: m["plan_invalidations"],
 		},
 		Execution: ExecutionStats{
-			Instantiations:  m["instantiations"],
-			Retractions:     m["retractions"],
-			RuleFirings:     m["rule_firings"],
-			LockWaits:       m["lock_waits"],
-			LocksAcquired:   m["locks_acquired"],
-			TxnCommits:      m["txn_commits"],
-			TxnAborts:       m["txn_aborts"],
-			Deadlocks:       m["deadlocks"],
-			SerialOps:       m["serial_ops"],
-			MaintenanceOps:  m["maintenance_ops"],
-			ParallelBatches: m["parallel_batches"],
+			Instantiations: m["instantiations"],
+			Retractions:    m["retractions"],
+			RuleFirings:    m["rule_firings"],
+			LockWaits:      m["lock_waits"],
+			LocksAcquired:  m["locks_acquired"],
+			TxnCommits:     m["txn_commits"],
+			TxnAborts:      m["txn_aborts"],
+			Deadlocks:      m["deadlocks"],
+			SerialOps:      m["serial_ops"],
+			MaintenanceOps: m["maintenance_ops"],
 		},
 		Batch: BatchStats{
 			Deltas:       m["batch_deltas"],

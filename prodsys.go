@@ -8,14 +8,12 @@
 // set:
 //
 //   - MatcherRete — the classic main-memory Rete network (the AI way,
-//     §2.2/§3.1);
-//   - MatcherReteShared — the same network with beta-prefix sharing, the
-//     multiple-query optimization the paper names as future work (§6);
+//     §2.2/§3.1), with beta-prefix sharing across rules (the
+//     multiple-query optimization the paper names as future work, §6);
 //   - MatcherRequery — the simplified algorithm: no intermediate storage,
 //     joins re-evaluated per update (§4.1);
-//   - MatcherCore / MatcherCoreParallel — the paper's matching-pattern
-//     algorithm with per-RCE supports and optional parallel propagation
-//     (§4.2);
+//   - MatcherCore — the paper's matching-pattern algorithm with per-RCE
+//     supports (§4.2);
 //   - MatcherMarker — POSTGRES-style Basic Locking rule indexing
 //     (§2.3);
 //   - MatcherPTree — Predicate Indexing through an R-tree over condition
@@ -45,19 +43,16 @@ import (
 
 	"prodsys/internal/audit"
 	"prodsys/internal/conflict"
-	"prodsys/internal/core"
 	"prodsys/internal/engine"
 	"prodsys/internal/fsx"
 	"prodsys/internal/joiner"
 	"prodsys/internal/lang"
-	"prodsys/internal/marker"
 	"prodsys/internal/match"
+	"prodsys/internal/matchers"
 	"prodsys/internal/metrics"
 	"prodsys/internal/ptree"
 	"prodsys/internal/quel"
 	"prodsys/internal/relation"
-	"prodsys/internal/requery"
-	"prodsys/internal/rete"
 	"prodsys/internal/rules"
 	"prodsys/internal/trace"
 	"prodsys/internal/value"
@@ -70,18 +65,21 @@ type Matcher string
 
 // The available matchers.
 const (
-	MatcherRete         Matcher = "rete"
-	MatcherReteShared   Matcher = "rete-shared"
-	MatcherRequery      Matcher = "requery"
-	MatcherCore         Matcher = "core"
-	MatcherCoreParallel Matcher = "core-parallel"
-	MatcherMarker       Matcher = "marker"
-	MatcherPTree        Matcher = "ptree"
+	MatcherRete    Matcher = "rete"
+	MatcherRequery Matcher = "requery"
+	MatcherCore    Matcher = "core"
+	MatcherMarker  Matcher = "marker"
+	MatcherPTree   Matcher = "ptree"
 )
 
 // Matchers lists every available matcher kind.
 func Matchers() []Matcher {
-	return []Matcher{MatcherRete, MatcherReteShared, MatcherRequery, MatcherCore, MatcherCoreParallel, MatcherMarker, MatcherPTree}
+	names := matchers.Names()
+	out := make([]Matcher, len(names))
+	for i, n := range names {
+		out[i] = Matcher(n)
+	}
+	return out
 }
 
 // Strategy selects the conflict-resolution strategy for serial runs.
@@ -154,7 +152,7 @@ var (
 	// ErrUnknownClass marks an operation naming an undeclared WM class.
 	ErrUnknownClass = engine.ErrUnknownClass
 	// ErrUnknownMatcher marks an Options.Matcher not in Matchers().
-	ErrUnknownMatcher = errors.New("unknown matcher")
+	ErrUnknownMatcher = matchers.ErrUnknown
 	// ErrUnknownStrategy marks an Options.Strategy not in Strategies().
 	ErrUnknownStrategy = errors.New("unknown strategy")
 	// ErrUnknownStorage marks an Options.Storage not in Storages().
@@ -194,10 +192,10 @@ type Options struct {
 	// classes, keyed by class name; classes not listed use Storage.
 	StorageByClass map[string]Storage
 	// Planner selects how LHS joins are ordered in the joiner-based
-	// matchers (requery, core, core-parallel, marker, ptree): the
-	// default PlannerCost compiles and caches cost-based join orders
-	// from relation statistics; PlannerFixed keeps the source-order
-	// evaluation. Rete matchers are unaffected either way.
+	// matchers (requery, core, marker, ptree): the default PlannerCost
+	// compiles and caches cost-based join orders from relation
+	// statistics; PlannerFixed keeps the source-order evaluation. Rete is
+	// unaffected either way.
 	Planner Planner
 	// Workers sizes the concurrent executor pool (default 4).
 	Workers int
@@ -321,28 +319,16 @@ func Load(src string, opts Options) (*System, error) {
 	default:
 		return nil, fmt.Errorf("prodsys: %w %q", ErrUnknownPlanner, opts.Planner)
 	}
-	switch opts.Matcher {
-	case MatcherRete:
-		sys.matcher = rete.New(set, cs, stats)
-	case MatcherReteShared:
-		sys.matcher = rete.NewShared(set, cs, stats)
-	case MatcherRequery:
-		sys.matcher = requery.New(set, db, cs, stats)
-	case MatcherCore, "":
-		sys.matcher = core.New(set, db, cs, stats)
-	case MatcherCoreParallel:
-		sys.matcher = core.New(set, db, cs, stats, core.WithParallelPropagation())
-	case MatcherMarker:
-		sys.matcher = marker.New(set, db, cs, stats)
-	case MatcherPTree:
-		pm := ptree.NewMatcher(set, db, cs, stats)
-		sys.matcher = pm
-		sys.ptree = pm
-	default:
-		return nil, fmt.Errorf("prodsys: %w %q", ErrUnknownMatcher, opts.Matcher)
+	name := opts.Matcher
+	if name == "" {
+		name = MatcherCore
 	}
-	match.AttachTracer(sys.matcher, tr)
-	match.AttachPlanner(sys.matcher, sys.planner)
+	if sys.matcher, err = matchers.New(string(name), set, db, cs, stats); err != nil {
+		return nil, fmt.Errorf("prodsys: %w", err)
+	}
+	sys.ptree, _ = sys.matcher.(*ptree.Matcher)
+	sys.matcher.SetTracer(tr)
+	sys.matcher.SetPlanner(sys.planner)
 	tr.SetPlanText(func(rule string) string { return sys.planText(rule) })
 	var strat conflict.Strategy
 	switch opts.Strategy {
@@ -779,14 +765,22 @@ func (s *System) SaveWMFile(path string) error {
 // system with the same class declarations. With a WAL attached, the
 // restored tuples are logged as one batch so they survive a restart.
 func (s *System) RestoreWM(r io.Reader) error {
-	restored, err := s.db.Restore(r)
+	var restored []relation.RestoredTuple
+	var err error
+	// Matchers keep no locks of their own; maintenance runs under the
+	// engine's maintenance mutex.
+	s.eng.WithMaintenanceLock(func() {
+		if restored, err = s.db.Restore(r); err != nil {
+			return
+		}
+		for _, rt := range restored {
+			if err = s.matcher.Insert(rt.Class, rt.ID, rt.Tuple); err != nil {
+				return
+			}
+		}
+	})
 	if err != nil {
 		return err
-	}
-	for _, rt := range restored {
-		if err := s.matcher.Insert(rt.Class, rt.ID, rt.Tuple); err != nil {
-			return err
-		}
 	}
 	return s.eng.LogRestored(restored)
 }

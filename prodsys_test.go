@@ -49,6 +49,21 @@ func TestLoadAndRunEveryMatcher(t *testing.T) {
 	}
 }
 
+// TestMatcherPortfolio pins the five product matchers and the retired
+// names: rete-shared (now plain rete) and core-parallel (now core) must
+// fail to load with ErrUnknownMatcher.
+func TestMatcherPortfolio(t *testing.T) {
+	want := []Matcher{MatcherRete, MatcherRequery, MatcherCore, MatcherMarker, MatcherPTree}
+	if got := Matchers(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Matchers() = %v, want %v", got, want)
+	}
+	for _, gone := range []Matcher{"rete-shared", "core-parallel"} {
+		if _, err := Load(payrollSrc, Options{Matcher: gone, Out: io.Discard}); !errors.Is(err, ErrUnknownMatcher) {
+			t.Errorf("Matcher %q: want ErrUnknownMatcher, got %v", gone, err)
+		}
+	}
+}
+
 func TestAssertRetractAndConflictKeys(t *testing.T) {
 	sys, err := Load(`
 (literalize A x y)

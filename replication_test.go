@@ -59,7 +59,7 @@ func waitCaughtUp(t *testing.T, pri, sec *prodsys.System) {
 // warm replica over the real feed protocol (HTTP stream, frame
 // decoding, raw-byte mirroring, matcher-maintenance apply) and asserts
 // the replica's working memory AND conflict set are byte-identical to
-// the primary's — for all seven matching algorithms. It then promotes
+// the primary's — for every matching algorithm. It then promotes
 // the replica: the audit gate must pass, the epoch must bump, and the
 // node must accept writes.
 func TestReplicationAllMatchers(t *testing.T) {
