@@ -18,9 +18,9 @@ const batchSrc = `
 `
 
 func TestBatchCommit(t *testing.T) {
-	for _, m := range Matchers() {
-		t.Run(string(m), func(t *testing.T) {
-			sys, err := Load(batchSrc, Options{Matcher: m, Out: io.Discard})
+	for _, c := range MatcherCases() {
+		t.Run(c.Name, func(t *testing.T) {
+			sys, err := Load(batchSrc, Options{Matcher: c.Matcher, Out: io.Discard})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,9 +59,9 @@ func TestBatchCommit(t *testing.T) {
 }
 
 func TestBatchNetZero(t *testing.T) {
-	for _, m := range Matchers() {
-		t.Run(string(m), func(t *testing.T) {
-			sys, err := Load(batchSrc, Options{Matcher: m, Out: io.Discard})
+	for _, c := range MatcherCases() {
+		t.Run(c.Name, func(t *testing.T) {
+			sys, err := Load(batchSrc, Options{Matcher: c.Matcher, Out: io.Discard})
 			if err != nil {
 				t.Fatal(err)
 			}

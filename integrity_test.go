@@ -54,9 +54,9 @@ func auditSystem(t *testing.T, m Matcher, rules int, seed int64) *System {
 // refraction), every matcher's derived state must agree with the ground
 // truth recomputed from working memory.
 func TestAuditCleanAfterWorkload(t *testing.T) {
-	for _, m := range Matchers() {
-		t.Run(string(m), func(t *testing.T) {
-			sys, err := Load(workload.PayrollRules(8, true), Options{Matcher: m, Out: discard{}})
+	for _, c := range MatcherCases() {
+		t.Run(c.Name, func(t *testing.T) {
+			sys, err := Load(workload.PayrollRules(8, true), Options{Matcher: c.Matcher, Out: discard{}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,10 +90,10 @@ func TestAuditCleanAfterWorkload(t *testing.T) {
 // matcher's derived state and requires 100% detection, successful
 // repair, and a clean immediate re-audit.
 func TestAuditDetectsAndRepairsCorruption(t *testing.T) {
-	for _, m := range Matchers() {
+	for _, c := range MatcherCases() {
 		for seed := int64(1); seed <= 5; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", m, seed), func(t *testing.T) {
-				sys := auditSystem(t, m, 6, seed)
+			t.Run(fmt.Sprintf("%s/seed%d", c.Name, seed), func(t *testing.T) {
+				sys := auditSystem(t, c.Matcher, 6, seed)
 				desc := sys.InjectCorruption(seed)
 				if desc == "" {
 					t.Fatal("InjectCorruption found nothing to corrupt")

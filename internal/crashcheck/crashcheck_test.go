@@ -124,6 +124,25 @@ func reboot(t *testing.T, m prodsys.Matcher, image map[string][]byte) *prodsys.S
 	return sys
 }
 
+// matcherCase names a per-matcher subtest and the matcher it runs.
+type matcherCase struct {
+	name    string
+	matcher prodsys.Matcher
+}
+
+// matcherCases is one case per prodsys.Matchers() entry plus
+// "rete-shared", the name the prefix-shared Rete network ran under while
+// "rete" was an unshared compile. "rete" compiles the shared network now;
+// the extra case runs it under its former name, so per-matcher subtests
+// keep the names they had before the two compiles merged.
+func matcherCases() []matcherCase {
+	var out []matcherCase
+	for _, m := range prodsys.Matchers() {
+		out = append(out, matcherCase{string(m), m})
+	}
+	return append(out, matcherCase{"rete-shared", prodsys.MatcherRete})
+}
+
 // TestRecoveryAtEveryRecordBoundary drives a 200+-transaction workload
 // once per matcher, then crashes it at every single WAL record boundary
 // by truncating the log to that prefix and rebooting. The recovered
@@ -132,9 +151,9 @@ func reboot(t *testing.T, m prodsys.Matcher, image map[string][]byte) *prodsys.S
 // recovery replays through each matcher's own maintenance path.
 func TestRecoveryAtEveryRecordBoundary(t *testing.T) {
 	const iters = 105
-	for _, m := range prodsys.Matchers() {
-		m := m
-		t.Run(string(m), func(t *testing.T) {
+	for _, c := range matcherCases() {
+		m := c.matcher
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			fs := faultfs.New()
 			sys, err := load(m, fs)

@@ -121,10 +121,28 @@ func runBatchEquivalence(t *testing.T, spec randomSpec, kind string, seed int64,
 	}
 }
 
+// matcherCase names a per-matcher subtest and the matcher it runs.
+type matcherCase struct {
+	name, kind string
+}
+
+// matcherCases is one case per matchers.Names() entry plus "rete-shared",
+// the name the prefix-shared Rete network ran under while "rete" was an
+// unshared compile. "rete" compiles the shared network now; the extra
+// case runs it under its former name, so per-matcher subtests keep the
+// names they had before the two compiles merged.
+func matcherCases() []matcherCase {
+	var out []matcherCase
+	for _, name := range matchers.Names() {
+		out = append(out, matcherCase{name, name})
+	}
+	return append(out, matcherCase{"rete-shared", "rete"})
+}
+
 func TestBatchEquivalence(t *testing.T) {
-	for _, kind := range matchers.Names() {
-		kind := kind
-		t.Run(kind, func(t *testing.T) {
+	for _, c := range matcherCases() {
+		kind := c.kind
+		t.Run(c.name, func(t *testing.T) {
 			for _, spec := range specs {
 				spec := spec
 				t.Run(spec.name, func(t *testing.T) {

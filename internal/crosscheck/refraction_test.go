@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"prodsys/internal/engine"
-	"prodsys/internal/matchers"
 	"prodsys/internal/relation"
 	"prodsys/internal/value"
 )
@@ -25,9 +24,10 @@ func TestFiredKeysPrunedAcrossWaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	const orders = 1
-	for _, kind := range matchers.Names() {
+	for _, c := range matcherCases() {
+		kind := c.kind
 		for _, concurrent := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/concurrent=%v", kind, concurrent), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/concurrent=%v", c.name, concurrent), func(t *testing.T) {
 				waves := 2000
 				if concurrent {
 					waves = 500 // a round of worker goroutines per firing: same marks, slower waves
@@ -82,8 +82,9 @@ func TestBlockedKeyStaysRefracted(t *testing.T) {
 (literalize Done id)
 (p finish (Job ^id <j>) - (Done ^id <j>) --> (make Done ^id <j>))
 `
-	for _, kind := range matchers.Names() {
-		t.Run(kind, func(t *testing.T) {
+	for _, c := range matcherCases() {
+		kind := c.kind
+		t.Run(c.name, func(t *testing.T) {
 			e := newBatchEngine(t, src, kind)
 			if _, err := e.Assert("Job", relation.Tuple{value.OfInt(7)}); err != nil {
 				t.Fatal(err)

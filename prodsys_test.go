@@ -26,13 +26,13 @@ const payrollSrc = `
 `
 
 func TestLoadAndRunEveryMatcher(t *testing.T) {
-	for _, m := range Matchers() {
-		t.Run(string(m), func(t *testing.T) {
-			sys, err := Load(payrollSrc, Options{Matcher: m, Out: io.Discard})
+	for _, c := range MatcherCases() {
+		t.Run(c.Name, func(t *testing.T) {
+			sys, err := Load(payrollSrc, Options{Matcher: c.Matcher, Out: io.Discard})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sys.MatcherName() != string(m) {
+			if sys.MatcherName() != string(c.Matcher) {
 				t.Errorf("MatcherName = %q", sys.MatcherName())
 			}
 			res, err := sys.Run()
@@ -386,9 +386,9 @@ func TestGoldenCorpus(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, m := range Matchers() {
-			t.Run(tc.file+"/"+string(m), func(t *testing.T) {
-				sys, err := LoadFile(tc.file, Options{Matcher: m, Strategy: tc.strategy, Out: io.Discard})
+		for _, c := range MatcherCases() {
+			t.Run(tc.file+"/"+c.Name, func(t *testing.T) {
+				sys, err := LoadFile(tc.file, Options{Matcher: c.Matcher, Strategy: tc.strategy, Out: io.Discard})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -63,9 +63,9 @@ func waitCaughtUp(t *testing.T, pri, sec *prodsys.System) {
 // the replica: the audit gate must pass, the epoch must bump, and the
 // node must accept writes.
 func TestReplicationAllMatchers(t *testing.T) {
-	for _, m := range prodsys.Matchers() {
-		m := m
-		t.Run(string(m), func(t *testing.T) {
+	for _, c := range prodsys.MatcherCases() {
+		m := c.Matcher
+		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
 			pri, err := prodsys.Load(replSrc, prodsys.Options{
 				Matcher: m, Out: io.Discard, WALPath: "p.wal", WALFS: faultfs.New(),

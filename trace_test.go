@@ -93,10 +93,10 @@ func TestTraceEquivalenceAcrossMatchers(t *testing.T) {
 // firings and fire time for every rule, and Explain names the
 // supporting condition elements of at least one fired instantiation.
 func TestProfileCoversEveryRule(t *testing.T) {
-	for _, m := range Matchers() {
-		m := m
-		t.Run(string(m), func(t *testing.T) {
-			_, tr, _ := tracedPayrollRun(t, m, 200)
+	for _, c := range MatcherCases() {
+		c := c
+		t.Run(c.Name, func(t *testing.T) {
+			_, tr, _ := tracedPayrollRun(t, c.Matcher, 200)
 			p := tr.Profile()
 			if len(p.Rules) != 50 {
 				t.Fatalf("profile covers %d rules, want 50", len(p.Rules))
