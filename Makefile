@@ -1,18 +1,12 @@
 GO ?= go
 
-.PHONY: build test test-storage bench exact-diff check loc fmt fuzz-short trace-demo crash-demo audit-demo soak-demo failover-demo
+.PHONY: build test bench exact-diff check loc fmt fuzz-short trace-demo crash-demo audit-demo soak-demo failover-demo
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
-
-# test-storage runs the tier-1 suite once per storage backend; the
-# PRODSYS_STORAGE env var sets the process-wide default backend.
-test-storage:
-	PRODSYS_STORAGE=row $(GO) test ./...
-	PRODSYS_STORAGE=columnar $(GO) test ./...
 
 # bench is the repository's one ruler (benchmark/README.md): one
 # measured run of the four pinned workloads under BENCHMARK.json.

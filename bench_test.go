@@ -319,16 +319,13 @@ func BenchmarkBatchAssert(b *testing.B) {
 	const ruleCount, tuples = 50, 1500
 	src := workload.PayrollRules(ruleCount, false)
 	ops := workload.PayrollOps(7, tuples, 0)
-	newEngineStorage := func(b *testing.B, name string, kind relation.StorageKind, indexed bool) *engine.Engine {
+	newEngineIndexed := func(b *testing.B, name string, indexed bool) *engine.Engine {
 		set, _, err := rules.CompileSource(src)
 		if err != nil {
 			b.Fatal(err)
 		}
 		stats := &metrics.Set{}
 		db := relation.NewDB(stats)
-		if err := db.SetDefaultStorage(kind); err != nil {
-			b.Fatal(err)
-		}
 		if err := rules.BuildCatalog(set, db); err != nil {
 			b.Fatal(err)
 		}
@@ -344,7 +341,7 @@ func BenchmarkBatchAssert(b *testing.B) {
 		return engine.New(set, db, m, stats, engine.Config{Out: io.Discard})
 	}
 	newEngine := func(b *testing.B, name string) *engine.Engine {
-		return newEngineStorage(b, name, relation.StorageRow, true)
+		return newEngineIndexed(b, name, true)
 	}
 	for _, name := range []string{"core", "requery", "rete"} {
 		b.Run(name+"/per-tuple", func(b *testing.B) {
@@ -374,33 +371,23 @@ func BenchmarkBatchAssert(b *testing.B) {
 			}
 		})
 	}
-	// Storage variants: the same batch through the columnar backend and
-	// through a scan-only (no secondary index) catalog, isolating what
-	// the redesigned storage layer contributes to the batch path.
-	delta := make([]engine.DeltaOp, len(ops))
-	for i, op := range ops {
-		delta[i] = engine.DeltaOp{Class: op.Class, Tuple: op.Tuple}
-	}
-	for _, v := range []struct {
-		name    string
-		kind    relation.StorageKind
-		indexed bool
-	}{
-		{"core/batch-columnar", relation.StorageColumnar, true},
-		{"core/batch-row-noindex", relation.StorageRow, false},
-		{"core/batch-columnar-noindex", relation.StorageColumnar, false},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := newEngineStorage(b, "core", v.kind, v.indexed)
-				b.StartTimer()
-				if _, err := e.ApplyDelta(delta); err != nil {
-					b.Fatal(err)
-				}
+	// Scan-only variant: the same batch through a catalog without
+	// secondary indexes, isolating what the indexes contribute to the
+	// batch path.
+	b.Run("core/batch-row-noindex", func(b *testing.B) {
+		delta := make([]engine.DeltaOp, len(ops))
+		for i, op := range ops {
+			delta[i] = engine.DeltaOp{Class: op.Class, Tuple: op.Tuple}
+		}
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e := newEngineIndexed(b, "core", false)
+			b.StartTimer()
+			if _, err := e.ApplyDelta(delta); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 	// Planner variants: the Figure 1 chain workload, where join order
 	// dominates. Fixed order evaluates each delta's rule left-to-right
 	// (scanning K0 for every arriving link); the cost-based planner

@@ -6,8 +6,7 @@
 //	psdb [flags] program.ops
 //
 // Flags select the matching algorithm (-matcher), the conflict-resolution
-// strategy (-strategy), the tuple storage backend (-storage,
-// -storage-by-class), serial or concurrent execution (-concurrent,
+// strategy (-strategy), serial or concurrent execution (-concurrent,
 // -workers), and what to print afterwards (-wm, -conflict, -stats).
 // Tracing flags record the run's execution events: -trace exports them
 // to a file (-trace-format jsonl or chrome), -profile prints the
@@ -39,8 +38,6 @@ import (
 func main() {
 	matcher := flag.String("matcher", "core", fmt.Sprint("matching algorithm, one of ", prodsys.Matchers()))
 	strategy := flag.String("strategy", "fifo", "conflict resolution: fifo|lex|priority|random")
-	storage := flag.String("storage", "", "tuple storage backend: row|columnar (empty = process default)")
-	storageByClass := flag.String("storage-by-class", "", "per-class backend overrides, e.g. Emp=columnar,Dept=row")
 	seed := flag.Int64("seed", 1, "seed for the random strategy")
 	concurrent := flag.Bool("concurrent", false, "fire applicable rules concurrently as transactions (§5)")
 	workers := flag.Int("workers", 4, "concurrent executor pool size")
@@ -72,22 +69,9 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	perClass := map[string]prodsys.Storage{}
-	if *storageByClass != "" {
-		for _, pair := range strings.Split(*storageByClass, ",") {
-			class, backend, ok := strings.Cut(strings.TrimSpace(pair), "=")
-			if !ok || class == "" {
-				fmt.Fprintf(os.Stderr, "psdb: malformed -storage-by-class entry %q (want class=backend)\n", pair)
-				os.Exit(2)
-			}
-			perClass[class] = prodsys.Storage(backend)
-		}
-	}
 	sys, err := prodsys.LoadFile(flag.Arg(0), prodsys.Options{
 		Matcher:            prodsys.Matcher(*matcher),
 		Strategy:           prodsys.Strategy(*strategy),
-		Storage:            prodsys.Storage(*storage),
-		StorageByClass:     perClass,
 		Planner:            prodsys.Planner(*plannerMode),
 		Seed:               *seed,
 		Workers:            *workers,

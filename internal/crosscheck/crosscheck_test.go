@@ -28,6 +28,7 @@ type session struct {
 	t        *testing.T
 	set      *rules.Set
 	db       *relation.DB
+	stats    *metrics.Set
 	matchers []match.Matcher
 	live     map[string][]relation.TupleID
 }
@@ -38,11 +39,12 @@ func newSession(t *testing.T, src string) *session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := relation.NewDB(&metrics.Set{})
+	stats := &metrics.Set{}
+	db := relation.NewDB(stats)
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
-	return &session{t: t, set: set, db: db, live: map[string][]relation.TupleID{}, matchers: allMatchers(t, set, db)}
+	return &session{t: t, set: set, db: db, stats: stats, live: map[string][]relation.TupleID{}, matchers: allMatchers(t, set, db)}
 }
 
 // allMatchers builds one of every registered matcher over the catalog,
@@ -98,8 +100,9 @@ func (s *session) delete(class string, id relation.TupleID) {
 	}
 }
 
-// agree asserts all matchers hold the oracle's conflict set.
-func (s *session) agree(context string) {
+// agree asserts all matchers hold the oracle's conflict set and
+// returns the oracle's keys.
+func (s *session) agree(context string) []string {
 	s.t.Helper()
 	var want []string // requery is the oracle (declarative transcription)
 	for _, m := range s.matchers {
@@ -113,6 +116,7 @@ func (s *session) agree(context string) {
 			s.t.Fatalf("%s: %s conflict set = %v, oracle = %v", context, m.Name(), got, want)
 		}
 	}
+	return want
 }
 
 const payrollSrc = `

@@ -7,17 +7,15 @@ import (
 
 	"prodsys/internal/joiner"
 	"prodsys/internal/metrics"
-	"prodsys/internal/relation"
 	"prodsys/internal/workload"
 )
 
-// newPlannedSession builds a storage session on the process-default
-// backend (the CI matrix's PRODSYS_STORAGE) and hands a cost-based
-// planner to every matcher. Rete never calls the joiner and ignores it —
-// it stays in the lockstep comparison as an additional oracle.
-func newPlannedSession(t *testing.T, src string) *storageSession {
+// newPlannedSession builds a session and hands a cost-based planner to
+// every matcher. Rete never calls the joiner and ignores it — it stays
+// in the lockstep comparison as an additional oracle.
+func newPlannedSession(t *testing.T, src string) *session {
 	t.Helper()
-	s := newStorageSession(t, src, relation.DefaultStorageKind())
+	s := newSession(t, src)
 	pl := joiner.NewPlanner(s.db, s.stats)
 	for _, m := range s.matchers {
 		m.SetPlanner(pl)
@@ -53,7 +51,7 @@ func chainOps(seed int64, chains, chainLen int, deleteFrac float64) []workload.O
 // must pass the full integrity audit.
 func runPlannerCrosscheck(t *testing.T, src string, ops []workload.Op, checkEvery int) {
 	planned := newPlannedSession(t, src)
-	fixed := newStorageSession(t, src, relation.DefaultStorageKind())
+	fixed := newSession(t, src)
 	for i := 0; i < len(ops); i += checkEvery {
 		j := i + checkEvery
 		if j > len(ops) {
@@ -61,8 +59,8 @@ func runPlannerCrosscheck(t *testing.T, src string, ops []workload.Op, checkEver
 		}
 		planned.apply(ops[i:j])
 		fixed.apply(ops[i:j])
-		got := planned.oracleKeys("planned")
-		want := fixed.oracleKeys("fixed")
+		got := planned.agree("planned")
+		want := fixed.agree("fixed")
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("ops[0:%d]: planned conflict set diverges from fixed-order oracle:\nplanned: %v\nfixed:   %v", j, got, want)
 		}

@@ -111,9 +111,8 @@ func (e *Engine) applyDeltaLocked(ops []DeltaOp, rec *opRecorder) ([]relation.Tu
 
 	// Set-oriented path: mutate the WM relations first, then run the
 	// batch maintenance over the net delta. Maximal runs of consecutive
-	// same-class assertions go through the storage backend's bulk
-	// InsertBatch — one lock acquisition and one growth decision per
-	// run — which is where the columnar backend earns its keep.
+	// same-class assertions go through the relation's bulk InsertBatch —
+	// one lock acquisition and one batch_inserts count per run.
 	delta := relation.NewDelta()
 	type born struct {
 		class string

@@ -6,17 +6,16 @@ import (
 	"prodsys/internal/value"
 )
 
-// attrIndex is one secondary index over a single attribute position,
-// maintained by both storage backends. It pairs a hash map for O(1)
-// equality probes with, when ordered, sorted key lists for range probes —
-// the "sorted in addition to hash" access paths of ROADMAP item 3. Every
-// change memmoves the sorted lists, so an attribute only ever
-// equality-probed keeps the hash side alone. Keys are
-// normalized with value.V.Key(), so Int/Float and Str/Sym collapse the
-// same way value.Equal does. Nil values are not indexed: OPS5 equality
-// and range comparisons never admit nil, so a nil-valued tuple can
-// never be an index hit (probing for nil correctly yields nothing,
-// matching the scan path).
+// attrIndex is one secondary index over a single attribute position of
+// the row store. It pairs a hash map for O(1) equality probes with,
+// when ordered, sorted key lists for range probes — the "sorted in
+// addition to hash" access paths of ROADMAP item 3. Every change
+// memmoves the sorted lists, so an attribute only ever equality-probed
+// keeps the hash side alone. Keys are normalized with value.V.Key(), so
+// Int/Float and Str/Sym collapse the same way value.Equal does. Nil
+// values are not indexed: OPS5 equality and range comparisons never
+// admit nil, so a nil-valued tuple can never be an index hit (probing
+// for nil correctly yields nothing, matching the scan path).
 type attrIndex struct {
 	hash    map[value.V]map[TupleID]struct{}
 	ordered bool

@@ -218,13 +218,13 @@ func (db *DB) parseDump(r io.Reader) ([]RestoredTuple, error) {
 	return out, nil
 }
 
-// insertWithID stores a tuple under a specific ID (restore and recovery
-// paths only). It works against any storage backend: the Store contract
-// accepts out-of-order IDs, and the relation's ID counter is raised so
-// future inserts never collide with restored tuples.
+// insertWithID stores a tuple under a specific ID (restore, WAL
+// recovery and replica apply). The row store accepts out-of-order IDs,
+// and the relation's ID counter is raised so future inserts never
+// collide with restored tuples.
 func (r *Relation) insertWithID(id TupleID, t Tuple) error {
-	if len(t) != r.schema.Arity() {
-		return fmt.Errorf("relation %s: arity mismatch", r.Name())
+	if err := r.checkArity(t); err != nil {
+		return err
 	}
 	ct := t.Clone()
 	r.internTuple(ct)

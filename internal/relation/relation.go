@@ -28,10 +28,10 @@ type TupleID uint64
 const DefaultPageSize = 32
 
 // Relation is a stored relation: a bag of tuples addressable by TupleID.
-// Tuple storage and secondary indexes live behind the pluggable Store
-// interface; Relation layers concurrency control, ID assignment, value
-// interning, tuple cloning, and simulated I/O accounting on top. All
-// methods are safe for concurrent use.
+// Tuple storage and secondary indexes live in the row store; Relation
+// layers concurrency control, ID assignment, value interning, tuple
+// cloning, and simulated I/O accounting on top. All methods are safe for
+// concurrent use.
 type Relation struct {
 	schema   *Schema
 	pageSize int
@@ -39,31 +39,24 @@ type Relation struct {
 	intern   *internTable
 
 	mu    sync.RWMutex
-	store Store
+	store *rowStore
 	next  TupleID
 }
 
-// New creates an empty relation over schema with the row storage
-// backend. stats may be nil.
+// New creates an empty relation over schema. stats may be nil.
 func New(schema *Schema, stats *metrics.Set) *Relation {
-	return NewWithStorage(schema, stats, StorageRow)
-}
-
-// NewWithStorage creates an empty relation served by the given storage
-// backend. stats may be nil.
-func NewWithStorage(schema *Schema, stats *metrics.Set, kind StorageKind) *Relation {
-	return newRelation(schema, stats, kind, newInternTable())
+	return newRelation(schema, stats, newInternTable())
 }
 
 // newRelation wires a relation to a (possibly catalog-shared) intern
 // table.
-func newRelation(schema *Schema, stats *metrics.Set, kind StorageKind, intern *internTable) *Relation {
+func newRelation(schema *Schema, stats *metrics.Set, intern *internTable) *Relation {
 	return &Relation{
 		schema:   schema,
 		pageSize: DefaultPageSize,
 		stats:    stats,
 		intern:   intern,
-		store:    newStore(kind, schema.Arity()),
+		store:    newRowStore(),
 	}
 }
 
@@ -73,24 +66,16 @@ func (r *Relation) Schema() *Schema { return r.schema }
 // Name returns the relation name.
 func (r *Relation) Name() string { return r.schema.Name() }
 
-// Storage reports the backend serving this relation.
-func (r *Relation) Storage() StorageKind {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.store.Kind()
-}
-
 // Len returns the current live tuple count. The count moves only under
-// Insert/Delete/Clear; it is exact, never an estimate, regardless of
-// backend.
+// Insert/Delete/Clear; it is exact, never an estimate.
 func (r *Relation) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.store.Len()
 }
 
-// Stats snapshots the relation's storage shape: backend, cardinality,
-// and per-index distinct key counts — the selectivity inputs a
+// Stats snapshots the relation's storage shape: cardinality and
+// per-index distinct key counts — the selectivity inputs a
 // cost-based planner consumes.
 func (r *Relation) Stats() StoreStats {
 	r.mu.RLock()
@@ -157,12 +142,20 @@ func (r *Relation) internTuple(t Tuple) {
 	}
 }
 
+// checkArity wraps ErrArity when t's length disagrees with the schema.
+func (r *Relation) checkArity(t Tuple) error {
+	if len(t) != r.schema.Arity() {
+		return fmt.Errorf("relation %s: %w: tuple has %d values, schema needs %d",
+			r.Name(), ErrArity, len(t), r.schema.Arity())
+	}
+	return nil
+}
+
 // Insert stores tuple t and returns its new ID. The tuple is cloned, so
 // callers may reuse the slice.
 func (r *Relation) Insert(t Tuple) (TupleID, error) {
-	if len(t) != r.schema.Arity() {
-		return 0, fmt.Errorf("relation %s: %w: tuple has %d values, schema needs %d",
-			r.Name(), ErrArity, len(t), r.schema.Arity())
+	if err := r.checkArity(t); err != nil {
+		return 0, err
 	}
 	ct := t.Clone()
 	r.internTuple(ct)
@@ -181,9 +174,8 @@ func (r *Relation) Insert(t Tuple) (TupleID, error) {
 // the set-oriented append path of ApplyDelta. Entry tuples are cloned.
 func (r *Relation) InsertBatch(entries []DeltaEntry) error {
 	for _, e := range entries {
-		if len(e.Tuple) != r.schema.Arity() {
-			return fmt.Errorf("relation %s: %w: tuple has %d values, schema needs %d",
-				r.Name(), ErrArity, len(e.Tuple), r.schema.Arity())
+		if err := r.checkArity(e.Tuple); err != nil {
+			return err
 		}
 	}
 	if len(entries) == 0 {
@@ -200,7 +192,9 @@ func (r *Relation) InsertBatch(entries []DeltaEntry) error {
 		r.next++
 		staged[i].ID = r.next
 	}
-	r.store.InsertBatch(staged)
+	for _, e := range staged {
+		r.store.Insert(e.ID, e.Tuple)
+	}
 	r.mu.Unlock()
 	for i := range staged {
 		entries[i].ID = staged[i].ID
@@ -236,11 +230,11 @@ func (r *Relation) Delete(id TupleID) (Tuple, error) {
 	return t, nil
 }
 
-// Scan visits every tuple in ascending TupleID order — a guarantee of
-// the Store contract, never Go map iteration order, so a scan is
-// deterministic for a given working-memory state on every backend —
-// until fn returns false. The visited tuples are the live ones at call
-// time; fn must not mutate the relation or the visited tuples.
+// Scan visits every tuple in ascending TupleID order — never Go map
+// iteration order, so a scan is deterministic for a given
+// working-memory state — until fn returns false. The visited tuples are
+// the live ones at call time; fn must not mutate the relation or the
+// visited tuples.
 func (r *Relation) Scan(fn func(id TupleID, t Tuple) bool) {
 	r.mu.RLock()
 	ids := r.store.IDs()
@@ -384,8 +378,7 @@ func (r *Relation) SelectTuples(rs []Restriction) (ids []TupleID, tuples []Tuple
 // FindEqual returns the ID of the oldest live tuple value-equal to t,
 // for delete-by-value semantics (OPS5 remove addresses the matched
 // element; the DBMS translation deletes an equal tuple). "Oldest" is
-// well-defined because Scan order is ascending TupleID on every
-// backend.
+// well-defined because Scan order is ascending TupleID.
 func (r *Relation) FindEqual(t Tuple) (TupleID, bool) {
 	var found TupleID
 	ok := false
@@ -406,27 +399,21 @@ func (r *Relation) Clear() {
 	r.store.Clear()
 }
 
-// DB is a catalog of relations sharing one metrics set, one
-// value-interning table, and a storage-backend configuration.
+// DB is a catalog of relations sharing one metrics set and one
+// value-interning table.
 type DB struct {
-	mu      sync.RWMutex
-	rels    map[string]*Relation
-	stats   *metrics.Set
-	def     StorageKind
-	byClass map[string]StorageKind
-	intern  *internTable
+	mu     sync.RWMutex
+	rels   map[string]*Relation
+	stats  *metrics.Set
+	intern *internTable
 }
 
-// NewDB creates an empty catalog whose relations default to
-// DefaultStorageKind() (StorageRow unless overridden by the
-// PRODSYS_STORAGE environment variable). stats may be nil.
+// NewDB creates an empty catalog. stats may be nil.
 func NewDB(stats *metrics.Set) *DB {
 	return &DB{
-		rels:    make(map[string]*Relation),
-		stats:   stats,
-		def:     DefaultStorageKind(),
-		byClass: make(map[string]StorageKind),
-		intern:  newInternTable(),
+		rels:   make(map[string]*Relation),
+		stats:  stats,
+		intern: newInternTable(),
 	}
 }
 
@@ -437,53 +424,7 @@ func (db *DB) Stats() *metrics.Set { return db.stats }
 // interning cache has deduplicated.
 func (db *DB) InternHits() int64 { return db.intern.Hits() }
 
-// SetDefaultStorage selects the backend for relations created from now
-// on; the empty kind resets to the process default. Existing relations
-// are unaffected.
-func (db *DB) SetDefaultStorage(kind StorageKind) error {
-	k, err := ParseStorage(string(kind))
-	if err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.def = k
-	return nil
-}
-
-// SetClassStorage overrides the backend for one future relation by
-// name. It is an error if the relation already exists.
-func (db *DB) SetClassStorage(name string, kind StorageKind) error {
-	k, err := ParseStorage(string(kind))
-	if err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, exists := db.rels[name]; exists {
-		return fmt.Errorf("relation %s already exists", name)
-	}
-	db.byClass[name] = k
-	return nil
-}
-
-// StorageFor reports the backend a relation of the given name has (when
-// live) or would be created with.
-func (db *DB) StorageFor(name string) StorageKind {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if r, ok := db.rels[name]; ok {
-		return r.store.Kind()
-	}
-	if k, ok := db.byClass[name]; ok {
-		return k
-	}
-	return db.def
-}
-
-// Create adds a new relation; it is an error if the name exists. The
-// backend is the per-class override when one is set, the catalog
-// default otherwise.
+// Create adds a new relation; it is an error if the name exists.
 func (db *DB) Create(name string, attrs ...string) (*Relation, error) {
 	schema, err := NewSchema(name, attrs...)
 	if err != nil {
@@ -494,11 +435,7 @@ func (db *DB) Create(name string, attrs ...string) (*Relation, error) {
 	if _, dup := db.rels[name]; dup {
 		return nil, fmt.Errorf("relation %s already exists", name)
 	}
-	kind := db.def
-	if k, ok := db.byClass[name]; ok {
-		kind = k
-	}
-	r := newRelation(schema, db.stats, kind, db.intern)
+	r := newRelation(schema, db.stats, db.intern)
 	db.rels[name] = r
 	return r, nil
 }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -88,8 +89,18 @@ func TestInsertGetDelete(t *testing.T) {
 
 func TestInsertArityMismatch(t *testing.T) {
 	r := newEmp(t)
-	if _, err := r.Insert(Tuple{value.OfInt(1)}); err == nil {
-		t.Error("short tuple should fail")
+	short := Tuple{value.OfInt(1)}
+	if _, err := r.Insert(short); !errors.Is(err, ErrArity) {
+		t.Errorf("Insert of a short tuple: err = %v, want ErrArity", err)
+	}
+	if err := r.InsertBatch([]DeltaEntry{{Tuple: short}}); !errors.Is(err, ErrArity) {
+		t.Errorf("InsertBatch of a short tuple: err = %v, want ErrArity", err)
+	}
+	if err := r.InsertAt(7, short); !errors.Is(err, ErrArity) {
+		t.Errorf("InsertAt of a short tuple: err = %v, want ErrArity", err)
+	}
+	if r.Len() != 0 {
+		t.Errorf("Len = %d after rejected inserts, want 0", r.Len())
 	}
 }
 

@@ -6,11 +6,14 @@ import (
 	"prodsys/internal/value"
 )
 
-// rowStore is the row-major backend: tuples in a TupleID-keyed map plus
-// a sorted ID slice for ordered iteration. Point access is O(1); scans
-// follow the ID slice so iteration order is ascending TupleID (never Go
-// map order). This is the original Relation representation moved behind
-// the Store interface and upgraded with ordered secondary indexes.
+// rowStore holds a relation's tuples: a TupleID-keyed map plus a sorted
+// ID slice for ordered iteration, with optional per-attribute secondary
+// indexes (hash for equality, ordered for ranges). Point access is O(1);
+// scans follow the ID slice so iteration order is ascending TupleID
+// (never Go map order). A rowStore is NOT safe for concurrent use —
+// Relation serializes access under its lock and layers cloning, ID
+// assignment, and I/O accounting on top. Tuples handed to Insert are
+// owned by the store; tuples returned by Get must not be mutated.
 type rowStore struct {
 	tuples  map[TupleID]Tuple
 	ids     []TupleID // maintained sorted ascending
@@ -24,8 +27,6 @@ func newRowStore() *rowStore {
 	}
 }
 
-func (s *rowStore) Kind() StorageKind { return StorageRow }
-
 func (s *rowStore) Len() int { return len(s.tuples) }
 
 func (s *rowStore) Get(id TupleID) (Tuple, bool) {
@@ -33,17 +34,13 @@ func (s *rowStore) Get(id TupleID) (Tuple, bool) {
 	return t, ok
 }
 
+// Insert stores t under id. The caller guarantees id is not live and t
+// matches the arity; ids may arrive out of order (restore, recovery).
 func (s *rowStore) Insert(id TupleID, t Tuple) {
 	s.tuples[id] = t
 	s.ids = idInsert(s.ids, id)
 	for pos, ix := range s.indexes {
 		ix.add(t[pos], id)
-	}
-}
-
-func (s *rowStore) InsertBatch(entries []DeltaEntry) {
-	for _, e := range entries {
-		s.Insert(e.ID, e.Tuple)
 	}
 }
 
@@ -60,18 +57,14 @@ func (s *rowStore) Delete(id TupleID) (Tuple, bool) {
 	return t, true
 }
 
+// IDs returns a fresh slice of the live IDs in ascending order.
 func (s *rowStore) IDs() []TupleID {
 	return append([]TupleID(nil), s.ids...)
 }
 
-func (s *rowStore) Scan(fn func(id TupleID, t Tuple) bool) {
-	for _, id := range s.ids {
-		if !fn(id, s.tuples[id]) {
-			return
-		}
-	}
-}
-
+// SelectEq returns the IDs (ascending) of tuples whose attribute at pos
+// equals v under OPS5 equality. indexed reports whether an index probe
+// served the call; otherwise the store scanned.
 func (s *rowStore) SelectEq(pos int, v value.V) ([]TupleID, bool) {
 	if ix := s.indexes[pos]; ix != nil {
 		return ix.lookupIDs(v), true
@@ -85,6 +78,9 @@ func (s *rowStore) SelectEq(pos int, v value.V) ([]TupleID, bool) {
 	return out, false
 }
 
+// SelectRange returns the IDs (ascending) of tuples whose attribute at
+// pos lies within b. indexed reports an ordered-index probe; a hash-only
+// index cannot serve one, so the store scans.
 func (s *rowStore) SelectRange(pos int, b Bounds) ([]TupleID, bool) {
 	if ix := s.indexes[pos]; ix != nil && ix.ordered {
 		return ix.rangeIDs(b), true
@@ -98,6 +94,8 @@ func (s *rowStore) SelectRange(pos int, b Bounds) ([]TupleID, bool) {
 	return out, false
 }
 
+// CreateIndex builds (idempotently) a hash index on pos and, when
+// ordered, its ordered side (an existing hash-only index gains it).
 func (s *rowStore) CreateIndex(pos int, ordered bool) {
 	ix := s.indexes[pos]
 	if ix == nil {
@@ -117,6 +115,7 @@ func (s *rowStore) HasIndex(pos int) (indexed, ordered bool) {
 	return ix != nil, ix != nil && ix.ordered
 }
 
+// Clear removes every tuple but keeps the indexes.
 func (s *rowStore) Clear() {
 	s.tuples = make(map[TupleID]Tuple)
 	s.ids = nil
@@ -126,7 +125,7 @@ func (s *rowStore) Clear() {
 }
 
 func (s *rowStore) Stats() StoreStats {
-	st := StoreStats{Backend: StorageRow, Tuples: len(s.tuples)}
+	st := StoreStats{Tuples: len(s.tuples)}
 	positions := make([]int, 0, len(s.indexes))
 	for pos := range s.indexes {
 		positions = append(positions, pos)

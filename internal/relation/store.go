@@ -1,71 +1,17 @@
 package relation
 
 import (
-	"errors"
-	"fmt"
-	"os"
 	"sync"
 
 	"prodsys/internal/value"
 )
 
-// This file defines the pluggable storage layer behind Relation: the
-// Store interface every tuple backend implements, the backend registry,
-// and the value-interning cache shared by the backends. The paper's
-// thesis is that working memory is relational data; making the relation
-// a thin concurrency/accounting shell over an exchangeable access-method
-// layer is the DBMS reading of that thesis (§3.2), and the seam the
-// cost-based planner builds on.
-
-// StorageKind names a tuple storage backend.
-type StorageKind string
-
-// The built-in storage backends.
-const (
-	// StorageRow is the row-major backend: a TupleID-keyed map with
-	// hash+ordered secondary indexes. Best for tuple-at-a-time updates
-	// and point access.
-	StorageRow StorageKind = "row"
-	// StorageColumnar is the column-major backend: per-attribute value
-	// arrays with positional tombstones, optimized for the set-oriented
-	// ApplyDelta maintenance path (bulk appends, single-column
-	// selection scans).
-	StorageColumnar StorageKind = "columnar"
-)
-
-// ErrUnknownStorage marks a storage-kind spelling with no backend; test
-// with errors.Is.
-var ErrUnknownStorage = errors.New("unknown storage backend")
-
-// StorageKinds returns the available backends in stable order.
-func StorageKinds() []StorageKind {
-	return []StorageKind{StorageRow, StorageColumnar}
-}
-
-// ParseStorage validates a storage-kind spelling. The empty string
-// selects the process default (see DefaultStorageKind).
-func ParseStorage(s string) (StorageKind, error) {
-	switch StorageKind(s) {
-	case "":
-		return DefaultStorageKind(), nil
-	case StorageRow, StorageColumnar:
-		return StorageKind(s), nil
-	}
-	return "", fmt.Errorf("%w: %q (want one of %v)", ErrUnknownStorage, s, StorageKinds())
-}
-
-// DefaultStorageKind is the backend used when none is configured: the
-// PRODSYS_STORAGE environment variable when it names a valid backend,
-// StorageRow otherwise. The env hook lets the whole test suite run
-// against an alternate backend without per-call plumbing (the CI
-// backend matrix).
-func DefaultStorageKind() StorageKind {
-	switch k := StorageKind(os.Getenv("PRODSYS_STORAGE")); k {
-	case StorageRow, StorageColumnar:
-		return k
-	}
-	return StorageRow
-}
+// This file holds the shapes shared by Relation and its row store: the
+// range Bounds an ordered-index probe takes, the StoreStats snapshot a
+// cost-based planner reads, and the value-interning cache shared by the
+// relations of one catalog. The paper's thesis is that working memory is
+// relational data served by the DBMS's access methods (§3.2): hash and
+// ordered indexes over one row store.
 
 // Bounds is a one-dimensional range over attribute values: Lo/Hi are
 // inclusive or exclusive endpoints, and a nil value leaves that side
@@ -149,69 +95,10 @@ type IndexStat struct {
 
 // StoreStats is a typed snapshot of one store's shape.
 type StoreStats struct {
-	// Backend is the storage kind serving the relation.
-	Backend StorageKind
 	// Tuples is the live cardinality.
 	Tuples int
 	// Indexes lists the secondary indexes in ascending position order.
 	Indexes []IndexStat
-}
-
-// Store is a tuple storage backend: a bag of tuples addressable by
-// TupleID with optional per-attribute secondary indexes (hash for
-// equality, ordered for ranges). A Store is NOT safe for concurrent
-// use — Relation serializes access under its lock and layers cloning,
-// ID assignment, and I/O accounting on top.
-//
-// Tuples handed to Insert/InsertBatch are owned by the store; tuples
-// returned by Get/Scan must not be mutated by the caller.
-type Store interface {
-	// Kind identifies the backend.
-	Kind() StorageKind
-	// Len returns the live tuple count.
-	Len() int
-	// Get returns the tuple stored under id.
-	Get(id TupleID) (Tuple, bool)
-	// Insert stores t under id. The caller guarantees id is not live
-	// and t matches the arity.
-	Insert(id TupleID, t Tuple)
-	// InsertBatch bulk-stores entries (ascending IDs, none live) — the
-	// set-oriented append the ApplyDelta path uses.
-	InsertBatch(entries []DeltaEntry)
-	// Delete removes the tuple under id, returning it.
-	Delete(id TupleID) (Tuple, bool)
-	// IDs returns a fresh slice of the live IDs in ascending order.
-	IDs() []TupleID
-	// Scan visits every live tuple in ascending TupleID order until fn
-	// returns false.
-	Scan(fn func(id TupleID, t Tuple) bool)
-	// SelectEq returns the IDs (ascending) of tuples whose attribute at
-	// pos equals v under OPS5 equality. indexed reports whether an index
-	// probe served the call; otherwise the store fell back to scanning.
-	SelectEq(pos int, v value.V) (ids []TupleID, indexed bool)
-	// SelectRange returns the IDs (ascending) of tuples whose attribute
-	// at pos lies within b. indexed reports an ordered-index probe; a
-	// hash-only index cannot serve one, so the store scans.
-	SelectRange(pos int, b Bounds) (ids []TupleID, indexed bool)
-	// CreateIndex builds (idempotently) a hash index on pos and, when
-	// ordered, its ordered side (an existing hash-only index gains it).
-	CreateIndex(pos int, ordered bool)
-	// HasIndex reports whether pos is indexed, and whether the index
-	// has its ordered side.
-	HasIndex(pos int) (indexed, ordered bool)
-	// Clear removes every tuple but keeps the indexes.
-	Clear()
-	// Stats snapshots cardinality and per-index distinct counts.
-	Stats() StoreStats
-}
-
-// newStore constructs a backend of the given kind. Unknown kinds fall
-// back to the row store (callers validate with ParseStorage first).
-func newStore(kind StorageKind, arity int) Store {
-	if kind == StorageColumnar {
-		return newColStore(arity)
-	}
-	return newRowStore()
 }
 
 // internTable deduplicates string payloads across the relations of one

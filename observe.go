@@ -105,8 +105,6 @@ type IndexInfo struct {
 type RelationStorage struct {
 	// Name is the WM class name.
 	Name string
-	// Backend is the storage backend serving the relation.
-	Backend Storage
 	// Tuples is the live cardinality.
 	Tuples int
 	// Indexes lists the secondary indexes in attribute-position order.
@@ -125,7 +123,7 @@ type StorageStats struct {
 	PagesRead        int64 // simulated I/O
 	PagesWritten     int64 // simulated I/O
 
-	// Relations describes each WM relation's backend, cardinality, and
+	// Relations describes each WM relation's cardinality and
 	// indexes at snapshot time. It is a point-in-time catalog view, not
 	// a counter: Snapshot.Delta keeps the newer snapshot's value, and
 	// snapshots rebuilt from raw counter maps leave it empty.
@@ -270,7 +268,7 @@ func (s *System) Metrics() Snapshot {
 			continue
 		}
 		st := rel.Stats()
-		rs := RelationStorage{Name: name, Backend: Storage(st.Backend), Tuples: st.Tuples}
+		rs := RelationStorage{Name: name, Tuples: st.Tuples}
 		for _, ix := range st.Indexes {
 			rs.Indexes = append(rs.Indexes, IndexInfo{Attr: ix.Attr, Pos: ix.Pos, Distinct: ix.Distinct})
 		}
@@ -401,9 +399,8 @@ func (sn Snapshot) Delta(prev Snapshot) Snapshot {
 }
 
 // String renders the snapshot for display: every raw counter in sorted
-// order, then one line per WM relation describing its storage backend,
-// cardinality, and indexes (when the snapshot carries the catalog
-// view). This replaces formatting the deprecated Stats() map.
+// order, then one line per WM relation with its cardinality and
+// indexes (when the snapshot carries the catalog view). This replaces formatting the deprecated Stats() map.
 func (sn Snapshot) String() string {
 	keys := make([]string, 0, len(sn.Counters))
 	for k := range sn.Counters {
@@ -415,7 +412,7 @@ func (sn Snapshot) String() string {
 		fmt.Fprintf(&b, "%-24s %d\n", k, sn.Counters[k])
 	}
 	for _, rs := range sn.Storage.Relations {
-		fmt.Fprintf(&b, "storage/%-16s backend=%s tuples=%d", rs.Name, rs.Backend, rs.Tuples)
+		fmt.Fprintf(&b, "storage/%-16s tuples=%d", rs.Name, rs.Tuples)
 		for _, ix := range rs.Indexes {
 			fmt.Fprintf(&b, " ix(%s)=%d", ix.Attr, ix.Distinct)
 		}

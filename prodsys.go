@@ -103,30 +103,16 @@ func Strategies() []Strategy {
 	return []Strategy{StrategyFIFO, StrategyLEX, StrategyPriority, StrategyRandom}
 }
 
-// Storage selects the tuple storage backend serving working memory.
+// Storage names the tuple storage layout serving working memory. There
+// is one: the row store, a TupleID-keyed map with hash and ordered
+// secondary indexes.
 type Storage string
 
-// The available storage backends.
-const (
-	// StorageRow is the row-major backend: a TupleID-keyed map with
-	// hash+ordered secondary indexes — best for tuple-at-a-time updates
-	// and point access (default).
-	StorageRow Storage = Storage(relation.StorageRow)
-	// StorageColumnar is the column-major backend: per-attribute value
-	// arrays with bulk appends, optimized for set-oriented Batch /
-	// ApplyDelta maintenance.
-	StorageColumnar Storage = Storage(relation.StorageColumnar)
-)
+// StorageRow is the row store, the one storage layout.
+const StorageRow Storage = "row"
 
-// Storages lists every available storage backend.
-func Storages() []Storage {
-	kinds := relation.StorageKinds()
-	out := make([]Storage, len(kinds))
-	for i, k := range kinds {
-		out[i] = Storage(k)
-	}
-	return out
-}
+// Storages lists the accepted Options.Storage values: [StorageRow].
+func Storages() []Storage { return []Storage{StorageRow} }
 
 // Planner selects how the joiner-based matchers order LHS joins.
 type Planner string
@@ -156,7 +142,7 @@ var (
 	// ErrUnknownStrategy marks an Options.Strategy not in Strategies().
 	ErrUnknownStrategy = errors.New("unknown strategy")
 	// ErrUnknownStorage marks an Options.Storage not in Storages().
-	ErrUnknownStorage = relation.ErrUnknownStorage
+	ErrUnknownStorage = errors.New("unknown storage backend")
 	// ErrUnknownPlanner marks an Options.Planner not in Planners().
 	ErrUnknownPlanner = errors.New("unknown planner")
 	// ErrNoPlanner marks a Plan call on a system running with
@@ -184,13 +170,9 @@ type Options struct {
 	// Seed seeds the random strategy and the engine's private RNG (the
 	// deadlock-victim retry jitter), making both reproducible run-to-run.
 	Seed int64
-	// Storage selects the tuple storage backend serving every WM class;
-	// default StorageRow (or the PRODSYS_STORAGE environment variable
-	// when set to a valid backend).
+	// Storage names the storage layout; "" and StorageRow are the only
+	// accepted values (there is one layout).
 	Storage Storage
-	// StorageByClass overrides the storage backend for individual WM
-	// classes, keyed by class name; classes not listed use Storage.
-	StorageByClass map[string]Storage
 	// Planner selects how LHS joins are ordered in the joiner-based
 	// matchers (requery, core, marker, ptree): the default PlannerCost
 	// compiles and caches cost-based join orders from relation
@@ -294,16 +276,11 @@ func Load(src string, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	if opts.Storage != "" && opts.Storage != StorageRow {
+		return nil, fmt.Errorf("prodsys: %w %q", ErrUnknownStorage, opts.Storage)
+	}
 	stats := &metrics.Set{}
 	db := relation.NewDB(stats)
-	if err := db.SetDefaultStorage(relation.StorageKind(opts.Storage)); err != nil {
-		return nil, fmt.Errorf("prodsys: %w", err)
-	}
-	for class, k := range opts.StorageByClass {
-		if err := db.SetClassStorage(class, relation.StorageKind(k)); err != nil {
-			return nil, fmt.Errorf("prodsys: %w", err)
-		}
-	}
 	if err := rules.BuildDB(set, db); err != nil {
 		return nil, err
 	}

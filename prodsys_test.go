@@ -64,6 +64,23 @@ func TestMatcherPortfolio(t *testing.T) {
 	}
 }
 
+// TestOneStorage pins the storage surface at one layout: Storages() is
+// [row], Load accepts the empty and the row spelling, and the deleted
+// columnar name is an unknown storage.
+func TestOneStorage(t *testing.T) {
+	if got := Storages(); !reflect.DeepEqual(got, []Storage{StorageRow}) {
+		t.Fatalf("Storages() = %v, want [row]", got)
+	}
+	for _, ok := range []Storage{"", StorageRow} {
+		if _, err := Load(payrollSrc, Options{Storage: ok, Out: io.Discard}); err != nil {
+			t.Errorf("Storage %q: %v", ok, err)
+		}
+	}
+	if _, err := Load(payrollSrc, Options{Storage: "columnar", Out: io.Discard}); !errors.Is(err, ErrUnknownStorage) {
+		t.Errorf("Storage \"columnar\": want ErrUnknownStorage, got %v", err)
+	}
+}
+
 func TestAssertRetractAndConflictKeys(t *testing.T) {
 	sys, err := Load(`
 (literalize A x y)
