@@ -49,13 +49,15 @@ fmt:
 	gofmt -w .
 
 # fuzz-short smoke-runs every fuzz target briefly; CI uses it to keep
-# the decoders honest without burning minutes.
+# the decoders, and QUEL's planner joins against their nested-loop
+# oracle, honest without burning minutes.
 FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeValue -fuzztime=$(FUZZTIME) ./internal/relation
 	$(GO) test -run=^$$ -fuzz=FuzzRestore -fuzztime=$(FUZZTIME) ./internal/relation
 	$(GO) test -run=^$$ -fuzz=FuzzScanLog -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run=^$$ -fuzz=FuzzReplicaFrame -fuzztime=$(FUZZTIME) ./internal/replica
+	$(GO) test -run=^$$ -fuzz=FuzzQuelStatement -fuzztime=$(FUZZTIME) ./internal/quel
 
 # trace-demo records a traced payroll run: the per-rule profile prints
 # to stdout and the event stream lands in trace.json in Chrome

@@ -47,7 +47,6 @@ func main() {
 	showCS := flag.Bool("conflict", false, "print the final conflict set")
 	showStats := flag.Bool("stats", false, "print operation counters")
 	explain := flag.Bool("explain", false, "print each rule's join plans: access path, join position, estimated vs actual cardinality per condition element")
-	plannerMode := flag.String("planner", "cost", "join planner: cost|fixed")
 	loadWM := flag.String("load", "", "restore working memory from a dump file before running")
 	saveWM := flag.String("save", "", "dump working memory to a file after running")
 	traceOut := flag.String("trace", "", "record execution events and export them to this file")
@@ -72,7 +71,6 @@ func main() {
 	sys, err := prodsys.LoadFile(flag.Arg(0), prodsys.Options{
 		Matcher:            prodsys.Matcher(*matcher),
 		Strategy:           prodsys.Strategy(*strategy),
-		Planner:            prodsys.Planner(*plannerMode),
 		Seed:               *seed,
 		Workers:            *workers,
 		MaxFirings:         *max,

@@ -56,8 +56,9 @@ type PlanStep struct {
 	// probe describes how to compute the index key at run time.
 	probePos int
 	probeOp  value.Op
-	probeVar string  // bound variable supplying the key ("" = constant)
-	probeVal value.V // constant key when probeVar == ""
+	probeVar string          // bound variable supplying the key ("" = constant)
+	probeVal value.V         // constant key when probeVar == ""
+	probeAnd relation.Bounds // further constant bounds of a range probe
 
 	evals atomic.Int64 // times the step was evaluated
 	rows  atomic.Int64 // tuples that satisfied the full CE test
@@ -262,6 +263,13 @@ func buildStep(rel *relation.Relation, ce *rules.CE, bound map[string]bool) *Pla
 		step.AccessPath = AccessIndexRange
 		step.Attr = attrName(ce, p.pos)
 		step.probePos, step.probeOp, step.probeVar, step.probeVal = p.pos, p.op, p.vr, p.val
+		// Every other constant range on the attribute narrows the probe
+		// (lo <= qty < hi reads one window, as Relation.Select does).
+		for i, q := range preds {
+			if b, ok := relation.RangeFor(q.op, q.val); ok && i != bestRange && q.pos == p.pos && q.vr == "" {
+				step.probeAnd = step.probeAnd.And(b)
+			}
+		}
 	default:
 		step.AccessPath = AccessScan
 	}

@@ -13,10 +13,10 @@ import (
 const driftCheckEvery = 32
 
 // Planner compiles and caches cost-based join orders for rule LHS
-// evaluation. A nil *Planner is valid and means "fixed order": every
-// call falls through to the source-order Enumerate, which is also the
-// oracle the crosscheck tests compare against. Planner is safe for
-// concurrent use.
+// evaluation. Every system runs with one; a nil *Planner, set only
+// through a matcher's SetPlanner(nil), falls through to the source-order
+// Enumerate, which the crosscheck tests keep as their reference oracle.
+// Planner is safe for concurrent use.
 type Planner struct {
 	db    *relation.DB
 	stats *metrics.Set
@@ -57,6 +57,22 @@ func (p *Planner) Enumerate(db *relation.DB, r *rules.Rule, fixed map[int]Fixed,
 	}
 	plan := p.planFor(r, pinned)
 	p.execute(plan, r, fixed, seed, stats, emit)
+}
+
+// Query evaluates r's LHS once, as a full derivation, under a freshly
+// built plan that is never cached: ad-hoc rules (one per QUEL
+// statement) would otherwise grow the cache without bound. The build
+// counts in plans_built like a cached one. p must be non-nil.
+func (p *Planner) Query(r *rules.Rule, emit Emit) {
+	p.stats.Inc(metrics.PlansBuilt)
+	p.execute(buildPlan(p.db, r, -1), r, nil, nil, p.stats, emit)
+}
+
+// Cached returns the number of plans in the cache.
+func (p *Planner) Cached() int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return len(p.plans)
 }
 
 // Plan returns the cached plan for (r, pinned), building (and caching)
@@ -240,7 +256,7 @@ func (p *Planner) candidates(rel *relation.Relation, step *PlanStep, b rules.Bin
 			return
 		}
 		if bounds, ok := relation.RangeFor(step.probeOp, key); ok {
-			for _, id := range rel.SelectRange(step.probePos, bounds) {
+			for _, id := range rel.SelectRange(step.probePos, bounds.And(step.probeAnd)) {
 				t, live := rel.Get(id)
 				if live && !fn(id, t) {
 					return

@@ -2,11 +2,15 @@ package quel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"prodsys/internal/engine"
+	"prodsys/internal/joiner"
+	"prodsys/internal/lang"
 	"prodsys/internal/relation"
+	"prodsys/internal/rules"
 	"prodsys/internal/value"
 )
 
@@ -21,16 +25,20 @@ type Result struct {
 // Interp executes QUEL DML against an engine's working memory. Every
 // data change goes through the engine so ALWAYS triggers (compiled into
 // productions at load time) fire immediately afterwards, giving the
-// run-indefinitely illusion of §2.3.
+// run-indefinitely illusion of §2.3. Qualifications run as joins on the
+// rule planner, the executor the matchers use.
 type Interp struct {
 	eng *engine.Engine
 	tr  *Translator
+	set *rules.Set
+	pl  *joiner.Planner
 }
 
 // NewInterp builds an interpreter. The translator carries the range
-// declarations and class catalog.
-func NewInterp(eng *engine.Engine, tr *Translator) *Interp {
-	return &Interp{eng: eng, tr: tr}
+// declarations and class catalog; set supplies the compiled schemas the
+// lowered statements are checked against, and pl (non-nil) runs them.
+func NewInterp(eng *engine.Engine, tr *Translator, set *rules.Set, pl *joiner.Planner) *Interp {
+	return &Interp{eng: eng, tr: tr, set: set, pl: pl}
 }
 
 // Exec parses and executes one statement. ALWAYS-tagged and create
@@ -70,150 +78,62 @@ func (in *Interp) ExecStmt(st *Stmt) (*Result, error) {
 	}
 }
 
-// binding is one assignment of tuples to the statement's range variables.
-type binding map[string]struct {
-	id relation.TupleID
-	t  relation.Tuple
-}
-
-// rangeVarsOf collects the distinct range variables a statement touches,
-// target first, in deterministic order.
-func (in *Interp) rangeVarsOf(st *Stmt) ([]string, error) {
-	seen := map[string]bool{}
-	var out []string
-	add := func(v string) error {
-		if v == "" || seen[v] {
-			return nil
-		}
-		if _, err := in.tr.classOf(v); err != nil {
-			return err
-		}
-		seen[v] = true
-		out = append(out, v)
-		return nil
-	}
-	if st.Var != "" && st.Kind != StmtRange {
-		if err := add(st.Var); err != nil {
+// join lowers st into a production with an empty RHS — one CE per range
+// variable in first-mention order: target, retrieve targets, assignment
+// sources, qualification operands — and runs it once on the planner. fn
+// receives every qualifying combination, ids and tuples aligned with
+// those variables; the returned builder's read takes operands out of one.
+func (in *Interp) join(st *Stmt, fn func(ids []relation.TupleID, tuples []relation.Tuple)) (*builder, error) {
+	b := in.tr.newBuilder("")
+	b.adhoc = true
+	if st.Var != "" {
+		if _, err := b.ceFor(st.Var); err != nil {
 			return nil, err
 		}
 	}
-	for _, t := range st.Targets {
-		if err := add(t.Var); err != nil {
+	for _, o := range st.Targets {
+		if err := b.mention(o); err != nil {
 			return nil, err
 		}
 	}
-	for _, a := range st.Assigns {
-		if a.Expr.IsRef() {
-			if err := add(a.Expr.Var); err != nil {
-				return nil, err
-			}
+	for _, as := range st.Assigns {
+		if _, err := in.tr.attrPos(b.ces[0].Class, as.Attr); err != nil {
+			return nil, err
+		}
+		if err := b.mention(as.Expr); err != nil {
+			return nil, err
 		}
 	}
-	for _, q := range st.Quals {
-		if q.Left.IsRef() {
-			if err := add(q.Left.Var); err != nil {
-				return nil, err
-			}
-		}
-		if q.Right.IsRef() {
-			if err := add(q.Right.Var); err != nil {
-				return nil, err
-			}
-		}
+	if err := b.addQuals(st.Quals); err != nil {
+		return nil, err
 	}
-	return out, nil
-}
-
-// resolve evaluates an operand under a binding.
-func resolve(o Operand, b binding, tr *Translator) (value.V, error) {
-	if !o.IsRef() {
-		return o.Const, nil
+	if b.never {
+		return b, nil
 	}
-	ent, ok := b[o.Var]
-	if !ok {
-		return value.V{}, fmt.Errorf("quel: variable %q not bound", o.Var)
-	}
-	cls, _ := tr.classOf(o.Var)
-	pos := attrIndex(tr.Classes[cls], o.Attr)
-	if pos < 0 {
-		return value.V{}, fmt.Errorf("quel: relation %s has no attribute %s", cls, o.Attr)
-	}
-	return ent.t[pos], nil
-}
-
-func attrIndex(attrs []string, attr string) int {
-	for i, a := range attrs {
-		if a == attr {
-			return i
-		}
-	}
-	return -1
-}
-
-// enumerate nested-loops over the statement's range variables, invoking
-// fn for every combination satisfying the qualification.
-func (in *Interp) enumerate(st *Stmt, fn func(b binding) error) error {
-	vars, err := in.rangeVarsOf(st)
+	r, err := rules.CompileRule(in.set, &lang.Production{Name: "quel-query", LHS: b.ces})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Validate qualification attributes up front.
-	for _, q := range st.Quals {
-		for _, o := range []Operand{q.Left, q.Right} {
-			if !o.IsRef() {
-				continue
-			}
-			cls, _ := in.tr.classOf(o.Var)
-			if attrIndex(in.tr.Classes[cls], o.Attr) < 0 {
-				return fmt.Errorf("quel: relation %s has no attribute %s", cls, o.Attr)
+	in.pl.Query(r, func(ids []relation.TupleID, tuples []relation.Tuple, _ rules.Bindings) {
+		for _, c := range b.residual {
+			if !c.Op.Apply(b.read(c.Left, tuples), b.read(c.Right, tuples)) {
+				return
 			}
 		}
+		fn(ids, tuples)
+	})
+	return b, nil
+}
+
+// read evaluates an operand of a lowered ad-hoc statement against one
+// combination of tuples, aligned with the builder's CEs.
+func (b *builder) read(o Operand, tuples []relation.Tuple) value.V {
+	if !o.IsRef() {
+		return o.Const
 	}
-	b := binding{}
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(vars) {
-			for _, q := range st.Quals {
-				l, err := resolve(q.Left, b, in.tr)
-				if err != nil {
-					return err
-				}
-				r, err := resolve(q.Right, b, in.tr)
-				if err != nil {
-					return err
-				}
-				if !q.Op.Apply(l, r) {
-					return nil
-				}
-			}
-			return fn(b)
-		}
-		v := vars[i]
-		cls, _ := in.tr.classOf(v)
-		rel, ok := in.eng.DB().Get(cls)
-		if !ok {
-			return fmt.Errorf("quel: relation %s not in catalog", cls)
-		}
-		var ids []relation.TupleID
-		var tuples []relation.Tuple
-		rel.Scan(func(id relation.TupleID, t relation.Tuple) bool {
-			ids = append(ids, id)
-			tuples = append(tuples, t.Clone())
-			return true
-		})
-		for j := range ids {
-			b[v] = struct {
-				id relation.TupleID
-				t  relation.Tuple
-			}{ids[j], tuples[j]}
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		delete(b, v)
-		return nil
-	}
-	return rec(0)
+	i := b.byVar[o.Var]
+	pos, _ := b.tr.attrPos(b.ces[i].Class, o.Attr)
+	return tuples[i][pos]
 }
 
 // write commits one statement's changes as a single engine delta — one
@@ -231,29 +151,21 @@ func (in *Interp) write(ops []engine.DeltaOp) (*Result, error) {
 func (in *Interp) retrieve(st *Stmt) (*Result, error) {
 	res := &Result{}
 	for _, t := range st.Targets {
-		cls, err := in.tr.classOf(t.Var)
-		if err != nil {
-			return nil, err
-		}
-		if attrIndex(in.tr.Classes[cls], t.Attr) < 0 {
-			return nil, fmt.Errorf("quel: relation %s has no attribute %s", cls, t.Attr)
-		}
 		res.Columns = append(res.Columns, t.String())
 	}
-	err := in.enumerate(st, func(b binding) error {
-		row := make([]string, len(st.Targets))
-		for i, t := range st.Targets {
-			v, err := resolve(t, b, in.tr)
-			if err != nil {
-				return err
-			}
-			row[i] = renderValue(v)
-		}
-		res.Rows = append(res.Rows, row)
-		return nil
+	var combos [][]relation.Tuple
+	b, err := in.join(st, func(_ []relation.TupleID, tuples []relation.Tuple) {
+		combos = append(combos, tuples)
 	})
 	if err != nil {
 		return nil, err
+	}
+	for _, tuples := range combos {
+		row := make([]string, len(st.Targets))
+		for i, t := range st.Targets {
+			row[i] = renderValue(b.read(t, tuples))
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	sort.Slice(res.Rows, func(i, j int) bool {
 		return strings.Join(res.Rows[i], "\x00") < strings.Join(res.Rows[j], "\x00")
@@ -275,9 +187,9 @@ func (in *Interp) append(st *Stmt) (*Result, error) {
 	}
 	t := make(relation.Tuple, len(attrs))
 	for _, as := range st.Assigns {
-		pos := attrIndex(attrs, as.Attr)
-		if pos < 0 {
-			return nil, fmt.Errorf("quel: relation %s has no attribute %s", st.Class, as.Attr)
+		pos, err := in.tr.attrPos(st.Class, as.Attr)
+		if err != nil {
+			return nil, err
 		}
 		if as.Expr.IsRef() {
 			return nil, fmt.Errorf("quel: append values must be constants")
@@ -292,14 +204,12 @@ func (in *Interp) delete(st *Stmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Collect distinct target ids first (the scan must not race the
+	// Collect distinct target ids first (the join must not race the
 	// deletions).
 	ids := map[relation.TupleID]bool{}
-	err = in.enumerate(st, func(b binding) error {
-		ids[b[st.Var].id] = true
-		return nil
-	})
-	if err != nil {
+	if _, err := in.join(st, func(combo []relation.TupleID, _ []relation.Tuple) {
+		ids[combo[0]] = true
+	}); err != nil {
 		return nil, err
 	}
 	ops := make([]engine.DeltaOp, 0, len(ids))
@@ -315,40 +225,42 @@ func (in *Interp) replace(st *Stmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	attrs := in.tr.Classes[cls]
-	// Compute each target's replacement tuple; the first qualifying
-	// combination wins when several assign the same target.
-	var ops []engine.DeltaOp
-	seen := map[relation.TupleID]bool{}
-	err = in.enumerate(st, func(b binding) error {
-		ent := b[st.Var]
-		if seen[ent.id] {
-			return nil
+	// When several combinations assign one target, the winner is the one
+	// a nested loop over the variables in first-mention order meets
+	// first: the smallest tuple-ID vector, whatever the plan order.
+	type combo struct {
+		ids    []relation.TupleID
+		tuples []relation.Tuple
+	}
+	win := map[relation.TupleID]combo{}
+	b, err := in.join(st, func(ids []relation.TupleID, tuples []relation.Tuple) {
+		if cur, ok := win[ids[0]]; !ok || slices.Compare(ids, cur.ids) < 0 {
+			win[ids[0]] = combo{ids, tuples}
 		}
-		seen[ent.id] = true
-		nt := ent.t.Clone()
-		for _, as := range st.Assigns {
-			pos := attrIndex(attrs, as.Attr)
-			if pos < 0 {
-				return fmt.Errorf("quel: relation %s has no attribute %s", cls, as.Attr)
-			}
-			v, err := resolve(as.Expr, b, in.tr)
-			if err != nil {
-				return err
-			}
-			nt[pos] = v
-		}
-		// A replace is a delete followed by an insert (§3.1).
-		ops = append(ops, engine.DeltaOp{Retract: true, Class: cls, ID: ent.id},
-			engine.DeltaOp{Class: cls, Tuple: nt})
-		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	targets := make([]relation.TupleID, 0, len(win))
+	for id := range win {
+		targets = append(targets, id)
+	}
+	slices.Sort(targets)
+	ops := make([]engine.DeltaOp, 0, 2*len(targets))
+	for _, id := range targets {
+		c := win[id]
+		nt := c.tuples[0].Clone()
+		for _, as := range st.Assigns {
+			pos, _ := in.tr.attrPos(cls, as.Attr)
+			nt[pos] = b.read(as.Expr, c.tuples)
+		}
+		// A replace is a delete followed by an insert (§3.1).
+		ops = append(ops, engine.DeltaOp{Retract: true, Class: cls, ID: id},
+			engine.DeltaOp{Class: cls, Tuple: nt})
+	}
 	res, err := in.write(ops)
 	if res != nil {
-		res.Affected = len(ops) / 2
+		res.Affected = len(targets)
 	}
 	return res, err
 }

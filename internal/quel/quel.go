@@ -13,13 +13,15 @@
 // translates to the production
 //
 //	(p quel-always-1
-//	    (Emp ^name "Sam" ^salary <q0>)
-//	    (Emp ^name "Mike" ^salary <> <q0>)
+//	    (Emp ^salary <q0> ^name Sam)
+//	    (Emp ^name Mike ^salary <> <q0>)
 //	  -->
 //	    (modify 2 ^salary <q0>))
 //
 // whose not-equal guard both detects violations and guarantees
-// quiescence once the trigger's invariant holds.
+// quiescence once the trigger's invariant holds. Ad-hoc retrieve, delete
+// and replace statements go through the same lowering, into a production
+// with an empty RHS that the rule planner runs once.
 package quel
 
 import (

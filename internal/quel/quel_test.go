@@ -8,6 +8,8 @@ import (
 	"prodsys/internal/conflict"
 	"prodsys/internal/core"
 	"prodsys/internal/engine"
+	"prodsys/internal/joiner"
+	"prodsys/internal/lang"
 	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
@@ -142,6 +144,7 @@ type fixture struct {
 	eng   *engine.Engine
 	in    *Interp
 	tr    *Translator
+	pl    *joiner.Planner
 	stats *metrics.Set
 }
 
@@ -161,8 +164,10 @@ func setupWrapped(t *testing.T, alwaysStmts []string, wrap func(match.Matcher) m
 	tr := NewTranslator(classes)
 	tr.DeclareRange("E", "Emp")
 	tr.DeclareRange("D", "Dept")
-	var src strings.Builder
-	src.WriteString("(literalize Emp name salary dno)\n(literalize Dept dno dname)\n")
+	prog, err := lang.Parse("(literalize Emp name salary dno)\n(literalize Dept dno dname)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, a := range alwaysStmts {
 		st, err := Parse(a)
 		if err != nil {
@@ -172,25 +177,25 @@ func setupWrapped(t *testing.T, alwaysStmts []string, wrap func(match.Matcher) m
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range prods {
-			src.WriteString(p)
-		}
+		prog.Productions = append(prog.Productions, prods...)
 	}
-	set, prog, err := rules.CompileSource(src.String())
+	set, err := rules.Compile(prog)
 	if err != nil {
-		t.Fatalf("translated rules do not compile: %v\n%s", err, src.String())
+		t.Fatalf("translated rules do not compile: %v", err)
 	}
 	stats := &metrics.Set{}
 	db := relation.NewDB(stats)
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
+	pl := joiner.NewPlanner(db, stats)
 	m := wrap(core.New(set, db, conflict.NewSet(stats), stats))
+	m.SetPlanner(pl)
 	eng := engine.New(set, db, m, stats, engine.Config{})
 	if err := eng.LoadFacts(prog); err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{eng: eng, in: NewInterp(eng, tr), tr: tr, stats: stats}
+	return &fixture{eng: eng, in: NewInterp(eng, tr, set, pl), tr: tr, pl: pl, stats: stats}
 }
 
 func (f *fixture) mustExec(t *testing.T, stmt string) *Result {
@@ -312,7 +317,7 @@ func TestTranslateReplaceAlwaysShape(t *testing.T) {
 	if len(prods) != 1 {
 		t.Fatalf("productions = %d", len(prods))
 	}
-	src := prods[0]
+	src := prods[0].String()
 	for _, want := range []string{"^name Sam", "^salary <q0>", "^name Mike", "^salary <> <q0>", "(modify 2 ^salary <q0>)"} {
 		if !strings.Contains(src, want) {
 			t.Fatalf("translation missing %q:\n%s", want, src)

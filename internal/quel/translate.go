@@ -2,15 +2,18 @@ package quel
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
+	"prodsys/internal/lang"
 	"prodsys/internal/value"
 )
 
-// Translator turns ALWAYS-tagged QUEL commands into OPS5 productions, the
-// §2.3 trigger mechanism: "Triggers are formed by tagging any QUEL
-// command with the keyword ALWAYS. Such tagged commands conceptually
-// appear to run indefinitely."
+// Translator lowers QUEL qualifications into OPS5 condition elements. It
+// turns ALWAYS-tagged commands into productions, the §2.3 trigger
+// mechanism: "Triggers are formed by tagging any QUEL command with the
+// keyword ALWAYS. Such tagged commands conceptually appear to run
+// indefinitely." Ad-hoc statements go through the same lowering (see
+// Interp).
 type Translator struct {
 	// Ranges maps declared range variables to their relations.
 	Ranges map[string]string
@@ -46,168 +49,188 @@ func (tr *Translator) classOf(v string) (string, error) {
 	return "", fmt.Errorf("quel: unknown range variable %q", v)
 }
 
-func (tr *Translator) attrPos(class, attr string) error {
-	for _, a := range tr.Classes[class] {
+// attrPos returns attr's position in class.
+func (tr *Translator) attrPos(class, attr string) (int, error) {
+	for i, a := range tr.Classes[class] {
 		if a == attr {
-			return nil
+			return i, nil
 		}
 	}
-	return fmt.Errorf("quel: relation %s has no attribute %s", class, attr)
+	return -1, fmt.Errorf("quel: relation %s has no attribute %s", class, attr)
 }
 
-// ceDraft accumulates the rendered attribute tests of one condition
-// element during translation.
-type ceDraft struct {
-	qvar  string // range variable
-	class string
-	tests []string
-}
-
-// builder assembles the production.
+// builder lowers one statement into condition elements, one per range
+// variable, created in first-mention order.
 type builder struct {
-	tr *Translator
-	// ces in order; the target variable's CE is appended last.
-	ces    []*ceDraft
-	byVar  map[string]*ceDraft
+	tr     *Translator
+	ces    []*lang.CondElem
+	byVar  map[string]int    // range variable → index in ces
 	bindOf map[string]string // "var.attr" → OPS5 variable name
 	nvar   int
 	// target is the variable whose CE is emitted last (remove/modify
-	// targets); bindings prefer the other side of a condition so that
-	// binder condition elements precede their uses.
+	// targets); "" keeps first-mention order throughout.
 	target string
+
+	// adhoc marks a statement executed once rather than compiled into a
+	// trigger. Its constant-only conjuncts are decided here (never is set
+	// when one is false), and its attribute-vs-attribute <> conjuncts are
+	// kept in residual, to be checked on the joined tuples: a CE binding
+	// cannot hold a nil attribute, which <> accepts.
+	adhoc    bool
+	never    bool
+	residual []Cond
 }
 
 func (tr *Translator) newBuilder(target string) *builder {
-	return &builder{tr: tr, byVar: map[string]*ceDraft{}, bindOf: map[string]string{}, target: target}
+	return &builder{tr: tr, byVar: map[string]int{}, bindOf: map[string]string{}, target: target}
 }
 
-// ceFor returns (creating on demand) the draft CE of a range variable.
-func (b *builder) ceFor(v string) (*ceDraft, error) {
-	if ce, ok := b.byVar[v]; ok {
-		return ce, nil
+// ceFor returns (creating on demand) the CE of a range variable.
+func (b *builder) ceFor(v string) (*lang.CondElem, error) {
+	if i, ok := b.byVar[v]; ok {
+		return b.ces[i], nil
 	}
 	cls, err := b.tr.classOf(v)
 	if err != nil {
 		return nil, err
 	}
-	ce := &ceDraft{qvar: v, class: cls}
-	b.byVar[v] = ce
+	ce := &lang.CondElem{Class: cls}
+	b.byVar[v] = len(b.ces)
 	b.ces = append(b.ces, ce)
 	return ce, nil
 }
 
-// bind ensures var.attr is equality-bound to an OPS5 variable and returns
-// the variable name.
-func (b *builder) bind(v, attr string) (string, error) {
-	key := v + "." + attr
-	if name, ok := b.bindOf[key]; ok {
-		return name, nil
+// order is v's position in the emitted LHS: the target goes last.
+func (b *builder) order(v string) int {
+	if v == b.target {
+		return len(b.ces)
 	}
-	ce, err := b.ceFor(v)
-	if err != nil {
-		return "", err
-	}
-	if err := b.tr.attrPos(ce.class, attr); err != nil {
-		return "", err
-	}
-	name := fmt.Sprintf("q%d", b.nvar)
-	b.nvar++
-	b.bindOf[key] = name
-	ce.tests = append(ce.tests, fmt.Sprintf("^%s <%s>", attr, name))
-	return name, nil
+	return b.byVar[v]
 }
 
-// addQual renders one qualification conjunct into the draft CEs.
+// ceWith returns v's CE after checking that its class has attr.
+func (b *builder) ceWith(v, attr string) (*lang.CondElem, error) {
+	ce, err := b.ceFor(v)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := b.tr.attrPos(ce.Class, attr); err != nil {
+		return nil, err
+	}
+	return ce, nil
+}
+
+// test appends the atom "v.attr op term" to v's CE.
+func (b *builder) test(v, attr string, op value.Op, term lang.Term) error {
+	ce, err := b.ceWith(v, attr)
+	if err != nil {
+		return err
+	}
+	ce.Tests = append(ce.Tests, lang.AttrTest{Attr: attr, Atoms: []lang.TestAtom{{Op: op, Term: term}}})
+	return nil
+}
+
+// bind ensures var.attr is equality-bound to an OPS5 variable and returns
+// the variable's term.
+func (b *builder) bind(v, attr string) (lang.Term, error) {
+	key := v + "." + attr
+	if name, ok := b.bindOf[key]; ok {
+		return lang.VarTerm(name), nil
+	}
+	name := fmt.Sprintf("q%d", b.nvar)
+	if err := b.test(v, attr, value.OpEq, lang.VarTerm(name)); err != nil {
+		return lang.Term{}, err
+	}
+	b.nvar++
+	b.bindOf[key] = name
+	return lang.VarTerm(name), nil
+}
+
+// mention creates an operand's CE and checks its attribute.
+func (b *builder) mention(o Operand) error {
+	if !o.IsRef() {
+		return nil
+	}
+	_, err := b.ceWith(o.Var, o.Attr)
+	return err
+}
+
+// addQuals lowers the qualification conjuncts into the CEs.
+func (b *builder) addQuals(quals []Cond) error {
+	for _, c := range quals {
+		if err := b.addQual(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (b *builder) addQual(c Cond) error {
 	switch {
 	case c.Left.IsRef() && !c.Right.IsRef():
-		ce, err := b.ceFor(c.Left.Var)
-		if err != nil {
-			return err
-		}
-		if err := b.tr.attrPos(ce.class, c.Left.Attr); err != nil {
-			return err
-		}
-		ce.tests = append(ce.tests, renderTest(c.Left.Attr, c.Op, c.Right.Const.String()))
-		return nil
+		return b.test(c.Left.Var, c.Left.Attr, c.Op, lang.ConstTerm(c.Right.Const))
 	case !c.Left.IsRef() && c.Right.IsRef():
 		return b.addQual(Cond{Left: c.Right, Op: c.Op.Flip(), Right: c.Left})
 	case c.Left.IsRef() && c.Right.IsRef():
-		// Bind the left side, test on the right side with the flipped
-		// operator (right.attr flip(op) leftVar ⟺ left.attr op right.attr).
-		// The target's CE is emitted last, so when the left side is the
-		// target the condition is mirrored to bind on the other variable.
-		if c.Left.Var == b.target && c.Right.Var != b.target {
-			return b.addQual(Cond{Left: c.Right, Op: c.Op.Flip(), Right: c.Left})
+		if err := b.mention(c.Left); err != nil {
+			return err
 		}
-		name, err := b.bind(c.Left.Var, c.Left.Attr)
+		if err := b.mention(c.Right); err != nil {
+			return err
+		}
+		if b.adhoc && c.Op == value.OpNe {
+			b.residual = append(b.residual, c)
+			return nil
+		}
+		// Bind the left side and test the right with the flipped operator
+		// (right.attr flip(op) left ⟺ left.attr op right.attr). The sides
+		// swap when the right side's CE is emitted first and either the
+		// left side is the target or the operator is not = (a test other
+		// than = reads a variable an earlier CE must bind).
+		if b.order(c.Right.Var) < b.order(c.Left.Var) && (c.Left.Var == b.target || c.Op != value.OpEq) {
+			c = Cond{Left: c.Right, Op: c.Op.Flip(), Right: c.Left}
+		}
+		bound, err := b.bind(c.Left.Var, c.Left.Attr)
 		if err != nil {
 			return err
 		}
-		ce, err := b.ceFor(c.Right.Var)
-		if err != nil {
-			return err
-		}
-		if err := b.tr.attrPos(ce.class, c.Right.Attr); err != nil {
-			return err
-		}
-		ce.tests = append(ce.tests, renderTest(c.Right.Attr, c.Op.Flip(), "<"+name+">"))
+		return b.test(c.Right.Var, c.Right.Attr, c.Op.Flip(), bound)
+	case b.adhoc:
+		b.never = b.never || !c.Op.Apply(c.Left.Const, c.Right.Const)
 		return nil
 	default:
 		return fmt.Errorf("quel: qualification compares two constants")
 	}
 }
 
-func renderTest(attr string, op value.Op, rhs string) string {
-	if op == value.OpEq {
-		return fmt.Sprintf("^%s %s", attr, rhs)
+// term lowers an assignment source: a constant, or a bound var.attr.
+func (b *builder) term(o Operand) (lang.Term, error) {
+	if o.IsRef() {
+		return b.bind(o.Var, o.Attr)
 	}
-	return fmt.Sprintf("^%s %s %s", attr, op, rhs)
+	return lang.ConstTerm(o.Const), nil
 }
 
-// render emits the production source.
-func (b *builder) render(name string, targetTests []string, target *ceDraft, actions []string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "(p %s\n", name)
-	emit := func(ce *ceDraft, extra []string) {
-		sb.WriteString("    (")
-		sb.WriteString(ce.class)
-		for _, t := range ce.tests {
-			sb.WriteByte(' ')
-			sb.WriteString(t)
-		}
-		for _, t := range extra {
-			sb.WriteByte(' ')
-			sb.WriteString(t)
-		}
-		sb.WriteString(")\n")
+// lhs returns the CEs in emission order: first mention, target last.
+func (b *builder) lhs() []*lang.CondElem {
+	t, ok := b.byVar[b.target]
+	if !ok {
+		return b.ces
 	}
-	for _, ce := range b.ces {
-		if ce == target {
-			continue // target goes last so its guard variables are bound
-		}
-		emit(ce, nil)
-	}
-	if target != nil {
-		emit(target, targetTests)
-	}
-	sb.WriteString("  -->\n")
-	for _, a := range actions {
-		sb.WriteString("    ")
-		sb.WriteString(a)
-		sb.WriteByte('\n')
-	}
-	sb.WriteString(")\n")
-	return sb.String()
+	return append(slices.Delete(slices.Clone(b.ces), t, t+1), b.ces[t])
 }
 
-// targetIndex returns the 1-based CEN of the target (always last).
-func (b *builder) targetIndex() int { return len(b.ces) }
+// trigger names the next ALWAYS production.
+func (tr *Translator) trigger(lhs []*lang.CondElem, act *lang.Action) *lang.Production {
+	tr.n++
+	return &lang.Production{Name: fmt.Sprintf("quel-always-%d", tr.n), LHS: lhs, RHS: []*lang.Action{act}}
+}
 
-// TranslateAlways renders the productions implementing one ALWAYS
-// command. A replace with several assignments yields one production per
-// assignment (each needs its own inequality guard for quiescence).
-func (tr *Translator) TranslateAlways(st *Stmt) ([]string, error) {
+// TranslateAlways lowers one ALWAYS command into the productions
+// implementing it. A replace with several assignments yields one
+// production per assignment (each needs its own inequality guard for
+// quiescence).
+func (tr *Translator) TranslateAlways(st *Stmt) ([]*lang.Production, error) {
 	if !st.Always {
 		return nil, fmt.Errorf("quel: statement is not tagged ALWAYS")
 	}
@@ -223,125 +246,70 @@ func (tr *Translator) TranslateAlways(st *Stmt) ([]string, error) {
 	}
 }
 
-func (tr *Translator) translateReplaceAlways(st *Stmt) ([]string, error) {
-	var out []string
+func (tr *Translator) translateReplaceAlways(st *Stmt) ([]*lang.Production, error) {
+	var out []*lang.Production
 	for _, as := range st.Assigns {
 		b := tr.newBuilder(st.Var)
-		// Evaluate the assignment source first so its binder CE precedes
+		// Lower the assignment source first so its binder CE precedes
 		// the target.
-		var rhs string // OPS5 term for the new value
-		if as.Expr.IsRef() {
-			name, err := b.bind(as.Expr.Var, as.Expr.Attr)
-			if err != nil {
-				return nil, err
-			}
-			rhs = "<" + name + ">"
-		} else {
-			rhs = as.Expr.Const.String()
-		}
-		for _, q := range st.Quals {
-			if err := b.addQual(q); err != nil {
-				return nil, err
-			}
-		}
-		target, err := b.ceFor(st.Var)
+		rhs, err := b.term(as.Expr)
 		if err != nil {
 			return nil, err
 		}
-		if err := tr.attrPos(target.class, as.Attr); err != nil {
+		if err := b.addQuals(st.Quals); err != nil {
 			return nil, err
 		}
-		tr.n++
-		name := fmt.Sprintf("quel-always-%d", tr.n)
 		// Guard: fire only while the attribute differs from the source.
-		guard := []string{fmt.Sprintf("^%s <> %s", as.Attr, rhs)}
-		action := fmt.Sprintf("(modify %d ^%s %s)", b.targetIndex(), as.Attr, rhs)
-		out = append(out, b.render(name, guard, target, []string{action}))
+		if err := b.test(st.Var, as.Attr, value.OpNe, rhs); err != nil {
+			return nil, err
+		}
+		lhs := b.lhs()
+		out = append(out, tr.trigger(lhs, &lang.Action{Kind: lang.ActModify, CE: len(lhs),
+			Assigns: []lang.FieldAssign{{Attr: as.Attr, Term: rhs}}}))
 	}
 	return out, nil
 }
 
-func (tr *Translator) translateDeleteAlways(st *Stmt) ([]string, error) {
+func (tr *Translator) translateDeleteAlways(st *Stmt) ([]*lang.Production, error) {
 	b := tr.newBuilder(st.Var)
-	for _, q := range st.Quals {
-		if err := b.addQual(q); err != nil {
-			return nil, err
-		}
-	}
-	target, err := b.ceFor(st.Var)
-	if err != nil {
+	if err := b.addQuals(st.Quals); err != nil {
 		return nil, err
 	}
-	_ = target
-	tr.n++
-	name := fmt.Sprintf("quel-always-%d", tr.n)
-	action := fmt.Sprintf("(remove %d)", b.targetIndex())
-	return []string{b.render(name, nil, target, []string{action})}, nil
+	if _, err := b.ceFor(st.Var); err != nil {
+		return nil, err
+	}
+	lhs := b.lhs()
+	return []*lang.Production{tr.trigger(lhs, &lang.Action{Kind: lang.ActRemove, CE: len(lhs)})}, nil
 }
 
-func (tr *Translator) translateAppendAlways(st *Stmt) ([]string, error) {
+func (tr *Translator) translateAppendAlways(st *Stmt) ([]*lang.Production, error) {
 	if _, ok := tr.Classes[st.Class]; !ok {
 		return nil, fmt.Errorf("quel: append to unknown relation %s", st.Class)
 	}
 	b := tr.newBuilder("")
 	// Resolve assignment sources (binding range variables as needed).
-	terms := make([]string, len(st.Assigns))
+	assigns := make([]lang.FieldAssign, len(st.Assigns))
 	for i, as := range st.Assigns {
-		if err := tr.attrPos(st.Class, as.Attr); err != nil {
+		if _, err := tr.attrPos(st.Class, as.Attr); err != nil {
 			return nil, err
 		}
-		if as.Expr.IsRef() {
-			name, err := b.bind(as.Expr.Var, as.Expr.Attr)
-			if err != nil {
-				return nil, err
-			}
-			terms[i] = "<" + name + ">"
-		} else {
-			terms[i] = as.Expr.Const.String()
+		term, err := b.term(as.Expr)
+		if err != nil {
+			return nil, err
 		}
+		assigns[i] = lang.FieldAssign{Attr: as.Attr, Term: term}
 	}
-	for _, q := range st.Quals {
-		if err := b.addQual(q); err != nil {
-			return nil, err
-		}
+	if err := b.addQuals(st.Quals); err != nil {
+		return nil, err
 	}
 	if len(b.ces) == 0 {
 		return nil, fmt.Errorf("quel: append ALWAYS needs at least one range variable in its qualification")
 	}
-	tr.n++
-	name := fmt.Sprintf("quel-always-%d", tr.n)
 	// Quiescence guard: NOT EXISTS an identical tuple.
-	var neg strings.Builder
-	neg.WriteString("- (")
-	neg.WriteString(st.Class)
-	for i, as := range st.Assigns {
-		fmt.Fprintf(&neg, " ^%s %s", as.Attr, terms[i])
+	guard := &lang.CondElem{Class: st.Class, Negated: true}
+	for _, as := range assigns {
+		guard.Tests = append(guard.Tests, lang.AttrTest{Attr: as.Attr, Atoms: []lang.TestAtom{{Op: value.OpEq, Term: as.Term}}})
 	}
-	neg.WriteString(")")
-	var mk strings.Builder
-	mk.WriteString("(make ")
-	mk.WriteString(st.Class)
-	for i, as := range st.Assigns {
-		fmt.Fprintf(&mk, " ^%s %s", as.Attr, terms[i])
-	}
-	mk.WriteString(")")
-
-	// Render manually: positive CEs, then the negated guard, then action.
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "(p %s\n", name)
-	for _, ce := range b.ces {
-		sb.WriteString("    (")
-		sb.WriteString(ce.class)
-		for _, t := range ce.tests {
-			sb.WriteByte(' ')
-			sb.WriteString(t)
-		}
-		sb.WriteString(")\n")
-	}
-	sb.WriteString("    ")
-	sb.WriteString(neg.String())
-	sb.WriteString("\n  -->\n    ")
-	sb.WriteString(mk.String())
-	sb.WriteString("\n)\n")
-	return []string{sb.String()}, nil
+	return []*lang.Production{tr.trigger(append(b.lhs(), guard),
+		&lang.Action{Kind: lang.ActMake, Class: st.Class, Assigns: assigns})}, nil
 }

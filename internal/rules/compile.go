@@ -63,6 +63,14 @@ func Compile(prog *lang.Program) (*Set, error) {
 	return set, nil
 }
 
+// CompileRule compiles one production against set's class catalog
+// without adding it to the set: the rule is not in set.Rules or
+// set.ByClass, so no matcher maintains it. Ad-hoc join queries use it
+// to run a one-off LHS through the planner. The rule's Index is -1.
+func CompileRule(set *Set, p *lang.Production) (*Rule, error) {
+	return compileRule(set, p, -1)
+}
+
 func compileRule(set *Set, p *lang.Production, idx int) (*Rule, error) {
 	r := &Rule{Name: p.Name, Index: idx}
 	// bound tracks variables with a binding occurrence in a positive CE

@@ -93,7 +93,7 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusGatewayTimeout
 	case errors.Is(err, prodsys.ErrUnknownClass), errors.Is(err, prodsys.ErrUnknownRule):
 		status = http.StatusNotFound
-	case errors.Is(err, prodsys.ErrArity), errors.Is(err, prodsys.ErrNoPlanner):
+	case errors.Is(err, prodsys.ErrArity):
 		status = http.StatusBadRequest
 	}
 	writeJSON(w, status, body)

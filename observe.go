@@ -432,8 +432,7 @@ func (sn Snapshot) String() string {
 // Plan returns the active plan for the named rule: the cached plan
 // with the most executions (so its actual cardinalities are the
 // best-populated), or a freshly built full-derivation plan when the
-// rule has not been planned yet. Requires the default PlannerCost;
-// under PlannerFixed it returns ErrNoPlanner.
+// rule has not been planned yet.
 func (s *System) Plan(rule string) (*Plan, error) {
 	plans, err := s.Plans(rule)
 	if err != nil {
@@ -453,9 +452,6 @@ func (s *System) Plan(rule string) (*Plan, error) {
 // full-derivation plan (built on demand, so the slice is never empty).
 // Plans are live: their actual cardinalities keep accumulating.
 func (s *System) Plans(rule string) ([]*Plan, error) {
-	if s.planner == nil {
-		return nil, fmt.Errorf("prodsys: %w (Options.Planner == PlannerFixed)", ErrNoPlanner)
-	}
 	r, ok := s.set.RuleByName(rule)
 	if !ok {
 		return nil, fmt.Errorf("prodsys: %w %q", ErrUnknownRule, rule)
@@ -465,11 +461,8 @@ func (s *System) Plans(rule string) ([]*Plan, error) {
 }
 
 // planText renders every plan of the named rule for Tracer.Explain
-// ("" when the planner is disabled or the rule unknown).
+// ("" when the rule is unknown or not yet planned).
 func (s *System) planText(rule string) string {
-	if s.planner == nil {
-		return ""
-	}
 	r, ok := s.set.RuleByName(rule)
 	if !ok {
 		return ""

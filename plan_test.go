@@ -2,18 +2,16 @@ package prodsys
 
 import (
 	"errors"
-	"io"
 	"strings"
 	"testing"
-
-	"prodsys/internal/workload"
 )
 
 // TestPlanExplainCoversFiftyRuleWorkload is the acceptance check on
 // the Plan/Explain API: after a 200-op run of the 50-rule payroll
 // program, sys.Plans must return at least one plan per rule, every
 // condition element of every plan must render both estimated and
-// actual cardinalities, and the plan cache must have served hits.
+// actual cardinalities, the plan cache must have served hits, and an
+// unknown rule name must fail with ErrUnknownRule.
 func TestPlanExplainCoversFiftyRuleWorkload(t *testing.T) {
 	sys, _, res := tracedPayrollRun(t, MatcherCore, 200)
 	if res.Firings == 0 {
@@ -58,36 +56,6 @@ func TestPlanExplainCoversFiftyRuleWorkload(t *testing.T) {
 	}
 	if rate := m.Planner.CacheHitRate(); rate <= 0 || rate > 1 {
 		t.Errorf("CacheHitRate = %v", rate)
-	}
-}
-
-// TestPlannerOptionModes pins the Options.Planner contract: the zero
-// value and PlannerCost attach a planner, PlannerFixed answers Plan
-// with ErrNoPlanner, and an unknown mode fails Load.
-func TestPlannerOptionModes(t *testing.T) {
-	src := workload.PayrollRules(1, false)
-	for _, mode := range []Planner{"", PlannerCost} {
-		sys, err := Load(src, Options{Planner: mode, Out: io.Discard})
-		if err != nil {
-			t.Fatalf("mode %q: %v", mode, err)
-		}
-		if _, err := sys.Plans("pay-0"); err != nil {
-			t.Fatalf("mode %q: Plans: %v", mode, err)
-		}
-	}
-	sys, err := Load(src, Options{Planner: PlannerFixed, Out: io.Discard})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Plan("pay-0"); !errors.Is(err, ErrNoPlanner) {
-		t.Fatalf("fixed-mode Plan err = %v, want ErrNoPlanner", err)
-	}
-	if _, err := Load(src, Options{Planner: "bogus", Out: io.Discard}); !errors.Is(err, ErrUnknownPlanner) {
-		t.Fatalf("bogus mode err = %v, want ErrUnknownPlanner", err)
-	}
-	sys, err = Load(src, Options{Out: io.Discard})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if _, err := sys.Plan("ghost"); !errors.Is(err, ErrUnknownRule) {
 		t.Fatalf("unknown rule err = %v, want ErrUnknownRule", err)

@@ -114,25 +114,6 @@ const StorageRow Storage = "row"
 // Storages lists the accepted Options.Storage values: [StorageRow].
 func Storages() []Storage { return []Storage{StorageRow} }
 
-// Planner selects how the joiner-based matchers order LHS joins.
-type Planner string
-
-// The available planners.
-const (
-	// PlannerCost compiles greedy cost-based join orders from relation
-	// statistics and caches them per (rule, delta class), invalidating
-	// on cardinality drift (default).
-	PlannerCost Planner = "cost"
-	// PlannerFixed evaluates condition elements in LHS source order —
-	// the pre-planner behavior and the crosscheck oracle.
-	PlannerFixed Planner = "fixed"
-)
-
-// Planners lists every available planner mode.
-func Planners() []Planner {
-	return []Planner{PlannerCost, PlannerFixed}
-}
-
 // Sentinel errors; returned errors wrap these, test with errors.Is.
 var (
 	// ErrUnknownClass marks an operation naming an undeclared WM class.
@@ -143,11 +124,6 @@ var (
 	ErrUnknownStrategy = errors.New("unknown strategy")
 	// ErrUnknownStorage marks an Options.Storage not in Storages().
 	ErrUnknownStorage = errors.New("unknown storage backend")
-	// ErrUnknownPlanner marks an Options.Planner not in Planners().
-	ErrUnknownPlanner = errors.New("unknown planner")
-	// ErrNoPlanner marks a Plan call on a system running with
-	// PlannerFixed (no planner to ask).
-	ErrNoPlanner = errors.New("planner disabled")
 	// ErrUnknownRule marks a Plan call naming a rule not in the program.
 	ErrUnknownRule = errors.New("unknown rule")
 	// ErrArity marks an Assert with more values than the class has
@@ -173,12 +149,6 @@ type Options struct {
 	// Storage names the storage layout; "" and StorageRow are the only
 	// accepted values (there is one layout).
 	Storage Storage
-	// Planner selects how LHS joins are ordered in the joiner-based
-	// matchers (requery, core, marker, ptree): the default PlannerCost
-	// compiles and caches cost-based join orders from relation
-	// statistics; PlannerFixed keeps the source-order evaluation. Rete is
-	// unaffected either way.
-	Planner Planner
 	// Workers sizes the concurrent executor pool (default 4).
 	Workers int
 	// MaxFirings caps rule firings (default 10000).
@@ -256,7 +226,7 @@ type System struct {
 	quelIn  *quel.Interp
 	out     io.Writer
 	tracer  *trace.Tracer
-	planner *joiner.Planner // nil when Options.Planner == PlannerFixed
+	planner *joiner.Planner // LHS joins of the matchers and of QUEL statements
 
 	wal      *wal.Log      // non-nil while durability is active
 	recovery *RecoveryInfo // what Load recovered; nil without a WAL
@@ -272,7 +242,16 @@ type System struct {
 // Load parses, compiles and initializes a production system from OPS5
 // subset source: literalize declarations, productions, and initial facts.
 func Load(src string, opts Options) (*System, error) {
-	set, prog, err := rules.CompileSource(src)
+	prog, err := lang.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return load(prog, opts)
+}
+
+// load compiles and initializes a system from a parsed program.
+func load(prog *lang.Program, opts Options) (*System, error) {
+	set, err := rules.Compile(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -287,15 +266,8 @@ func Load(src string, opts Options) (*System, error) {
 	cs := conflict.NewSet(stats)
 	tr := trace.New() // disabled until System.Trace; emit points are no-ops
 	cs.SetTracer(tr)
-	sys := &System{set: set, prog: prog, db: db, stats: stats, tracer: tr}
-	switch opts.Planner {
-	case "", PlannerCost:
-		sys.planner = joiner.NewPlanner(db, stats)
-	case PlannerFixed:
-		// leave sys.planner nil: matchers keep LHS source order
-	default:
-		return nil, fmt.Errorf("prodsys: %w %q", ErrUnknownPlanner, opts.Planner)
-	}
+	sys := &System{set: set, prog: prog, db: db, stats: stats, tracer: tr,
+		planner: joiner.NewPlanner(db, stats)}
 	name := opts.Matcher
 	if name == "" {
 		name = MatcherCore
@@ -604,7 +576,7 @@ func (s *System) quelInterp() *quel.Interp {
 		for name, schema := range s.set.Classes {
 			classes[name] = schema.Attrs()
 		}
-		s.quelIn = quel.NewInterp(s.eng, quel.NewTranslator(classes))
+		s.quelIn = quel.NewInterp(s.eng, quel.NewTranslator(classes), s.set, s.planner)
 	}
 	return s.quelIn
 }
@@ -631,7 +603,7 @@ func (s *System) Quel(stmt string) (*QuelResult, error) {
 func LoadQuel(script, opsRules string, opts Options) (*System, error) {
 	stmts := quel.SplitStatements(script)
 	classes := map[string][]string{}
-	var classOrder []string
+	var lits []*lang.Literalize
 	var dml []*quel.Stmt
 	parsed := make([]*quel.Stmt, 0, len(stmts))
 	for _, src := range stmts {
@@ -645,18 +617,15 @@ func LoadQuel(script, opsRules string, opts Options) (*System, error) {
 				return nil, fmt.Errorf("prodsys: relation %s created twice", st.Class)
 			}
 			classes[st.Class] = st.Attrs
-			classOrder = append(classOrder, st.Class)
+			lits = append(lits, &lang.Literalize{Class: st.Class, Attrs: st.Attrs})
 		}
 	}
+	prog, err := lang.Parse(opsRules)
+	if err != nil {
+		return nil, err
+	}
+	prog.Literalizes = append(lits, prog.Literalizes...)
 	tr := quel.NewTranslator(classes)
-	var rulesSrc strings.Builder
-	for _, cls := range classOrder {
-		rulesSrc.WriteString("(literalize " + cls + " " + strings.Join(classes[cls], " ") + ")" + "\n")
-	}
-	if opsRules != "" {
-		rulesSrc.WriteString(opsRules)
-		rulesSrc.WriteString("\n")
-	}
 	for _, st := range parsed {
 		switch {
 		case st.Kind == quel.StmtCreate:
@@ -670,18 +639,16 @@ func LoadQuel(script, opsRules string, opts Options) (*System, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, p := range prods {
-				rulesSrc.WriteString(p)
-			}
+			prog.Productions = append(prog.Productions, prods...)
 		default:
 			dml = append(dml, st)
 		}
 	}
-	sys, err := Load(rulesSrc.String(), opts)
+	sys, err := load(prog, opts)
 	if err != nil {
 		return nil, err
 	}
-	sys.quelIn = quel.NewInterp(sys.eng, tr)
+	sys.quelIn = quel.NewInterp(sys.eng, tr, sys.set, sys.planner)
 	for _, st := range dml {
 		res, err := sys.quelIn.ExecStmt(st)
 		if err != nil {

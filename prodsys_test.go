@@ -523,6 +523,78 @@ append to A (x = 5)
 	}
 }
 
+// TestQuelAlwaysConjunctDirection loads one ALWAYS trigger spelled with
+// a cross-variable comparison in each direction: both load, fire
+// identically, and answer the same ad-hoc retrieves.
+func TestQuelAlwaysConjunctDirection(t *testing.T) {
+	const schema = `
+create Emp (name, salary, dno)
+create Dept (dno, dname)
+range of E is Emp
+range of D is Dept
+`
+	var systems []*System
+	for _, cmp := range []string{"D.dno > E.salary", "E.salary < D.dno"} {
+		sys, err := LoadQuel(schema+`append ALWAYS Dept (dno = 9, dname = "x") where E.dno = 1 and D.dno = 2 and `+cmp, "", Options{Out: io.Discard})
+		if err != nil {
+			t.Fatalf("%s: %v", cmp, err)
+		}
+		systems = append(systems, sys)
+	}
+	var wms []string
+	for _, sys := range systems {
+		fired := 0
+		for _, stmt := range []string{
+			`append to Emp (name = "low", salary = 1, dno = 1)`,
+			`append to Emp (name = "high", salary = 5, dno = 1)`,
+			`append to Dept (dno = 2, dname = "two")`,
+		} {
+			r, err := sys.Quel(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fired += r.Fired
+		}
+		if fired != 1 {
+			t.Fatalf("trigger fired %d times, want 1", fired)
+		}
+		for _, cmp := range []string{"D.dno > E.salary", "E.salary < D.dno"} {
+			r, err := sys.Quel(`retrieve (E.name, D.dname) where E.dno = 1 and ` + cmp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := [][]string{{"high", "x"}, {"low", "two"}, {"low", "x"}}; !reflect.DeepEqual(r.Rows, want) {
+				t.Fatalf("%s: rows %v", cmp, r.Rows)
+			}
+		}
+		wms = append(wms, sys.WM())
+	}
+	if wms[0] != wms[1] {
+		t.Fatalf("working memories differ:\n%s\n--\n%s", wms[0], wms[1])
+	}
+}
+
+// TestQuelAlwaysMultiWordString loads a trigger assigning a multi-word
+// string constant and checks that it fires.
+func TestQuelAlwaysMultiWordString(t *testing.T) {
+	sys, err := LoadQuel(`
+create Emp (name, salary, dno)
+replace ALWAYS Emp (name = "Big Boss") where Emp.salary > 100
+append to Emp (name = "Ann", salary = 500, dno = 1)
+append to Emp (name = "Bob", salary = 50, dno = 1)
+`, "", Options{Out: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sys.Quel(`retrieve (Emp.name, Emp.salary)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]string{{"Big Boss", "500"}, {"Bob", "50"}}; !reflect.DeepEqual(r.Rows, want) {
+		t.Fatalf("rows %v, want %v", r.Rows, want)
+	}
+}
+
 func TestLoadQuelErrors(t *testing.T) {
 	cases := []string{
 		`create A (x)
