@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench exact-diff check loc fmt fuzz-short trace-demo crash-demo audit-demo soak-demo failover-demo
+.PHONY: build test bench exact-diff paired check loc fmt fuzz-short trace-demo crash-demo audit-demo soak-demo failover-demo
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,17 @@ bench:
 BASE ?= HEAD~1
 exact-diff:
 	bash scripts/exact-diff.sh $(BASE)
+
+# paired runs the untraced benchmark PAIRS times on BASE and on the working
+# tree, alternating which goes first, and prints per-pair ratios, medians,
+# quartiles and win counts for every end-to-end metric — the evidence a
+# performance claim needs.
+PAIRS ?= 10
+WORKLOAD ?= jobshop-fire
+SECONDS ?= 15
+SEED ?= 1
+paired:
+	bash scripts/paired.sh $(BASE) $(PAIRS) $(WORKLOAD) $(SECONDS) $(SEED)
 
 # check is the extended verification: static analysis, formatting, and
 # the full test suite under the race detector. staticcheck runs when

@@ -39,7 +39,7 @@ func newMatcher(b *testing.B, src, name string) (*relation.DB, match.Matcher, *m
 	if err := rules.BuildDB(set, db); err != nil {
 		b.Fatal(err)
 	}
-	m, err := matchers.New(name, set, db, conflict.NewSet(stats), stats)
+	m, err := matchers.New(name, set, db, conflict.NewSet(set, stats), stats)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func BenchmarkE7ConcurrentThroughput(b *testing.B) {
 				if err := rules.BuildDB(set, db); err != nil {
 					b.Fatal(err)
 				}
-				m := core.New(set, db, conflict.NewSet(stats), stats)
+				m := core.New(set, db, conflict.NewSet(set, stats), stats)
 				e := engine.New(set, db, m, stats, engine.Config{Workers: workers, Out: io.Discard})
 				for _, op := range facts {
 					if _, err := e.Assert(op.Class, op.Tuple); err != nil {
@@ -334,7 +334,7 @@ func BenchmarkBatchAssert(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		m, err := matchers.New(name, set, db, conflict.NewSet(stats), stats)
+		m, err := matchers.New(name, set, db, conflict.NewSet(set, stats), stats)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -412,7 +412,7 @@ func BenchmarkBatchAssert(b *testing.B) {
 		if err := rules.BuildDB(set, db); err != nil {
 			b.Fatal(err)
 		}
-		m, err := matchers.New(name, set, db, conflict.NewSet(stats), stats)
+		m, err := matchers.New(name, set, db, conflict.NewSet(set, stats), stats)
 		if err != nil {
 			b.Fatal(err)
 		}

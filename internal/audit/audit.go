@@ -174,36 +174,36 @@ func (a *Auditor) auditConflictSet(selected []*rules.Rule, emit func(match.Diver
 	for _, r := range selected {
 		sel[r.Name] = true
 	}
-	actual := map[string]map[string]bool{}
+	actual := map[string]map[conflict.Key]*conflict.Instantiation{}
 	for _, in := range cs.SelectAll() {
 		if !sel[in.Rule.Name] {
 			continue
 		}
 		set := actual[in.Rule.Name]
 		if set == nil {
-			set = map[string]bool{}
+			set = map[conflict.Key]*conflict.Instantiation{}
 			actual[in.Rule.Name] = set
 		}
-		set[in.Key()] = true
+		set[in.Key()] = in
 	}
 	for _, r := range selected {
-		expected := map[string]bool{}
+		expected := map[conflict.Key]*conflict.Instantiation{}
 		joiner.Enumerate(a.db, r, nil, nil, a.stats, func(ids []relation.TupleID, _ []relation.Tuple, _ rules.Bindings) {
-			in := conflict.Instantiation{Rule: r, TupleIDs: ids}
+			in := &conflict.Instantiation{Rule: r, TupleIDs: ids}
 			if key := in.Key(); !cs.HasFired(key) {
-				expected[key] = true
+				expected[key] = in
 			}
 		})
 		act := actual[r.Name]
-		for k := range expected {
-			if !act[k] {
-				emit(match.Divergence{Class: match.DivConflictMissing, Rule: r.Name, CE: -1, Key: k,
+		for k, in := range expected {
+			if act[k] == nil {
+				emit(match.Divergence{Class: match.DivConflictMissing, Rule: r.Name, CE: -1, Key: in.KeyString(),
 					Expected: "instantiation in conflict set", Actual: "absent"})
 			}
 		}
-		for k := range act {
-			if !expected[k] {
-				emit(match.Divergence{Class: match.DivConflictPhantom, Rule: r.Name, CE: -1, Key: k,
+		for k, in := range act {
+			if expected[k] == nil {
+				emit(match.Divergence{Class: match.DivConflictPhantom, Rule: r.Name, CE: -1, Key: in.KeyString(),
 					Expected: "absent", Actual: "instantiation in conflict set"})
 			}
 		}
@@ -244,24 +244,29 @@ func (a *Auditor) repair(rep *Report) error {
 		if recon != nil && !recon[r.Name] {
 			continue
 		}
-		expected := map[string]*conflict.Instantiation{}
+		expected := map[conflict.Key]*conflict.Instantiation{}
 		joiner.Enumerate(a.db, r, nil, nil, a.stats, func(ids []relation.TupleID, tuples []relation.Tuple, b rules.Bindings) {
 			in := &conflict.Instantiation{Rule: r, TupleIDs: ids, Tuples: tuples, Bindings: b}
-			if !cs.HasFired(in.Key()) {
-				expected[in.Key()] = in
+			if key := in.Key(); !cs.HasFired(key) {
+				expected[key] = in
 			}
 		})
 		name := r.Name
 		cs.RemoveWhere(func(in *conflict.Instantiation) bool {
 			return in.Rule.Name == name && expected[in.Key()] == nil
 		})
-		keys := make([]string, 0, len(expected))
-		for k := range expected {
-			keys = append(keys, k)
+		// Deterministic Seq assignment for the additions: rendered-key order.
+		type keyed struct {
+			key string
+			in  *conflict.Instantiation
 		}
-		sort.Strings(keys) // deterministic Seq assignment for the additions
-		for _, k := range keys {
-			cs.Add(expected[k])
+		add := make([]keyed, 0, len(expected))
+		for _, in := range expected {
+			add = append(add, keyed{in.KeyString(), in})
+		}
+		sort.Slice(add, func(i, j int) bool { return add[i].key < add[j].key })
+		for _, k := range add {
+			cs.Add(k.in)
 		}
 	}
 

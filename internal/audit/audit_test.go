@@ -27,7 +27,7 @@ func buildMatcher(t *testing.T, name string) (*rules.Set, *relation.DB, match.Ma
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
-	m, err := matchers.New(name, set, db, conflict.NewSet(stats), stats)
+	m, err := matchers.New(name, set, db, conflict.NewSet(set, stats), stats)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,5 +145,5 @@ func Corrupt(m match.Matcher, rng *rand.Rand) string {
 	}
 	in := items[rng.Intn(len(items))]
 	m.ConflictSet().Remove(in.Key())
-	return fmt.Sprintf("conflict: dropped instantiation %s", in.Key())
+	return fmt.Sprintf("conflict: dropped instantiation %s", in.KeyString())
 }

@@ -7,10 +7,19 @@
 // outputs "the applicable productions ... together with the token that
 // caused the rule to become active" (paper §2.2). Refraction — never
 // firing the same instantiation twice — is enforced here, as in OPS5.
+//
+// The set is an agenda: live instantiations sit on a doubly-linked list in
+// arrival (Seq) order, so Select under FIFO takes the first eligible one
+// from the head and the other strategies see their candidates already in
+// order, with no per-cycle sort. Instantiations are keyed by Key, a
+// comparable struct of the rule's index and its tuple IDs; the string
+// form "rule|id|id" is rendered only for the log, traces and Keys.
 package conflict
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -24,7 +33,7 @@ import (
 )
 
 // Instantiation is one satisfied rule together with the tuples that
-// satisfy its positive condition elements.
+// satisfy its positive condition elements. It belongs to at most one Set.
 type Instantiation struct {
 	Rule *rules.Rule
 	// TupleIDs is aligned with Rule.CEs; negated condition elements hold
@@ -37,17 +46,109 @@ type Instantiation struct {
 	Bindings rules.Bindings
 	// Seq is the arrival order assigned by the conflict set.
 	Seq uint64
+
+	// The owning Set's bookkeeping, guarded by its mutex: the agenda
+	// links, the supporting-tuple links, and whether the key was already
+	// fired when the instantiation arrived (a re-derivation that
+	// refraction keeps from being selected).
+	prev, next *Instantiation
+	sup        *support
+	refracted  bool
 }
 
-// Key identifies the instantiation: rule name plus the matched tuple IDs.
-func (in *Instantiation) Key() string {
+// inlineIDs is how many tuple IDs a Key holds without allocating.
+const inlineIDs = 6
+
+// Key identifies an instantiation: its rule's position in the rule set
+// plus the matched tuple IDs. It is comparable, so the conflict set keys
+// its maps on it directly. Keys of one Set come from the rules.Set it was
+// created with.
+type Key struct {
+	rule int32
+	// ids holds the tuple IDs of a rule with at most inlineIDs condition
+	// elements when each fits in 32 bits. Otherwise every ID is packed
+	// into spill, 8 little-endian bytes each, and ids stays zero.
+	ids   [inlineIDs]uint32
+	spill string
+}
+
+// Key returns the instantiation's key. It allocates only for rules with
+// more than inlineIDs condition elements, or a tuple ID of 2^32 or more.
+func (in *Instantiation) Key() Key { return makeKey(in.Rule.Index, in.TupleIDs) }
+
+func makeKey(rule int, ids []relation.TupleID) Key {
+	k := Key{rule: int32(rule)}
+	if len(ids) <= inlineIDs {
+		inline := true
+		for i, id := range ids {
+			k.ids[i] = uint32(id)
+			inline = inline && id <= math.MaxUint32
+		}
+		if inline {
+			return k
+		}
+		k.ids = [inlineIDs]uint32{}
+	}
 	var b strings.Builder
+	b.Grow(8 * len(ids))
+	var buf [8]byte
+	for _, id := range ids {
+		binary.LittleEndian.PutUint64(buf[:], uint64(id))
+		b.Write(buf[:])
+	}
+	k.spill = b.String()
+	return k
+}
+
+// KeyString renders the instantiation's key as "rule|id|id" (one ID per
+// condition element, zero at negated ones): the form the write-ahead
+// log, traces and Keys carry.
+func (in *Instantiation) KeyString() string {
+	var b strings.Builder
+	b.Grow(len(in.Rule.Name) + 8*len(in.TupleIDs))
 	b.WriteString(in.Rule.Name)
+	var buf [20]byte
 	for _, id := range in.TupleIDs {
 		b.WriteByte('|')
-		b.WriteString(strconv.FormatUint(uint64(id), 10))
+		b.Write(strconv.AppendUint(buf[:0], uint64(id), 10))
 	}
 	return b.String()
+}
+
+// ParseKey resolves a rendered key against the rule set that produced
+// it. ok is false when no rule of set has the name, or the key's ID count
+// differs from the rule's condition elements.
+func ParseKey(set *rules.Set, s string) (Key, bool) {
+	// Rule names may contain '|', so try each split point.
+	for i := strings.IndexByte(s, '|'); i >= 0; {
+		if r, ok := set.RuleByName(s[:i]); ok {
+			if ids, ok := parseIDs(s[i+1:], len(r.CEs)); ok {
+				return makeKey(r.Index, ids), true
+			}
+		}
+		j := strings.IndexByte(s[i+1:], '|')
+		if j < 0 {
+			break
+		}
+		i += 1 + j
+	}
+	return Key{}, false
+}
+
+func parseIDs(s string, n int) ([]relation.TupleID, bool) {
+	fields := strings.Split(s, "|")
+	if len(fields) != n {
+		return nil, false
+	}
+	ids := make([]relation.TupleID, n)
+	for i, f := range fields {
+		id, err := strconv.ParseUint(f, 10, 64)
+		if err != nil {
+			return nil, false
+		}
+		ids[i] = relation.TupleID(id)
+	}
+	return ids, true
 }
 
 // Recency is the largest tuple ID among the matched tuples — the OPS5
@@ -75,44 +176,99 @@ func (in *Instantiation) String() string {
 	return in.Rule.Name + "[" + strings.Join(ids, " ") + "]"
 }
 
-// tupleRef locates one tuple occurrence inside an instantiation.
+// tupleRef names one working-memory tuple: its class, by the rule set's
+// dense class ID, and its ID within the class.
 type tupleRef struct {
-	class string
+	class int32
 	id    relation.TupleID
 }
 
-// tupleIndex maps a tuple to the keys of the instantiations it supports.
-type tupleIndex map[tupleRef]map[string]struct{}
-
-func (ix tupleIndex) link(ref tupleRef, key string) {
-	set := ix[ref]
-	if set == nil {
-		set = make(map[string]struct{})
-		ix[ref] = set
-	}
-	set[key] = struct{}{}
+// support is what an instantiation rests on: one link per supporting
+// tuple. While the instantiation is live the links thread it into
+// byTuple. When it fires they move to firedBy, and the support outlives
+// the instantiation as its refraction mark.
+type support struct {
+	in     *Instantiation // the live instantiation; nil once it left the set
+	rule   *rules.Rule
+	links  []tupleLink
+	inline [2]tupleLink // the links of rules with at most two positive CEs
 }
 
-func (ix tupleIndex) unlink(ref tupleRef, key string) {
-	if set := ix[ref]; set != nil {
-		delete(set, key)
-		if len(set) == 0 {
-			delete(ix, ref)
+// key rebuilds the instantiation's key from the links, the IDs of
+// negated condition elements being zero.
+func (sup *support) key() Key {
+	n := len(sup.rule.CEs)
+	var buf [inlineIDs]relation.TupleID
+	ids := buf[:min(n, inlineIDs)]
+	if n > inlineIDs {
+		ids = make([]relation.TupleID, n)
+	}
+	for _, l := range sup.links {
+		ids[l.ce] = l.id
+	}
+	return makeKey(sup.rule.Index, ids)
+}
+
+// tupleLink is one node of a per-tuple list. Each list is circular and
+// doubly linked, its head held by a tupleIndex. Links are appended as
+// instantiations arrive, so a byTuple list is in Seq order, and the two
+// links of an instantiation that uses one tuple twice are adjacent.
+type tupleLink struct {
+	sup        *support
+	prev, next *tupleLink
+	id         relation.TupleID
+	class      int32 // the tuple's class ID
+	ce         int32 // the condition element the tuple fills
+}
+
+func (l *tupleLink) ref() tupleRef { return tupleRef{class: l.class, id: l.id} }
+
+// tupleIndex maps a tuple to the head of its list of links.
+type tupleIndex map[tupleRef]*tupleLink
+
+func (ix tupleIndex) link(l *tupleLink) {
+	head := ix[l.ref()]
+	if head == nil {
+		l.prev, l.next = l, l
+		ix[l.ref()] = l
+		return
+	}
+	tail := head.prev
+	l.prev, l.next = tail, head
+	tail.next, head.prev = l, l
+}
+
+func (ix tupleIndex) unlink(l *tupleLink) {
+	if l.next == l {
+		delete(ix, l.ref())
+	} else {
+		l.prev.next, l.next.prev = l.next, l.prev
+		if ix[l.ref()] == l {
+			ix[l.ref()] = l.next
 		}
 	}
+	l.prev, l.next = nil, nil
 }
 
 // Set is the conflict set. All methods are safe for concurrent use.
 type Set struct {
-	mu      sync.Mutex
-	items   map[string]*Instantiation
-	byTuple tupleIndex
-	// fired maps each refracted key to the tuples supporting it and
-	// firedBy is the reverse index, so ForgetTuple can drop the keys a
-	// deleted tuple supported: tuple IDs are never reused, so such a key
-	// can never be derived again and its mark is dead weight.
-	fired    map[string][]tupleRef
+	mu sync.Mutex
+	// rules resolves class names to the dense class IDs tuples are
+	// indexed by.
+	rules *rules.Set
+	items map[Key]*Instantiation
+	// head and tail bound the agenda: every live instantiation, in Seq
+	// order.
+	head, tail *Instantiation
+	byTuple    tupleIndex
+	// fired holds the refraction marks. A mark made while its
+	// instantiation was live keeps that instantiation's support, linked
+	// into firedBy, so ForgetTuple can drop the marks a deleted tuple
+	// supported: tuple IDs are never reused, so such a key can never be
+	// derived again. A nil support marks a key for good.
+	fired    map[Key]*support
 	firedBy  tupleIndex
+	cands    sync.Pool // *[]*Instantiation: Select's candidate buffers
 	seq      uint64
 	stats    *metrics.Set
 	observer func(added bool, in *Instantiation)
@@ -138,12 +294,14 @@ func (s *Set) SetObserver(fn func(added bool, in *Instantiation)) {
 	s.observer = fn
 }
 
-// NewSet creates an empty conflict set. stats may be nil.
-func NewSet(stats *metrics.Set) *Set {
+// NewSet creates an empty conflict set for the instantiations of rs's
+// rules. stats may be nil.
+func NewSet(rs *rules.Set, stats *metrics.Set) *Set {
 	return &Set{
-		items:   make(map[string]*Instantiation),
+		rules:   rs,
+		items:   make(map[Key]*Instantiation),
 		byTuple: make(tupleIndex),
-		fired:   make(map[string][]tupleRef),
+		fired:   make(map[Key]*support),
 		firedBy: make(tupleIndex),
 		stats:   stats,
 	}
@@ -169,17 +327,13 @@ func (s *Set) AddAll(ins []*Instantiation) int {
 		s.seq++
 		in.Seq = s.seq
 		s.items[key] = in
-		for i, id := range in.TupleIDs {
-			if in.Rule.CEs[i].Negated || id == 0 {
-				continue
-			}
-			s.byTuple.link(tupleRef{class: in.Rule.CEs[i].Class, id: id}, key)
-		}
+		s.linkLocked(in)
+		_, in.refracted = s.fired[key]
 		s.stats.Inc(metrics.Instantiations)
 		if s.tr.Enabled() {
 			s.tr.Emit(trace.Event{
 				Kind: trace.KindActivation, At: s.tr.Now(),
-				Rule: in.Rule.Name, CE: -1, ID: in.Seq, Extra: key,
+				Rule: in.Rule.Name, CE: -1, ID: in.Seq, Extra: in.KeyString(),
 			})
 		}
 		if s.observer != nil {
@@ -190,79 +344,141 @@ func (s *Set) AddAll(ins []*Instantiation) int {
 	return added
 }
 
-// removeLocked unlinks one instantiation. Caller holds mu.
-func (s *Set) removeLocked(key string) bool {
-	in, ok := s.items[key]
-	if !ok {
-		return false
+// linkLocked appends in to the agenda and threads a fresh support into
+// byTuple. Caller holds mu.
+func (s *Set) linkLocked(in *Instantiation) {
+	in.prev, in.next = s.tail, nil
+	if s.tail != nil {
+		s.tail.next = in
+	} else {
+		s.head = in
 	}
-	delete(s.items, key)
+	s.tail = in
+
+	n := 0
 	for i, id := range in.TupleIDs {
-		if in.Rule.CEs[i].Negated || id == 0 {
+		if !in.Rule.CEs[i].Negated && id != 0 {
+			n++
+		}
+	}
+	sup := &support{in: in, rule: in.Rule}
+	sup.links = sup.inline[:0]
+	if n > len(sup.inline) {
+		sup.links = make([]tupleLink, 0, n)
+	}
+	for i, id := range in.TupleIDs {
+		ce := in.Rule.CEs[i]
+		if ce.Negated || id == 0 {
 			continue
 		}
-		s.byTuple.unlink(tupleRef{class: in.Rule.CEs[i].Class, id: id}, key)
+		sup.links = append(sup.links, tupleLink{sup: sup, id: id, class: int32(ce.ClassID), ce: int32(i)})
 	}
+	for i := range sup.links {
+		s.byTuple.link(&sup.links[i])
+	}
+	in.sup = sup
+}
+
+// removeLocked takes a live instantiation off the agenda and out of
+// byTuple. Caller holds mu.
+func (s *Set) removeLocked(in *Instantiation) {
+	sup := in.sup
+	delete(s.items, in.Key())
+	if in.prev != nil {
+		in.prev.next = in.next
+	} else {
+		s.head = in.next
+	}
+	if in.next != nil {
+		in.next.prev = in.prev
+	} else {
+		s.tail = in.prev
+	}
+	in.prev, in.next = nil, nil
+	for i := range sup.links {
+		s.byTuple.unlink(&sup.links[i])
+	}
+	sup.in = nil
 	s.stats.Inc(metrics.Retractions)
 	if s.tr.Enabled() {
 		s.tr.Emit(trace.Event{
 			Kind: trace.KindDeactivation, At: s.tr.Now(),
-			Rule: in.Rule.Name, CE: -1, ID: in.Seq, Extra: key,
+			Rule: in.Rule.Name, CE: -1, ID: in.Seq, Extra: in.KeyString(),
 		})
 	}
 	if s.observer != nil {
 		s.observer(false, in)
 	}
-	return true
 }
 
 // Remove deletes the instantiation with the given key, reporting whether
 // it was present.
-func (s *Set) Remove(key string) bool {
+func (s *Set) Remove(key Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.removeLocked(key)
+	in := s.items[key]
+	if in == nil {
+		return false
+	}
+	s.removeLocked(in)
+	return true
+}
+
+// resolve names a tuple of the named class; ok is false when the set's
+// rules.Set declares no such class.
+func (s *Set) resolve(class string, id relation.TupleID) (tupleRef, bool) {
+	cid, ok := s.rules.ClassID(class)
+	return tupleRef{class: int32(cid), id: id}, ok
 }
 
 // RemoveByTuple retracts every instantiation supported by the given
-// working-memory tuple (invoked when the tuple is deleted) and returns
-// the retracted instantiations.
+// working-memory tuple when the tuple is deleted, and returns the
+// retracted instantiations in Seq order.
 func (s *Set) RemoveByTuple(class string, id relation.TupleID) []*Instantiation {
+	ref, ok := s.resolve(class, id)
+	if !ok {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ref := tupleRef{class: class, id: id}
-	keys := s.byTuple[ref]
-	out := make([]*Instantiation, 0, len(keys))
-	for key := range keys {
-		if in, ok := s.items[key]; ok {
+	head := s.byTuple[ref]
+	if head == nil {
+		return nil
+	}
+	var out []*Instantiation
+	for l := head; ; {
+		if in := l.sup.in; len(out) == 0 || out[len(out)-1] != in {
 			out = append(out, in)
+		}
+		if l = l.next; l == head {
+			break
 		}
 	}
 	for _, in := range out {
-		s.removeLocked(in.Key())
+		s.removeLocked(in)
 	}
 	return out
 }
 
 // RemoveWhere retracts every instantiation for which pred returns true
-// and returns the retracted instantiations.
+// and returns the retracted instantiations in Seq order.
 func (s *Set) RemoveWhere(pred func(*Instantiation) bool) []*Instantiation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []*Instantiation
-	for _, in := range s.items {
+	for in := s.head; in != nil; in = in.next {
 		if pred(in) {
 			out = append(out, in)
 		}
 	}
 	for _, in := range out {
-		s.removeLocked(in.Key())
+		s.removeLocked(in)
 	}
 	return out
 }
 
 // Contains reports whether the keyed instantiation is present.
-func (s *Set) Contains(key string) bool {
+func (s *Set) Contains(key Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.items[key]
@@ -276,26 +492,25 @@ func (s *Set) Len() int {
 	return len(s.items)
 }
 
-// Items returns the live instantiations in deterministic (Seq) order.
+// Items returns the live instantiations in Seq order.
 func (s *Set) Items() []*Instantiation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]*Instantiation, 0, len(s.items))
-	for _, in := range s.items {
+	for in := s.head; in != nil; in = in.next {
 		out = append(out, in)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
-// Keys returns the sorted keys of the live instantiations; the primary
-// tool of the cross-matcher agreement tests.
+// Keys returns the rendered keys of the live instantiations, sorted; the
+// primary tool of the cross-matcher agreement tests.
 func (s *Set) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]string, 0, len(s.items))
-	for k := range s.items {
-		out = append(out, k)
+	for in := s.head; in != nil; in = in.next {
+		out = append(out, in.KeyString())
 	}
 	sort.Strings(out)
 	return out
@@ -306,28 +521,29 @@ func (s *Set) Keys() []string {
 // after a negated condition element blocks and later unblocks it. The
 // mark lasts until ForgetTuple reports one of the supporting tuples
 // deleted; a key with no live instantiation is marked for good.
-func (s *Set) MarkFired(key string) {
+func (s *Set) MarkFired(key Key) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, marked := s.fired[key]; !marked {
-		var refs []tupleRef
-		if in := s.items[key]; in != nil {
-			for i, id := range in.TupleIDs {
-				if in.Rule.CEs[i].Negated || id == 0 {
-					continue
-				}
-				ref := tupleRef{class: in.Rule.CEs[i].Class, id: id}
-				refs = append(refs, ref)
-				s.firedBy.link(ref, key)
-			}
-		}
-		s.fired[key] = refs
+	in := s.items[key]
+	if in != nil {
+		s.removeLocked(in)
 	}
-	s.removeLocked(key)
+	if _, marked := s.fired[key]; marked {
+		return
+	}
+	if in == nil {
+		s.fired[key] = nil
+		return
+	}
+	sup := in.sup
+	for i := range sup.links {
+		s.firedBy.link(&sup.links[i])
+	}
+	s.fired[key] = sup
 }
 
 // HasFired reports whether the keyed instantiation already fired.
-func (s *Set) HasFired(key string) bool {
+func (s *Set) HasFired(key Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, marked := s.fired[key]
@@ -345,37 +561,60 @@ func (s *Set) FiredLen() int {
 // the given working-memory tuple supported. The engine calls it once a
 // unit that deleted the tuple can no longer be rolled back.
 func (s *Set) ForgetTuple(class string, id relation.TupleID) {
+	ref, ok := s.resolve(class, id)
+	if !ok {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	gone := tupleRef{class: class, id: id}
-	for key := range s.firedBy[gone] {
-		for _, ref := range s.fired[key] {
-			if ref != gone {
-				s.firedBy.unlink(ref, key)
-			}
+	for head := s.firedBy[ref]; head != nil; head = s.firedBy[ref] {
+		sup := head.sup
+		for i := range sup.links {
+			s.firedBy.unlink(&sup.links[i])
 		}
+		key := sup.key()
 		delete(s.fired, key)
+		if in := s.items[key]; in != nil {
+			in.refracted = false
+		}
 	}
-	delete(s.firedBy, gone)
 }
 
 // Select picks the next instantiation to fire under the given strategy,
 // skipping fired ones. It returns nil when no eligible instantiation
-// exists (the production system halts, §2.1).
+// exists (the production system halts, §2.1). FIFO takes the first
+// eligible instantiation off the agenda; any other strategy is handed
+// every eligible one, in Seq order, in a reused buffer.
 func (s *Set) Select(strategy Strategy) *Instantiation {
 	s.mu.Lock()
-	cands := make([]*Instantiation, 0, len(s.items))
-	for key, in := range s.items {
-		if _, marked := s.fired[key]; !marked {
+	if _, fifo := strategy.(FIFO); fifo {
+		defer s.mu.Unlock()
+		for in := s.head; in != nil; in = in.next {
+			if !in.refracted {
+				return in
+			}
+		}
+		return nil
+	}
+	buf, _ := s.cands.Get().(*[]*Instantiation)
+	if buf == nil {
+		buf = new([]*Instantiation)
+	}
+	cands := (*buf)[:0]
+	for in := s.head; in != nil; in = in.next {
+		if !in.refracted {
 			cands = append(cands, in)
 		}
 	}
 	s.mu.Unlock()
-	if len(cands) == 0 {
-		return nil
+	var pick *Instantiation
+	if len(cands) > 0 {
+		pick = strategy.Select(cands)
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Seq < cands[j].Seq })
-	return strategy.Select(cands)
+	clear(cands) // a pooled buffer must not keep retracted instantiations alive
+	*buf = cands[:0]
+	s.cands.Put(buf)
+	return pick
 }
 
 // SelectAll returns every eligible (unfired) instantiation in Seq order;
@@ -384,12 +623,11 @@ func (s *Set) SelectAll() []*Instantiation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]*Instantiation, 0, len(s.items))
-	for key, in := range s.items {
-		if _, marked := s.fired[key]; !marked {
+	for in := s.head; in != nil; in = in.next {
+		if !in.refracted {
 			out = append(out, in)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
@@ -397,9 +635,10 @@ func (s *Set) SelectAll() []*Instantiation {
 func (s *Set) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.items = make(map[string]*Instantiation)
+	s.items = make(map[Key]*Instantiation)
+	s.head, s.tail = nil, nil
 	s.byTuple = make(tupleIndex)
-	s.fired = make(map[string][]tupleRef)
+	s.fired = make(map[Key]*support)
 	s.firedBy = make(tupleIndex)
 	s.seq = 0
 }

@@ -109,12 +109,12 @@ func runExactAgreement(t *testing.T, r *rand.Rand, src string, wantExact, batche
 		t.Fatal(err)
 	}
 	exactStats, verifyStats := &metrics.Set{}, &metrics.Set{}
-	exact := New(set, db, conflict.NewSet(exactStats), exactStats)
+	exact := New(set, db, conflict.NewSet(set, exactStats), exactStats)
 	exact.SetPlanner(joiner.NewPlanner(db, exactStats))
-	verify := New(set, db, conflict.NewSet(verifyStats), verifyStats)
+	verify := New(set, db, conflict.NewSet(set, verifyStats), verifyStats)
 	verify.SetPlanner(joiner.NewPlanner(db, verifyStats))
 	verify.verifyAll()
-	oracle := requery.New(set, db, conflict.NewSet(nil), &metrics.Set{})
+	oracle := requery.New(set, db, conflict.NewSet(set, nil), &metrics.Set{})
 	matchers := []match.Matcher{exact, verify, oracle}
 
 	for _, ci := range exact.cond {
@@ -206,7 +206,7 @@ func runExactAgreement(t *testing.T, r *rand.Rand, src string, wantExact, batche
 func instByKey(cs *conflict.Set) map[string]*conflict.Instantiation {
 	out := map[string]*conflict.Instantiation{}
 	for _, in := range cs.Items() {
-		out[in.Key()] = in
+		out[in.KeyString()] = in
 	}
 	return out
 }
@@ -214,7 +214,7 @@ func instByKey(cs *conflict.Set) map[string]*conflict.Instantiation {
 func seqKeys(cs *conflict.Set) []string {
 	var out []string
 	for _, in := range cs.Items() {
-		out = append(out, in.Key())
+		out = append(out, in.KeyString())
 	}
 	return out
 }

@@ -38,7 +38,7 @@ func newBatchEngine(t *testing.T, src, kind string) *batchEngine {
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
-	m, err := matchers.New(kind, set, db, conflict.NewSet(stats), stats)
+	m, err := matchers.New(kind, set, db, conflict.NewSet(set, stats), stats)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func allMatchers(t *testing.T, set *rules.Set, db *relation.DB) []match.Matcher 
 	t.Helper()
 	var out []match.Matcher
 	for _, name := range matchers.Names() {
-		m, err := matchers.New(name, set, db, conflict.NewSet(nil), &metrics.Set{})
+		m, err := matchers.New(name, set, db, conflict.NewSet(set, nil), &metrics.Set{})
 		if err != nil {
 			t.Fatal(err)
 		}

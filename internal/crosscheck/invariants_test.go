@@ -28,9 +28,9 @@ func TestStorageDrainsToZero(t *testing.T) {
 		if err := rules.BuildDB(set, db); err != nil {
 			t.Fatal(err)
 		}
-		reteM := rete.New(set, conflict.NewSet(nil), &metrics.Set{})
-		coreM := core.New(set, db, conflict.NewSet(nil), &metrics.Set{})
-		markerM := marker.New(set, db, conflict.NewSet(nil), &metrics.Set{})
+		reteM := rete.New(set, conflict.NewSet(set, nil), &metrics.Set{})
+		coreM := core.New(set, db, conflict.NewSet(set, nil), &metrics.Set{})
+		markerM := marker.New(set, db, conflict.NewSet(set, nil), &metrics.Set{})
 		matchers := []interface {
 			Insert(string, relation.TupleID, relation.Tuple) error
 			Delete(string, relation.TupleID, relation.Tuple) error

@@ -3,6 +3,7 @@ package crosscheck
 import (
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"prodsys/internal/engine"
@@ -103,7 +104,7 @@ func TestBlockedKeyStaysRefracted(t *testing.T) {
 			if err := e.Retract("Done", done[0]); err != nil {
 				t.Fatal(err)
 			}
-			if !e.ConflictSet().Contains("finish|1|0") {
+			if !slices.Contains(e.ConflictSet().Keys(), "finish|1|0") {
 				t.Fatalf("unblocked instantiation not re-derived: %v", e.ConflictSet().Keys())
 			}
 			if res, err := e.RunSerial(); err != nil || res.Firings != 0 {

@@ -194,7 +194,7 @@ func TestSerialOpsCounted(t *testing.T) {
 	if got := e.stats.Get(metrics.SerialOps); got != 4 {
 		t.Fatalf("SerialOps = %d, want 4", got)
 	}
-	if got := e.stats.Get(metrics.Counter("updates_A")); got != 4 {
+	if got := e.stats.Named("updates_A").Load(); got != 4 {
 		t.Fatalf("updates_A = %d, want 4", got)
 	}
 }

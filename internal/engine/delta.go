@@ -133,7 +133,7 @@ func (e *Engine) applyDeltaLocked(ops []DeltaOp, rec *opRecorder) ([]relation.Tu
 				opErr = err
 				break
 			}
-			e.stats.Inc(metrics.Counter("updates_" + op.Class))
+			e.updates(op.Class).Inc()
 			rec.deleted(op.Class, op.ID, t)
 			if inserted[born{op.Class, op.ID}] && delta.CancelInsert(op.Class, op.ID) {
 				continue // net zero: born and died within this batch
@@ -154,9 +154,9 @@ func (e *Engine) applyDeltaLocked(ops []DeltaOp, rec *opRecorder) ([]relation.Tu
 			opErr = err
 			break
 		}
+		e.updates(op.Class).Add(int64(len(entries)))
 		for k, ent := range entries {
 			ids[i+k] = ent.ID
-			e.stats.Inc(metrics.Counter("updates_" + op.Class))
 			rec.inserted(op.Class, ent.ID, ent.Tuple)
 			inserted[born{op.Class, ent.ID}] = true
 			delta.AddInsert(op.Class, ent.ID, ent.Tuple)

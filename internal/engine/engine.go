@@ -154,6 +154,10 @@ type Engine struct {
 	// inserts into them take a relation-level write lock (§5.2).
 	negClasses map[string]bool
 
+	// updateCells holds each declared class's updates_<class> counter,
+	// resolved once so a WM change increments it without a lookup by name.
+	updateCells map[string]*metrics.Cell
+
 	// funcs holds the Go callbacks reachable from call actions.
 	funcs map[string]CallFunc
 
@@ -211,20 +215,33 @@ func New(set *rules.Set, db *relation.DB, matcher match.Matcher, stats *metrics.
 			}
 		}
 	}
+	updates := make(map[string]*metrics.Cell, len(set.Classes))
+	for class := range set.Classes {
+		updates[class] = stats.Named("updates_" + class)
+	}
 	locks := lock.NewManager(stats)
 	locks.SetTracer(cfg.Tracer)
 	return &Engine{
-		set:        set,
-		db:         db,
-		matcher:    matcher,
-		cs:         matcher.ConflictSet(),
-		stats:      stats,
-		locks:      locks,
-		cfg:        cfg,
-		tr:         cfg.Tracer,
-		negClasses: neg,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		set:         set,
+		db:          db,
+		matcher:     matcher,
+		cs:          matcher.ConflictSet(),
+		stats:       stats,
+		locks:       locks,
+		cfg:         cfg,
+		tr:          cfg.Tracer,
+		negClasses:  neg,
+		updateCells: updates,
+		rng:         rand.New(rand.NewSource(cfg.Seed)),
 	}
+}
+
+// updates returns the updates_<class> counter of class.
+func (e *Engine) updates(class string) *metrics.Cell {
+	if c, ok := e.updateCells[class]; ok {
+		return c
+	}
+	return e.stats.Named("updates_" + class)
 }
 
 // DB exposes the working-memory catalog.
@@ -424,9 +441,10 @@ func (e *Engine) Shutdown() error {
 // durability.
 type unit struct {
 	scope string // names the unit in a contained panic's error
-	// key is a firing's instantiation key: the unit is logged as a txn
-	// unit, so replay restores refraction. "" logs a batch unit.
-	key   string
+	// inst is a firing's instantiation: the unit is logged as a txn unit
+	// under its rendered key, so replay restores refraction. nil logs a
+	// batch unit.
+	inst  *conflict.Instantiation
 	txn   lock.TxnID // owner of locks
 	locks []lockReq  // 2PL plan, in acquisition order
 	// lockTimeout, when positive, bounds the acquisition of the whole
@@ -528,9 +546,9 @@ func (e *Engine) runLocked(u unit) (*wal.Log, uint64, error) {
 	// key must survive a restart to keep the instantiation refracted.
 	var l *wal.Log
 	var seq uint64
-	if e.wal != nil && (len(rec.ops) > 0 || (err == nil && u.key != "")) {
+	if e.wal != nil && (len(rec.ops) > 0 || (err == nil && u.inst != nil)) {
 		var lerr error
-		l, seq, lerr = e.logLocked(u.key, rec)
+		l, seq, lerr = e.logLocked(u.inst, rec)
 		if err == nil {
 			err = lerr
 		}
@@ -557,14 +575,14 @@ func (e *Engine) runLocked(u unit) (*wal.Log, uint64, error) {
 //   - Append failure after records landed (the inline sync of
 //     SyncAlways/SyncInterval), or a checkpoint failure: the unit IS in
 //     the log, so memory is kept and only the degradation flag flips.
-func (e *Engine) logLocked(key string, rec *opRecorder) (*wal.Log, uint64, error) {
+func (e *Engine) logLocked(in *conflict.Instantiation, rec *opRecorder) (*wal.Log, uint64, error) {
 	l := e.wal
 	before := l.LastSeq()
 	var aerr error
-	if key == "" {
+	if in == nil {
 		aerr = l.AppendBatch(rec.ops)
 	} else {
-		aerr = l.AppendTxn(key, rec.ops)
+		aerr = l.AppendTxn(in.KeyString(), rec.ops)
 	}
 	if aerr != nil {
 		if l.LastSeq() == before {
@@ -616,13 +634,15 @@ func (e *Engine) Replay(txns []wal.Txn) (int, error) {
 // their original tuple IDs (so conflict-set keys and recency survive),
 // retractions delete, and each rule-firing unit's instantiation key is
 // re-marked fired before its ops run, as fire does, restoring
-// refraction state. It returns the number of WM operations applied.
-// Caller holds maintMu.
+// refraction state; a logged key naming no loaded rule is skipped. It
+// returns the number of WM operations applied. Caller holds maintMu.
 func (e *Engine) applyLogged(txns []wal.Txn) (int, error) {
 	ops := 0
 	for _, t := range txns {
 		if !t.Batch && t.Key != "" {
-			e.cs.MarkFired(t.Key)
+			if key, ok := conflict.ParseKey(e.set, t.Key); ok {
+				e.cs.MarkFired(key)
+			}
 		}
 		for _, op := range t.Ops {
 			var err error
@@ -666,7 +686,7 @@ func (e *Engine) insertLocked(class string, id relation.TupleID, t relation.Tupl
 	stored, _ := rel.Get(id)
 	rec.inserted(class, id, stored)
 	e.stats.Inc(metrics.SerialOps)
-	e.stats.Inc(metrics.Counter("updates_" + class))
+	e.updates(class).Inc()
 	if err := e.matcher.Insert(class, id, stored); err != nil {
 		return 0, err
 	}
@@ -698,7 +718,7 @@ func (e *Engine) deleteLocked(class string, id relation.TupleID, rec *opRecorder
 	}
 	rec.deleted(class, id, t)
 	e.stats.Inc(metrics.SerialOps)
-	e.stats.Inc(metrics.Counter("updates_" + class))
+	e.updates(class).Inc()
 	if err := e.matcher.Delete(class, id, t); err != nil {
 		return nil, err
 	}
@@ -879,25 +899,26 @@ func (e *Engine) ApplyForExploration(in *conflict.Instantiation) (halted bool, e
 // fired first; it classifies as ErrStale.
 var errAlreadyFired = fmt.Errorf("%w: already fired", ErrStale)
 
-// fire commits one firing of in as a unit. u carries what the executor
-// adds — the concurrent executor's lock plan and validation, nothing
-// for the serial one; fire supplies the firing key and the body: the
-// refraction check-and-mark, then the RHS, all inside the maintenance
-// section, so an instantiation fires at most once across executors.
-// A panicked firing stays marked (quarantined, so a panic cannot loop).
-func (e *Engine) fire(ctx context.Context, in *conflict.Instantiation, u unit) (halted bool, err error) {
-	u.scope, u.key = "rule "+in.Rule.Name, in.Key()
+// fire commits one firing of in, whose key is key, as a unit. u carries
+// what the executor adds — the concurrent executor's lock plan and
+// validation, nothing for the serial one; fire supplies the firing's
+// instantiation and the body: the refraction check-and-mark, then the
+// RHS, all inside the maintenance section, so an instantiation fires at
+// most once across executors. A panicked firing stays marked
+// (quarantined, so a panic cannot loop).
+func (e *Engine) fire(ctx context.Context, in *conflict.Instantiation, key conflict.Key, u unit) (halted bool, err error) {
+	u.scope, u.inst = "rule "+in.Rule.Name, in
 	u.body = func(rec *opRecorder) (err error) {
-		if e.cs.HasFired(u.key) {
+		if e.cs.HasFired(key) {
 			return errAlreadyFired
 		}
-		e.cs.MarkFired(u.key)
+		e.cs.MarkFired(key)
 		if e.tr.Enabled() {
 			t0 := e.tr.Now()
 			defer func() {
 				e.tr.Emit(trace.Event{
 					Kind: trace.KindRuleFire, At: t0, Dur: e.tr.Now() - t0,
-					Rule: in.Rule.Name, CE: -1, ID: uint64(u.txn), Count: 1, Extra: u.key,
+					Rule: in.Rule.Name, CE: -1, ID: uint64(u.txn), Count: 1, Extra: in.KeyString(),
 				})
 			}()
 		}
@@ -935,21 +956,22 @@ func (e *Engine) RunSerialContext(ctx context.Context) (Result, error) {
 		batch := []*conflict.Instantiation{in}
 		if e.cfg.SetAtATime {
 			for _, other := range e.cs.SelectAll() {
-				if other.Rule == in.Rule && other.Key() != in.Key() {
+				if other.Rule == in.Rule && other != in {
 					batch = append(batch, other)
 				}
 			}
 		}
 		for _, bi := range batch {
-			if e.cs.HasFired(bi.Key()) {
+			key := bi.Key()
+			// in was just selected; fire's own check catches a
+			// concurrent firing. A later member may have fired or been
+			// retracted by an earlier one.
+			if bi != in && (e.cs.HasFired(key) || !e.cs.Contains(key)) {
 				continue
-			}
-			if bi != in && !e.cs.Contains(bi.Key()) {
-				continue // retracted by an earlier member of the batch
 			}
 			// Each firing is one unit with no locks: the maintenance
 			// section alone serializes it against concurrent commits.
-			halted, err := e.fire(ctx, bi, unit{})
+			halted, err := e.fire(ctx, bi, key, unit{})
 			if errors.Is(err, ErrRulePanic) {
 				// Contained: the firing's effects were rolled back and the
 				// cycle keeps serving.
@@ -1032,7 +1054,7 @@ func (e *Engine) runTxn(ctx context.Context, in *conflict.Instantiation) error {
 	txn := lock.TxnID(e.nextTxn.Add(1))
 	plan := e.lockPlan(in)
 	t0 := e.tr.Now()
-	_, err := e.fire(ctx, in, unit{txn: txn, locks: plan, lockTimeout: e.cfg.TxnTimeout, validate: func() error {
+	_, err := e.fire(ctx, in, in.Key(), unit{txn: txn, locks: plan, lockTimeout: e.cfg.TxnTimeout, validate: func() error {
 		if e.tr.Enabled() {
 			e.tr.Emit(trace.Event{
 				Kind: trace.KindLockAcquire, At: t0, Dur: e.tr.Now() - t0,

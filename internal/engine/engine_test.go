@@ -26,7 +26,7 @@ func harness(t *testing.T, src, matcherName string, cfg Config) *Engine {
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
-	m, err := matchers.New(matcherName, set, db, conflict.NewSet(stats), stats)
+	m, err := matchers.New(matcherName, set, db, conflict.NewSet(set, stats), stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +206,17 @@ func TestSerialStrategiesDiffer(t *testing.T) {
 	if _, err := e.RunSerial(); err != nil {
 		t.Fatal(err)
 	}
-	if e.ConflictSet().HasFired("Second|1|0") {
+	key := func(s string) conflict.Key {
+		k, ok := conflict.ParseKey(e.set, s)
+		if !ok {
+			t.Fatalf("key %q names no rule", s)
+		}
+		return k
+	}
+	if e.ConflictSet().HasFired(key("Second|1|0")) {
 		t.Error("Priority should fire First")
 	}
-	if !e.ConflictSet().HasFired("First|1|0") {
+	if !e.ConflictSet().HasFired(key("First|1|0")) {
 		t.Error("First should have fired")
 	}
 }

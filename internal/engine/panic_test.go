@@ -67,7 +67,7 @@ func panicHarness(t *testing.T, cfg Config) (*Engine, *metrics.Set) {
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
-	cs := conflict.NewSet(stats)
+	cs := conflict.NewSet(set, stats)
 	m := &panicOnClass{Matcher: core.New(set, db, cs, stats), class: "B"}
 	e := New(set, db, m, stats, cfg)
 	if err := e.LoadFacts(prog); err != nil {
@@ -199,7 +199,7 @@ func TestTxnTimeoutWatchdog(t *testing.T) {
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
-	cs := conflict.NewSet(stats)
+	cs := conflict.NewSet(set, stats)
 	m := core.New(set, db, cs, stats)
 	e := New(set, db, m, stats, Config{Workers: 2, TxnTimeout: 10 * time.Millisecond, Out: io.Discard})
 	e.RegisterFunc("nap", func([]value.V) error {

@@ -28,7 +28,7 @@ func buildEngine(src string, extra []workload.Op, cfg engine.Config) (*engine.En
 	if err := rules.BuildDB(set, db); err != nil {
 		return nil, nil, err
 	}
-	cs := conflict.NewSet(stats)
+	cs := conflict.NewSet(set, stats)
 	m := core.New(set, db, cs, stats)
 	if cfg.Out == nil {
 		cfg.Out = io.Discard
@@ -52,8 +52,8 @@ func buildEngine(src string, extra []workload.Op, cfg engine.Config) (*engine.En
 // runaway programs.
 func exploreSerialOutcomes(src string, extra []workload.Op, cap int) (states map[string]int, schedules int, capped bool) {
 	states = map[string]int{}
-	var explore func(trace []string)
-	explore = func(trace []string) {
+	var explore func(trace []conflict.Key)
+	explore = func(trace []conflict.Key) {
 		if schedules >= cap {
 			capped = true
 			return
@@ -94,7 +94,7 @@ func exploreSerialOutcomes(src string, extra []workload.Op, cap int) (states map
 }
 
 // findInstantiation locates a live instantiation by key.
-func findInstantiation(e *engine.Engine, key string) *conflict.Instantiation {
+func findInstantiation(e *engine.Engine, key conflict.Key) *conflict.Instantiation {
 	for _, in := range e.ConflictSet().SelectAll() {
 		if in.Key() == key {
 			return in

@@ -90,7 +90,7 @@ func newSession(src string, mk func(*rules.Set, *relation.DB, *conflict.Set, *me
 	if err := rules.BuildDB(set, db); err != nil {
 		panic(err)
 	}
-	m := mk(set, db, conflict.NewSet(stats), stats)
+	m := mk(set, db, conflict.NewSet(set, stats), stats)
 	return &session{set: set, db: db, matcher: m, stats: stats, live: map[string][]relation.TupleID{}}
 }
 

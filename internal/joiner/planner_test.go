@@ -262,10 +262,10 @@ func TestSingleAccessPathPerEvaluation(t *testing.T) {
 	}
 	// One Emp access (scan or probe) + one Dept index probe; the
 	// Dept evaluation must not also count a scan of Dept's 21 tuples.
-	if lk := d[metrics.IndexLookups]; lk == 0 {
+	if lk := d.Get(metrics.IndexLookups); lk == 0 {
 		t.Fatalf("no index lookups charged: %v", d)
 	}
-	if sc := d[metrics.TuplesScanned]; sc > 1 { // the single Emp tuple
+	if sc := d.Get(metrics.TuplesScanned); sc > 1 { // the single Emp tuple
 		t.Fatalf("tuples_scanned = %d: an index-probed evaluation also charged a scan (%v)", sc, d)
 	}
 }

@@ -35,7 +35,7 @@ func setup(t *testing.T) *fixture {
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
-	cs := conflict.NewSet(st)
+	cs := conflict.NewSet(set, st)
 	return &fixture{m: New(set, db, cs, st), db: db, cs: cs, st: st}
 }
 
@@ -170,7 +170,7 @@ func TestNegationWakeAndUnblock(t *testing.T) {
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
-	cs := conflict.NewSet(st)
+	cs := conflict.NewSet(set, st)
 	m := New(set, db, cs, st)
 
 	ins := func(class string, vals ...value.V) relation.TupleID {
@@ -201,8 +201,8 @@ func TestNegationWakeAndUnblock(t *testing.T) {
 	// With no employees left, a dept deletion wakes Orphan fruitlessly —
 	// a false drop in wakeDelete.
 	d2 := ins("Dept", value.OfInt(9))
-	for _, k := range cs.Keys() {
-		cs.Remove(k)
+	for _, in := range cs.Items() {
+		cs.Remove(in.Key())
 	}
 	empIDs := db.MustGet("Emp").Select(nil)
 	for _, id := range empIDs {

@@ -4,7 +4,8 @@
 //
 // Counters are safe for concurrent increment, matching the paper's claim
 // that matching-pattern propagation can proceed in parallel across COND
-// relations.
+// relations. The fixed counters live in a dense array indexed by Counter,
+// so an increment is one atomic add: no lock and no map lookup.
 package metrics
 
 import (
@@ -15,122 +16,237 @@ import (
 	"sync/atomic"
 )
 
-// Counter identifies one tracked quantity.
-type Counter string
+// Counter identifies one fixed tracked quantity; String returns its name.
+type Counter uint8
 
 // The counters used across the matchers and executors.
 const (
 	// Storage-engine level.
-	TuplesInserted   Counter = "tuples_inserted"
-	TuplesDeleted    Counter = "tuples_deleted"
-	TuplesScanned    Counter = "tuples_scanned"
-	IndexLookups     Counter = "index_lookups"      // hash-index equality probes
-	IndexRangeProbes Counter = "index_range_probes" // ordered-index range probes
-	InternHits       Counter = "intern_hits"        // string payloads deduplicated at insert
-	BatchInserts     Counter = "batch_inserts"      // bulk InsertBatch calls
-	PagesRead        Counter = "pages_read"         // simulated I/O
-	PagesWritten     Counter = "pages_written"
+	TuplesInserted Counter = iota
+	TuplesDeleted
+	TuplesScanned
+	IndexLookups     // hash-index equality probes
+	IndexRangeProbes // ordered-index range probes
+	InternHits       // string payloads deduplicated at insert
+	BatchInserts     // bulk InsertBatch calls
+	PagesRead        // simulated I/O
+	PagesWritten
 
 	// Match-network level.
-	NodeActivations  Counter = "node_activations"
-	TokensStored     Counter = "tokens_stored"
-	TokensDeleted    Counter = "tokens_deleted"
-	JoinsComputed    Counter = "joins_computed"
-	PatternsStored   Counter = "patterns_stored"
-	PatternsDeleted  Counter = "patterns_deleted"
-	PatternSearches  Counter = "pattern_searches"
-	CondTuplesStored Counter = "cond_tuples_stored"
-	FalseDrops       Counter = "false_drops"
-	CandidateChecks  Counter = "candidate_checks"
+	NodeActivations
+	TokensStored
+	TokensDeleted
+	JoinsComputed
+	PatternsStored
+	PatternsDeleted
+	PatternSearches
+	CondTuplesStored
+	FalseDrops
+	CandidateChecks
 
 	// Planner level (internal/joiner cost-based planning).
-	PlansBuilt        Counter = "plans_built"        // plans compiled (first build + rebuilds)
-	PlanCacheHits     Counter = "plan_cache_hits"    // executions served by a cached plan
-	PlanInvalidations Counter = "plan_invalidations" // plans discarded on stats drift
+	PlansBuilt        // plans compiled (first build + rebuilds)
+	PlanCacheHits     // executions served by a cached plan
+	PlanInvalidations // plans discarded on stats drift
 
 	// Conflict-set / execution level.
-	Instantiations Counter = "instantiations"
-	Retractions    Counter = "retractions"
-	RuleFirings    Counter = "rule_firings"
-	LockWaits      Counter = "lock_waits"
-	LockAcquired   Counter = "locks_acquired"
-	TxnCommits     Counter = "txn_commits"
-	TxnAborts      Counter = "txn_aborts"
-	Deadlocks      Counter = "deadlocks"
-	SerialOps      Counter = "serial_ops" // non-interleaved operation slots
-	MaintenanceOps Counter = "maintenance_ops"
+	Instantiations
+	Retractions
+	RuleFirings
+	LockWaits
+	LockAcquired
+	TxnCommits
+	TxnAborts
+	Deadlocks
+	SerialOps // non-interleaved operation slots
+	MaintenanceOps
 
 	// Batch-pipeline level (engine.ApplyDelta).
-	BatchDeltas       Counter = "batch_deltas"       // deltas applied set-at-a-time
-	BatchTuples       Counter = "batch_tuples"       // tuples carried by those deltas
-	BatchPropagations Counter = "batch_propagations" // per-(class,direction) maintenance passes
+	BatchDeltas       // deltas applied set-at-a-time
+	BatchTuples       // tuples carried by those deltas
+	BatchPropagations // per-(class,direction) maintenance passes
 
 	// Durability level (internal/wal).
-	TxnRetries     Counter = "txn_retries"     // deadlock victims retried with backoff
-	WALAppends     Counter = "wal_appends"     // committed units (txns + batches) logged
-	WALRecords     Counter = "wal_records"     // individual records written
-	WALBytes       Counter = "wal_bytes"       // bytes appended to the log
-	WALSyncs       Counter = "wal_syncs"       // fsyncs issued by the sync policy
-	WALCheckpoints Counter = "wal_checkpoints" // checkpoint compactions completed
-	RecoveryTxns   Counter = "recovery_txns"   // committed units replayed at open
-	RecoveryOps    Counter = "recovery_ops"    // WM operations replayed at open
-	RecoveryTuples Counter = "recovery_tuples" // checkpoint tuples restored at open
-	RecoveryNanos  Counter = "recovery_ns"     // wall time spent in recovery replay
+	TxnRetries     // deadlock victims retried with backoff
+	WALAppends     // committed units (txns + batches) logged
+	WALRecords     // individual records written
+	WALBytes       // bytes appended to the log
+	WALSyncs       // fsyncs issued by the sync policy
+	WALCheckpoints // checkpoint compactions completed
+	RecoveryTxns   // committed units replayed at open
+	RecoveryOps    // WM operations replayed at open
+	RecoveryTuples // checkpoint tuples restored at open
+	RecoveryNanos  // wall time spent in recovery replay
 
 	// Server level (internal/server front end + WAL group commit).
-	ServerAdmitted     Counter = "server_admitted"      // requests admitted past admission control
-	ServerRejected     Counter = "server_rejected"      // requests shed with 429 (queue full)
-	ServerDrained      Counter = "server_drained"       // in-flight requests finished during drain
-	ServerQueueClients Counter = "server_queue_clients" // high-water distinct clients waiting in the fair queue
-	WALGroupCommits    Counter = "wal_group_commits"    // group fsyncs, each covering ≥1 waiting commit
-	WALGroupWaiters    Counter = "wal_group_waiters"    // commits whose durability rode a group fsync
-	ReadOnlyMode       Counter = "read_only"            // 1 after a WAL failure flipped the system read-only
+	ServerAdmitted     // requests admitted past admission control
+	ServerRejected     // requests shed with 429 (queue full)
+	ServerDrained      // in-flight requests finished during drain
+	ServerQueueClients // high-water distinct clients waiting in the fair queue
+	WALGroupCommits    // group fsyncs, each covering ≥1 waiting commit
+	WALGroupWaiters    // commits whose durability rode a group fsync
+	ReadOnlyMode       // 1 after a WAL failure flipped the system read-only
 
 	// Replication level (internal/replica log shipping + failover).
-	ReplicaTxns       Counter = "replica_txns_applied"  // committed units applied from the feed
-	ReplicaOps        Counter = "replica_ops_applied"   // WM operations those units carried
-	ReplicaBytes      Counter = "replica_bytes"         // raw WAL bytes mirrored into the local log
-	ReplicaSnapshots  Counter = "replica_snapshots"     // bootstrap snapshots restored
-	ReplicaEpochs     Counter = "replica_epoch_follows" // primary checkpoints mirrored locally
-	ReplicaReconnects Counter = "replica_reconnects"    // feed connections (re)established
-	ReplicaLagBytes   Counter = "replica_lag_bytes"     // gauge: bytes behind the primary at last heartbeat
-	FeedsServed       Counter = "feeds_served"          // replication feed connections served (primary side)
-	FeedFrames        Counter = "feed_frames"           // frames shipped to replicas (primary side)
-	Promotions        Counter = "promotions"            // replica→primary promotions completed
-	FencedWrites      Counter = "fenced_writes"         // writes rejected by stale-epoch fencing
+	ReplicaTxns       // committed units applied from the feed
+	ReplicaOps        // WM operations those units carried
+	ReplicaBytes      // raw WAL bytes mirrored into the local log
+	ReplicaSnapshots  // bootstrap snapshots restored
+	ReplicaEpochs     // primary checkpoints mirrored locally
+	ReplicaReconnects // feed connections (re)established
+	ReplicaLagBytes   // gauge: bytes behind the primary at last heartbeat
+	FeedsServed       // replication feed connections served (primary side)
+	FeedFrames        // frames shipped to replicas (primary side)
+	Promotions        // replica→primary promotions completed
+	FencedWrites      // writes rejected by stale-epoch fencing
 
 	// Integrity level (internal/audit + executor fault containment).
-	AuditRuns         Counter = "audit_runs"          // audit passes (full or sampled)
-	AuditRulesChecked Counter = "audit_rules_checked" // rules examined across audits
-	AuditDivergences  Counter = "audit_divergences"   // divergences detected
-	AuditRepairs      Counter = "audit_repairs"       // divergences repaired
-	MatcherRebuilds   Counter = "matcher_rebuilds"    // rules (or matchers) rebuilt from WM
-	PanicsContained   Counter = "panics_contained"    // rule/maintenance panics absorbed
-	TxnTimeouts       Counter = "txn_timeouts"        // transactions aborted by the watchdog
+	AuditRuns         // audit passes (full or sampled)
+	AuditRulesChecked // rules examined across audits
+	AuditDivergences  // divergences detected
+	AuditRepairs      // divergences repaired
+	MatcherRebuilds   // rules (or matchers) rebuilt from WM
+	PanicsContained   // rule/maintenance panics absorbed
+	TxnTimeouts       // transactions aborted by the watchdog
+
+	numCounters // not a counter: the size of the fixed array
 )
+
+// names are the counters' reported names, the keys of a Snapshot.
+var names = [numCounters]string{
+	TuplesInserted:     "tuples_inserted",
+	TuplesDeleted:      "tuples_deleted",
+	TuplesScanned:      "tuples_scanned",
+	IndexLookups:       "index_lookups",
+	IndexRangeProbes:   "index_range_probes",
+	InternHits:         "intern_hits",
+	BatchInserts:       "batch_inserts",
+	PagesRead:          "pages_read",
+	PagesWritten:       "pages_written",
+	NodeActivations:    "node_activations",
+	TokensStored:       "tokens_stored",
+	TokensDeleted:      "tokens_deleted",
+	JoinsComputed:      "joins_computed",
+	PatternsStored:     "patterns_stored",
+	PatternsDeleted:    "patterns_deleted",
+	PatternSearches:    "pattern_searches",
+	CondTuplesStored:   "cond_tuples_stored",
+	FalseDrops:         "false_drops",
+	CandidateChecks:    "candidate_checks",
+	PlansBuilt:         "plans_built",
+	PlanCacheHits:      "plan_cache_hits",
+	PlanInvalidations:  "plan_invalidations",
+	Instantiations:     "instantiations",
+	Retractions:        "retractions",
+	RuleFirings:        "rule_firings",
+	LockWaits:          "lock_waits",
+	LockAcquired:       "locks_acquired",
+	TxnCommits:         "txn_commits",
+	TxnAborts:          "txn_aborts",
+	Deadlocks:          "deadlocks",
+	SerialOps:          "serial_ops",
+	MaintenanceOps:     "maintenance_ops",
+	BatchDeltas:        "batch_deltas",
+	BatchTuples:        "batch_tuples",
+	BatchPropagations:  "batch_propagations",
+	TxnRetries:         "txn_retries",
+	WALAppends:         "wal_appends",
+	WALRecords:         "wal_records",
+	WALBytes:           "wal_bytes",
+	WALSyncs:           "wal_syncs",
+	WALCheckpoints:     "wal_checkpoints",
+	RecoveryTxns:       "recovery_txns",
+	RecoveryOps:        "recovery_ops",
+	RecoveryTuples:     "recovery_tuples",
+	RecoveryNanos:      "recovery_ns",
+	ServerAdmitted:     "server_admitted",
+	ServerRejected:     "server_rejected",
+	ServerDrained:      "server_drained",
+	ServerQueueClients: "server_queue_clients",
+	WALGroupCommits:    "wal_group_commits",
+	WALGroupWaiters:    "wal_group_waiters",
+	ReadOnlyMode:       "read_only",
+	ReplicaTxns:        "replica_txns_applied",
+	ReplicaOps:         "replica_ops_applied",
+	ReplicaBytes:       "replica_bytes",
+	ReplicaSnapshots:   "replica_snapshots",
+	ReplicaEpochs:      "replica_epoch_follows",
+	ReplicaReconnects:  "replica_reconnects",
+	ReplicaLagBytes:    "replica_lag_bytes",
+	FeedsServed:        "feeds_served",
+	FeedFrames:         "feed_frames",
+	Promotions:         "promotions",
+	FencedWrites:       "fenced_writes",
+	AuditRuns:          "audit_runs",
+	AuditRulesChecked:  "audit_rules_checked",
+	AuditDivergences:   "audit_divergences",
+	AuditRepairs:       "audit_repairs",
+	MatcherRebuilds:    "matcher_rebuilds",
+	PanicsContained:    "panics_contained",
+	TxnTimeouts:        "txn_timeouts",
+}
+
+// String returns the counter's reported name.
+func (c Counter) String() string { return names[c] }
+
+// Cell is one counter's storage. A Cell reports in snapshots once it has
+// been written, even if its value is back at zero.
+type Cell struct {
+	n    atomic.Int64
+	used atomic.Bool
+}
+
+// Add increments the cell by n. A nil Cell ignores it.
+func (c *Cell) Add(n int64) {
+	if c == nil {
+		return
+	}
+	c.n.Add(n)
+	c.touch()
+}
+
+// Inc increments the cell by one.
+func (c *Cell) Inc() { c.Add(1) }
+
+// Load returns the cell's value; zero for a nil Cell.
+func (c *Cell) Load() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.n.Load()
+}
+
+func (c *Cell) touch() {
+	if !c.used.Load() {
+		c.used.Store(true)
+	}
+}
 
 // Set is a concurrent counter bag. The zero Set is ready to use.
 type Set struct {
-	mu sync.RWMutex
-	m  map[Counter]*atomic.Int64
+	fixed [numCounters]Cell
+	// named holds counters created by name at run time (updates_<class>);
+	// callers resolve each once with Named and keep the Cell.
+	mu    sync.Mutex
+	named map[string]*Cell
 }
 
-// counter returns (creating on demand) the cell for c.
-func (s *Set) counter(c Counter) *atomic.Int64 {
-	s.mu.RLock()
-	cell := s.m[c]
-	s.mu.RUnlock()
-	if cell != nil {
-		return cell
+// Named returns the cell of the run-time counter called name, creating
+// it on first use. The name must not be a fixed counter's. A nil Set
+// returns a nil Cell, whose methods do nothing.
+func (s *Set) Named(name string) *Cell {
+	if s == nil {
+		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[Counter]*atomic.Int64)
-	}
-	if cell = s.m[c]; cell == nil {
-		cell = new(atomic.Int64)
-		s.m[c] = cell
+	cell := s.named[name]
+	if cell == nil {
+		if s.named == nil {
+			s.named = make(map[string]*Cell)
+		}
+		cell = new(Cell)
+		s.named[name] = cell
 	}
 	return cell
 }
@@ -140,7 +256,7 @@ func (s *Set) Add(c Counter, n int64) {
 	if s == nil {
 		return
 	}
-	s.counter(c).Add(n)
+	s.fixed[c].Add(n)
 }
 
 // Inc increments counter c by one.
@@ -151,13 +267,7 @@ func (s *Set) Get(c Counter) int64 {
 	if s == nil {
 		return 0
 	}
-	s.mu.RLock()
-	cell := s.m[c]
-	s.mu.RUnlock()
-	if cell == nil {
-		return 0
-	}
-	return cell.Load()
+	return s.fixed[c].Load()
 }
 
 // Store sets counter c to exactly n — gauge semantics for quantities
@@ -166,7 +276,9 @@ func (s *Set) Store(c Counter, n int64) {
 	if s == nil {
 		return
 	}
-	s.counter(c).Store(n)
+	cell := &s.fixed[c]
+	cell.n.Store(n)
+	cell.touch()
 }
 
 // Max raises counter c to at least n.
@@ -174,10 +286,11 @@ func (s *Set) Max(c Counter, n int64) {
 	if s == nil {
 		return
 	}
-	cell := s.counter(c)
+	cell := &s.fixed[c]
+	cell.touch()
 	for {
-		cur := cell.Load()
-		if cur >= n || cell.CompareAndSwap(cur, n) {
+		cur := cell.n.Load()
+		if cur >= n || cell.n.CompareAndSwap(cur, n) {
 			return
 		}
 	}
@@ -188,32 +301,42 @@ func (s *Set) Reset() {
 	if s == nil {
 		return
 	}
+	for i := range s.fixed {
+		s.fixed[i].n.Store(0)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, cell := range s.m {
-		cell.Store(0)
+	for _, cell := range s.named {
+		cell.n.Store(0)
 	}
 }
 
-// Snapshot is an immutable copy of a Set's counters.
-type Snapshot map[Counter]int64
+// Snapshot is an immutable copy of a Set's counters, keyed by name.
+type Snapshot map[string]int64
 
-// Snapshot copies the current counter values.
+// Snapshot copies the current value of every counter written so far.
 func (s *Set) Snapshot() Snapshot {
 	if s == nil {
 		return Snapshot{}
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(Snapshot, len(s.m))
-	for c, cell := range s.m {
-		out[c] = cell.Load()
+	out := make(Snapshot)
+	for c := range numCounters {
+		if cell := &s.fixed[c]; cell.used.Load() {
+			out[names[c]] = cell.n.Load()
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for name, cell := range s.named {
+		if cell.used.Load() {
+			out[name] = cell.n.Load()
+		}
 	}
 	return out
 }
 
 // Get returns the value of c in the snapshot (zero when absent).
-func (sn Snapshot) Get(c Counter) int64 { return sn[c] }
+func (sn Snapshot) Get(c Counter) int64 { return sn[c.String()] }
 
 // Diff returns sn - prev per counter, keeping only nonzero deltas.
 func (sn Snapshot) Diff(prev Snapshot) Snapshot {
@@ -235,7 +358,7 @@ func (sn Snapshot) Diff(prev Snapshot) Snapshot {
 func (sn Snapshot) String() string {
 	names := make([]string, 0, len(sn))
 	for c := range sn {
-		names = append(names, string(c))
+		names = append(names, c)
 	}
 	sort.Strings(names)
 	var b strings.Builder
@@ -243,7 +366,7 @@ func (sn Snapshot) String() string {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s=%d", n, sn[Counter(n)])
+		fmt.Fprintf(&b, "%s=%d", n, sn[n])
 	}
 	return b.String()
 }

@@ -62,15 +62,15 @@ func TestSnapshotAndDiff(t *testing.T) {
 	s.Add(JoinsComputed, 2)
 	after := s.Snapshot()
 	d := after.Diff(before)
-	if d[TuplesScanned] != 5 || d[JoinsComputed] != 2 {
+	if d.Get(TuplesScanned) != 5 || d.Get(JoinsComputed) != 2 {
 		t.Fatalf("diff = %v", d)
 	}
 	if len(d) != 2 {
 		t.Fatalf("diff has extra entries: %v", d)
 	}
 	// Diff against a snapshot with a counter absent from sn.
-	d2 := Snapshot{}.Diff(Snapshot{LockWaits: 3})
-	if d2[LockWaits] != -3 {
+	d2 := Snapshot{}.Diff(Snapshot{LockWaits.String(): 3})
+	if d2.Get(LockWaits) != -3 {
 		t.Fatalf("reverse diff = %v", d2)
 	}
 }
@@ -105,5 +105,54 @@ func TestSnapshotString(t *testing.T) {
 	// Sorted order: joins before tuples.
 	if strings.Index(out, "joins") > strings.Index(out, "tuples") {
 		t.Fatalf("snapshot not sorted: %q", out)
+	}
+}
+
+func TestIncDoesNotAllocate(t *testing.T) {
+	var s Set
+	cell := s.Named("updates_A")
+	if n := testing.AllocsPerRun(100, func() {
+		s.Inc(Instantiations)
+		s.Add(TuplesScanned, 3)
+		cell.Inc()
+	}); n != 0 {
+		t.Fatalf("Inc allocates %v per call", n)
+	}
+}
+
+func TestCounterNames(t *testing.T) {
+	seen := map[string]Counter{}
+	for c := range numCounters {
+		name := c.String()
+		if name == "" {
+			t.Errorf("counter %d has no name", c)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("counters %d and %d share the name %q", prev, c, name)
+		}
+		seen[name] = c
+	}
+}
+
+// TestNamedCounters covers the counters created by name: a named cell
+// reports in snapshots only once written, like every counter.
+func TestNamedCounters(t *testing.T) {
+	var s Set
+	a := s.Named("updates_A")
+	if _, ok := s.Snapshot()["updates_A"]; ok {
+		t.Fatal("an unwritten named counter appears in the snapshot")
+	}
+	a.Inc()
+	if s.Named("updates_A") != a || s.Snapshot()["updates_A"] != 1 {
+		t.Fatalf("named counter: snapshot %v", s.Snapshot())
+	}
+	s.Reset()
+	if v, ok := s.Snapshot()["updates_A"]; !ok || v != 0 {
+		t.Fatalf("after Reset: updates_A = %d (present %v), want 0", v, ok)
+	}
+	var nilSet *Set
+	nilSet.Named("x").Inc()
+	if nilSet.Named("x").Load() != 0 {
+		t.Fatal("nil set's cell counted")
 	}
 }

@@ -243,7 +243,7 @@ func TestMatcherBehavesLikeRequery(t *testing.T) {
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
-	cs := conflict.NewSet(st)
+	cs := conflict.NewSet(set, st)
 	m := NewMatcher(set, db, cs, st)
 	if m.Name() != "ptree" || m.ConflictSet() != cs || m.Index() == nil {
 		t.Fatal("accessors")

@@ -189,7 +189,7 @@ func setupWrapped(t *testing.T, alwaysStmts []string, wrap func(match.Matcher) m
 		t.Fatal(err)
 	}
 	pl := joiner.NewPlanner(db, stats)
-	m := wrap(core.New(set, db, conflict.NewSet(stats), stats))
+	m := wrap(core.New(set, db, conflict.NewSet(set, stats), stats))
 	m.SetPlanner(pl)
 	eng := engine.New(set, db, m, stats, engine.Config{})
 	if err := eng.LoadFacts(prog); err != nil {

@@ -35,7 +35,7 @@ func setup(t *testing.T) *fixture {
 	if err := rules.BuildDB(set, db); err != nil {
 		t.Fatal(err)
 	}
-	cs := conflict.NewSet(st)
+	cs := conflict.NewSet(set, st)
 	return &fixture{m: New(set, db, cs, st), db: db, cs: cs, st: st}
 }
 

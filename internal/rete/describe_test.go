@@ -25,7 +25,7 @@ func TestDescribeStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := New(set, conflict.NewSet(nil), nil)
+	net := New(set, conflict.NewSet(set, nil), nil)
 	out := net.Describe()
 	for _, want := range []string{
 		"root",
@@ -52,7 +52,7 @@ func TestDescribeNegativeNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := New(set, conflict.NewSet(nil), nil)
+	net := New(set, conflict.NewSet(set, nil), nil)
 	if !strings.Contains(net.Describe(), "negative node") {
 		t.Errorf("Describe missing negative node:\n%s", net.Describe())
 	}
@@ -69,7 +69,7 @@ func TestRuleOfTraversal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := New(set, conflict.NewSet(nil), nil)
+	net := New(set, conflict.NewSet(set, nil), nil)
 	out := net.Describe()
 	if !strings.Contains(out, "of deep") {
 		t.Errorf("join node not attributed to rule deep:\n%s", out)

@@ -18,7 +18,7 @@ func build(t *testing.T, src string) (*Network, *conflict.Set, *metrics.Set) {
 		t.Fatal(err)
 	}
 	stats := &metrics.Set{}
-	cs := conflict.NewSet(stats)
+	cs := conflict.NewSet(set, stats)
 	return New(set, cs, stats), cs, stats
 }
 
@@ -392,7 +392,7 @@ func TestAlphaMemorySharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := New(set, conflict.NewSet(nil), nil)
+	net := New(set, conflict.NewSet(set, nil), nil)
 	// Goal alpha memory shared: 3 distinct signatures total (1 Goal + 2
 	// Expression).
 	if got := len(net.alphaBySig); got != 3 {

@@ -50,14 +50,14 @@ func buildBoth(t *testing.T, src string) (plain, shared *Network, plainStats, sh
 		t.Fatal(err)
 	}
 	plainStats, sharedStats = &metrics.Set{}, &metrics.Set{}
-	plain = NewUnshared(set, conflict.NewSet(nil), plainStats)
+	plain = NewUnshared(set, conflict.NewSet(set, nil), plainStats)
 	// Compile a second, independent set for the shared network so rule
 	// pointers differ but semantics match.
 	set2, _, err := rules.CompileSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared = New(set2, conflict.NewSet(nil), sharedStats)
+	shared = New(set2, conflict.NewSet(set2, nil), sharedStats)
 	return plain, shared, plainStats, sharedStats
 }
 
@@ -152,13 +152,13 @@ func TestSharedChainCacheSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := New(set, conflict.NewSet(nil), nil)
+	shared := New(set, conflict.NewSet(set, nil), nil)
 	// Distinct prefixes: [Goal], [Goal,Expr], [Goal,Expr,Ctx=verbose],
 	// [Goal,Expr,Ctx=strict] = 4.
 	if got := len(shared.chains); got != 4 {
 		t.Fatalf("cached chain steps = %d, want 4", got)
 	}
-	plain := NewUnshared(set, conflict.NewSet(nil), nil)
+	plain := NewUnshared(set, conflict.NewSet(set, nil), nil)
 	if len(plain.chains) != 0 {
 		t.Fatal("unshared network must not cache chains")
 	}

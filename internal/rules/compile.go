@@ -32,9 +32,10 @@ func errf(rule, format string, args ...any) error {
 // condition element are local to it), and RHS actions.
 func Compile(prog *lang.Program) (*Set, error) {
 	set := &Set{
-		Classes: make(map[string]*relation.Schema),
-		ByClass: make(map[string][]*CE),
-		byName:  make(map[string]*Rule),
+		Classes:  make(map[string]*relation.Schema),
+		ByClass:  make(map[string][]*CE),
+		byName:   make(map[string]*Rule),
+		classIDs: make(map[string]int),
 	}
 	for _, lit := range prog.Literalizes {
 		if _, dup := set.Classes[lit.Class]; dup {
@@ -45,6 +46,7 @@ func Compile(prog *lang.Program) (*Set, error) {
 			return nil, errf("", "literalize %s: %v", lit.Class, err)
 		}
 		set.Classes[lit.Class] = schema
+		set.classIDs[lit.Class] = len(set.classIDs)
 	}
 	for idx, p := range prog.Productions {
 		if _, dup := set.byName[p.Name]; dup {
@@ -89,6 +91,7 @@ func compileRule(set *Set, p *lang.Production, idx int) (*Rule, error) {
 			Rule:    r,
 			Index:   i,
 			Class:   astCE.Class,
+			ClassID: set.classIDs[astCE.Class],
 			Schema:  schema,
 			Negated: astCE.Negated,
 		}

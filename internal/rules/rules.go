@@ -94,9 +94,12 @@ type VarTest struct {
 
 // CE is a compiled condition element.
 type CE struct {
-	Rule    *Rule
-	Index   int // 0-based position within the rule's LHS; paper CEN = Index+1
-	Class   string
+	Rule  *Rule
+	Index int // 0-based position within the rule's LHS; paper CEN = Index+1
+	Class string
+	// ClassID numbers Class densely within the rule set (literalize
+	// order), so per-tuple indexes can key on an integer.
+	ClassID int
 	Schema  *relation.Schema
 	Negated bool
 	// Consts are the variable-free restrictions, checkable against a lone
@@ -346,14 +349,21 @@ type Set struct {
 	Rules   []*Rule
 	// ByClass indexes the condition elements defined on each class, the
 	// contents of the paper's per-class COND relations.
-	ByClass map[string][]*CE
-	byName  map[string]*Rule
+	ByClass  map[string][]*CE
+	byName   map[string]*Rule
+	classIDs map[string]int
 }
 
 // RuleByName returns the named rule.
 func (s *Set) RuleByName(name string) (*Rule, bool) {
 	r, ok := s.byName[name]
 	return r, ok
+}
+
+// ClassID returns the dense ID of the named class (CE.ClassID).
+func (s *Set) ClassID(name string) (int, bool) {
+	id, ok := s.classIDs[name]
+	return id, ok
 }
 
 // ClassNames returns the declared class names in sorted order.

@@ -152,7 +152,7 @@ func NewManager(src string, db *relation.DB, stats *metrics.Set) (*Manager, erro
 		sort.Strings(names)
 		mgr.views[r.Name] = &View{Name: r.Name, Columns: names, rows: make(map[string]*row)}
 	}
-	cs := conflict.NewSet(stats)
+	cs := conflict.NewSet(set, stats)
 	cs.SetObserver(func(added bool, in *conflict.Instantiation) {
 		if v := mgr.views[in.Rule.Name]; v != nil {
 			v.apply(added, in.Bindings)

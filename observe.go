@@ -256,12 +256,7 @@ type Snapshot struct {
 // Metrics snapshots the operation counters accumulated so far, plus the
 // per-relation storage description of the live catalog.
 func (s *System) Metrics() Snapshot {
-	raw := s.stats.Snapshot()
-	m := make(map[string]int64, len(raw))
-	for k, v := range raw {
-		m[string(k)] = v
-	}
-	sn := newSnapshot(m)
+	sn := newSnapshot(s.stats.Snapshot())
 	for _, name := range s.db.Names() {
 		rel, err := s.db.Lookup(name)
 		if err != nil {

@@ -263,7 +263,7 @@ func load(prog *lang.Program, opts Options) (*System, error) {
 	if err := rules.BuildDB(set, db); err != nil {
 		return nil, err
 	}
-	cs := conflict.NewSet(stats)
+	cs := conflict.NewSet(set, stats)
 	tr := trace.New() // disabled until System.Trace; emit points are no-ops
 	cs.SetTracer(tr)
 	sys := &System{set: set, prog: prog, db: db, stats: stats, tracer: tr,

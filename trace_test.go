@@ -313,3 +313,51 @@ func TestDisabledTracerKeepsRunsClean(t *testing.T) {
 		t.Fatalf("disabled tracer recorded events: len=%d total=%d", sys.Tracer().Len(), sys.Tracer().Total())
 	}
 }
+
+// TestDeactivationOrderDeterministic retracts a tuple that supports many
+// instantiations, on two fresh systems per matcher: the Deactivation
+// events are identical run to run. (The conflict set retracts in Seq
+// order; rete retracts token by token, newest first.)
+func TestDeactivationOrderDeterministic(t *testing.T) {
+	const src = `
+(literalize Hub id)
+(literalize Spoke hub n)
+(p link (Hub ^id <h>) (Spoke ^hub <h> ^n <n>) --> (halt))
+`
+	const spokes = 64
+	for _, m := range Matchers() {
+		retract := func() []string {
+			sys, err := Load(src, Options{Matcher: m, Out: io.Discard})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hub, err := sys.Assert("Hub", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 0; n < spokes; n++ {
+				if _, err := sys.Assert("Spoke", 1, n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tr := sys.Trace(TraceOptions{Capacity: 1 << 12})
+			if err := sys.Retract("Hub", hub); err != nil {
+				t.Fatal(err)
+			}
+			tr.Stop()
+			var keys []string
+			for _, ev := range tr.Events() {
+				if ev.Kind == trace.KindDeactivation {
+					keys = append(keys, ev.Extra)
+				}
+			}
+			if len(keys) != spokes {
+				t.Fatalf("%s: %d deactivations, want %d", m, len(keys), spokes)
+			}
+			return keys
+		}
+		if a, b := retract(), retract(); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: deactivation order differs between identical runs:\n%v\n%v", m, a, b)
+		}
+	}
+}
