@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench exact-diff paired check loc fmt fuzz-short trace-demo crash-demo audit-demo soak-demo failover-demo
+.PHONY: build test bench exact-diff paired check serializability loc fmt fuzz-short trace-demo crash-demo audit-demo soak-demo failover-demo
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,17 @@ check:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) test -race ./...
+
+# serializability reruns the §5.2 serializability and atomicity tests
+# under the race detector, 20 times each: the E6 exhaustive serial-outcome
+# oracle on every matcher and pool size, the concurrent-executor tests,
+# and the firing-versus-commit tests. The engine's maintenance section is
+# its only serialization point; these are the tests that catch a unit
+# slipping past it. CI runs it after check.
+serializability:
+	$(GO) test -race -count=20 -run 'TestE6AllWorkloadsSerializable' ./internal/experiments
+	$(GO) test -race -count=20 -run 'TestConcurrent|TestSerialFiringAtomicAgainstCommits|TestStaleFiringAppliesNothing' ./internal/engine
+	$(GO) test -race -count=20 -run 'TestConcurrentAbortAccounting|TestAttachViewsDuringCommits' .
 
 # loc prints non-test Go lines per internal/* package — the trajectory
 # of ROADMAP needle 2 (less code for the same behaviour). CI runs it

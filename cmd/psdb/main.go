@@ -21,8 +21,7 @@
 // Robustness flags: -audit runs a full integrity audit after the run
 // and exits non-zero on divergence (-audit-repair also rebuilds the
 // divergent state), -corrupt injects seeded corruption into the
-// matcher's derived state beforehand (for demos and drills), and
-// -txn-timeout arms the per-transaction watchdog for concurrent runs.
+// matcher's derived state beforehand (for demos and drills).
 package main
 
 import (
@@ -60,7 +59,6 @@ func main() {
 	doAudit := flag.Bool("audit", false, "run a full integrity audit after the run; exit 1 on divergence")
 	auditRepair := flag.Bool("audit-repair", false, "with -audit: rebuild divergent derived state from WM")
 	corruptSeed := flag.Int64("corrupt", 0, "inject seeded corruption into the matcher's derived state before the audit (0 = none)")
-	txnTimeout := flag.Duration("txn-timeout", 0, "per-transaction watchdog: abort and retry firings whose lock waits exceed this (0 = no watchdog)")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -80,7 +78,6 @@ func main() {
 		WALSync:            prodsys.WALSyncMode(*walSync),
 		WALSyncEvery:       *walSyncEvery,
 		WALCheckpointEvery: *ckptEvery,
-		TxnTimeout:         *txnTimeout,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psdb:", err)

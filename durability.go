@@ -106,16 +106,10 @@ func (s *System) openWAL(opts Options) error {
 	if rec.Existed {
 		t0 := time.Now()
 		if len(rec.Checkpoint) > 0 {
-			restored, err := s.db.Restore(bytes.NewReader(rec.Checkpoint))
+			restored, err := s.eng.Restore(bytes.NewReader(rec.Checkpoint))
 			if err != nil {
 				l.Close()
 				return fmt.Errorf("prodsys: restore checkpoint: %w", err)
-			}
-			for _, rt := range restored {
-				if err := s.matcher.Insert(rt.Class, rt.ID, rt.Tuple); err != nil {
-					l.Close()
-					return fmt.Errorf("prodsys: restore checkpoint: %w", err)
-				}
 			}
 			info.Checkpoint = true
 			info.Tuples = len(restored)

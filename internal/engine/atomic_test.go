@@ -1,12 +1,19 @@
 package engine
 
 import (
+	"context"
+	"errors"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"prodsys/internal/conflict"
+	"prodsys/internal/matchers"
+	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/value"
+	"prodsys/internal/wal"
 )
 
 // stagesSrc walks every Tok through five stages, one modify per firing.
@@ -83,5 +90,79 @@ func TestSerialFiringAtomicAgainstCommits(t *testing.T) {
 	}
 	if res.Firings != 5*toks {
 		t.Fatalf("firings = %d, want %d", res.Firings, 5*toks)
+	}
+}
+
+// staleSrc has one instantiation, once|<A 7>|0, which a retract of A 7
+// or an assert of its blocker B 7 invalidates.
+const staleSrc = `
+(literalize A x)
+(literalize B x)
+(literalize Log x)
+(p once (A ^x <v>) - (B ^x <v>) --> (make Log ^x <v>))
+(A 7)
+`
+
+// TestStaleFiringAppliesNothing selects an instantiation, then commits a
+// delta that invalidates it before its firing runs — the window a
+// concurrent Batch.Commit opens between Select and fire. The firing must
+// abort with ErrStale inside the maintenance section: no RHS effect and
+// no WAL append. It covers the serial executor's firing path and the
+// concurrent executor's transaction path, on every matcher.
+func TestStaleFiringAppliesNothing(t *testing.T) {
+	invalidations := []struct {
+		name string
+		ops  func(in *conflict.Instantiation) []DeltaOp
+	}{
+		{"retract", func(in *conflict.Instantiation) []DeltaOp {
+			return []DeltaOp{{Retract: true, Class: "A", ID: in.TupleIDs[0]}}
+		}},
+		{"blocker", func(*conflict.Instantiation) []DeltaOp {
+			return []DeltaOp{{Class: "B", Tuple: relation.Tuple{value.OfInt(7)}}}
+		}},
+	}
+	paths := []struct {
+		name string
+		fire func(e *Engine, in *conflict.Instantiation) error
+	}{
+		{"serial", func(e *Engine, in *conflict.Instantiation) error {
+			_, err := e.fire(context.Background(), in, in.Key(), unit{})
+			return err
+		}},
+		{"concurrent", func(e *Engine, in *conflict.Instantiation) error {
+			return e.runTxn(context.Background(), in)
+		}},
+	}
+	for _, m := range matchers.Names() {
+		for _, inv := range invalidations {
+			for _, path := range paths {
+				t.Run(m+"/"+inv.name+"/"+path.name, func(t *testing.T) {
+					e := harness(t, staleSrc, m, Config{})
+					l, _, err := wal.Open(filepath.Join(t.TempDir(), "wm.wal"), wal.Options{Stats: e.stats})
+					if err != nil {
+						t.Fatal(err)
+					}
+					e.SetWAL(l)
+					defer e.Shutdown()
+					in := e.ConflictSet().Select(conflict.FIFO{})
+					if in == nil {
+						t.Fatal("no instantiation to select")
+					}
+					if _, err := e.ApplyDelta(inv.ops(in)); err != nil {
+						t.Fatal(err)
+					}
+					appends := e.stats.Get(metrics.WALAppends)
+					if err := path.fire(e, in); !errors.Is(err, ErrStale) {
+						t.Fatalf("firing after the invalidating commit: err = %v, want ErrStale", err)
+					}
+					if n := e.DB().MustGet("Log").Len(); n != 0 {
+						t.Fatalf("stale firing made %d Log tuples, want 0", n)
+					}
+					if got := e.stats.Get(metrics.WALAppends); got != appends {
+						t.Fatalf("stale firing appended %d WAL units, want 0", got-appends)
+					}
+				})
+			}
+		}
 	}
 }

@@ -6,79 +6,10 @@ import (
 	"strings"
 	"testing"
 
-	"prodsys/internal/lock"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/value"
 )
-
-func TestLockPlanReadAndWriteTargets(t *testing.T) {
-	e := harness(t, `
-(literalize A x)
-(literalize B x)
-(p consume (A ^x <v>) (B ^x <v>) --> (remove 1))
-(A 1)
-(B 1)
-`, "rete", Config{})
-	ins := e.ConflictSet().SelectAll()
-	if len(ins) != 1 {
-		t.Fatalf("instantiations = %d", len(ins))
-	}
-	plan := e.lockPlan(ins[0])
-	var sawAWrite, sawBRead bool
-	for _, req := range plan {
-		switch req.tgt.String() {
-		case "A/1":
-			if req.mode != lock.Exclusive {
-				t.Errorf("A/1 should be X-locked (remove target), got %v", req.mode)
-			}
-			sawAWrite = true
-		case "B/1":
-			if req.mode != lock.Shared {
-				t.Errorf("B/1 should be S-locked (read), got %v", req.mode)
-			}
-			sawBRead = true
-		}
-	}
-	if !sawAWrite || !sawBRead {
-		t.Fatalf("plan missing targets: %v", plan)
-	}
-	// Plan is sorted deterministically.
-	for i := 1; i < len(plan); i++ {
-		if plan[i-1].tgt.String() > plan[i].tgt.String() {
-			t.Fatalf("plan not sorted: %v", plan)
-		}
-	}
-}
-
-func TestLockPlanNegativeDependence(t *testing.T) {
-	e := harness(t, `
-(literalize A x)
-(literalize B x)
-(p once (A ^x <v>) - (B ^x <v>) --> (make B ^x <v>))
-(A 1)
-`, "rete", Config{})
-	ins := e.ConflictSet().SelectAll()
-	if len(ins) != 1 {
-		t.Fatalf("instantiations = %d", len(ins))
-	}
-	plan := e.lockPlan(ins[0])
-	var relRead, relWrite bool
-	for _, req := range plan {
-		if req.tgt.String() == "B/*" {
-			if req.mode == lock.Exclusive {
-				relWrite = true
-			} else {
-				relRead = true
-			}
-		}
-	}
-	// The negated CE wants an S relation lock; the make into the
-	// negatively-depended-upon class upgrades it to X.
-	if relRead || !relWrite {
-		t.Fatalf("negated class should carry a relation-level X lock (make upgrades the S): %v", plan)
-	}
-}
 
 func TestRunTxnStaleAbort(t *testing.T) {
 	e := harness(t, `
@@ -121,11 +52,11 @@ func TestRunTxnBlockedAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The matcher already retracted the instantiation; replay the stale
-	// one through the transaction path: NOT EXISTS re-verification must
-	// catch it.
+	// one through the transaction path: the conflict-set check inside the
+	// maintenance section must catch it.
 	err := e.runTxn(context.Background(), ins[0])
-	if !errors.Is(err, ErrBlocked) {
-		t.Fatalf("expected ErrBlocked, got %v", err)
+	if !errors.Is(err, ErrStale) {
+		t.Fatalf("expected ErrStale, got %v", err)
 	}
 	if e.DB().MustGet("Log").Len() != 0 {
 		t.Fatal("blocked transaction must not act")

@@ -3,10 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"slices"
-	"sort"
 
-	"prodsys/internal/lock"
 	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
@@ -26,12 +23,12 @@ type DeltaOp struct {
 	ID relation.TupleID
 }
 
-// ApplyDelta applies a batch of WM changes set-at-a-time: relation-level
-// write locks are acquired once per touched class for the whole batch,
-// every WM mutation executes in op order, and match maintenance runs once
-// per (class, direction) group through the matchers' batch paths —
-// deletions before insertions — feeding the conflict set incrementally.
-// The returned IDs are aligned with ops (zero at retraction positions).
+// ApplyDelta applies a batch of WM changes set-at-a-time as one unit
+// inside the maintenance section: every WM mutation executes in op
+// order, and match maintenance runs once per (class, direction) group
+// through the matchers' batch paths — deletions before insertions —
+// feeding the conflict set incrementally. The returned IDs are aligned
+// with ops (zero at retraction positions).
 //
 // A tuple asserted and retracted within the same batch nets out: it never
 // reaches the matcher. If a mutation fails mid-batch, the changes already
@@ -39,7 +36,7 @@ type DeltaOp struct {
 // consistent) and the error is returned.
 //
 // When a WM observer is attached (materialized views), the batch degrades
-// to sequential per-op application under the batch's class locks, because
+// to sequential per-op application, because
 // incremental view maintenance needs each change joined against the WM
 // state preceding it.
 func (e *Engine) ApplyDelta(ops []DeltaOp) ([]relation.TupleID, error) {
@@ -47,27 +44,21 @@ func (e *Engine) ApplyDelta(ops []DeltaOp) ([]relation.TupleID, error) {
 }
 
 // ApplyDeltaContext is ApplyDelta honoring ctx: cancellation is
-// observed before any lock is acquired; once the batch holds its class
-// locks it applies atomically to completion. It only describes the
-// batch as a unit — class X-locks plus the op-list body — for commit,
-// which logs whatever was applied as one atomic batch record.
+// observed before the batch enters the maintenance section; once inside
+// it applies atomically to completion. It only describes the batch as a
+// unit — the op-list body — for commit, which logs whatever was applied
+// as one atomic batch record.
 func (e *Engine) ApplyDeltaContext(ctx context.Context, ops []DeltaOp) ([]relation.TupleID, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	// One relation-level lock acquisition per class per batch (§5.2's
-	// granularity, amortized), in a deterministic global order. Classes
-	// are validated before anything mutates.
-	u := unit{scope: "batch", txn: lock.TxnID(e.nextTxn.Add(1))}
+	// Classes are validated before anything mutates.
 	for _, op := range ops {
 		if _, ok := e.db.Get(op.Class); !ok {
 			return nil, fmt.Errorf("engine: %w %s", ErrUnknownClass, op.Class)
 		}
-		i := sort.Search(len(u.locks), func(i int) bool { return u.locks[i].tgt.Relation >= op.Class })
-		if i == len(u.locks) || u.locks[i].tgt.Relation != op.Class {
-			u.locks = slices.Insert(u.locks, i, lockReq{tgt: lock.RelationTarget(op.Class), mode: lock.Exclusive})
-		}
 	}
+	u := unit{scope: "batch", txn: e.nextTxn.Add(1)}
 	var ids []relation.TupleID
 	tBatch, applied := e.tr.Now(), false
 	u.body = func(rec *opRecorder) (err error) {
@@ -79,14 +70,14 @@ func (e *Engine) ApplyDeltaContext(ctx context.Context, ops []DeltaOp) ([]relati
 	if applied && e.tr.Enabled() {
 		e.tr.Emit(trace.Event{
 			Kind: trace.KindBatchApply, At: tBatch, Dur: e.tr.Now() - tBatch,
-			CE: -1, ID: uint64(u.txn), Count: int64(len(ops)),
+			CE: -1, ID: u.txn, Count: int64(len(ops)),
 		})
 	}
 	return ids, err
 }
 
 // applyDeltaLocked is the mutation body of ApplyDeltaContext: maintMu
-// and the batch's class locks are held; rec collects the redo record
+// is held; rec collects the redo record
 // for the commit point and the undo ops for panic containment.
 func (e *Engine) applyDeltaLocked(ops []DeltaOp, rec *opRecorder) ([]relation.TupleID, error) {
 	e.stats.Inc(metrics.SerialOps)

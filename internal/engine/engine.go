@@ -6,12 +6,12 @@
 // completion before the next Match.
 //
 // The concurrent executor implements the paper's proposal (§5.2): every
-// instantiation in the conflict set becomes a transaction; transactions
-// run on a pool of workers under strict two-phase locking over the WM
-// relations, with read locks on matched tuples, write locks on updated
-// tuples, relation-level read locks for negative dependence, and the
-// commit point deferred until the maintenance process (conflict-set
-// propagation) triggered by the transaction's updates completes.
+// instantiation in the conflict set becomes a transaction run on a pool
+// of workers. A transaction's validation (its instantiation is still in
+// the conflict set and not yet fired), its actions and the maintenance
+// process they trigger run inside one non-interleavable section, so its
+// read set holds while it acts and its commit point follows the
+// maintenance that its updates trigger.
 package engine
 
 import (
@@ -19,17 +19,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"prodsys/internal/conflict"
-	"prodsys/internal/joiner"
 	"prodsys/internal/lang"
-	"prodsys/internal/lock"
 	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
@@ -39,21 +35,19 @@ import (
 	"prodsys/internal/wal"
 )
 
-// ErrStale marks a transaction whose supporting tuples vanished between
-// selection and lock acquisition.
+// ErrStale marks a firing whose instantiation left the conflict set — a
+// supporting tuple was deleted or a negated condition gained a blocker —
+// or already fired, between selection and the firing's turn in the
+// maintenance section. The firing applies nothing.
 var ErrStale = errors.New("engine: instantiation stale")
-
-// ErrBlocked marks a transaction whose negated condition re-verification
-// (NOT EXISTS under a relation read lock) failed.
-var ErrBlocked = errors.New("engine: negated condition no longer satisfied")
 
 // ErrUnknownClass marks an operation naming a WM class absent from the
 // catalog; test with errors.Is.
 var ErrUnknownClass = errors.New("unknown class")
 
 // ErrRulePanic marks a firing or maintenance unit that panicked and was
-// contained: its WM effects were rolled back, its locks released, and
-// the WAL never saw a commit. Test with errors.Is.
+// contained: its WM effects were rolled back and the WAL never saw a
+// commit. Test with errors.Is.
 var ErrRulePanic = errors.New("engine: panic contained")
 
 // ErrReadOnly marks a write rejected because a WAL failure (full disk,
@@ -76,10 +70,6 @@ type Config struct {
 	Workers int
 	// Out receives write-action output. nil discards it.
 	Out io.Writer
-	// CommitEarly releases a transaction's locks before the maintenance
-	// process finishes — the protocol violation the paper warns against.
-	// Only for the failure-injection experiments; breaks serializability.
-	CommitEarly bool
 	// SetAtATime makes the serial executor fire, in one cycle, every
 	// eligible instantiation of the selected rule — the set-oriented
 	// execution of §5.1 ("a selected production will execute
@@ -87,21 +77,10 @@ type Config struct {
 	// Instantiations invalidated by earlier members of the batch are
 	// skipped.
 	SetAtATime bool
-	// Tracer receives structured execution events from the engine, the
-	// lock manager and (via the loader) the matcher and conflict set.
-	// nil or disabled tracers cost a single predictable branch per emit
-	// point.
+	// Tracer receives structured execution events from the engine and
+	// (via the loader) the matcher and conflict set. nil or disabled
+	// tracers cost a single predictable branch per emit point.
 	Tracer *trace.Tracer
-	// TxnTimeout, when positive, bounds each firing transaction's lock
-	// acquisition: a transaction still waiting past the deadline is
-	// withdrawn from the lock queues, aborted, and retried with backoff —
-	// the watchdog that keeps one wedged transaction from stalling the
-	// scheduler. Zero disables the watchdog.
-	TxnTimeout time.Duration
-	// Seed seeds the engine's private RNG — the deadlock-victim retry
-	// jitter — so retry schedules are reproducible run-to-run under a
-	// fixed seed instead of drawing from the process-global source.
-	Seed int64
 }
 
 // Result summarizes a run.
@@ -120,14 +99,15 @@ type Engine struct {
 	matcher match.Matcher
 	cs      *conflict.Set
 	stats   *metrics.Set
-	locks   *lock.Manager
 	cfg     Config
 	tr      *trace.Tracer
 
 	// maintMu serializes WM+matcher maintenance: the matchers are
 	// sequential structures, exactly the paper's observation that update
-	// propagation is the non-interleavable portion of execution. Its
-	// critical sections are counted in metrics.SerialOps.
+	// propagation is the non-interleavable portion of execution. It is
+	// the engine's one serialization point: every write unit, a firing's
+	// validation included, runs inside it. Its critical sections are
+	// counted in metrics.SerialOps.
 	maintMu sync.Mutex
 	halted  atomic.Bool
 	nextTxn atomic.Uint64
@@ -145,15 +125,6 @@ type Engine struct {
 	// reversible — promotion flips it off.
 	replica atomic.Bool
 
-	// rng drives the deadlock-victim retry jitter, seeded from
-	// Config.Seed so retry schedules are reproducible per engine.
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	// negClasses are the classes some rule is negatively dependent on;
-	// inserts into them take a relation-level write lock (§5.2).
-	negClasses map[string]bool
-
 	// updateCells holds each declared class's updates_<class> counter,
 	// resolved once so a WM change increments it without a lookup by name.
 	updateCells map[string]*metrics.Cell
@@ -167,9 +138,9 @@ type Engine struct {
 	wmObserver func(inserted bool, class string, id relation.TupleID, t relation.Tuple)
 
 	// wal, when attached, receives one committed unit at each commit
-	// point: after the maintenance process completes, before locks
-	// release (§5.2's deferred commit, made durable). Appends happen
-	// under maintMu, so log order equals maintenance order.
+	// point: after the maintenance process completes (§5.2's deferred
+	// commit, made durable). Appends happen under maintMu, so log order
+	// equals maintenance order.
 	wal *wal.Log
 }
 
@@ -190,7 +161,8 @@ func (e *Engine) RegisterFunc(name string, fn CallFunc) {
 
 // SetWMObserver registers a callback invoked after each WM change
 // (insert: inserted=true; delete: inserted=false) under the maintenance
-// lock. The callback must not re-enter the engine.
+// lock. The callback must not re-enter the engine. While other
+// goroutines may commit, call it inside WithMaintenanceLock.
 func (e *Engine) SetWMObserver(fn func(inserted bool, class string, id relation.TupleID, t relation.Tuple)) {
 	e.wmObserver = fn
 }
@@ -207,32 +179,19 @@ func New(set *rules.Set, db *relation.DB, matcher match.Matcher, stats *metrics.
 	if cfg.Workers == 0 {
 		cfg.Workers = 4
 	}
-	neg := map[string]bool{}
-	for _, r := range set.Rules {
-		for _, ce := range r.CEs {
-			if ce.Negated {
-				neg[ce.Class] = true
-			}
-		}
-	}
 	updates := make(map[string]*metrics.Cell, len(set.Classes))
 	for class := range set.Classes {
 		updates[class] = stats.Named("updates_" + class)
 	}
-	locks := lock.NewManager(stats)
-	locks.SetTracer(cfg.Tracer)
 	return &Engine{
 		set:         set,
 		db:          db,
 		matcher:     matcher,
 		cs:          matcher.ConflictSet(),
 		stats:       stats,
-		locks:       locks,
 		cfg:         cfg,
 		tr:          cfg.Tracer,
-		negClasses:  neg,
 		updateCells: updates,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
@@ -252,9 +211,6 @@ func (e *Engine) Matcher() match.Matcher { return e.matcher }
 
 // ConflictSet exposes the conflict set.
 func (e *Engine) ConflictSet() *conflict.Set { return e.cs }
-
-// Locks exposes the lock manager (for tests and experiments).
-func (e *Engine) Locks() *lock.Manager { return e.locks }
 
 // WithMaintenanceLock runs fn while holding the maintenance mutex, so
 // fn sees a quiescent, transaction-consistent WM and matcher state with
@@ -340,9 +296,9 @@ func (e *Engine) rollbackLocked(rec *opRecorder) {
 }
 
 // contained runs fn with fault containment: a panic — in the RHS
-// interpreter, a called Go function, matcher maintenance or a
-// validation join — is recovered, counted, traced and surfaced as an
-// ErrRulePanic instead of killing the worker.
+// interpreter, a called Go function or matcher maintenance — is
+// recovered, counted, traced and surfaced as an ErrRulePanic instead of
+// killing the worker.
 func (e *Engine) contained(scope string, fn func() error) (err error) {
 	defer func() {
 		r := recover()
@@ -437,22 +393,14 @@ func (e *Engine) Shutdown() error {
 // unit describes one atomic write. Every write path — API batches and
 // QUEL statements (ApplyDeltaContext), rule firings of both executors
 // (fire), restored dumps (LogRestored) — only fills in a unit; commit
-// is the one place that sequences locking, maintenance, logging and
-// durability.
+// is the one place that sequences maintenance, logging and durability.
 type unit struct {
 	scope string // names the unit in a contained panic's error
 	// inst is a firing's instantiation: the unit is logged as a txn unit
 	// under its rendered key, so replay restores refraction. nil logs a
 	// batch unit.
-	inst  *conflict.Instantiation
-	txn   lock.TxnID // owner of locks
-	locks []lockReq  // 2PL plan, in acquisition order
-	// lockTimeout, when positive, bounds the acquisition of the whole
-	// plan — the firing watchdog (Config.TxnTimeout).
-	lockTimeout time.Duration
-	// validate, when set, runs once the plan is held and before the
-	// maintenance section; an error abandons the unit untouched.
-	validate func() error
+	inst *conflict.Instantiation
+	txn  uint64 // correlates the unit's trace events; 0 for serial firings
 	// body mutates WM through rec under maintMu. An error leaves the
 	// ops already applied in place: they were propagated to the
 	// matcher, so they are real and are logged. A panic rolls them back.
@@ -460,28 +408,25 @@ type unit struct {
 }
 
 // commit is the engine's single write pipeline, the paper's §5.2 rule
-// stated once: a unit's WM writes and the maintenance they trigger run
-// inside a non-interleavable section, and the commit point comes only
-// after that maintenance completes. The stages, in order:
+// stated once: a unit's validation, its WM writes and the maintenance
+// they trigger run inside a non-interleavable section, and the commit
+// point comes only after that maintenance completes. The stages, in
+// order:
 //
 //  1. checkWritable (closed, degraded and replica engines reject), then
-//     ctx — cancellation is observed before any lock is acquired; a unit
-//     holding its locks runs to completion
-//  2. acquire the unit's 2PL lock plan
-//  3. validate under those locks
-//  4. maintMu.Lock            ┐
-//  5. body, panic-contained,  │ runLocked: the
+//     ctx — cancellation is observed before the unit enters the
+//     section; a unit inside it runs to completion
+//  2. maintMu.Lock            ┐
+//  3. body, panic-contained,  │ runLocked: the
 //     recording redo + undo   │ non-interleavable
-//  6. WAL append              │ section
-//  7. due checkpoint          │
-//  8. maintMu.Unlock          ┘
-//  9. early lock release: the unit's position in the log is fixed, so
-//     its locks drop before the (possibly group-coalesced) fsync wait.
-//     The log is sequential, so a later unit durable implies this one.
-//  10. WaitDurable, outside maintMu so concurrent committers pile onto
+//  4. WAL append              │ section
+//  5. due checkpoint          │
+//  6. maintMu.Unlock          ┘
+//  7. WaitDurable, outside maintMu so concurrent committers pile onto
 //     one leader fsync. A group-sync failure degrades the engine
 //     read-only: the unit is applied and logged, but durability can no
-//     longer be promised for anyone after it.
+//     longer be promised for anyone after it. The log is sequential, so
+//     a later unit durable implies this one.
 func (e *Engine) commit(ctx context.Context, u unit) error {
 	if err := e.checkWritable(); err != nil {
 		return err
@@ -489,33 +434,7 @@ func (e *Engine) commit(ctx context.Context, u unit) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	held := len(u.locks) > 0
-	release := func() {
-		if held {
-			held = false
-			e.locks.Release(u.txn)
-		}
-	}
-	defer release() // every exit drops the locks, contained panics included
-	deadline := time.Now().Add(u.lockTimeout)
-	for _, req := range u.locks {
-		var rem time.Duration // 0 waits indefinitely
-		if u.lockTimeout > 0 {
-			// The whole plan shares one watchdog deadline; a unit whose
-			// earlier waits ate the budget fails fast on the rest.
-			rem = max(time.Until(deadline), time.Nanosecond)
-		}
-		if err := e.locks.AcquireTimeout(u.txn, req.tgt, req.mode, rem); err != nil {
-			return err
-		}
-	}
-	if u.validate != nil {
-		if err := e.contained(u.scope, u.validate); err != nil {
-			return err
-		}
-	}
 	l, seq, err := e.runLocked(u)
-	release()
 	if l != nil {
 		if derr := l.WaitDurable(seq); derr != nil {
 			derr = e.enterReadOnly(derr)
@@ -527,7 +446,7 @@ func (e *Engine) commit(ctx context.Context, u unit) error {
 	return err
 }
 
-// runLocked is commit's non-interleavable section (stages 4–8). It
+// runLocked is commit's non-interleavable section (stages 2–6). It
 // returns the log handle and the unit's sequence for the post-unlock
 // durable wait (nil when nothing was appended).
 func (e *Engine) runLocked(u unit) (*wal.Log, uint64, error) {
@@ -767,8 +686,35 @@ func (e *Engine) LoadFacts(prog *lang.Program) error {
 	return nil
 }
 
+// Restore loads a working-memory dump (relation.DB.Restore: validated
+// whole before anything applies) under its original tuple IDs and runs
+// every restored tuple through matcher maintenance and the WM observer,
+// all under the maintenance lock. It logs nothing; see LogRestored.
+func (e *Engine) Restore(r io.Reader) ([]relation.RestoredTuple, error) {
+	e.maintMu.Lock()
+	defer e.maintMu.Unlock()
+	return e.restoreLocked(r)
+}
+
+// restoreLocked is Restore for a caller holding maintMu.
+func (e *Engine) restoreLocked(r io.Reader) ([]relation.RestoredTuple, error) {
+	restored, err := e.db.Restore(r)
+	if err != nil {
+		return nil, err
+	}
+	for _, rt := range restored {
+		if err := e.matcher.Insert(rt.Class, rt.ID, rt.Tuple); err != nil {
+			return nil, err
+		}
+		if e.wmObserver != nil {
+			e.wmObserver(true, rt.Class, rt.ID, rt.Tuple)
+		}
+	}
+	return restored, nil
+}
+
 // LogRestored commits one redo-only unit covering tuples restored
-// outside the engine's own paths (System.RestoreWM), so a later
+// outside the engine's write units (Restore), so a later
 // recovery reproduces them under their original IDs. A no-op without a
 // WAL.
 func (e *Engine) LogRestored(rts []relation.RestoredTuple) error {
@@ -811,8 +757,8 @@ func (e *Engine) applyActions(in *conflict.Instantiation, rec *opRecorder) (bool
 			}
 		case lang.ActRemove:
 			ceIdx := act.CE - 1
-			// The element may already be gone (removed twice by one RHS,
-			// or by a concurrent transaction); OPS5 ignores this.
+			// The element may already be gone (removed twice by one
+			// RHS); OPS5 ignores this.
 			_, _ = e.deleteLocked(in.Rule.CEs[ceIdx].Class, in.TupleIDs[ceIdx], rec)
 		case lang.ActModify:
 			ceIdx := act.CE - 1
@@ -885,7 +831,7 @@ func (e *Engine) applyActions(in *conflict.Instantiation, rec *opRecorder) (bool
 }
 
 // ApplyForExploration fires one instantiation's actions immediately,
-// outside any executor and without locking — the primitive the
+// outside any executor and without validation — the primitive the
 // experiment harness uses to exhaustively enumerate serial schedules
 // (every possible Select choice of §2.1). Exploration firings are not
 // WAL-logged; the harness explores alternatives, it does not commit.
@@ -895,22 +841,28 @@ func (e *Engine) ApplyForExploration(in *conflict.Instantiation) (halted bool, e
 	return e.applyActions(in, nil)
 }
 
-// errAlreadyFired aborts a firing whose instantiation another executor
-// fired first; it classifies as ErrStale.
+// errAlreadyFired aborts a firing whose instantiation another firing
+// marked first; it classifies as ErrStale.
 var errAlreadyFired = fmt.Errorf("%w: already fired", ErrStale)
 
-// fire commits one firing of in, whose key is key, as a unit. u carries
-// what the executor adds — the concurrent executor's lock plan and
-// validation, nothing for the serial one; fire supplies the firing's
-// instantiation and the body: the refraction check-and-mark, then the
-// RHS, all inside the maintenance section, so an instantiation fires at
-// most once across executors. A panicked firing stays marked
-// (quarantined, so a panic cannot loop).
+// fire commits one firing of in, whose key is key, as a unit; u carries
+// the executor's transaction id. fire supplies the firing's
+// instantiation and the body, which is both executors' validation and
+// act: the instantiation must still be in the conflict set and not yet
+// fired (else ErrStale, nothing applied or logged), then it is marked
+// fired and its RHS runs — all inside the maintenance section, where
+// the matcher has already retracted every instantiation an earlier
+// commit invalidated. So an instantiation fires at most once, and only
+// while its supporting tuples live and its negated conditions hold. A
+// panicked firing stays marked (quarantined, so a panic cannot loop).
 func (e *Engine) fire(ctx context.Context, in *conflict.Instantiation, key conflict.Key, u unit) (halted bool, err error) {
 	u.scope, u.inst = "rule "+in.Rule.Name, in
 	u.body = func(rec *opRecorder) (err error) {
 		if e.cs.HasFired(key) {
 			return errAlreadyFired
+		}
+		if !e.cs.Contains(key) {
+			return ErrStale
 		}
 		e.cs.MarkFired(key)
 		if e.tr.Enabled() {
@@ -918,7 +870,7 @@ func (e *Engine) fire(ctx context.Context, in *conflict.Instantiation, key confl
 			defer func() {
 				e.tr.Emit(trace.Event{
 					Kind: trace.KindRuleFire, At: t0, Dur: e.tr.Now() - t0,
-					Rule: in.Rule.Name, CE: -1, ID: uint64(u.txn), Count: 1, Extra: in.KeyString(),
+					Rule: in.Rule.Name, CE: -1, ID: u.txn, Count: 1, Extra: in.KeyString(),
 				})
 			}()
 		}
@@ -962,16 +914,7 @@ func (e *Engine) RunSerialContext(ctx context.Context) (Result, error) {
 			}
 		}
 		for _, bi := range batch {
-			key := bi.Key()
-			// in was just selected; fire's own check catches a
-			// concurrent firing. A later member may have fired or been
-			// retracted by an earlier one.
-			if bi != in && (e.cs.HasFired(key) || !e.cs.Contains(key)) {
-				continue
-			}
-			// Each firing is one unit with no locks: the maintenance
-			// section alone serializes it against concurrent commits.
-			halted, err := e.fire(ctx, bi, key, unit{})
+			halted, err := e.fire(ctx, bi, bi.Key(), unit{})
 			if errors.Is(err, ErrRulePanic) {
 				// Contained: the firing's effects were rolled back and the
 				// cycle keeps serving.
@@ -979,6 +922,8 @@ func (e *Engine) RunSerialContext(ctx context.Context) (Result, error) {
 				continue
 			}
 			if errors.Is(err, ErrStale) {
+				// A commit since Select, or an earlier batch member,
+				// retracted or fired it.
 				continue
 			}
 			if err != nil {
@@ -998,88 +943,17 @@ func (e *Engine) RunSerialContext(ctx context.Context) (Result, error) {
 	return res, fmt.Errorf("engine: firing cap %d reached", e.cfg.MaxFirings)
 }
 
-// lockPlan computes the 2PL acquisition list for one instantiation, in a
-// deterministic global order (reducing, not eliminating, deadlocks).
-type lockReq struct {
-	tgt  lock.Target
-	mode lock.Mode
-}
-
-func (e *Engine) lockPlan(in *conflict.Instantiation) []lockReq {
-	modes := map[lock.Target]lock.Mode{}
-	want := func(tgt lock.Target, mode lock.Mode) {
-		if cur, ok := modes[tgt]; !ok || (cur == lock.Shared && mode == lock.Exclusive) {
-			modes[tgt] = mode
-		}
-	}
-	// Read locks on every matched tuple (§5.2).
-	for i, ce := range in.Rule.CEs {
-		if ce.Negated {
-			// Negative dependence: relation-level read lock.
-			want(lock.RelationTarget(ce.Class), lock.Shared)
-			continue
-		}
-		want(lock.TupleTarget(ce.Class, in.TupleIDs[i]), lock.Shared)
-	}
-	for _, act := range in.Rule.Actions {
-		switch act.Kind {
-		case lang.ActRemove, lang.ActModify:
-			ce := in.Rule.CEs[act.CE-1]
-			want(lock.TupleTarget(ce.Class, in.TupleIDs[act.CE-1]), lock.Exclusive)
-			if e.negClasses[ce.Class] {
-				// Deletions (a modify's included) also change NOT EXISTS results.
-				want(lock.RelationTarget(ce.Class), lock.Exclusive)
-			}
-		case lang.ActMake:
-			if e.negClasses[act.Class] {
-				// "T_j will always need a write lock on R_i before it can
-				// be executed" for inserts into negatively depended-upon
-				// relations (the phantom side of §5.2).
-				want(lock.RelationTarget(act.Class), lock.Exclusive)
-			}
-		}
-	}
-	plan := make([]lockReq, 0, len(modes))
-	for tgt, mode := range modes {
-		plan = append(plan, lockReq{tgt: tgt, mode: mode})
-	}
-	sort.Slice(plan, func(i, j int) bool { return plan[i].tgt.String() < plan[j].tgt.String() })
-	return plan
-}
-
-// runTxn executes one instantiation as a transaction: the firing unit
-// plus the 2PL lock plan and the validation under it. The returned
-// error classifies aborts.
+// runTxn executes one instantiation as a transaction: one firing unit,
+// validated inside the maintenance section by fire. The returned error
+// classifies aborts.
 func (e *Engine) runTxn(ctx context.Context, in *conflict.Instantiation) error {
-	txn := lock.TxnID(e.nextTxn.Add(1))
-	plan := e.lockPlan(in)
-	t0 := e.tr.Now()
-	_, err := e.fire(ctx, in, in.Key(), unit{txn: txn, locks: plan, lockTimeout: e.cfg.TxnTimeout, validate: func() error {
-		if e.tr.Enabled() {
-			e.tr.Emit(trace.Event{
-				Kind: trace.KindLockAcquire, At: t0, Dur: e.tr.Now() - t0,
-				Rule: in.Rule.Name, CE: -1, ID: uint64(txn), Count: int64(len(plan)),
-			})
-		}
-		if e.cfg.CommitEarly {
-			// Protocol violation: release locks before acting/maintaining.
-			e.locks.Release(txn)
-		}
-		return e.stillApplicable(in)
-	}})
-	// Every aborted attempt is counted here, so the TxnAborts counter
-	// agrees with Result.Aborts and the txn_abort event stream: the lock
-	// manager's abortLocked cannot know whether a deadlock victim belongs
-	// to a rule-firing transaction.
+	txn := e.nextTxn.Add(1)
+	_, err := e.fire(ctx, in, in.Key(), unit{txn: txn})
+	// Every aborted transaction is counted here, so the TxnAborts counter
+	// agrees with Result.Aborts and the txn_abort event stream.
 	reason := ""
 	switch {
 	case err == nil:
-	case errors.Is(err, lock.ErrTimeout):
-		reason = "timeout"
-	case errors.Is(err, lock.ErrAborted):
-		reason = "deadlock"
-	case errors.Is(err, ErrBlocked):
-		reason = "blocked"
 	case errors.Is(err, errAlreadyFired):
 		reason = "already fired"
 	case errors.Is(err, ErrStale):
@@ -1092,7 +966,7 @@ func (e *Engine) runTxn(ctx context.Context, in *conflict.Instantiation) error {
 		if e.tr.Enabled() {
 			e.tr.Emit(trace.Event{
 				Kind: trace.KindTxnAbort, At: e.tr.Now(),
-				Rule: in.Rule.Name, CE: -1, ID: uint64(txn), Extra: reason,
+				Rule: in.Rule.Name, CE: -1, ID: txn, Extra: reason,
 			})
 		}
 	}
@@ -1104,72 +978,24 @@ func (e *Engine) runTxn(ctx context.Context, in *conflict.Instantiation) error {
 	if e.tr.Enabled() {
 		e.tr.Emit(trace.Event{
 			Kind: trace.KindTxnCommit, At: e.tr.Now(),
-			Rule: in.Rule.Name, CE: -1, ID: uint64(txn),
+			Rule: in.Rule.Name, CE: -1, ID: txn,
 		})
 	}
 	return nil
 }
 
-// stillApplicable is a transaction's validation, run under its lock
-// plan: matched tuples must still exist unchanged (else ErrStale);
-// negated conditions must still be NOT EXISTS, checked under the
-// relation read lock (else ErrBlocked).
-func (e *Engine) stillApplicable(in *conflict.Instantiation) error {
-	for i, ce := range in.Rule.CEs {
-		if ce.Negated {
-			if joiner.Exists(e.db, ce, in.Bindings, e.stats) {
-				return ErrBlocked
-			}
-			continue
-		}
-		rel, err := e.db.Lookup(ce.Class)
-		if err != nil {
-			return ErrStale
-		}
-		if cur, ok := rel.Get(in.TupleIDs[i]); !ok || !cur.Equal(in.Tuples[i]) {
-			return ErrStale
-		}
-	}
-	return nil
-}
-
-// Deadlock-victim retry bounds: exponential backoff from
-// txnBackoffBase, capped at txnBackoffCap, at most maxTxnRetries
-// attempts after the first. The cap keeps a pathological workload from
-// turning retries into a livelock of sleeps; the jitter de-synchronizes
-// victims that would otherwise collide again.
-const (
-	maxTxnRetries  = 16
-	txnBackoffBase = 50 * time.Microsecond
-	txnBackoffCap  = 5 * time.Millisecond
-)
-
-// retryBackoff returns the jittered exponential delay before retry
-// attempt n (1-based): uniform in [d/2, 3d/2) around the nominal d.
-// The jitter draws from the engine's seeded RNG, keeping retry
-// schedules reproducible under a fixed Config.Seed.
-func (e *Engine) retryBackoff(n int) time.Duration {
-	d := txnBackoffBase << uint(n-1)
-	if d <= 0 || d > txnBackoffCap {
-		d = txnBackoffCap
-	}
-	e.rngMu.Lock()
-	j := e.rng.Int63n(int64(d))
-	e.rngMu.Unlock()
-	return d/2 + time.Duration(j)
-}
-
 // RunConcurrent executes the conflict set in rounds: each round takes the
 // current applicable set Ψ and fires every member as a transaction on the
 // worker pool; the next round sees the conflict set produced by those
-// firings (Ψ' of §5.2). Stale and blocked transactions abort harmlessly.
+// firings (Ψ' of §5.2). A transaction an earlier one invalidated or
+// fired aborts harmlessly with ErrStale.
 func (e *Engine) RunConcurrent() (Result, error) {
 	return e.RunConcurrentContext(context.Background())
 }
 
 // RunConcurrentContext is RunConcurrent honoring ctx: cancellation is
-// observed between rounds and before each transaction acquires locks;
-// transactions already holding locks run to completion.
+// observed between rounds and before each transaction enters the
+// maintenance section; a transaction inside it runs to completion.
 func (e *Engine) RunConcurrentContext(ctx context.Context) (Result, error) {
 	var res Result
 	e.halted.Store(false)
@@ -1206,32 +1032,15 @@ func (e *Engine) RunConcurrentContext(ctx context.Context) (Result, error) {
 						continue
 					}
 					err := e.runTxn(ctx, in)
-					// A deadlock victim — or a watchdog timeout — is retried
-					// with bounded jittered backoff rather than dropped: its
-					// instantiation is still applicable (nothing invalidated
-					// it — it lost a cycle tie-break or outwaited the
-					// deadline), and dropping it strands the firing until the
-					// next round, or forever when no next round comes. Each
-					// aborted attempt still counts as an abort, keeping
-					// Result.Aborts in lock-step with the TxnAborts counter
-					// and the txn_abort event stream.
-					for attempt := 1; (errors.Is(err, lock.ErrAborted) || errors.Is(err, lock.ErrTimeout)) &&
-						attempt <= maxTxnRetries && !e.halted.Load() && ctx.Err() == nil; attempt++ {
-						aborted.Add(1)
-						e.stats.Inc(metrics.TxnRetries)
-						time.Sleep(e.retryBackoff(attempt))
-						err = e.runTxn(ctx, in)
-					}
 					switch {
 					case err == nil:
 						fired.Add(1)
 					case errors.Is(err, ErrRulePanic):
-						// Contained: effects rolled back, locks released,
-						// instantiation quarantined; the pool keeps serving.
+						// Contained: effects rolled back, instantiation
+						// quarantined; the pool keeps serving.
 						aborted.Add(1)
 						panicked.Add(1)
-					case errors.Is(err, ErrStale), errors.Is(err, ErrBlocked),
-						errors.Is(err, lock.ErrAborted), errors.Is(err, lock.ErrTimeout):
+					case errors.Is(err, ErrStale):
 						aborted.Add(1)
 					default:
 						errMu.Lock()
@@ -1258,7 +1067,7 @@ func (e *Engine) RunConcurrentContext(ctx context.Context) (Result, error) {
 			return res, nil
 		}
 		if fired.Load() == 0 {
-			// Every member aborted (stale or blocked). Their retraction is
+			// Every member aborted (stale or panicked). Their retraction is
 			// handled by maintenance; if the conflict set did not change,
 			// stop rather than spin.
 			remaining := e.cs.SelectAll()

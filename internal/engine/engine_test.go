@@ -343,31 +343,6 @@ func TestConcurrentNegationMakeOnce(t *testing.T) {
 	}
 }
 
-func TestCommitEarlyViolatesSerializability(t *testing.T) {
-	// With the commit point moved before act+maintenance, the marker can
-	// be created more than once — the inconsistency §5.2's protocol
-	// prevents. The race is probabilistic; we try repeatedly.
-	src := `
-(literalize A x)
-(literalize B x)
-(p MakeOnce (A ^x <v>) - (B ^x marker) --> (make B ^x marker))
-(A 1) (A 2) (A 3) (A 4) (A 5) (A 6) (A 7) (A 8)
-`
-	violated := false
-	for i := 0; i < 40 && !violated; i++ {
-		e := harness(t, src, "requery", Config{Workers: 8, CommitEarly: true})
-		if _, err := e.RunConcurrent(); err != nil {
-			t.Fatal(err)
-		}
-		if e.DB().MustGet("B").Len() > 1 {
-			violated = true
-		}
-	}
-	if !violated {
-		t.Skip("race window not hit; protocol violation not observable on this scheduler")
-	}
-}
-
 func TestConcurrentChainedRounds(t *testing.T) {
 	// Firings in round 1 enable round 2 (the Ψ→Ψ' evolution of §5.2).
 	e := harness(t, forwardChainSrc, "core", Config{Workers: 4})
@@ -406,7 +381,7 @@ func TestAssertRetractDirect(t *testing.T) {
 	if err := e.Retract("Nope", 1); err == nil {
 		t.Error("unknown class retract should fail")
 	}
-	if e.Matcher().Name() != "rete" || e.Locks() == nil || e.DB() == nil {
+	if e.Matcher().Name() != "rete" || e.DB() == nil {
 		t.Error("accessors")
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"io"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -10,7 +9,6 @@ import (
 
 	"prodsys/internal/conflict"
 	"prodsys/internal/core"
-	"prodsys/internal/lock"
 	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
@@ -111,7 +109,7 @@ func TestSerialPanicContained(t *testing.T) {
 	if got := stats.Get(metrics.PanicsContained); got != 1 {
 		t.Fatalf("panics_contained = %d, want 1", got)
 	}
-	// The engine keeps serving: maintenance mutex free, locks released.
+	// The engine keeps serving: the maintenance mutex is free.
 	if _, err := e.ApplyDelta([]DeltaOp{{Class: "A", Tuple: relation.Tuple{value.OfInt(9)}}}); err != nil {
 		t.Fatalf("post-panic batch failed: %v", err)
 	}
@@ -132,13 +130,6 @@ func TestConcurrentPanicContained(t *testing.T) {
 	if got := stats.Get(metrics.PanicsContained); got != 1 {
 		t.Fatalf("panics_contained = %d, want 1", got)
 	}
-	// No transaction lock leaked: a fresh transaction gets every target
-	// immediately.
-	txn := lock.TxnID(1 << 30)
-	if err := e.Locks().AcquireTimeout(txn, lock.RelationTarget("A"), lock.Exclusive, 50*time.Millisecond); err != nil {
-		t.Fatalf("lock on A still held after panic: %v", err)
-	}
-	e.Locks().Release(txn)
 	if _, err := e.ApplyDelta([]DeltaOp{{Class: "A", Tuple: relation.Tuple{value.OfInt(9)}}}); err != nil {
 		t.Fatalf("post-panic batch failed: %v", err)
 	}
@@ -168,62 +159,6 @@ func TestBatchPanicContained(t *testing.T) {
 	}
 	if got := countTuples(t, e, "B"); got != 1 {
 		t.Fatalf("B count = %d, want 1 after retry", got)
-	}
-}
-
-const watchdogSrc = `
-(literalize Item v)
-
-(p slow
-    (Item ^v 1)
-  -->
-    (call nap)
-    (remove 1))
-
-(p slow2
-    (Item ^v 1)
-  -->
-    (call nap)
-    (remove 1))
-
-(Item 1)
-`
-
-func TestTxnTimeoutWatchdog(t *testing.T) {
-	set, prog, err := rules.CompileSource(watchdogSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := &metrics.Set{}
-	db := relation.NewDB(stats)
-	if err := rules.BuildDB(set, db); err != nil {
-		t.Fatal(err)
-	}
-	cs := conflict.NewSet(set, stats)
-	m := core.New(set, db, cs, stats)
-	e := New(set, db, m, stats, Config{Workers: 2, TxnTimeout: 10 * time.Millisecond, Out: io.Discard})
-	e.RegisterFunc("nap", func([]value.V) error {
-		time.Sleep(80 * time.Millisecond)
-		return nil
-	})
-	if err := e.LoadFacts(prog); err != nil {
-		t.Fatal(err)
-	}
-	// Both instantiations want an exclusive lock on the same tuple.
-	// Whichever gets it first sleeps 80ms while holding it; the other's waits exceed the 10ms budget, so the watchdog aborts and
-	// retries it instead of letting it block unboundedly.
-	res, err := e.RunConcurrent()
-	if err != nil {
-		t.Fatalf("concurrent run failed: %v", err)
-	}
-	if res.Firings < 1 {
-		t.Fatalf("Firings = %d, want >= 1", res.Firings)
-	}
-	if got := stats.Get(metrics.TxnTimeouts); got < 1 {
-		t.Fatalf("txn_timeouts = %d, want >= 1", got)
-	}
-	if res.Aborts < 1 {
-		t.Fatalf("Aborts = %d, want >= 1 (watchdog abort counted)", res.Aborts)
 	}
 }
 

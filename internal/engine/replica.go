@@ -108,17 +108,9 @@ func (e *Engine) ReplicaBootstrap(epoch uint64, dump []byte) (int, error) {
 		}
 	}
 	e.cs.Reset()
-	restored, err := e.db.Restore(bytes.NewReader(dump))
+	restored, err := e.restoreLocked(bytes.NewReader(dump))
 	if err != nil {
 		return 0, fmt.Errorf("engine: bootstrap restore: %w", err)
-	}
-	for _, rt := range restored {
-		if err := e.matcher.Insert(rt.Class, rt.ID, rt.Tuple); err != nil {
-			return 0, fmt.Errorf("engine: bootstrap restore: %w", err)
-		}
-		if e.wmObserver != nil {
-			e.wmObserver(true, rt.Class, rt.ID, rt.Tuple)
-		}
 	}
 	if l := e.wal; l != nil {
 		if err := l.AdoptCheckpoint(epoch, dump); err != nil {

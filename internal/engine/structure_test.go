@@ -67,28 +67,13 @@ func TestSingleCommitPipeline(t *testing.T) {
 // option, flag, environment variable, counter — of a non-test Go file.
 func TestNoPartitionedWorkingMemory(t *testing.T) {
 	banned := regexp.MustCompile(`(?i)shard`)
-	const root = "../.."
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, path)
-		if d.IsDir() {
-			if rel == "benchmark" || (rel != "." && strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
+	walkRepo(t, func(rel string, d fs.DirEntry) {
 		if banned.MatchString(d.Name()) {
 			t.Errorf("%s: file name matches %s", rel, banned)
 		}
-		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
-			return nil
-		}
-		fset := token.NewFileSet()
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
+	}, func(fset *token.FileSet, rel string, file *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") {
+			return
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -103,6 +88,97 @@ func TestNoPartitionedWorkingMemory(t *testing.T) {
 			}
 			return true
 		})
+	})
+}
+
+// TestOneSerializationPoint keeps the second serialization mechanism
+// from growing back. Firings validate inside the maintenance section,
+// so the two-phase lock manager, its deadlock-victim retry and watchdog,
+// and the knobs that configured or broke it were deleted: no Go file
+// outside benchmark/ may import the lock package or name any of its
+// pieces, and a commit unit carries no lock plan or validation stage.
+func TestOneSerializationPoint(t *testing.T) {
+	banned := map[string]bool{
+		"lockPlan": true, "stillApplicable": true, "retryBackoff": true, "AcquireTimeout": true,
+		"CommitEarly": true, "TxnTimeout": true, "ErrBlocked": true,
+	}
+	walkRepo(t, nil, func(fset *token.FileSet, rel string, file *ast.File) {
+		for _, imp := range file.Imports {
+			if imp.Path.Value == `"prodsys/internal/lock"` {
+				t.Errorf("%s: imports prodsys/internal/lock", rel)
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if banned[n.Name] {
+					t.Errorf("%s: identifier %s", fset.Position(n.Pos()), n.Name)
+				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "joiner" && n.Sel.Name == "Exists" {
+					t.Errorf("%s: joiner.Exists", fset.Position(n.Pos()))
+				}
+			case *ast.FuncDecl:
+				if file.Name.Name == "joiner" && n.Recv == nil && n.Name.Name == "Exists" {
+					t.Errorf("%s: func joiner.Exists", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+	})
+
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "engine.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := file.Scope.Lookup("unit")
+	if obj == nil {
+		t.Fatal("engine.go declares no unit type")
+	}
+	st, ok := obj.Decl.(*ast.TypeSpec).Type.(*ast.StructType)
+	if !ok {
+		t.Fatal("unit is not a struct")
+	}
+	stage := regexp.MustCompile(`(?i)lock|valid`)
+	for _, f := range st.Fields.List {
+		for _, name := range f.Names {
+			if stage.MatchString(name.Name) {
+				t.Errorf("unit has a %s field: validation runs in the body, under maintMu", name.Name)
+			}
+		}
+	}
+}
+
+// walkRepo visits every file of the repository outside benchmark/ and
+// hidden directories: onFile (when non-nil) sees each file, onGo each
+// parsed Go file, test files included.
+func walkRepo(t *testing.T, onFile func(rel string, d fs.DirEntry), onGo func(fset *token.FileSet, rel string, file *ast.File)) {
+	t.Helper()
+	const root = "../.."
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			if rel == "benchmark" || (rel != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if onFile != nil {
+			onFile(rel, d)
+		}
+		if !strings.HasSuffix(rel, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		onGo(fset, rel, file)
 		return nil
 	})
 	if err != nil {

@@ -152,11 +152,21 @@ func TestE4FalseDropsGrowWithOverlap(t *testing.T) {
 	}
 }
 
+// TestE6AllWorkloadsSerializable is the §5.2 oracle: ten concurrent runs
+// of every workload under every matcher and pool size must each end in
+// one of the exhaustively enumerated serial outcomes.
 func TestE6AllWorkloadsSerializable(t *testing.T) {
-	tab := E6Serializability(3)
+	const runs = 10
+	tab := E6Serializability(runs)
+	if len(tab.Rows) != 5 {
+		t.Fatalf("rows = %d, want 5 workloads", len(tab.Rows))
+	}
 	for _, row := range tab.Rows {
 		if row[4] != "yes" {
 			t.Fatalf("serializability violated: %v", row)
+		}
+		if got, want := cellInt(t, row, 3), int64(runs*5*len(e6Workers)); got != want {
+			t.Fatalf("%s: %d concurrent runs, want %d (5 matchers × %v workers × %d)", row[0], got, want, e6Workers, runs)
 		}
 	}
 }

@@ -106,15 +106,3 @@ func existsMatch(rel *relation.Relation, ce *rules.CE, b rules.Bindings, stats *
 	}
 	return false
 }
-
-// Exists re-exports the NOT EXISTS primitive for the concurrent executor,
-// which must re-verify negative dependencies under a relation-level read
-// lock before acting (§5.2, "a better solution would require that the
-// DBMS support the NOT EXISTS operator").
-func Exists(db *relation.DB, ce *rules.CE, b rules.Bindings, stats *metrics.Set) bool {
-	rel, ok := db.Get(ce.Class)
-	if !ok {
-		return false
-	}
-	return existsMatch(rel, ce, b, stats)
-}

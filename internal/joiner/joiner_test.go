@@ -155,24 +155,22 @@ func TestEnumerateMissingClassRelation(t *testing.T) {
 	}
 }
 
+// TestExists covers the NOT EXISTS primitive negated condition
+// elements are evaluated with.
 func TestExists(t *testing.T) {
 	f := setup(t)
 	lonely, _ := f.set.RuleByName("Lonely")
 	negCE := lonely.CEs[1]
-	if Exists(f.db, negCE, rules.Bindings{"d": value.OfInt(7)}, f.st) {
+	dept := f.db.MustGet("Dept")
+	if existsMatch(dept, negCE, rules.Bindings{"d": value.OfInt(7)}, f.st) {
 		t.Fatal("no dept yet")
 	}
 	f.insert(t, "Dept", value.OfInt(7), value.OfSym("Toy"))
-	if !Exists(f.db, negCE, rules.Bindings{"d": value.OfInt(7)}, f.st) {
+	if !existsMatch(dept, negCE, rules.Bindings{"d": value.OfInt(7)}, f.st) {
 		t.Fatal("dept 7 exists")
 	}
-	if Exists(f.db, negCE, rules.Bindings{"d": value.OfInt(9)}, f.st) {
+	if existsMatch(dept, negCE, rules.Bindings{"d": value.OfInt(9)}, f.st) {
 		t.Fatal("dept 9 does not exist")
-	}
-	// Missing relation.
-	empty := relation.NewDB(nil)
-	if Exists(empty, negCE, nil, nil) {
-		t.Fatal("missing relation cannot contain a match")
 	}
 }
 

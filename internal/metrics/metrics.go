@@ -1,6 +1,6 @@
 // Package metrics collects the operation counters the experiment harness
 // reports: tuples scanned and stored, node activations, joins recomputed,
-// lock waits, transaction aborts, and simulated I/O.
+// transaction aborts, and simulated I/O.
 //
 // Counters are safe for concurrent increment, matching the paper's claim
 // that matching-pattern propagation can proceed in parallel across COND
@@ -53,11 +53,8 @@ const (
 	Instantiations
 	Retractions
 	RuleFirings
-	LockWaits
-	LockAcquired
 	TxnCommits
 	TxnAborts
-	Deadlocks
 	SerialOps // non-interleaved operation slots
 	MaintenanceOps
 
@@ -67,7 +64,6 @@ const (
 	BatchPropagations // per-(class,direction) maintenance passes
 
 	// Durability level (internal/wal).
-	TxnRetries     // deadlock victims retried with backoff
 	WALAppends     // committed units (txns + batches) logged
 	WALRecords     // individual records written
 	WALBytes       // bytes appended to the log
@@ -107,7 +103,6 @@ const (
 	AuditRepairs      // divergences repaired
 	MatcherRebuilds   // rules (or matchers) rebuilt from WM
 	PanicsContained   // rule/maintenance panics absorbed
-	TxnTimeouts       // transactions aborted by the watchdog
 
 	numCounters // not a counter: the size of the fixed array
 )
@@ -139,17 +134,13 @@ var names = [numCounters]string{
 	Instantiations:     "instantiations",
 	Retractions:        "retractions",
 	RuleFirings:        "rule_firings",
-	LockWaits:          "lock_waits",
-	LockAcquired:       "locks_acquired",
 	TxnCommits:         "txn_commits",
 	TxnAborts:          "txn_aborts",
-	Deadlocks:          "deadlocks",
 	SerialOps:          "serial_ops",
 	MaintenanceOps:     "maintenance_ops",
 	BatchDeltas:        "batch_deltas",
 	BatchTuples:        "batch_tuples",
 	BatchPropagations:  "batch_propagations",
-	TxnRetries:         "txn_retries",
 	WALAppends:         "wal_appends",
 	WALRecords:         "wal_records",
 	WALBytes:           "wal_bytes",
@@ -183,7 +174,6 @@ var names = [numCounters]string{
 	AuditRepairs:       "audit_repairs",
 	MatcherRebuilds:    "matcher_rebuilds",
 	PanicsContained:    "panics_contained",
-	TxnTimeouts:        "txn_timeouts",
 }
 
 // String returns the counter's reported name.

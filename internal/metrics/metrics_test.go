@@ -47,9 +47,9 @@ func TestMax(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	var s Set
-	s.Add(LockWaits, 7)
+	s.Add(TxnAborts, 7)
 	s.Reset()
-	if got := s.Get(LockWaits); got != 0 {
+	if got := s.Get(TxnAborts); got != 0 {
 		t.Fatalf("after reset = %d", got)
 	}
 }
@@ -69,8 +69,8 @@ func TestSnapshotAndDiff(t *testing.T) {
 		t.Fatalf("diff has extra entries: %v", d)
 	}
 	// Diff against a snapshot with a counter absent from sn.
-	d2 := Snapshot{}.Diff(Snapshot{LockWaits.String(): 3})
-	if d2.Get(LockWaits) != -3 {
+	d2 := Snapshot{}.Diff(Snapshot{TxnAborts.String(): 3})
+	if d2.Get(TxnAborts) != -3 {
 		t.Fatalf("reverse diff = %v", d2)
 	}
 }

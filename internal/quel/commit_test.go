@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"prodsys/internal/engine"
-	"prodsys/internal/lock"
 	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
@@ -15,7 +14,7 @@ import (
 )
 
 // These tests pin QUEL writes to the engine's commit pipeline: every
-// append/delete/replace is one engine delta, so it is locked, panic
+// append/delete/replace is one engine delta, so it is serialized, panic
 // contained and logged exactly like an API batch.
 
 // attachWAL opens a group-sync log in a temp dir and attaches it.
@@ -109,37 +108,30 @@ func TestAppendPanicContained(t *testing.T) {
 	}
 }
 
-// TestWritesTakeRelationLocks holds the relation X-lock a concurrent
-// firing transaction would hold: a QUEL write must queue behind it, as
-// a Batch does, and complete once it is released.
+// TestWritesTakeRelationLocks holds the engine's one write lock, the
+// maintenance section every firing and batch commits in: a QUEL write
+// must wait behind it, as a Batch does, and complete once it is released.
 func TestWritesTakeRelationLocks(t *testing.T) {
 	f := setup(t, nil)
-	holder := lock.TxnID(1 << 30)
-	if err := f.eng.Locks().Acquire(holder, lock.RelationTarget("Emp"), lock.Exclusive); err != nil {
-		t.Fatal(err)
-	}
 	done := make(chan error, 1)
-	go func() {
-		_, err := f.in.Exec(`append to Emp (name = "Ann", salary = 500, dno = 1)`)
-		done <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for f.stats.Get(metrics.LockWaits) < 1 {
+	f.eng.WithMaintenanceLock(func() {
+		go func() {
+			_, err := f.in.Exec(`append to Emp (name = "Ann", salary = 500, dno = 1)`)
+			done <- err
+		}()
 		select {
 		case err := <-done:
-			t.Fatalf("append finished (err=%v) without waiting for the Emp relation lock", err)
-		default:
+			t.Fatalf("append finished (err=%v) while the maintenance section was held", err)
+		case <-time.After(50 * time.Millisecond):
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("append never queued for the Emp relation lock")
+		if n := f.eng.DB().MustGet("Emp").Len(); n != 0 {
+			t.Fatalf("append wrote %d tuples while the maintenance section was held", n)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	if n := f.eng.DB().MustGet("Emp").Len(); n != 0 {
-		t.Fatalf("append wrote %d tuples while the relation was X-locked", n)
-	}
-	f.eng.Locks().Release(holder)
+	})
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	if n := f.eng.DB().MustGet("Emp").Len(); n != 1 {
+		t.Fatalf("Emp holds %d tuples after the section was released, want 1", n)
 	}
 }

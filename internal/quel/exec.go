@@ -137,7 +137,7 @@ func (b *builder) read(o Operand, tuples []relation.Tuple) value.V {
 }
 
 // write commits one statement's changes as a single engine delta — one
-// locked, logged, all-or-nothing unit (a crash recovers the whole
+// serialized, logged, all-or-nothing unit (a crash recovers the whole
 // statement or none of it) — then drains the conflict set, firing the
 // triggers the change enabled.
 func (in *Interp) write(ops []engine.DeltaOp) (*Result, error) {

@@ -55,12 +55,10 @@ func kindLane(k Kind) (string, int) {
 		return "conflict", 3
 	case KindRuleFire, KindTxnCommit, KindTxnAbort:
 		return "execute", 4
-	case KindLockWait, KindLockAcquire, KindDeadlock:
-		return "lock", 5
 	case KindBatchApply:
-		return "batch", 6
+		return "batch", 5
 	}
-	return "other", 7
+	return "other", 6
 }
 
 // WriteChromeTrace writes events in the Chrome trace_event JSON format

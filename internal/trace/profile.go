@@ -19,8 +19,6 @@ type ruleAgg struct {
 	deactivations int64
 	firings       int64
 	fireTime      time.Duration
-	lockTime      time.Duration
-	lockAcquires  int64
 	commits       int64
 	aborts        int64
 	ces           []ceAgg
@@ -96,9 +94,6 @@ func (t *Tracer) aggregate(ev Event) {
 		a.firings++
 		a.fireTime += ev.Dur
 		t.last[ev.Rule] = ev
-	case KindLockWait, KindLockAcquire:
-		a.lockTime += ev.Dur
-		a.lockAcquires++
 	case KindTxnCommit:
 		a.commits++
 	case KindTxnAbort:
@@ -129,7 +124,6 @@ type RuleProfile struct {
 	Deactivations int64
 	Firings       int64
 	FireTime      time.Duration // RHS execution time
-	LockTime      time.Duration // lock-plan acquisition time (concurrent runs)
 	Commits       int64
 	Aborts        int64
 	CEs           []CEProfile
@@ -173,7 +167,6 @@ func (t *Tracer) Profile() Profile {
 			Deactivations: a.deactivations,
 			Firings:       a.firings,
 			FireTime:      a.fireTime,
-			LockTime:      a.lockTime,
 			Commits:       a.commits,
 			Aborts:        a.aborts,
 		}
@@ -213,12 +206,12 @@ func (p Profile) Rule(name string) (RuleProfile, bool) {
 // String renders the profile as an aligned per-rule table.
 func (p Profile) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %12s %8s %12s %8s %6s %12s %10s %7s\n",
-		"rule", "match", "m-ops", "propagate", "acts", "fires", "fire-time", "lock", "aborts")
+	fmt.Fprintf(&b, "%-28s %12s %8s %12s %8s %6s %12s %7s\n",
+		"rule", "match", "m-ops", "propagate", "acts", "fires", "fire-time", "aborts")
 	for _, r := range p.Rules {
-		fmt.Fprintf(&b, "%-28s %12s %8d %12s %8d %6d %12s %10s %7d\n",
+		fmt.Fprintf(&b, "%-28s %12s %8d %12s %8d %6d %12s %7d\n",
 			r.Name, fmtDur(r.MatchTime), r.MatchOps, fmtDur(r.PropTime),
-			r.Activations, r.Firings, fmtDur(r.FireTime), fmtDur(r.LockTime), r.Aborts)
+			r.Activations, r.Firings, fmtDur(r.FireTime), r.Aborts)
 	}
 	fmt.Fprintf(&b, "events: %d accepted, %d dropped\n", p.Total, p.Dropped)
 	if len(p.Kinds) > 0 {

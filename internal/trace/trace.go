@@ -35,12 +35,9 @@ const (
 	KindActivation   // an instantiation entered the conflict set
 	KindDeactivation // an instantiation left the conflict set
 	// Execution layer.
-	KindRuleFire    // a selected instantiation's RHS executed (Extra = instantiation key)
-	KindLockWait    // a lock request queued, then was granted or aborted (Dur = wait)
-	KindLockAcquire // a transaction's whole lock plan was acquired (Count = requests)
-	KindDeadlock    // the waits-for graph found a cycle; ID names the victim txn
-	KindTxnCommit   // a rule-firing transaction committed
-	KindTxnAbort    // a rule-firing transaction aborted (Extra = reason)
+	KindRuleFire  // a selected instantiation's RHS executed (Extra = instantiation key)
+	KindTxnCommit // a rule-firing transaction committed
+	KindTxnAbort  // a rule-firing transaction aborted (Extra = reason)
 	// Batch layer.
 	KindBatchApply // a set-oriented delta was applied (Count = operations)
 	// Durability layer.
@@ -71,9 +68,6 @@ var kindNames = [kindCount]string{
 	KindActivation:       "activation",
 	KindDeactivation:     "deactivation",
 	KindRuleFire:         "rule_fire",
-	KindLockWait:         "lock_wait",
-	KindLockAcquire:      "lock_acquire",
-	KindDeadlock:         "deadlock",
 	KindTxnCommit:        "txn_commit",
 	KindTxnAbort:         "txn_abort",
 	KindBatchApply:       "batch_apply",

@@ -81,11 +81,10 @@ func TestProfileAggregation(t *testing.T) {
 	tr.Emit(Event{Kind: KindActivation, Rule: "r1"})
 	tr.Emit(Event{Kind: KindRuleFire, Rule: "r1", Dur: 7 * time.Microsecond, Extra: "r1|4|0"})
 	tr.Emit(Event{Kind: KindDeactivation, Rule: "r1"})
-	tr.Emit(Event{Kind: KindLockAcquire, Rule: "r1", Dur: 3 * time.Microsecond})
 	tr.Emit(Event{Kind: KindTxnCommit, Rule: "r1"})
-	tr.Emit(Event{Kind: KindTxnAbort, Rule: "r1", Extra: "deadlock"})
+	tr.Emit(Event{Kind: KindTxnAbort, Rule: "r1", Extra: "stale"})
 	// Rule-less events must not create profile rows.
-	tr.Emit(Event{Kind: KindLockWait, ID: 9, Dur: time.Microsecond})
+	tr.Emit(Event{Kind: KindBatchApply, ID: 9, Dur: time.Microsecond})
 
 	p := tr.Profile()
 	if len(p.Rules) != 1 {
@@ -107,9 +106,6 @@ func TestProfileAggregation(t *testing.T) {
 	if r.Firings != 1 || r.FireTime != 7*time.Microsecond {
 		t.Errorf("firings = %d/%v, want 1/7µs", r.Firings, r.FireTime)
 	}
-	if r.LockTime != 3*time.Microsecond {
-		t.Errorf("LockTime = %v, want 3µs", r.LockTime)
-	}
 	if r.Commits != 1 || r.Aborts != 1 {
 		t.Errorf("commits/aborts = %d/%d, want 1/1", r.Commits, r.Aborts)
 	}
@@ -122,7 +118,7 @@ func TestProfileAggregation(t *testing.T) {
 	if r.CEs[1].Class != "Dept" || !r.CEs[1].Negated || r.CEs[1].Joins != 1 || r.CEs[1].Propagations != 3 {
 		t.Errorf("CE1 = %+v, want Dept negated 1 join 3 props", r.CEs[1])
 	}
-	if p.Kinds["rule_fire"] != 1 || p.Kinds["lock_wait"] != 1 {
+	if p.Kinds["rule_fire"] != 1 || p.Kinds["batch_apply"] != 1 {
 		t.Errorf("kind counts = %v", p.Kinds)
 	}
 	if !strings.Contains(p.String(), "r1") {
@@ -193,7 +189,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	tr := New()
 	tr.Start(Options{Capacity: 16})
 	tr.Emit(Event{Kind: KindCondScan, Rule: "r1", CE: 0, Class: "Emp", Count: 4, At: time.Millisecond, Dur: 3 * time.Microsecond})
-	tr.Emit(Event{Kind: KindDeadlock, ID: 7})
+	tr.Emit(Event{Kind: KindTxnAbort, ID: 7})
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)

@@ -9,8 +9,8 @@
 // package makes that commit point durable: the engine appends one
 // logical unit per committed transaction — begin / assert / retract /
 // commit records for rule firings, a single batch record for a
-// set-oriented ApplyDelta — exactly at the deferred commit point, before
-// locks release. On open, the log's committed prefix (checkpoint plus
+// set-oriented ApplyDelta — exactly at the deferred commit point, inside
+// the engine's maintenance section. On open, the log's committed prefix (checkpoint plus
 // log tail) is replayed through matcher maintenance, so a crash at any
 // byte of the file recovers working memory and the conflict set to the
 // state after some prefix of committed transactions — never a torn or
@@ -328,7 +328,7 @@ func readCheckpoint(fs fsx.FS, path string) (epoch uint64, dump []byte, exists b
 
 // AppendTxn logs one committed rule-firing transaction as begin / op /
 // commit records. The engine calls this at the paper's deferred commit
-// point: after the maintenance process completes, before locks release.
+// point: after the maintenance process completes, inside the same section.
 // key is the fired instantiation's key (restored as refraction state at
 // recovery); it may be empty for non-firing units.
 func (l *Log) AppendTxn(key string, ops []Op) error {

@@ -149,11 +149,8 @@ type ExecutionStats struct {
 	Instantiations int64
 	Retractions    int64
 	RuleFirings    int64
-	LockWaits      int64
-	LocksAcquired  int64
 	TxnCommits     int64
 	TxnAborts      int64
-	Deadlocks      int64
 	SerialOps      int64
 	MaintenanceOps int64
 }
@@ -167,7 +164,6 @@ type BatchStats struct {
 
 // DurabilityStats counts write-ahead-log and recovery operations.
 type DurabilityStats struct {
-	TxnRetries     int64 // deadlock victims retried with backoff
 	WALAppends     int64 // committed units (txns + batches) logged
 	WALRecords     int64 // individual records written
 	WALBytes       int64 // bytes appended to the log
@@ -217,7 +213,6 @@ type IntegrityStats struct {
 	AuditRepairs      int64 // divergences repaired
 	MatcherRebuilds   int64 // rules (or whole matchers) rebuilt from WM
 	PanicsContained   int64 // rule/maintenance panics absorbed
-	TxnTimeouts       int64 // transactions aborted by the watchdog
 }
 
 // PlannerStats counts cost-based join-planning operations.
@@ -313,11 +308,8 @@ func newSnapshot(m map[string]int64) Snapshot {
 			Instantiations: m["instantiations"],
 			Retractions:    m["retractions"],
 			RuleFirings:    m["rule_firings"],
-			LockWaits:      m["lock_waits"],
-			LocksAcquired:  m["locks_acquired"],
 			TxnCommits:     m["txn_commits"],
 			TxnAborts:      m["txn_aborts"],
-			Deadlocks:      m["deadlocks"],
 			SerialOps:      m["serial_ops"],
 			MaintenanceOps: m["maintenance_ops"],
 		},
@@ -327,7 +319,6 @@ func newSnapshot(m map[string]int64) Snapshot {
 			Propagations: m["batch_propagations"],
 		},
 		Durability: DurabilityStats{
-			TxnRetries:     m["txn_retries"],
 			WALAppends:     m["wal_appends"],
 			WALRecords:     m["wal_records"],
 			WALBytes:       m["wal_bytes"],
@@ -367,7 +358,6 @@ func newSnapshot(m map[string]int64) Snapshot {
 			AuditRepairs:      m["audit_repairs"],
 			MatcherRebuilds:   m["matcher_rebuilds"],
 			PanicsContained:   m["panics_contained"],
-			TxnTimeouts:       m["txn_timeouts"],
 		},
 		Counters: m,
 	}
@@ -483,8 +473,8 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 
 // RunConcurrentContext is RunConcurrent honoring ctx: cancellation is
 // observed between transaction rounds and before each transaction
-// acquires its locks; in-flight transactions complete or abort
-// normally.
+// enters the maintenance section; in-flight transactions complete or
+// abort normally.
 func (s *System) RunConcurrentContext(ctx context.Context) (Result, error) {
 	r, err := s.eng.RunConcurrentContext(ctx)
 	return Result(r), err

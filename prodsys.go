@@ -20,8 +20,9 @@
 //     rectangles (§2.3), which also answers rulebase queries.
 //
 // Execution is either serial OPS5-style or concurrent: every applicable
-// instantiation runs as a transaction under two-phase locking with the
-// commit point after maintenance, per §5.
+// instantiation runs as a transaction that is validated, acts and
+// commits after maintenance inside the engine's one non-interleavable
+// section, per §5.
 //
 // Quick start:
 //
@@ -143,8 +144,8 @@ type Options struct {
 	// Strategy selects the conflict-resolution strategy for serial runs;
 	// default StrategyFIFO.
 	Strategy Strategy
-	// Seed seeds the random strategy and the engine's private RNG (the
-	// deadlock-victim retry jitter), making both reproducible run-to-run.
+	// Seed seeds StrategyRandom, making its selections reproducible
+	// run-to-run. Nothing else draws random numbers.
 	Seed int64
 	// Storage names the storage layout; "" and StorageRow are the only
 	// accepted values (there is one layout).
@@ -156,16 +157,9 @@ type Options struct {
 	// Out receives the output of write actions; default os.Stdout. Use
 	// io.Discard to silence.
 	Out io.Writer
-	// CommitEarly injects the §5.2 protocol violation (testing only).
-	CommitEarly bool
 	// SetAtATime fires every eligible instantiation of the selected rule
 	// per cycle (the set-oriented execution of §5.1).
 	SetAtATime bool
-	// TxnTimeout bounds each firing transaction: a transaction whose lock
-	// waits exceed the budget is aborted (its effects rolled back, locks
-	// released) and retried — the watchdog that keeps a stuck firing from
-	// wedging the executor. Zero disables the watchdog.
-	TxnTimeout time.Duration
 
 	// WALPath enables crash-safe durability: every committed unit (rule
 	// firing, batch, Assert/Retract) is appended to the write-ahead log
@@ -206,10 +200,11 @@ type Result struct {
 	Cycles int
 	// Halted reports whether a halt action stopped the run.
 	Halted bool
-	// Aborts counts transactions aborted in concurrent runs.
+	// Aborts counts transactions aborted in concurrent runs: stale or
+	// already fired when their turn came, or panicked.
 	Aborts int
 	// Panics counts firings whose panic was contained: effects rolled
-	// back, locks released, nothing committed to the WAL.
+	// back, nothing committed to the WAL.
 	Panics int
 }
 
@@ -222,7 +217,6 @@ type System struct {
 	matcher match.Matcher
 	eng     *engine.Engine
 	ptree   *ptree.Matcher // non-nil when Matcher == MatcherPTree
-	views   *view.Manager
 	quelIn  *quel.Interp
 	out     io.Writer
 	tracer  *trace.Tracer
@@ -298,15 +292,12 @@ func load(prog *lang.Program, opts Options) (*System, error) {
 	}
 	sys.out = out
 	sys.eng = engine.New(set, db, sys.matcher, stats, engine.Config{
-		Strategy:    strat,
-		MaxFirings:  opts.MaxFirings,
-		Workers:     opts.Workers,
-		Out:         out,
-		CommitEarly: opts.CommitEarly,
-		SetAtATime:  opts.SetAtATime,
-		Tracer:      tr,
-		TxnTimeout:  opts.TxnTimeout,
-		Seed:        opts.Seed,
+		Strategy:   strat,
+		MaxFirings: opts.MaxFirings,
+		Workers:    opts.Workers,
+		Out:        out,
+		SetAtATime: opts.SetAtATime,
+		Tracer:     tr,
 	})
 	if err := sys.openWAL(opts); err != nil {
 		return nil, err
@@ -349,7 +340,7 @@ func (s *System) Run() (Result, error) {
 }
 
 // RunConcurrent executes the conflict set with concurrent transactional
-// firing under two-phase locking (§5). It is a thin wrapper over
+// firing (§5). It is a thin wrapper over
 // RunConcurrentContext with a background context — the context-taking
 // variant is the primary entry point, and new execution features land
 // there.
@@ -448,11 +439,10 @@ func (b *Batch) Retract(class string, id uint64) *Batch {
 // Len reports the number of queued operations.
 func (b *Batch) Len() int { return len(b.ops) }
 
-// Commit applies the batch atomically with respect to other batches:
-// relation-level write locks are taken once per touched class, the WM
-// changes apply in order, and match maintenance runs set-at-a-time —
-// once per (class, direction) group — before the locks release. The
-// returned slice is aligned with the queued operations: the assigned
+// Commit applies the batch atomically with respect to other batches and
+// rule firings: the WM changes apply in order, and match maintenance
+// runs set-at-a-time — once per (class, direction) group — inside the
+// engine's one maintenance section. The returned slice is aligned with the queued operations: the assigned
 // tuple ID at assertion positions, zero at retractions. A batch commits
 // at most once; further Commit calls (and further Assert/Retract) fail.
 func (b *Batch) Commit() ([]uint64, error) {
@@ -460,8 +450,8 @@ func (b *Batch) Commit() ([]uint64, error) {
 }
 
 // CommitContext is Commit honoring ctx: cancellation is observed before
-// the batch acquires its relation locks; once the locks are held the
-// batch applies in full.
+// the batch enters the maintenance section; once inside, the batch
+// applies in full.
 func (b *Batch) CommitContext(ctx context.Context) ([]uint64, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -706,23 +696,11 @@ func (s *System) SaveWMFile(path string) error {
 // reflects the restored contents. The whole dump is validated before
 // anything is applied: on error the working memory is untouched. The
 // system's WM should be empty and the dump must have been produced by a
-// system with the same class declarations. With a WAL attached, the
-// restored tuples are logged as one batch so they survive a restart.
+// system with the same class declarations. Attached views see the
+// restored tuples. With a WAL attached, the restored tuples are logged
+// as one batch so they survive a restart.
 func (s *System) RestoreWM(r io.Reader) error {
-	var restored []relation.RestoredTuple
-	var err error
-	// Matchers keep no locks of their own; maintenance runs under the
-	// engine's maintenance mutex.
-	s.eng.WithMaintenanceLock(func() {
-		if restored, err = s.db.Restore(r); err != nil {
-			return
-		}
-		for _, rt := range restored {
-			if err = s.matcher.Insert(rt.Class, rt.ID, rt.Tuple); err != nil {
-				return
-			}
-		}
-	})
+	restored, err := s.eng.Restore(r)
 	if err != nil {
 		return err
 	}
@@ -741,38 +719,44 @@ func (s *System) RestoreWMFile(path string) error {
 
 // AttachViews defines materialized views (productions with empty RHS)
 // over this system's working memory. The views are maintained
-// incrementally through every Assert, Retract and rule firing.
+// incrementally through every Assert, Retract, rule firing and
+// RestoreWM. Attaching and seeding from the current WM happen inside
+// the maintenance section, so a concurrent commit lands either before
+// the seeding scan or through the observer, never both.
 func (s *System) AttachViews(src string) (*Views, error) {
 	mgr, err := view.NewManager(src, s.db, s.stats)
 	if err != nil {
 		return nil, err
 	}
-	s.views = mgr
-	s.eng.SetWMObserver(func(inserted bool, class string, id relation.TupleID, t relation.Tuple) {
-		if inserted {
-			mgr.Insert(class, id, t)
-		} else {
-			mgr.Delete(class, id, t)
-		}
-	})
-	// Seed the views with the current WM contents.
-	for _, name := range s.db.Names() {
-		rel, err := s.db.Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		var ids []relation.TupleID
-		var tups []relation.Tuple
-		rel.Scan(func(id relation.TupleID, t relation.Tuple) bool {
-			ids = append(ids, id)
-			tups = append(tups, t.Clone())
-			return true
+	s.eng.WithMaintenanceLock(func() {
+		s.eng.SetWMObserver(func(inserted bool, class string, id relation.TupleID, t relation.Tuple) {
+			if inserted {
+				mgr.Insert(class, id, t)
+			} else {
+				mgr.Delete(class, id, t)
+			}
 		})
-		for i := range ids {
-			if err := mgr.Insert(name, ids[i], tups[i]); err != nil {
-				return nil, err
+		for _, name := range s.db.Names() {
+			rel, ok := s.db.Get(name)
+			if !ok {
+				continue
+			}
+			var ids []relation.TupleID
+			var tups []relation.Tuple
+			rel.Scan(func(id relation.TupleID, t relation.Tuple) bool {
+				ids = append(ids, id)
+				tups = append(tups, t.Clone())
+				return true
+			})
+			for i := range ids {
+				if err = mgr.Insert(name, ids[i], tups[i]); err != nil {
+					return
+				}
 			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Views{mgr: mgr}, nil
 }

@@ -265,6 +265,84 @@ func TestViewsThroughFacade(t *testing.T) {
 		rows, _ := views2.Rows("staff")
 		t.Fatalf("seeded view size = %d: %v", n, rows)
 	}
+	// Restored contents: RestoreWM after AttachViews reaches the views.
+	var dump bytes.Buffer
+	if err := sys2.SaveWM(&dump); err != nil {
+		t.Fatal(err)
+	}
+	sys3, _ := Load(`
+(literalize Emp name dno)
+(literalize Dept dno dname)`, Options{Out: io.Discard})
+	views3, err := sys3.AttachViews(`
+(literalize Emp name dno)
+(literalize Dept dno dname)
+(p staff (Emp ^name <n> ^dno <d>) (Dept ^dno <d> ^dname <m>) -->)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys3.RestoreWM(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := views3.Len("staff"); n != 1 {
+		rows, _ := views3.Rows("staff")
+		t.Fatalf("view size after RestoreWM = %d, want 1: %v", n, rows)
+	}
+}
+
+// TestAttachViewsDuringCommits attaches a view while another goroutine
+// commits: every tuple must reach the view exactly once — through the
+// seeding scan or the observer — and the attach must not race the
+// commits (run under -race).
+func TestAttachViewsDuringCommits(t *testing.T) {
+	const n = 2000
+	sys, err := Load(`(literalize A x)`, Options{Out: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	ids := make([]uint64, n)
+	started := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for i := range ids {
+			if i == n/20 {
+				close(started)
+			}
+			id, err := sys.Assert("A", i)
+			if err != nil {
+				done <- err
+				return
+			}
+			ids[i] = id
+		}
+		done <- nil
+	}()
+	select {
+	case <-started:
+	case err := <-done:
+		t.Fatalf("asserts stopped before the attach: %v", err)
+	}
+	views, err := sys.AttachViews(`
+(literalize A x)
+(p all (A ^x <v>) -->)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := views.Len("all"); got != n {
+		t.Fatalf("view rows = %d, want %d", got, n)
+	}
+	for _, id := range ids {
+		if err := sys.Retract("A", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, _ := views.Len("all"); got != 0 {
+		rows, _ := views.Rows("all")
+		t.Fatalf("view rows after retracting everything = %d, want 0: %v", got, rows[:min(len(rows), 5)])
+	}
 }
 
 func TestWriteOutputThroughFacade(t *testing.T) {

@@ -181,9 +181,10 @@ func TestRunCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestSeededRetryIsolation: two systems share no RNG state — the
-// package-global rand is untouched by engine backoff (each engine owns
-// a seeded source), so identical seeds give identical behavior.
+// TestSeededRetryIsolation: two systems share no RNG state — nothing
+// in the engine draws from the package-global rand, and Options.Seed
+// seeds only the random strategy — so identical seeds give identical
+// behavior.
 func TestSeededRetryIsolation(t *testing.T) {
 	a, err := Load(durableSrc, Options{Out: discard{}, Seed: 7})
 	if err != nil {
