@@ -24,8 +24,9 @@ exact-diff:
 
 # paired runs the untraced benchmark PAIRS times on BASE and on the working
 # tree, alternating which goes first, and prints per-pair ratios, medians,
-# quartiles and win counts for every end-to-end metric — the evidence a
-# performance claim needs.
+# quartiles, win counts and a verdict against the metric's BENCHMARK.json
+# bound (better, within, worse or unresolved) for every end-to-end metric —
+# the evidence a performance claim needs. It fails if any metric is worse.
 PAIRS ?= 10
 WORKLOAD ?= jobshop-fire
 SECONDS ?= 15

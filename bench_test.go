@@ -279,9 +279,9 @@ func BenchmarkE10ViewMaintenance(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			id, _ := emp.Insert(relation.Tuple{value.OfSym("x"), value.OfInt(1), value.OfInt(int64(i % 10))})
-			joiner.Enumerate(db, r, nil, nil, stats, func([]relation.TupleID, []relation.Tuple, rules.Bindings) {})
+			joiner.Enumerate(db, r, nil, stats, func([]relation.TupleID, []relation.Tuple, rules.Bindings) {})
 			emp.Delete(id)
-			joiner.Enumerate(db, r, nil, nil, stats, func([]relation.TupleID, []relation.Tuple, rules.Bindings) {})
+			joiner.Enumerate(db, r, nil, stats, func([]relation.TupleID, []relation.Tuple, rules.Bindings) {})
 		}
 	})
 }

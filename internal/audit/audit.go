@@ -16,6 +16,7 @@ package audit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"prodsys/internal/conflict"
@@ -188,8 +189,8 @@ func (a *Auditor) auditConflictSet(selected []*rules.Rule, emit func(match.Diver
 	}
 	for _, r := range selected {
 		expected := map[conflict.Key]*conflict.Instantiation{}
-		joiner.Enumerate(a.db, r, nil, nil, a.stats, func(ids []relation.TupleID, _ []relation.Tuple, _ rules.Bindings) {
-			in := &conflict.Instantiation{Rule: r, TupleIDs: ids}
+		joiner.Enumerate(a.db, r, nil, a.stats, func(ids []relation.TupleID, _ []relation.Tuple, _ rules.Bindings) {
+			in := &conflict.Instantiation{Rule: r, TupleIDs: slices.Clone(ids)}
 			if key := in.Key(); !cs.HasFired(key) {
 				expected[key] = in
 			}
@@ -245,8 +246,8 @@ func (a *Auditor) repair(rep *Report) error {
 			continue
 		}
 		expected := map[conflict.Key]*conflict.Instantiation{}
-		joiner.Enumerate(a.db, r, nil, nil, a.stats, func(ids []relation.TupleID, tuples []relation.Tuple, b rules.Bindings) {
-			in := &conflict.Instantiation{Rule: r, TupleIDs: ids, Tuples: tuples, Bindings: b}
+		joiner.Enumerate(a.db, r, nil, a.stats, func(ids []relation.TupleID, tuples []relation.Tuple, _ rules.Bindings) {
+			in := conflict.NewInstantiation(r, ids, tuples)
 			if key := in.Key(); !cs.HasFired(key) {
 				expected[key] = in
 			}

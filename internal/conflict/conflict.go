@@ -34,16 +34,18 @@ import (
 
 // Instantiation is one satisfied rule together with the tuples that
 // satisfy its positive condition elements. It belongs to at most one Set.
+// Its variable bindings are a function of those tuples (§5.1: the tuples
+// "must be selected before executing the RHS actions"), so it carries
+// none: Rule.Value reads one from Tuples on demand, and Rule.Fill loads
+// them all into a slot vector.
 type Instantiation struct {
 	Rule *rules.Rule
 	// TupleIDs is aligned with Rule.CEs; negated condition elements hold
 	// zero.
 	TupleIDs []relation.TupleID
-	// Tuples snapshots the matched tuples (same alignment) for RHS
-	// execution; negated positions are nil.
+	// Tuples holds the matched stored tuples (same alignment), which are
+	// immutable; negated positions are nil.
 	Tuples []relation.Tuple
-	// Bindings is the variable assignment of the match.
-	Bindings rules.Bindings
 	// Seq is the arrival order assigned by the conflict set.
 	Seq uint64
 
@@ -54,6 +56,45 @@ type Instantiation struct {
 	prev, next *Instantiation
 	sup        *support
 	refracted  bool
+}
+
+// NewInstantiation returns an instantiation of r over copies of ids and
+// tuples — the slices a join lends its emit callback — made in one
+// allocation for rules of up to eight condition elements.
+func NewInstantiation(r *rules.Rule, ids []relation.TupleID, tuples []relation.Tuple) *Instantiation {
+	n := len(ids)
+	var in *Instantiation
+	var idBuf []relation.TupleID
+	var tupBuf []relation.Tuple
+	switch {
+	case n <= 2:
+		x := new(struct {
+			in     Instantiation
+			ids    [2]relation.TupleID
+			tuples [2]relation.Tuple
+		})
+		in, idBuf, tupBuf = &x.in, x.ids[:n], x.tuples[:n]
+	case n <= 4:
+		x := new(struct {
+			in     Instantiation
+			ids    [4]relation.TupleID
+			tuples [4]relation.Tuple
+		})
+		in, idBuf, tupBuf = &x.in, x.ids[:n], x.tuples[:n]
+	case n <= 8:
+		x := new(struct {
+			in     Instantiation
+			ids    [8]relation.TupleID
+			tuples [8]relation.Tuple
+		})
+		in, idBuf, tupBuf = &x.in, x.ids[:n], x.tuples[:n]
+	default:
+		in, idBuf, tupBuf = new(Instantiation), make([]relation.TupleID, n), make([]relation.Tuple, n)
+	}
+	copy(idBuf, ids)
+	copy(tupBuf, tuples)
+	in.Rule, in.TupleIDs, in.Tuples = r, idBuf, tupBuf
+	return in
 }
 
 // inlineIDs is how many tuple IDs a Key holds without allocating.
@@ -475,6 +516,26 @@ func (s *Set) RemoveWhere(pred func(*Instantiation) bool) []*Instantiation {
 		s.removeLocked(in)
 	}
 	return out
+}
+
+// RemoveBlocked retracts every instantiation of ce's rule that one of the
+// new tuples in entries blocks through the negated condition element ce:
+// the tuple satisfies ce under the instantiation's bindings. It returns
+// the retracted instantiations in Seq order.
+func (s *Set) RemoveBlocked(ce *rules.CE, entries []relation.DeltaEntry) []*Instantiation {
+	var b rules.Bindings
+	return s.RemoveWhere(func(in *Instantiation) bool {
+		if in.Rule != ce.Rule {
+			return false
+		}
+		b = in.Rule.Fill(b, in.Tuples)
+		for _, e := range entries {
+			if _, blocked := ce.MatchWith(e.Tuple, b); blocked {
+				return true
+			}
+		}
+		return false
+	})
 }
 
 // Contains reports whether the keyed instantiation is present.

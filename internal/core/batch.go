@@ -39,7 +39,7 @@ func (m *Matcher) InsertBatch(class string, entries []relation.DeltaEntry) error
 	for _, ce := range m.set.ByClass[class] {
 		if ce.Negated {
 			m.stats.Inc(metrics.PatternSearches)
-			m.retractBlocked(ce, entries)
+			m.cs.RemoveBlocked(ce, entries)
 		}
 	}
 	m.maintain(m.stores[class].conds, entries)
@@ -198,9 +198,9 @@ func (m *Matcher) detectDeletes(class string, entries []relation.DeltaEntry) {
 		seen[ce.Rule] = true
 		var found int64
 		t0 := m.tr.Now()
-		m.pl.Enumerate(m.db, ce.Rule, nil, nil, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, b rules.Bindings) {
+		m.pl.Enumerate(m.db, ce.Rule, nil, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, _ rules.Bindings) {
 			found++
-			m.cs.Add(&conflict.Instantiation{Rule: ce.Rule, TupleIDs: ids, Tuples: tuples, Bindings: b})
+			m.cs.Add(conflict.NewInstantiation(ce.Rule, ids, tuples))
 		})
 		if m.tr.Enabled() {
 			m.tr.Emit(trace.Event{

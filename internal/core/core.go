@@ -90,6 +90,11 @@ type Matcher struct {
 	// byTuple is the reverse index from a WM tuple to the pattern support
 	// slots it feeds.
 	byTuple map[wmeKey][]patSlot
+
+	// b and ins are exact emission's reused slot vector and instantiation
+	// buffer.
+	b   rules.Bindings
+	ins []*conflict.Instantiation
 }
 
 // New builds the matcher over the engine's WM catalog: one COND index per
@@ -239,7 +244,7 @@ func (m *Matcher) Insert(class string, id relation.TupleID, t relation.Tuple) er
 	for _, ce := range m.set.ByClass[class] {
 		m.stats.Inc(metrics.PatternSearches)
 		if ce.Negated {
-			m.retractBlocked(ce, one)
+			m.cs.RemoveBlocked(ce, one)
 			continue
 		}
 		src := conds[:1]
@@ -274,60 +279,15 @@ func (m *Matcher) emit(ci *condIndex, id relation.TupleID, t relation.Tuple, par
 	}
 }
 
-// exactInst holds one exact instantiation and its tuple arrays in a
-// single allocation.
-type exactInst struct {
-	in     conflict.Instantiation
-	ids    [2]relation.TupleID
-	tuples [2]relation.Tuple
-}
-
-// emitExact pairs t with each partner tuple its matched patterns carry,
-// ascending by tuple ID — the order the verification join's index-eq and
-// scan access paths would produce. Each pair is re-checked with MatchWith
-// (which also builds the bindings), so an emitted instantiation always
-// satisfies the LHS; exactness is what makes the list complete. In a
-// self-join t itself is a candidate partner even before its own
-// projection is maintained, as it is for the verification join.
-//
-// The marks name every partner the matcher has maintained. When WM holds
-// partner tuples it has not been handed yet — a later class of the same
-// batch, or a checkpoint restore in progress — the partner relation is
-// probed on the join value instead, so each instantiation still arrives
-// exactly when the verification join would add it.
+// emitExact adds the instantiations pairing t with each partner tuple its
+// matched patterns carry (buildExact).
 func (m *Matcher) emitExact(ci *condIndex, id relation.TupleID, t relation.Tuple, partners []relation.TupleID) {
-	ce := ci.ce
-	other := ce.Rule.CEs[ci.partner]
-	rel, ok := m.db.Get(other.Class)
-	if !ok {
-		return
-	}
-	switch {
-	case rel.Len() != m.stores[other.Class].live:
-		m.stats.Inc(metrics.JoinsComputed)
-		partners = rel.SelectEq(ci.partnerPos, t[ci.ownPos])
-	case other.Class == ce.Class:
-		partners = withID(partners, id)
-	}
 	t0 := m.tr.Now()
-	tb, _ := ce.MatchWith(t, nil)
-	ins := make([]*conflict.Instantiation, 0, len(partners))
-	for _, pid := range partners {
-		u, live := rel.Get(pid)
-		if !live {
-			continue
-		}
-		b, ok := other.MatchWith(u, tb)
-		if !ok {
-			continue
-		}
-		x := &exactInst{}
-		x.ids[ce.Index], x.tuples[ce.Index] = id, t
-		x.ids[other.Index], x.tuples[other.Index] = pid, u
-		x.in = conflict.Instantiation{Rule: ce.Rule, TupleIDs: x.ids[:], Tuples: x.tuples[:], Bindings: b}
-		ins = append(ins, &x.in)
-	}
+	ins := m.buildExact(ci, id, t, partners)
 	m.cs.AddAll(ins)
+	clear(ins)
+	m.ins = ins[:0]
+	ce := ci.ce
 	if m.tr.Enabled() {
 		m.tr.Emit(trace.Event{
 			Kind: trace.KindJoinEval, At: t0, Dur: m.tr.Now() - t0,
@@ -337,6 +297,61 @@ func (m *Matcher) emitExact(ci *condIndex, id relation.TupleID, t relation.Tuple
 	if len(ins) == 0 {
 		m.stats.Inc(metrics.FalseDrops)
 	}
+}
+
+// buildExact pairs t with each partner tuple its matched patterns carry,
+// ascending by tuple ID — the order the verification join's index-eq and
+// scan access paths would produce — into the reused buffer m.ins. Each
+// pair is re-checked with MatchWith, so an emitted instantiation always
+// satisfies the LHS; exactness is what makes the list complete. In a
+// self-join t itself is a candidate partner even before its own
+// projection is maintained, as it is for the verification join. Each
+// instantiation is one allocation, its bindings read from its tuples.
+//
+// The marks name every partner the matcher has maintained. When WM holds
+// partner tuples it has not been handed yet — a later class of the same
+// batch, or a checkpoint restore in progress — the partner relation is
+// probed on the join value instead, so each instantiation still arrives
+// exactly when the verification join would add it.
+func (m *Matcher) buildExact(ci *condIndex, id relation.TupleID, t relation.Tuple, partners []relation.TupleID) []*conflict.Instantiation {
+	ce := ci.ce
+	r := ce.Rule
+	other := r.CEs[ci.partner]
+	ins := m.ins[:0]
+	rel, ok := m.db.Get(other.Class)
+	if !ok {
+		return ins
+	}
+	switch {
+	case rel.Len() != m.stores[other.Class].live:
+		m.stats.Inc(metrics.JoinsComputed)
+		partners = rel.SelectEq(ci.partnerPos, t[ci.ownPos])
+	case other.Class == ce.Class:
+		partners = withID(partners, id)
+	}
+	m.b = r.Clear(m.b)
+	tu, ok := ce.MatchWith(t, m.b)
+	if !ok {
+		return ins
+	}
+	var ids [2]relation.TupleID
+	var tuples [2]relation.Tuple
+	ids[ce.Index], tuples[ce.Index] = id, t
+	for _, pid := range partners {
+		u, live := rel.Get(pid)
+		if !live {
+			continue
+		}
+		pu, ok := other.MatchWith(u, m.b)
+		if !ok {
+			continue
+		}
+		other.Unbind(m.b, pu)
+		ids[other.Index], tuples[other.Index] = pid, u
+		ins = append(ins, conflict.NewInstantiation(r, ids[:], tuples[:]))
+	}
+	ce.Unbind(m.b, tu)
+	return ins
 }
 
 // withID returns ids with id merged in, leaving ids itself untouched (it
@@ -355,24 +370,15 @@ func withID(ids []relation.TupleID, id relation.TupleID) []relation.TupleID {
 // verifyAndEmit runs the selection-driven join seeded by the new tuple
 // and adds every real instantiation; a candidate with no completions is a
 // false drop (§2.3: "the penalty to be paid is just in processing time").
+// The pin also seeds the join with the new tuple's own bindings, so
+// condition elements scheduled before the pinned one probe their join
+// indexes instead of scanning.
 func (m *Matcher) verifyAndEmit(ce *rules.CE, id relation.TupleID, t relation.Tuple) {
 	var found int64
 	t0 := m.tr.Now()
-	fixed := map[int]joiner.Fixed{ce.Index: {ID: id, Tuple: t}}
-	// Seed the join with the pinned tuple's own bindings: every emitted
-	// instantiation must carry them (the pinned condition element has to
-	// match t), and handing them to the evaluator up front lets condition
-	// elements scheduled before the pinned one probe their join indexes
-	// instead of scanning — the case where the new tuple pins a later CE
-	// and a fixed-order evaluation would otherwise open with an unbound
-	// scan of the first CE's class.
-	seed, ok := ce.MatchPattern(t, nil)
-	if !ok {
-		seed = nil
-	}
-	m.pl.Enumerate(m.db, ce.Rule, fixed, seed, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, b rules.Bindings) {
+	m.pl.Enumerate(m.db, ce.Rule, &joiner.Pin{CE: ce.Index, ID: id, Tuple: t}, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, _ rules.Bindings) {
 		found++
-		m.cs.Add(&conflict.Instantiation{Rule: ce.Rule, TupleIDs: ids, Tuples: tuples, Bindings: b})
+		m.cs.Add(conflict.NewInstantiation(ce.Rule, ids, tuples))
 	})
 	if m.tr.Enabled() {
 		m.tr.Emit(trace.Event{
@@ -383,22 +389,6 @@ func (m *Matcher) verifyAndEmit(ce *rules.CE, id relation.TupleID, t relation.Tu
 	if found == 0 {
 		m.stats.Inc(metrics.FalseDrops)
 	}
-}
-
-// retractBlocked removes every instantiation of ce's rule that one of the
-// new tuples blocks through the negated condition element ce.
-func (m *Matcher) retractBlocked(ce *rules.CE, entries []relation.DeltaEntry) {
-	m.cs.RemoveWhere(func(in *conflict.Instantiation) bool {
-		if in.Rule != ce.Rule {
-			return false
-		}
-		for _, e := range entries {
-			if _, blocked := ce.MatchWith(e.Tuple, in.Bindings); blocked {
-				return true
-			}
-		}
-		return false
-	})
 }
 
 // Delete implements match.Matcher. The WM relation no longer contains the

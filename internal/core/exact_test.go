@@ -179,8 +179,14 @@ func runExactAgreement(t *testing.T, r *rand.Rand, src string, wantExact, batche
 			}
 			for k, in := range want {
 				g := got[k]
-				if g == nil || !g.Bindings.Equal(in.Bindings) {
-					t.Fatalf("%s: instantiation %s: core %v, requery %v", where, k, g, in.Bindings)
+				if g == nil {
+					t.Fatalf("%s: instantiation %s missing from core", where, k)
+				}
+				gb, wb := g.Rule.Fill(nil, g.Tuples), in.Rule.Fill(nil, in.Tuples)
+				for s := range wb {
+					if !value.Equal(gb[s], wb[s]) {
+						t.Fatalf("%s: instantiation %s: core %v, requery %v", where, k, gb, wb)
+					}
 				}
 			}
 		}
@@ -217,4 +223,42 @@ func seqKeys(cs *conflict.Set) []string {
 		out = append(out, in.KeyString())
 	}
 	return out
+}
+
+// TestExactEmissionAllocsPerInstantiation pins exact emission at one
+// allocation per instantiation: the instantiation and its tuple arrays
+// share one object, the partner tuples are lent by the relation, and the
+// bindings live in a reused slot vector, so no per-match map is built.
+func TestExactEmissionAllocsPerInstantiation(t *testing.T) {
+	f := setup(t, `
+(literalize A a b)
+(literalize B a b)
+(p two (A ^a <x> ^b <y>) (B ^a <x> ^b <z>) --> (halt))`)
+	const n = 32
+	var partners []relation.TupleID
+	for i := 0; i < n; i++ {
+		partners = append(partners, f.insert(t, "B", value.OfInt(1), value.OfInt(int64(i))))
+	}
+	rel := f.db.MustGet("A")
+	id, err := rel.Insert(relation.Tuple{value.OfInt(1), value.OfInt(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tup, _ := rel.Get(id)
+	ci := f.m.cond[f.m.set.Rules[0].CEs[0]]
+	if ci.partner < 0 {
+		t.Fatal("rule two should be exact")
+	}
+	emit := func() int {
+		ins := f.m.buildExact(ci, id, tup, partners)
+		clear(ins)
+		f.m.ins = ins[:0]
+		return len(ins)
+	}
+	if got := emit(); got != n {
+		t.Fatalf("built %d instantiations, want %d", got, n)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { emit() }); allocs > n {
+		t.Errorf("exact emission of %d instantiations allocates %v objects, want at most %d", n, allocs, n)
+	}
 }

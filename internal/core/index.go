@@ -386,7 +386,8 @@ func newCondIndex(ce *rules.CE) *condIndex {
 
 // alone reports whether t matches the original COND tuple — the
 // condition element with no variable bound elsewhere, i.e.
-// rules.CE.MatchPattern(t, nil) succeeding — without allocating.
+// rules.CE.MatchPattern succeeding on an unbound slot vector — without
+// touching one.
 func (ci *condIndex) alone(t relation.Tuple) bool {
 	ce := ci.ce
 	if !ce.MatchAlpha(t) {

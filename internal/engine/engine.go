@@ -299,13 +299,17 @@ func (e *Engine) rollbackLocked(rec *opRecorder) {
 // interpreter, a called Go function or matcher maintenance — is
 // recovered, counted, traced and surfaced as an ErrRulePanic instead of
 // killing the worker.
-func (e *Engine) contained(scope string, fn func() error) (err error) {
+func (e *Engine) contained(u *unit, fn func() error) (err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
 		e.stats.Inc(metrics.PanicsContained)
+		scope := u.scope
+		if u.inst != nil {
+			scope = "rule " + u.inst.Rule.Name
+		}
 		if e.tr.Enabled() {
 			e.tr.Emit(trace.Event{
 				Kind: trace.KindPanicContained, At: e.tr.Now(),
@@ -395,7 +399,9 @@ func (e *Engine) Shutdown() error {
 // (fire), restored dumps (LogRestored) — only fills in a unit; commit
 // is the one place that sequences maintenance, logging and durability.
 type unit struct {
-	scope string // names the unit in a contained panic's error
+	// scope names a unit that is not a firing in a contained panic's
+	// error; a firing is named after its rule.
+	scope string
 	// inst is a firing's instantiation: the unit is logged as a txn unit
 	// under its rendered key, so replay restores refraction. nil logs a
 	// batch unit.
@@ -453,7 +459,7 @@ func (e *Engine) runLocked(u unit) (*wal.Log, uint64, error) {
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
 	rec := &opRecorder{redo: e.wal != nil}
-	err := e.contained(u.scope, func() error { return u.body(rec) })
+	err := e.contained(&u, func() error { return u.body(rec) })
 	if errors.Is(err, ErrRulePanic) {
 		// Rollback before log: a panicked unit is undone through storage,
 		// matcher and observer, and the WAL never sees it.
@@ -737,7 +743,8 @@ func (e *Engine) LogRestored(rts []relation.RestoredTuple) error {
 // modify. rec collects the applied WM ops for the firing's single
 // commit-point WAL append. Returns whether a halt action ran.
 func (e *Engine) applyActions(in *conflict.Instantiation, rec *opRecorder) (bool, error) {
-	b := in.Bindings.Clone()
+	r := in.Rule
+	b := r.Fill(nil, in.Tuples) // one vector per firing, bind slots included
 	halted := false
 	for _, act := range in.Rule.Actions {
 		switch act.Kind {
@@ -746,7 +753,7 @@ func (e *Engine) applyActions(in *conflict.Instantiation, rec *opRecorder) (bool
 			t := make(relation.Tuple, schema.Arity())
 			for _, as := range act.Assigns {
 				pos, _ := schema.Pos(as.Attr)
-				v, err := rules.ResolveTerm(as.Term, b)
+				v, err := r.ResolveTerm(as.Term, b)
 				if err != nil {
 					return halted, fmt.Errorf("rule %s make: %w", in.Rule.Name, err)
 				}
@@ -775,7 +782,7 @@ func (e *Engine) applyActions(in *conflict.Instantiation, rec *opRecorder) (bool
 			t := old.Clone()
 			for _, as := range act.Assigns {
 				pos, _ := in.Rule.CEs[ceIdx].Schema.Pos(as.Attr)
-				v, err := rules.ResolveTerm(as.Term, b)
+				v, err := r.ResolveTerm(as.Term, b)
 				if err != nil {
 					return halted, fmt.Errorf("rule %s modify: %w", in.Rule.Name, err)
 				}
@@ -792,7 +799,7 @@ func (e *Engine) applyActions(in *conflict.Instantiation, rec *opRecorder) (bool
 			if e.cfg.Out != nil {
 				parts := make([]string, 0, len(act.Args))
 				for _, arg := range act.Args {
-					v, err := rules.ResolveTerm(arg, b)
+					v, err := r.ResolveTerm(arg, b)
 					if err != nil {
 						return halted, fmt.Errorf("rule %s write: %w", in.Rule.Name, err)
 					}
@@ -801,11 +808,12 @@ func (e *Engine) applyActions(in *conflict.Instantiation, rec *opRecorder) (bool
 				fmt.Fprintln(e.cfg.Out, strings.Join(parts, " "))
 			}
 		case lang.ActBind:
-			v, err := rules.ResolveTerm(act.Term, b)
+			v, err := r.ResolveTerm(act.Term, b)
 			if err != nil {
 				return halted, fmt.Errorf("rule %s bind: %w", in.Rule.Name, err)
 			}
-			b[act.Var] = v
+			s, _ := r.Slot(act.Var)
+			b[s] = v
 		case lang.ActCall:
 			fn, ok := e.funcs[act.Func]
 			if !ok {
@@ -813,7 +821,7 @@ func (e *Engine) applyActions(in *conflict.Instantiation, rec *opRecorder) (bool
 			}
 			args := make([]value.V, len(act.Args))
 			for i, arg := range act.Args {
-				v, err := rules.ResolveTerm(arg, b)
+				v, err := r.ResolveTerm(arg, b)
 				if err != nil {
 					return halted, fmt.Errorf("rule %s call %s: %w", in.Rule.Name, act.Func, err)
 				}
@@ -856,7 +864,7 @@ var errAlreadyFired = fmt.Errorf("%w: already fired", ErrStale)
 // while its supporting tuples live and its negated conditions hold. A
 // panicked firing stays marked (quarantined, so a panic cannot loop).
 func (e *Engine) fire(ctx context.Context, in *conflict.Instantiation, key conflict.Key, u unit) (halted bool, err error) {
-	u.scope, u.inst = "rule "+in.Rule.Name, in
+	u.inst = in
 	u.body = func(rec *opRecorder) (err error) {
 		if e.cs.HasFired(key) {
 			return errAlreadyFired

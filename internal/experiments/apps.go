@@ -230,7 +230,7 @@ func E10ViewMaintenance(updates int) Table {
 					live[op.Class] = append(live[op.Class], id)
 				}
 				rowCount = 0
-				joiner.Enumerate(db, r, nil, nil, stats, func([]relation.TupleID, []relation.Tuple, rules.Bindings) {
+				joiner.Enumerate(db, r, nil, stats, func([]relation.TupleID, []relation.Tuple, rules.Bindings) {
 					rowCount++
 				})
 			}

@@ -54,11 +54,11 @@ type PlanStep struct {
 	EstRows float64
 
 	// probe describes how to compute the index key at run time.
-	probePos int
-	probeOp  value.Op
-	probeVar string          // bound variable supplying the key ("" = constant)
-	probeVal value.V         // constant key when probeVar == ""
-	probeAnd relation.Bounds // further constant bounds of a range probe
+	probePos  int
+	probeOp   value.Op
+	probeSlot int             // slot of the bound variable supplying the key (-1 = constant)
+	probeVal  value.V         // constant key when probeSlot < 0
+	probeAnd  relation.Bounds // further constant bounds of a range probe
 
 	evals atomic.Int64 // times the step was evaluated
 	rows  atomic.Int64 // tuples that satisfied the full CE test
@@ -200,14 +200,14 @@ func buildStep(rel *relation.Relation, ce *rules.CE, bound map[string]bool) *Pla
 	// Collect every predicate a bound-variable or constant restriction
 	// contributes, tracking the best indexed equality and range probes.
 	type pred struct {
-		pos int
-		op  value.Op
-		vr  string  // "" for constants
-		val value.V // constant value when vr == ""
+		pos  int
+		op   value.Op
+		slot int     // -1 for constants
+		val  value.V // constant value when slot < 0
 	}
 	var preds []pred
 	for _, c := range ce.Consts {
-		preds = append(preds, pred{pos: c.Pos, op: c.Op, val: c.Val})
+		preds = append(preds, pred{pos: c.Pos, op: c.Op, slot: -1, val: c.Val})
 	}
 	sel := 1.0
 	for _, d := range ce.Disj {
@@ -218,7 +218,7 @@ func buildStep(rel *relation.Relation, ce *rules.CE, bound map[string]bool) *Pla
 	}
 	for _, vt := range ce.VarTests {
 		if bound[vt.Var] {
-			preds = append(preds, pred{pos: vt.Pos, op: vt.Op, vr: vt.Var})
+			preds = append(preds, pred{pos: vt.Pos, op: vt.Op, slot: vt.Slot})
 		}
 		// An unbound equality test binds the variable: selectivity 1.
 	}
@@ -257,16 +257,16 @@ func buildStep(rel *relation.Relation, ce *rules.CE, bound map[string]bool) *Pla
 		p := preds[bestEq]
 		step.AccessPath = AccessIndexEq
 		step.Attr = attrName(ce, p.pos)
-		step.probePos, step.probeOp, step.probeVar, step.probeVal = p.pos, p.op, p.vr, p.val
+		step.probePos, step.probeOp, step.probeSlot, step.probeVal = p.pos, p.op, p.slot, p.val
 	case bestRange >= 0:
 		p := preds[bestRange]
 		step.AccessPath = AccessIndexRange
 		step.Attr = attrName(ce, p.pos)
-		step.probePos, step.probeOp, step.probeVar, step.probeVal = p.pos, p.op, p.vr, p.val
+		step.probePos, step.probeOp, step.probeSlot, step.probeVal = p.pos, p.op, p.slot, p.val
 		// Every other constant range on the attribute narrows the probe
 		// (lo <= qty < hi reads one window, as Relation.Select does).
 		for i, q := range preds {
-			if b, ok := relation.RangeFor(q.op, q.val); ok && i != bestRange && q.pos == p.pos && q.vr == "" {
+			if b, ok := relation.RangeFor(q.op, q.val); ok && i != bestRange && q.pos == p.pos && q.slot < 0 {
 				step.probeAnd = step.probeAnd.And(b)
 			}
 		}

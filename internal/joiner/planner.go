@@ -39,24 +39,18 @@ func NewPlanner(db *relation.DB, stats *metrics.Set) *Planner {
 
 // Enumerate is the planned drop-in for the package-level Enumerate:
 // same contract, but the join order comes from a cached cost-based
-// plan keyed on (rule, pinned condition element). Evaluations the
-// planner cannot specialize — a nil receiver, multiple pinned
-// elements, or a pinned negated element — fall back to source order.
-func (p *Planner) Enumerate(db *relation.DB, r *rules.Rule, fixed map[int]Fixed, seed rules.Bindings, stats *metrics.Set, emit Emit) {
-	if p == nil || len(fixed) > 1 {
-		Enumerate(db, r, fixed, seed, stats, emit)
+// plan keyed on (rule, pinned condition element). A nil receiver or a
+// pinned negated element falls back to source order.
+func (p *Planner) Enumerate(db *relation.DB, r *rules.Rule, pin *Pin, stats *metrics.Set, emit Emit) {
+	if p == nil || (pin != nil && r.CEs[pin.CE].Negated) {
+		Enumerate(db, r, pin, stats, emit)
 		return
 	}
 	pinned := -1
-	for i := range fixed {
-		pinned = i
+	if pin != nil {
+		pinned = pin.CE
 	}
-	if pinned >= 0 && r.CEs[pinned].Negated {
-		Enumerate(db, r, fixed, seed, stats, emit)
-		return
-	}
-	plan := p.planFor(r, pinned)
-	p.execute(plan, r, fixed, seed, stats, emit)
+	p.execute(p.planFor(r, pinned), r, pin, stats, emit)
 }
 
 // Query evaluates r's LHS once, as a full derivation, under a freshly
@@ -65,7 +59,7 @@ func (p *Planner) Enumerate(db *relation.DB, r *rules.Rule, fixed map[int]Fixed,
 // counts in plans_built like a cached one. p must be non-nil.
 func (p *Planner) Query(r *rules.Rule, emit Emit) {
 	p.stats.Inc(metrics.PlansBuilt)
-	p.execute(buildPlan(p.db, r, -1), r, nil, nil, p.stats, emit)
+	p.execute(buildPlan(p.db, r, -1), r, nil, p.stats, emit)
 }
 
 // Cached returns the number of plans in the cache.
@@ -159,75 +153,86 @@ func (p *Planner) drifted(plan *Plan) bool {
 // per condition-element evaluation (the bugfix the Explain actual-vs-
 // estimated reconciliation depends on), and each step accumulates its
 // actual evaluation and row counts.
-func (p *Planner) execute(plan *Plan, r *rules.Rule, fixed map[int]Fixed, seed rules.Bindings, stats *metrics.Set, emit Emit) {
-	n := len(r.CEs)
-	ids := make([]relation.TupleID, n)
-	tuples := make([]relation.Tuple, n)
-	if seed == nil {
-		seed = rules.Bindings{}
+func (p *Planner) execute(plan *Plan, r *rules.Rule, pin *Pin, stats *metrics.Set, emit Emit) {
+	st, ok := start(r, pin)
+	if !ok {
+		return
 	}
-	var rec func(si int, b rules.Bindings)
-	rec = func(si int, b rules.Bindings) {
-		if si == len(plan.Steps) {
-			emit(append([]relation.TupleID(nil), ids...),
-				append([]relation.Tuple(nil), tuples...), b.Clone())
-			return
-		}
-		step := plan.Steps[si]
-		ce := r.CEs[step.CE]
-		if step.Pinned {
-			f := fixed[step.CE]
-			step.evals.Add(1)
-			nb, ok := ce.MatchWith(f.Tuple, b)
-			if !ok {
-				return
-			}
-			step.rows.Add(1)
-			ids[step.CE], tuples[step.CE] = f.ID, f.Tuple
-			rec(si+1, nb)
-			ids[step.CE], tuples[step.CE] = 0, nil
-			return
-		}
-		rel, ok := p.db.Get(ce.Class)
-		if !ok {
-			if ce.Negated {
-				rec(si+1, b) // empty class: negation trivially satisfied
-			}
-			return
-		}
+	x := run{p: p, plan: plan, r: r, pin: pin, stats: stats, emit: emit, state: st}
+	x.step(0)
+}
+
+// run is one execution of a plan. It allocates nothing per candidate:
+// stored tuples are lent, and bindings are made and undone in place.
+type run struct {
+	p     *Planner
+	plan  *Plan
+	r     *rules.Rule
+	pin   *Pin
+	stats *metrics.Set
+	emit  Emit
+	state
+}
+
+// step evaluates plan step si under the bindings made so far.
+func (x *run) step(si int) {
+	if si == len(x.plan.Steps) {
+		x.emit(x.ids, x.tuples, x.b)
+		return
+	}
+	step := x.plan.Steps[si]
+	ce := x.r.CEs[step.CE]
+	if step.Pinned {
 		step.evals.Add(1)
-		stats.Inc(metrics.JoinsComputed)
+		x.extend(si, step, ce, x.pin.ID, x.pin.Tuple)
+		return
+	}
+	rel, ok := x.p.db.Get(ce.Class)
+	if !ok {
 		if ce.Negated {
-			blocked := false
-			p.candidates(rel, step, b, func(id relation.TupleID, t relation.Tuple) bool {
-				stats.Inc(metrics.CandidateChecks)
-				if _, ok := ce.MatchWith(t, b); ok {
-					blocked = true
-					return false
-				}
-				return true
-			})
-			if blocked {
-				step.rows.Add(1)
-				return
-			}
-			rec(si+1, b)
-			return
+			x.step(si + 1) // empty class: negation trivially satisfied
 		}
-		p.candidates(rel, step, b, func(id relation.TupleID, t relation.Tuple) bool {
-			stats.Inc(metrics.CandidateChecks)
-			nb, ok := ce.MatchWith(t, b)
-			if !ok {
-				return true
+		return
+	}
+	step.evals.Add(1)
+	x.stats.Inc(metrics.JoinsComputed)
+	if ce.Negated {
+		blocked := false
+		x.p.candidates(rel, step, x.b, func(_ relation.TupleID, t relation.Tuple) bool {
+			x.stats.Inc(metrics.CandidateChecks)
+			if u, ok := ce.MatchWith(t, x.b); ok {
+				ce.Unbind(x.b, u)
+				blocked = true
+				return false
 			}
-			step.rows.Add(1)
-			ids[step.CE], tuples[step.CE] = id, t
-			rec(si+1, nb)
-			ids[step.CE], tuples[step.CE] = 0, nil
 			return true
 		})
+		if blocked {
+			step.rows.Add(1)
+			return
+		}
+		x.step(si + 1)
+		return
 	}
-	rec(0, seed)
+	x.p.candidates(rel, step, x.b, func(id relation.TupleID, t relation.Tuple) bool {
+		x.stats.Inc(metrics.CandidateChecks)
+		x.extend(si, step, ce, id, t)
+		return true
+	})
+}
+
+// extend tries tuple t at positive step si and, when it satisfies the
+// condition element, recurses into the next step.
+func (x *run) extend(si int, step *PlanStep, ce *rules.CE, id relation.TupleID, t relation.Tuple) {
+	u, ok := ce.MatchWith(t, x.b)
+	if !ok {
+		return
+	}
+	step.rows.Add(1)
+	x.ids[step.CE], x.tuples[step.CE] = id, t
+	x.step(si + 1)
+	x.ids[step.CE], x.tuples[step.CE] = 0, nil
+	ce.Unbind(x.b, u)
 }
 
 // candidates streams the step's candidate tuples through fn (stop on
@@ -235,16 +240,16 @@ func (p *Planner) execute(plan *Plan, r *rules.Rule, fixed map[int]Fixed, seed r
 // condition element on every candidate, so any superset of the true
 // matches is sound — the access path is purely an optimization. A
 // probe whose key variable is unexpectedly unbound degrades to a scan.
+// The tuples are the stored ones, lent.
 func (p *Planner) candidates(rel *relation.Relation, step *PlanStep, b rules.Bindings, fn func(relation.TupleID, relation.Tuple) bool) {
 	switch step.AccessPath {
 	case AccessIndexEq, AccessIndexRange:
 		key := step.probeVal
-		if step.probeVar != "" {
-			v, bound := b[step.probeVar]
-			if !bound {
+		if step.probeSlot >= 0 {
+			key = b[step.probeSlot]
+			if key.IsNil() {
 				break
 			}
-			key = v
 		}
 		if step.AccessPath == AccessIndexEq {
 			for _, id := range rel.SelectEq(step.probePos, key) {
@@ -265,8 +270,5 @@ func (p *Planner) candidates(rel *relation.Relation, step *PlanStep, b rules.Bin
 			return
 		}
 	}
-	rel.Scan(func(id relation.TupleID, t relation.Tuple) bool {
-		ct := t.Clone() // Scan lends its tuples; emitted tuples are retained
-		return fn(id, ct)
-	})
+	rel.Scan(fn)
 }

@@ -12,10 +12,10 @@ import (
 )
 
 // collectPlanned is collect routed through a planner.
-func collectPlanned(f *fixture, p *Planner, ruleName string, fixed map[int]Fixed, seed rules.Bindings) []string {
+func collectPlanned(f *fixture, p *Planner, ruleName string, pin *Pin) []string {
 	r, _ := f.set.RuleByName(ruleName)
 	var out []string
-	p.Enumerate(f.db, r, fixed, seed, f.st, func(ids []relation.TupleID, tuples []relation.Tuple, b rules.Bindings) {
+	p.Enumerate(f.db, r, pin, f.st, func(ids []relation.TupleID, tuples []relation.Tuple, b rules.Bindings) {
 		key := ruleName
 		for _, id := range ids {
 			key += "|" + itoa(int(id))
@@ -54,13 +54,13 @@ func TestPlannedMatchesFixedOrder(t *testing.T) {
 	f.insert(t, "Dept", value.OfInt(9), value.OfSym("Shoe"))
 
 	for _, rule := range []string{"Toy", "Lonely"} {
-		if got, want := collectPlanned(f, p, rule, nil, nil), collect(f, rule, nil, nil); !sortedEq(got, want) {
+		if got, want := collectPlanned(f, p, rule, nil), collect(f, rule, nil); !sortedEq(got, want) {
 			t.Errorf("%s full: planned %v, fixed %v", rule, got, want)
 		}
 	}
 	annTup, _ := f.db.MustGet("Emp").Get(ann)
-	fixed := map[int]Fixed{0: {ID: ann, Tuple: annTup}}
-	if got, want := collectPlanned(f, p, "Toy", fixed, nil), collect(f, "Toy", fixed, nil); !sortedEq(got, want) {
+	pin := &Pin{CE: 0, ID: ann, Tuple: annTup}
+	if got, want := collectPlanned(f, p, "Toy", pin), collect(f, "Toy", pin); !sortedEq(got, want) {
 		t.Errorf("Toy pinned: planned %v, fixed %v", got, want)
 	}
 }
@@ -72,8 +72,8 @@ func TestNilPlannerFallsBack(t *testing.T) {
 	f.insert(t, "Emp", value.OfSym("Ann"), value.OfInt(100), value.OfInt(7))
 	f.insert(t, "Dept", value.OfInt(7), value.OfSym("Toy"))
 	var p *Planner
-	got := collectPlanned(f, p, "Toy", nil, nil)
-	want := collect(f, "Toy", nil, nil)
+	got := collectPlanned(f, p, "Toy", nil)
+	want := collect(f, "Toy", nil)
 	if len(got) != len(want) {
 		t.Fatalf("nil planner: %v vs %v", got, want)
 	}
@@ -121,7 +121,7 @@ func TestPinnedRespectsNonEqBindingOrder(t *testing.T) {
 	p := NewPlanner(db, st)
 	// Pin CE1 (the manager's row): its salary test reads <S>, bound by CE0.
 	n := 0
-	p.Enumerate(db, r, map[int]Fixed{1: {ID: samID, Tuple: sam}}, nil, st, func([]relation.TupleID, []relation.Tuple, rules.Bindings) {
+	p.Enumerate(db, r, &Pin{CE: 1, ID: samID, Tuple: sam}, st, func([]relation.TupleID, []relation.Tuple, rules.Bindings) {
 		n++
 	})
 	if n != 1 {
@@ -163,7 +163,7 @@ func TestPlanCacheHitsAndDriftInvalidation(t *testing.T) {
 	f.insert(t, "Dept", value.OfInt(7), value.OfSym("Toy"))
 	p := NewPlanner(f.db, f.st)
 	for i := 0; i < 10; i++ {
-		collectPlanned(f, p, "Toy", nil, nil)
+		collectPlanned(f, p, "Toy", nil)
 	}
 	if got := f.st.Get(metrics.PlansBuilt); got != 1 {
 		t.Fatalf("plans_built = %d, want 1", got)
@@ -178,7 +178,7 @@ func TestPlanCacheHitsAndDriftInvalidation(t *testing.T) {
 		f.insert(t, "Emp", value.OfSym("X"), value.OfInt(int64(i)), value.OfInt(7))
 	}
 	for i := 0; i < 2*driftCheckEvery; i++ {
-		collectPlanned(f, p, "Toy", nil, nil)
+		collectPlanned(f, p, "Toy", nil)
 	}
 	if got := f.st.Get(metrics.PlanInvalidations); got == 0 {
 		t.Fatal("no plan invalidation despite 300x cardinality growth")
@@ -205,7 +205,7 @@ func TestDriftStableCardinality(t *testing.T) {
 	f.insert(t, "Dept", value.OfInt(7), value.OfSym("Toy"))
 	p := NewPlanner(f.db, f.st)
 
-	collectPlanned(f, p, "Toy", nil, nil)
+	collectPlanned(f, p, "Toy", nil)
 	r, _ := f.set.RuleByName("Toy")
 	if s := p.Plan(r, -1).Step(0); s == nil || s.BaseRows != 200 {
 		t.Fatalf("build-time Emp cardinality = %v, want 200:\n%s", s, p.Plan(r, -1))
@@ -213,7 +213,7 @@ func TestDriftStableCardinality(t *testing.T) {
 
 	// Stable cardinality: many checked executions, zero invalidations.
 	for i := 0; i < 4*driftCheckEvery; i++ {
-		collectPlanned(f, p, "Toy", nil, nil)
+		collectPlanned(f, p, "Toy", nil)
 	}
 	if got := f.st.Get(metrics.PlanInvalidations); got != 0 {
 		t.Fatalf("plan_invalidations = %d on stable cardinality, want 0", got)
@@ -227,7 +227,7 @@ func TestDriftStableCardinality(t *testing.T) {
 		f.insert(t, "Emp", value.OfSym("G"+itoa(i)), value.OfInt(int64(i)), value.OfInt(7))
 	}
 	for i := 0; i < 2*driftCheckEvery; i++ {
-		collectPlanned(f, p, "Toy", nil, nil)
+		collectPlanned(f, p, "Toy", nil)
 	}
 	if got := f.st.Get(metrics.PlanInvalidations); got == 0 {
 		t.Fatal("no plan invalidation despite 3.5x cardinality growth")
@@ -249,9 +249,9 @@ func TestSingleAccessPathPerEvaluation(t *testing.T) {
 	f.insert(t, "Dept", value.OfInt(7), value.OfSym("Toy"))
 
 	p := NewPlanner(f.db, f.st)
-	collectPlanned(f, p, "Toy", nil, nil) // warm: plan build reads stats only
+	collectPlanned(f, p, "Toy", nil) // warm: plan build reads stats only
 	before := f.st.Snapshot()
-	collectPlanned(f, p, "Toy", nil, nil)
+	collectPlanned(f, p, "Toy", nil)
 	d := f.st.Snapshot().Diff(before)
 
 	r, _ := f.set.RuleByName("Toy")
@@ -275,11 +275,42 @@ func TestPlanStringRendersEstimatesAndActuals(t *testing.T) {
 	f.insert(t, "Emp", value.OfSym("Ann"), value.OfInt(100), value.OfInt(7))
 	f.insert(t, "Dept", value.OfInt(7), value.OfSym("Toy"))
 	p := NewPlanner(f.db, f.st)
-	collectPlanned(f, p, "Toy", nil, nil)
+	collectPlanned(f, p, "Toy", nil)
 	out := p.Plan(f.set.Rules[0], -1).String()
 	for _, want := range []string{"plan Toy", "est=", "actual=", "CE1", "CE2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Plan.String missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestPlannedEnumerateAllocsNothingPerCandidate pins the planned
+// executor's copy-free inner loop: with a discarding emit, a join over
+// 400 candidates allocates exactly what one over 10 does — candidate
+// tuples are lent by the relation and bindings are made and undone in
+// place.
+func TestPlannedEnumerateAllocsNothingPerCandidate(t *testing.T) {
+	allocs := func(n int) float64 {
+		f := setup(t)
+		for i := 0; i < n; i++ {
+			f.insert(t, "Emp", value.OfSym("E"+itoa(i)), value.OfInt(int64(i)), value.OfInt(7))
+		}
+		id := f.insert(t, "Dept", value.OfInt(7), value.OfSym("Toy"))
+		tup, _ := f.db.MustGet("Dept").Get(id)
+		r, _ := f.set.RuleByName("Toy")
+		p := NewPlanner(f.db, f.st)
+		pin := &Pin{CE: 1, ID: id, Tuple: tup}
+		got := 0
+		p.Enumerate(f.db, r, pin, f.st, func([]relation.TupleID, []relation.Tuple, rules.Bindings) { got++ })
+		if got != n {
+			t.Fatalf("%d employees: %d matches", n, got)
+		}
+		return testing.AllocsPerRun(50, func() {
+			p.Enumerate(f.db, r, pin, f.st, func([]relation.TupleID, []relation.Tuple, rules.Bindings) {})
+		})
+	}
+	small, large := allocs(10), allocs(400)
+	if large > small {
+		t.Errorf("400 candidates allocate %v objects, 10 allocate %v: the join allocates per candidate", large, small)
 	}
 }

@@ -28,7 +28,7 @@ func (m *Matcher) AuditDerived(db *relation.DB, only map[string]bool, emit func(
 			continue
 		}
 		r := r
-		joiner.Enumerate(db, r, nil, nil, m.stats, func(ids []relation.TupleID, _ []relation.Tuple, _ rules.Bindings) {
+		joiner.Enumerate(db, r, nil, m.stats, func(ids []relation.TupleID, _ []relation.Tuple, _ rules.Bindings) {
 			in := conflict.Instantiation{Rule: r, TupleIDs: ids}
 			if m.cs.HasFired(in.Key()) {
 				return
@@ -61,9 +61,8 @@ func (m *Matcher) RebuildRules(db *relation.DB, only map[string]bool) error {
 			continue
 		}
 		r := r
-		joiner.Enumerate(db, r, nil, nil, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, b rules.Bindings) {
-			in := &conflict.Instantiation{Rule: r, TupleIDs: ids, Tuples: tuples, Bindings: b}
-			m.markInstantiation(in)
+		joiner.Enumerate(db, r, nil, m.stats, func(ids []relation.TupleID, _ []relation.Tuple, _ rules.Bindings) {
+			m.markInstantiation(r, ids)
 		})
 	}
 	m.stats.Inc(metrics.MatcherRebuilds)

@@ -148,23 +148,14 @@ func (m *Matcher) wakeInsert(r *rules.Rule, class string, id relation.TupleID, t
 		if ce.Negated {
 			// The insertion may invalidate instantiations negatively
 			// dependent on this class.
-			ceCopy := ce
-			m.cs.RemoveWhere(func(in *conflict.Instantiation) bool {
-				if in.Rule != r {
-					return false
-				}
-				_, blocked := ceCopy.MatchWith(t, in.Bindings)
-				return blocked
-			})
+			m.cs.RemoveBlocked(ce, []relation.DeltaEntry{{ID: id, Tuple: t}})
 			continue
 		}
-		fixed := map[int]joiner.Fixed{ce.Index: {ID: id, Tuple: t}}
-		m.pl.Enumerate(m.db, r, fixed, nil, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, b rules.Bindings) {
+		m.pl.Enumerate(m.db, r, &joiner.Pin{CE: ce.Index, ID: id, Tuple: t}, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, _ rules.Bindings) {
 			found = true
 			derived++
-			in := &conflict.Instantiation{Rule: r, TupleIDs: ids, Tuples: tuples, Bindings: b}
-			m.markInstantiation(in)
-			m.cs.Add(in)
+			m.markInstantiation(r, ids)
+			m.cs.Add(conflict.NewInstantiation(r, ids, tuples))
 		})
 	}
 	if m.tr.Enabled() {
@@ -190,12 +181,11 @@ func (m *Matcher) wakeDelete(r *rules.Rule) {
 	t0 := m.tr.Now()
 	var derived int64
 	found := false
-	m.pl.Enumerate(m.db, r, nil, nil, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, b rules.Bindings) {
+	m.pl.Enumerate(m.db, r, nil, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, _ rules.Bindings) {
 		found = true
 		derived++
-		in := &conflict.Instantiation{Rule: r, TupleIDs: ids, Tuples: tuples, Bindings: b}
-		m.markInstantiation(in)
-		m.cs.Add(in)
+		m.markInstantiation(r, ids)
+		m.cs.Add(conflict.NewInstantiation(r, ids, tuples))
 	})
 	if m.tr.Enabled() {
 		extra := ""
@@ -213,20 +203,20 @@ func (m *Matcher) wakeDelete(r *rules.Rule) {
 }
 
 // markInstantiation sets rule markers on the tuples the evaluation read.
-func (m *Matcher) markInstantiation(in *conflict.Instantiation) {
+func (m *Matcher) markInstantiation(r *rules.Rule, ids []relation.TupleID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i, ce := range in.Rule.CEs {
+	for i, ce := range r.CEs {
 		if ce.Negated {
 			continue
 		}
-		key := tupleKey{class: ce.Class, id: in.TupleIDs[i]}
+		key := tupleKey{class: ce.Class, id: ids[i]}
 		set := m.marks[key]
 		if set == nil {
 			set = make(map[*rules.Rule]struct{})
 			m.marks[key] = set
 		}
-		set[in.Rule] = struct{}{}
+		set[r] = struct{}{}
 	}
 }
 

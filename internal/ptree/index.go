@@ -187,22 +187,14 @@ func (m *Matcher) Insert(class string, id relation.TupleID, t relation.Tuple) er
 	for _, ce := range cands {
 		m.stats.Inc(metrics.PatternSearches)
 		if ce.Negated {
-			ceCopy := ce
-			m.cs.RemoveWhere(func(in *conflict.Instantiation) bool {
-				if in.Rule != ceCopy.Rule {
-					return false
-				}
-				_, blocked := ceCopy.MatchWith(t, in.Bindings)
-				return blocked
-			})
+			m.cs.RemoveBlocked(ce, []relation.DeltaEntry{{ID: id, Tuple: t}})
 			continue
 		}
 		tJoin := m.tr.Now()
 		var found int64
-		fixed := map[int]joiner.Fixed{ce.Index: {ID: id, Tuple: t}}
-		m.pl.Enumerate(m.db, ce.Rule, fixed, nil, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, b rules.Bindings) {
+		m.pl.Enumerate(m.db, ce.Rule, &joiner.Pin{CE: ce.Index, ID: id, Tuple: t}, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, _ rules.Bindings) {
 			found++
-			m.cs.Add(&conflict.Instantiation{Rule: ce.Rule, TupleIDs: ids, Tuples: tuples, Bindings: b})
+			m.cs.Add(conflict.NewInstantiation(ce.Rule, ids, tuples))
 		})
 		if m.tr.Enabled() {
 			m.tr.Emit(trace.Event{
@@ -233,9 +225,9 @@ func (m *Matcher) Delete(class string, id relation.TupleID, t relation.Tuple) er
 		seen[ce.Rule] = true
 		tJoin := m.tr.Now()
 		var found int64
-		m.pl.Enumerate(m.db, ce.Rule, nil, nil, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, b rules.Bindings) {
+		m.pl.Enumerate(m.db, ce.Rule, nil, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, _ rules.Bindings) {
 			found++
-			m.cs.Add(&conflict.Instantiation{Rule: ce.Rule, TupleIDs: ids, Tuples: tuples, Bindings: b})
+			m.cs.Add(conflict.NewInstantiation(ce.Rule, ids, tuples))
 		})
 		if m.tr.Enabled() {
 			m.tr.Emit(trace.Event{

@@ -155,7 +155,7 @@ func (in *Interp) retrieve(st *Stmt) (*Result, error) {
 	}
 	var combos [][]relation.Tuple
 	b, err := in.join(st, func(_ []relation.TupleID, tuples []relation.Tuple) {
-		combos = append(combos, tuples)
+		combos = append(combos, slices.Clone(tuples))
 	})
 	if err != nil {
 		return nil, err
@@ -235,7 +235,7 @@ func (in *Interp) replace(st *Stmt) (*Result, error) {
 	win := map[relation.TupleID]combo{}
 	b, err := in.join(st, func(ids []relation.TupleID, tuples []relation.Tuple) {
 		if cur, ok := win[ids[0]]; !ok || slices.Compare(ids, cur.ids) < 0 {
-			win[ids[0]] = combo{ids, tuples}
+			win[ids[0]] = combo{slices.Clone(ids), slices.Clone(tuples)}
 		}
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"slices"
 	"sort"
 
 	"prodsys/internal/value"
@@ -110,7 +111,7 @@ func (ix *attrIndex) lookupIDs(v value.V) []TupleID {
 	for id := range set {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -173,7 +174,7 @@ func (ix *attrIndex) rangeIDs(b Bounds) []TupleID {
 	for _, e := range list[lo:hi] {
 		out = append(out, e.ids...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

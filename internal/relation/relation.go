@@ -27,11 +27,11 @@ type TupleID uint64
 // I/O accounting.
 const DefaultPageSize = 32
 
-// Relation is a stored relation: a bag of tuples addressable by TupleID.
-// Tuple storage and secondary indexes live in the row store; Relation
-// layers concurrency control, ID assignment, value interning, tuple
-// cloning, and simulated I/O accounting on top. All methods are safe for
-// concurrent use.
+// Relation is a stored relation: a bag of immutable tuples addressable by
+// TupleID. Tuple storage and secondary indexes live in the row store;
+// Relation layers concurrency control, ID assignment, value interning,
+// cloning on insert, and simulated I/O accounting on top. All methods are
+// safe for concurrent use.
 type Relation struct {
 	schema   *Schema
 	pageSize int
@@ -206,15 +206,14 @@ func (r *Relation) InsertBatch(entries []DeltaEntry) error {
 	return nil
 }
 
-// Get returns the tuple stored under id.
+// Get returns the tuple stored under id. The tuple is lent, not copied:
+// stored tuples are immutable, so the caller may keep it but must not
+// write it.
 func (r *Relation) Get(id TupleID) (Tuple, bool) {
 	r.mu.RLock()
 	t, ok := r.store.Get(id)
 	r.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return t.Clone(), true
+	return t, ok
 }
 
 // Delete removes the tuple stored under id, returning the removed tuple.
@@ -233,8 +232,8 @@ func (r *Relation) Delete(id TupleID) (Tuple, error) {
 // Scan visits every tuple in ascending TupleID order — never Go map
 // iteration order, so a scan is deterministic for a given
 // working-memory state — until fn returns false. The visited tuples are
-// the live ones at call time; fn must not mutate the relation or the
-// visited tuples.
+// the live ones at call time, lent as Get lends them; fn must not mutate
+// the relation or the visited tuples.
 func (r *Relation) Scan(fn func(id TupleID, t Tuple) bool) {
 	r.mu.RLock()
 	ids := r.store.IDs()

@@ -115,6 +115,28 @@ func TestInsertClonesTuple(t *testing.T) {
 	}
 }
 
+// TestGetLendsStoredTuple pins the lending contract: stored tuples are
+// immutable, so Get and Scan hand out the stored tuple itself and a
+// lookup allocates nothing.
+func TestGetLendsStoredTuple(t *testing.T) {
+	r := newEmp(t)
+	id, _ := r.Insert(empTuple("Sam", 40, 2000, "Shoe"))
+	a, _ := r.Get(id)
+	b, _ := r.Get(id)
+	if &a[0] != &b[0] {
+		t.Error("Get copied the stored tuple")
+	}
+	r.Scan(func(_ TupleID, s Tuple) bool {
+		if &s[0] != &a[0] {
+			t.Error("Scan visits a copy, not the stored tuple")
+		}
+		return true
+	})
+	if n := testing.AllocsPerRun(100, func() { r.Get(id) }); n != 0 {
+		t.Errorf("Get allocates %v objects, want 0", n)
+	}
+}
+
 func TestScanOrderAndEarlyStop(t *testing.T) {
 	r := newEmp(t)
 	var ids []TupleID

@@ -6,6 +6,12 @@
 // Working-memory classes declared with OPS5's literalize command map to
 // relations here (§3.2 of the paper); the COND relations of the simplified
 // and matching-pattern algorithms are also hosted on this engine.
+//
+// A stored tuple is immutable. Insert, InsertBatch and InsertAt store a
+// clone of the caller's tuple; Get, Scan and the tuples a join reads are
+// the stored ones, lent without copying, and must never be written. A
+// caller that edits a tuple — OPS5 modify, QUEL replace — clones it first
+// and stores the edit as a new tuple.
 package relation
 
 import (

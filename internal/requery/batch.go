@@ -45,18 +45,7 @@ func (m *Matcher) InsertBatch(class string, entries []relation.DeltaEntry) error
 		m.stats.Inc(metrics.PatternSearches)
 		if ce.Negated {
 			// One conflict-set sweep per negated CE per batch.
-			ceCopy := ce
-			m.cs.RemoveWhere(func(in *conflict.Instantiation) bool {
-				if in.Rule != ceCopy.Rule {
-					return false
-				}
-				for _, e := range entries {
-					if _, blocked := ceCopy.MatchWith(e.Tuple, in.Bindings); blocked {
-						return true
-					}
-				}
-				return false
-			})
+			m.cs.RemoveBlocked(ce, entries)
 			continue
 		}
 		t0 := m.tr.Now()
@@ -85,13 +74,12 @@ func (m *Matcher) InsertBatch(class string, entries []relation.DeltaEntry) error
 			rep := group[0]
 			tJoin := m.tr.Now()
 			var found int64
-			fixed := map[int]joiner.Fixed{ce.Index: {ID: rep.ID, Tuple: rep.Tuple}}
-			m.pl.Enumerate(m.db, rule, fixed, nil, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, b rules.Bindings) {
+			pin := &joiner.Pin{CE: ce.Index, ID: rep.ID, Tuple: rep.Tuple}
+			m.pl.Enumerate(m.db, rule, pin, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, _ rules.Bindings) {
 				for _, member := range group {
-					mids := append([]relation.TupleID(nil), ids...)
-					mtups := append([]relation.Tuple(nil), tuples...)
-					mids[ce.Index], mtups[ce.Index] = member.ID, member.Tuple
-					batch = append(batch, &conflict.Instantiation{Rule: rule, TupleIDs: mids, Tuples: mtups, Bindings: b.Clone()})
+					in := conflict.NewInstantiation(rule, ids, tuples)
+					in.TupleIDs[ce.Index], in.Tuples[ce.Index] = member.ID, member.Tuple
+					batch = append(batch, in)
 					found++
 				}
 			})

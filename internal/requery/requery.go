@@ -62,7 +62,7 @@ func (m *Matcher) Insert(class string, id relation.TupleID, t relation.Tuple) er
 	for _, ce := range m.set.ByClass[class] {
 		m.stats.Inc(metrics.PatternSearches)
 		if ce.Negated {
-			m.retractBlocked(ce, t)
+			m.cs.RemoveBlocked(ce, []relation.DeltaEntry{{ID: id, Tuple: t}})
 			continue
 		}
 		t0 := m.tr.Now()
@@ -104,10 +104,9 @@ func (m *Matcher) Delete(class string, id relation.TupleID, _ relation.Tuple) er
 func (m *Matcher) deriveWithFixed(ce *rules.CE, id relation.TupleID, t relation.Tuple) {
 	var found int64
 	t0 := m.tr.Now()
-	fixed := map[int]joiner.Fixed{ce.Index: {ID: id, Tuple: t}}
-	m.pl.Enumerate(m.db, ce.Rule, fixed, nil, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, b rules.Bindings) {
+	m.pl.Enumerate(m.db, ce.Rule, &joiner.Pin{CE: ce.Index, ID: id, Tuple: t}, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, _ rules.Bindings) {
 		found++
-		m.cs.Add(&conflict.Instantiation{Rule: ce.Rule, TupleIDs: ids, Tuples: tuples, Bindings: b})
+		m.cs.Add(conflict.NewInstantiation(ce.Rule, ids, tuples))
 	})
 	if m.tr.Enabled() {
 		m.tr.Emit(trace.Event{
@@ -123,9 +122,9 @@ func (m *Matcher) deriveWithFixed(ce *rules.CE, id relation.TupleID, t relation.
 func (m *Matcher) deriveAll(r *rules.Rule, ceIdx int) {
 	var found int64
 	t0 := m.tr.Now()
-	m.pl.Enumerate(m.db, r, nil, nil, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, b rules.Bindings) {
+	m.pl.Enumerate(m.db, r, nil, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, _ rules.Bindings) {
 		found++
-		m.cs.Add(&conflict.Instantiation{Rule: r, TupleIDs: ids, Tuples: tuples, Bindings: b})
+		m.cs.Add(conflict.NewInstantiation(r, ids, tuples))
 	})
 	if m.tr.Enabled() {
 		m.tr.Emit(trace.Event{
@@ -133,18 +132,6 @@ func (m *Matcher) deriveAll(r *rules.Rule, ceIdx int) {
 			Rule: r.Name, CE: ceIdx, Count: found,
 		})
 	}
-}
-
-// retractBlocked removes instantiations of ce.Rule whose bindings the new
-// tuple now satisfies at the negated condition element.
-func (m *Matcher) retractBlocked(ce *rules.CE, t relation.Tuple) {
-	m.cs.RemoveWhere(func(in *conflict.Instantiation) bool {
-		if in.Rule != ce.Rule {
-			return false
-		}
-		_, blocked := ce.MatchWith(t, in.Bindings)
-		return blocked
-	})
 }
 
 // AuditDerived implements match.Matcher. The simplified algorithm keeps

@@ -133,7 +133,7 @@ func (net *Network) auditChain(db *relation.DB, ch *ruleChain, emit func(match.D
 		prefix := *r
 		prefix.CEs = r.CEs[:i+1]
 		expected := map[string]int{}
-		joiner.Enumerate(db, &prefix, nil, nil, net.stats, func(ids []relation.TupleID, _ []relation.Tuple, _ rules.Bindings) {
+		joiner.Enumerate(db, &prefix, nil, net.stats, func(ids []relation.TupleID, _ []relation.Tuple, _ rules.Bindings) {
 			expected[idsSignature(prefix.CEs, ids)]++
 		})
 		st := ch.stores[i]
@@ -161,7 +161,7 @@ func (net *Network) auditChain(db *relation.DB, ch *ruleChain, emit func(match.D
 	}
 
 	expected := map[string]int{}
-	joiner.Enumerate(db, r, nil, nil, net.stats, func(ids []relation.TupleID, _ []relation.Tuple, _ rules.Bindings) {
+	joiner.Enumerate(db, r, nil, net.stats, func(ids []relation.TupleID, _ []relation.Tuple, _ rules.Bindings) {
 		expected[idsSignature(r.CEs, ids)]++
 	})
 	actual := map[string]int{}

@@ -112,6 +112,7 @@ type alphaMemory struct {
 	consts     []relation.Restriction
 	disj       []rules.DisjTest
 	intra      []intraTest
+	set        []int // binding positions: a field left unset cannot bind
 	items      map[*WME]struct{}
 	successors []amemSuccessor // kept sorted by descending CE index
 }
@@ -140,6 +141,11 @@ func (am *alphaMemory) matches(w *WME) bool {
 	}
 	for _, it := range am.intra {
 		if !it.op.Apply(w.Tuple[it.p1], w.Tuple[it.p2]) {
+			return false
+		}
+	}
+	for _, p := range am.set {
+		if w.Tuple[p].IsNil() {
 			return false
 		}
 	}
@@ -490,8 +496,8 @@ func (net *Network) newToken(parent *token, w *WME, owner tokenOwner, level int)
 }
 
 // alphaSignature canonically names a CE's variable-free test chain.
-func alphaSignature(class string, consts []relation.Restriction, disj []rules.DisjTest, intra []intraTest) string {
-	parts := make([]string, 0, len(consts)+len(disj)+len(intra))
+func alphaSignature(class string, consts []relation.Restriction, disj []rules.DisjTest, intra []intraTest, set []int) string {
+	parts := make([]string, 0, len(consts)+len(disj)+len(intra)+len(set))
 	for _, c := range consts {
 		parts = append(parts, fmt.Sprintf("c%d%s%s", c.Pos, c.Op, c.Val.Key()))
 	}
@@ -506,13 +512,16 @@ func alphaSignature(class string, consts []relation.Restriction, disj []rules.Di
 	for _, it := range intra {
 		parts = append(parts, fmt.Sprintf("i%d%s%d", it.p1, it.op, it.p2))
 	}
+	for _, p := range set {
+		parts = append(parts, fmt.Sprintf("s%d", p))
+	}
 	sort.Strings(parts)
 	return class + "§" + strings.Join(parts, "|")
 }
 
 // buildAlpha returns (sharing when possible) the alpha memory for a CE.
-func (net *Network) buildAlpha(ce *rules.CE, intra []intraTest) *alphaMemory {
-	sig := alphaSignature(ce.Class, ce.Consts, ce.Disj, intra)
+func (net *Network) buildAlpha(ce *rules.CE, intra []intraTest, set []int) *alphaMemory {
+	sig := alphaSignature(ce.Class, ce.Consts, ce.Disj, intra, set)
 	if am, ok := net.alphaBySig[sig]; ok {
 		return am
 	}
@@ -522,6 +531,7 @@ func (net *Network) buildAlpha(ce *rules.CE, intra []intraTest) *alphaMemory {
 		consts:    append([]relation.Restriction(nil), ce.Consts...),
 		disj:      append([]rules.DisjTest(nil), ce.Disj...),
 		intra:     intra,
+		set:       set,
 		items:     make(map[*WME]struct{}),
 	}
 	net.alphaBySig[sig] = am
@@ -572,6 +582,7 @@ func (net *Network) compileRule(r *rules.Rule) {
 		// bound within the same CE) and join tests against earlier CEs.
 		var intra []intraTest
 		var jtests []joinTest
+		var set []int
 		local := map[string]int{}
 		for _, vt := range ce.VarTests {
 			if b, ok := binders[vt.Var]; ok {
@@ -584,8 +595,9 @@ func (net *Network) compileRule(r *rules.Rule) {
 			}
 			// Binding occurrence within this CE.
 			local[vt.Var] = vt.Pos
+			set = append(set, vt.Pos)
 		}
-		am := net.buildAlpha(ce, intra)
+		am := net.buildAlpha(ce, intra, set)
 
 		// The prefix signature names everything that determines this
 		// step's behaviour: the alpha chain, the join tests (positional,
@@ -807,20 +819,7 @@ func (net *Network) addInstantiation(r *rules.Rule, t *token) {
 			tuples[cur.level] = cur.wme.Tuple
 		}
 	}
-	b := rules.Bindings{}
-	for i, ce := range r.CEs {
-		if tuples[i] == nil {
-			continue
-		}
-		nb, ok := ce.MatchWith(tuples[i], b)
-		if !ok {
-			// The network guarantees consistency; a failure here would be
-			// a compiler bug, so fail loudly in tests via a zero binding.
-			continue
-		}
-		b = nb
-	}
-	net.cs.Add(&conflict.Instantiation{Rule: r, TupleIDs: ids, Tuples: tuples, Bindings: b})
+	net.cs.Add(&conflict.Instantiation{Rule: r, TupleIDs: ids, Tuples: tuples})
 }
 
 // removeInstantiation retracts the conflict-set entry for a dying token.

@@ -63,11 +63,18 @@ func TestPaperExample3R1(t *testing.T) {
 		t.Fatalf("conflict set = %v", keys)
 	}
 	in := cs.Items()[0]
-	if !value.Equal(in.Bindings["S"], value.OfInt(1000)) ||
-		!value.Equal(in.Bindings["S1"], value.OfInt(900)) ||
-		!value.Equal(in.Bindings["M"], value.OfSym("Sam")) {
-		t.Fatalf("bindings = %v", in.Bindings)
+	if !value.Equal(binding(in, "S"), value.OfInt(1000)) ||
+		!value.Equal(binding(in, "S1"), value.OfInt(900)) ||
+		!value.Equal(binding(in, "M"), value.OfSym("Sam")) {
+		t.Fatalf("bindings = %v", in.Rule.Fill(nil, in.Tuples))
 	}
+}
+
+// binding reads the named variable's binding from the instantiation's
+// tuples.
+func binding(in *conflict.Instantiation, name string) value.V {
+	s, _ := in.Rule.Slot(name)
+	return in.Rule.Value(in.Tuples, s)
 }
 
 func TestPaperExample3R1RightThenLeft(t *testing.T) {
@@ -187,9 +194,9 @@ func TestPaperExample5ThreeWayJoin(t *testing.T) {
 	if len(keys) != 1 || keys[0] != "Rule-1|3|4|2" {
 		t.Fatalf("conflict set = %v", keys)
 	}
-	b := cs.Items()[0].Bindings
-	if !value.Equal(b["x"], value.OfInt(4)) || !value.Equal(b["y"], value.OfInt(7)) || !value.Equal(b["z"], value.OfInt(8)) {
-		t.Fatalf("bindings = %v", b)
+	in := cs.Items()[0]
+	if !value.Equal(binding(in, "x"), value.OfInt(4)) || !value.Equal(binding(in, "y"), value.OfInt(7)) || !value.Equal(binding(in, "z"), value.OfInt(8)) {
+		t.Fatalf("bindings = %v", in.Rule.Fill(nil, in.Tuples))
 	}
 }
 

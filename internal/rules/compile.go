@@ -74,7 +74,7 @@ func CompileRule(set *Set, p *lang.Production) (*Rule, error) {
 }
 
 func compileRule(set *Set, p *lang.Production, idx int) (*Rule, error) {
-	r := &Rule{Name: p.Name, Index: idx}
+	r := &Rule{Name: p.Name, Index: idx, slots: map[string]int{}}
 	// bound tracks variables with a binding occurrence in a positive CE
 	// processed so far; negLocal tracks variables whose first occurrence
 	// was inside a negated CE — those are local to it and may not be
@@ -120,7 +120,7 @@ func compileRule(set *Set, p *lang.Production, idx int) (*Rule, error) {
 						i+1, name)
 				}
 				isBound := bound[name] || localBound[name]
-				vt := VarTest{Pos: pos, Op: atom.Op, Var: name}
+				vt := VarTest{Pos: pos, Op: atom.Op, Var: name, Slot: r.slot(name)}
 				if !isBound {
 					if atom.Op != value.OpEq {
 						return nil, errf(p.Name, "condition element %d uses variable <%s> with %s before it is bound",
@@ -128,6 +128,12 @@ func compileRule(set *Set, p *lang.Production, idx int) (*Rule, error) {
 					}
 					vt.Binds = true
 					localBound[name] = true
+					if !ce.Negated {
+						r.BindAt[vt.Slot] = BindPos{CE: i, Pos: pos}
+					}
+				}
+				if len(ce.VarTests) == maxVarTests {
+					return nil, errf(p.Name, "condition element %d has more than %d variable tests", i+1, maxVarTests)
 				}
 				ce.VarTests = append(ce.VarTests, vt)
 			}
@@ -152,6 +158,19 @@ func compileRule(set *Set, p *lang.Production, idx int) (*Rule, error) {
 	}
 	r.Actions = p.RHS
 	return r, nil
+}
+
+// slot returns the slot numbering the named variable, adding one (with
+// no binding occurrence yet) on first use.
+func (r *Rule) slot(name string) int {
+	if s, ok := r.slots[name]; ok {
+		return s
+	}
+	s := len(r.Vars)
+	r.slots[name] = s
+	r.Vars = append(r.Vars, name)
+	r.BindAt = append(r.BindAt, BindPos{CE: -1, Pos: -1})
+	return s
 }
 
 func compileActions(set *Set, r *Rule, p *lang.Production, bound map[string]bool) error {
@@ -216,6 +235,7 @@ func compileActions(set *Set, r *Rule, p *lang.Production, bound map[string]bool
 				return err
 			}
 			avail[act.Var] = true
+			r.slot(act.Var)
 		case lang.ActHalt:
 			// no arguments
 		}

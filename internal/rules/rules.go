@@ -7,59 +7,29 @@ package rules
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
-	"strings"
 
 	"prodsys/internal/lang"
 	"prodsys/internal/relation"
 	"prodsys/internal/value"
 )
 
-// Bindings maps variable names to their bound values during matching.
-type Bindings map[string]value.V
+// Bindings is a rule's slot vector: Bindings[s] holds the value bound to
+// the variable Rule.Vars[s], the zero value (Nil) while it is unbound. A
+// field holding Nil never binds, so Nil is never a bound value. Matching
+// binds into one vector in place and undoes what it bound as it
+// backtracks; nothing is cloned.
+type Bindings []value.V
 
-// Clone copies the bindings.
-func (b Bindings) Clone() Bindings {
-	out := make(Bindings, len(b))
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
+// Undo records which variable tests of one condition element bound their
+// slot in one MatchWith or MatchPattern call: bit i stands for
+// VarTests[i]. Unbind takes those bindings back.
+type Undo uint64
 
-// Equal reports whether two binding sets bind the same variables to equal
-// values.
-func (b Bindings) Equal(o Bindings) bool {
-	if len(b) != len(o) {
-		return false
-	}
-	for k, v := range b {
-		w, ok := o[k]
-		if !ok || !value.Equal(v, w) {
-			return false
-		}
-	}
-	return true
-}
-
-// Key renders the bindings canonically for deduplication.
-func (b Bindings) Key() string {
-	names := make([]string, 0, len(b))
-	for k := range b {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var sb strings.Builder
-	for i, k := range names {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(b[k].Key().String())
-	}
-	return sb.String()
-}
+// maxVarTests bounds a condition element's variable tests to the bits of
+// an Undo.
+const maxVarTests = 64
 
 // DisjTest is a value disjunction on one attribute: the value must equal
 // one of Vals (OPS5's << a b c >> syntax).
@@ -83,12 +53,14 @@ func (d DisjTest) Satisfies(t relation.Tuple) bool {
 }
 
 // VarTest is one variable-involving predicate on a condition element's
-// attribute: tuple[Pos] Op <Var>. When Binds is true this is the binding
-// occurrence of Var within the rule (Op is then OpEq).
+// attribute: tuple[Pos] Op <Var>. Slot is Var's index in the rule's slot
+// vector (Rule.Vars). When Binds is true this is the binding occurrence
+// of Var within the rule (Op is then OpEq).
 type VarTest struct {
 	Pos   int
 	Op    value.Op
 	Var   string
+	Slot  int
 	Binds bool
 }
 
@@ -138,83 +110,59 @@ func (ce *CE) MatchAlpha(t relation.Tuple) bool {
 	return true
 }
 
-// MatchWith extends bindings b (not mutated) so that tuple t fully
-// satisfies the condition element, or reports failure. Alpha restrictions
-// are re-checked. Variable tests are evaluated in source order: a binding
-// occurrence binds when the variable is still free and compares otherwise;
-// a non-equality test requires the variable bound (by an earlier condition
-// element or an earlier atom of this one).
-func (ce *CE) MatchWith(t relation.Tuple, b Bindings) (Bindings, bool) {
-	if !ce.MatchAlpha(t) {
-		return nil, false
-	}
-	out := b
-	cloned := false
-	for _, vt := range ce.VarTests {
-		cur, bound := out[vt.Var]
-		switch {
-		case vt.Op == value.OpEq && !bound:
-			if t[vt.Pos].IsNil() {
-				return nil, false // unset field cannot bind
-			}
-			if !cloned {
-				out = out.Clone()
-				cloned = true
-			}
-			out[vt.Var] = t[vt.Pos]
-		case bound:
-			if !vt.Op.Apply(t[vt.Pos], cur) {
-				return nil, false
-			}
-		default:
-			// Non-equality test on an unbound variable: compilation rejects
-			// this, so reaching here means inconsistent use; fail closed.
-			return nil, false
-		}
-	}
-	if !cloned && len(ce.VarTests) > 0 {
-		out = out.Clone()
-	} else if out == nil {
-		out = Bindings{}
-	}
-	return out, true
+// MatchWith reports whether tuple t fully satisfies the condition element
+// under bindings b, binding in place every free variable an equality test
+// meets; the returned Undo names those bindings for Unbind. On failure b
+// is left as it was. Alpha restrictions are re-checked. Variable tests
+// are evaluated in source order: a test on a bound variable compares, an
+// equality test on a free one binds it, and a non-equality test on a free
+// variable fails closed (compilation rejects that use, unless an earlier
+// condition element binds the variable).
+func (ce *CE) MatchWith(t relation.Tuple, b Bindings) (Undo, bool) {
+	return ce.match(t, b, false)
 }
 
 // MatchPattern matches tuple t against this condition element under the
 // partial bindings of a matching pattern (§4.2): like MatchWith, except a
 // non-equality test on an unbound variable is treated as satisfied — the
-// pattern simply does not restrict that attribute yet. An equality test
-// on an unbound variable binds it. The returned bindings extend b.
-func (ce *CE) MatchPattern(t relation.Tuple, b Bindings) (Bindings, bool) {
+// pattern simply does not restrict that attribute yet.
+func (ce *CE) MatchPattern(t relation.Tuple, b Bindings) (Undo, bool) {
+	return ce.match(t, b, true)
+}
+
+func (ce *CE) match(t relation.Tuple, b Bindings, pattern bool) (Undo, bool) {
 	if !ce.MatchAlpha(t) {
-		return nil, false
+		return 0, false
 	}
-	out := b
-	cloned := false
-	for _, vt := range ce.VarTests {
-		cur, bound := out[vt.Var]
-		switch {
-		case bound:
-			if !vt.Op.Apply(t[vt.Pos], cur) {
-				return nil, false
+	var u Undo
+	for i, vt := range ce.VarTests {
+		v := t[vt.Pos]
+		switch cur := b[vt.Slot]; {
+		case !cur.IsNil():
+			if !vt.Op.Apply(v, cur) {
+				ce.Unbind(b, u)
+				return 0, false
 			}
 		case vt.Op == value.OpEq:
-			if t[vt.Pos].IsNil() {
-				return nil, false
+			if v.IsNil() {
+				ce.Unbind(b, u) // an unset field cannot bind
+				return 0, false
 			}
-			if !cloned {
-				out = out.Clone()
-				cloned = true
-			}
-			out[vt.Var] = t[vt.Pos]
-		default:
-			// Unbound non-equality test: unconstrained in the pattern.
+			b[vt.Slot] = v
+			u |= 1 << i
+		case !pattern:
+			ce.Unbind(b, u)
+			return 0, false
 		}
 	}
-	if !cloned {
-		out = out.Clone()
+	return u, true
+}
+
+// Unbind clears the slots one MatchWith or MatchPattern call bound.
+func (ce *CE) Unbind(b Bindings, u Undo) {
+	for ; u != 0; u &= u - 1 {
+		b[ce.VarTests[bits.TrailingZeros64(uint64(u))].Slot] = value.V{}
 	}
-	return out, true
 }
 
 // Restrictions derives the single-relation selection predicate for this
@@ -225,7 +173,7 @@ func (ce *CE) Restrictions(b Bindings) (rs []relation.Restriction, free []string
 	rs = append(rs, ce.Consts...)
 	seen := map[string]bool{}
 	for _, vt := range ce.VarTests {
-		if v, ok := b[vt.Var]; ok {
+		if v := b[vt.Slot]; !v.IsNil() {
 			rs = append(rs, relation.Restriction{Pos: vt.Pos, Op: vt.Op, Val: v})
 		} else if !seen[vt.Var] {
 			seen[vt.Var] = true
@@ -233,18 +181,6 @@ func (ce *CE) Restrictions(b Bindings) (rs []relation.Restriction, free []string
 		}
 	}
 	return rs, free
-}
-
-// BindingsFromTuple extracts this CE's variable bindings from a tuple
-// already known to match it (binding occurrences only).
-func (ce *CE) BindingsFromTuple(t relation.Tuple) Bindings {
-	b := Bindings{}
-	for _, vt := range ce.VarTests {
-		if vt.Binds && !t[vt.Pos].IsNil() {
-			b[vt.Var] = t[vt.Pos]
-		}
-	}
-	return b
 }
 
 // Vars returns the distinct variables referenced by the condition
@@ -287,6 +223,12 @@ type RCE struct {
 	CEN   int // 1-based, as in the paper
 }
 
+// BindPos locates a variable's binding occurrence: attribute Pos of the
+// tuple matched by condition element CE.
+type BindPos struct {
+	CE, Pos int
+}
+
 // Rule is a compiled production.
 type Rule struct {
 	Name    string
@@ -296,6 +238,56 @@ type Rule struct {
 	// Specificity counts the total number of tests, used by conflict
 	// resolution strategies that prefer more specific rules.
 	Specificity int
+	// Vars numbers the rule's variables densely: slot s of a Bindings
+	// vector holds Vars[s]. LHS variables come first, in order of first
+	// appearance, then those only an RHS bind introduces.
+	Vars []string
+	// BindAt gives each slot's binding occurrence: the first positive
+	// condition element, in source order, that equality-binds it. A match
+	// therefore determines its bindings, which are read from its tuples
+	// on demand (Value, Fill). CE is -1 for a variable with no positive
+	// binding occurrence: one local to a negated condition element, or
+	// one an RHS bind introduces.
+	BindAt []BindPos
+	slots  map[string]int
+}
+
+// Slot returns the slot of the named variable.
+func (r *Rule) Slot(name string) (int, bool) {
+	s, ok := r.slots[name]
+	return s, ok
+}
+
+// Value reads slot's binding in the match over tuples (aligned with
+// r.CEs) from its binding occurrence; Nil when the slot has none.
+func (r *Rule) Value(tuples []relation.Tuple, slot int) value.V {
+	at := r.BindAt[slot]
+	if at.CE < 0 {
+		return value.V{}
+	}
+	return tuples[at.CE][at.Pos]
+}
+
+// Clear returns a slot vector for r with every slot unbound, reusing b's
+// storage when it is large enough.
+func (r *Rule) Clear(b Bindings) Bindings {
+	if cap(b) < len(r.Vars) {
+		return make(Bindings, len(r.Vars))
+	}
+	b = b[:len(r.Vars)]
+	clear(b)
+	return b
+}
+
+// Fill loads the bindings of the match over tuples into b, reusing its
+// storage, and returns it: every slot reads its binding occurrence, and
+// slots without a positive one are unbound.
+func (r *Rule) Fill(b Bindings, tuples []relation.Tuple) Bindings {
+	b = r.Clear(b)
+	for s := range b {
+		b[s] = r.Value(tuples, s)
+	}
+	return b
 }
 
 // NumPositive returns the count of non-negated condition elements.
@@ -376,14 +368,13 @@ func (s *Set) ClassNames() []string {
 	return out
 }
 
-// ResolveTerm evaluates a term under bindings.
-func ResolveTerm(t lang.Term, b Bindings) (value.V, error) {
+// ResolveTerm evaluates a term of r under bindings b.
+func (r *Rule) ResolveTerm(t lang.Term, b Bindings) (value.V, error) {
 	if t.Kind == lang.TermConst {
 		return t.Val, nil
 	}
-	v, ok := b[t.Var]
-	if !ok {
-		return value.V{}, fmt.Errorf("unbound variable <%s>", t.Var)
+	if s, ok := r.slots[t.Var]; ok && s < len(b) && !b[s].IsNil() {
+		return b[s], nil
 	}
-	return v, nil
+	return value.V{}, fmt.Errorf("unbound variable <%s>", t.Var)
 }

@@ -1,6 +1,8 @@
 package rules
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"prodsys/internal/lang"
@@ -39,6 +41,25 @@ func emp(name string, age, salary, dno int64, mgr string) relation.Tuple {
 		value.OfSym(name), value.OfInt(age), value.OfInt(salary),
 		value.OfInt(dno), value.OfSym(mgr),
 	}
+}
+
+// vec builds r's slot vector from named values.
+func vec(r *Rule, named map[string]value.V) Bindings {
+	b := make(Bindings, len(r.Vars))
+	for name, v := range named {
+		s, ok := r.Slot(name)
+		if !ok {
+			panic("no variable " + name)
+		}
+		b[s] = v
+	}
+	return b
+}
+
+// get reads the named variable from r's slot vector b.
+func get(r *Rule, b Bindings, name string) value.V {
+	s, _ := r.Slot(name)
+	return b[s]
 }
 
 func TestCompilePayroll(t *testing.T) {
@@ -131,32 +152,43 @@ func TestMatchWith(t *testing.T) {
 	r1, _ := set.RuleByName("R1")
 	ce1, ce2 := r1.CEs[0], r1.CEs[1]
 
-	b1, ok := ce1.MatchWith(emp("Mike", 30, 1000, 1, "Sam"), Bindings{})
+	b := make(Bindings, len(r1.Vars))
+	u1, ok := ce1.MatchWith(emp("Mike", 30, 1000, 1, "Sam"), b)
 	if !ok {
 		t.Fatal("CE1 should match Mike")
 	}
-	if !value.Equal(b1["S"], value.OfInt(1000)) || !value.Equal(b1["M"], value.OfSym("Sam")) {
-		t.Fatalf("bindings = %v", b1)
+	if !value.Equal(get(r1, b, "S"), value.OfInt(1000)) || !value.Equal(get(r1, b, "M"), value.OfSym("Sam")) {
+		t.Fatalf("bindings = %v", b)
 	}
-	// Sam earns 900 < 1000: CE2 matches and binds S1.
-	b2, ok := ce2.MatchWith(emp("Sam", 50, 900, 1, "Pat"), b1)
+	// Sam earns 900 < 1000: CE2 matches and binds S1 in place.
+	u2, ok := ce2.MatchWith(emp("Sam", 50, 900, 1, "Pat"), b)
 	if !ok {
 		t.Fatal("CE2 should match Sam")
 	}
-	if !value.Equal(b2["S1"], value.OfInt(900)) {
-		t.Fatalf("S1 = %v", b2["S1"])
+	if !value.Equal(get(r1, b, "S1"), value.OfInt(900)) {
+		t.Fatalf("S1 = %v", get(r1, b, "S1"))
 	}
-	// Original bindings must be untouched.
-	if _, leaked := b1["S1"]; leaked {
-		t.Error("MatchWith mutated caller's bindings")
+	// Unbind takes back exactly what CE2 bound.
+	ce2.Unbind(b, u2)
+	if !get(r1, b, "S1").IsNil() || get(r1, b, "S").IsNil() {
+		t.Errorf("after undoing CE2: %v", b)
 	}
-	// Sam earning 1200 fails the < test.
-	if _, ok := ce2.MatchWith(emp("Sam", 50, 1200, 1, "Pat"), b1); ok {
+	// Sam earning 1200 fails the < test, and a failed match binds nothing.
+	if _, ok := ce2.MatchWith(emp("Sam", 50, 1200, 1, "Pat"), b); ok {
 		t.Error("CE2 should reject a manager earning more")
 	}
+	if !get(r1, b, "S1").IsNil() {
+		t.Error("failed MatchWith left a binding behind")
+	}
 	// Wrong name fails the join on <M>.
-	if _, ok := ce2.MatchWith(emp("Pat", 50, 900, 1, "Joe"), b1); ok {
+	if _, ok := ce2.MatchWith(emp("Pat", 50, 900, 1, "Joe"), b); ok {
 		t.Error("CE2 should reject non-manager")
+	}
+	ce1.Unbind(b, u1)
+	for s, v := range b {
+		if !v.IsNil() {
+			t.Errorf("slot %s still bound: %v", r1.Vars[s], v)
+		}
 	}
 }
 
@@ -164,8 +196,14 @@ func TestMatchWithRejectsNilBinding(t *testing.T) {
 	set := compile(t, payrollSrc)
 	r1, _ := set.RuleByName("R1")
 	tup := relation.Tuple{value.OfSym("Mike"), value.OfInt(30), value.V{}, value.OfInt(1), value.OfSym("Sam")}
-	if _, ok := r1.CEs[0].MatchWith(tup, Bindings{}); ok {
+	b := make(Bindings, len(r1.Vars))
+	if _, ok := r1.CEs[0].MatchWith(tup, b); ok {
 		t.Error("binding an unset (nil) field should fail")
+	}
+	for _, v := range b {
+		if !v.IsNil() {
+			t.Errorf("failed match left %v bound", b)
+		}
 	}
 }
 
@@ -174,7 +212,7 @@ func TestRestrictions(t *testing.T) {
 	r1, _ := set.RuleByName("R1")
 	ce2 := r1.CEs[1]
 	// With S and M bound, CE2's predicate is fully grounded.
-	b := Bindings{"S": value.OfInt(1000), "M": value.OfSym("Sam")}
+	b := vec(r1, map[string]value.V{"S": value.OfInt(1000), "M": value.OfSym("Sam")})
 	rs, free := ce2.Restrictions(b)
 	if len(free) != 1 || free[0] != "S1" {
 		t.Errorf("free = %v", free)
@@ -189,7 +227,7 @@ func TestRestrictions(t *testing.T) {
 		t.Error("rich Sam should fail salary restriction")
 	}
 	// Unbound: only the const restriction applies.
-	rs0, free0 := ce2.Restrictions(Bindings{})
+	rs0, free0 := ce2.Restrictions(make(Bindings, len(r1.Vars)))
 	if len(rs0) != 0 {
 		t.Errorf("CE2 has no const restrictions, got %v", rs0)
 	}
@@ -198,39 +236,51 @@ func TestRestrictions(t *testing.T) {
 	}
 }
 
-func TestBindingsFromTupleAndVars(t *testing.T) {
+// TestVarsAndSlots checks slot numbering: LHS variables in order of first
+// appearance, then RHS binds; each slot's binding occurrence is its first
+// positive equality test, and a negated element's local variable or an
+// RHS bind has none. Value and Fill read bindings from a match's tuples.
+func TestVarsAndSlots(t *testing.T) {
 	set := compile(t, payrollSrc)
 	r1, _ := set.RuleByName("R1")
-	ce1 := r1.CEs[0]
-	b := ce1.BindingsFromTuple(emp("Mike", 30, 1000, 1, "Sam"))
-	if len(b) != 2 || !value.Equal(b["S"], value.OfInt(1000)) {
-		t.Errorf("BindingsFromTuple = %v", b)
-	}
-	if vars := ce1.Vars(); len(vars) != 2 || vars[0] != "S" || vars[1] != "M" {
+	if vars := r1.CEs[0].Vars(); len(vars) != 2 || vars[0] != "S" || vars[1] != "M" {
 		t.Errorf("Vars = %v", vars)
 	}
-}
+	if got := r1.Vars; len(got) != 3 || got[0] != "S" || got[1] != "M" || got[2] != "S1" {
+		t.Fatalf("R1 slots = %v", got)
+	}
+	want := []BindPos{{CE: 0, Pos: 2}, {CE: 0, Pos: 4}, {CE: 1, Pos: 2}}
+	for s, at := range r1.BindAt {
+		if at != want[s] {
+			t.Errorf("BindAt[%s] = %+v, want %+v", r1.Vars[s], at, want[s])
+		}
+	}
+	for _, ce := range r1.CEs {
+		for _, vt := range ce.VarTests {
+			if r1.Vars[vt.Slot] != vt.Var {
+				t.Errorf("%s: test on <%s> has slot %d (%s)", ce, vt.Var, vt.Slot, r1.Vars[vt.Slot])
+			}
+		}
+	}
+	tuples := []relation.Tuple{emp("Mike", 30, 1000, 1, "Sam"), emp("Sam", 50, 900, 1, "Pat")}
+	b := r1.Fill(nil, tuples)
+	if !value.Equal(get(r1, b, "S"), value.OfInt(1000)) || !value.Equal(get(r1, b, "M"), value.OfSym("Sam")) ||
+		!value.Equal(r1.Value(tuples, 2), value.OfInt(900)) {
+		t.Errorf("Fill = %v", b)
+	}
 
-func TestBindingsCloneEqualKey(t *testing.T) {
-	b := Bindings{"x": value.OfInt(1), "y": value.OfSym("a")}
-	c := b.Clone()
-	if !b.Equal(c) {
-		t.Error("clone should be Equal")
+	set = compile(t, `(literalize A x) (literalize B y z)
+(p R (A ^x <v>) - (B ^y <v> ^z <w>) --> (bind <k> 1) (make A ^x <k>))`)
+	r, _ := set.RuleByName("R")
+	if got := r.Vars; len(got) != 3 || got[0] != "v" || got[1] != "w" || got[2] != "k" {
+		t.Fatalf("R slots = %v", got)
 	}
-	c["x"] = value.OfInt(2)
-	if b.Equal(c) {
-		t.Error("mutated clone should differ")
+	if r.BindAt[0] != (BindPos{CE: 0, Pos: 0}) || r.BindAt[1].CE != -1 || r.BindAt[2].CE != -1 {
+		t.Errorf("R BindAt = %+v", r.BindAt)
 	}
-	if b["x"].AsInt() != 1 {
-		t.Error("clone aliases original")
-	}
-	if b.Equal(Bindings{"x": value.OfInt(1)}) {
-		t.Error("different sizes should differ")
-	}
-	k1 := Bindings{"x": value.OfInt(3), "y": value.OfSym("a")}.Key()
-	k2 := Bindings{"y": value.OfSym("a"), "x": value.OfFloat(3.0)}.Key()
-	if k1 != k2 {
-		t.Errorf("keys should normalize: %q vs %q", k1, k2)
+	b = r.Fill(b, []relation.Tuple{{value.OfInt(4)}, nil})
+	if len(b) != 3 || b[0].AsInt() != 4 || !b[1].IsNil() || !b[2].IsNil() {
+		t.Errorf("Fill with a negated element and a bind = %v", b)
 	}
 }
 
@@ -262,6 +312,26 @@ func TestCompileErrors(t *testing.T) {
 				t.Errorf("CompileSource(%q) should fail", tc.src)
 			}
 		})
+	}
+}
+
+// TestVarTestLimit checks compilation bounds a condition element's
+// variable tests to the bits of an Undo.
+func TestVarTestLimit(t *testing.T) {
+	ce := func(n int) string {
+		var b strings.Builder
+		b.WriteString("(literalize A x) (p R (A")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, " ^x <v%d>", i)
+		}
+		b.WriteString(") --> (halt))")
+		return b.String()
+	}
+	if _, _, err := CompileSource(ce(maxVarTests)); err != nil {
+		t.Fatalf("%d variable tests should compile: %v", maxVarTests, err)
+	}
+	if _, _, err := CompileSource(ce(maxVarTests + 1)); err == nil {
+		t.Fatalf("%d variable tests should not compile", maxVarTests+1)
 	}
 }
 
@@ -378,17 +448,22 @@ func TestBuildIndexesOrderedOnlyWhereRanged(t *testing.T) {
 }
 
 func TestResolveTerm(t *testing.T) {
-	b := Bindings{"x": value.OfInt(7)}
-	v, err := ResolveTerm(lang.VarTerm("x"), b)
+	set := compile(t, `(literalize A x y) (p R (A ^x <x> ^y <y>) --> (halt))`)
+	r, _ := set.RuleByName("R")
+	b := vec(r, map[string]value.V{"x": value.OfInt(7)})
+	v, err := r.ResolveTerm(lang.VarTerm("x"), b)
 	if err != nil || v.AsInt() != 7 {
 		t.Fatalf("ResolveTerm var: %v %v", v, err)
 	}
-	v, err = ResolveTerm(lang.ConstTerm(value.OfSym("k")), nil)
+	v, err = r.ResolveTerm(lang.ConstTerm(value.OfSym("k")), nil)
 	if err != nil || v.AsString() != "k" {
 		t.Fatalf("ResolveTerm const: %v %v", v, err)
 	}
-	if _, err := ResolveTerm(lang.VarTerm("zz"), b); err == nil {
+	if _, err := r.ResolveTerm(lang.VarTerm("y"), b); err == nil {
 		t.Error("unbound var should error")
+	}
+	if _, err := r.ResolveTerm(lang.VarTerm("zz"), b); err == nil {
+		t.Error("unknown var should error")
 	}
 }
 
@@ -409,8 +484,8 @@ func TestCENAndStrings(t *testing.T) {
 func TestMatchWithEmptyVarTests(t *testing.T) {
 	set := compile(t, `(literalize A x) (p R (A ^x 1) --> (halt))`)
 	r, _ := set.RuleByName("R")
-	b, ok := r.CEs[0].MatchWith(relation.Tuple{value.OfInt(1)}, nil)
-	if !ok || b == nil || len(b) != 0 {
-		t.Fatalf("const-only CE match: %v %v", b, ok)
+	u, ok := r.CEs[0].MatchWith(relation.Tuple{value.OfInt(1)}, nil)
+	if !ok || u != 0 || len(r.Vars) != 0 {
+		t.Fatalf("const-only CE match: %v %v", u, ok)
 	}
 }

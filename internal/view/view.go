@@ -37,6 +37,7 @@ type row struct {
 type View struct {
 	Name    string
 	Columns []string // variable names, sorted
+	slots   []int    // each column's slot in the view rule's bindings
 
 	mu   sync.Mutex
 	rows map[string]*row
@@ -85,13 +86,15 @@ func displayValue(v value.V) string {
 	return v.String()
 }
 
-// apply processes one add/delete trigger.
-func (v *View) apply(added bool, b rules.Bindings) {
+// apply processes one add/delete trigger, reading the columns from the
+// instantiation's tuples.
+func (v *View) apply(added bool, in *conflict.Instantiation) {
 	vals := make([]string, len(v.Columns))
 	keys := make([]string, len(v.Columns))
 	for i, c := range v.Columns {
-		vals[i] = c + "=" + displayValue(b[c])
-		keys[i] = c + "=" + b[c].Key().String()
+		val := in.Rule.Value(in.Tuples, v.slots[i])
+		vals[i] = c + "=" + displayValue(val)
+		keys[i] = c + "=" + val.Key().String()
 	}
 	key := strings.Join(keys, " ")
 	v.mu.Lock()
@@ -150,12 +153,16 @@ func NewManager(src string, db *relation.DB, stats *metrics.Set) (*Manager, erro
 			names = append(names, c)
 		}
 		sort.Strings(names)
-		mgr.views[r.Name] = &View{Name: r.Name, Columns: names, rows: make(map[string]*row)}
+		slots := make([]int, len(names))
+		for i, c := range names {
+			slots[i], _ = r.Slot(c)
+		}
+		mgr.views[r.Name] = &View{Name: r.Name, Columns: names, slots: slots, rows: make(map[string]*row)}
 	}
 	cs := conflict.NewSet(set, stats)
 	cs.SetObserver(func(added bool, in *conflict.Instantiation) {
 		if v := mgr.views[in.Rule.Name]; v != nil {
-			v.apply(added, in.Bindings)
+			v.apply(added, in)
 		}
 	})
 	mgr.matcher = core.New(set, db, cs, stats)
