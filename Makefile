@@ -59,14 +59,18 @@ serializability:
 	$(GO) test -race -count=20 -run 'TestConcurrentAbortAccounting|TestAttachViewsDuringCommits' .
 
 # loc prints non-test Go lines per internal/* package — the trajectory
-# of ROADMAP needle 2 (less code for the same behaviour). CI runs it
-# after check so every PR log shows it.
+# of ROADMAP needle 2 (less code for the same behaviour) — and two totals:
+# without test files, and with them, so a log shows whether lines were
+# deleted or only moved into tests. CI runs it after check so every PR
+# log shows it.
 loc:
 	@for d in internal/*/; do \
 		printf '%6d %s\n' "$$(cat $$(ls $$d*.go | grep -v _test.go) /dev/null | wc -l)" "$$d"; \
 	done; \
 	printf '%6d total non-test Go lines outside benchmark/\n' \
-		"$$(git ls-files '*.go' | grep -v -e _test.go -e '^benchmark/' | xargs cat | wc -l)"
+		"$$(git ls-files '*.go' | grep -v -e _test.go -e '^benchmark/' | xargs cat | wc -l)"; \
+	printf '%6d total Go lines outside benchmark/, test files included\n' \
+		"$$(git ls-files '*.go' | grep -v '^benchmark/' | xargs cat | wc -l)"
 
 fmt:
 	gofmt -w .
@@ -86,7 +90,7 @@ fuzz-short:
 # to stdout and the event stream lands in trace.json in Chrome
 # trace_event format (open at chrome://tracing or ui.perfetto.dev).
 trace-demo:
-	$(GO) run ./cmd/psbench -trace trace.json
+	$(GO) run ./cmd/psdb -wm=false -trace trace.json -trace-format chrome -profile testdata/payroll.ops
 
 # audit-demo injects seeded corruption into the Rete network's beta
 # memories, then lets the online integrity auditor detect it, rebuild
@@ -100,21 +104,21 @@ audit-demo:
 # an overload pass against a deliberately tiny admission window (429
 # shedding must be visible) and a chaos pass that SIGKILLs the server
 # mid-load, restarts it, and verifies recovery against the
-# acknowledgement oracle plus a full integrity audit. Both runs append
-# to BENCH_8.json; psload exits non-zero if any acknowledged commit
-# went missing.
+# acknowledgement oracle plus a full integrity audit. Each run prints its
+# JSON report; psload exits non-zero if any acknowledged commit went
+# missing.
 SOAK_DURATION ?= 6s
 soak-demo:
 	$(GO) build -o /tmp/psserve ./cmd/psserve
 	$(GO) build -o /tmp/psload ./cmd/psload
-	rm -f /tmp/soak.wal /tmp/soak.wal.ckpt /tmp/soak-chaos.wal /tmp/soak-chaos.wal.ckpt BENCH_8.json
+	rm -f /tmp/soak.wal /tmp/soak.wal.ckpt /tmp/soak-chaos.wal /tmp/soak-chaos.wal.ckpt
 	/tmp/psload -spawn -psserve /tmp/psserve -program testdata/server.ops \
 		-wal /tmp/soak.wal -addr 127.0.0.1:8372 -clients 32 \
 		-duration $(SOAK_DURATION) -max-inflight 2 -max-queue 2 \
-		-label overload -out BENCH_8.json
+		-label overload
 	/tmp/psload -spawn -psserve /tmp/psserve -program testdata/server.ops \
 		-wal /tmp/soak-chaos.wal -addr 127.0.0.1:8373 -clients 8 \
-		-duration $(SOAK_DURATION) -chaos -label chaos-soak -out BENCH_8.json
+		-duration $(SOAK_DURATION) -chaos -label chaos-soak
 
 # failover-demo runs the replication drill (docs/REPLICATION.md): a
 # primary/replica pair under load, then repeated kill→promote→rejoin
@@ -122,19 +126,19 @@ soak-demo:
 # oracle on the promoted node, runs the audit promotion gate, fences
 # every stale-epoch append from the resurrected old primary, and
 # compares working memory and conflict sets byte-identical after
-# rejoin. Results land in BENCH_10.json; psload exits non-zero on any
-# lost acked commit, fence leak, or rejoin divergence.
+# rejoin. psload prints the JSON report and exits non-zero on any lost
+# acked commit, fence leak, or rejoin divergence.
 FAILOVER_DURATION ?= 10s
 FAILOVER_CYCLES ?= 5
 failover-demo:
 	$(GO) build -o /tmp/psserve ./cmd/psserve
 	$(GO) build -o /tmp/psload ./cmd/psload
 	rm -f /tmp/failover.wal.a /tmp/failover.wal.a.ckpt \
-		/tmp/failover.wal.b /tmp/failover.wal.b.ckpt BENCH_10.json
+		/tmp/failover.wal.b /tmp/failover.wal.b.ckpt
 	/tmp/psload -spawn -psserve /tmp/psserve -program testdata/server.ops \
 		-wal /tmp/failover.wal -addr 127.0.0.1:8372 -replica-addr 127.0.0.1:8373 \
 		-clients 8 -duration $(FAILOVER_DURATION) -chaos-failover \
-		-cycles $(FAILOVER_CYCLES) -label failover -out BENCH_10.json
+		-cycles $(FAILOVER_CYCLES) -label failover
 
 # crash-demo kills a WAL-attached run with SIGKILL mid-flight, then
 # reopens the log read-only to show recovery landing on the last

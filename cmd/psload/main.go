@@ -5,7 +5,7 @@
 // Usage:
 //
 //	psload -spawn -psserve bin/psserve -program testdata/server.ops -wal /tmp/wm.wal \
-//	       -clients 8 -duration 10s [-chaos] [-out BENCH_8.json]
+//	       -clients 8 -duration 10s [-chaos]
 //
 // With -spawn, psload launches and manages the server process itself;
 // without it, point -addr at a running psserve. With -chaos, the
@@ -14,7 +14,8 @@
 // the server acknowledged before the kill (and not since retracted)
 // must be present in the recovered working memory — acknowledged means
 // durable, no exceptions — and a full integrity audit must come back
-// clean. Results land in -out as JSON.
+// clean. The report prints to stdout as JSON; psload exits non-zero on
+// a lost acknowledged commit, a fence leak or a rejoin divergence.
 package main
 
 import (
@@ -51,7 +52,6 @@ func main() {
 	replicaAddr := flag.String("replica-addr", "127.0.0.1:8373", "replica address (with -chaos-failover)")
 	seed := flag.Int64("seed", 1, "workload RNG seed")
 	label := flag.String("label", "mixed", "workload label recorded in the report")
-	out := flag.String("out", "", "append the JSON report to this file (array of runs)")
 	flag.Parse()
 
 	if *chaos && (!*spawn || *walPath == "") {
@@ -157,20 +157,6 @@ func main() {
 
 	text, _ := json.MarshalIndent(&rep, "", "  ")
 	fmt.Println(string(text))
-	if *out != "" {
-		// The report file is an array of runs: successive invocations
-		// (overload pass, chaos pass, ...) append to it.
-		runs := []report{}
-		if prev, err := os.ReadFile(*out); err == nil {
-			_ = json.Unmarshal(prev, &runs)
-		}
-		runs = append(runs, rep)
-		all, _ := json.MarshalIndent(runs, "", "  ")
-		if err := os.WriteFile(*out, append(all, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "psload: write %s: %v\n", *out, err)
-			os.Exit(1)
-		}
-	}
 	if rep.OracleMissing > 0 || (rep.Chaos && !rep.AuditClean) {
 		fmt.Fprintln(os.Stderr, "psload: FAIL — durability oracle violated")
 		os.Exit(1)
@@ -181,7 +167,7 @@ func main() {
 	}
 }
 
-// report is the BENCH_8.json shape.
+// report is one run's JSON summary.
 type report struct {
 	Workload         string  `json:"workload"`
 	Clients          int     `json:"clients"`

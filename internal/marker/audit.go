@@ -38,9 +38,7 @@ func (m *Matcher) AuditDerived(db *relation.DB, only map[string]bool, emit func(
 					continue
 				}
 				key := tupleKey{class: ce.Class, id: ids[i]}
-				m.mu.Lock()
 				_, marked := m.marks[key][r]
-				m.mu.Unlock()
 				if !marked {
 					emit(match.Divergence{Class: match.DivMarkMissing, Rule: r.Name, CE: i,
 						Key:      fmt.Sprintf("%s:%d", ce.Class, ids[i]),
@@ -82,9 +80,7 @@ func (m *Matcher) CorruptDerived(rng *rand.Rand) string {
 			if ce.Negated {
 				continue
 			}
-			m.mu.Lock()
 			_, marked := m.marks[tupleKey{class: ce.Class, id: in.TupleIDs[i]}][in.Rule]
-			m.mu.Unlock()
 			if marked {
 				cands = append(cands, cand{in: in, ceIdx: i})
 			}
@@ -96,11 +92,9 @@ func (m *Matcher) CorruptDerived(rng *rand.Rand) string {
 	c := cands[rng.Intn(len(cands))]
 	ce := c.in.Rule.CEs[c.ceIdx]
 	key := tupleKey{class: ce.Class, id: c.in.TupleIDs[c.ceIdx]}
-	m.mu.Lock()
 	delete(m.marks[key], c.in.Rule)
 	if len(m.marks[key]) == 0 {
 		delete(m.marks, key)
 	}
-	m.mu.Unlock()
 	return fmt.Sprintf("marker: unmarked %s:%d for rule %s", ce.Class, key.id, c.in.Rule.Name)
 }

@@ -16,7 +16,6 @@ package marker
 
 import (
 	"sort"
-	"sync"
 
 	"prodsys/internal/conflict"
 	"prodsys/internal/joiner"
@@ -57,7 +56,9 @@ type tupleKey struct {
 	id    relation.TupleID
 }
 
-// Matcher is the Basic Locking matcher.
+// Matcher is the Basic Locking matcher. It holds no locks of its own:
+// like every match.Matcher it is called only under the engine's
+// maintenance mutex, so insertion, deletion, audit and rebuild run alone.
 type Matcher struct {
 	set   *rules.Set
 	db    *relation.DB
@@ -66,7 +67,6 @@ type Matcher struct {
 	tr    *trace.Tracer
 	pl    *joiner.Planner
 
-	mu sync.Mutex
 	// marks: rule identifiers set on individual data tuples.
 	marks map[tupleKey]map[*rules.Rule]struct{}
 	// intervals: per class, the marked index key ranges derived from the
@@ -204,8 +204,6 @@ func (m *Matcher) wakeDelete(r *rules.Rule) {
 
 // markInstantiation sets rule markers on the tuples the evaluation read.
 func (m *Matcher) markInstantiation(r *rules.Rule, ids []relation.TupleID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for i, ce := range r.CEs {
 		if ce.Negated {
 			continue
@@ -222,8 +220,6 @@ func (m *Matcher) markInstantiation(r *rules.Rule, ids []relation.TupleID) {
 
 // rulesToWake collects the rules whose markers or intervals a tuple hits.
 func (m *Matcher) rulesToWake(class string, id relation.TupleID, t relation.Tuple, isInsert bool) []*rules.Rule {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	woken := map[*rules.Rule]struct{}{}
 	if !isInsert {
 		for r := range m.marks[tupleKey{class: class, id: id}] {
@@ -273,9 +269,7 @@ func (m *Matcher) Delete(class string, id relation.TupleID, t relation.Tuple) er
 			CE: -1, Class: class, ID: uint64(id), Count: int64(len(woken)),
 		})
 	}
-	m.mu.Lock()
 	delete(m.marks, tupleKey{class: class, id: id})
-	m.mu.Unlock()
 	m.cs.RemoveByTuple(class, id)
 	for _, r := range woken {
 		negOnClass := false
@@ -306,8 +300,6 @@ func (m *Matcher) DeleteBatch(class string, entries []relation.DeltaEntry) error
 // MarkCount reports the number of (tuple, rule) marker pairs — the space
 // cost of the scheme, to compare against pattern/token storage.
 func (m *Matcher) MarkCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	n := 0
 	for _, set := range m.marks {
 		n += len(set)

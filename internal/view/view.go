@@ -125,12 +125,22 @@ type Manager struct {
 }
 
 // NewManager compiles a source whose productions (all with empty RHS)
-// define the views, and attaches incremental maintenance over db. The db
-// must already contain a relation per class declared in src.
+// define the views, and attaches incremental maintenance over db. Every
+// class src declares must exist in db with the same attributes in the same
+// order; otherwise NewManager returns an error.
 func NewManager(src string, db *relation.DB, stats *metrics.Set) (*Manager, error) {
 	set, _, err := rules.CompileSource(src)
 	if err != nil {
 		return nil, err
+	}
+	for _, name := range set.ClassNames() {
+		rel, err := db.Lookup(name)
+		if err != nil {
+			return nil, fmt.Errorf("view: %w", err)
+		}
+		if got, want := set.Classes[name].String(), rel.Schema().String(); got != want {
+			return nil, fmt.Errorf("view: class declared as %s, working memory has %s", got, want)
+		}
 	}
 	for _, r := range set.Rules {
 		if len(r.Actions) != 0 {

@@ -231,6 +231,8 @@ type System struct {
 	closed  bool       // Close has run; later calls return nil
 
 	aud *audit.Auditor // lazily built by Audit; keeps the sampling cursor
+
+	views []*view.Manager // attached view sets; guarded by the maintenance lock
 }
 
 // Load parses, compiles and initializes a production system from OPS5
@@ -720,22 +722,18 @@ func (s *System) RestoreWMFile(path string) error {
 // AttachViews defines materialized views (productions with empty RHS)
 // over this system's working memory. The views are maintained
 // incrementally through every Assert, Retract, rule firing and
-// RestoreWM. Attaching and seeding from the current WM happen inside
-// the maintenance section, so a concurrent commit lands either before
-// the seeding scan or through the observer, never both.
+// RestoreWM, alongside every set attached before. Each class src declares
+// must match the system's declaration of it, attribute for attribute;
+// otherwise AttachViews returns an error and attaches nothing. Attaching
+// and seeding from the current WM happen inside the maintenance section,
+// so a concurrent commit lands either before the seeding scan or through
+// the observer, never both.
 func (s *System) AttachViews(src string) (*Views, error) {
 	mgr, err := view.NewManager(src, s.db, s.stats)
 	if err != nil {
 		return nil, err
 	}
 	s.eng.WithMaintenanceLock(func() {
-		s.eng.SetWMObserver(func(inserted bool, class string, id relation.TupleID, t relation.Tuple) {
-			if inserted {
-				mgr.Insert(class, id, t)
-			} else {
-				mgr.Delete(class, id, t)
-			}
-		})
 		for _, name := range s.db.Names() {
 			rel, ok := s.db.Get(name)
 			if !ok {
@@ -754,11 +752,27 @@ func (s *System) AttachViews(src string) (*Views, error) {
 				}
 			}
 		}
+		if s.views == nil {
+			s.eng.SetWMObserver(s.observeViews)
+		}
+		s.views = append(s.views, mgr)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Views{mgr: mgr}, nil
+}
+
+// observeViews feeds one WM change to every attached view set. It runs
+// under the maintenance lock, which also guards s.views.
+func (s *System) observeViews(inserted bool, class string, id relation.TupleID, t relation.Tuple) {
+	for _, mgr := range s.views {
+		if inserted {
+			mgr.Insert(class, id, t)
+		} else {
+			mgr.Delete(class, id, t)
+		}
+	}
 }
 
 // Views is a set of maintained materialized views.

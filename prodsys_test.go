@@ -289,6 +289,57 @@ func TestViewsThroughFacade(t *testing.T) {
 	}
 }
 
+// TestSecondAttachViewsKeepsFirst checks that every attached view set
+// stays maintained: a second AttachViews must not replace the first, and
+// seeds only its own views.
+func TestSecondAttachViewsKeepsFirst(t *testing.T) {
+	sys, err := Load("(literalize A x)\n(A 0)", Options{Out: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, err := sys.AttachViews("(literalize A x) (p va (A ^x <x>) -->)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vb, err := sys.AttachViews("(literalize A x) (p vb (A ^x <x>) -->)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Assert("A", 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []struct {
+		views *Views
+		name  string
+	}{{va, "va"}, {vb, "vb"}} {
+		if rows, _ := v.views.Rows(v.name); len(rows) != 2 || rows[0] != "x=0 ×1" || rows[1] != "x=1 ×1" {
+			t.Errorf("view %s = %v, want x=0 and x=1 once each", v.name, rows)
+		}
+	}
+}
+
+// TestAttachViewsRejectsForeignClasses checks that a view source whose
+// literalize disagrees with the system's classes, or declares a class
+// the system lacks, is rejected before anything attaches, and that
+// writes keep working afterwards.
+func TestAttachViewsRejectsForeignClasses(t *testing.T) {
+	sys, err := Load("(literalize A x)", Options{Out: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		"(literalize A z w) (p vc (A ^w <w>) -->)",
+		"(literalize A x) (literalize B y) (p vd (B ^y <y>) -->)",
+	} {
+		if _, err := sys.AttachViews(src); err == nil {
+			t.Errorf("AttachViews(%q) succeeded", src)
+		}
+	}
+	if _, err := sys.Assert("A", 1); err != nil {
+		t.Fatalf("write after a rejected attach: %v", err)
+	}
+}
+
 // TestAttachViewsDuringCommits attaches a view while another goroutine
 // commits: every tuple must reach the view exactly once — through the
 // seeding scan or the observer — and the attach must not race the
