@@ -182,3 +182,29 @@ func TestBatchWithViews(t *testing.T) {
 		t.Fatalf("view size = %d: %v", n, rows)
 	}
 }
+
+// TestBatchJoinKeysDoNotCollide: a batch groups tuples by the values
+// they bind, so two tuples whose values differ must never share a group
+// even when their spellings concatenate alike. Only A("a", "b\x004\x00c")
+// joins the B tuple; A("a\x004\x00b", "c") must not inherit its match.
+func TestBatchJoinKeysDoNotCollide(t *testing.T) {
+	const src = `
+(literalize A x y)
+(literalize B x y)
+(p r (A ^x <x> ^y <y>) (B ^x <x> ^y <y>) --> (halt))`
+	for _, m := range Matchers() {
+		sys, err := Load(src, Options{Matcher: m, Out: io.Discard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Assert("B", "a", "b\x004\x00c"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Batch().Assert("A", "a", "b\x004\x00c").Assert("A", "a\x004\x00b", "c").Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.ConflictKeys(); len(got) != 1 || got[0] != "r|1|1" {
+			t.Errorf("%s: conflict set = %v, want [r|1|1]", m, got)
+		}
+	}
+}

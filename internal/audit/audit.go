@@ -16,6 +16,7 @@ package audit
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 
@@ -280,4 +281,21 @@ func (a *Auditor) repair(rep *Report) error {
 		})
 	}
 	return nil
+}
+
+// Corrupt damages m's derived state with rng and describes the damage:
+// the matcher's own corruption (CorruptDerived) when it has derived state
+// to break, otherwise one random unfired instantiation dropped from the
+// conflict set. Returns "" only when both are empty.
+func Corrupt(m match.Matcher, rng *rand.Rand) string {
+	if desc := m.CorruptDerived(rng); desc != "" {
+		return desc
+	}
+	items := m.ConflictSet().SelectAll()
+	if len(items) == 0 {
+		return ""
+	}
+	in := items[rng.Intn(len(items))]
+	m.ConflictSet().Remove(in.Key())
+	return fmt.Sprintf("conflict: dropped instantiation %s", in.KeyString())
 }

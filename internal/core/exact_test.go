@@ -11,8 +11,8 @@ import (
 	"prodsys/internal/joiner"
 	"prodsys/internal/match"
 	"prodsys/internal/metrics"
+	"prodsys/internal/recheck"
 	"prodsys/internal/relation"
-	"prodsys/internal/requery"
 	"prodsys/internal/rules"
 	"prodsys/internal/value"
 )
@@ -114,7 +114,7 @@ func runExactAgreement(t *testing.T, r *rand.Rand, src string, wantExact, batche
 	verify := New(set, db, conflict.NewSet(set, verifyStats), verifyStats)
 	verify.SetPlanner(joiner.NewPlanner(db, verifyStats))
 	verify.verifyAll()
-	oracle := requery.New(set, db, conflict.NewSet(set, nil), &metrics.Set{})
+	oracle := recheck.NewRequery(set, db, conflict.NewSet(set, nil), &metrics.Set{})
 	matchers := []match.Matcher{exact, verify, oracle}
 
 	for _, ci := range exact.cond {

@@ -6,8 +6,8 @@ import (
 
 	"prodsys/internal/conflict"
 	"prodsys/internal/core"
-	"prodsys/internal/marker"
 	"prodsys/internal/metrics"
+	"prodsys/internal/recheck"
 	"prodsys/internal/relation"
 	"prodsys/internal/rete"
 	"prodsys/internal/rules"
@@ -30,7 +30,7 @@ func TestStorageDrainsToZero(t *testing.T) {
 		}
 		reteM := rete.New(set, conflict.NewSet(set, nil), &metrics.Set{})
 		coreM := core.New(set, db, conflict.NewSet(set, nil), &metrics.Set{})
-		markerM := marker.New(set, db, conflict.NewSet(set, nil), &metrics.Set{})
+		markerM := recheck.NewMarker(set, db, conflict.NewSet(set, nil), &metrics.Set{})
 		matchers := []interface {
 			Insert(string, relation.TupleID, relation.Tuple) error
 			Delete(string, relation.TupleID, relation.Tuple) error

@@ -35,7 +35,12 @@ func (p *panicOnClass) Insert(class string, id relation.TupleID, t relation.Tupl
 // InsertBatch routes batches through Insert, so a batched maintenance
 // pass hits the injected panic too.
 func (p *panicOnClass) InsertBatch(class string, entries []relation.DeltaEntry) error {
-	return match.PerTuple(class, entries, p.Insert)
+	for _, e := range entries {
+		if err := p.Insert(class, e.ID, e.Tuple); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 const panicSrc = `

@@ -17,11 +17,11 @@ import (
 	"prodsys/internal/conflict"
 	"prodsys/internal/core"
 	"prodsys/internal/joiner"
-	"prodsys/internal/marker"
 	"prodsys/internal/match"
 	"prodsys/internal/matchers"
 	"prodsys/internal/metrics"
 	"prodsys/internal/ptree"
+	"prodsys/internal/recheck"
 	"prodsys/internal/relation"
 	"prodsys/internal/rete"
 	"prodsys/internal/rules"
@@ -267,7 +267,7 @@ func TestE3Shape(t *testing.T) {
 			stored[name] = int64(m.TokenCount())
 		case *core.Matcher:
 			stored[name] = int64(m.PatternCount())
-		case *marker.Matcher:
+		case *recheck.Matcher:
 			stored[name] = int64(m.MarkCount())
 		default:
 			sn := s.stats.Snapshot()

@@ -33,10 +33,9 @@ const (
 	// DivMarkMissing: a Basic Locking tuple marker required by a live
 	// instantiation is gone (a future update would be silently dropped).
 	DivMarkMissing = "marker-missing"
-	// DivIndexMissing / DivIndexPhantom: the predicate index disagrees
-	// with the rule set's condition elements.
+	// DivIndexMissing: a condition element of the rule set is absent from
+	// the predicate index.
 	DivIndexMissing = "index-missing"
-	DivIndexPhantom = "index-phantom"
 )
 
 // Divergence is one disagreement between a matcher's derived state and

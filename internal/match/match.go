@@ -1,9 +1,9 @@
 // Package match defines the one contract every matching algorithm in
 // this repository implements: the Rete network (internal/rete), the
-// paper's simplified re-evaluation algorithm (internal/requery), the
 // matching-pattern algorithm that is the paper's contribution
-// (internal/core), and the [STON86a] baselines Basic Locking
-// (internal/marker) and Predicate Indexing (internal/ptree).
+// (internal/core), and the filter-then-verify matchers of
+// internal/recheck — the paper's simplified re-evaluation algorithm and
+// the [STON86a] baselines Basic Locking and Predicate Indexing.
 //
 // A matcher observes working-memory changes and maintains a conflict set.
 // The engine owns the WM relations; it notifies the matcher after each
@@ -13,10 +13,10 @@
 //
 // Whole deltas arrive set-at-a-time through InsertBatch/DeleteBatch — the
 // paper's central claim that a DBMS wins by handling WM changes as sets
-// rather than tuple-at-a-time (§4.2, §5.1). A matcher without a native
-// batch path implements them with PerTuple. Every matcher also answers
-// the integrity auditor (AuditDerived, RebuildRules, CorruptDerived); one
-// whose only derived state is the conflict set implements them as no-ops.
+// rather than tuple-at-a-time (§4.2, §5.1); Insert and Delete are the
+// one-tuple case. Every matcher also answers the integrity auditor
+// (AuditDerived, RebuildRules, CorruptDerived); one whose only derived
+// state is the conflict set implements them as no-ops.
 //
 // Implementations need no locks: the engine calls every method under its
 // maintenance mutex, one call at a time.
@@ -70,17 +70,6 @@ type Matcher interface {
 	// fault-injection hook the detection tests drive — and describes the
 	// damage, or returns "" when there is nothing to corrupt.
 	CorruptDerived(rng *rand.Rand) string
-}
-
-// PerTuple is the batch path of a matcher without a native one: fn (its
-// Insert or Delete) runs once per entry, in order.
-func PerTuple(class string, entries []relation.DeltaEntry, fn func(class string, id relation.TupleID, t relation.Tuple) error) error {
-	for _, e := range entries {
-		if err := fn(class, e.ID, e.Tuple); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ApplyDelta drains a whole batch through the matcher: deletions first,

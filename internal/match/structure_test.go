@@ -5,7 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"path"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -35,31 +38,13 @@ func TestOneMatcherContract(t *testing.T) {
 	}
 	bannedStrings := map[string]bool{"core-parallel": true, "rete-shared": true}
 
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, path)
-		if d.IsDir() {
-			if rel == "benchmark" || (rel != "." && strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
-			return nil
-		}
-		fset := token.NewFileSet()
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
+	eachSourceFile(t, root, func(rel string, fset *token.FileSet, file *ast.File) {
 		// Which local names refer to the contract packages, and which bare
 		// identifiers do when the file is one of them.
 		local := map[string]map[string]bool{}
 		for _, imp := range file.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
-			if p == "sync" && filepath.ToSlash(filepath.Dir(rel)) == "internal/core" {
+			if p == "sync" && path.Dir(rel) == "internal/core" {
 				t.Errorf("%s: internal/core imports sync", rel)
 			}
 			if set, ok := ifaces[p]; ok {
@@ -70,7 +55,7 @@ func TestOneMatcherContract(t *testing.T) {
 				local[name] = set
 			}
 		}
-		own := ifaces["prodsys/"+filepath.ToSlash(filepath.Dir(rel))]
+		own := ifaces["prodsys/"+path.Dir(rel)]
 		isContractIface := func(e ast.Expr) bool {
 			switch e := e.(type) {
 			case *ast.Ident:
@@ -106,6 +91,34 @@ func TestOneMatcherContract(t *testing.T) {
 			}
 			return true
 		})
+	})
+}
+
+// eachSourceFile parses every non-test Go file under root outside
+// benchmark/ and hidden directories, and passes it to fn with its
+// slash-separated path relative to root.
+func eachSourceFile(t *testing.T, root string, fn func(rel string, fset *token.FileSet, file *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			if rel == "benchmark" || (rel != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		fn(filepath.ToSlash(rel), fset, file)
 		return nil
 	})
 	if err != nil {
@@ -138,4 +151,72 @@ func interfacesIn(t *testing.T, dir string) map[string]bool {
 		}
 	}
 	return out
+}
+
+// TestOneFilterThenVerifyMatcher keeps the re-evaluating matchers in one
+// package: requery, marker and ptree are filters of internal/recheck, so
+// internal/requery and internal/marker do not exist, internal/ptree is
+// only the condition index (no Matcher type, no conflict, joiner or match
+// import), and outside tests only core, rete and recheck declare a type
+// with match.Matcher's method set.
+func TestOneFilterThenVerifyMatcher(t *testing.T) {
+	const root = "../.."
+	for _, gone := range []string{"internal/requery", "internal/marker"} {
+		if _, err := os.Stat(filepath.Join(root, gone)); err == nil {
+			t.Errorf("%s still exists", gone)
+		}
+	}
+	contract := reflect.TypeOf((*Matcher)(nil)).Elem()
+	methods := map[string]map[string]bool{} // "dir.Type" -> method names
+	eachSourceFile(t, root, func(rel string, _ *token.FileSet, file *ast.File) {
+		dir := path.Dir(rel)
+		for _, imp := range file.Imports {
+			switch p, _ := strconv.Unquote(imp.Path.Value); p {
+			case "prodsys/internal/conflict", "prodsys/internal/joiner", "prodsys/internal/match":
+				if dir == "internal/ptree" {
+					t.Errorf("%s imports %s", rel, p)
+				}
+			}
+		}
+		for _, decl := range file.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok && dir == "internal/ptree" {
+				for _, spec := range gd.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == "Matcher" {
+						t.Errorf("%s declares type Matcher", rel)
+					}
+				}
+			}
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil {
+				continue
+			}
+			recv := fd.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if id, ok := recv.(*ast.Ident); ok {
+				key := dir + "." + id.Name
+				if methods[key] == nil {
+					methods[key] = map[string]bool{}
+				}
+				methods[key][fd.Name.Name] = true
+			}
+		}
+	})
+	found := map[string]bool{}
+	for key, have := range methods {
+		complete := true
+		for i := 0; i < contract.NumMethod(); i++ {
+			complete = complete && have[contract.Method(i).Name]
+		}
+		if dir := key[:strings.LastIndex(key, ".")]; complete {
+			found[dir] = true
+			if dir != "internal/core" && dir != "internal/rete" && dir != "internal/recheck" {
+				t.Errorf("%s implements match.Matcher", key)
+			}
+		}
+	}
+	if !found["internal/recheck"] {
+		t.Error("internal/recheck implements no match.Matcher; the method scan is broken")
+	}
 }

@@ -3,7 +3,10 @@
 // caller that builds a matcher by name — the public Options, the
 // experiment harness, the conformance and crosscheck suites — goes
 // through New, so a matcher registered here is reachable, and tested,
-// everywhere at once.
+// everywhere at once. requery, marker and ptree are three filters of one
+// filter-then-verify matcher, internal/recheck; they keep their names
+// because the experiments, the crosscheck suites and the benchmark sweep
+// select them by name.
 package matchers
 
 import (
@@ -12,12 +15,10 @@ import (
 
 	"prodsys/internal/conflict"
 	"prodsys/internal/core"
-	"prodsys/internal/marker"
 	"prodsys/internal/match"
 	"prodsys/internal/metrics"
-	"prodsys/internal/ptree"
+	"prodsys/internal/recheck"
 	"prodsys/internal/relation"
-	"prodsys/internal/requery"
 	"prodsys/internal/rete"
 	"prodsys/internal/rules"
 )
@@ -33,16 +34,16 @@ var table = []struct {
 		return rete.New(set, cs, stats)
 	}},
 	{"requery", func(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set) match.Matcher {
-		return requery.New(set, db, cs, stats)
+		return recheck.NewRequery(set, db, cs, stats)
 	}},
 	{"core", func(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set) match.Matcher {
 		return core.New(set, db, cs, stats)
 	}},
 	{"marker", func(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set) match.Matcher {
-		return marker.New(set, db, cs, stats)
+		return recheck.NewMarker(set, db, cs, stats)
 	}},
 	{"ptree", func(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set) match.Matcher {
-		return ptree.NewMatcher(set, db, cs, stats)
+		return recheck.NewPTree(set, db, cs, stats)
 	}},
 }
 

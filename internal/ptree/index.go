@@ -1,15 +1,12 @@
 package ptree
 
 import (
+	"slices"
 	"sort"
 
-	"prodsys/internal/conflict"
-	"prodsys/internal/joiner"
-	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
-	"prodsys/internal/trace"
 	"prodsys/internal/value"
 )
 
@@ -23,7 +20,7 @@ func RectForCE(ce *rules.CE) Rect {
 	for _, c := range ce.Consts {
 		switch c.Op {
 		case value.OpEq:
-			r[c.Pos] = intersectPoint(r[c.Pos], c.Val)
+			r[c.Pos] = PointInterval(c.Val)
 		case value.OpLt, value.OpLe:
 			r[c.Pos] = r[c.Pos].clampHi(c.Val)
 		case value.OpGt, value.OpGe:
@@ -31,15 +28,6 @@ func RectForCE(ce *rules.CE) Rect {
 		}
 	}
 	return r
-}
-
-// intersectPoint narrows an interval to a single point.
-func intersectPoint(iv Interval, v value.V) Interval {
-	pt := PointInterval(v)
-	if !iv.overlaps(pt) {
-		return pt // contradictory restrictions; keep the point
-	}
-	return pt
 }
 
 // clampHi lowers the upper bound to at most v.
@@ -65,18 +53,39 @@ type Index struct {
 	stats *metrics.Set
 }
 
-// NewIndex indexes every condition element of the rule set.
-func NewIndex(set *rules.Set, stats *metrics.Set) *Index {
+// NewIndex indexes every condition element of the rule set except those
+// in skip, which only fault injection passes: it damages the index the
+// integrity auditor checks.
+func NewIndex(set *rules.Set, stats *metrics.Set, skip ...*rules.CE) *Index {
 	ix := &Index{set: set, trees: make(map[string]*Tree), stats: stats}
 	for class, schema := range set.Classes {
 		ix.trees[class] = NewTree(schema.Arity())
 	}
 	for class, ces := range set.ByClass {
 		for _, ce := range ces {
+			if slices.Contains(skip, ce) {
+				continue
+			}
 			ix.trees[class].Insert(&Item{Rect: RectForCE(ce), Data: ce})
 		}
 	}
 	return ix
+}
+
+// Conditions returns every condition element indexed for class, in rule
+// order: what the integrity auditor compares with the rule set.
+func (ix *Index) Conditions(class string) []*rules.CE {
+	tree := ix.trees[class]
+	if tree == nil {
+		return nil
+	}
+	var out []*rules.CE
+	tree.SearchRect(FullRect(tree.dims), func(it *Item) bool {
+		out = append(out, it.Data.(*rules.CE))
+		return true
+	})
+	sortCEs(out)
+	return out
 }
 
 // CandidatesFor returns the condition elements whose rectangles admit the
@@ -137,115 +146,4 @@ func sortCEs(ces []*rules.CE) {
 		}
 		return ces[i].Index < ces[j].Index
 	})
-}
-
-// Matcher is the Predicate Indexing matcher: the simplified algorithm
-// with the COND search replaced by an R-tree probe — sublinear in the
-// number of conditions instead of a full COND scan.
-type Matcher struct {
-	set   *rules.Set
-	db    *relation.DB
-	cs    *conflict.Set
-	stats *metrics.Set
-	index *Index
-	tr    *trace.Tracer
-	pl    *joiner.Planner
-}
-
-// SetTracer implements match.Matcher: R-tree probes and seeded join
-// evaluations are emitted as trace events.
-func (m *Matcher) SetTracer(tr *trace.Tracer) { m.tr = tr }
-
-// SetPlanner implements match.Matcher: seeded verification joins and
-// negated re-derivations run under the planner's cost-based join order.
-func (m *Matcher) SetPlanner(p *joiner.Planner) { m.pl = p }
-
-// NewMatcher builds the matcher. stats may be nil.
-func NewMatcher(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set) *Matcher {
-	return &Matcher{set: set, db: db, cs: cs, stats: stats, index: NewIndex(set, stats)}
-}
-
-// Index exposes the condition index (for rulebase queries).
-func (m *Matcher) Index() *Index { return m.index }
-
-// Name implements match.Matcher.
-func (m *Matcher) Name() string { return "ptree" }
-
-// ConflictSet implements match.Matcher.
-func (m *Matcher) ConflictSet() *conflict.Set { return m.cs }
-
-// Insert implements match.Matcher.
-func (m *Matcher) Insert(class string, id relation.TupleID, t relation.Tuple) error {
-	t0 := m.tr.Now()
-	cands := m.index.CandidatesFor(class, t)
-	if m.tr.Enabled() {
-		m.tr.Emit(trace.Event{
-			Kind: trace.KindCondScan, At: t0, Dur: m.tr.Now() - t0,
-			CE: -1, Class: class, ID: uint64(id), Count: int64(len(cands)),
-		})
-	}
-	for _, ce := range cands {
-		m.stats.Inc(metrics.PatternSearches)
-		if ce.Negated {
-			m.cs.RemoveBlocked(ce, []relation.DeltaEntry{{ID: id, Tuple: t}})
-			continue
-		}
-		tJoin := m.tr.Now()
-		var found int64
-		m.pl.Enumerate(m.db, ce.Rule, &joiner.Pin{CE: ce.Index, ID: id, Tuple: t}, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, _ rules.Bindings) {
-			found++
-			m.cs.Add(conflict.NewInstantiation(ce.Rule, ids, tuples))
-		})
-		if m.tr.Enabled() {
-			m.tr.Emit(trace.Event{
-				Kind: trace.KindJoinEval, At: tJoin, Dur: m.tr.Now() - tJoin,
-				Rule: ce.Rule.Name, CE: ce.Index, Class: class, ID: uint64(id), Count: found,
-			})
-		}
-	}
-	return nil
-}
-
-// Delete implements match.Matcher.
-func (m *Matcher) Delete(class string, id relation.TupleID, t relation.Tuple) error {
-	m.cs.RemoveByTuple(class, id)
-	t0 := m.tr.Now()
-	cands := m.index.CandidatesFor(class, t)
-	if m.tr.Enabled() {
-		m.tr.Emit(trace.Event{
-			Kind: trace.KindCondScan, At: t0, Dur: m.tr.Now() - t0,
-			CE: -1, Class: class, ID: uint64(id), Count: int64(len(cands)),
-		})
-	}
-	seen := map[*rules.Rule]bool{}
-	for _, ce := range cands {
-		if !ce.Negated || seen[ce.Rule] {
-			continue
-		}
-		seen[ce.Rule] = true
-		tJoin := m.tr.Now()
-		var found int64
-		m.pl.Enumerate(m.db, ce.Rule, nil, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, _ rules.Bindings) {
-			found++
-			m.cs.Add(conflict.NewInstantiation(ce.Rule, ids, tuples))
-		})
-		if m.tr.Enabled() {
-			m.tr.Emit(trace.Event{
-				Kind: trace.KindJoinEval, At: tJoin, Dur: m.tr.Now() - tJoin,
-				Rule: ce.Rule.Name, CE: ce.Index, Class: class, ID: uint64(id), Count: found,
-			})
-		}
-	}
-	return nil
-}
-
-// InsertBatch implements match.Matcher tuple-at-a-time: Predicate
-// Indexing has no set-oriented path.
-func (m *Matcher) InsertBatch(class string, entries []relation.DeltaEntry) error {
-	return match.PerTuple(class, entries, m.Insert)
-}
-
-// DeleteBatch implements match.Matcher tuple-at-a-time.
-func (m *Matcher) DeleteBatch(class string, entries []relation.DeltaEntry) error {
-	return match.PerTuple(class, entries, m.Delete)
 }

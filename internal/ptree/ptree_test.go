@@ -1,10 +1,8 @@
 package ptree
 
 import (
-	"fmt"
 	"testing"
 
-	"prodsys/internal/conflict"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
@@ -233,46 +231,6 @@ func TestRulesInRangePaperQuery(t *testing.T) {
 	}
 	if ix.RulesInRange("Emp", "ghost", value.V{}, value.V{}) != nil {
 		t.Error("unknown attr")
-	}
-}
-
-func TestMatcherBehavesLikeRequery(t *testing.T) {
-	set := buildSet(t)
-	st := &metrics.Set{}
-	db := relation.NewDB(st)
-	if err := rules.BuildDB(set, db); err != nil {
-		t.Fatal(err)
-	}
-	cs := conflict.NewSet(set, st)
-	m := NewMatcher(set, db, cs, st)
-	if m.Name() != "ptree" || m.ConflictSet() != cs || m.Index() == nil {
-		t.Fatal("accessors")
-	}
-	empRel := db.MustGet("Emp")
-	id, _ := empRel.Insert(relation.Tuple{value.OfSym("Ann"), value.OfInt(28), value.OfInt(500), value.OfInt(7)})
-	tup, _ := empRel.Get(id)
-	m.Insert("Emp", id, tup)
-	// Young fires, NoDept fires.
-	keys := cs.Keys()
-	if len(keys) != 2 {
-		t.Fatalf("conflict set = %v", keys)
-	}
-	deptRel := db.MustGet("Dept")
-	did, _ := deptRel.Insert(relation.Tuple{value.OfInt(7), value.OfSym("Toy")})
-	dtup, _ := deptRel.Get(did)
-	m.Insert("Dept", did, dtup)
-	// Toy fires; NoDept retracted.
-	keys = cs.Keys()
-	want := map[string]bool{"Young|1": true, fmt.Sprintf("Toy|%d|%d", id, did): true}
-	if len(keys) != 2 || !want[keys[0]] || !want[keys[1]] {
-		t.Fatalf("conflict set = %v", keys)
-	}
-	// Delete the dept: NoDept re-derives.
-	deptRel.Delete(did)
-	m.Delete("Dept", did, dtup)
-	keys = cs.Keys()
-	if len(keys) != 2 {
-		t.Fatalf("after dept delete = %v", keys)
 	}
 }
 

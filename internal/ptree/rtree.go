@@ -1,10 +1,12 @@
-// Package ptree implements Predicate Indexing [STON86a, §2.3 of the
-// paper]: rule conditions become rectangles in attribute space, stored in
-// an R-tree-style index. An inserted tuple is a point; searching the tree
-// yields every condition whose variable-free restrictions admit the point
-// — without touching base data. The same index answers rulebase queries
-// such as "give me all the rules that apply on employees older than 55"
-// (§4.2.3), which marker-style schemes cannot support.
+// Package ptree is the condition index of Predicate Indexing [STON86a,
+// §2.3 of the paper], and only the index: rule conditions become
+// rectangles in attribute space, stored in one R-tree per class. An
+// inserted tuple is a point; searching the tree yields every condition
+// whose variable-free restrictions admit the point — without touching
+// base data. The same index answers rulebase queries such as "give me
+// all the rules that apply on employees older than 55" (§4.2.3), which
+// marker-style schemes cannot support. The matcher that probes it is the
+// ptree filter of internal/recheck.
 package ptree
 
 import (

@@ -74,7 +74,12 @@ func (p *panicOnInsert) Insert(class string, id relation.TupleID, t relation.Tup
 
 // InsertBatch routes the statement's batch through Insert.
 func (p *panicOnInsert) InsertBatch(class string, entries []relation.DeltaEntry) error {
-	return match.PerTuple(class, entries, p.Insert)
+	for _, e := range entries {
+		if err := p.Insert(class, e.ID, e.Tuple); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func TestAppendPanicContained(t *testing.T) {

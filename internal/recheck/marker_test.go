@@ -1,71 +1,23 @@
-package marker
+package recheck
 
 import (
 	"testing"
 
-	"prodsys/internal/conflict"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
 	"prodsys/internal/value"
 )
 
-const src = `
+const markerSrc = `
 (literalize Emp name salary dno)
 (literalize Dept dno dname)
 (p Toy (Emp ^dno <d>) (Dept ^dno <d> ^dname Toy) --> (remove 1))
 (p Rich (Emp ^salary > 1000) --> (halt))
 `
 
-type fixture struct {
-	m  *Matcher
-	db *relation.DB
-	cs *conflict.Set
-	st *metrics.Set
-}
-
-func setup(t *testing.T) *fixture {
-	t.Helper()
-	set, _, err := rules.CompileSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &metrics.Set{}
-	db := relation.NewDB(st)
-	if err := rules.BuildDB(set, db); err != nil {
-		t.Fatal(err)
-	}
-	cs := conflict.NewSet(set, st)
-	return &fixture{m: New(set, db, cs, st), db: db, cs: cs, st: st}
-}
-
-func (f *fixture) insert(t *testing.T, class string, vals ...value.V) relation.TupleID {
-	t.Helper()
-	rel := f.db.MustGet(class)
-	id, err := rel.Insert(relation.Tuple(vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tup, _ := rel.Get(id)
-	if err := f.m.Insert(class, id, tup); err != nil {
-		t.Fatal(err)
-	}
-	return id
-}
-
-func (f *fixture) remove(t *testing.T, class string, id relation.TupleID) {
-	t.Helper()
-	tup, err := f.db.MustGet(class).Delete(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.m.Delete(class, id, tup); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIntervalWakeAndFire(t *testing.T) {
-	f := setup(t)
+	f := setup(t, markerSrc, NewMarker)
 	f.insert(t, "Emp", value.OfSym("Ann"), value.OfInt(500), value.OfInt(7))
 	if f.cs.Len() != 0 {
 		t.Fatalf("nothing should fire: %v", f.cs.Keys())
@@ -82,7 +34,7 @@ func TestIntervalWakeAndFire(t *testing.T) {
 }
 
 func TestFalseDropsCounted(t *testing.T) {
-	f := setup(t)
+	f := setup(t, markerSrc, NewMarker)
 	// An Emp insert wakes Toy (no constant restriction on Emp ⇒ whole
 	// relation marked), which finds nothing: a false drop.
 	f.insert(t, "Emp", value.OfSym("Ann"), value.OfInt(500), value.OfInt(7))
@@ -92,7 +44,7 @@ func TestFalseDropsCounted(t *testing.T) {
 }
 
 func TestIntervalFiltersInserts(t *testing.T) {
-	f := setup(t)
+	f := setup(t, markerSrc, NewMarker)
 	before := f.st.Get(metrics.CandidateChecks)
 	// Salary 500 falls outside Rich's (1000, +inf) interval: Rich not
 	// woken by the salary dimension... but Toy's unrestricted interval
@@ -107,7 +59,7 @@ func TestIntervalFiltersInserts(t *testing.T) {
 }
 
 func TestDeleteRetractsViaMarks(t *testing.T) {
-	f := setup(t)
+	f := setup(t, markerSrc, NewMarker)
 	e := f.insert(t, "Emp", value.OfSym("Ann"), value.OfInt(500), value.OfInt(7))
 	f.insert(t, "Dept", value.OfInt(7), value.OfSym("Toy"))
 	if f.cs.Len() != 1 {
@@ -123,7 +75,7 @@ func TestDeleteRetractsViaMarks(t *testing.T) {
 }
 
 func TestDeleteOtherSideRetracts(t *testing.T) {
-	f := setup(t)
+	f := setup(t, markerSrc, NewMarker)
 	f.insert(t, "Emp", value.OfSym("Ann"), value.OfInt(500), value.OfInt(7))
 	d := f.insert(t, "Dept", value.OfInt(7), value.OfSym("Toy"))
 	f.remove(t, "Dept", d)
@@ -133,7 +85,7 @@ func TestDeleteOtherSideRetracts(t *testing.T) {
 }
 
 func TestNameAndAccessors(t *testing.T) {
-	f := setup(t)
+	f := setup(t, markerSrc, NewMarker)
 	if f.m.Name() != "marker" {
 		t.Errorf("Name = %q", f.m.Name())
 	}
@@ -157,49 +109,31 @@ func TestIntervalContains(t *testing.T) {
 }
 
 func TestNegationWakeAndUnblock(t *testing.T) {
-	// Exercises wakeInsert's negated branch and wakeDelete's re-derivation.
-	set, _, err := rules.CompileSource(`
+	// Exercises a wake's negated branch and a deletion's re-derivation.
+	f := setup(t, `
 (literalize Emp dno)
 (literalize Dept dno)
-(p Orphan (Emp ^dno <d>) - (Dept ^dno <d>) --> (halt))`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &metrics.Set{}
-	db := relation.NewDB(st)
-	if err := rules.BuildDB(set, db); err != nil {
-		t.Fatal(err)
-	}
-	cs := conflict.NewSet(set, st)
-	m := New(set, db, cs, st)
-
-	ins := func(class string, vals ...value.V) relation.TupleID {
-		id, _ := db.MustGet(class).Insert(relation.Tuple(vals))
-		tup, _ := db.MustGet(class).Get(id)
-		m.Insert(class, id, tup)
-		return id
-	}
-	del := func(class string, id relation.TupleID) {
-		tup, _ := db.MustGet(class).Delete(id)
-		m.Delete(class, id, tup)
-	}
+(p Orphan (Emp ^dno <d>) - (Dept ^dno <d>) --> (halt))`, NewMarker)
+	db, cs, st := f.db, f.cs, f.st
+	ins := func(class string, vals ...value.V) relation.TupleID { return f.insert(t, class, vals...) }
+	del := func(class string, id relation.TupleID) { f.remove(t, class, id) }
 
 	ins("Emp", value.OfInt(7))
 	if cs.Len() != 1 {
 		t.Fatalf("orphan should fire: %v", cs.Keys())
 	}
-	// Blocker insert retracts through the negated branch of wakeInsert.
+	// Blocker insert retracts through the wake's negated branch.
 	d := ins("Dept", value.OfInt(7))
 	if cs.Len() != 0 {
 		t.Fatalf("blocker should retract: %v", cs.Keys())
 	}
-	// Blocker delete re-derives through wakeDelete.
+	// Blocker delete re-derives the woken rule.
 	del("Dept", d)
 	if cs.Len() != 1 {
 		t.Fatalf("unblock should re-fire: %v", cs.Keys())
 	}
 	// With no employees left, a dept deletion wakes Orphan fruitlessly —
-	// a false drop in wakeDelete.
+	// a false drop.
 	d2 := ins("Dept", value.OfInt(9))
 	for _, in := range cs.Items() {
 		cs.Remove(in.Key())

@@ -1,6 +1,7 @@
-package requery
+package recheck
 
 import (
+	"reflect"
 	"testing"
 
 	"prodsys/internal/conflict"
@@ -10,7 +11,7 @@ import (
 	"prodsys/internal/value"
 )
 
-const src = `
+const requerySrc = `
 (literalize Emp name salary dno)
 (literalize Dept dno dname)
 (p Toy (Emp ^dno <d>) (Dept ^dno <d> ^dname Toy) --> (remove 1))
@@ -24,7 +25,9 @@ type fixture struct {
 	st *metrics.Set
 }
 
-func setup(t *testing.T) *fixture {
+// setup builds the matcher build returns over src's rules, with an
+// empty WM.
+func setup(t *testing.T, src string, build func(*rules.Set, *relation.DB, *conflict.Set, *metrics.Set) *Matcher) *fixture {
 	t.Helper()
 	set, _, err := rules.CompileSource(src)
 	if err != nil {
@@ -36,7 +39,7 @@ func setup(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	cs := conflict.NewSet(set, st)
-	return &fixture{m: New(set, db, cs, st), db: db, cs: cs, st: st}
+	return &fixture{m: build(set, db, cs, st), db: db, cs: cs, st: st}
 }
 
 func (f *fixture) insert(t *testing.T, class string, vals ...value.V) relation.TupleID {
@@ -65,7 +68,7 @@ func (f *fixture) remove(t *testing.T, class string, id relation.TupleID) {
 }
 
 func TestInsertDerives(t *testing.T) {
-	f := setup(t)
+	f := setup(t, requerySrc, NewRequery)
 	f.insert(t, "Emp", value.OfSym("Ann"), value.OfInt(100), value.OfInt(7))
 	// Lonely fires (no dept 7), Toy does not.
 	keys := f.cs.Keys()
@@ -81,7 +84,7 @@ func TestInsertDerives(t *testing.T) {
 }
 
 func TestDeleteRetractsAndUnblocks(t *testing.T) {
-	f := setup(t)
+	f := setup(t, requerySrc, NewRequery)
 	e := f.insert(t, "Emp", value.OfSym("Ann"), value.OfInt(100), value.OfInt(7))
 	d := f.insert(t, "Dept", value.OfInt(7), value.OfSym("Toy"))
 	f.remove(t, "Dept", d)
@@ -96,7 +99,7 @@ func TestDeleteRetractsAndUnblocks(t *testing.T) {
 }
 
 func TestJoinRecomputationCounted(t *testing.T) {
-	f := setup(t)
+	f := setup(t, requerySrc, NewRequery)
 	before := f.st.Get(metrics.JoinsComputed)
 	f.insert(t, "Emp", value.OfSym("Ann"), value.OfInt(100), value.OfInt(7))
 	if f.st.Get(metrics.JoinsComputed) == before {
@@ -108,25 +111,29 @@ func TestJoinRecomputationCounted(t *testing.T) {
 }
 
 func TestRederiveMatchesIncremental(t *testing.T) {
-	f := setup(t)
+	f := setup(t, requerySrc, NewRequery)
 	f.insert(t, "Emp", value.OfSym("Ann"), value.OfInt(100), value.OfInt(7))
 	f.insert(t, "Emp", value.OfSym("Bob"), value.OfInt(200), value.OfInt(8))
 	f.insert(t, "Dept", value.OfInt(7), value.OfSym("Toy"))
 	incremental := f.cs.Keys()
-	f.m.Rederive()
+	rederiveAll(f.m)
 	fromScratch := f.cs.Keys()
-	if len(incremental) != len(fromScratch) {
+	if !reflect.DeepEqual(incremental, fromScratch) {
 		t.Fatalf("incremental %v vs scratch %v", incremental, fromScratch)
 	}
-	for i := range incremental {
-		if incremental[i] != fromScratch[i] {
-			t.Fatalf("incremental %v vs scratch %v", incremental, fromScratch)
-		}
+}
+
+// rederiveAll rebuilds the whole conflict set from the current WM
+// contents: the declarative ground truth.
+func rederiveAll(m *Matcher) {
+	m.cs.RemoveWhere(func(*conflict.Instantiation) bool { return true })
+	for _, r := range m.set.Rules {
+		m.rederive(r, -1, "")
 	}
 }
 
 func TestNameAndString(t *testing.T) {
-	f := setup(t)
+	f := setup(t, requerySrc, NewRequery)
 	if f.m.Name() != "requery" {
 		t.Errorf("Name = %q", f.m.Name())
 	}
@@ -141,7 +148,7 @@ func TestNameAndString(t *testing.T) {
 func TestNoStorageGrowth(t *testing.T) {
 	// The simplified algorithm stores nothing beyond the conflict set: no
 	// pattern or token counters should move.
-	f := setup(t)
+	f := setup(t, requerySrc, NewRequery)
 	f.insert(t, "Emp", value.OfSym("Ann"), value.OfInt(100), value.OfInt(7))
 	f.insert(t, "Dept", value.OfInt(7), value.OfSym("Toy"))
 	if f.st.Get(metrics.PatternsStored) != 0 || f.st.Get(metrics.TokensStored) != 0 {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -109,25 +110,20 @@ func randomSnapWorkload(seed int64, batches int) snapWorkload {
 (p Range (A ^x > 1 ^y <v>) (B ^x <v> ^y <= 2) --> (halt))
 (p Lone (B ^x <v>) - (A ^x <v> ^y 0) --> (halt))`,
 	}
-	type liveRef struct {
-		class string
-		ref   int
-	}
-	var live []liveRef
+	var live []snapOp // a retraction of each tuple live before this batch
 	asserts := 0
 	for b := 0; b < batches; b++ {
-		var batch []snapOp
-		var born []liveRef
+		var batch, born []snapOp
 		for n := 1 + r.Intn(6); n > 0; n-- {
 			if len(live) > 0 && r.Intn(100) < 35 {
 				k := r.Intn(len(live))
-				batch = append(batch, snapRetract(live[k].class, live[k].ref))
+				batch = append(batch, live[k])
 				live = append(live[:k], live[k+1:]...)
 				continue
 			}
 			class := []string{"A", "B"}[r.Intn(2)]
 			batch = append(batch, snapAssert(class, r.Intn(4), r.Intn(4)))
-			born = append(born, liveRef{class, asserts})
+			born = append(born, snapRetract(class, asserts))
 			asserts++
 		}
 		live = append(live, born...)
@@ -136,33 +132,28 @@ func randomSnapWorkload(seed int64, batches int) snapWorkload {
 	return w
 }
 
-// runSnapWorkload runs w under matcher m, one commit per op or one per
-// batch, and returns the row it ends in.
+// runSnapWorkload runs w under matcher m, one commit per batch or, since
+// System.Assert and Retract are one-op batches, one per op, and returns
+// the row it ends in.
 func runSnapWorkload(t *testing.T, w snapWorkload, m Matcher, batched bool) snapRow {
 	t.Helper()
 	sys, err := Load(w.src, Options{Matcher: m, Out: io.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ids []uint64 // by assert index
-	for _, batch := range w.batches {
-		if !batched {
-			for _, op := range batch {
-				if op.vals == nil {
-					err = sys.Retract(op.class, ids[op.ref])
-				} else {
-					var id uint64
-					id, err = sys.Assert(op.class, op.vals...)
-					ids = append(ids, id)
-				}
-				if err != nil {
-					t.Fatalf("%s/%s: %v", w.name, m, err)
-				}
+	commits := w.batches
+	if !batched {
+		commits = nil
+		for _, batch := range w.batches {
+			for i := range batch {
+				commits = append(commits, batch[i:i+1])
 			}
-			continue
 		}
+	}
+	var ids []uint64 // by assert index
+	for _, ops := range commits {
 		b := sys.Batch()
-		for _, op := range batch {
+		for _, op := range ops {
 			if op.vals == nil {
 				b.Retract(op.class, ids[op.ref])
 			} else {
@@ -173,7 +164,7 @@ func runSnapWorkload(t *testing.T, w snapWorkload, m Matcher, batched bool) snap
 		if err != nil {
 			t.Fatalf("%s/%s: %v", w.name, m, err)
 		}
-		for i, op := range batch {
+		for i, op := range ops {
 			if op.vals != nil {
 				ids = append(ids, got[i])
 			}
@@ -182,24 +173,9 @@ func runSnapWorkload(t *testing.T, w snapWorkload, m Matcher, batched bool) snap
 	return snapRow{Counters: sys.Metrics().Counters, Keys: sys.ConflictKeys()}
 }
 
-// snapRows runs every workload under the three filter-then-verify
-// matchers, in both modes, keyed "workload/mode/matcher".
-func snapRows(t *testing.T) map[string]snapRow {
-	rows := map[string]snapRow{}
-	for _, w := range snapWorkloads() {
-		for _, batched := range []bool{false, true} {
-			mode := "tuple"
-			if batched {
-				mode = "batch"
-			}
-			for _, m := range []Matcher{MatcherRequery, MatcherMarker, MatcherPTree} {
-				rows[fmt.Sprintf("%s/%s/%s", w.name, mode, m)] = runSnapWorkload(t, w, m, batched)
-			}
-		}
-	}
-	return rows
-}
-
+// TestMatchCounterSnapshot runs every workload under the three
+// filter-then-verify matchers, in both modes, and checks each row, keyed
+// "workload/mode/matcher", against the golden file.
 func TestMatchCounterSnapshot(t *testing.T) {
 	data, err := os.ReadFile(counterGolden)
 	if err != nil {
@@ -209,43 +185,47 @@ func TestMatchCounterSnapshot(t *testing.T) {
 	if err := json.Unmarshal(data, &golden); err != nil {
 		t.Fatal(err)
 	}
-	rows := snapRows(t)
-	if len(rows) != len(golden) {
-		t.Fatalf("%d rows, golden has %d", len(rows), len(golden))
-	}
-	names := make([]string, 0, len(rows))
-	for name := range rows {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		got, want := rows[name], golden[name]
-		if want.Counters == nil {
-			t.Errorf("%s: not in the golden file", name)
-			continue
-		}
-		if !reflect.DeepEqual(got.Keys, want.Keys) {
-			t.Errorf("%s: conflict set %v, golden %v", name, got.Keys, want.Keys)
-		}
-		mayFall := name[len(name)-len("batch/ptree"):] == "batch/ptree"
-		counters := map[string]bool{}
-		for c := range got.Counters {
-			counters[c] = true
-		}
-		for c := range want.Counters {
-			counters[c] = true
-		}
-		for c := range counters {
-			g, w := got.Counters[c], want.Counters[c]
-			switch {
-			case g == w:
-			case resultCounters[c] || !mayFall:
-				t.Errorf("%s: %s = %d, golden %d", name, c, g, w)
-			case g > w:
-				t.Errorf("%s: %s rose to %d from golden %d", name, c, g, w)
-			default:
-				t.Logf("%s: %s fell %d -> %d", name, c, w, g)
+	rows := 0
+	for _, w := range snapWorkloads() {
+		for _, mode := range []string{"tuple", "batch"} {
+			for _, m := range []Matcher{MatcherRequery, MatcherMarker, MatcherPTree} {
+				name := fmt.Sprintf("%s/%s/%s", w.name, mode, m)
+				checkSnapRow(t, name, runSnapWorkload(t, w, m, mode == "batch"), golden[name])
+				rows++
 			}
+		}
+	}
+	if rows != len(golden) {
+		t.Errorf("%d rows, golden has %d", rows, len(golden))
+	}
+}
+
+// checkSnapRow compares one row with its golden entry. Only the work
+// counters of a batched ptree row may differ, and only downwards.
+func checkSnapRow(t *testing.T, name string, got, want snapRow) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Keys, want.Keys) {
+		t.Errorf("%s: conflict set %v, golden %v", name, got.Keys, want.Keys)
+	}
+	var counters []string
+	for c := range got.Counters {
+		counters = append(counters, c)
+	}
+	for c := range want.Counters {
+		if _, ok := got.Counters[c]; !ok {
+			counters = append(counters, c)
+		}
+	}
+	sort.Strings(counters)
+	for _, c := range counters {
+		switch g, w := got.Counters[c], want.Counters[c]; {
+		case g == w:
+		case resultCounters[c] || !strings.HasSuffix(name, "/batch/ptree"):
+			t.Errorf("%s: %s = %d, golden %d", name, c, g, w)
+		case g > w:
+			t.Errorf("%s: %s rose to %d from golden %d", name, c, g, w)
+		default:
+			t.Logf("%s: %s fell %d -> %d", name, c, w, g)
 		}
 	}
 }

@@ -17,7 +17,8 @@
 //   - MatcherMarker — POSTGRES-style Basic Locking rule indexing
 //     (§2.3);
 //   - MatcherPTree — Predicate Indexing through an R-tree over condition
-//     rectangles (§2.3), which also answers rulebase queries.
+//     rectangles (§2.3); the same index answers RulebaseQuery under every
+//     matcher.
 //
 // Execution is either serial OPS5-style or concurrent: every applicable
 // instantiation runs as a transaction that is validated, acts and
@@ -216,11 +217,12 @@ type System struct {
 	stats   *metrics.Set
 	matcher match.Matcher
 	eng     *engine.Engine
-	ptree   *ptree.Matcher // non-nil when Matcher == MatcherPTree
 	quelIn  *quel.Interp
 	out     io.Writer
 	tracer  *trace.Tracer
 	planner *joiner.Planner // LHS joins of the matchers and of QUEL statements
+
+	ruleIndex func() *ptree.Index // the condition R-tree RulebaseQuery probes, built on first use
 
 	wal      *wal.Log      // non-nil while durability is active
 	recovery *RecoveryInfo // what Load recovered; nil without a WAL
@@ -263,7 +265,8 @@ func load(prog *lang.Program, opts Options) (*System, error) {
 	tr := trace.New() // disabled until System.Trace; emit points are no-ops
 	cs.SetTracer(tr)
 	sys := &System{set: set, prog: prog, db: db, stats: stats, tracer: tr,
-		planner: joiner.NewPlanner(db, stats)}
+		planner:   joiner.NewPlanner(db, stats),
+		ruleIndex: sync.OnceValue(func() *ptree.Index { return ptree.NewIndex(set, stats) })}
 	name := opts.Matcher
 	if name == "" {
 		name = MatcherCore
@@ -271,7 +274,6 @@ func load(prog *lang.Program, opts Options) (*System, error) {
 	if sys.matcher, err = matchers.New(string(name), set, db, cs, stats); err != nil {
 		return nil, fmt.Errorf("prodsys: %w", err)
 	}
-	sys.ptree, _ = sys.matcher.(*ptree.Matcher)
 	sys.matcher.SetTracer(tr)
 	sys.matcher.SetPlanner(sys.planner)
 	tr.SetPlanText(func(rule string) string { return sys.planText(rule) })
@@ -529,11 +531,8 @@ func (s *System) MatcherName() string { return s.matcher.Name() }
 
 // RulebaseQuery answers "which rules have a condition on class whose
 // restriction of attr intersects [lo, hi]" (§4.2.3; nil bound =
-// unbounded). Only available with MatcherPTree.
+// unbounded), under every matcher.
 func (s *System) RulebaseQuery(class, attr string, lo, hi any) ([]string, error) {
-	if s.ptree == nil {
-		return nil, fmt.Errorf("prodsys: rulebase queries require MatcherPTree")
-	}
 	loV, err := toValue(lo)
 	if err != nil {
 		return nil, err
@@ -542,7 +541,7 @@ func (s *System) RulebaseQuery(class, attr string, lo, hi any) ([]string, error)
 	if err != nil {
 		return nil, err
 	}
-	rs := s.ptree.Index().RulesInRange(class, attr, loV, hiV)
+	rs := s.ruleIndex().RulesInRange(class, attr, loV, hiV)
 	out := make([]string, len(rs))
 	for i, r := range rs {
 		out[i] = r.Name

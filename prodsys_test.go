@@ -192,22 +192,25 @@ func TestRulebaseQuery(t *testing.T) {
 	src := `
 (literalize Emp name age)
 (p old   (Emp ^age > 55) --> (halt))
-(p young (Emp ^age < 30) --> (halt))`
-	sys, err := Load(src, Options{Matcher: MatcherPTree, Out: io.Discard})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sys.RulebaseQuery("Emp", "age", 55, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "old" {
-		t.Fatalf("query = %v", got)
-	}
-	// Other matchers reject rulebase queries.
-	sys2, _ := Load(src, Options{Matcher: MatcherCore, Out: io.Discard})
-	if _, err := sys2.RulebaseQuery("Emp", "age", 55, nil); err == nil {
-		t.Error("non-ptree matcher should reject rulebase queries")
+(p young (Emp ^age < 30) --> (halt))
+(p any   (Emp ^name <n>) --> (halt))`
+	// The condition index is built from the rule set, not the matcher, so
+	// every matcher answers alike.
+	for _, m := range Matchers() {
+		sys, err := Load(src, Options{Matcher: m, Out: io.Discard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sys.RulebaseQuery("Emp", "age", 55, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, []string{"old", "any"}) {
+			t.Fatalf("%s: query = %v, want [old any]", m, got)
+		}
+		if got, _ := sys.RulebaseQuery("Emp", "age", 10, 20); !reflect.DeepEqual(got, []string{"young", "any"}) {
+			t.Fatalf("%s: bounded query = %v, want [young any]", m, got)
+		}
 	}
 }
 
