@@ -33,9 +33,10 @@ const (
 	// DivMarkMissing: a Basic Locking tuple marker required by a live
 	// instantiation is gone (a future update would be silently dropped).
 	DivMarkMissing = "marker-missing"
-	// DivIndexMissing: a condition element of the rule set is absent from
-	// the predicate index.
+	// DivIndexMissing / DivIndexPhantom: the predicate index disagrees
+	// with the rule set's condition elements.
 	DivIndexMissing = "index-missing"
+	DivIndexPhantom = "index-phantom"
 )
 
 // Divergence is one disagreement between a matcher's derived state and

@@ -6,6 +6,7 @@ import (
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
+	"prodsys/internal/trace"
 	"prodsys/internal/value"
 )
 
@@ -40,6 +41,36 @@ func TestFalseDropsCounted(t *testing.T) {
 	f.insert(t, "Emp", value.OfSym("Ann"), value.OfInt(500), value.OfInt(7))
 	if f.st.Get(metrics.FalseDrops) == 0 {
 		t.Error("expected false drops from unrestricted interval marks")
+	}
+}
+
+// TestFalseDropsTraced checks that each false drop, on the insert and
+// the delete side, is tagged in the trace by a rule-level join_eval.
+func TestFalseDropsTraced(t *testing.T) {
+	f := setup(t, `
+(literalize Emp dno)
+(literalize Dept dno)
+(p Orphan (Emp ^dno <d>) - (Dept ^dno <d>) --> (halt))
+(p Staffed (Emp ^dno <d>) (Dept ^dno <d>) --> (halt))`, NewMarker)
+	tr := trace.New()
+	tr.Start(trace.Options{})
+	f.m.SetTracer(tr)
+	tags := func() (n map[string]int) {
+		n = map[string]int{}
+		for _, ev := range tr.Events() {
+			if ev.Kind == trace.KindJoinEval && ev.Extra == "false drop" && ev.CE == -1 {
+				n[ev.Rule]++
+			}
+		}
+		return n
+	}
+	// With no Emp, the Dept insert wakes both rules fruitlessly, and its
+	// deletion re-derives Orphan, which finds no Emp either.
+	d := f.insert(t, "Dept", value.OfInt(9))
+	insertTags := tags()
+	f.remove(t, "Dept", d)
+	if got := tags(); insertTags["Orphan"] != 1 || insertTags["Staffed"] != 1 || got["Orphan"] != 2 || f.st.Get(metrics.FalseDrops) != 3 {
+		t.Fatalf("tags after insert %v, after delete %v; false drops %d", insertTags, got, f.st.Get(metrics.FalseDrops))
 	}
 }
 

@@ -108,7 +108,7 @@ func (k *marks) inserted(m *Matcher, class string, entries []relation.DeltaEntry
 					found += m.verify(ce, entries[i:i+1])
 				}
 			}
-			countWake(m, found)
+			countWake(m, r, class, e.ID, found)
 		}
 	}
 }
@@ -124,7 +124,7 @@ func (k *marks) deleted(m *Matcher, class string, entries []relation.DeltaEntry)
 		for _, r := range woken {
 			for _, ce := range r.CEs {
 				if ce.Negated && ce.Class == class {
-					countWake(m, m.rederive(r, -1, class))
+					countWake(m, r, class, e.ID, m.rederive(r, -1, class))
 					break
 				}
 			}
@@ -132,12 +132,15 @@ func (k *marks) deleted(m *Matcher, class string, entries []relation.DeltaEntry)
 	}
 }
 
-// countWake counts one woken rule's re-check, and a false drop when it
-// derived nothing: the mark was too coarse.
-func countWake(m *Matcher, found int64) {
+// countWake counts rule r's re-check after id's change woke it, and a
+// false drop when it derived nothing: the mark was too coarse. The trace
+// tags a false drop with a rule-level join_eval (extra "false drop")
+// after the re-check's own events, which carry its time.
+func countWake(m *Matcher, r *rules.Rule, class string, id relation.TupleID, found int64) {
 	m.stats.Inc(metrics.CandidateChecks)
 	if found == 0 {
 		m.stats.Inc(metrics.FalseDrops)
+		m.emit(m.tr.Now(), trace.Event{Kind: trace.KindJoinEval, Rule: r.Name, CE: -1, Class: class, ID: uint64(id), Extra: "false drop"})
 	}
 }
 

@@ -43,6 +43,12 @@ type Matcher struct {
 	tr    *trace.Tracer
 	pl    *joiner.Planner
 	f     filter
+
+	// pass and ins are reused buffers: the entries passing a condition
+	// element's alpha tests, and the instantiations a re-evaluation
+	// derives. Every call runs under the engine's maintenance lock.
+	pass []relation.DeltaEntry
+	ins  []*conflict.Instantiation
 }
 
 // filter is one scheme's search for the condition elements a WM change
@@ -166,23 +172,25 @@ func (m *Matcher) verify(ce *rules.CE, entries []relation.DeltaEntry) int64 {
 		m.cs.RemoveBlocked(ce, entries)
 		return 0
 	}
-	var batch []*conflict.Instantiation
-	for _, group := range groupByJoinKey(ce, entries) {
-		t0, before := m.tr.Now(), len(batch)
+	groups := [][]relation.DeltaEntry{entries}
+	if len(entries) != 1 {
+		groups = groupByJoinKey(ce, entries)
+	}
+	for _, group := range groups {
+		t0, before := m.tr.Now(), len(m.ins)
 		pin := &joiner.Pin{CE: ce.Index, ID: group[0].ID, Tuple: group[0].Tuple}
 		m.pl.Enumerate(m.db, ce.Rule, pin, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, _ rules.Bindings) {
 			for _, e := range group {
 				in := conflict.NewInstantiation(ce.Rule, ids, tuples)
 				in.TupleIDs[ce.Index], in.Tuples[ce.Index] = e.ID, e.Tuple
 				m.f.derived(ce.Rule, in.TupleIDs)
-				batch = append(batch, in)
+				m.ins = append(m.ins, in)
 			}
 		})
 		m.emit(t0, trace.Event{Kind: trace.KindJoinEval, Rule: ce.Rule.Name, CE: ce.Index,
-			Class: ce.Class, ID: uint64(pin.ID), Count: int64(len(batch) - before)})
+			Class: ce.Class, ID: uint64(pin.ID), Count: int64(len(m.ins) - before)})
 	}
-	m.cs.AddAll(batch)
-	return int64(len(batch))
+	return m.addDerived()
 }
 
 // rederive re-evaluates rule r from scratch and adds every instantiation
@@ -191,15 +199,24 @@ func (m *Matcher) verify(ce *rules.CE, entries []relation.DeltaEntry) int64 {
 // returns the number of instantiations derived.
 func (m *Matcher) rederive(r *rules.Rule, ce int, class string) int64 {
 	t0 := m.tr.Now()
-	var batch []*conflict.Instantiation
 	m.pl.Enumerate(m.db, r, nil, m.stats, func(ids []relation.TupleID, tuples []relation.Tuple, _ rules.Bindings) {
 		in := conflict.NewInstantiation(r, ids, tuples)
 		m.f.derived(r, in.TupleIDs)
-		batch = append(batch, in)
+		m.ins = append(m.ins, in)
 	})
-	m.cs.AddAll(batch)
-	m.emit(t0, trace.Event{Kind: trace.KindJoinEval, Rule: r.Name, CE: ce, Class: class, Count: int64(len(batch))})
-	return int64(len(batch))
+	n := m.addDerived()
+	m.emit(t0, trace.Event{Kind: trace.KindJoinEval, Rule: r.Name, CE: ce, Class: class, Count: n})
+	return n
+}
+
+// addDerived adds the buffered instantiations to the conflict set in one
+// call, empties the buffer and returns how many it held.
+func (m *Matcher) addDerived() int64 {
+	m.cs.AddAll(m.ins)
+	n := int64(len(m.ins))
+	clear(m.ins)
+	m.ins = m.ins[:0]
+	return n
 }
 
 // emit is the matcher's one trace site: ev, timed from t0, when tracing
@@ -216,9 +233,6 @@ func (m *Matcher) emit(t0 time.Duration, ev trace.Event) {
 // join consults a tuple only at those positions, so members of one group
 // that pass ce's variable-free tests join under identical bindings.
 func groupByJoinKey(ce *rules.CE, entries []relation.DeltaEntry) [][]relation.DeltaEntry {
-	if len(entries) == 1 {
-		return [][]relation.DeltaEntry{entries}
-	}
 	index := map[string]int{}
 	var groups [][]relation.DeltaEntry
 	var key []byte
@@ -264,14 +278,18 @@ func (scan) inserted(m *Matcher, class string, entries []relation.DeltaEntry) {
 			continue
 		}
 		t0 := m.tr.Now()
-		var pass []relation.DeltaEntry
+		pass := m.pass[:0]
 		for _, e := range entries {
 			if ce.MatchAlpha(e.Tuple) {
 				pass = append(pass, e)
 			}
 		}
 		m.emit(t0, trace.Event{Kind: trace.KindCondScan, Rule: ce.Rule.Name, CE: ce.Index, Class: class, Count: int64(len(entries))})
-		m.verify(ce, pass)
+		if len(pass) > 0 {
+			m.verify(ce, pass)
+		}
+		clear(pass)
+		m.pass = pass[:0]
 	}
 }
 

@@ -33,6 +33,13 @@ func (x *rtree) probe(m *Matcher, class string, e relation.DeltaEntry) []*rules.
 // inserted verifies each condition element the probes admit once per
 // batch, against every entry that admitted it.
 func (x *rtree) inserted(m *Matcher, class string, entries []relation.DeltaEntry) {
+	if len(entries) == 1 {
+		for _, ce := range x.probe(m, class, entries[0]) {
+			m.stats.Inc(metrics.PatternSearches)
+			m.verify(ce, entries)
+		}
+		return
+	}
 	byCE := map[*rules.CE][]relation.DeltaEntry{}
 	var ces []*rules.CE
 	for _, e := range entries {
@@ -63,23 +70,28 @@ func (x *rtree) deleted(m *Matcher, class string, entries []relation.DeltaEntry)
 	}
 }
 
-// audit checks the index's one invariant: every condition element of the
-// rule set is in its class's tree. The index is built from the rule set
-// alone and rectangles are recomputed from each element, so presence is
-// the whole ground truth; nothing adds a foreign entry.
+// audit checks the index against the rule set: every condition element
+// is in its class's tree, and nothing else is. Rectangles are recomputed
+// from each element, so presence is the whole invariant.
 func (x *rtree) audit(m *Matcher, _ *relation.DB, only map[string]bool, emit func(match.Divergence)) {
 	for _, class := range m.set.ClassNames() {
-		indexed := map[*rules.CE]bool{}
-		for _, ce := range x.ix.Conditions(class) {
-			indexed[ce] = true
-		}
-		for _, ce := range m.set.ByClass[class] {
-			if !indexed[ce] && (only == nil || only[ce.Rule.Name]) {
-				emit(match.Divergence{Class: match.DivIndexMissing, Rule: ce.Rule.Name, CE: ce.Index,
-					Key:      fmt.Sprintf("%s/%s#%d", class, ce.Rule.Name, ce.Index),
-					Expected: "condition element indexed", Actual: "absent from condition R-tree"})
+		// report emits a divergence for each of ces, within only, that
+		// others lacks.
+		report := func(ces, others []*rules.CE, div, expected, actual string) {
+			in := map[*rules.CE]bool{}
+			for _, ce := range others {
+				in[ce] = true
+			}
+			for _, ce := range ces {
+				if !in[ce] && (only == nil || only[ce.Rule.Name]) {
+					emit(match.Divergence{Class: div, Rule: ce.Rule.Name, CE: ce.Index,
+						Key: fmt.Sprintf("%s/%s#%d", class, ce.Rule.Name, ce.Index), Expected: expected, Actual: actual})
+				}
 			}
 		}
+		indexed := x.ix.Conditions(class)
+		report(m.set.ByClass[class], indexed, match.DivIndexMissing, "condition element indexed", "absent from condition R-tree")
+		report(indexed, m.set.ByClass[class], match.DivIndexPhantom, "absent", "foreign entry in condition R-tree")
 	}
 }
 
