@@ -168,8 +168,8 @@ func TestBatchWithViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With an observer attached the batch degrades to per-op
-	// application; the view must still track exactly.
+	// The view sees the batch's net delta once, after the matcher; it
+	// must track exactly.
 	if _, err := sys.Batch().
 		Assert("Emp", "Ann", 100, 7).
 		Assert("Dept", 7, "Toy").
@@ -205,6 +205,18 @@ func TestBatchJoinKeysDoNotCollide(t *testing.T) {
 		}
 		if got := sys.ConflictKeys(); len(got) != 1 || got[0] != "r|1|1" {
 			t.Errorf("%s: conflict set = %v, want [r|1|1]", m, got)
+		}
+	}
+}
+
+// TestViewsKeepFiringOrder: attaching a materialized view changes
+// nothing the rules see — the batch is maintained as the same net delta
+// with or without the view, so the firing order is the same.
+func TestViewsKeepFiringOrder(t *testing.T) {
+	for _, m := range Matchers() {
+		want := orderRun(t, Options{Matcher: m}, "", true, true)
+		if got := orderRun(t, Options{Matcher: m}, "(literalize A x) (p v (A ^x <x>) -->)", true, true); got != want {
+			t.Errorf("%s: with a view the run wrote\n%s\nwithout one\n%s", m, got, want)
 		}
 	}
 }

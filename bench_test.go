@@ -55,7 +55,7 @@ func insertNotify(b *testing.B, db *relation.DB, m match.Matcher, class string, 
 		b.Fatal(err)
 	}
 	stored, _ := rel.Get(id)
-	if err := m.Insert(class, id, stored); err != nil {
+	if err := m.InsertBatch(class, []relation.DeltaEntry{{ID: id, Tuple: stored}}); err != nil {
 		b.Fatal(err)
 	}
 	return id
@@ -67,7 +67,7 @@ func deleteNotify(b *testing.B, db *relation.DB, m match.Matcher, class string, 
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := m.Delete(class, id, t); err != nil {
+	if err := m.DeleteBatch(class, []relation.DeltaEntry{{ID: id, Tuple: t}}); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -263,13 +263,18 @@ func BenchmarkE10ViewMaintenance(b *testing.B) {
 			b.Fatal(err)
 		}
 		emp := db.MustGet("Emp")
+		d := relation.NewDelta()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			id, _ := emp.Insert(relation.Tuple{value.OfSym("x"), value.OfInt(1), value.OfInt(int64(i % 10))})
 			tup, _ := emp.Get(id)
-			mgr.Insert("Emp", id, tup)
+			d.AddInsert("Emp", id, tup)
+			mgr.Apply(d)
+			d.Reset()
 			emp.Delete(id)
-			mgr.Delete("Emp", id, tup)
+			d.AddDelete("Emp", id, tup)
+			mgr.Apply(d)
+			d.Reset()
 		}
 	})
 	b.Run("recompute", func(b *testing.B) {

@@ -52,7 +52,7 @@ func runWorkload(t *testing.T, db *relation.DB, m match.Matcher, ops []workload.
 			if err != nil {
 				t.Fatalf("delete %s %d: %v", op.Class, id, err)
 			}
-			if err := m.Delete(op.Class, id, tup); err != nil {
+			if err := m.DeleteBatch(op.Class, []relation.DeltaEntry{{ID: id, Tuple: tup}}); err != nil {
 				t.Fatalf("matcher delete: %v", err)
 			}
 			continue
@@ -62,7 +62,7 @@ func runWorkload(t *testing.T, db *relation.DB, m match.Matcher, ops []workload.
 			t.Fatalf("insert %s: %v", op.Class, err)
 		}
 		stored, _ := rel.Get(id)
-		if err := m.Insert(op.Class, id, stored); err != nil {
+		if err := m.InsertBatch(op.Class, []relation.DeltaEntry{{ID: id, Tuple: stored}}); err != nil {
 			t.Fatalf("matcher insert: %v", err)
 		}
 		live[op.Class] = append(live[op.Class], id)

@@ -31,16 +31,6 @@ func NewFaultInjector(inner match.Matcher, seed int64, everyN int) *FaultInjecto
 	return &FaultInjector{Matcher: inner, everyN: everyN, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Insert forwards the insertion, then maybe injects a fault.
-func (f *FaultInjector) Insert(class string, id relation.TupleID, t relation.Tuple) error {
-	return f.tick(f.Matcher.Insert(class, id, t))
-}
-
-// Delete forwards the deletion, then maybe injects a fault.
-func (f *FaultInjector) Delete(class string, id relation.TupleID, t relation.Tuple) error {
-	return f.tick(f.Matcher.Delete(class, id, t))
-}
-
 // InsertBatch forwards the batch, then maybe injects a fault.
 func (f *FaultInjector) InsertBatch(class string, entries []relation.DeltaEntry) error {
 	return f.tick(f.Matcher.InsertBatch(class, entries))

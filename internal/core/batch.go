@@ -8,14 +8,14 @@ import (
 	"prodsys/internal/trace"
 )
 
-// This file is the matching-pattern algorithm's set-oriented path: one
-// batch of same-class WM changes is maintained with one COND-relation
-// search per (condition element, tuple) pair, propagation grouped so every
-// target COND relation is touched once per batch, and — for deletions —
-// one re-derivation per negatively dependent rule per batch. This is the
-// set-at-a-time processing the paper claims as the DBMS advantage (§4.2,
-// §5.1), applied to the maintenance process itself. The maintenance
-// helpers (maintain, upsert, withdraw) serve the tuple path too.
+// This file is the matching-pattern algorithm's maintenance path: one
+// batch of same-class WM changes — a single tuple is a one-entry batch —
+// is maintained with one COND-relation search per (condition element,
+// tuple) pair, propagation grouped so every target COND relation is
+// touched once per batch, and — for deletions — one re-derivation per
+// negatively dependent rule per batch. This is the set-at-a-time
+// processing the paper claims as the DBMS advantage (§4.2, §5.1),
+// applied to the maintenance process itself.
 
 // contribution is one projected matching pattern awaiting upsert into a
 // target condition element's COND relation: the values e.pos selects from
@@ -26,37 +26,52 @@ type contribution struct {
 	t  relation.Tuple
 }
 
-// InsertBatch implements match.Matcher. Unlike the tuple-at-a-time
-// path — which updates the conflict set before maintaining the COND
-// relations (§4.2.3) — the batch path runs the whole batch's maintenance
-// first and detects afterwards, so a tuple whose marks are completed by
-// another member of the same batch is still detected. Detection over the
-// post-batch COND state sees a superset of the marks any sequential
-// ordering would, and the verification join filters the extra candidates
-// exactly as it filters false drops.
+// InsertBatch implements match.Matcher. Where §4.2.3 updates the
+// conflict set before maintaining the COND relations, a batch runs its
+// whole maintenance first and detects afterwards, so a tuple whose marks
+// are completed by another member of the same batch is still detected.
+// Detection over the post-batch COND state sees a superset of the marks
+// any sequential ordering would, and the verification join filters the
+// extra candidates exactly as it filters false drops. A class no rule
+// declares (a view set's delta can carry one) has nothing to maintain.
 func (m *Matcher) InsertBatch(class string, entries []relation.DeltaEntry) error {
-	m.stores[class].live += len(entries)
+	st := m.stores[class]
+	if st == nil {
+		return nil
+	}
+	st.live += len(entries)
 	for _, ce := range m.set.ByClass[class] {
 		if ce.Negated {
 			m.stats.Inc(metrics.PatternSearches)
 			m.cs.RemoveBlocked(ce, entries)
 		}
 	}
-	m.maintain(m.stores[class].conds, entries)
+	m.maintain(st.conds, entries)
 	m.detectInserts(class, entries)
 	return nil
+}
+
+// group is the contributions one maintain call routes to one target
+// COND relation.
+type group struct {
+	target   *condIndex
+	contribs []contribution
+}
+
+// fired is one detectInserts candidate: a batch entry whose marks cover
+// its condition element, with the partners they name.
+type fired struct {
+	e        relation.DeltaEntry
+	partners []relation.TupleID
 }
 
 // maintain is the maintenance process (§4.2.2): every entry matching one
 // of the source condition elements projects its bindings onto that
 // element's targets. Contributions are grouped per target so each COND
-// relation is touched once per call.
+// relation is touched once per call; the groups live in the matcher's
+// reused buffer.
 func (m *Matcher) maintain(srcs []*condIndex, entries []relation.DeltaEntry) {
-	type group struct {
-		target   *condIndex
-		contribs []contribution
-	}
-	var groups []group
+	groups := m.groups[:0]
 	var gbuf [8]int
 	for _, src := range srcs {
 		if len(src.targets) == 0 {
@@ -79,7 +94,12 @@ func (m *Matcher) maintain(srcs []*condIndex, entries []relation.DeltaEntry) {
 						g++
 					}
 					if g == len(groups) {
-						groups = append(groups, group{target: ed.sh.ci})
+						if g < cap(groups) {
+							groups = groups[:g+1]
+							groups[g].target = ed.sh.ci
+						} else {
+							groups = append(groups, group{target: ed.sh.ci})
+						}
 					}
 					gidx[i] = g
 				}
@@ -88,9 +108,12 @@ func (m *Matcher) maintain(srcs []*condIndex, entries []relation.DeltaEntry) {
 			}
 		}
 	}
-	for _, g := range groups {
-		m.upsert(g.target, g.contribs)
+	for i := range groups {
+		m.upsert(groups[i].target, groups[i].contribs)
+		clear(groups[i].contribs)
+		groups[i].contribs = groups[i].contribs[:0]
 	}
+	m.groups = groups
 }
 
 // upsert applies a group of contributions to one COND relation: each
@@ -128,11 +151,7 @@ func (m *Matcher) upsert(target *condIndex, contribs []contribution) {
 func (m *Matcher) detectInserts(class string, entries []relation.DeltaEntry) {
 	for _, ci := range m.stores[class].conds {
 		m.stats.Inc(metrics.PatternSearches)
-		type fired struct {
-			e        relation.DeltaEntry
-			partners []relation.TupleID
-		}
-		var fires []fired
+		fires := m.fires[:0]
 		var checked int64
 		t0 := m.tr.Now()
 		for _, e := range entries {
@@ -149,9 +168,15 @@ func (m *Matcher) detectInserts(class string, entries []relation.DeltaEntry) {
 				Rule: ci.ce.Rule.Name, CE: ci.ce.Index, Class: class, Count: checked,
 			})
 		}
-		for _, f := range fires {
-			m.emit(ci, f.e.ID, f.e.Tuple, f.partners)
+		for _, f := range fires { // from the marks when exact, else by joining
+			if ci.partner >= 0 {
+				m.emitExact(ci, f.e.ID, f.e.Tuple, f.partners)
+			} else {
+				m.verifyAndEmit(ci.ce, f.e.ID, f.e.Tuple)
+			}
 		}
+		clear(fires)
+		m.fires = fires[:0]
 	}
 }
 
@@ -160,7 +185,11 @@ func (m *Matcher) detectInserts(class string, entries []relation.DeltaEntry) {
 // dependent on the class are re-derived once for the whole batch instead
 // of once per deleted tuple.
 func (m *Matcher) DeleteBatch(class string, entries []relation.DeltaEntry) error {
-	m.stores[class].live -= len(entries)
+	st := m.stores[class]
+	if st == nil {
+		return nil
+	}
+	st.live -= len(entries)
 	m.withdraw(class, entries)
 	m.detectDeletes(class, entries)
 	return nil

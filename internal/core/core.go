@@ -19,10 +19,11 @@
 // shapes reachable solely through inequalities), and the rule becomes a
 // firing candidate when the union of marks across the patterns it matches
 // covers every related condition element that shares variables with this
-// one. No hierarchical propagation precedes the conflict-set update
-// (§4.2.3: "the conflict set is updated first, and then the maintenance
-// process follows"). Maintenance then propagates the new bindings into
-// the COND relations of the related classes.
+// one. Every change arrives as a batch (one tuple is a one-entry batch):
+// maintenance first propagates the batch's bindings into the COND
+// relations of the related classes, then each batch tuple is detected
+// against that post-batch state — §4.2.3 updates the conflict set before
+// maintaining, which only a tuple-at-a-time path could do.
 //
 // Where the paper's Example 5 also builds multiply-marked patterns by
 // unifying existing patterns with each new contribution ((4,7,b) with
@@ -92,9 +93,12 @@ type Matcher struct {
 	byTuple map[wmeKey][]patSlot
 
 	// b and ins are exact emission's reused slot vector and instantiation
-	// buffer.
-	b   rules.Bindings
-	ins []*conflict.Instantiation
+	// buffer; groups and fires are maintain's and detectInserts' — every
+	// call runs under the engine's maintenance lock.
+	b      rules.Bindings
+	ins    []*conflict.Instantiation
+	groups []group
+	fires  []fired
 }
 
 // New builds the matcher over the engine's WM catalog: one COND index per
@@ -234,51 +238,6 @@ func (m *Matcher) Name() string { return "core" }
 // ConflictSet implements match.Matcher.
 func (m *Matcher) ConflictSet() *conflict.Set { return m.cs }
 
-// Insert implements match.Matcher. The WM relation already contains the
-// tuple.
-func (m *Matcher) Insert(class string, id relation.TupleID, t relation.Tuple) error {
-	one := []relation.DeltaEntry{{ID: id, Tuple: t}}
-	st := m.stores[class]
-	st.live++
-	conds := st.conds
-	for _, ce := range m.set.ByClass[class] {
-		m.stats.Inc(metrics.PatternSearches)
-		if ce.Negated {
-			m.cs.RemoveBlocked(ce, one)
-			continue
-		}
-		src := conds[:1]
-		ci := src[0]
-		conds = conds[1:]
-		t0 := m.tr.Now()
-		d := m.detect(ci, t)
-		m.stats.Add(metrics.CandidateChecks, d.checked)
-		if m.tr.Enabled() {
-			m.tr.Emit(trace.Event{
-				Kind: trace.KindCondScan, At: t0, Dur: m.tr.Now() - t0,
-				Rule: ce.Rule.Name, CE: ce.Index, Class: class, ID: uint64(id), Count: d.checked,
-			})
-		}
-		// Conflict set first (§4.2.3), maintenance second.
-		if d.fire {
-			m.emit(ci, id, t, d.partners)
-		}
-		m.maintain(src, one)
-	}
-	return nil
-}
-
-// emit adds the instantiations a firing candidate completes: straight
-// from the marks for an exact rule, through the verification join
-// otherwise.
-func (m *Matcher) emit(ci *condIndex, id relation.TupleID, t relation.Tuple, partners []relation.TupleID) {
-	if ci.partner >= 0 {
-		m.emitExact(ci, id, t, partners)
-	} else {
-		m.verifyAndEmit(ci.ce, id, t)
-	}
-}
-
 // emitExact adds the instantiations pairing t with each partner tuple its
 // matched patterns carry (buildExact).
 func (m *Matcher) emitExact(ci *condIndex, id relation.TupleID, t relation.Tuple, partners []relation.TupleID) {
@@ -303,10 +262,10 @@ func (m *Matcher) emitExact(ci *condIndex, id relation.TupleID, t relation.Tuple
 // ascending by tuple ID — the order the verification join's index-eq and
 // scan access paths would produce — into the reused buffer m.ins. Each
 // pair is re-checked with MatchWith, so an emitted instantiation always
-// satisfies the LHS; exactness is what makes the list complete. In a
-// self-join t itself is a candidate partner even before its own
-// projection is maintained, as it is for the verification join. Each
-// instantiation is one allocation, its bindings read from its tuples.
+// satisfies the LHS; exactness is what makes the list complete. A batch
+// is maintained before it is detected, so in a self-join t's own
+// projection is already among the marks. Each instantiation is one
+// allocation, its bindings read from its tuples.
 //
 // The marks name every partner the matcher has maintained. When WM holds
 // partner tuples it has not been handed yet — a later class of the same
@@ -322,12 +281,9 @@ func (m *Matcher) buildExact(ci *condIndex, id relation.TupleID, t relation.Tupl
 	if !ok {
 		return ins
 	}
-	switch {
-	case rel.Len() != m.stores[other.Class].live:
+	if rel.Len() != m.stores[other.Class].live {
 		m.stats.Inc(metrics.JoinsComputed)
 		partners = rel.SelectEq(ci.partnerPos, t[ci.ownPos])
-	case other.Class == ce.Class:
-		partners = withID(partners, id)
 	}
 	m.b = r.Clear(m.b)
 	tu, ok := ce.MatchWith(t, m.b)
@@ -354,19 +310,6 @@ func (m *Matcher) buildExact(ci *condIndex, id relation.TupleID, t relation.Tupl
 	return ins
 }
 
-// withID returns ids with id merged in, leaving ids itself untouched (it
-// may alias a pattern's support).
-func withID(ids []relation.TupleID, id relation.TupleID) []relation.TupleID {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i < len(ids) && ids[i] == id {
-		return ids
-	}
-	out := make([]relation.TupleID, 0, len(ids)+1)
-	out = append(out, ids[:i]...)
-	out = append(out, id)
-	return append(out, ids[i:]...)
-}
-
 // verifyAndEmit runs the selection-driven join seeded by the new tuple
 // and adds every real instantiation; a candidate with no completions is a
 // false drop (§2.3: "the penalty to be paid is just in processing time").
@@ -389,15 +332,6 @@ func (m *Matcher) verifyAndEmit(ce *rules.CE, id relation.TupleID, t relation.Tu
 	if found == 0 {
 		m.stats.Inc(metrics.FalseDrops)
 	}
-}
-
-// Delete implements match.Matcher. The WM relation no longer contains the
-// tuple. Every pattern support slot fed by the tuple is withdrawn (the
-// counter decrement of §4.2.2); patterns with no remaining supporters
-// die. Instantiations built on the tuple are retracted, and rules
-// negatively dependent on the class are re-derived.
-func (m *Matcher) Delete(class string, id relation.TupleID, t relation.Tuple) error {
-	return m.DeleteBatch(class, []relation.DeltaEntry{{ID: id, Tuple: t}})
 }
 
 // PatternCount reports the number of stored matching patterns (original

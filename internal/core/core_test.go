@@ -53,7 +53,7 @@ func (f *fixture) insert(t *testing.T, class string, vals ...value.V) relation.T
 		t.Fatal(err)
 	}
 	tup, _ := rel.Get(id)
-	if err := f.m.Insert(class, id, tup); err != nil {
+	if err := f.m.InsertBatch(class, []relation.DeltaEntry{{ID: id, Tuple: tup}}); err != nil {
 		t.Fatal(err)
 	}
 	return id
@@ -65,7 +65,7 @@ func (f *fixture) remove(t *testing.T, class string, id relation.TupleID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.m.Delete(class, id, tup); err != nil {
+	if err := f.m.DeleteBatch(class, []relation.DeltaEntry{{ID: id, Tuple: tup}}); err != nil {
 		t.Fatal(err)
 	}
 }

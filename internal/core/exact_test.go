@@ -139,9 +139,7 @@ func runExactAgreement(t *testing.T, r *rand.Rand, src string, wantExact, batche
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !d.CancelInsert(class, ids[k]) { // born in this batch: nets out
-					d.AddDelete(class, ids[k], tup)
-				}
+				d.AddDelete(class, ids[k], tup) // born in this batch: nets out
 				live[class] = append(ids[:k], ids[k+1:]...)
 				continue
 			}
@@ -154,18 +152,7 @@ func runExactAgreement(t *testing.T, r *rand.Rand, src string, wantExact, batche
 			live[class] = append(live[class], id)
 		}
 		for _, m := range matchers {
-			if batched {
-				err = match.ApplyDelta(m, d)
-			} else {
-				for _, c := range d.Classes() {
-					for _, e := range d.Deletes(c) {
-						err = m.Delete(c, e.ID, e.Tuple)
-					}
-					for _, e := range d.Inserts(c) {
-						err = m.Insert(c, e.ID, e.Tuple)
-					}
-				}
-			}
+			_, err = match.ApplyDelta(m, d) // a one-change delta unbatched
 			if err != nil {
 				t.Fatalf("%s: %s: %v", ctx, m.Name(), err)
 			}

@@ -13,7 +13,7 @@ import (
 // TestCondIndexStructure keeps the COND relations indexed: the per-CE
 // pattern lists, the fmt-built string keys, the per-batch snapshot and
 // its hash-bucket heuristic must not grow back beside the shape index,
-// and the tuple and batch paths must share one detection helper.
+// and detectInserts must search only through the one detection helper.
 func TestCondIndexStructure(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -24,7 +24,7 @@ func TestCondIndexStructure(t *testing.T) {
 	}
 	banned := map[string]bool{"condHashJoinMin": true, "byCE": true, "byKey": true, "patternKey": true}
 	indexTypes := map[string]bool{"pattern": true, "shape": true, "condIndex": true, "store": true}
-	calls := map[string]map[string]bool{} // Insert / detectInserts → methods called on m
+	var calls map[string]bool // methods detectInserts calls
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
@@ -45,29 +45,27 @@ func TestCondIndexStructure(t *testing.T) {
 					if (strings.Contains(strings.ToLower(n.Name.Name), "key") || indexTypes[recv]) && callsFmt(n) {
 						t.Errorf("%s: %s builds strings with fmt on the pattern-key path", fset.Position(n.Pos()), n.Name.Name)
 					}
-					if recv == "Matcher" && (n.Name.Name == "Insert" || n.Name.Name == "detectInserts") {
-						calls[n.Name.Name] = methodsCalled(n)
+					if recv == "Matcher" && n.Name.Name == "detectInserts" {
+						calls = methodsCalled(n)
 					}
 				}
 				return true
 			})
 		}
 	}
-	var shared []string
-	for name := range calls["Insert"] {
-		if calls["detectInserts"][name] && strings.Contains(strings.ToLower(name), "detect") {
-			shared = append(shared, name)
+	var helpers []string
+	for name := range calls {
+		if strings.Contains(strings.ToLower(name), "detect") {
+			helpers = append(helpers, name)
 		}
 	}
-	sort.Strings(shared)
-	if len(shared) != 1 || shared[0] != "detect" {
-		t.Errorf("Insert and detectInserts share detection helpers %v, want exactly [detect]", shared)
+	sort.Strings(helpers)
+	if len(helpers) != 1 || helpers[0] != "detect" {
+		t.Errorf("detectInserts calls detection helpers %v, want exactly [detect]", helpers)
 	}
-	for fn, called := range calls {
-		for _, direct := range []string{"MatchPattern", "checkChain", "matches", "alone"} {
-			if called[direct] {
-				t.Errorf("%s calls %s directly; COND searches go through detect", fn, direct)
-			}
+	for _, direct := range []string{"MatchPattern", "checkChain", "matches", "alone"} {
+		if calls[direct] {
+			t.Errorf("detectInserts calls %s directly; COND searches go through detect", direct)
 		}
 	}
 }

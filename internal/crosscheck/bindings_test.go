@@ -175,9 +175,7 @@ func runOnDemandBindings(t *testing.T, src string, seed int64, batched bool) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !d.CancelInsert(class, ids[k]) {
-					d.AddDelete(class, ids[k], tup)
-				}
+				d.AddDelete(class, ids[k], tup)
 				live[class] = append(ids[:k], ids[k+1:]...)
 				continue
 			}
@@ -191,18 +189,7 @@ func runOnDemandBindings(t *testing.T, src string, seed int64, batched bool) {
 		}
 		var want []string
 		for _, m := range ms {
-			if batched {
-				err = match.ApplyDelta(m, d)
-			} else {
-				for _, c := range d.Classes() {
-					for _, e := range d.Deletes(c) {
-						err = m.Delete(c, e.ID, e.Tuple)
-					}
-					for _, e := range d.Inserts(c) {
-						err = m.Insert(c, e.ID, e.Tuple)
-					}
-				}
-			}
+			_, err = match.ApplyDelta(m, d) // a one-change delta unbatched
 			if err != nil {
 				t.Fatalf("%s: %s: %v", ctx, m.Name(), err)
 			}

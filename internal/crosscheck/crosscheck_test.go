@@ -71,7 +71,7 @@ func (s *session) insert(class string, vals ...value.V) relation.TupleID {
 	}
 	tup, _ := rel.Get(id)
 	for _, m := range s.matchers {
-		if err := m.Insert(class, id, tup); err != nil {
+		if err := m.InsertBatch(class, []relation.DeltaEntry{{ID: id, Tuple: tup}}); err != nil {
 			s.t.Fatalf("%s insert: %v", m.Name(), err)
 		}
 	}
@@ -87,7 +87,7 @@ func (s *session) delete(class string, id relation.TupleID) {
 		s.t.Fatal(err)
 	}
 	for _, m := range s.matchers {
-		if err := m.Delete(class, id, tup); err != nil {
+		if err := m.DeleteBatch(class, []relation.DeltaEntry{{ID: id, Tuple: tup}}); err != nil {
 			s.t.Fatalf("%s delete: %v", m.Name(), err)
 		}
 	}

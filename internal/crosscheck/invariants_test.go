@@ -32,8 +32,8 @@ func TestStorageDrainsToZero(t *testing.T) {
 		coreM := core.New(set, db, conflict.NewSet(set, nil), &metrics.Set{})
 		markerM := recheck.NewMarker(set, db, conflict.NewSet(set, nil), &metrics.Set{})
 		matchers := []interface {
-			Insert(string, relation.TupleID, relation.Tuple) error
-			Delete(string, relation.TupleID, relation.Tuple) error
+			InsertBatch(string, []relation.DeltaEntry) error
+			DeleteBatch(string, []relation.DeltaEntry) error
 		}{reteM, coreM, markerM}
 
 		classes := []string{"A", "B", "C"}
@@ -62,7 +62,7 @@ func TestStorageDrainsToZero(t *testing.T) {
 			}
 			stored, _ := db.MustGet(cls).Get(id)
 			for _, m := range matchers {
-				if err := m.Insert(cls, id, stored); err != nil {
+				if err := m.InsertBatch(cls, []relation.DeltaEntry{{ID: id, Tuple: stored}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -76,7 +76,7 @@ func TestStorageDrainsToZero(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range matchers {
-				if err := m.Delete(lv.class, lv.id, tup); err != nil {
+				if err := m.DeleteBatch(lv.class, []relation.DeltaEntry{{ID: lv.id, Tuple: tup}}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -71,12 +71,15 @@ func TestWMObserverSeesRuleActions(t *testing.T) {
 (A 1)
 `, "core", Config{})
 	var events []string
-	e.SetWMObserver(func(inserted bool, class string, id relation.TupleID, _ relation.Tuple) {
-		op := "-"
-		if inserted {
-			op = "+"
+	e.SetWMObserver(func(d *relation.Delta) {
+		for _, class := range d.Classes() {
+			for range d.Deletes(class) {
+				events = append(events, "-"+class)
+			}
+			for range d.Inserts(class) {
+				events = append(events, "+"+class)
+			}
 		}
-		events = append(events, op+class)
 	})
 	if _, err := e.RunSerial(); err != nil {
 		t.Fatal(err)

@@ -3,8 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"time"
 
-	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/trace"
@@ -25,20 +25,15 @@ type DeltaOp struct {
 
 // ApplyDelta applies a batch of WM changes set-at-a-time as one unit
 // inside the maintenance section: every WM mutation executes in op
-// order, and match maintenance runs once per (class, direction) group
-// through the matchers' batch paths — deletions before insertions —
-// feeding the conflict set incrementally. The returned IDs are aligned
-// with ops (zero at retraction positions).
+// order, then the unit's one maintenance pass runs the net delta through
+// the matchers' batch paths once per (class, direction) group —
+// deletions before insertions — feeding the conflict set incrementally.
+// The returned IDs are aligned with ops (zero at retraction positions).
 //
 // A tuple asserted and retracted within the same batch nets out: it never
 // reaches the matcher. If a mutation fails mid-batch, the changes already
-// applied are still propagated to the matcher (keeping WM and match state
-// consistent) and the error is returned.
-//
-// When a WM observer is attached (materialized views), the batch degrades
-// to sequential per-op application, because
-// incremental view maintenance needs each change joined against the WM
-// state preceding it.
+// applied are still maintained (keeping WM and match state consistent)
+// and the error is returned. Attached views get the same net delta.
 func (e *Engine) ApplyDelta(ops []DeltaOp) ([]relation.TupleID, error) {
 	return e.ApplyDeltaContext(context.Background(), ops)
 }
@@ -60,79 +55,48 @@ func (e *Engine) ApplyDeltaContext(ctx context.Context, ops []DeltaOp) ([]relati
 	}
 	u := unit{scope: "batch", txn: e.nextTxn.Add(1)}
 	var ids []relation.TupleID
-	tBatch, applied := e.tr.Now(), false
+	t0 := time.Duration(0)
 	u.body = func(rec *opRecorder) (err error) {
-		applied = true
+		t0 = e.tr.Now()
 		ids, err = e.applyDeltaLocked(ops, rec)
 		return err
 	}
-	err := e.commit(ctx, u)
-	if applied && e.tr.Enabled() {
-		e.tr.Emit(trace.Event{
-			Kind: trace.KindBatchApply, At: tBatch, Dur: e.tr.Now() - tBatch,
-			CE: -1, ID: u.txn, Count: int64(len(ops)),
-		})
+	if e.tr.Enabled() {
+		u.span = func() {
+			e.tr.Emit(trace.Event{
+				Kind: trace.KindBatchApply, At: t0, Dur: e.tr.Now() - t0,
+				CE: -1, ID: u.txn, Count: int64(len(ops)),
+			})
+		}
 	}
+	err := e.commit(ctx, u)
 	return ids, err
 }
 
 // applyDeltaLocked is the mutation body of ApplyDeltaContext: maintMu
-// is held; rec collects the redo record
-// for the commit point and the undo ops for panic containment.
+// is held; rec collects the redo record for the commit point and the
+// undo ops for panic containment, and the engine's delta the net change
+// runLocked maintains. Maximal runs of consecutive same-class assertions
+// go through the relation's bulk InsertBatch — one lock acquisition and
+// one batch_inserts count per run.
 func (e *Engine) applyDeltaLocked(ops []DeltaOp, rec *opRecorder) ([]relation.TupleID, error) {
-	e.stats.Inc(metrics.SerialOps)
 	e.stats.Inc(metrics.BatchDeltas)
 	e.stats.Add(metrics.BatchTuples, int64(len(ops)))
 	ids := make([]relation.TupleID, len(ops))
-	if e.wmObserver != nil {
-		// Sequential fallback: views must see one change at a time.
-		for i, op := range ops {
-			var err error
-			if op.Retract {
-				_, err = e.deleteLocked(op.Class, op.ID, rec)
-			} else {
-				ids[i], err = e.insertLocked(op.Class, 0, op.Tuple, rec)
-			}
-			if err != nil {
-				return ids, err
-			}
-		}
-		return ids, nil
-	}
-
-	// Set-oriented path: mutate the WM relations first, then run the
-	// batch maintenance over the net delta. Maximal runs of consecutive
-	// same-class assertions go through the relation's bulk InsertBatch —
-	// one lock acquisition and one batch_inserts count per run.
-	delta := relation.NewDelta()
-	type born struct {
-		class string
-		id    relation.TupleID
-	}
-	inserted := map[born]bool{} // tuples born in this batch
-	var opErr error
 	for i := 0; i < len(ops); i++ {
 		op := ops[i]
 		rel, err := e.db.Lookup(op.Class)
 		if err != nil {
-			opErr = fmt.Errorf("engine: %w", err)
-			break
+			return ids, fmt.Errorf("engine: %w", err)
 		}
 		if op.Retract {
 			t, err := rel.Delete(op.ID)
 			if err != nil {
-				opErr = err
-				break
+				return ids, err
 			}
-			e.updates(op.Class).Inc()
-			rec.deleted(op.Class, op.ID, t)
-			if inserted[born{op.Class, op.ID}] && delta.CancelInsert(op.Class, op.ID) {
-				continue // net zero: born and died within this batch
-			}
-			delta.AddDelete(op.Class, op.ID, t)
+			e.landed(rec, false, op.Class, op.ID, t)
 			continue
 		}
-		// Extend the run of assertions targeting the same class.
 		j := i + 1
 		for j < len(ops) && !ops[j].Retract && ops[j].Class == op.Class {
 			j++
@@ -142,29 +106,13 @@ func (e *Engine) applyDeltaLocked(ops []DeltaOp, rec *opRecorder) ([]relation.Tu
 			entries[k-i] = relation.DeltaEntry{Tuple: ops[k].Tuple}
 		}
 		if err := rel.InsertBatch(entries); err != nil {
-			opErr = err
-			break
+			return ids, err
 		}
-		e.updates(op.Class).Add(int64(len(entries)))
 		for k, ent := range entries {
 			ids[i+k] = ent.ID
-			rec.inserted(op.Class, ent.ID, ent.Tuple)
-			inserted[born{op.Class, ent.ID}] = true
-			delta.AddInsert(op.Class, ent.ID, ent.Tuple)
+			e.landed(rec, true, op.Class, ent.ID, ent.Tuple)
 		}
 		i = j - 1
 	}
-
-	for _, class := range delta.Classes() {
-		if len(delta.Deletes(class)) > 0 {
-			e.stats.Inc(metrics.BatchPropagations)
-		}
-		if len(delta.Inserts(class)) > 0 {
-			e.stats.Inc(metrics.BatchPropagations)
-		}
-	}
-	if err := match.ApplyDelta(e.matcher, delta); err != nil {
-		return ids, err
-	}
-	return ids, opErr
+	return ids, nil
 }

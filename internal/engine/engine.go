@@ -23,6 +23,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"prodsys/internal/conflict"
 	"prodsys/internal/lang"
@@ -132,10 +133,13 @@ type Engine struct {
 	// funcs holds the Go callbacks reachable from call actions.
 	funcs map[string]CallFunc
 
-	// wmObserver, when set, is invoked after every WM change has been
-	// propagated to the matcher — the hook materialized views and external
-	// triggers attach to.
-	wmObserver func(inserted bool, class string, id relation.TupleID, t relation.Tuple)
+	// wmObserver, when set, receives each unit's net delta after the
+	// matcher — the hook materialized views and triggers attach to.
+	wmObserver func(*relation.Delta)
+
+	// delta collects the current unit's net WM change as its writes land;
+	// maintainLocked hands it on and empties it for the next unit.
+	delta *relation.Delta
 
 	// wal, when attached, receives one committed unit at each commit
 	// point: after the maintenance process completes (§5.2's deferred
@@ -159,11 +163,12 @@ func (e *Engine) RegisterFunc(name string, fn CallFunc) {
 	e.funcs[name] = fn
 }
 
-// SetWMObserver registers a callback invoked after each WM change
-// (insert: inserted=true; delete: inserted=false) under the maintenance
-// lock. The callback must not re-enter the engine. While other
-// goroutines may commit, call it inside WithMaintenanceLock.
-func (e *Engine) SetWMObserver(fn func(inserted bool, class string, id relation.TupleID, t relation.Tuple)) {
+// SetWMObserver registers a callback invoked with each write unit's net
+// delta, under the maintenance lock, after the matcher has maintained
+// it. The delta is lent for the call. The callback must not re-enter
+// the engine. While other goroutines may commit, call it inside
+// WithMaintenanceLock.
+func (e *Engine) SetWMObserver(fn func(*relation.Delta)) {
 	e.wmObserver = fn
 }
 
@@ -192,6 +197,7 @@ func New(set *rules.Set, db *relation.DB, matcher match.Matcher, stats *metrics.
 		cfg:         cfg,
 		tr:          cfg.Tracer,
 		updateCells: updates,
+		delta:       relation.NewDelta(),
 	}
 }
 
@@ -239,6 +245,9 @@ type opRecorder struct {
 	redo bool // a WAL is attached: collect ops
 	ops  []wal.Op
 	undo []undoOp
+	// maintained is set once the unit's maintenance pass has begun: only
+	// then does a rollback owe the matcher an inverse delta.
+	maintained bool
 }
 
 // undoOp reverses one applied WM operation.
@@ -249,50 +258,32 @@ type undoOp struct {
 	tuple   relation.Tuple // the deleted tuple, for re-insertion
 }
 
-// inserted and deleted record one landed storage write. Callers record
-// between the storage write and matcher maintenance: a panic in
-// maintenance must find the storage op already on the undo list. A nil
-// recorder (replay, undo, exploration) records nothing.
-func (r *opRecorder) inserted(class string, id relation.TupleID, t relation.Tuple) {
-	if r == nil {
-		return
-	}
-	r.undo = append(r.undo, undoOp{retract: true, class: class, id: id})
-	if r.redo {
-		r.ops = append(r.ops, wal.Op{Class: class, ID: id, Tuple: t})
-	}
-}
-
-func (r *opRecorder) deleted(class string, id relation.TupleID, t relation.Tuple) {
-	if r == nil {
-		return
-	}
-	r.undo = append(r.undo, undoOp{class: class, id: id, tuple: t})
-	if r.redo {
-		r.ops = append(r.ops, wal.Op{Retract: true, Class: class, ID: id})
-	}
-}
-
-// rollbackLocked reverse-applies the recorded undo ops, newest first,
-// best-effort: each step runs storage and matcher maintenance and
-// ignores errors — after a contained panic the matcher may have seen
-// only part of the unit, so some reversals have nothing to reverse
+// rollbackLocked reverses a unit that will not commit: its storage
+// writes are undone newest first and, only if the unit's maintenance
+// pass had begun, the matcher and observer get the inverse delta once —
+// so a panicking RHS never touches matcher state. The inverse pass is
+// best-effort: after a panic inside maintenance the matcher may have
+// seen only part of the unit, so some reversals have nothing to reverse
 // there. The integrity auditor is the backstop for any residue. Caller
 // holds maintMu.
 func (e *Engine) rollbackLocked(rec *opRecorder) {
+	e.delta.Reset() // the forward delta, never or partly maintained
 	for i := len(rec.undo) - 1; i >= 0; i-- {
 		u := rec.undo[i]
+		if u.retract {
+			_, _ = e.deleteLocked(u.class, u.id, nil)
+		} else {
+			_, _ = e.insertLocked(u.class, u.id, u.tuple, nil)
+		}
+	}
+	if rec.maintained {
 		func() {
 			defer func() { _ = recover() }()
-			if u.retract {
-				_, _ = e.deleteLocked(u.class, u.id, nil)
-			} else {
-				_, _ = e.insertLocked(u.class, u.id, u.tuple, nil)
-			}
+			_ = e.maintainLocked()
 		}()
 	}
-	rec.undo = nil
-	rec.ops = nil
+	e.delta.Reset()
+	rec.undo, rec.ops = nil, nil
 }
 
 // contained runs fn with fault containment: a panic — in the RHS
@@ -408,9 +399,13 @@ type unit struct {
 	inst *conflict.Instantiation
 	txn  uint64 // correlates the unit's trace events; 0 for serial firings
 	// body mutates WM through rec under maintMu. An error leaves the
-	// ops already applied in place: they were propagated to the
-	// matcher, so they are real and are logged. A panic rolls them back.
+	// ops already applied in place: they are still maintained, so they
+	// are real and are logged. A panic rolls them back.
 	body func(rec *opRecorder) error
+	// span, when set, runs after the unit's maintenance pass, even on a
+	// panic: a firing's rule_fire and a batch's batch_apply close there,
+	// around the match work the unit triggered.
+	span func()
 }
 
 // commit is the engine's single write pipeline, the paper's §5.2 rule
@@ -425,10 +420,12 @@ type unit struct {
 //  2. maintMu.Lock            ┐
 //  3. body, panic-contained,  │ runLocked: the
 //     recording redo + undo   │ non-interleavable
-//  4. WAL append              │ section
-//  5. due checkpoint          │
-//  6. maintMu.Unlock          ┘
-//  7. WaitDurable, outside maintMu so concurrent committers pile onto
+//  4. one maintenance pass    │ section
+//     over the unit's delta   │
+//  5. WAL append              │
+//  6. due checkpoint          │
+//  7. maintMu.Unlock          ┘
+//  8. WaitDurable, outside maintMu so concurrent committers pile onto
 //     one leader fsync. A group-sync failure degrades the engine
 //     read-only: the unit is applied and logged, but durability can no
 //     longer be promised for anyone after it. The log is sequential, so
@@ -452,17 +449,28 @@ func (e *Engine) commit(ctx context.Context, u unit) error {
 	return err
 }
 
-// runLocked is commit's non-interleavable section (stages 2–6). It
+// runLocked is commit's non-interleavable section (stages 2–7). It
 // returns the log handle and the unit's sequence for the post-unlock
 // durable wait (nil when nothing was appended).
 func (e *Engine) runLocked(u unit) (*wal.Log, uint64, error) {
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
+	e.stats.Inc(metrics.SerialOps)
 	rec := &opRecorder{redo: e.wal != nil}
-	err := e.contained(&u, func() error { return u.body(rec) })
+	err := e.contained(&u, func() error {
+		if u.span != nil {
+			defer u.span()
+		}
+		err := u.body(rec)
+		rec.maintained = true
+		if merr := e.maintainLocked(); err == nil {
+			err = merr
+		}
+		return err
+	})
 	if errors.Is(err, ErrRulePanic) {
-		// Rollback before log: a panicked unit is undone through storage,
-		// matcher and observer, and the WAL never sees it.
+		// Rollback before log: a panicked unit is undone, and the WAL
+		// never sees it.
 		e.rollbackLocked(rec)
 		return nil, 0, err
 	}
@@ -559,8 +567,10 @@ func (e *Engine) Replay(txns []wal.Txn) (int, error) {
 // their original tuple IDs (so conflict-set keys and recency survive),
 // retractions delete, and each rule-firing unit's instantiation key is
 // re-marked fired before its ops run, as fire does, restoring
-// refraction state; a logged key naming no loaded rule is skipped. It
-// returns the number of WM operations applied. Caller holds maintMu.
+// refraction state; a logged key naming no loaded rule is skipped. Each
+// unit gets one maintenance pass, as at its commit, so the recovered
+// agenda is the uncrashed one. It returns the number of WM operations
+// applied. Caller holds maintMu.
 func (e *Engine) applyLogged(txns []wal.Txn) (int, error) {
 	ops := 0
 	for _, t := range txns {
@@ -579,9 +589,13 @@ func (e *Engine) applyLogged(txns []wal.Txn) (int, error) {
 				_, err = e.insertLocked(op.Class, op.ID, op.Tuple, nil)
 			}
 			if err != nil {
+				_ = e.maintainLocked() // keep the matcher in step with what landed
 				return ops, err
 			}
 			ops++
+		}
+		if err := e.maintainLocked(); err != nil {
+			return ops, err
 		}
 	}
 	return ops, nil
@@ -589,10 +603,8 @@ func (e *Engine) applyLogged(txns []wal.Txn) (int, error) {
 
 // insertLocked is the one WM insert primitive: it stores t in class —
 // under id when nonzero (replay, replica apply and undo reproduce the
-// logged ID), under a fresh ID otherwise — and runs the maintenance
-// process. rec records the redo and undo ops as soon as the storage
-// write lands — before matcher maintenance — so a maintenance panic
-// still rolls the storage change back. Caller holds maintMu.
+// logged ID), under a fresh ID otherwise — and records the change
+// (landed). Maintenance waits for the unit's end. Caller holds maintMu.
 func (e *Engine) insertLocked(class string, id relation.TupleID, t relation.Tuple, rec *opRecorder) (relation.TupleID, error) {
 	rel, ok := e.db.Get(class)
 	if !ok {
@@ -609,28 +621,19 @@ func (e *Engine) insertLocked(class string, id relation.TupleID, t relation.Tupl
 		return 0, err
 	}
 	stored, _ := rel.Get(id)
-	rec.inserted(class, id, stored)
-	e.stats.Inc(metrics.SerialOps)
-	e.updates(class).Inc()
-	if err := e.matcher.Insert(class, id, stored); err != nil {
-		return 0, err
-	}
+	e.landed(rec, true, class, id, stored)
 	if e.tr.Enabled() {
-		// Dur covers the store plus the whole maintenance process.
 		e.tr.Emit(trace.Event{
 			Kind: trace.KindTupleInsert, At: t0, Dur: e.tr.Now() - t0,
 			CE: -1, Class: class, ID: uint64(id),
 		})
 	}
-	if e.wmObserver != nil {
-		e.wmObserver(true, class, id, stored)
-	}
 	return id, nil
 }
 
 // deleteLocked is the one WM delete primitive, insertLocked's mirror:
-// it removes the tuple, records it, runs the maintenance process and
-// returns the deleted tuple. Caller holds maintMu.
+// it removes the tuple, records the change and returns the deleted
+// tuple. Caller holds maintMu.
 func (e *Engine) deleteLocked(class string, id relation.TupleID, rec *opRecorder) (relation.Tuple, error) {
 	rel, ok := e.db.Get(class)
 	if !ok {
@@ -641,22 +644,52 @@ func (e *Engine) deleteLocked(class string, id relation.TupleID, rec *opRecorder
 	if err != nil {
 		return nil, err
 	}
-	rec.deleted(class, id, t)
-	e.stats.Inc(metrics.SerialOps)
-	e.updates(class).Inc()
-	if err := e.matcher.Delete(class, id, t); err != nil {
-		return nil, err
-	}
+	e.landed(rec, false, class, id, t)
 	if e.tr.Enabled() {
 		e.tr.Emit(trace.Event{
 			Kind: trace.KindTupleDelete, At: t0, Dur: e.tr.Now() - t0,
 			CE: -1, Class: class, ID: uint64(id),
 		})
 	}
-	if e.wmObserver != nil {
-		e.wmObserver(false, class, id, t)
-	}
 	return t, nil
+}
+
+// landed records one storage write in its class's updates counter, the
+// unit's delta (where deleting a tuple the unit inserted nets out) and
+// rec's undo and redo ops; replay, undo and exploration pass no rec.
+func (e *Engine) landed(rec *opRecorder, inserted bool, class string, id relation.TupleID, t relation.Tuple) {
+	e.updates(class).Inc()
+	op := wal.Op{Retract: !inserted, Class: class, ID: id}
+	if inserted {
+		op.Tuple = t
+		e.delta.AddInsert(class, id, t)
+	} else {
+		e.delta.AddDelete(class, id, t)
+	}
+	if rec == nil {
+		return
+	}
+	rec.undo = append(rec.undo, undoOp{retract: inserted, class: class, id: id, tuple: t})
+	if rec.redo {
+		rec.ops = append(rec.ops, op)
+	}
+}
+
+// maintainLocked is the maintenance process of every kind of write unit,
+// run once after its storage writes: the matcher, then the WM observer,
+// get the unit's net delta, then emptied. Caller holds maintMu.
+func (e *Engine) maintainLocked() error {
+	d := e.delta
+	defer d.Reset()
+	passes, err := match.ApplyDelta(e.matcher, d)
+	e.stats.Add(metrics.BatchPropagations, int64(passes))
+	if err != nil {
+		return err
+	}
+	if e.wmObserver != nil {
+		e.wmObserver(d)
+	}
+	return nil
 }
 
 // Assert inserts a WM element and runs the maintenance process: a
@@ -694,8 +727,8 @@ func (e *Engine) LoadFacts(prog *lang.Program) error {
 
 // Restore loads a working-memory dump (relation.DB.Restore: validated
 // whole before anything applies) under its original tuple IDs and runs
-// every restored tuple through matcher maintenance and the WM observer,
-// all under the maintenance lock. It logs nothing; see LogRestored.
+// the restored tuples through one maintenance pass, all under the
+// maintenance lock. It logs nothing; see LogRestored.
 func (e *Engine) Restore(r io.Reader) ([]relation.RestoredTuple, error) {
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
@@ -709,12 +742,10 @@ func (e *Engine) restoreLocked(r io.Reader) ([]relation.RestoredTuple, error) {
 		return nil, err
 	}
 	for _, rt := range restored {
-		if err := e.matcher.Insert(rt.Class, rt.ID, rt.Tuple); err != nil {
-			return nil, err
-		}
-		if e.wmObserver != nil {
-			e.wmObserver(true, rt.Class, rt.ID, rt.Tuple)
-		}
+		e.delta.AddInsert(rt.Class, rt.ID, rt.Tuple)
+	}
+	if err := e.maintainLocked(); err != nil {
+		return nil, err
 	}
 	return restored, nil
 }
@@ -846,7 +877,11 @@ func (e *Engine) applyActions(in *conflict.Instantiation, rec *opRecorder) (bool
 func (e *Engine) ApplyForExploration(in *conflict.Instantiation) (halted bool, err error) {
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
-	return e.applyActions(in, nil)
+	halted, err = e.applyActions(in, nil)
+	if merr := e.maintainLocked(); err == nil {
+		err = merr
+	}
+	return halted, err
 }
 
 // errAlreadyFired aborts a firing whose instantiation another firing
@@ -863,8 +898,14 @@ var errAlreadyFired = fmt.Errorf("%w: already fired", ErrStale)
 // commit invalidated. So an instantiation fires at most once, and only
 // while its supporting tuples live and its negated conditions hold. A
 // panicked firing stays marked (quarantined, so a panic cannot loop).
-func (e *Engine) fire(ctx context.Context, in *conflict.Instantiation, key conflict.Key, u unit) (halted bool, err error) {
+// The rule_fire span runs from validation through the unit's
+// maintenance pass.
+func (e *Engine) fire(ctx context.Context, in *conflict.Instantiation, key conflict.Key, u unit) (bool, error) {
 	u.inst = in
+	var act struct { // one allocation for everything the closures share
+		fired, halted bool
+		t0            time.Duration
+	}
 	u.body = func(rec *opRecorder) (err error) {
 		if e.cs.HasFired(key) {
 			return errAlreadyFired
@@ -873,20 +914,22 @@ func (e *Engine) fire(ctx context.Context, in *conflict.Instantiation, key confl
 			return ErrStale
 		}
 		e.cs.MarkFired(key)
-		if e.tr.Enabled() {
-			t0 := e.tr.Now()
-			defer func() {
-				e.tr.Emit(trace.Event{
-					Kind: trace.KindRuleFire, At: t0, Dur: e.tr.Now() - t0,
-					Rule: in.Rule.Name, CE: -1, ID: u.txn, Count: 1, Extra: in.KeyString(),
-				})
-			}()
-		}
-		halted, err = e.applyActions(in, rec)
+		act.fired, act.t0 = true, e.tr.Now()
+		act.halted, err = e.applyActions(in, rec)
 		return err
 	}
-	err = e.commit(ctx, u)
-	return halted, err
+	if e.tr.Enabled() {
+		u.span = func() {
+			if act.fired {
+				e.tr.Emit(trace.Event{
+					Kind: trace.KindRuleFire, At: act.t0, Dur: e.tr.Now() - act.t0,
+					Rule: in.Rule.Name, CE: -1, ID: u.txn, Count: 1, Extra: in.KeyString(),
+				})
+			}
+		}
+	}
+	err := e.commit(ctx, u)
+	return act.halted, err
 }
 
 // RunSerial executes the OPS5 recognize-act cycle: Match (incremental,

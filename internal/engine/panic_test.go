@@ -17,30 +17,19 @@ import (
 	"prodsys/internal/wal"
 )
 
-// panicOnClass wraps a matcher and panics on the first Insert targeting
-// the named class — a fault injected into the maintenance process.
+// panicOnClass wraps a matcher and panics on the first InsertBatch
+// targeting the named class — a fault injected into the maintenance process.
 type panicOnClass struct {
 	match.Matcher
 	class string
 	fired atomic.Bool
 }
 
-func (p *panicOnClass) Insert(class string, id relation.TupleID, t relation.Tuple) error {
+func (p *panicOnClass) InsertBatch(class string, entries []relation.DeltaEntry) error {
 	if class == p.class && p.fired.CompareAndSwap(false, true) {
 		panic("injected maintenance panic")
 	}
-	return p.Matcher.Insert(class, id, t)
-}
-
-// InsertBatch routes batches through Insert, so a batched maintenance
-// pass hits the injected panic too.
-func (p *panicOnClass) InsertBatch(class string, entries []relation.DeltaEntry) error {
-	for _, e := range entries {
-		if err := p.Insert(class, e.ID, e.Tuple); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.Matcher.InsertBatch(class, entries)
 }
 
 const panicSrc = `

@@ -75,7 +75,7 @@ func (e *Engine) ApplyReplicaTxns(epoch uint64, raw []byte, txns []wal.Txn) erro
 
 // ReplicaBootstrap replaces the replica's whole working memory with a
 // primary checkpoint snapshot: every live tuple is retracted through
-// normal maintenance (so matcher state empties consistently), the
+// one maintenance pass (so matcher state empties consistently), the
 // conflict set is reset, the dump is restored under its original tuple
 // IDs and re-propagated, and the local WAL adopts the snapshot as its
 // own checkpoint at the primary's epoch. It returns the number of
@@ -103,9 +103,13 @@ func (e *Engine) ReplicaBootstrap(epoch uint64, dump []byte) (int, error) {
 		})
 		for _, id := range ids {
 			if _, err := e.deleteLocked(name, id, nil); err != nil {
+				_ = e.maintainLocked() // keep the matcher in step with what landed
 				return 0, fmt.Errorf("engine: bootstrap clear: %w", err)
 			}
 		}
+	}
+	if err := e.maintainLocked(); err != nil {
+		return 0, fmt.Errorf("engine: bootstrap clear: %w", err)
 	}
 	e.cs.Reset()
 	restored, err := e.restoreLocked(bytes.NewReader(dump))

@@ -3,9 +3,11 @@ package engine
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"prodsys/internal/matchers"
 	"prodsys/internal/relation"
 	"prodsys/internal/value"
 	"prodsys/internal/wal"
@@ -63,7 +65,7 @@ func TestReplicaPositionNeverAheadOfApply(t *testing.T) {
 
 	entered, release := make(chan struct{}), make(chan struct{})
 	first := true
-	rep.SetWMObserver(func(bool, string, relation.TupleID, relation.Tuple) {
+	rep.SetWMObserver(func(*relation.Delta) {
 		if first {
 			first = false
 			close(entered)
@@ -96,5 +98,38 @@ func TestReplicaPositionNeverAheadOfApply(t *testing.T) {
 	}
 	if p := <-reported; p.size != size || p.items != len(ops) {
 		t.Fatalf("after apply: position %d with %d tuples, want %d with %d", p.size, p.items, size, len(ops))
+	}
+}
+
+// TestReplicaKeepsFiringOrder: a replica that applies the unit a primary
+// logs for a batch through ApplyReplicaTxns, then is promoted, fires in
+// the primary's order under every matcher.
+func TestReplicaKeepsFiringOrder(t *testing.T) {
+	const src = `
+(literalize A x)
+(p r1 (A ^x <x>) --> (write r1 <x>))
+(p r2 (A ^x <x>) --> (write r2 <x>))
+`
+	one, two := relation.Tuple{value.OfInt(1)}, relation.Tuple{value.OfInt(2)}
+	shipped := []wal.Txn{{Batch: true, Ops: []wal.Op{{Class: "A", ID: 1, Tuple: one}, {Class: "A", ID: 2, Tuple: two}}}}
+	for _, name := range matchers.Names() {
+		var want, got strings.Builder
+		pri, rep := harness(t, src, name, Config{Out: &want}), harness(t, src, name, Config{Out: &got})
+		if ids, err := pri.ApplyDelta([]DeltaOp{{Class: "A", Tuple: one}, {Class: "A", Tuple: two}}); err != nil || ids[0] != 1 || ids[1] != 2 {
+			t.Fatalf("%s: primary batch got ids %v, err %v; the shipped unit assumes [1 2]", name, ids, err)
+		}
+		rep.SetReplica(true)
+		if err := rep.ApplyReplicaTxns(0, nil, shipped); err != nil {
+			t.Fatal(err)
+		}
+		rep.SetReplica(false)
+		for _, e := range []*Engine{pri, rep} {
+			if _, err := e.RunSerial(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: replica wrote\n%s\nprimary wrote\n%s", name, got.String(), want.String())
+		}
 	}
 }

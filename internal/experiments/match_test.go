@@ -30,11 +30,18 @@ import (
 	"prodsys/internal/workload"
 )
 
-// sink is what a session notifies of each WM change: a matcher, a view
-// manager or a recomputation baseline.
+// sink is what a session notifies of each WM change, as a one-change
+// delta: a matcher, a view manager or a recomputation baseline.
 type sink interface {
-	Insert(class string, id relation.TupleID, t relation.Tuple) error
-	Delete(class string, id relation.TupleID, t relation.Tuple) error
+	Apply(d *relation.Delta) error
+}
+
+// matcherSink makes a matcher a sink.
+type matcherSink struct{ match.Matcher }
+
+func (m matcherSink) Apply(d *relation.Delta) error {
+	_, err := match.ApplyDelta(m.Matcher, d)
+	return err
 }
 
 // session bundles a WM catalog with one sink.
@@ -63,15 +70,16 @@ func newSession(t *testing.T, src string, mk func(*rules.Set, *relation.DB, *con
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := k.(match.Matcher)
-	return &session{t: t, db: db, sink: k, matcher: m, stats: stats, live: map[string][]relation.TupleID{}}
+	m, _ := k.(matcherSink) // a view manager or baseline has no matcher
+	return &session{t: t, db: db, sink: k, matcher: m.Matcher, stats: stats, live: map[string][]relation.TupleID{}}
 }
 
 // matcherSession builds a session over the named matcher.
 func matcherSession(t *testing.T, src, name string) *session {
 	t.Helper()
 	return newSession(t, src, func(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set) (sink, error) {
-		return matchers.New(name, set, db, cs, stats)
+		m, err := matchers.New(name, set, db, cs, stats)
+		return matcherSink{m}, err
 	})
 }
 
@@ -84,7 +92,9 @@ func (s *session) insert(class string, t relation.Tuple) {
 		s.t.Fatal(err)
 	}
 	stored, _ := rel.Get(id)
-	if err := s.sink.Insert(class, id, stored); err != nil {
+	d := relation.NewDelta()
+	d.AddInsert(class, id, stored)
+	if err := s.sink.Apply(d); err != nil {
 		s.t.Fatal(err)
 	}
 	s.live[class] = append(s.live[class], id)
@@ -103,7 +113,9 @@ func (s *session) deleteOldest(class string) {
 	if err != nil {
 		s.t.Fatal(err)
 	}
-	if err := s.sink.Delete(class, ids[0], t); err != nil {
+	d := relation.NewDelta()
+	d.AddDelete(class, ids[0], t)
+	if err := s.sink.Apply(d); err != nil {
 		s.t.Fatal(err)
 	}
 }
@@ -413,8 +425,7 @@ type recompute struct {
 	rows  int
 }
 
-func (r *recompute) Insert(string, relation.TupleID, relation.Tuple) error { return r.eval() }
-func (r *recompute) Delete(string, relation.TupleID, relation.Tuple) error { return r.eval() }
+func (r *recompute) Apply(*relation.Delta) error { return r.eval() }
 
 func (r *recompute) eval() error {
 	r.rows = 0
@@ -475,7 +486,7 @@ func TestE12SharedNetworkWins(t *testing.T) {
 	}
 	stream := workload.PayrollOps(21, 300, 0.2)
 	unshared := newSession(t, b.String(), func(set *rules.Set, _ *relation.DB, cs *conflict.Set, stats *metrics.Set) (sink, error) {
-		return rete.NewUnshared(set, cs, stats), nil
+		return matcherSink{rete.NewUnshared(set, cs, stats)}, nil
 	})
 	shared := matcherSession(t, b.String(), "rete")
 	unshared.apply(stream)

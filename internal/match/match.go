@@ -6,17 +6,19 @@
 // the [STON86a] baselines Basic Locking and Predicate Indexing.
 //
 // A matcher observes working-memory changes and maintains a conflict set.
-// The engine owns the WM relations; it notifies the matcher after each
-// insertion and before each deletion, mirroring Figure 2 of the paper:
-// changes to working memory propagate into the match network, which emits
-// changes to the conflict set.
+// The engine owns the WM relations; every write unit — a batch, a rule
+// firing, a replayed or shipped log unit, a restore — first changes WM,
+// then hands the matcher the unit's net delta once through ApplyDelta,
+// mirroring Figure 2 of the paper: changes to working memory propagate
+// into the match network, which emits changes to the conflict set.
 //
-// Whole deltas arrive set-at-a-time through InsertBatch/DeleteBatch — the
+// Deltas arrive set-at-a-time through InsertBatch/DeleteBatch — the
 // paper's central claim that a DBMS wins by handling WM changes as sets
-// rather than tuple-at-a-time (§4.2, §5.1); Insert and Delete are the
-// one-tuple case. Every matcher also answers the integrity auditor
-// (AuditDerived, RebuildRules, CorruptDerived); one whose only derived
-// state is the conflict set implements them as no-ops.
+// rather than tuple-at-a-time (§4.2, §5.1); a one-tuple change is a
+// one-entry batch, so each matcher has one entry path per direction.
+// Every matcher also answers the integrity auditor (AuditDerived,
+// RebuildRules, CorruptDerived); one whose only derived state is the
+// conflict set implements them as no-ops.
 //
 // Implementations need no locks: the engine calls every method under its
 // maintenance mutex, one call at a time.
@@ -37,12 +39,6 @@ type Matcher interface {
 	Name() string
 	// ConflictSet exposes the maintained conflict set.
 	ConflictSet() *conflict.Set
-	// Insert notifies the matcher that tuple t was stored in the class's
-	// WM relation under the given ID.
-	Insert(class string, id relation.TupleID, t relation.Tuple) error
-	// Delete notifies the matcher that the identified tuple is being
-	// removed. t is the tuple's value at removal time.
-	Delete(class string, id relation.TupleID, t relation.Tuple) error
 	// InsertBatch notifies the matcher that every entry's tuple was stored
 	// in the class's WM relation. The WM already reflects the whole batch.
 	InsertBatch(class string, entries []relation.DeltaEntry) error
@@ -72,25 +68,32 @@ type Matcher interface {
 	CorruptDerived(rng *rand.Rand) string
 }
 
-// ApplyDelta drains a whole batch through the matcher: deletions first,
-// then insertions, class by class in deterministic order. The caller must
-// have applied every change to the WM relations already, so the matchers
-// that re-derive from working memory see the batch's final state.
-func ApplyDelta(m Matcher, d *relation.Delta) error {
+// ApplyDelta is the maintenance process of one write unit: it drains the
+// unit's net delta through the matcher — deletions first, then
+// insertions, class by class in sorted order — after the caller applied
+// every change to the WM relations, so the matchers that re-derive from
+// working memory see the unit's final state. The engine calls it from one
+// place for every kind of unit, so a log maintains alike on every route.
+// It returns the number of batch calls made, one per non-empty (class,
+// direction) group.
+func ApplyDelta(m Matcher, d *relation.Delta) (int, error) {
 	classes := d.Classes()
+	passes := 0
 	for _, class := range classes {
 		if del := d.Deletes(class); len(del) > 0 {
+			passes++
 			if err := m.DeleteBatch(class, del); err != nil {
-				return err
+				return passes, err
 			}
 		}
 	}
 	for _, class := range classes {
 		if ins := d.Inserts(class); len(ins) > 0 {
+			passes++
 			if err := m.InsertBatch(class, ins); err != nil {
-				return err
+				return passes, err
 			}
 		}
 	}
-	return nil
+	return passes, nil
 }

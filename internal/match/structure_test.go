@@ -220,3 +220,47 @@ func TestOneFilterThenVerifyMatcher(t *testing.T) {
 		t.Error("internal/recheck implements no match.Matcher; the method scan is broken")
 	}
 }
+
+// TestOneMaintenancePass keeps one maintenance path per write unit:
+// Matcher has no Insert or Delete; outside tests a matcher's two-argument
+// InsertBatch/DeleteBatch is called only by ApplyDelta, in internal/view
+// and by RebuildRules; internal/engine calls ApplyDelta from one function.
+func TestOneMaintenancePass(t *testing.T) {
+	contract := reflect.TypeOf((*Matcher)(nil)).Elem()
+	for _, name := range []string{"Insert", "Delete"} {
+		if _, ok := contract.MethodByName(name); ok {
+			t.Errorf("match.Matcher has a tuple-at-a-time %s", name)
+		}
+	}
+	callers := map[string]bool{} // internal/engine functions calling match.ApplyDelta
+	eachSourceFile(t, "../..", func(rel string, fset *token.FileSet, file *ast.File) {
+		dir := path.Dir(rel)
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "match" && sel.Sel.Name == "ApplyDelta" && dir == "internal/engine" {
+					callers[fd.Name.Name] = true
+				}
+				if (sel.Sel.Name == "InsertBatch" || sel.Sel.Name == "DeleteBatch") && len(call.Args) == 2 &&
+					dir != "internal/view" && fd.Name.Name != "RebuildRules" && (dir != "internal/match" || fd.Name.Name != "ApplyDelta") {
+					t.Errorf("%s: %s calls a matcher's %s", fset.Position(call.Pos()), fd.Name.Name, sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	})
+	if len(callers) != 1 {
+		t.Errorf("internal/engine calls match.ApplyDelta from %d functions %v, want exactly 1", len(callers), callers)
+	}
+}

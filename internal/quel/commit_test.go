@@ -64,22 +64,12 @@ type panicOnInsert struct {
 	fired bool
 }
 
-func (p *panicOnInsert) Insert(class string, id relation.TupleID, t relation.Tuple) error {
+func (p *panicOnInsert) InsertBatch(class string, entries []relation.DeltaEntry) error {
 	if class == p.class && !p.fired {
 		p.fired = true
 		panic("injected maintenance panic")
 	}
-	return p.Matcher.Insert(class, id, t)
-}
-
-// InsertBatch routes the statement's batch through Insert.
-func (p *panicOnInsert) InsertBatch(class string, entries []relation.DeltaEntry) error {
-	for _, e := range entries {
-		if err := p.Insert(class, e.ID, e.Tuple); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.Matcher.InsertBatch(class, entries)
 }
 
 func TestAppendPanicContained(t *testing.T) {

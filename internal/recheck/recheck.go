@@ -104,16 +104,6 @@ func (m *Matcher) SetTracer(tr *trace.Tracer) { m.tr = tr }
 // planner's cost-based join order (nil restores source order).
 func (m *Matcher) SetPlanner(p *joiner.Planner) { m.pl = p }
 
-// Insert implements match.Matcher as a one-entry batch.
-func (m *Matcher) Insert(class string, id relation.TupleID, t relation.Tuple) error {
-	return m.InsertBatch(class, []relation.DeltaEntry{{ID: id, Tuple: t}})
-}
-
-// Delete implements match.Matcher as a one-entry batch.
-func (m *Matcher) Delete(class string, id relation.TupleID, t relation.Tuple) error {
-	return m.DeleteBatch(class, []relation.DeltaEntry{{ID: id, Tuple: t}})
-}
-
 // InsertBatch implements match.Matcher. The WM relations already hold
 // every entry.
 func (m *Matcher) InsertBatch(class string, entries []relation.DeltaEntry) error {

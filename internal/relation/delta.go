@@ -1,6 +1,6 @@
 package relation
 
-import "sort"
+import "slices"
 
 // DeltaEntry is one working-memory change within a Delta: a tuple
 // together with the ID it is (or was) stored under.
@@ -9,94 +9,122 @@ type DeltaEntry struct {
 	Tuple Tuple
 }
 
-// Delta groups a batch of working-memory changes per class: the unit the
-// set-oriented maintenance pipeline processes at a time. Where the
-// tuple-at-a-time path runs the full match-maintenance process once per
-// update, a Delta lets the matchers amortize their per-class work — one
-// COND-relation scan per (class, condition element) pair, one join
-// re-evaluation per affected rule, one pass over each beta memory — over
-// every tuple in the batch (the set-at-a-time processing of §4.2/§5.1).
+// Delta groups the net working-memory change of one write unit per
+// class: the unit the maintenance pipeline processes at a time. A Delta
+// lets the matchers amortize their per-class work — one COND-relation
+// scan per (class, condition element) pair, one join re-evaluation per
+// affected rule, one pass over each beta memory — over every tuple in
+// the unit (the set-at-a-time processing of §4.2/§5.1).
 //
 // Insertions and deletions are kept separate; a maintenance pass applies
 // all deletions before all insertions, which yields the same final
 // conflict set as any sequential interleaving of the same net changes.
-// Delta is not safe for concurrent use.
+// A Delta is reusable: Reset empties it and keeps its buffers. It is not
+// safe for concurrent use.
 type Delta struct {
-	inserts map[string][]DeltaEntry
-	deletes map[string][]DeltaEntry
+	byClass map[string]*classDelta
+	classes []string // classes touched since the last Reset
+}
+
+// classDelta is one class's share of a Delta. born maps each pending
+// insertion's ID to its index in ins, so deleting a tuple born in the
+// unit cancels it in O(1), leaving a tombstone (ID 0) Inserts compacts.
+type classDelta struct {
+	ins, del []DeltaEntry
+	born     map[TupleID]int
+	dead     int
+	listed   bool // in Delta.classes
 }
 
 // NewDelta creates an empty batch.
 func NewDelta() *Delta {
-	return &Delta{
-		inserts: make(map[string][]DeltaEntry),
-		deletes: make(map[string][]DeltaEntry),
+	return &Delta{byClass: make(map[string]*classDelta)}
+}
+
+// class returns class's share, registering the class as touched.
+func (d *Delta) class(class string) *classDelta {
+	cd := d.byClass[class]
+	if cd == nil {
+		cd = &classDelta{born: make(map[TupleID]int)}
+		d.byClass[class] = cd
 	}
+	if !cd.listed {
+		cd.listed = true
+		d.classes = append(d.classes, class)
+	}
+	return cd
 }
 
 // AddInsert records that tuple t was stored in class under id.
 func (d *Delta) AddInsert(class string, id TupleID, t Tuple) {
-	d.inserts[class] = append(d.inserts[class], DeltaEntry{ID: id, Tuple: t})
+	cd := d.class(class)
+	cd.born[id] = len(cd.ins)
+	cd.ins = append(cd.ins, DeltaEntry{ID: id, Tuple: t})
 }
 
 // AddDelete records that the identified tuple (with value t at removal
-// time) was removed from class.
+// time) was removed from class. A tuple inserted earlier in the same
+// delta nets out instead: its pending insertion is withdrawn and the
+// deletion is not recorded.
 func (d *Delta) AddDelete(class string, id TupleID, t Tuple) {
-	d.deletes[class] = append(d.deletes[class], DeltaEntry{ID: id, Tuple: t})
-}
-
-// CancelInsert withdraws a pending insertion (a tuple both asserted and
-// retracted within one batch nets out to no change). It reports whether
-// the entry was found.
-func (d *Delta) CancelInsert(class string, id TupleID) bool {
-	list := d.inserts[class]
-	for i, e := range list {
-		if e.ID == id {
-			d.inserts[class] = append(list[:i], list[i+1:]...)
-			return true
-		}
+	cd := d.class(class)
+	if i, ok := cd.born[id]; ok {
+		delete(cd.born, id)
+		cd.ins[i] = DeltaEntry{}
+		cd.dead++
+		return
 	}
-	return false
+	cd.del = append(cd.del, DeltaEntry{ID: id, Tuple: t})
 }
 
-// Inserts returns the batched insertions for one class.
-func (d *Delta) Inserts(class string) []DeltaEntry { return d.inserts[class] }
+// Inserts returns the net insertions for one class, in arrival order.
+// The slice belongs to the delta and is valid until the next change.
+func (d *Delta) Inserts(class string) []DeltaEntry {
+	cd := d.byClass[class]
+	if cd == nil {
+		return nil
+	}
+	if cd.dead > 0 {
+		live := cd.ins[:0]
+		for _, e := range cd.ins {
+			if e.ID != 0 {
+				cd.born[e.ID] = len(live)
+				live = append(live, e)
+			}
+		}
+		clear(cd.ins[len(live):])
+		cd.ins, cd.dead = live, 0
+	}
+	return cd.ins
+}
 
-// Deletes returns the batched deletions for one class.
-func (d *Delta) Deletes(class string) []DeltaEntry { return d.deletes[class] }
+// Deletes returns the net deletions for one class, in arrival order.
+func (d *Delta) Deletes(class string) []DeltaEntry {
+	if cd := d.byClass[class]; cd != nil {
+		return cd.del
+	}
+	return nil
+}
 
-// Classes lists every class touched by the batch, sorted so maintenance
-// order is deterministic.
+// Classes lists every class touched since the last Reset, sorted so
+// maintenance order is deterministic. A class whose insertions all
+// netted out is still listed, with empty Inserts. The slice belongs to
+// the delta.
 func (d *Delta) Classes() []string {
-	seen := make(map[string]bool, len(d.inserts)+len(d.deletes))
-	var out []string
-	for c, list := range d.inserts {
-		if len(list) > 0 && !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	for c, list := range d.deletes {
-		if len(list) > 0 && !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(d.classes)
+	return d.classes
 }
 
-// Tuples counts the changes in the batch.
-func (d *Delta) Tuples() int {
-	n := 0
-	for _, list := range d.inserts {
-		n += len(list)
+// Reset empties the delta for the next unit, keeping its buffers.
+func (d *Delta) Reset() {
+	for _, c := range d.classes {
+		cd := d.byClass[c]
+		for _, e := range cd.ins { // not clear(born): that costs its capacity
+			delete(cd.born, e.ID)
+		}
+		clear(cd.ins)
+		clear(cd.del)
+		cd.ins, cd.del, cd.dead, cd.listed = cd.ins[:0], cd.del[:0], 0, false
 	}
-	for _, list := range d.deletes {
-		n += len(list)
-	}
-	return n
+	d.classes = d.classes[:0]
 }
-
-// Empty reports whether the batch holds no changes.
-func (d *Delta) Empty() bool { return d.Tuples() == 0 }

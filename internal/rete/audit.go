@@ -220,16 +220,13 @@ func (net *Network) RebuildRules(db *relation.DB, _ map[string]bool) error {
 		if err != nil {
 			return err
 		}
-		var ierr error
+		var entries []relation.DeltaEntry
 		rel.Scan(func(id relation.TupleID, t relation.Tuple) bool {
-			if e := fresh.Insert(name, id, t); e != nil {
-				ierr = e
-				return false
-			}
+			entries = append(entries, relation.DeltaEntry{ID: id, Tuple: t})
 			return true
 		})
-		if ierr != nil {
-			return ierr
+		if err := fresh.InsertBatch(name, entries); err != nil {
+			return err
 		}
 	}
 	*net = *fresh

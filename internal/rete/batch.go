@@ -9,21 +9,16 @@ import (
 	"prodsys/internal/trace"
 )
 
-// This file is the Rete network's set-oriented path: a batch of
-// same-class WMEs is pushed through each alpha memory once, and each
-// join-like successor is right-activated with the whole batch — one pass
-// over the parent token store per batch instead of one per WME. The
+// This file is the Rete network's maintenance path: a batch of
+// same-class WMEs — a single WME is a one-entry batch — is pushed through
+// each alpha memory once, and each join-like successor is
+// right-activated with the whole batch — one pass over the parent token
+// store per batch instead of one per WME. The
 // successor ordering invariant (deeper condition elements first) applies
 // to the batch exactly as it does to a single WME, so no duplicate
 // partial matches arise: tokens created while draining the batch at level
 // k pair with batch WMEs only through the tokenAdded cascade, never
 // through a right activation that already ran.
-
-// batchSuccessor is an alpha-memory successor with a native batch right
-// activation.
-type batchSuccessor interface {
-	rightActivateBatch(ws []*WME)
-}
 
 // rightActivateBatch pairs every parent token with every batch WME in a
 // single sweep of the parent store.
@@ -94,15 +89,9 @@ func (net *Network) InsertBatch(class string, entries []relation.DeltaEntry) err
 		}
 		for _, s := range am.successors {
 			tj := net.tr.Now()
-			if bs, ok := s.(batchSuccessor); ok {
-				bs.rightActivateBatch(batch)
-			} else {
-				for _, w := range batch {
-					s.rightActivate(w)
-				}
-			}
+			s.rightActivateBatch(batch)
 			if traced {
-				net.emitJoinEval(s, tj, net.tr.Now()-tj, class, 0, int64(len(batch)))
+				net.emitJoinEval(s, tj, net.tr.Now()-tj, class, int64(len(batch)))
 			}
 		}
 	}

@@ -117,10 +117,11 @@ type alphaMemory struct {
 	successors []amemSuccessor // kept sorted by descending CE index
 }
 
-// amemSuccessor is a node right-activated by alpha memory changes.
+// amemSuccessor is a node right-activated by alpha memory insertions,
+// a batch of WMEs at a time. Removals need no right retraction: token
+// trees are torn down from the WME's own token list (DeleteBatch).
 type amemSuccessor interface {
-	rightActivate(w *WME)
-	rightRetract(w *WME)
+	rightActivateBatch(ws []*WME)
 	ceIndex() int
 	// ownerRules attributes the node to the rules whose compilation
 	// reached it: one rule normally, several under beta-prefix sharing
@@ -223,19 +224,6 @@ func (j *joinNode) tokenAdded(t *token) {
 	}
 }
 
-// rightActivate handles a WME newly added to the alpha memory.
-func (j *joinNode) rightActivate(w *WME) {
-	j.parent.eachToken(func(t *token) {
-		if j.performTests(t, w) {
-			j.child.leftActivate(t, w, j.ce)
-		}
-	})
-}
-
-// rightRetract: token removal is driven from the WME's token list, so a
-// positive join has nothing to do here.
-func (j *joinNode) rightRetract(*WME) {}
-
 // eachToken lets join nodes iterate a beta memory.
 func (bm *betaMemory) eachToken(f func(*token)) {
 	for t := range bm.items {
@@ -296,25 +284,6 @@ func (n *negativeNode) leftActivate(parent *token, w *WME, _ int) {
 // tokenAdded adapts a preceding negative node (or other token store)
 // feeding this one directly (consecutive negated condition elements).
 func (n *negativeNode) tokenAdded(t *token) { n.leftActivate(t, nil, n.ce) }
-
-// rightActivate: a WME entered the alpha memory; newly blocked tokens
-// lose their descendants.
-func (n *negativeNode) rightActivate(w *WME) {
-	for t := range n.items {
-		if n.performTests(t, w) {
-			if len(t.joinResults) == 0 {
-				n.net.deleteDescendants(t)
-			}
-			jr := &negJoinResult{owner: t, wme: w}
-			t.joinResults = append(t.joinResults, jr)
-			w.negJRs = append(w.negJRs, jr)
-		}
-	}
-}
-
-// rightRetract: join results are unlinked by the network during WME
-// removal; tokens that become unblocked re-fire there.
-func (n *negativeNode) rightRetract(*WME) {}
 
 func (n *negativeNode) removeToken(t *token) { delete(n.items, t) }
 
@@ -663,64 +632,10 @@ func (net *Network) compileRule(r *rules.Rule) {
 	net.ruleChains = append(net.ruleChains, &ruleChain{rule: r, stores: chainStores, pn: pn})
 }
 
-// Insert implements match.Matcher: the WME enters through the root and
-// flows down the discrimination network.
-func (net *Network) Insert(class string, id relation.TupleID, t relation.Tuple) error {
-	key := wmeKey{class, id}
-	if _, dup := net.wmes[key]; dup {
-		return fmt.Errorf("rete: duplicate insert of %s:%d", class, id)
-	}
-	w := &WME{Class: class, ID: id, Tuple: t.Clone()}
-	net.wmes[key] = w
-	if !net.tr.Enabled() {
-		for _, am := range net.alphaByClass[class] {
-			net.stats.Inc(metrics.NodeActivations) // one-input node check
-			if !am.matches(w) {
-				continue
-			}
-			am.items[w] = struct{}{}
-			w.amems = append(w.amems, am)
-			for _, s := range am.successors {
-				s.rightActivate(w)
-			}
-		}
-		return nil
-	}
-	// Traced path: alpha-test time is accumulated across the class's
-	// memories into one cond_scan (alpha chains are shared between rules,
-	// so the scan is not attributable to a single rule); each successor
-	// right activation is a join evaluation attributed to its owner.
-	tStart := net.tr.Now()
-	var checked int64
-	var scanDur time.Duration
-	for _, am := range net.alphaByClass[class] {
-		net.stats.Inc(metrics.NodeActivations) // one-input node check
-		t0 := net.tr.Now()
-		pass := am.matches(w)
-		scanDur += net.tr.Now() - t0
-		checked++
-		if !pass {
-			continue
-		}
-		am.items[w] = struct{}{}
-		w.amems = append(w.amems, am)
-		for _, s := range am.successors {
-			tj := net.tr.Now()
-			s.rightActivate(w)
-			net.emitJoinEval(s, tj, net.tr.Now()-tj, class, uint64(id), 1)
-		}
-	}
-	net.tr.Emit(trace.Event{
-		Kind: trace.KindCondScan, At: tStart, Dur: scanDur,
-		CE: -1, Class: class, ID: uint64(id), Count: checked,
-	})
-	return nil
-}
-
 // emitJoinEval attributes one right activation's duration to the
 // node's owner rules, split evenly — under beta-prefix sharing the
 // join work is genuinely shared between them.
-func (net *Network) emitJoinEval(s amemSuccessor, at, dur time.Duration, class string, id uint64, count int64) {
+func (net *Network) emitJoinEval(s amemSuccessor, at, dur time.Duration, class string, count int64) {
 	owners := s.ownerRules()
 	if len(owners) == 0 {
 		return
@@ -729,41 +644,9 @@ func (net *Network) emitJoinEval(s amemSuccessor, at, dur time.Duration, class s
 	for _, r := range owners {
 		net.tr.Emit(trace.Event{
 			Kind: trace.KindJoinEval, At: at, Dur: share,
-			Rule: r.Name, CE: s.ceIndex(), Class: class, ID: id, Count: count,
+			Rule: r.Name, CE: s.ceIndex(), Class: class, Count: count,
 		})
 	}
-}
-
-// Delete implements match.Matcher: tree-based removal of every partial
-// match involving the WME, plus unblocking of negative-node tokens.
-func (net *Network) Delete(class string, id relation.TupleID, _ relation.Tuple) error {
-	key := wmeKey{class, id}
-	w, ok := net.wmes[key]
-	if !ok {
-		return fmt.Errorf("rete: delete of unknown WME %s:%d", class, id)
-	}
-	delete(net.wmes, key)
-	for _, am := range w.amems {
-		delete(am.items, w)
-	}
-	for len(w.tokens) > 0 {
-		net.deleteTokenTree(w.tokens[len(w.tokens)-1])
-	}
-	// Unblock negative tokens that depended on this WME.
-	jrs := w.negJRs
-	w.negJRs = nil
-	for _, jr := range jrs {
-		t := jr.owner
-		t.joinResults = removeJR(t.joinResults, jr)
-		if len(t.joinResults) == 0 {
-			if neg, ok := t.owner.(*negativeNode); ok {
-				for _, c := range neg.children {
-					c.tokenAdded(t)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 func removeJR(list []*negJoinResult, jr *negJoinResult) []*negJoinResult {

@@ -50,14 +50,22 @@ func dept(dno int64, dname string, floor int64, mgr string) relation.Tuple {
 	return relation.Tuple{value.OfInt(dno), value.OfSym(dname), value.OfInt(floor), value.OfSym(mgr)}
 }
 
+// insert1 and delete1 hand the network a one-entry batch.
+func insert1(net *Network, class string, id relation.TupleID, t relation.Tuple) error {
+	return net.InsertBatch(class, []relation.DeltaEntry{{ID: id, Tuple: t}})
+}
+func delete1(net *Network, class string, id relation.TupleID, t relation.Tuple) error {
+	return net.DeleteBatch(class, []relation.DeltaEntry{{ID: id, Tuple: t}})
+}
+
 func TestPaperExample3R1(t *testing.T) {
 	net, cs, _ := build(t, payrollSrc)
 	// Mike earns 1000, his manager Sam earns 900 → R1 applies.
-	net.Insert("Emp", 1, emp("Mike", 30, 1000, 1, "Sam"))
+	insert1(net, "Emp", 1, emp("Mike", 30, 1000, 1, "Sam"))
 	if cs.Len() != 0 {
 		t.Fatalf("premature instantiation: %v", cs.Keys())
 	}
-	net.Insert("Emp", 2, emp("Sam", 50, 900, 1, "Pat"))
+	insert1(net, "Emp", 2, emp("Sam", 50, 900, 1, "Pat"))
 	keys := cs.Keys()
 	if len(keys) != 1 || keys[0] != "R1|1|2" {
 		t.Fatalf("conflict set = %v", keys)
@@ -81,11 +89,11 @@ func TestPaperExample3R1RightThenLeft(t *testing.T) {
 	// Order reversed: the token queues at the two-input node waiting for
 	// a future arrival (paper §3.1).
 	net, cs, _ := build(t, payrollSrc)
-	net.Insert("Emp", 1, emp("Sam", 50, 900, 1, "Pat"))
+	insert1(net, "Emp", 1, emp("Sam", 50, 900, 1, "Pat"))
 	if cs.Len() != 0 {
 		t.Fatalf("premature: %v", cs.Keys())
 	}
-	net.Insert("Emp", 2, emp("Mike", 30, 1000, 1, "Sam"))
+	insert1(net, "Emp", 2, emp("Mike", 30, 1000, 1, "Sam"))
 	if keys := cs.Keys(); len(keys) != 1 || keys[0] != "R1|2|1" {
 		t.Fatalf("conflict set = %v", keys)
 	}
@@ -93,8 +101,8 @@ func TestPaperExample3R1RightThenLeft(t *testing.T) {
 
 func TestPaperExample3R1NoMatch(t *testing.T) {
 	net, cs, _ := build(t, payrollSrc)
-	net.Insert("Emp", 1, emp("Mike", 30, 1000, 1, "Sam"))
-	net.Insert("Emp", 2, emp("Sam", 50, 1500, 1, "Pat")) // Sam earns more
+	insert1(net, "Emp", 1, emp("Mike", 30, 1000, 1, "Sam"))
+	insert1(net, "Emp", 2, emp("Sam", 50, 1500, 1, "Pat")) // Sam earns more
 	if cs.Len() != 0 {
 		t.Fatalf("R1 should not fire: %v", cs.Keys())
 	}
@@ -102,18 +110,18 @@ func TestPaperExample3R1NoMatch(t *testing.T) {
 
 func TestPaperExample3R2(t *testing.T) {
 	net, cs, _ := build(t, payrollSrc)
-	net.Insert("Emp", 1, emp("Ann", 25, 500, 7, "Sam"))
-	net.Insert("Dept", 1, dept(7, "Toy", 1, "Sam"))
+	insert1(net, "Emp", 1, emp("Ann", 25, 500, 7, "Sam"))
+	insert1(net, "Dept", 1, dept(7, "Toy", 1, "Sam"))
 	if keys := cs.Keys(); len(keys) != 1 || keys[0] != "R2|1|1" {
 		t.Fatalf("conflict set = %v", keys)
 	}
 	// A Shoe department on floor 1 does not trigger R2.
-	net.Insert("Dept", 2, dept(7, "Shoe", 1, "Sam"))
+	insert1(net, "Dept", 2, dept(7, "Shoe", 1, "Sam"))
 	if cs.Len() != 1 {
 		t.Fatalf("Shoe dept should not add: %v", cs.Keys())
 	}
 	// Another employee in dept 7 adds a second instantiation.
-	net.Insert("Emp", 2, emp("Bob", 30, 600, 7, "Sam"))
+	insert1(net, "Emp", 2, emp("Bob", 30, 600, 7, "Sam"))
 	if cs.Len() != 2 {
 		t.Fatalf("conflict set = %v", cs.Keys())
 	}
@@ -121,19 +129,19 @@ func TestPaperExample3R2(t *testing.T) {
 
 func TestDeleteRetracts(t *testing.T) {
 	net, cs, _ := build(t, payrollSrc)
-	net.Insert("Emp", 1, emp("Ann", 25, 500, 7, "x"))
-	net.Insert("Dept", 2, dept(7, "Toy", 1, "x"))
+	insert1(net, "Emp", 1, emp("Ann", 25, 500, 7, "x"))
+	insert1(net, "Dept", 2, dept(7, "Toy", 1, "x"))
 	if cs.Len() != 1 {
 		t.Fatalf("setup failed: %v", cs.Keys())
 	}
-	if err := net.Delete("Dept", 2, nil); err != nil {
+	if err := delete1(net, "Dept", 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cs.Len() != 0 {
 		t.Fatalf("retraction failed: %v", cs.Keys())
 	}
 	// Reinsert: fires again (new tuple id → new instantiation).
-	net.Insert("Dept", 3, dept(7, "Toy", 1, "x"))
+	insert1(net, "Dept", 3, dept(7, "Toy", 1, "x"))
 	if keys := cs.Keys(); len(keys) != 1 || keys[0] != "R2|1|3" {
 		t.Fatalf("re-fire failed: %v", keys)
 	}
@@ -141,9 +149,9 @@ func TestDeleteRetracts(t *testing.T) {
 
 func TestDeleteLeftSideRetracts(t *testing.T) {
 	net, cs, _ := build(t, payrollSrc)
-	net.Insert("Emp", 1, emp("Ann", 25, 500, 7, "x"))
-	net.Insert("Dept", 2, dept(7, "Toy", 1, "x"))
-	net.Delete("Emp", 1, nil)
+	insert1(net, "Emp", 1, emp("Ann", 25, 500, 7, "x"))
+	insert1(net, "Dept", 2, dept(7, "Toy", 1, "x"))
+	delete1(net, "Emp", 1, nil)
 	if cs.Len() != 0 {
 		t.Fatalf("left-side retraction failed: %v", cs.Keys())
 	}
@@ -151,15 +159,15 @@ func TestDeleteLeftSideRetracts(t *testing.T) {
 
 func TestInsertDeleteErrors(t *testing.T) {
 	net, _, _ := build(t, payrollSrc)
-	net.Insert("Emp", 1, emp("A", 1, 1, 1, "x"))
-	if err := net.Insert("Emp", 1, emp("B", 2, 2, 2, "y")); err == nil {
+	insert1(net, "Emp", 1, emp("A", 1, 1, 1, "x"))
+	if err := insert1(net, "Emp", 1, emp("B", 2, 2, 2, "y")); err == nil {
 		t.Error("duplicate insert should error")
 	}
-	if err := net.Delete("Emp", 99, nil); err == nil {
+	if err := delete1(net, "Emp", 99, nil); err == nil {
 		t.Error("unknown delete should error")
 	}
 	// Unknown classes flow through the root and are discarded.
-	if err := net.Insert("Ghost", 5, relation.Tuple{value.OfInt(1)}); err != nil {
+	if err := insert1(net, "Ghost", 5, relation.Tuple{value.OfInt(1)}); err != nil {
 		t.Errorf("unknown class insert should be a no-op: %v", err)
 	}
 }
@@ -183,13 +191,13 @@ func TestPaperExample5ThreeWayJoin(t *testing.T) {
 	// B(4,7,b). Only after the last insert does Rule-1 enter the conflict
 	// set.
 	net, cs, _ := build(t, threeWaySrc)
-	net.Insert("B", 1, abc(value.OfInt(4), value.OfInt(5), value.OfSym("b")))
-	net.Insert("C", 2, abc(value.OfSym("c"), value.OfInt(7), value.OfInt(8)))
-	net.Insert("A", 3, abc(value.OfInt(4), value.OfSym("a"), value.OfInt(8)))
+	insert1(net, "B", 1, abc(value.OfInt(4), value.OfInt(5), value.OfSym("b")))
+	insert1(net, "C", 2, abc(value.OfSym("c"), value.OfInt(7), value.OfInt(8)))
+	insert1(net, "A", 3, abc(value.OfInt(4), value.OfSym("a"), value.OfInt(8)))
 	if cs.Len() != 0 {
 		t.Fatalf("premature fire: %v", cs.Keys())
 	}
-	net.Insert("B", 4, abc(value.OfInt(4), value.OfInt(7), value.OfSym("b")))
+	insert1(net, "B", 4, abc(value.OfInt(4), value.OfInt(7), value.OfSym("b")))
 	keys := cs.Keys()
 	if len(keys) != 1 || keys[0] != "Rule-1|3|4|2" {
 		t.Fatalf("conflict set = %v", keys)
@@ -216,7 +224,7 @@ func TestThreeWayJoinAllOrders(t *testing.T) {
 	for _, perm := range perms {
 		net, cs, _ := build(t, threeWaySrc)
 		for _, i := range perm {
-			net.Insert(base[i].class, base[i].id, base[i].tup)
+			insert1(net, base[i].class, base[i].id, base[i].tup)
 		}
 		if keys := cs.Keys(); len(keys) != 1 || keys[0] != "Rule-1|1|2|3" {
 			t.Fatalf("perm %v: conflict set = %v", perm, keys)
@@ -230,13 +238,13 @@ func TestSameClassSelfJoinNoDuplicates(t *testing.T) {
 	net, cs, _ := build(t, `
 (literalize A x y)
 (p Self (A ^x <v>) (A ^y <v>) --> (halt))`)
-	net.Insert("A", 1, relation.Tuple{value.OfInt(3), value.OfInt(3)})
+	insert1(net, "A", 1, relation.Tuple{value.OfInt(3), value.OfInt(3)})
 	if keys := cs.Keys(); len(keys) != 1 || keys[0] != "Self|1|1" {
 		t.Fatalf("conflict set = %v", keys)
 	}
 	// A second WME (5,3) matches CE1 with v=5 (pairs with nothing) and
 	// CE2 with v=3 (pairs with WME 1).
-	net.Insert("A", 2, relation.Tuple{value.OfInt(5), value.OfInt(3)})
+	insert1(net, "A", 2, relation.Tuple{value.OfInt(5), value.OfInt(3)})
 	want := map[string]bool{"Self|1|1": true, "Self|1|2": true}
 	keys := cs.Keys()
 	if len(keys) != 2 || !want[keys[0]] || !want[keys[1]] {
@@ -248,11 +256,11 @@ func TestIntraCEVariableRepetition(t *testing.T) {
 	net, cs, _ := build(t, `
 (literalize A x y)
 (p Eq (A ^x <v> ^y <v>) --> (halt))`)
-	net.Insert("A", 1, relation.Tuple{value.OfInt(3), value.OfInt(4)})
+	insert1(net, "A", 1, relation.Tuple{value.OfInt(3), value.OfInt(4)})
 	if cs.Len() != 0 {
 		t.Fatalf("x≠y should not match: %v", cs.Keys())
 	}
-	net.Insert("A", 2, relation.Tuple{value.OfInt(7), value.OfInt(7)})
+	insert1(net, "A", 2, relation.Tuple{value.OfInt(7), value.OfInt(7)})
 	if keys := cs.Keys(); len(keys) != 1 || keys[0] != "Eq|2" {
 		t.Fatalf("conflict set = %v", keys)
 	}
@@ -263,27 +271,27 @@ func TestNegationBasic(t *testing.T) {
 (literalize Emp name dno)
 (literalize Dept dno)
 (p Orphan (Emp ^name <n> ^dno <d>) - (Dept ^dno <d>) --> (halt))`)
-	net.Insert("Emp", 1, relation.Tuple{value.OfSym("Ann"), value.OfInt(7)})
+	insert1(net, "Emp", 1, relation.Tuple{value.OfSym("Ann"), value.OfInt(7)})
 	if keys := cs.Keys(); len(keys) != 1 || keys[0] != "Orphan|1|0" {
 		t.Fatalf("negation should fire with no Dept: %v", keys)
 	}
 	// Insert the blocker: retract.
-	net.Insert("Dept", 2, relation.Tuple{value.OfInt(7)})
+	insert1(net, "Dept", 2, relation.Tuple{value.OfInt(7)})
 	if cs.Len() != 0 {
 		t.Fatalf("blocker should retract: %v", cs.Keys())
 	}
 	// A non-matching Dept does not block.
-	net.Insert("Dept", 3, relation.Tuple{value.OfInt(9)})
+	insert1(net, "Dept", 3, relation.Tuple{value.OfInt(9)})
 	if cs.Len() != 0 {
 		t.Fatalf("still blocked: %v", cs.Keys())
 	}
 	// Remove the blocker: fires again.
-	net.Delete("Dept", 2, nil)
+	delete1(net, "Dept", 2, nil)
 	if keys := cs.Keys(); len(keys) != 1 || keys[0] != "Orphan|1|0" {
 		t.Fatalf("unblocking should re-fire: %v", keys)
 	}
 	// Deleting the employee retracts.
-	net.Delete("Emp", 1, nil)
+	delete1(net, "Emp", 1, nil)
 	if cs.Len() != 0 {
 		t.Fatalf("emp deletion should retract: %v", cs.Keys())
 	}
@@ -294,12 +302,12 @@ func TestNegationBlockerFirst(t *testing.T) {
 (literalize Emp name dno)
 (literalize Dept dno)
 (p Orphan (Emp ^name <n> ^dno <d>) - (Dept ^dno <d>) --> (halt))`)
-	net.Insert("Dept", 1, relation.Tuple{value.OfInt(7)})
-	net.Insert("Emp", 2, relation.Tuple{value.OfSym("Ann"), value.OfInt(7)})
+	insert1(net, "Dept", 1, relation.Tuple{value.OfInt(7)})
+	insert1(net, "Emp", 2, relation.Tuple{value.OfSym("Ann"), value.OfInt(7)})
 	if cs.Len() != 0 {
 		t.Fatalf("pre-existing blocker: %v", cs.Keys())
 	}
-	net.Delete("Dept", 1, nil)
+	delete1(net, "Dept", 1, nil)
 	if cs.Len() != 1 {
 		t.Fatalf("unblock failed: %v", cs.Keys())
 	}
@@ -310,17 +318,17 @@ func TestNegationMultipleBlockers(t *testing.T) {
 (literalize Emp dno)
 (literalize Dept dno)
 (p Orphan (Emp ^dno <d>) - (Dept ^dno <d>) --> (halt))`)
-	net.Insert("Emp", 1, relation.Tuple{value.OfInt(7)})
-	net.Insert("Dept", 2, relation.Tuple{value.OfInt(7)})
-	net.Insert("Dept", 3, relation.Tuple{value.OfInt(7)})
+	insert1(net, "Emp", 1, relation.Tuple{value.OfInt(7)})
+	insert1(net, "Dept", 2, relation.Tuple{value.OfInt(7)})
+	insert1(net, "Dept", 3, relation.Tuple{value.OfInt(7)})
 	if cs.Len() != 0 {
 		t.Fatal("blocked")
 	}
-	net.Delete("Dept", 2, nil)
+	delete1(net, "Dept", 2, nil)
 	if cs.Len() != 0 {
 		t.Fatalf("one blocker remains: %v", cs.Keys())
 	}
-	net.Delete("Dept", 3, nil)
+	delete1(net, "Dept", 3, nil)
 	if cs.Len() != 1 {
 		t.Fatalf("all blockers gone: %v", cs.Keys())
 	}
@@ -331,15 +339,15 @@ func TestNegatedFirstCE(t *testing.T) {
 (literalize Halted flag)
 (literalize Task name)
 (p Start - (Halted ^flag 1) (Task ^name <n>) --> (halt))`)
-	net.Insert("Task", 1, relation.Tuple{value.OfSym("t1")})
+	insert1(net, "Task", 1, relation.Tuple{value.OfSym("t1")})
 	if keys := cs.Keys(); len(keys) != 1 || keys[0] != "Start|0|1" {
 		t.Fatalf("negated-first should fire: %v", keys)
 	}
-	net.Insert("Halted", 2, relation.Tuple{value.OfInt(1)})
+	insert1(net, "Halted", 2, relation.Tuple{value.OfInt(1)})
 	if cs.Len() != 0 {
 		t.Fatalf("halted flag should block: %v", cs.Keys())
 	}
-	net.Delete("Halted", 2, nil)
+	delete1(net, "Halted", 2, nil)
 	if cs.Len() != 1 {
 		t.Fatalf("unhalt should re-fire: %v", cs.Keys())
 	}
@@ -350,7 +358,7 @@ func TestTrailingNegatedCE(t *testing.T) {
 (literalize A x)
 (literalize B x)
 (p NoB (A ^x <v>) - (B ^x <v>) --> (halt))`)
-	net.Insert("A", 1, relation.Tuple{value.OfInt(5)})
+	insert1(net, "A", 1, relation.Tuple{value.OfInt(5)})
 	if cs.Len() != 1 {
 		t.Fatalf("trailing negation: %v", cs.Keys())
 	}
@@ -362,20 +370,20 @@ func TestDoubleNegation(t *testing.T) {
 (literalize B x)
 (literalize C x)
 (p R (A ^x <v>) - (B ^x <v>) - (C ^x <v>) --> (halt))`)
-	net.Insert("A", 1, relation.Tuple{value.OfInt(5)})
+	insert1(net, "A", 1, relation.Tuple{value.OfInt(5)})
 	if cs.Len() != 1 {
 		t.Fatalf("both absent: %v", cs.Keys())
 	}
-	net.Insert("B", 2, relation.Tuple{value.OfInt(5)})
+	insert1(net, "B", 2, relation.Tuple{value.OfInt(5)})
 	if cs.Len() != 0 {
 		t.Fatal("B blocks")
 	}
-	net.Insert("C", 3, relation.Tuple{value.OfInt(5)})
-	net.Delete("B", 2, nil)
+	insert1(net, "C", 3, relation.Tuple{value.OfInt(5)})
+	delete1(net, "B", 2, nil)
 	if cs.Len() != 0 {
 		t.Fatalf("C still blocks: %v", cs.Keys())
 	}
-	net.Delete("C", 3, nil)
+	delete1(net, "C", 3, nil)
 	if cs.Len() != 1 {
 		t.Fatalf("both gone: %v", cs.Keys())
 	}
@@ -406,12 +414,12 @@ func TestAlphaMemorySharing(t *testing.T) {
 		t.Fatalf("alpha memories = %d, want 3 (Goal shared)", got)
 	}
 	cs := net.cs
-	net.Insert("Goal", 1, relation.Tuple{value.OfSym("Simplify"), value.OfSym("e1")})
-	net.Insert("Expression", 2, relation.Tuple{value.OfSym("e1"), value.OfInt(0), value.OfSym("+"), value.OfInt(9)})
+	insert1(net, "Goal", 1, relation.Tuple{value.OfSym("Simplify"), value.OfSym("e1")})
+	insert1(net, "Expression", 2, relation.Tuple{value.OfSym("e1"), value.OfInt(0), value.OfSym("+"), value.OfInt(9)})
 	if keys := cs.Keys(); len(keys) != 1 || keys[0] != "PlusOX|1|2" {
 		t.Fatalf("conflict set = %v", keys)
 	}
-	net.Insert("Expression", 3, relation.Tuple{value.OfSym("e1"), value.OfInt(0), value.OfSym("*"), value.OfInt(9)})
+	insert1(net, "Expression", 3, relation.Tuple{value.OfSym("e1"), value.OfInt(0), value.OfSym("*"), value.OfInt(9)})
 	if cs.Len() != 2 {
 		t.Fatalf("TimesOX should also fire: %v", cs.Keys())
 	}
@@ -422,14 +430,14 @@ func TestTokenCountGrowsAndShrinks(t *testing.T) {
 	if net.TokenCount() != 0 {
 		t.Fatalf("initial TokenCount = %d", net.TokenCount())
 	}
-	net.Insert("Emp", 1, emp("Mike", 30, 1000, 1, "Sam"))
-	net.Insert("Emp", 2, emp("Sam", 50, 900, 1, "Pat"))
+	insert1(net, "Emp", 1, emp("Mike", 30, 1000, 1, "Sam"))
+	insert1(net, "Emp", 2, emp("Sam", 50, 900, 1, "Pat"))
 	grown := net.TokenCount()
 	if grown == 0 {
 		t.Fatal("TokenCount should grow")
 	}
-	net.Delete("Emp", 1, nil)
-	net.Delete("Emp", 2, nil)
+	delete1(net, "Emp", 1, nil)
+	delete1(net, "Emp", 2, nil)
 	if got := net.TokenCount(); got != 0 {
 		t.Fatalf("TokenCount after deletes = %d", got)
 	}
@@ -440,7 +448,7 @@ func TestTokenCountGrowsAndShrinks(t *testing.T) {
 
 func TestNodeActivationsCounted(t *testing.T) {
 	net, _, stats := build(t, payrollSrc)
-	net.Insert("Emp", 1, emp("Mike", 30, 1000, 1, "Sam"))
+	insert1(net, "Emp", 1, emp("Mike", 30, 1000, 1, "Sam"))
 	if stats.Get(metrics.NodeActivations) == 0 {
 		t.Error("NodeActivations not counted")
 	}
@@ -452,12 +460,12 @@ func TestComparisonJoinOperators(t *testing.T) {
 (literalize A x)
 (literalize B y)
 (p Gt (A ^x <v>) (B ^y > <v>) --> (halt))`)
-	net.Insert("A", 1, relation.Tuple{value.OfInt(5)})
-	net.Insert("B", 2, relation.Tuple{value.OfInt(3)})
+	insert1(net, "A", 1, relation.Tuple{value.OfInt(5)})
+	insert1(net, "B", 2, relation.Tuple{value.OfInt(3)})
 	if cs.Len() != 0 {
 		t.Fatal("3 > 5 should not match")
 	}
-	net.Insert("B", 3, relation.Tuple{value.OfInt(9)})
+	insert1(net, "B", 3, relation.Tuple{value.OfInt(9)})
 	if keys := cs.Keys(); len(keys) != 1 || keys[0] != "Gt|1|3" {
 		t.Fatalf("conflict set = %v", keys)
 	}
@@ -469,15 +477,15 @@ func TestManyInstantiationsCrossProduct(t *testing.T) {
 (literalize B x)
 (p Cross (A ^x <v>) (B ^x <v>) --> (halt))`)
 	for i := 1; i <= 3; i++ {
-		net.Insert("A", relation.TupleID(i), relation.Tuple{value.OfInt(1)})
+		insert1(net, "A", relation.TupleID(i), relation.Tuple{value.OfInt(1)})
 	}
 	for i := 4; i <= 6; i++ {
-		net.Insert("B", relation.TupleID(i), relation.Tuple{value.OfInt(1)})
+		insert1(net, "B", relation.TupleID(i), relation.Tuple{value.OfInt(1)})
 	}
 	if cs.Len() != 9 {
 		t.Fatalf("cross product size = %d, want 9", cs.Len())
 	}
-	net.Delete("A", 1, nil)
+	delete1(net, "A", 1, nil)
 	if cs.Len() != 6 {
 		t.Fatalf("after delete = %d, want 6", cs.Len())
 	}
@@ -498,14 +506,13 @@ func TestDeepChainPropagation(t *testing.T) {
 	src += "  --> (halt))"
 	net, cs, _ := build(t, src)
 	for i := 0; i < n; i++ {
-		net.Insert(fmt.Sprintf("K%d", i), relation.TupleID(i+1),
-			relation.Tuple{value.OfInt(int64(i)), value.OfInt(int64(i + 1))})
+		insert1(net, fmt.Sprintf("K%d", i), relation.TupleID(i+1), relation.Tuple{value.OfInt(int64(i)), value.OfInt(int64(i + 1))})
 	}
 	if cs.Len() != 1 {
 		t.Fatalf("chain should complete: %v", cs.Keys())
 	}
 	// Break the middle link.
-	net.Delete("K4", 5, nil)
+	delete1(net, "K4", 5, nil)
 	if cs.Len() != 0 {
 		t.Fatalf("broken chain should retract: %v", cs.Keys())
 	}

@@ -62,8 +62,8 @@ func buildBoth(t *testing.T, src string) (plain, shared *Network, plainStats, sh
 }
 
 func feedBoth(a, b *Network, class string, id relation.TupleID, t relation.Tuple) {
-	a.Insert(class, id, t)
-	b.Insert(class, id, t)
+	insert1(a, class, id, t)
+	insert1(b, class, id, t)
 }
 
 func TestSharedNetworkNameAndEquivalence(t *testing.T) {
@@ -81,8 +81,8 @@ func TestSharedNetworkNameAndEquivalence(t *testing.T) {
 		t.Fatalf("conflict set = %v", plain.cs.Keys())
 	}
 	// Deletion equivalence.
-	plain.Delete("Expression", 1, nil)
-	shared.Delete("Expression", 1, nil)
+	delete1(plain, "Expression", 1, nil)
+	delete1(shared, "Expression", 1, nil)
 	if plain.cs.Len() != 0 || shared.cs.Len() != 0 {
 		t.Fatalf("retraction: plain=%v shared=%v", plain.cs.Keys(), shared.cs.Keys())
 	}
@@ -110,9 +110,9 @@ func TestSharedNetworkSavesActivations(t *testing.T) {
 
 func TestSharedNetworkDivergentSuffixIndependent(t *testing.T) {
 	_, shared, _, _ := buildBoth(t, prefixSharingSrc)
-	shared.Insert("Goal", 1, relation.Tuple{value.OfSym("Simplify"), value.OfSym("e1")})
-	shared.Insert("Expression", 1, relation.Tuple{value.OfSym("e1"), value.OfInt(0), value.OfSym("+"), value.OfInt(7)})
-	shared.Insert("Ctx", 1, relation.Tuple{value.OfSym("strict")})
+	insert1(shared, "Goal", 1, relation.Tuple{value.OfSym("Simplify"), value.OfSym("e1")})
+	insert1(shared, "Expression", 1, relation.Tuple{value.OfSym("e1"), value.OfInt(0), value.OfSym("+"), value.OfInt(7)})
+	insert1(shared, "Ctx", 1, relation.Tuple{value.OfSym("strict")})
 	keys := shared.cs.Keys()
 	want := []string{"PlusOXStrict|1|1|1", "PlusOX|1|1"} // Keys() sorts lexically
 	if !reflect.DeepEqual(keys, want) {
@@ -140,8 +140,8 @@ func TestSharedNetworkWithNegationPrefix(t *testing.T) {
 		t.Fatalf("blocker: plain %v vs shared %v", plain.cs.Keys(), shared.cs.Keys())
 	}
 	feedBoth(plain, shared, "B", 2, relation.Tuple{value.OfInt(9)})
-	plain.Delete("B", 1, nil)
-	shared.Delete("B", 1, nil)
+	delete1(plain, "B", 1, nil)
+	delete1(shared, "B", 1, nil)
 	if !reflect.DeepEqual(plain.cs.Keys(), shared.cs.Keys()) {
 		t.Fatalf("unblock: plain %v vs shared %v", plain.cs.Keys(), shared.cs.Keys())
 	}

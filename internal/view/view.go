@@ -195,19 +195,10 @@ func (m *Manager) Names() []string {
 	return out
 }
 
-// Insert propagates a WM insertion into the view maintenance machinery.
-// The tuple must already be stored in the db relation.
-func (m *Manager) Insert(class string, id relation.TupleID, t relation.Tuple) error {
-	if _, tracked := m.set.Classes[class]; !tracked {
-		return nil
-	}
-	return m.matcher.Insert(class, id, t)
-}
-
-// Delete propagates a WM deletion (already applied to the db relation).
-func (m *Manager) Delete(class string, id relation.TupleID, t relation.Tuple) error {
-	if _, tracked := m.set.Classes[class]; !tracked {
-		return nil
-	}
-	return m.matcher.Delete(class, id, t)
+// Apply propagates one write unit's net WM delta, already applied to the
+// db relations, through the view matcher's batch path; a class no view
+// declares has nothing to maintain there.
+func (m *Manager) Apply(d *relation.Delta) error {
+	_, err := match.ApplyDelta(m.matcher, d)
+	return err
 }

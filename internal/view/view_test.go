@@ -58,7 +58,9 @@ func (f *fixture) insert(t *testing.T, class string, vals ...value.V) relation.T
 		t.Fatal(err)
 	}
 	tup, _ := rel.Get(id)
-	if err := f.mgr.Insert(class, id, tup); err != nil {
+	d := relation.NewDelta()
+	d.AddInsert(class, id, tup)
+	if err := f.mgr.Apply(d); err != nil {
 		t.Fatal(err)
 	}
 	return id
@@ -70,7 +72,9 @@ func (f *fixture) remove(t *testing.T, class string, id relation.TupleID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.mgr.Delete(class, id, tup); err != nil {
+	d := relation.NewDelta()
+	d.AddDelete(class, id, tup)
+	if err := f.mgr.Apply(d); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -157,10 +161,10 @@ func TestManagerValidation(t *testing.T) {
 
 func TestUntrackedClassIgnored(t *testing.T) {
 	f := setup(t)
-	if err := f.mgr.Insert("Ghost", 1, relation.Tuple{value.OfInt(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.mgr.Delete("Ghost", 1, relation.Tuple{value.OfInt(1)}); err != nil {
+	d := relation.NewDelta()
+	d.AddInsert("Ghost", 1, relation.Tuple{value.OfInt(1)})
+	d.AddDelete("Ghost", 2, relation.Tuple{value.OfInt(2)})
+	if err := f.mgr.Apply(d); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -733,23 +733,19 @@ func (s *System) AttachViews(src string) (*Views, error) {
 		return nil, err
 	}
 	s.eng.WithMaintenanceLock(func() {
+		seed := relation.NewDelta()
 		for _, name := range s.db.Names() {
 			rel, ok := s.db.Get(name)
 			if !ok {
 				continue
 			}
-			var ids []relation.TupleID
-			var tups []relation.Tuple
 			rel.Scan(func(id relation.TupleID, t relation.Tuple) bool {
-				ids = append(ids, id)
-				tups = append(tups, t.Clone())
+				seed.AddInsert(name, id, t.Clone())
 				return true
 			})
-			for i := range ids {
-				if err = mgr.Insert(name, ids[i], tups[i]); err != nil {
-					return
-				}
-			}
+		}
+		if err = mgr.Apply(seed); err != nil {
+			return
 		}
 		if s.views == nil {
 			s.eng.SetWMObserver(s.observeViews)
@@ -762,15 +758,11 @@ func (s *System) AttachViews(src string) (*Views, error) {
 	return &Views{mgr: mgr}, nil
 }
 
-// observeViews feeds one WM change to every attached view set. It runs
-// under the maintenance lock, which also guards s.views.
-func (s *System) observeViews(inserted bool, class string, id relation.TupleID, t relation.Tuple) {
+// observeViews feeds one write unit's net delta to every attached view
+// set. It runs under the maintenance lock, which also guards s.views.
+func (s *System) observeViews(d *relation.Delta) {
 	for _, mgr := range s.views {
-		if inserted {
-			mgr.Insert(class, id, t)
-		} else {
-			mgr.Delete(class, id, t)
-		}
+		mgr.Apply(d)
 	}
 }
 

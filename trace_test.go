@@ -361,3 +361,49 @@ func TestDeactivationOrderDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestMaintenanceNestsInItsUnit: under every matcher a batch's condition
+// scans and joins lie inside its batch_apply span and a firing's inside
+// its rule_fire, and every unit that writes WM encloses some of them.
+func TestMaintenanceNestsInItsUnit(t *testing.T) {
+	const src = `
+(literalize A x)
+(literalize B x)
+(p mk (A ^x <x>) --> (make B ^x <x>))
+(p seen (B ^x <x>) (A ^x <x>) --> (write seen <x>))
+`
+	for _, m := range Matchers() {
+		sys, err := Load(src, Options{Matcher: m, Out: io.Discard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := sys.Trace(TraceOptions{Capacity: 1 << 12})
+		if _, err = sys.Batch().Assert("A", 1).Assert("A", 2).Commit(); err == nil {
+			_, err = sys.Run()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Stop()
+		var pending []trace.Event // match events since the last span
+		for _, ev := range tr.Events() {
+			switch ev.Kind {
+			case trace.KindCondScan, trace.KindJoinEval:
+				pending = append(pending, ev)
+			case trace.KindBatchApply, trace.KindRuleFire:
+				if len(pending) == 0 && (ev.Kind == trace.KindBatchApply || ev.Rule == "mk") {
+					t.Errorf("%s: %s span (rule %q) encloses no match work", m, ev.Kind, ev.Rule)
+				}
+				for _, p := range pending {
+					if p.At < ev.At || p.At+p.Dur > ev.At+ev.Dur {
+						t.Errorf("%s: %s event (rule %q) lies outside its unit's %s span", m, p.Kind, p.Rule, ev.Kind)
+					}
+				}
+				pending = pending[:0]
+			}
+		}
+		if len(pending) != 0 {
+			t.Errorf("%s: %d match events after the last span", m, len(pending))
+		}
+	}
+}
