@@ -49,8 +49,8 @@ check:
 
 # serializability reruns the §5.2 serializability and atomicity tests
 # under the race detector, 20 times each: the E6 exhaustive serial-outcome
-# oracle on every matcher and pool size, the concurrent-executor tests,
-# and the firing-versus-commit tests. The engine's maintenance section is
+# oracle on every matcher, the round (RunConcurrent) tests, and the
+# firing-versus-commit tests. The engine's maintenance section is
 # its only serialization point; these are the tests that catch a unit
 # slipping past it. CI runs it after check.
 serializability:

@@ -161,38 +161,34 @@ func BenchmarkE4FalseDrops(b *testing.B) {
 	}
 }
 
-// BenchmarkE7ConcurrentThroughput times the transactional executor as
-// the worker pool grows.
+// BenchmarkE7ConcurrentThroughput times the transactional executor: one
+// §5.2 round of independent tasks.
 func BenchmarkE7ConcurrentThroughput(b *testing.B) {
 	const kinds, tasks = 8, 64
 	src := workload.TaskRules(kinds, false)
 	facts := workload.TaskFacts(kinds, false, tasks)
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(benchName("workers", "", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				set, _, err := rules.CompileSource(src)
-				if err != nil {
-					b.Fatal(err)
-				}
-				stats := &metrics.Set{}
-				db := relation.NewDB(stats)
-				if err := rules.BuildDB(set, db); err != nil {
-					b.Fatal(err)
-				}
-				m := core.New(set, db, conflict.NewSet(set, stats), stats)
-				e := engine.New(set, db, m, stats, engine.Config{Workers: workers, Out: io.Discard})
-				for _, op := range facts {
-					if _, err := e.Assert(op.Class, op.Tuple); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
-				if _, err := e.RunConcurrent(); err != nil {
-					b.Fatal(err)
-				}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		set, _, err := rules.CompileSource(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stats := &metrics.Set{}
+		db := relation.NewDB(stats)
+		if err := rules.BuildDB(set, db); err != nil {
+			b.Fatal(err)
+		}
+		m := core.New(set, db, conflict.NewSet(set, stats), stats)
+		e := engine.New(set, db, m, stats, engine.Config{Out: io.Discard})
+		for _, op := range facts {
+			if _, err := e.Assert(op.Class, op.Tuple); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
+		b.StartTimer()
+		if _, err := e.RunConcurrent(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -471,8 +467,8 @@ func taskSource(n int) string {
 }
 
 // TestE6SerializabilityEquivalence checks §5.2 through the public API:
-// a concurrent run under every matcher and pool size ends in a state one
-// serial schedule reaches. The exhaustive oracle over enumerated serial
+// a concurrent run under every matcher ends in a state one serial
+// schedule reaches. The exhaustive oracle over enumerated serial
 // schedules is internal/experiments' TestE6AllWorkloadsSerializable.
 func TestE6SerializabilityEquivalence(t *testing.T) {
 	const makeOnce = `
@@ -481,27 +477,25 @@ func TestE6SerializabilityEquivalence(t *testing.T) {
 (p Once (A ^x <v>) - (B ^x marker) --> (make B ^x marker))
 (A 1) (A 2) (A 3) (A 4)`
 	for _, m := range prodsys.Matchers() {
-		for _, w := range []int{1, 2, 4} {
-			opts := prodsys.Options{Matcher: m, Workers: w, Out: io.Discard}
-			sys, err := prodsys.Load(racerSource(3), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sys.RunConcurrent(); err != nil {
-				t.Fatal(err)
-			}
-			if a, won := sys.WMClass("A"), sys.WMClass("W"); len(a) != 0 || len(won) != 1 {
-				t.Errorf("%s/%d workers racers: A %v, W %v; want the token gone and one winner", m, w, a, won)
-			}
-			if sys, err = prodsys.Load(makeOnce, opts); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sys.RunConcurrent(); err != nil {
-				t.Fatal(err)
-			}
-			if a, b := sys.WMClass("A"), sys.WMClass("B"); len(a) != 4 || len(b) != 1 {
-				t.Errorf("%s/%d workers make-once: A %v, B %v; want 4 A and one marker", m, w, a, b)
-			}
+		opts := prodsys.Options{Matcher: m, Out: io.Discard}
+		sys, err := prodsys.Load(racerSource(3), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.RunConcurrent(); err != nil {
+			t.Fatal(err)
+		}
+		if a, won := sys.WMClass("A"), sys.WMClass("W"); len(a) != 0 || len(won) != 1 {
+			t.Errorf("%s racers: A %v, W %v; want the token gone and one winner", m, a, won)
+		}
+		if sys, err = prodsys.Load(makeOnce, opts); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.RunConcurrent(); err != nil {
+			t.Fatal(err)
+		}
+		if a, b := sys.WMClass("A"), sys.WMClass("B"); len(a) != 4 || len(b) != 1 {
+			t.Errorf("%s make-once: A %v, B %v; want 4 A and one marker", m, a, b)
 		}
 	}
 }

@@ -6,8 +6,8 @@
 //	psdb [flags] program.ops
 //
 // Flags select the matching algorithm (-matcher), the conflict-resolution
-// strategy (-strategy), serial or concurrent execution (-concurrent,
-// -workers), and what to print afterwards (-wm, -conflict, -stats).
+// strategy (-strategy), serial or concurrent execution (-concurrent),
+// and what to print afterwards (-wm, -conflict, -stats).
 // Tracing flags record the run's execution events: -trace exports them
 // to a file (-trace-format jsonl or chrome), -profile prints the
 // per-rule profile table.
@@ -38,8 +38,7 @@ func main() {
 	matcher := flag.String("matcher", "core", fmt.Sprint("matching algorithm, one of ", prodsys.Matchers()))
 	strategy := flag.String("strategy", "fifo", "conflict resolution: fifo|lex|priority|random")
 	seed := flag.Int64("seed", 1, "seed for the random strategy")
-	concurrent := flag.Bool("concurrent", false, "fire applicable rules concurrently as transactions (§5)")
-	workers := flag.Int("workers", 4, "concurrent executor pool size")
+	concurrent := flag.Bool("concurrent", false, "fire applicable rules in rounds of transactions (§5.2)")
 	max := flag.Int("max", 10000, "firing cap")
 	setAtATime := flag.Bool("set-at-a-time", false, "fire all eligible instantiations of the selected rule per cycle (§5.1)")
 	showWM := flag.Bool("wm", true, "print final working memory")
@@ -52,7 +51,7 @@ func main() {
 	traceFormat := flag.String("trace-format", "jsonl", "trace export format: jsonl|chrome")
 	profile := flag.Bool("profile", false, "record execution events and print the per-rule profile")
 	walPath := flag.String("wal", "", "write-ahead log file; reopening recovers committed state")
-	walSync := flag.String("wal-sync", "always", "WAL sync policy: always|interval|never")
+	walSync := flag.String("wal-sync", "always", fmt.Sprint("WAL sync policy, one of ", prodsys.WALSyncModes()))
 	walSyncEvery := flag.Duration("wal-sync-interval", 100*time.Millisecond, "sync period for -wal-sync=interval")
 	ckptEvery := flag.Int("checkpoint-every", 0, "compact the WAL after this many committed units (0 = never)")
 	doRun := flag.Bool("run", true, "fire rules; -run=false only loads (and recovers) then prints")
@@ -70,7 +69,6 @@ func main() {
 		Matcher:            prodsys.Matcher(*matcher),
 		Strategy:           prodsys.Strategy(*strategy),
 		Seed:               *seed,
-		Workers:            *workers,
 		MaxFirings:         *max,
 		SetAtATime:         *setAtATime,
 		Out:                os.Stdout,

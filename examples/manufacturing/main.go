@@ -1,9 +1,9 @@
 // Manufacturing: a forward-chaining job-shop where orders advance
 // through cutting, drilling and polishing — the "engineering processes,
 // manufacturing" applications the paper's introduction motivates. The
-// same program runs serially (OPS5 semantics) and concurrently
-// (transactions under two-phase locking, §5), and the example verifies
-// both reach the same final state.
+// same program runs serially (OPS5 semantics) and concurrently (rounds
+// of transactions, §5.2), and the example verifies both reach the same
+// final state.
 package main
 
 import (
@@ -49,7 +49,7 @@ const rules = `
 const orders = 12
 
 func build() *prodsys.System {
-	sys, err := prodsys.Load(rules, prodsys.Options{Workers: 8, Out: io.Discard})
+	sys, err := prodsys.Load(rules, prodsys.Options{Out: io.Discard})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -678,8 +678,8 @@ func (s *Set) Select(strategy Strategy) *Instantiation {
 	return pick
 }
 
-// SelectAll returns every eligible (unfired) instantiation in Seq order;
-// the concurrent executor's batch selection.
+// SelectAll returns every eligible (unfired) instantiation in Seq order:
+// a §5.2 round's batch.
 func (s *Set) SelectAll() []*Instantiation {
 	s.mu.Lock()
 	defer s.mu.Unlock()

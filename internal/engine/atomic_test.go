@@ -107,8 +107,8 @@ const staleSrc = `
 // delta that invalidates it before its firing runs — the window a
 // concurrent Batch.Commit opens between Select and fire. The firing must
 // abort with ErrStale inside the maintenance section: no RHS effect and
-// no WAL append. It covers the serial executor's firing path and the
-// concurrent executor's transaction path, on every matcher.
+// no WAL append. It covers a firing outside rounds (Fire) and a round
+// member's transaction (a txn id, counted by endTxn), on every matcher.
 func TestStaleFiringAppliesNothing(t *testing.T) {
 	invalidations := []struct {
 		name string
@@ -126,11 +126,14 @@ func TestStaleFiringAppliesNothing(t *testing.T) {
 		fire func(e *Engine, in *conflict.Instantiation) error
 	}{
 		{"serial", func(e *Engine, in *conflict.Instantiation) error {
-			_, err := e.fire(context.Background(), in, in.Key(), unit{})
+			_, err := e.Fire(in)
 			return err
 		}},
 		{"concurrent", func(e *Engine, in *conflict.Instantiation) error {
-			return e.runTxn(context.Background(), in)
+			txn := e.nextTxn.Add(1)
+			_, l, seq, err := e.fire(context.Background(), in, txn)
+			e.endTxn(in, txn, err)
+			return e.durable(l, seq, err)
 		}},
 	}
 	for _, m := range matchers.Names() {

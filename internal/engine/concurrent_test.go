@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -17,7 +16,7 @@ func TestRunTxnStaleAbort(t *testing.T) {
 (literalize Log x)
 (p note (A ^x <v>) --> (make Log ^x <v>))
 (A 7)
-`, "requery", Config{Workers: 1})
+`, "requery", Config{})
 	ins := e.ConflictSet().SelectAll()
 	if len(ins) != 1 {
 		t.Fatal("setup")
@@ -26,8 +25,7 @@ func TestRunTxnStaleAbort(t *testing.T) {
 	if err := e.Retract("A", relation.TupleID(ins[0].TupleIDs[0])); err != nil {
 		t.Fatal(err)
 	}
-	err := e.runTxn(context.Background(), ins[0])
-	if !errors.Is(err, ErrStale) {
+	if _, err := e.Fire(ins[0]); !errors.Is(err, ErrStale) {
 		t.Fatalf("expected ErrStale, got %v", err)
 	}
 	if e.DB().MustGet("Log").Len() != 0 {
@@ -42,7 +40,7 @@ func TestRunTxnBlockedAbort(t *testing.T) {
 (literalize Log x)
 (p once (A ^x <v>) - (B ^x <v>) --> (make Log ^x <v>))
 (A 7)
-`, "requery", Config{Workers: 1})
+`, "requery", Config{})
 	ins := e.ConflictSet().SelectAll()
 	if len(ins) != 1 {
 		t.Fatal("setup")
@@ -52,10 +50,9 @@ func TestRunTxnBlockedAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The matcher already retracted the instantiation; replay the stale
-	// one through the transaction path: the conflict-set check inside the
+	// one through the firing path: the conflict-set check inside the
 	// maintenance section must catch it.
-	err := e.runTxn(context.Background(), ins[0])
-	if !errors.Is(err, ErrStale) {
+	if _, err := e.Fire(ins[0]); !errors.Is(err, ErrStale) {
 		t.Fatalf("expected ErrStale, got %v", err)
 	}
 	if e.DB().MustGet("Log").Len() != 0 {
@@ -100,7 +97,7 @@ func TestConcurrentAbortCounting(t *testing.T) {
 (p P3 (A ^x t) --> (remove 1) (make W ^who p3))
 (A t)
 `
-	e := harness(t, src, "requery", Config{Workers: 3})
+	e := harness(t, src, "requery", Config{})
 	res, err := e.RunConcurrent()
 	if err != nil {
 		t.Fatal(err)

@@ -69,7 +69,7 @@ func (e *Engine) ApplyDeltaContext(ctx context.Context, ops []DeltaOp) ([]relati
 			})
 		}
 	}
-	err := e.commit(ctx, u)
+	err := e.durable(e.commit(ctx, u))
 	return ids, err
 }
 

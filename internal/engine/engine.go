@@ -1,17 +1,22 @@
 // Package engine drives production-system execution: the recognize-act
-// cycle of §2.1 (Match, Select, Act) with two executors.
+// cycle of §2.1 (Match, Select, Act), run by one loop on the caller's
+// goroutine. The entry points differ only in the batch each cycle fires:
 //
-// The serial executor reproduces OPS5: one instantiation is selected per
-// cycle under a conflict-resolution strategy and its RHS actions run to
-// completion before the next Match.
+//   - RunSerial reproduces OPS5: the conflict-resolution strategy picks
+//     one instantiation, and its RHS runs to completion before the next
+//     Match;
+//   - RunSerial under Config.SetAtATime fires the picked rule's every
+//     eligible instantiation (§5.1);
+//   - RunConcurrent fires a §5.2 round: every member of the applicable
+//     set Ψ is a transaction, and the next round sees Ψ'.
 //
-// The concurrent executor implements the paper's proposal (§5.2): every
-// instantiation in the conflict set becomes a transaction run on a pool
-// of workers. A transaction's validation (its instantiation is still in
-// the conflict set and not yet fired), its actions and the maintenance
-// process they trigger run inside one non-interleavable section, so its
-// read set holds while it acts and its commit point follows the
-// maintenance that its updates trigger.
+// Every member fires through one validated firing. Its validation (the
+// instantiation is still in the conflict set and not yet fired), its
+// actions and the maintenance they trigger run inside one
+// non-interleavable section, so its read set holds while it acts and its
+// commit point follows the maintenance its updates trigger. A round is
+// therefore one serial order of its members by construction. A cycle's
+// firings share one durable wait: under group sync, one fsync.
 package engine
 
 import (
@@ -62,16 +67,14 @@ var ErrClosed = errors.New("engine: closed")
 
 // Config tunes an Engine.
 type Config struct {
-	// Strategy selects among conflict-set instantiations in the serial
-	// executor. Defaults to conflict.FIFO.
+	// Strategy selects among conflict-set instantiations in RunSerial.
+	// Defaults to conflict.FIFO.
 	Strategy conflict.Strategy
 	// MaxFirings caps rule firings as a runaway guard. 0 means 10000.
 	MaxFirings int
-	// Workers sizes the concurrent executor's pool. 0 means 4.
-	Workers int
 	// Out receives write-action output. nil discards it.
 	Out io.Writer
-	// SetAtATime makes the serial executor fire, in one cycle, every
+	// SetAtATime makes RunSerial fire, in one cycle, every
 	// eligible instantiation of the selected rule — the set-oriented
 	// execution of §5.1 ("a selected production will execute
 	// simultaneously against all combinations of these sets of tuples").
@@ -93,7 +96,7 @@ type Result struct {
 	Panics  int // firings whose panic was contained and rolled back
 }
 
-// Engine couples a WM catalog, a matcher and an executor.
+// Engine couples a WM catalog, a matcher and the recognize-act loop.
 type Engine struct {
 	set     *rules.Set
 	db      *relation.DB
@@ -110,7 +113,6 @@ type Engine struct {
 	// validation included, runs inside it. Its critical sections are
 	// counted in metrics.SerialOps.
 	maintMu sync.Mutex
-	halted  atomic.Bool
 	nextTxn atomic.Uint64
 
 	// readOnly flips (once, permanently) when a WAL failure leaves
@@ -180,9 +182,6 @@ func New(set *rules.Set, db *relation.DB, matcher match.Matcher, stats *metrics.
 	}
 	if cfg.MaxFirings == 0 {
 		cfg.MaxFirings = 10000
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 4
 	}
 	updates := make(map[string]*metrics.Cell, len(set.Classes))
 	for class := range set.Classes {
@@ -289,7 +288,7 @@ func (e *Engine) rollbackLocked(rec *opRecorder) {
 // contained runs fn with fault containment: a panic — in the RHS
 // interpreter, a called Go function or matcher maintenance — is
 // recovered, counted, traced and surfaced as an ErrRulePanic instead of
-// killing the worker.
+// killing the run.
 func (e *Engine) contained(u *unit, fn func() error) (err error) {
 	defer func() {
 		r := recover()
@@ -386,7 +385,7 @@ func (e *Engine) Shutdown() error {
 }
 
 // unit describes one atomic write. Every write path — API batches and
-// QUEL statements (ApplyDeltaContext), rule firings of both executors
+// QUEL statements (ApplyDeltaContext), rule firings of every run mode
 // (fire), restored dumps (LogRestored) — only fills in a unit; commit
 // is the one place that sequences maintenance, logging and durability.
 type unit struct {
@@ -397,7 +396,7 @@ type unit struct {
 	// under its rendered key, so replay restores refraction. nil logs a
 	// batch unit.
 	inst *conflict.Instantiation
-	txn  uint64 // correlates the unit's trace events; 0 for serial firings
+	txn  uint64 // correlates the unit's trace events; 0 outside rounds and batches
 	// body mutates WM through rec under maintMu. An error leaves the
 	// ops already applied in place: they are still maintained, so they
 	// are real and are logged. A panic rolls them back.
@@ -425,33 +424,39 @@ type unit struct {
 //  5. WAL append              │
 //  6. due checkpoint          │
 //  7. maintMu.Unlock          ┘
-//  8. WaitDurable, outside maintMu so concurrent committers pile onto
-//     one leader fsync. A group-sync failure degrades the engine
-//     read-only: the unit is applied and logged, but durability can no
-//     longer be promised for anyone after it. The log is sequential, so
-//     a later unit durable implies this one.
-func (e *Engine) commit(ctx context.Context, u unit) error {
-	if err := e.checkWritable(); err != nil {
+//  8. durable, the caller's, on the returned log position (nil log when
+//     nothing was appended): a batch waits per unit, a run per cycle
+func (e *Engine) commit(ctx context.Context, u unit) (*wal.Log, uint64, error) {
+	err := e.checkWritable()
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return e.runLocked(u)
+}
+
+// durable is commit's stage 8: WaitDurable outside maintMu, so
+// concurrent committers pile onto one leader fsync. The log is
+// sequential, so one wait on a cycle's last sequence covers all its
+// firings. A group-sync failure degrades the engine read-only: the units
+// stay applied and logged, but durability can no longer be promised for
+// anyone after them. err, the unit's own error, takes precedence.
+func (e *Engine) durable(l *wal.Log, seq uint64, err error) error {
+	if l == nil {
 		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	l, seq, err := e.runLocked(u)
-	if l != nil {
-		if derr := l.WaitDurable(seq); derr != nil {
-			derr = e.enterReadOnly(derr)
-			if err == nil {
-				err = derr
-			}
+	if derr := l.WaitDurable(seq); derr != nil {
+		derr = e.enterReadOnly(derr)
+		if err == nil {
+			err = derr
 		}
 	}
 	return err
 }
 
-// runLocked is commit's non-interleavable section (stages 2–7). It
-// returns the log handle and the unit's sequence for the post-unlock
-// durable wait (nil when nothing was appended).
+// runLocked is commit's non-interleavable section (stages 2–7).
 func (e *Engine) runLocked(u unit) (*wal.Log, uint64, error) {
 	e.maintMu.Lock()
 	defer e.maintMu.Unlock()
@@ -758,13 +763,13 @@ func (e *Engine) LogRestored(rts []relation.RestoredTuple) error {
 	if e.wal == nil || len(rts) == 0 {
 		return nil
 	}
-	return e.commit(context.Background(), unit{scope: "restore", body: func(rec *opRecorder) error {
+	return e.durable(e.commit(context.Background(), unit{scope: "restore", body: func(rec *opRecorder) error {
 		rec.ops = make([]wal.Op, len(rts))
 		for i, rt := range rts {
 			rec.ops[i] = wal.Op{Class: rt.Class, ID: rt.ID, Tuple: rt.Tuple}
 		}
 		return nil
-	}})
+	}}))
 }
 
 // applyActions interprets the RHS of a fired instantiation op at a
@@ -863,45 +868,27 @@ func (e *Engine) applyActions(in *conflict.Instantiation, rec *opRecorder) (bool
 			}
 		case lang.ActHalt:
 			halted = true
-			e.halted.Store(true)
 		}
 	}
 	return halted, nil
-}
-
-// ApplyForExploration fires one instantiation's actions immediately,
-// outside any executor and without validation — the primitive the
-// experiment harness uses to exhaustively enumerate serial schedules
-// (every possible Select choice of §2.1). Exploration firings are not
-// WAL-logged; the harness explores alternatives, it does not commit.
-func (e *Engine) ApplyForExploration(in *conflict.Instantiation) (halted bool, err error) {
-	e.maintMu.Lock()
-	defer e.maintMu.Unlock()
-	halted, err = e.applyActions(in, nil)
-	if merr := e.maintainLocked(); err == nil {
-		err = merr
-	}
-	return halted, err
 }
 
 // errAlreadyFired aborts a firing whose instantiation another firing
 // marked first; it classifies as ErrStale.
 var errAlreadyFired = fmt.Errorf("%w: already fired", ErrStale)
 
-// fire commits one firing of in, whose key is key, as a unit; u carries
-// the executor's transaction id. fire supplies the firing's
-// instantiation and the body, which is both executors' validation and
-// act: the instantiation must still be in the conflict set and not yet
-// fired (else ErrStale, nothing applied or logged), then it is marked
-// fired and its RHS runs — all inside the maintenance section, where
-// the matcher has already retracted every instantiation an earlier
-// commit invalidated. So an instantiation fires at most once, and only
-// while its supporting tuples live and its negated conditions hold. A
-// panicked firing stays marked (quarantined, so a panic cannot loop).
-// The rule_fire span runs from validation through the unit's
-// maintenance pass.
-func (e *Engine) fire(ctx context.Context, in *conflict.Instantiation, key conflict.Key, u unit) (bool, error) {
-	u.inst = in
+// fire commits one firing of in as a unit; txn correlates a round
+// member's trace events (0 outside rounds). Its body is the one
+// validation and act, inside the maintenance section: in must still be
+// in the conflict set and not yet fired (else ErrStale, nothing applied
+// or logged), then it is marked fired — a panicked firing stays marked,
+// so a panic cannot loop — and its RHS runs. So an instantiation fires
+// at most once, and only while its supporting tuples live and its
+// negated conditions hold. The rule_fire span runs through the unit's
+// maintenance pass. fire returns whether a halt ran, then commit's results.
+func (e *Engine) fire(ctx context.Context, in *conflict.Instantiation, txn uint64) (bool, *wal.Log, uint64, error) {
+	key := in.Key()
+	u := unit{inst: in, txn: txn}
 	var act struct { // one allocation for everything the closures share
 		fired, halted bool
 		t0            time.Duration
@@ -928,12 +915,22 @@ func (e *Engine) fire(ctx context.Context, in *conflict.Instantiation, key confl
 			}
 		}
 	}
-	err := e.commit(ctx, u)
-	return act.halted, err
+	l, seq, err := e.commit(ctx, u)
+	return act.halted, l, seq, err
+}
+
+// Fire commits one validated firing of in outside any run and waits
+// until it is durable: ErrStale when in left the conflict set or already
+// fired. The experiment harness enumerates serial schedules with it,
+// every possible Select choice of §2.1. It reports whether a halt ran.
+func (e *Engine) Fire(in *conflict.Instantiation) (bool, error) {
+	halted, l, seq, err := e.fire(context.Background(), in, 0)
+	return halted, e.durable(l, seq, err)
 }
 
 // RunSerial executes the OPS5 recognize-act cycle: Match (incremental,
-// already maintained), Select one instantiation, Act, repeat until the
+// already maintained), Select one instantiation — with SetAtATime, every
+// eligible instantiation of the selected rule — Act, repeat until the
 // conflict set empties, a halt fires, or the firing cap is reached.
 func (e *Engine) RunSerial() (Result, error) {
 	return e.RunSerialContext(context.Background())
@@ -942,104 +939,13 @@ func (e *Engine) RunSerial() (Result, error) {
 // RunSerialContext is RunSerial honoring ctx: cancellation is observed
 // between firings (a firing in progress completes).
 func (e *Engine) RunSerialContext(ctx context.Context) (Result, error) {
-	var res Result
-	e.halted.Store(false)
-	for res.Firings < e.cfg.MaxFirings {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		if err := e.checkWritable(); err != nil {
-			return res, err
-		}
-		in := e.cs.Select(e.cfg.Strategy)
-		if in == nil {
-			return res, nil
-		}
-		res.Cycles++
-		batch := []*conflict.Instantiation{in}
-		if e.cfg.SetAtATime {
-			for _, other := range e.cs.SelectAll() {
-				if other.Rule == in.Rule && other != in {
-					batch = append(batch, other)
-				}
-			}
-		}
-		for _, bi := range batch {
-			halted, err := e.fire(ctx, bi, bi.Key(), unit{})
-			if errors.Is(err, ErrRulePanic) {
-				// Contained: the firing's effects were rolled back and the
-				// cycle keeps serving.
-				res.Panics++
-				continue
-			}
-			if errors.Is(err, ErrStale) {
-				// A commit since Select, or an earlier batch member,
-				// retracted or fired it.
-				continue
-			}
-			if err != nil {
-				return res, err
-			}
-			res.Firings++
-			e.stats.Inc(metrics.RuleFirings)
-			if halted {
-				res.Halted = true
-				return res, nil
-			}
-			if res.Firings >= e.cfg.MaxFirings {
-				break
-			}
-		}
-	}
-	return res, fmt.Errorf("engine: firing cap %d reached", e.cfg.MaxFirings)
+	return e.run(ctx, false)
 }
 
-// runTxn executes one instantiation as a transaction: one firing unit,
-// validated inside the maintenance section by fire. The returned error
-// classifies aborts.
-func (e *Engine) runTxn(ctx context.Context, in *conflict.Instantiation) error {
-	txn := e.nextTxn.Add(1)
-	_, err := e.fire(ctx, in, in.Key(), unit{txn: txn})
-	// Every aborted transaction is counted here, so the TxnAborts counter
-	// agrees with Result.Aborts and the txn_abort event stream.
-	reason := ""
-	switch {
-	case err == nil:
-	case errors.Is(err, errAlreadyFired):
-		reason = "already fired"
-	case errors.Is(err, ErrStale):
-		reason = "stale"
-	case errors.Is(err, ErrRulePanic):
-		reason = "panic"
-	}
-	if reason != "" {
-		e.stats.Inc(metrics.TxnAborts)
-		if e.tr.Enabled() {
-			e.tr.Emit(trace.Event{
-				Kind: trace.KindTxnAbort, At: e.tr.Now(),
-				Rule: in.Rule.Name, CE: -1, ID: txn, Extra: reason,
-			})
-		}
-	}
-	if err != nil {
-		return err
-	}
-	e.stats.Inc(metrics.RuleFirings)
-	e.stats.Inc(metrics.TxnCommits)
-	if e.tr.Enabled() {
-		e.tr.Emit(trace.Event{
-			Kind: trace.KindTxnCommit, At: e.tr.Now(),
-			Rule: in.Rule.Name, CE: -1, ID: txn,
-		})
-	}
-	return nil
-}
-
-// RunConcurrent executes the conflict set in rounds: each round takes the
-// current applicable set Ψ and fires every member as a transaction on the
-// worker pool; the next round sees the conflict set produced by those
-// firings (Ψ' of §5.2). A transaction an earlier one invalidated or
-// fired aborts harmlessly with ErrStale.
+// RunConcurrent executes the conflict set in §5.2 rounds: each round
+// fires every member of the applicable set Ψ as a transaction, one after
+// another, and the next round sees the Ψ' they produced. A member an
+// earlier one invalidated or fired aborts harmlessly with ErrStale.
 func (e *Engine) RunConcurrent() (Result, error) {
 	return e.RunConcurrentContext(context.Background())
 }
@@ -1048,86 +954,110 @@ func (e *Engine) RunConcurrent() (Result, error) {
 // observed between rounds and before each transaction enters the
 // maintenance section; a transaction inside it runs to completion.
 func (e *Engine) RunConcurrentContext(ctx context.Context) (Result, error) {
+	return e.run(ctx, true)
+}
+
+// run is the one recognize-act loop. Each cycle fires a batch — a round,
+// or the strategy's pick plus, under SetAtATime, its rule's other
+// eligible instantiations (§5.1) — member by member through fire, then
+// waits once for the cycle's last log position. The firing cap is an
+// error only while an instantiation is still eligible. A round member is
+// a transaction: endTxn counts and traces its outcome, and its aborts
+// (stale or panicked) count in Result.Aborts.
+func (e *Engine) run(ctx context.Context, round bool) (Result, error) {
 	var res Result
-	e.halted.Store(false)
-	var firstErr error
-	var errMu sync.Mutex
-	for res.Firings < e.cfg.MaxFirings {
+	var batch []*conflict.Instantiation
+	for {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
 		if err := e.checkWritable(); err != nil {
 			return res, err
 		}
-		if e.halted.Load() {
-			res.Halted = true
-			return res, nil
+		batch = batch[:0]
+		if round {
+			batch = e.cs.SelectAll()
+		} else if in := e.cs.Select(e.cfg.Strategy); in != nil {
+			batch = append(batch, in)
+			if e.cfg.SetAtATime {
+				for _, other := range e.cs.SelectAll() {
+					if other.Rule == in.Rule && other != in {
+						batch = append(batch, other)
+					}
+				}
+			}
 		}
-		batch := e.cs.SelectAll()
 		if len(batch) == 0 {
 			return res, nil
 		}
-		if len(batch) > e.cfg.MaxFirings-res.Firings {
-			batch = batch[:e.cfg.MaxFirings-res.Firings]
+		if res.Firings >= e.cfg.MaxFirings {
+			return res, fmt.Errorf("engine: firing cap %d reached", e.cfg.MaxFirings)
 		}
 		res.Cycles++
-		var fired, aborted, panicked atomic.Int64
-		work := make(chan *conflict.Instantiation)
-		var wg sync.WaitGroup
-		for w := 0; w < e.cfg.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for in := range work {
-					if e.halted.Load() {
-						continue
-					}
-					err := e.runTxn(ctx, in)
-					switch {
-					case err == nil:
-						fired.Add(1)
-					case errors.Is(err, ErrRulePanic):
-						// Contained: effects rolled back, instantiation
-						// quarantined; the pool keeps serving.
-						aborted.Add(1)
-						panicked.Add(1)
-					case errors.Is(err, ErrStale):
-						aborted.Add(1)
-					default:
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-					}
-				}
-			}()
-		}
+		var l *wal.Log
+		var last uint64
+		var err error
 		for _, in := range batch {
-			work <- in
-		}
-		close(work)
-		wg.Wait()
-		if firstErr != nil {
-			return res, firstErr
-		}
-		res.Firings += int(fired.Load())
-		res.Aborts += int(aborted.Load())
-		res.Panics += int(panicked.Load())
-		if fired.Load() == 0 && aborted.Load() == 0 {
-			return res, nil
-		}
-		if fired.Load() == 0 {
-			// Every member aborted (stale or panicked). Their retraction is
-			// handled by maintenance; if the conflict set did not change,
-			// stop rather than spin.
-			remaining := e.cs.SelectAll()
-			if len(remaining) == len(batch) {
-				return res, nil
+			var txn uint64
+			if round {
+				txn = e.nextTxn.Add(1)
+			}
+			halted, fl, seq, ferr := e.fire(ctx, in, txn)
+			if fl != nil {
+				l, last = fl, seq
+			}
+			if round && e.endTxn(in, txn, ferr) {
+				res.Aborts++
+			}
+			if errors.Is(ferr, ErrRulePanic) {
+				res.Panics++ // contained: rolled back, and the loop keeps serving
+				continue
+			}
+			if errors.Is(ferr, ErrStale) {
+				continue // a commit since selection, or an earlier member, retracted or fired it
+			}
+			if err = ferr; err != nil {
+				break
+			}
+			res.Firings++
+			e.stats.Inc(metrics.RuleFirings)
+			res.Halted = halted
+			if halted || res.Firings >= e.cfg.MaxFirings {
+				break
 			}
 		}
+		if err := e.durable(l, last, err); err != nil || res.Halted {
+			return res, err
+		}
 	}
-	return res, fmt.Errorf("engine: firing cap %d reached", e.cfg.MaxFirings)
+}
+
+// endTxn counts and traces a round member's outcome as a txn commit or
+// abort, so the txn_commits and txn_aborts counters agree with Result and
+// the txn event stream. It reports whether the member aborted.
+func (e *Engine) endTxn(in *conflict.Instantiation, txn uint64, err error) bool {
+	ev := trace.Event{Kind: trace.KindTxnAbort, Rule: in.Rule.Name, CE: -1, ID: txn}
+	switch {
+	case err == nil:
+		ev.Kind = trace.KindTxnCommit
+		e.stats.Inc(metrics.TxnCommits)
+	case errors.Is(err, errAlreadyFired):
+		ev.Extra = "already fired"
+	case errors.Is(err, ErrStale):
+		ev.Extra = "stale"
+	case errors.Is(err, ErrRulePanic):
+		ev.Extra = "panic"
+	default:
+		return false
+	}
+	if ev.Extra != "" {
+		e.stats.Inc(metrics.TxnAborts)
+	}
+	if e.tr.Enabled() {
+		ev.At = e.tr.Now()
+		e.tr.Emit(ev)
+	}
+	return ev.Extra != ""
 }
 
 // SnapshotWM renders the whole working memory canonically: one line per

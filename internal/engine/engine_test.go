@@ -170,6 +170,38 @@ func TestFiringCap(t *testing.T) {
 	}
 }
 
+// TestFiringCapQuiescentAtCap checks that a run whose last eligible
+// instantiation is its MaxFirings-th firing ends quiescent, not with the
+// cap error, in all three batch modes.
+func TestFiringCapQuiescentAtCap(t *testing.T) {
+	src := `
+(literalize A x)
+(literalize Log x)
+(p Note (A ^x <v>) --> (make Log ^x <v>))
+(A 1) (A 2)
+`
+	for _, mode := range []struct {
+		name string
+		cfg  Config
+		run  func(*Engine) (Result, error)
+	}{
+		{"serial", Config{MaxFirings: 2}, (*Engine).RunSerial},
+		{"set-at-a-time", Config{MaxFirings: 2, SetAtATime: true}, (*Engine).RunSerial},
+		{"concurrent", Config{MaxFirings: 2}, (*Engine).RunConcurrent},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			e := harness(t, src, "core", mode.cfg)
+			res, err := mode.run(e)
+			if err != nil {
+				t.Fatalf("quiescent at the cap: err = %v, want nil", err)
+			}
+			if res.Firings != 2 || len(e.ConflictSet().SelectAll()) != 0 {
+				t.Fatalf("firings = %d, eligible left = %d; want 2 and 0", res.Firings, len(e.ConflictSet().SelectAll()))
+			}
+		})
+	}
+}
+
 func TestRefractionPreventsRefiring(t *testing.T) {
 	// A rule that does not falsify its own LHS fires once per
 	// instantiation, not forever.
@@ -264,7 +296,7 @@ func TestConcurrentEquivalentToSerialCommutative(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			conc := harness(t, src, name, Config{Workers: 4})
+			conc := harness(t, src, name, Config{})
 			cres, err := conc.RunConcurrent()
 			if err != nil {
 				t.Fatal(err)
@@ -304,7 +336,7 @@ func TestConcurrentConflictingRemovesSerializable(t *testing.T) {
 		t.Fatal("no serial outcomes")
 	}
 	for i := 0; i < 10; i++ {
-		e := harness(t, src, "rete", Config{Workers: 4})
+		e := harness(t, src, "rete", Config{})
 		res, err := e.RunConcurrent()
 		if err != nil {
 			t.Fatal(err)
@@ -332,7 +364,7 @@ func TestConcurrentNegationMakeOnce(t *testing.T) {
 (A 1) (A 2) (A 3) (A 4) (A 5) (A 6)
 `
 	for i := 0; i < 5; i++ {
-		e := harness(t, src, "requery", Config{Workers: 6})
+		e := harness(t, src, "requery", Config{})
 		res, err := e.RunConcurrent()
 		if err != nil {
 			t.Fatal(err)
@@ -345,7 +377,7 @@ func TestConcurrentNegationMakeOnce(t *testing.T) {
 
 func TestConcurrentChainedRounds(t *testing.T) {
 	// Firings in round 1 enable round 2 (the Ψ→Ψ' evolution of §5.2).
-	e := harness(t, forwardChainSrc, "core", Config{Workers: 4})
+	e := harness(t, forwardChainSrc, "core", Config{})
 	res, err := e.RunConcurrent()
 	if err != nil {
 		t.Fatal(err)

@@ -110,7 +110,7 @@ func TestSerialPanicContained(t *testing.T) {
 }
 
 func TestConcurrentPanicContained(t *testing.T) {
-	e, stats := panicHarness(t, Config{Workers: 4})
+	e, stats := panicHarness(t, Config{})
 	res, err := e.RunConcurrent()
 	if err != nil {
 		t.Fatalf("concurrent run failed: %v", err)

@@ -60,6 +60,58 @@ func TestSingleCommitPipeline(t *testing.T) {
 	}
 }
 
+// TestOneRecognizeActLoop keeps the executor's worker pool from growing
+// back: every run fires on the caller's goroutine (no go statement in a
+// non-test engine file), Config has no Workers knob, and a RHS runs only
+// through the one validated firing (applyActions has one caller, fire).
+func TestOneRecognizeActLoop(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var callers []string
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				switch d := decl.(type) {
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						ts, ok := spec.(*ast.TypeSpec)
+						if !ok || ts.Name.Name != "Config" {
+							continue
+						}
+						for _, f := range ts.Type.(*ast.StructType).Fields.List {
+							for _, name := range f.Names {
+								if name.Name == "Workers" {
+									t.Errorf("%s: Config has a Workers field", fset.Position(name.Pos()))
+								}
+							}
+						}
+					}
+				case *ast.FuncDecl:
+					ast.Inspect(d, func(n ast.Node) bool {
+						switch n := n.(type) {
+						case *ast.GoStmt:
+							t.Errorf("%s: go statement in %s; runs fire on the caller's goroutine", fset.Position(n.Pos()), d.Name.Name)
+						case *ast.CallExpr:
+							if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "applyActions" {
+								callers = append(callers, d.Name.Name)
+							}
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+	if len(callers) != 1 || callers[0] != "fire" {
+		t.Errorf("applyActions is called from %v, want only fire", callers)
+	}
+}
+
 // TestNoPartitionedWorkingMemory keeps the partitioned working memory
 // and its match scheduler from growing back: 0.65x of serial on two real
 // cores against a 1.6x bar (EXPERIMENTS.md E17). Outside benchmark/ no

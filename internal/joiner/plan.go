@@ -185,7 +185,7 @@ func attrName(ce *rules.CE, pos int) string {
 
 // buildStep sizes one candidate condition element under the variables
 // bound so far: it picks the cheapest available access path (mirroring
-// the Select/JoinProbe cascade the executor uses) and estimates the
+// the index-probe cascade the executor uses) and estimates the
 // rows the step emits.
 func buildStep(rel *relation.Relation, ce *rules.CE, bound map[string]bool) *PlanStep {
 	st := rel.Stats()

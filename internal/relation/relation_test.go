@@ -403,53 +403,6 @@ func TestTupleCloneEqualString(t *testing.T) {
 	}
 }
 
-func TestJoinProbe(t *testing.T) {
-	var stats metrics.Set
-	db := NewDB(&stats)
-	dept, _ := db.Create("Dept", "dno", "dname", "floor")
-	dept.Insert(Tuple{value.OfInt(1), value.OfSym("Toy"), value.OfInt(1)})
-	dept.Insert(Tuple{value.OfInt(2), value.OfSym("Shoe"), value.OfInt(2)})
-	dept.Insert(Tuple{value.OfInt(1), value.OfSym("Toy2"), value.OfInt(3)})
-
-	emp := Tuple{value.OfSym("Mike"), value.OfInt(1)} // (name, dno)
-	conds := []JoinCond{{LeftPos: 1, RightPos: 0, Op: value.OpEq}}
-	got := JoinProbe(emp, dept, conds, nil)
-	if len(got) != 2 {
-		t.Fatalf("JoinProbe found %d, want 2", len(got))
-	}
-	// With a restriction on the right side.
-	got = JoinProbe(emp, dept, conds, []Restriction{{Pos: 1, Op: value.OpEq, Val: value.OfSym("Toy")}})
-	if len(got) != 1 {
-		t.Fatalf("restricted JoinProbe found %d, want 1", len(got))
-	}
-	// Indexed path agrees with scan path.
-	dept.CreateIndex(0)
-	gotIdx := JoinProbe(emp, dept, conds, nil)
-	if len(gotIdx) != 2 {
-		t.Fatalf("indexed JoinProbe found %d", len(gotIdx))
-	}
-	if stats.Get(metrics.JoinsComputed) != 3 {
-		t.Fatalf("JoinsComputed = %d", stats.Get(metrics.JoinsComputed))
-	}
-	// Non-equality join condition.
-	gt := []JoinCond{{LeftPos: 1, RightPos: 2, Op: value.OpLt}} // emp.dno < dept.floor
-	got = JoinProbe(emp, dept, gt, nil)
-	if len(got) != 2 {
-		t.Fatalf("lt JoinProbe found %d, want 2", len(got))
-	}
-}
-
-func TestJoinCondSatisfies(t *testing.T) {
-	l := Tuple{value.OfInt(3)}
-	r := Tuple{value.OfInt(5)}
-	if !(JoinCond{0, 0, value.OpLt}).Satisfies(l, r) {
-		t.Error("3 < 5 should hold")
-	}
-	if (JoinCond{0, 0, value.OpEq}).Satisfies(l, r) {
-		t.Error("3 = 5 should not hold")
-	}
-}
-
 func TestConcurrentInsertScan(t *testing.T) {
 	r := New(MustSchema("R", "x"), nil)
 	done := make(chan struct{})

@@ -221,8 +221,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 type runRequest struct {
-	// Concurrent selects the parallel-firing executor (§5 of the
-	// paper); default is the serial recognize-act loop.
+	// Concurrent fires §5.2 rounds (RunConcurrent); default is the
+	// serial recognize-act cycle.
 	Concurrent bool `json:"concurrent,omitempty"`
 }
 
@@ -241,7 +241,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// One recognize-act loop at a time: concurrent /v1/run calls
-	// serialize here rather than interleaving two executors.
+	// serialize here rather than interleaving two runs.
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	var res prodsys.Result

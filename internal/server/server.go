@@ -96,8 +96,8 @@ type Server struct {
 	admitMu sync.Mutex
 	wg      sync.WaitGroup
 
-	// runMu serializes Run/RunConcurrent: the recognize-act executors
-	// are one-at-a-time machines; batches and queries stay concurrent.
+	// runMu serializes Run/RunConcurrent: the recognize-act loop is a
+	// one-at-a-time machine; batches and queries stay concurrent.
 	runMu sync.Mutex
 
 	startedAt time.Time

@@ -64,8 +64,8 @@ type TraceOptions struct {
 
 // Trace starts (or restarts, with a fresh buffer) event recording and
 // returns the system's tracer. Every component — storage maintenance,
-// the active matcher, the conflict set, the lock manager, and both
-// executors — emits through it. While no trace is active the emit
+// the active matcher, the conflict set and the recognize-act loop —
+// emits through it. While no trace is active the emit
 // points are single atomic-load checks that allocate nothing.
 //
 // Read the recording through the returned Tracer: Events() for the raw

@@ -151,7 +151,7 @@ type Options struct {
 	// Storage names the storage layout; "" and StorageRow are the only
 	// accepted values (there is one layout).
 	Storage Storage
-	// Workers sizes the concurrent executor pool (default 4).
+	// Workers has no effect: RunConcurrent fires on the caller's goroutine.
 	Workers int
 	// MaxFirings caps rule firings (default 10000).
 	MaxFirings int
@@ -298,7 +298,6 @@ func load(prog *lang.Program, opts Options) (*System, error) {
 	sys.eng = engine.New(set, db, sys.matcher, stats, engine.Config{
 		Strategy:   strat,
 		MaxFirings: opts.MaxFirings,
-		Workers:    opts.Workers,
 		Out:        out,
 		SetAtATime: opts.SetAtATime,
 		Tracer:     tr,
@@ -343,11 +342,11 @@ func (s *System) Run() (Result, error) {
 	return s.RunContext(context.Background())
 }
 
-// RunConcurrent executes the conflict set with concurrent transactional
-// firing (§5). It is a thin wrapper over
-// RunConcurrentContext with a background context — the context-taking
-// variant is the primary entry point, and new execution features land
-// there.
+// RunConcurrent fires the conflict set in §5.2 rounds, each member a
+// transaction validated inside the maintenance section, one after another
+// on the caller's goroutine; a round shares one group fsync. It is a thin
+// wrapper over RunConcurrentContext with a background context — the
+// context-taking variant is the primary entry point.
 func (s *System) RunConcurrent() (Result, error) {
 	return s.RunConcurrentContext(context.Background())
 }

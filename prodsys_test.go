@@ -416,7 +416,7 @@ func TestRunConcurrentFacade(t *testing.T) {
 (literalize Task id)
 (literalize Done id)
 (p fin (Task ^id <i>) --> (remove 1) (make Done ^id <i>))
-(Task 1) (Task 2) (Task 3) (Task 4)`, Options{Workers: 4, Out: io.Discard})
+(Task 1) (Task 2) (Task 3) (Task 4)`, Options{Out: io.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}

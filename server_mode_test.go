@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"prodsys/internal/faultfs"
+	"prodsys/internal/workload"
 )
 
 // TestCloseIdempotentConcurrent: double Close, concurrent Close, and
@@ -57,6 +58,52 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 	}
 	if _, err := sys.Assert("Task", 99); !errors.Is(err, ErrClosed) {
 		t.Fatalf("write after close: %v", err)
+	}
+}
+
+// TestCycleSharesOneFsync: under WALSyncGroup the firings of one cycle
+// (a §5.2 round of 64 independent tasks, or a set-at-a-time cycle over
+// them) share one durable wait, so the run issues at most one group
+// fsync per cycle however many firings it logs.
+func TestCycleSharesOneFsync(t *testing.T) {
+	const kinds, tasks = 8, 64
+	for _, mode := range []struct {
+		name string
+		opts Options
+		run  func(*System) (Result, error)
+	}{
+		{"round", Options{}, (*System).RunConcurrent},
+		{"set-at-a-time", Options{SetAtATime: true}, (*System).Run},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			opts := mode.opts
+			opts.Out, opts.WALFS, opts.WALPath, opts.WALSync = discard{}, faultfs.New(), "wm.wal", WALSyncGroup
+			sys, err := Load(workload.TaskRules(kinds, false), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			b := sys.Batch()
+			for _, op := range workload.TaskFacts(kinds, false, tasks) {
+				b.Assert(op.Class, op.Tuple[0])
+			}
+			if _, err := b.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			before := sys.Metrics()
+			res, err := mode.run(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Firings != tasks {
+				t.Fatalf("firings = %d, want %d", res.Firings, tasks)
+			}
+			fsyncs := sys.Metrics().Delta(before).Counters["wal_group_commits"]
+			if fsyncs < 1 || fsyncs > int64(res.Cycles) {
+				t.Fatalf("%d group fsyncs for %d firings in %d cycles, want one per cycle at most and at least one",
+					fsyncs, res.Firings, res.Cycles)
+			}
+		})
 	}
 }
 

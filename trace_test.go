@@ -138,7 +138,7 @@ func TestProfileCoversEveryRule(t *testing.T) {
 // tuple's instantiations abort) the run result, the txn_aborts counter
 // and the txn_abort event count must agree exactly.
 func TestConcurrentAbortAccounting(t *testing.T) {
-	sys, err := Load(workload.TaskRules(8, true), Options{Workers: 4, Out: io.Discard})
+	sys, err := Load(workload.TaskRules(8, true), Options{Out: io.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}
