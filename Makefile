@@ -92,10 +92,11 @@ fuzz-short:
 trace-demo:
 	$(GO) run ./cmd/psdb -wm=false -trace trace.json -trace-format chrome -profile testdata/payroll.ops
 
-# audit-demo injects seeded corruption into the Rete network's beta
-# memories, then lets the online integrity auditor detect it, rebuild
-# the derived state from working memory, and verify with a clean
-# re-audit. Exit status 0 means detected-and-repaired.
+# audit-demo drops a seeded eligible instantiation from the Rete
+# matcher's conflict set, then lets the online integrity auditor detect
+# it against a from-scratch twin, repair it (a fresh matcher, the
+# conflict set reconciled), and verify with a clean re-audit. Exit
+# status 0 means detected-and-repaired.
 audit-demo:
 	$(GO) run ./cmd/psdb -matcher rete -run=false -wm=false \
 		-corrupt 42 -audit -audit-repair testdata/payroll.ops

@@ -19,9 +19,9 @@
 // recovers and prints without firing any rules.
 //
 // Robustness flags: -audit runs a full integrity audit after the run
-// and exits non-zero on divergence (-audit-repair also rebuilds the
-// divergent state), -corrupt injects seeded corruption into the
-// matcher's derived state beforehand (for demos and drills).
+// and exits non-zero on divergence (-audit-repair also repairs it and
+// re-audits), -corrupt drops a seeded eligible instantiation from the
+// conflict set beforehand (for demos and drills).
 package main
 
 import (
@@ -56,8 +56,8 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 0, "compact the WAL after this many committed units (0 = never)")
 	doRun := flag.Bool("run", true, "fire rules; -run=false only loads (and recovers) then prints")
 	doAudit := flag.Bool("audit", false, "run a full integrity audit after the run; exit 1 on divergence")
-	auditRepair := flag.Bool("audit-repair", false, "with -audit: rebuild divergent derived state from WM")
-	corruptSeed := flag.Int64("corrupt", 0, "inject seeded corruption into the matcher's derived state before the audit (0 = none)")
+	auditRepair := flag.Bool("audit-repair", false, "with -audit: repair divergences with a matcher built from WM, then re-audit")
+	corruptSeed := flag.Int64("corrupt", 0, "drop a seeded eligible instantiation from the conflict set before the audit (0 = none)")
 	flag.Parse()
 
 	if flag.NArg() != 1 {

@@ -8,23 +8,26 @@ import (
 )
 
 // This file is the public surface of the integrity subsystem: online
-// audits that recompute every matcher's ground truth from the base WM
-// relations and diff it against the derived state, self-healing repair,
-// and the fault-injection hook the detection tests (and the psdb demo)
-// drive.
+// audits that diff the live matcher against a twin built from scratch
+// over the same working memory, self-healing repair, and the
+// fault-injection hook the detection tests (and the psdb demo) drive.
 
-// AuditDivergence is one disagreement between the matcher's derived
-// state and the ground truth recomputed from working memory.
+// AuditDivergence is one disagreement between the live matcher and a
+// twin of it built from scratch over the same working memory.
 type AuditDivergence struct {
-	// Class is the divergence kind (e.g. "conflict-missing",
-	// "mark-counter", "token-missing", "marker-missing").
+	// Class is the divergence kind: "conflict-missing" or
+	// "conflict-phantom" for an eligible instantiation, "derived-missing"
+	// or "derived-phantom" for an entry of the matcher's derived state
+	// beyond the conflict set (a matching pattern with its supporters, a
+	// Rete token or alpha-memory entry, a rule marker, an index entry).
+	// Missing: the twin has it and the live matcher lacks it; phantom:
+	// the other way round.
 	Class string
-	// Rule names the affected rule; empty when not attributable to one
-	// rule (shared structures), which forces a full rebuild on repair.
+	// Rule names the affected rule; empty for a structure shared across
+	// rules (a Rete alpha memory).
 	Rule string
-	// CE is the condition element index, -1 when rule- or set-level.
-	CE int
-	// Key identifies the diverging entry.
+	// Key identifies the diverging entry: an instantiation key, or the
+	// derived-state entry by condition element and tuple IDs.
 	Key string
 	// Expected and Actual describe both sides of the disagreement.
 	Expected string
@@ -48,7 +51,8 @@ type AuditReport struct {
 	Divergences []AuditDivergence
 	// Repaired counts divergences addressed by the repair pass.
 	Repaired int
-	// Rebuilt reports whether the repair rebuilt matcher derived state.
+	// Rebuilt reports whether the repair installed a freshly built
+	// matcher.
 	Rebuilt bool
 }
 
@@ -62,29 +66,33 @@ type AuditOptions struct {
 	// through the rule set across successive calls (the per-rule budget
 	// of continuous online auditing).
 	MaxRules int
-	// Repair rebuilds the affected derived state from working memory
-	// when divergences are found, so an immediate re-audit is clean.
+	// Repair, when divergences are found, reconciles the conflict set
+	// and installs a matcher built from working memory, so an immediate
+	// re-audit is clean.
 	Repair bool
 }
 
-// Audit verifies the matcher's derived state against ground truth
-// recomputed from the base WM relations: conflict-set instantiations
-// (via the full LHS joins), COND-relation Mark counters, Rete alpha and
-// beta memories, rule markers, and the condition index, depending on
-// the active matcher. The audit runs under the engine's maintenance
-// lock, so it is safe to call online between firings; it sees a
-// quiescent, transaction-consistent state. With opts.Repair, divergent
-// rules' derived state is rebuilt from WM (falling back to a full
-// matcher rebuild when a divergence is not attributable to one rule).
+// Audit checks the matcher against a twin of it built from scratch over
+// the live working memory — the same algorithm fed one insert batch per
+// class — comparing each rule's eligible instantiations and the derived
+// state beyond the conflict set (COND-relation patterns, Rete memories,
+// rule markers, the condition index, depending on the matcher). The
+// audit runs under the engine's maintenance lock, so it is safe to call
+// online between firings; it sees a quiescent, transaction-consistent
+// state. With opts.Repair, missing eligible instantiations are added (in
+// key order) and phantom ones removed, and a freshly built matcher
+// replaces the live one; instantiations that survive keep their arrival
+// order and fired ones stay fired.
 func (s *System) Audit(opts AuditOptions) (*AuditReport, error) {
-	if s.aud == nil {
-		s.aud = audit.New(s.set, s.db, s.matcher, s.stats)
-		s.aud.SetTracer(s.tracer)
-	}
 	var rep *audit.Report
 	var err error
 	s.eng.WithMaintenanceLock(func() {
-		rep, err = s.aud.Run(audit.Options{MaxRules: opts.MaxRules, Repair: opts.Repair})
+		rep, err = s.aud.Run(s.eng.Matcher(), audit.Options{MaxRules: opts.MaxRules, Repair: opts.Repair})
+		if err == nil && rep.Fresh != nil {
+			rep.Fresh.SetTracer(s.tracer)
+			rep.Fresh.SetPlanner(s.planner)
+			s.eng.SetMatcher(rep.Fresh)
+		}
 	})
 	return convertAuditReport(rep), err
 }
@@ -100,7 +108,7 @@ func convertAuditReport(rep *audit.Report) *AuditReport {
 		RulesChecked: rep.RulesChecked,
 		Sampled:      rep.Sampled,
 		Repaired:     rep.Repaired,
-		Rebuilt:      rep.Rebuilt,
+		Rebuilt:      rep.Fresh != nil,
 	}
 	for _, d := range rep.Divergences {
 		out.Divergences = append(out.Divergences, AuditDivergence(d))
@@ -108,17 +116,23 @@ func convertAuditReport(rep *audit.Report) *AuditReport {
 	return out
 }
 
-// InjectCorruption deliberately corrupts the active matcher's derived
-// state — a Mark counter, a beta token, a rule marker, an index entry,
-// or (for matchers whose only derived state is the conflict set) a
-// conflict-set instantiation — using a seeded RNG for reproducibility.
-// It returns a description of the damage, or "" when there was nothing
-// to corrupt. This is the fault-injection hook behind the corruption
-// detection tests and psdb's audit demo; production code has no reason
-// to call it.
+// InjectCorruption deliberately drops one eligible instantiation from
+// the conflict set, chosen with a seeded RNG for reproducibility, and
+// describes the damage, or returns "" when the conflict set has no
+// eligible instantiation. This is the fault-injection hook behind the
+// corruption detection tests and psdb's audit demo; production code has
+// no reason to call it. (Each matcher package's tests damage its own
+// derived state through hooks compiled only into those tests.)
 func (s *System) InjectCorruption(seed int64) string {
 	rng := rand.New(rand.NewSource(seed))
 	var desc string
-	s.eng.WithMaintenanceLock(func() { desc = audit.Corrupt(s.matcher, rng) })
+	s.eng.WithMaintenanceLock(func() {
+		cs := s.eng.ConflictSet()
+		if items := cs.SelectAll(); len(items) > 0 {
+			in := items[rng.Intn(len(items))]
+			cs.Remove(in.Key())
+			desc = "conflict: dropped instantiation " + in.KeyString()
+		}
+	})
 	return desc
 }

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"prodsys/internal/engine"
+	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/workload"
 )
@@ -94,6 +97,11 @@ func TestAuditDetectsAndRepairsCorruption(t *testing.T) {
 		for seed := int64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", c.Name, seed), func(t *testing.T) {
 				sys := auditSystem(t, c.Matcher, 6, seed)
+				cs := sys.eng.ConflictSet()
+				for _, in := range cs.SelectAll()[:2] {
+					cs.MarkFired(in.Key())
+				}
+				fired := cs.FiredLen()
 				desc := sys.InjectCorruption(seed)
 				if desc == "" {
 					t.Fatal("InjectCorruption found nothing to corrupt")
@@ -122,6 +130,9 @@ func TestAuditDetectsAndRepairsCorruption(t *testing.T) {
 				st := sys.Metrics().Integrity
 				if st.AuditDivergences == 0 || st.AuditRepairs == 0 {
 					t.Fatalf("integrity counters: %+v", st)
+				}
+				if cs.FiredLen() != fired {
+					t.Fatalf("repair changed the refraction marks: %d, want %d", cs.FiredLen(), fired)
 				}
 			})
 		}
@@ -171,6 +182,104 @@ func TestSampledAuditStillDetects(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("four 1-rule sampled audits over 4 rules never saw the corruption")
+	}
+}
+
+// TestConcurrentAudits: concurrent audits share the System's auditor,
+// whose sampled-mode cursor only the maintenance lock guards (run under
+// -race).
+func TestConcurrentAudits(t *testing.T) {
+	sys := auditSystem(t, MatcherCore, 6, 5)
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := sys.Audit(AuditOptions{MaxRules: 2})
+			if err == nil && !rep.Clean() {
+				err = fmt.Errorf("divergent: %v", rep.Divergences)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sys.Metrics().Integrity.AuditRulesChecked; got != 4 {
+		t.Fatalf("audit_rules_checked = %d, want 4", got)
+	}
+}
+
+// TestAuditWorkIsOneBuild pins the audit's cost on work counters under
+// every matcher: a full audit joins and checks candidates exactly as
+// often as one from-scratch build of the same WM (Load, then the WM as
+// one batch), and a sampled audit of 5 of 50 rules does at most twice its
+// share of the full audit's join work. The share is 5/50, except under
+// Rete: beta-prefix sharing compiles the 50 payroll rules into 20
+// distinct chains (rule i's is fixed by i mod 20), and the window's 5
+// rules reach 5 of them, which the full audit shares among 50.
+func TestAuditWorkIsOneBuild(t *testing.T) {
+	work := func(d metrics.Snapshot) int64 {
+		return d.Get(metrics.JoinsComputed) + d.Get(metrics.CandidateChecks) + d.Get(metrics.NodeActivations)
+	}
+	for _, c := range MatcherCases() {
+		t.Run(c.Name, func(t *testing.T) {
+			src := workload.PayrollRules(50, false)
+			sys, err := Load(src, Options{Matcher: c.Matcher, Out: discard{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			applyWorkload(t, sys, workload.PayrollOps(3, 600, 0.25))
+
+			fresh, err := Load(src, Options{Matcher: c.Matcher, Out: discard{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ops []engine.DeltaOp
+			for _, class := range sys.Classes() {
+				sys.db.MustGet(class).Scan(func(_ relation.TupleID, tup relation.Tuple) bool {
+					ops = append(ops, engine.DeltaOp{Class: class, Tuple: tup})
+					return true
+				})
+			}
+			before := fresh.stats.Snapshot()
+			if _, err := fresh.eng.ApplyDelta(ops); err != nil {
+				t.Fatal(err)
+			}
+			build := fresh.stats.Snapshot().Diff(before)
+
+			before = sys.stats.Snapshot()
+			if rep, err := sys.Audit(AuditOptions{}); err != nil || !rep.Clean() {
+				t.Fatalf("full audit: %v %v", err, rep)
+			}
+			full := sys.stats.Snapshot().Diff(before)
+			for _, ctr := range []metrics.Counter{metrics.JoinsComputed, metrics.CandidateChecks} {
+				if full.Get(ctr) != build.Get(ctr) {
+					t.Errorf("full audit %s = %d, one from-scratch build %d", ctr, full.Get(ctr), build.Get(ctr))
+				}
+			}
+			if work(full) == 0 {
+				t.Fatal("the full audit did no join work; the comparison is empty")
+			}
+
+			before = sys.stats.Snapshot()
+			if rep, err := sys.Audit(AuditOptions{MaxRules: 5}); err != nil || !rep.Clean() {
+				t.Fatalf("sampled audit: %v %v", err, rep)
+			}
+			sampled := sys.stats.Snapshot().Diff(before)
+			chains := int64(50)
+			if c.Matcher == MatcherRete {
+				chains = 20
+			}
+			t.Logf("join work: build %d, full audit %d, sampled audit %d", work(build), work(full), work(sampled))
+			if got := work(sampled); got > 2*work(full)*5/chains {
+				t.Errorf("sampled audit of 5 of 50 rules did %d join work, more than 2 × 5/%d of the full audit's %d", got, chains, work(full))
+			}
+		})
 	}
 }
 

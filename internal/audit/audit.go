@@ -1,28 +1,32 @@
-// Package audit implements online integrity auditing for the matchers:
-// the ground truth of every derived structure — conflict-set
-// instantiations, COND-relation Mark counters, Rete beta memories, rule
-// markers, condition indexes — is recomputed from the base WM relations
-// (reusing the simplified algorithm's joins, §4.1) and diffed against the
-// matcher's incrementally maintained state. Divergences are reported as
-// typed records and, on request, repaired by rebuilding the affected
-// rules' derived state from working memory.
+// Package audit implements online integrity auditing for the matchers.
+// The paper treats rule maintenance as materialized-view maintenance
+// (§2.3, §6), and the standard oracle for incremental view maintenance is
+// recomputation from scratch: an audit builds a twin of the live matcher
+// — the same algorithm, by name (internal/matchers) — over the live
+// working memory, feeding it one insert batch per class as a restore
+// does, and diffs the two rule by rule: the keys of the eligible
+// instantiations, and the DumpDerived listings of the derived state
+// beyond the conflict set (COND-relation patterns and their supporters,
+// Rete memories, rule markers, the condition index). No matcher
+// recomputes its own ground truth, so the check shares no code with the
+// maintenance it checks beyond the algorithm's bulk insert path.
 //
-// The auditor runs online between firings: the engine exposes its
+// The auditor runs online between firings, under the engine's
 // maintenance lock, so an audit sees a quiescent, transaction-consistent
-// snapshot. A full audit checks every rule; the sampled mode checks a
-// budgeted, rotating window of rules per run, amortizing the cost of
-// continuous auditing across many runs.
+// snapshot. A full audit checks every rule and the structures shared
+// between rules; the sampled mode checks a budgeted, rotating window of
+// rules per run, building the twin over only those rules. Repair builds
+// a fresh matcher over the live conflict set for the caller to install.
 package audit
 
 import (
 	"fmt"
-	"math/rand"
-	"slices"
 	"sort"
 
 	"prodsys/internal/conflict"
 	"prodsys/internal/joiner"
 	"prodsys/internal/match"
+	"prodsys/internal/matchers"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
@@ -43,8 +47,10 @@ type Report struct {
 	Divergences []match.Divergence
 	// Repaired counts divergences addressed by the repair pass.
 	Repaired int
-	// Rebuilt reports whether the repair rebuilt matcher derived state.
-	Rebuilt bool
+	// Fresh is the matcher the repair built over the live conflict set,
+	// which the caller installs in place of the audited one; nil when no
+	// repair ran.
+	Fresh match.Matcher
 }
 
 // Clean reports whether the audit found no divergence.
@@ -56,41 +62,41 @@ type Options struct {
 	// to sampled mode: each run checks at most this many rules, rotating
 	// through the rule set across runs.
 	MaxRules int
-	// Repair rebuilds the affected derived state when divergences are
-	// found, so an immediate re-audit comes back clean.
+	// Repair reconciles the conflict set and builds a fresh matcher
+	// (Report.Fresh) when divergences are found, so an immediate
+	// re-audit of the fresh matcher comes back clean.
 	Repair bool
 }
 
-// Auditor recomputes matcher ground truth from working memory. It keeps
+// Auditor checks a live matcher against a from-scratch twin. It keeps
 // the rotating cursor of the sampled mode, so reuse one Auditor across
 // runs. Not safe for concurrent use; run it under the engine's
 // maintenance lock.
 type Auditor struct {
 	set    *rules.Set
 	db     *relation.DB
-	m      match.Matcher
 	stats  *metrics.Set
 	tr     *trace.Tracer
 	cursor int
 }
 
-// New builds an auditor over the matcher's rule set and WM catalog.
-// stats may be nil.
-func New(set *rules.Set, db *relation.DB, m match.Matcher, stats *metrics.Set) *Auditor {
-	return &Auditor{set: set, db: db, m: m, stats: stats}
+// New builds an auditor over a rule set and the WM catalog its matchers
+// maintain. The twins' work counts in stats, which may be nil.
+func New(set *rules.Set, db *relation.DB, stats *metrics.Set) *Auditor {
+	return &Auditor{set: set, db: db, stats: stats}
 }
 
 // SetTracer wires the execution tracer; audit runs, divergences, and
 // repairs are emitted as events. A nil tracer disables emission.
 func (a *Auditor) SetTracer(tr *trace.Tracer) { a.tr = tr }
 
-// Gate runs a full, repair-free audit as a go/no-go check — the
+// Gate runs a full, repair-free audit of live as a go/no-go check — the
 // promotion gate of WAL log-shipping failover: a replica may only turn
-// primary if its derived state matches ground truth exactly. The
+// primary if its derived state matches a from-scratch build exactly. The
 // report is returned either way; the error is non-nil when the gate
 // fails, naming the divergence count and the first instance.
-func (a *Auditor) Gate() (*Report, error) {
-	rep, err := a.Run(Options{})
+func (a *Auditor) Gate(live match.Matcher) (*Report, error) {
+	rep, err := a.Run(live, Options{})
 	if err != nil {
 		return rep, fmt.Errorf("audit gate: %w", err)
 	}
@@ -101,36 +107,32 @@ func (a *Auditor) Gate() (*Report, error) {
 	return rep, nil
 }
 
-// Run performs one audit: conflict-set ground truth for the selected
-// rules, then the matcher's own derived state via its AuditDerived. With
-// opts.Repair, divergent rules' derived state is rebuilt from WM and
-// the conflict set reconciled. The returned report is always non-nil;
-// the error reports a failed rebuild.
-func (a *Auditor) Run(opts Options) (*Report, error) {
-	all := a.set.Rules
-	selected := all
-	rep := &Report{Matcher: a.m.Name()}
+// Run performs one audit of live. The returned report is always
+// non-nil; the error reports a twin or fresh matcher that could not be
+// built.
+func (a *Auditor) Run(live match.Matcher, opts Options) (*Report, error) {
+	rep := &Report{Matcher: live.Name()}
+	set := a.set
 	var only map[string]bool
-	if opts.MaxRules > 0 && opts.MaxRules < len(all) {
+	if all := a.set.Rules; opts.MaxRules > 0 && opts.MaxRules < len(all) {
 		rep.Sampled = true
-		selected = make([]*rules.Rule, 0, opts.MaxRules)
 		only = make(map[string]bool, opts.MaxRules)
 		for i := 0; i < opts.MaxRules; i++ {
-			r := all[(a.cursor+i)%len(all)]
-			if only[r.Name] {
-				continue
-			}
-			only[r.Name] = true
-			selected = append(selected, r)
+			only[all[(a.cursor+i)%len(all)].Name] = true
 		}
 		a.cursor = (a.cursor + opts.MaxRules) % len(all)
+		set = a.set.Subset(only)
 	}
-	rep.RulesChecked = len(selected)
-	emit := func(d match.Divergence) { rep.Divergences = append(rep.Divergences, d) }
+	rep.RulesChecked = len(set.Rules)
 
 	t0 := a.tr.Now()
-	a.auditConflictSet(selected, emit)
-	a.m.AuditDerived(a.db, only, emit)
+	cs := live.ConflictSet()
+	twin, err := a.build(live.Name(), set, cs.Scratch())
+	if err != nil {
+		return rep, fmt.Errorf("audit: twin: %w", err)
+	}
+	missing, phantom := diffConflict(rep, cs, twin.ConflictSet(), only)
+	diffDerived(rep, live, twin, only)
 	sort.Slice(rep.Divergences, func(i, j int) bool {
 		di, dj := rep.Divergences[i], rep.Divergences[j]
 		if di.Class != dj.Class {
@@ -143,7 +145,7 @@ func (a *Auditor) Run(opts Options) (*Report, error) {
 	})
 
 	a.stats.Inc(metrics.AuditRuns)
-	a.stats.Add(metrics.AuditRulesChecked, int64(len(selected)))
+	a.stats.Add(metrics.AuditRulesChecked, int64(rep.RulesChecked))
 	a.stats.Add(metrics.AuditDivergences, int64(len(rep.Divergences)))
 	if a.tr.Enabled() {
 		a.tr.Emit(trace.Event{
@@ -153,7 +155,7 @@ func (a *Auditor) Run(opts Options) (*Report, error) {
 		for _, d := range rep.Divergences {
 			a.tr.Emit(trace.Event{
 				Kind: trace.KindAuditDivergence, At: a.tr.Now(),
-				Rule: d.Rule, CE: d.CE, Extra: d.String(),
+				Rule: d.Rule, CE: -1, Extra: d.String(),
 			})
 		}
 	}
@@ -161,118 +163,118 @@ func (a *Auditor) Run(opts Options) (*Report, error) {
 	if !opts.Repair || rep.Clean() {
 		return rep, nil
 	}
-	if err := a.repair(rep); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return rep, a.repair(rep, live, missing, phantom)
 }
 
-// auditConflictSet diffs the conflict set's unfired instantiations
-// against the full LHS joins of the selected rules, honoring refraction
-// (fired keys are expected to be absent).
-func (a *Auditor) auditConflictSet(selected []*rules.Rule, emit func(match.Divergence)) {
-	cs := a.m.ConflictSet()
-	sel := make(map[string]bool, len(selected))
-	for _, r := range selected {
-		sel[r.Name] = true
+// build makes the named matcher over set and the live WM, maintaining
+// cs, and feeds it every WM tuple of the classes set's rules test: one
+// insert batch per class, in class order — the path a restore takes. Its
+// joins run under a fresh planner, and its work counts in the auditor's
+// counters.
+func (a *Auditor) build(name string, set *rules.Set, cs *conflict.Set) (match.Matcher, error) {
+	m, err := matchers.New(name, set, a.db, cs, a.stats)
+	if err != nil {
+		return nil, err
 	}
-	actual := map[string]map[conflict.Key]*conflict.Instantiation{}
-	for _, in := range cs.SelectAll() {
-		if !sel[in.Rule.Name] {
+	m.SetPlanner(joiner.NewPlanner(a.db, a.stats))
+	d := relation.NewDelta()
+	for class := range set.ByClass {
+		if rel, ok := a.db.Get(class); ok {
+			rel.Scan(func(id relation.TupleID, t relation.Tuple) bool {
+				d.AddInsert(class, id, t)
+				return true
+			})
+		}
+	}
+	_, err = match.ApplyDelta(m, d)
+	return m, err
+}
+
+// diffConflict compares, rule by rule, the eligible (unfired)
+// instantiations of the live conflict set with the twin's, and returns
+// the twin's instantiations the live set lacks and the keys of those it
+// holds beyond them.
+func diffConflict(rep *Report, live, twin *conflict.Set, only map[string]bool) (missing []*conflict.Instantiation, phantom []conflict.Key) {
+	want := map[conflict.Key]*conflict.Instantiation{}
+	for _, in := range twin.SelectAll() {
+		want[in.Key()] = in
+	}
+	for _, in := range live.SelectAll() {
+		if only != nil && !only[in.Rule.Name] {
 			continue
 		}
-		set := actual[in.Rule.Name]
-		if set == nil {
-			set = map[conflict.Key]*conflict.Instantiation{}
-			actual[in.Rule.Name] = set
+		key := in.Key()
+		if want[key] != nil {
+			delete(want, key)
+			continue
 		}
-		set[in.Key()] = in
+		phantom = append(phantom, key)
+		rep.Divergences = append(rep.Divergences, match.Divergence{Class: match.DivConflictPhantom, Rule: in.Rule.Name,
+			Key: in.KeyString(), Expected: "absent", Actual: "instantiation in conflict set"})
 	}
-	for _, r := range selected {
-		expected := map[conflict.Key]*conflict.Instantiation{}
-		joiner.Enumerate(a.db, r, nil, a.stats, func(ids []relation.TupleID, _ []relation.Tuple, _ rules.Bindings) {
-			in := &conflict.Instantiation{Rule: r, TupleIDs: slices.Clone(ids)}
-			if key := in.Key(); !cs.HasFired(key) {
-				expected[key] = in
-			}
-		})
-		act := actual[r.Name]
-		for k, in := range expected {
-			if act[k] == nil {
-				emit(match.Divergence{Class: match.DivConflictMissing, Rule: r.Name, CE: -1, Key: in.KeyString(),
-					Expected: "instantiation in conflict set", Actual: "absent"})
-			}
+	for _, in := range want {
+		missing = append(missing, in)
+		rep.Divergences = append(rep.Divergences, match.Divergence{Class: match.DivConflictMissing, Rule: in.Rule.Name,
+			Key: in.KeyString(), Expected: "instantiation in conflict set", Actual: "absent"})
+	}
+	return missing, phantom
+}
+
+// diffDerived compares the live matcher's DumpDerived listing with the
+// twin's, as multisets of (rule, line).
+func diffDerived(rep *Report, live, twin match.Matcher, only map[string]bool) {
+	type entry struct{ rule, line string }
+	counts := map[entry][2]int{} // twin's, live's
+	count := func(side int) func(rule, line string) {
+		return func(rule, line string) {
+			e := entry{rule, line}
+			c := counts[e]
+			c[side]++
+			counts[e] = c
 		}
-		for k, in := range act {
-			if expected[k] == nil {
-				emit(match.Divergence{Class: match.DivConflictPhantom, Rule: r.Name, CE: -1, Key: in.KeyString(),
-					Expected: "absent", Actual: "instantiation in conflict set"})
-			}
+	}
+	twin.DumpDerived(only, count(0))
+	live.DumpDerived(only, count(1))
+	for e, c := range counts {
+		if c[0] == c[1] {
+			continue
 		}
+		class := match.DivDerivedMissing
+		if c[1] > c[0] {
+			class = match.DivDerivedPhantom
+		}
+		rep.Divergences = append(rep.Divergences, match.Divergence{Class: class, Rule: e.rule, Key: e.line,
+			Expected: fmt.Sprintf("%d in the from-scratch twin", c[0]), Actual: fmt.Sprintf("%d live", c[1])})
 	}
 }
 
-// repair rebuilds the divergent rules' derived state from WM (falling
-// back to a full matcher rebuild when a divergence is not attributable
-// to one rule) and reconciles the conflict set against the ground
-// truth, so an immediate re-audit is clean.
-func (a *Auditor) repair(rep *Report) error {
-	affected := map[string]bool{}
-	ruleLevel := true
-	for _, d := range rep.Divergences {
-		if d.Rule == "" {
-			ruleLevel = false
-			continue
-		}
-		affected[d.Rule] = true
-	}
+// repair reconciles the live conflict set with the twin's — phantoms
+// out, missing instantiations in, in key order; survivors keep their Seq
+// and refraction marks stay — then builds a fresh matcher of every rule
+// over it into rep.Fresh. The fresh matcher re-derives everything the WM
+// supports: every eligible instantiation of the audited rules is already
+// present, and a fired one it re-derives re-enters as a refracted entry,
+// as after a restore.
+func (a *Auditor) repair(rep *Report, live match.Matcher, missing []*conflict.Instantiation, phantom []conflict.Key) error {
 	t0 := a.tr.Now()
-	sel := affected
-	if !ruleLevel {
-		sel = nil // unattributable divergence: rebuild everything
+	cs := live.ConflictSet()
+	for _, key := range phantom {
+		cs.Remove(key)
 	}
-	if err := a.m.RebuildRules(a.db, sel); err != nil {
+	add := make([]*conflict.Instantiation, len(missing))
+	for i, in := range missing {
+		add[i] = conflict.NewInstantiation(in.Rule, in.TupleIDs, in.Tuples)
+	}
+	sort.Slice(add, func(i, j int) bool { return add[i].KeyString() < add[j].KeyString() })
+	cs.AddAll(add)
+
+	fresh, err := a.build(live.Name(), a.set, cs)
+	if err != nil {
 		return fmt.Errorf("audit: rebuild: %w", err)
 	}
-	rep.Rebuilt = true
-
-	// Reconcile the conflict set: phantoms out, missing instantiations in.
-	cs := a.m.ConflictSet()
-	var recon map[string]bool
-	if ruleLevel {
-		recon = affected
-	}
-	for _, r := range a.set.Rules {
-		if recon != nil && !recon[r.Name] {
-			continue
-		}
-		expected := map[conflict.Key]*conflict.Instantiation{}
-		joiner.Enumerate(a.db, r, nil, a.stats, func(ids []relation.TupleID, tuples []relation.Tuple, _ rules.Bindings) {
-			in := conflict.NewInstantiation(r, ids, tuples)
-			if key := in.Key(); !cs.HasFired(key) {
-				expected[key] = in
-			}
-		})
-		name := r.Name
-		cs.RemoveWhere(func(in *conflict.Instantiation) bool {
-			return in.Rule.Name == name && expected[in.Key()] == nil
-		})
-		// Deterministic Seq assignment for the additions: rendered-key order.
-		type keyed struct {
-			key string
-			in  *conflict.Instantiation
-		}
-		add := make([]keyed, 0, len(expected))
-		for _, in := range expected {
-			add = append(add, keyed{in.KeyString(), in})
-		}
-		sort.Slice(add, func(i, j int) bool { return add[i].key < add[j].key })
-		for _, k := range add {
-			cs.Add(k.in)
-		}
-	}
-
+	rep.Fresh = fresh
 	rep.Repaired = len(rep.Divergences)
+	a.stats.Inc(metrics.MatcherRebuilds)
 	a.stats.Add(metrics.AuditRepairs, int64(rep.Repaired))
 	if a.tr.Enabled() {
 		a.tr.Emit(trace.Event{
@@ -281,21 +283,4 @@ func (a *Auditor) repair(rep *Report) error {
 		})
 	}
 	return nil
-}
-
-// Corrupt damages m's derived state with rng and describes the damage:
-// the matcher's own corruption (CorruptDerived) when it has derived state
-// to break, otherwise one random unfired instantiation dropped from the
-// conflict set. Returns "" only when both are empty.
-func Corrupt(m match.Matcher, rng *rand.Rand) string {
-	if desc := m.CorruptDerived(rng); desc != "" {
-		return desc
-	}
-	items := m.ConflictSet().SelectAll()
-	if len(items) == 0 {
-		return ""
-	}
-	in := items[rng.Intn(len(items))]
-	m.ConflictSet().Remove(in.Key())
-	return fmt.Sprintf("conflict: dropped instantiation %s", in.KeyString())
 }

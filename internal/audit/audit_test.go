@@ -70,10 +70,9 @@ func runWorkload(t *testing.T, db *relation.DB, m match.Matcher, ops []workload.
 }
 
 // TestFaultInjectorMidWorkload drives the injection wrapper over every
-// matcher — COND Mark counters (core), Rete beta tokens, rule markers,
-// the condition index, and the conflict set itself (requery) —
-// corrupting every 40th maintenance call mid-workload, then requires the
-// auditor to detect live damage and repair it so a re-audit is clean.
+// matcher, dropping an eligible instantiation every 40th maintenance
+// call mid-workload, then requires the auditor to detect live damage and
+// repair it so a re-audit of the installed fresh matcher is clean.
 func TestFaultInjectorMidWorkload(t *testing.T) {
 	for _, name := range matchers.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -90,18 +89,19 @@ func TestFaultInjectorMidWorkload(t *testing.T) {
 				t.Fatal("final corruption found nothing to corrupt")
 			}
 
-			aud := audit.New(set, db, fi, stats)
-			rep, err := aud.Run(audit.Options{Repair: true})
+			aud := audit.New(set, db, stats)
+			rep, err := aud.Run(fi, audit.Options{Repair: true})
 			if err != nil {
 				t.Fatalf("audit: %v", err)
 			}
 			if rep.Clean() {
 				t.Fatalf("audit missed injected corruption: %v", fi.Injected())
 			}
-			if rep.Repaired == 0 {
+			if rep.Repaired == 0 || rep.Fresh == nil {
 				t.Fatal("audit repaired nothing")
 			}
-			again, err := aud.Run(audit.Options{})
+			fi.Matcher = rep.Fresh
+			again, err := aud.Run(fi, audit.Options{})
 			if err != nil {
 				t.Fatalf("re-audit: %v", err)
 			}
@@ -125,9 +125,9 @@ func TestFaultInjectorMidWorkload(t *testing.T) {
 func TestSampledCursorRotates(t *testing.T) {
 	set, db, m, stats := buildMatcher(t, "core")
 	runWorkload(t, db, m, workload.PayrollOps(5, 120, 0.2))
-	aud := audit.New(set, db, m, stats)
+	aud := audit.New(set, db, stats)
 	for run := 0; run < 3; run++ {
-		rep, err := aud.Run(audit.Options{MaxRules: 2})
+		rep, err := aud.Run(m, audit.Options{MaxRules: 2})
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}

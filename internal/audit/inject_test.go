@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 
@@ -8,12 +9,13 @@ import (
 	"prodsys/internal/relation"
 )
 
-// FaultInjector wraps a matcher and corrupts its derived state — Mark
-// counters, beta tokens, markers, index entries, or conflict-set
-// instantiations — either on demand (Corrupt) or every EveryN forwarded
-// maintenance calls, simulating the silent state damage the auditor
-// exists to catch. It forwards the whole matcher contract to the inner
-// matcher, so an Auditor over the wrapper audits the real state.
+// FaultInjector wraps a matcher and drops an eligible instantiation
+// from its conflict set, either on demand (Corrupt) or every EveryN
+// forwarded maintenance calls, simulating the silent state damage the
+// auditor exists to catch. It forwards the whole matcher contract to the
+// inner matcher, so an Auditor over the wrapper audits the real state.
+// (Damage to a matcher's own derived state is injected by that matcher
+// package's tests.)
 type FaultInjector struct {
 	match.Matcher
 	everyN int
@@ -74,9 +76,14 @@ func (f *FaultInjector) tick(err error) error {
 
 // corruptLocked requires f.mu.
 func (f *FaultInjector) corruptLocked() string {
-	desc := Corrupt(f.Matcher, f.rng)
-	if desc != "" {
-		f.injected = append(f.injected, desc)
+	cs := f.ConflictSet()
+	items := cs.SelectAll()
+	if len(items) == 0 {
+		return ""
 	}
+	in := items[f.rng.Intn(len(items))]
+	cs.Remove(in.Key())
+	desc := fmt.Sprintf("conflict: dropped instantiation %s", in.KeyString())
+	f.injected = append(f.injected, desc)
 	return desc
 }

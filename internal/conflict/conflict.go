@@ -603,6 +603,20 @@ func (s *Set) MarkFired(key Key) {
 	s.fired[key] = sup
 }
 
+// Scratch returns an empty conflict set over s's rules that carries s's
+// refraction marks, each for good: the set a from-scratch twin of s's
+// matcher maintains, so its eligible instantiations are comparable with
+// s's. It counts nothing.
+func (s *Set) Scratch() *Set {
+	out := NewSet(s.rules, nil)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for key := range s.fired {
+		out.fired[key] = nil
+	}
+	return out
+}
+
 // HasFired reports whether the keyed instantiation already fired.
 func (s *Set) HasFired(key Key) bool {
 	s.mu.Lock()

@@ -45,7 +45,7 @@
 // The matcher holds no locks of its own. Like every match.Matcher it is
 // called only under the engine's maintenance mutex (or, for Load's
 // checkpoint restore, before the system is shared), so each entry point —
-// maintenance, detection, audit, rebuild — runs alone. §4.2.3's
+// maintenance, detection, the audit's dump — runs alone. §4.2.3's
 // parallel propagation to the related COND relations is not implemented:
 // measured on two cores it ran at 0.71–0.90× of the serial path
 // (EXPERIMENTS.md E5).
@@ -53,6 +53,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -346,6 +347,38 @@ func (m *Matcher) PatternCount() int {
 		}
 	}
 	return n
+}
+
+// DumpDerived implements match.Matcher: one line per matching pattern,
+// naming its condition element, its bound values and, per contributing
+// condition element, the supporting tuple IDs (the Mark counters of
+// §4.2.2 as exact sets). The original COND tuples are the rule set's
+// and are not listed.
+func (m *Matcher) DumpDerived(only map[string]bool, emit func(rule, line string)) {
+	var b strings.Builder
+	var sup []support
+	for _, st := range m.stores {
+		for _, ci := range st.conds {
+			rule := ci.ce.Rule.Name
+			if only != nil && !only[rule] {
+				continue
+			}
+			for _, sh := range ci.shapes {
+				sh.each(func(p *pattern) {
+					b.Reset()
+					fmt.Fprintf(&b, "ce%d {", ci.ce.Index)
+					p.writeBindings(&b)
+					b.WriteByte('}')
+					sup = append(sup[:0], p.support...)
+					slices.SortFunc(sup, func(x, y support) int { return x.src - y.src })
+					for _, s := range sup {
+						fmt.Fprintf(&b, " #%d%v", s.src, s.ids)
+					}
+					emit(rule, b.String())
+				})
+			}
+		}
+	}
 }
 
 // DumpCond renders one class's COND relation, mirroring the tables of

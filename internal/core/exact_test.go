@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -189,11 +190,45 @@ func runExactAgreement(t *testing.T, r *rand.Rand, src string, wantExact, batche
 			t.Fatalf("%s: exact rule had %d false drops", ctx, fd)
 		}
 	}
-	var divs []string
-	exact.AuditDerived(db, nil, func(d match.Divergence) { divs = append(divs, d.String()) })
-	if len(divs) > 0 {
+	if divs := twinDiff(exact); len(divs) > 0 {
 		t.Fatalf("%s: audit: %v", ctx, divs)
 	}
+}
+
+// twinDiff is the integrity audit's comparison, made inside the package
+// (internal/audit imports core through internal/matchers): it builds a
+// core matcher from scratch over m's WM, fed one insert batch per class
+// and carrying m's refraction marks, and lists the DumpDerived lines and
+// eligible instantiation keys on which m and the twin differ.
+func twinDiff(m *Matcher) []string {
+	twin := New(m.set, m.db, m.cs.Scratch(), nil)
+	d := relation.NewDelta()
+	for _, class := range m.set.ClassNames() {
+		m.db.MustGet(class).Scan(func(id relation.TupleID, t relation.Tuple) bool {
+			d.AddInsert(class, id, t)
+			return true
+		})
+	}
+	if _, err := match.ApplyDelta(twin, d); err != nil {
+		return []string{err.Error()}
+	}
+	count := map[string]int{}
+	twin.DumpDerived(nil, func(rule, line string) { count[rule+" "+line]++ })
+	m.DumpDerived(nil, func(rule, line string) { count[rule+" "+line]-- })
+	for _, in := range twin.cs.SelectAll() {
+		count["eligible "+in.KeyString()]++
+	}
+	for _, in := range m.cs.SelectAll() {
+		count["eligible "+in.KeyString()]--
+	}
+	var out []string
+	for k, n := range count {
+		if n != 0 {
+			out = append(out, fmt.Sprintf("%s (twin minus live: %+d)", k, n))
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 func instByKey(cs *conflict.Set) map[string]*conflict.Instantiation {

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"prodsys/internal/relation"
@@ -129,19 +128,6 @@ func (p *pattern) dropSupport(src int, id relation.TupleID) {
 	}
 }
 
-// String names the pattern canonically — rule, condition element number
-// and bound values — for audit reports and COND dumps.
-func (p *pattern) String() string {
-	var b strings.Builder
-	ce := p.sh.ci.ce
-	b.WriteString(ce.Rule.Name)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(ce.CEN()))
-	b.WriteByte('|')
-	p.writeBindings(&b)
-	return b.String()
-}
-
 // writeBindings renders the bound values as "x=4 y=\"a\"", variables in
 // sorted order.
 func (p *pattern) writeBindings(b *strings.Builder) {
@@ -195,12 +181,6 @@ func newShape(ci *condIndex, vars []string) *shape {
 		sh.probe = append(sh.probe, pos)
 	}
 	return sh
-}
-
-// empty returns a pattern-free copy of the shape (the audit's ground
-// truth is rebuilt in such copies).
-func (sh *shape) empty() *shape {
-	return &shape{ci: sh.ci, vars: sh.vars, tests: sh.tests, probe: sh.probe, pats: make(map[bindKey]*pattern)}
 }
 
 // probeKey keys tuple t into the shape; ok is false when a probed
@@ -296,17 +276,6 @@ func (sh *shape) each(fn func(*pattern)) {
 	}
 }
 
-// twin returns the pattern of sh with p's bound values (p may belong to
-// another copy of the shape), or nil.
-func (sh *shape) twin(p *pattern) *pattern {
-	for q := sh.pats[p.key]; q != nil; q = q.next {
-		if equalKeys(q.rest, p.rest) {
-			return q
-		}
-	}
-	return nil
-}
-
 func keyAt(t relation.Tuple, pos []int) (k bindKey) {
 	for i := 0; i < len(pos) && i < keyWidth; i++ {
 		k[i] = keyOf(t[pos[i]])
@@ -319,18 +288,6 @@ func keyAt(t relation.Tuple, pos []int) (k bindKey) {
 func (p *pattern) restAt(t relation.Tuple, pos []int) bool {
 	for i, kv := range p.rest {
 		if keyOf(t[pos[keyWidth+i]]) != kv {
-			return false
-		}
-	}
-	return true
-}
-
-func equalKeys(a, b []keyVal) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}
@@ -508,26 +465,6 @@ func unionIDs(matched []*pattern, src int) []relation.TupleID {
 type store struct {
 	conds []*condIndex
 	live  int
-}
-
-// patterns returns every matching pattern of the store, sorted by name.
-func (s *store) patterns() []*pattern {
-	var out []*pattern
-	for _, ci := range s.conds {
-		for _, sh := range ci.shapes {
-			sh.each(func(p *pattern) { out = append(out, p) })
-		}
-	}
-	sortPatterns(out)
-	return out
-}
-
-func sortPatterns(ps []*pattern) {
-	names := make(map[*pattern]string, len(ps))
-	for _, p := range ps {
-		names[p] = p.String()
-	}
-	sort.Slice(ps, func(i, j int) bool { return names[ps[i]] < names[ps[j]] })
 }
 
 // insertID adds id to an ascending ID slice, reporting whether it was

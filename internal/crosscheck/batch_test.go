@@ -42,7 +42,7 @@ func newBatchEngine(t *testing.T, src, kind string) *batchEngine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &batchEngine{engine.New(set, db, m, stats, engine.Config{}), audit.New(set, db, m, stats)}
+	return &batchEngine{engine.New(set, db, m, stats, engine.Config{}), audit.New(set, db, stats)}
 }
 
 // runBatchEquivalence feeds one random op stream to a per-tuple engine
@@ -112,7 +112,7 @@ func runBatchEquivalence(t *testing.T, spec randomSpec, kind string, seed int64,
 	}
 	// Equal conflict sets could both be wrong about the matcher's own
 	// memories: the batched engine's derived state must audit clean.
-	rep, err := bat.aud.Run(audit.Options{})
+	rep, err := bat.aud.Run(bat.Matcher(), audit.Options{})
 	if err != nil {
 		t.Fatalf("%s %s seed=%d: audit: %v", kind, spec.name, seed, err)
 	}

@@ -26,7 +26,7 @@ func (s *session) apply(ops []workload.Op) {
 func (s *session) auditAll(context string) {
 	s.t.Helper()
 	for _, m := range s.matchers {
-		rep, err := audit.New(s.set, s.db, m, s.stats).Run(audit.Options{})
+		rep, err := audit.New(s.set, s.db, s.stats).Run(m, audit.Options{})
 		if err != nil {
 			s.t.Fatalf("%s: audit %s: %v", context, m.Name(), err)
 		}

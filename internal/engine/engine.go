@@ -211,8 +211,15 @@ func (e *Engine) updates(class string) *metrics.Cell {
 // DB exposes the working-memory catalog.
 func (e *Engine) DB() *relation.DB { return e.db }
 
-// Matcher exposes the matcher.
+// Matcher exposes the matcher. While other goroutines may audit with
+// repair, call it inside WithMaintenanceLock.
 func (e *Engine) Matcher() match.Matcher { return e.matcher }
+
+// SetMatcher replaces the matcher with m, which must maintain the
+// engine's conflict set over the engine's WM — the integrity audit's
+// repair installs a fresh one this way. Call it inside
+// WithMaintenanceLock.
+func (e *Engine) SetMatcher(m match.Matcher) { e.matcher = m }
 
 // ConflictSet exposes the conflict set.
 func (e *Engine) ConflictSet() *conflict.Set { return e.cs }

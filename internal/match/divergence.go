@@ -2,56 +2,36 @@ package match
 
 import "fmt"
 
-// Divergence classes: which derived structure disagrees with the ground
-// truth recomputed from working memory.
+// Divergence classes: which side of the audit's comparison lacks an
+// entry. The audit compares the live matcher with a twin built from
+// scratch over the same working memory.
 const (
-	// DivConflictMissing: a satisfied, unfired instantiation is absent
-	// from the conflict set.
+	// DivConflictMissing: an eligible instantiation the twin derives is
+	// absent from the live conflict set.
 	DivConflictMissing = "conflict-missing"
-	// DivConflictPhantom: the conflict set holds an instantiation the WM
-	// no longer supports.
+	// DivConflictPhantom: the live conflict set holds an eligible
+	// instantiation the twin does not derive.
 	DivConflictPhantom = "conflict-phantom"
-	// DivMarkCounter: a matching pattern's per-RCE support (the Mark
-	// counter of §4.2.2) disagrees with the supporting tuples in WM.
-	DivMarkCounter = "mark-counter"
-	// DivPatternMissing: a matching pattern the WM implies is absent from
-	// its COND relation.
-	DivPatternMissing = "pattern-missing"
-	// DivPatternPhantom: a COND relation holds a matching pattern with no
-	// supporting WM tuples.
-	DivPatternPhantom = "pattern-phantom"
-	// DivTokenMissing: a partial match implied by the WM is absent from a
-	// Rete beta memory, negative node, or production node.
-	DivTokenMissing = "token-missing"
-	// DivTokenPhantom: a Rete token store holds a partial match the WM no
-	// longer supports.
-	DivTokenPhantom = "token-phantom"
-	// DivAlphaMissing / DivAlphaPhantom: a Rete alpha memory disagrees
-	// with the WM tuples passing its variable-free tests.
-	DivAlphaMissing = "alpha-missing"
-	DivAlphaPhantom = "alpha-phantom"
-	// DivMarkMissing: a Basic Locking tuple marker required by a live
-	// instantiation is gone (a future update would be silently dropped).
-	DivMarkMissing = "marker-missing"
-	// DivIndexMissing / DivIndexPhantom: the predicate index disagrees
-	// with the rule set's condition elements.
-	DivIndexMissing = "index-missing"
-	DivIndexPhantom = "index-phantom"
+	// DivDerivedMissing: a line of the twin's DumpDerived listing — a
+	// matching pattern, a token, an alpha-memory entry, a marker, an
+	// index entry — is absent from the live matcher's (or listed fewer
+	// times).
+	DivDerivedMissing = "derived-missing"
+	// DivDerivedPhantom: the live matcher's listing holds a line the
+	// twin's lacks (or lists it more times).
+	DivDerivedPhantom = "derived-phantom"
 )
 
-// Divergence is one disagreement between a matcher's derived state and
-// the ground truth recomputed from the base WM relations.
+// Divergence is one disagreement between the live matcher and its
+// from-scratch twin.
 type Divergence struct {
 	// Class is one of the Div* constants.
 	Class string
-	// Rule names the affected rule; empty when the divergence is not
-	// attributable to one rule (shared alpha memories), which forces a
-	// full rebuild on repair.
+	// Rule names the affected rule; empty for a structure shared across
+	// rules (a Rete alpha memory).
 	Rule string
-	// CE is the condition element index, -1 when rule- or set-level.
-	CE int
-	// Key identifies the diverging entry (instantiation key, pattern key,
-	// token signature, tuple reference).
+	// Key identifies the diverging entry: an instantiation key or a
+	// DumpDerived line.
 	Key string
 	// Expected and Actual describe both sides of the disagreement.
 	Expected string

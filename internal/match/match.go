@@ -16,17 +16,17 @@
 // paper's central claim that a DBMS wins by handling WM changes as sets
 // rather than tuple-at-a-time (§4.2, §5.1); a one-tuple change is a
 // one-entry batch, so each matcher has one entry path per direction.
-// Every matcher also answers the integrity auditor (AuditDerived,
-// RebuildRules, CorruptDerived); one whose only derived state is the
-// conflict set implements them as no-ops.
+// Every matcher also lists its derived state beyond the conflict set
+// (DumpDerived) for the integrity auditor, which diffs the listing
+// against that of a twin built from scratch over the same working
+// memory (internal/audit); one whose only derived state is the conflict
+// set lists nothing.
 //
 // Implementations need no locks: the engine calls every method under its
 // maintenance mutex, one call at a time.
 package match
 
 import (
-	"math/rand"
-
 	"prodsys/internal/conflict"
 	"prodsys/internal/joiner"
 	"prodsys/internal/relation"
@@ -52,20 +52,15 @@ type Matcher interface {
 	// restores the fixed source-order evaluation. Matchers with their own
 	// incremental network (Rete) ignore it.
 	SetPlanner(*joiner.Planner)
-	// AuditDerived recomputes the ground truth of the matcher's derived
-	// state beyond the conflict set from the WM relations in db and emits
-	// one Divergence per disagreement. only, when non-nil, restricts the
-	// audit to the named rules (the sampled mode); nil means everything.
-	AuditDerived(db *relation.DB, only map[string]bool, emit func(Divergence))
-	// RebuildRules rebuilds the derived state from the WM relations. only,
-	// when non-nil, limits the rebuild to the named rules' state; nil
-	// demands a full rebuild. Matchers whose internal sharing makes
-	// per-rule surgery unsafe may always rebuild fully.
-	RebuildRules(db *relation.DB, only map[string]bool) error
-	// CorruptDerived deliberately damages the derived state — the
-	// fault-injection hook the detection tests drive — and describes the
-	// damage, or returns "" when there is nothing to corrupt.
-	CorruptDerived(rng *rand.Rand) string
+	// DumpDerived lists the derived state beyond the conflict set, one
+	// line per entry, attributed to the rule it serves: rule is "" for a
+	// structure shared across rules (a Rete alpha memory), listed only
+	// when only is nil. only, when non-nil, restricts the listing to the
+	// named rules. Lines name condition elements by index and tuples by
+	// ID, never by how the state was compiled or reached, so two
+	// matchers of one name over the same WM list the same lines iff their
+	// derived state agrees.
+	DumpDerived(only map[string]bool, emit func(rule, line string))
 }
 
 // ApplyDelta is the maintenance process of one write unit: it drains the

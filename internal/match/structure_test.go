@@ -223,8 +223,8 @@ func TestOneFilterThenVerifyMatcher(t *testing.T) {
 
 // TestOneMaintenancePass keeps one maintenance path per write unit:
 // Matcher has no Insert or Delete; outside tests a matcher's two-argument
-// InsertBatch/DeleteBatch is called only by ApplyDelta, in internal/view
-// and by RebuildRules; internal/engine calls ApplyDelta from one function.
+// InsertBatch/DeleteBatch is called only by ApplyDelta and in
+// internal/view; internal/engine calls ApplyDelta from one function.
 func TestOneMaintenancePass(t *testing.T) {
 	contract := reflect.TypeOf((*Matcher)(nil)).Elem()
 	for _, name := range []string{"Insert", "Delete"} {
@@ -253,7 +253,7 @@ func TestOneMaintenancePass(t *testing.T) {
 					callers[fd.Name.Name] = true
 				}
 				if (sel.Sel.Name == "InsertBatch" || sel.Sel.Name == "DeleteBatch") && len(call.Args) == 2 &&
-					dir != "internal/view" && fd.Name.Name != "RebuildRules" && (dir != "internal/match" || fd.Name.Name != "ApplyDelta") {
+					dir != "internal/view" && (dir != "internal/match" || fd.Name.Name != "ApplyDelta") {
 					t.Errorf("%s: %s calls a matcher's %s", fset.Position(call.Pos()), fd.Name.Name, sel.Sel.Name)
 				}
 				return true
@@ -262,5 +262,60 @@ func TestOneMaintenancePass(t *testing.T) {
 	})
 	if len(callers) != 1 {
 		t.Errorf("internal/engine calls match.ApplyDelta from %d functions %v, want exactly 1", len(callers), callers)
+	}
+}
+
+// TestOneAudit keeps one integrity audit: the live matcher against a twin
+// built from scratch. match.Matcher has no per-matcher audit, rebuild or
+// corruption method; outside tests no function is a corruption hook (its
+// name holds "corrupt") except the root package's InjectCorruption, which
+// damages only the conflict set; internal/audit never recomputes ground
+// truth through joiner.Enumerate; and outside tests only internal/audit
+// calls DumpDerived.
+func TestOneAudit(t *testing.T) {
+	contract := reflect.TypeOf((*Matcher)(nil)).Elem()
+	for _, name := range []string{"AuditDerived", "RebuildRules", "CorruptDerived"} {
+		if _, ok := contract.MethodByName(name); ok {
+			t.Errorf("match.Matcher has %s", name)
+		}
+	}
+	if _, ok := contract.MethodByName("DumpDerived"); !ok {
+		t.Error("match.Matcher has no DumpDerived; the contract scan is broken")
+	}
+	calls := 0
+	eachSourceFile(t, "../..", func(rel string, fset *token.FileSet, file *ast.File) {
+		dir := path.Dir(rel)
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if strings.Contains(strings.ToLower(fd.Name.Name), "corrupt") && (dir != "." || fd.Name.Name != "InjectCorruption") {
+				t.Errorf("%s: corruption hook %s outside tests", fset.Position(fd.Pos()), fd.Name.Name)
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "joiner" && sel.Sel.Name == "Enumerate" && strings.HasPrefix(dir, "internal/audit") {
+				t.Errorf("%s: internal/audit calls joiner.Enumerate", fset.Position(call.Pos()))
+			}
+			if sel.Sel.Name == "DumpDerived" {
+				calls++
+				if dir != "internal/audit" {
+					t.Errorf("%s: DumpDerived called outside internal/audit", fset.Position(call.Pos()))
+				}
+			}
+			return true
+		})
+	})
+	if calls == 0 {
+		t.Error("no DumpDerived call found; the call scan is broken")
 	}
 }

@@ -1,7 +1,8 @@
 // Package matchers is the one table of the product's matching
 // algorithms: the name each is selected by and its constructor. Every
 // caller that builds a matcher by name — the public Options, the
-// experiment harness, the conformance and crosscheck suites — goes
+// integrity audit's from-scratch twins, the experiment harness, the
+// conformance and crosscheck suites — goes
 // through New, so a matcher registered here is reachable, and tested,
 // everywhere at once. requery, marker and ptree are three filters of one
 // filter-then-verify matcher, internal/recheck; they keep their names

@@ -101,7 +101,7 @@ const (
 	AuditRulesChecked // rules examined across audits
 	AuditDivergences  // divergences detected
 	AuditRepairs      // divergences repaired
-	MatcherRebuilds   // rules (or matchers) rebuilt from WM
+	MatcherRebuilds   // matchers rebuilt from WM by an audit's repair
 	PanicsContained   // rule/maintenance panics absorbed
 
 	numCounters // not a counter: the size of the fixed array

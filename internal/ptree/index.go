@@ -1,7 +1,6 @@
 package ptree
 
 import (
-	"slices"
 	"sort"
 
 	"prodsys/internal/metrics"
@@ -53,19 +52,14 @@ type Index struct {
 	stats *metrics.Set
 }
 
-// NewIndex indexes every condition element of the rule set except those
-// in skip, which only fault injection passes: it damages the index the
-// integrity auditor checks.
-func NewIndex(set *rules.Set, stats *metrics.Set, skip ...*rules.CE) *Index {
+// NewIndex indexes every condition element of the rule set.
+func NewIndex(set *rules.Set, stats *metrics.Set) *Index {
 	ix := &Index{set: set, trees: make(map[string]*Tree), stats: stats}
 	for class, schema := range set.Classes {
 		ix.trees[class] = NewTree(schema.Arity())
 	}
 	for class, ces := range set.ByClass {
 		for _, ce := range ces {
-			if slices.Contains(skip, ce) {
-				continue
-			}
 			ix.trees[class].Insert(&Item{Rect: RectForCE(ce), Data: ce})
 		}
 	}
@@ -73,7 +67,7 @@ func NewIndex(set *rules.Set, stats *metrics.Set, skip ...*rules.CE) *Index {
 }
 
 // Conditions returns every condition element indexed for class, in rule
-// order: what the integrity auditor compares with the rule set.
+// order: what the integrity audit lists (recheck's DumpDerived).
 func (ix *Index) Conditions(class string) []*rules.CE {
 	tree := ix.trees[class]
 	if tree == nil {

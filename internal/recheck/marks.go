@@ -2,12 +2,8 @@ package recheck
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
-	"prodsys/internal/conflict"
-	"prodsys/internal/joiner"
-	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
@@ -191,72 +187,27 @@ func (k *marks) marked(class string, id relation.TupleID, r *rules.Rule) bool {
 	return ok
 }
 
-// The audited invariant is one-sided: every tuple supporting a live
-// instantiation must still carry that rule's marker, or a future WM
-// update touching it would be silently dropped. Stale markers on tuples
-// that no longer support a match are by design (the algorithm tolerates
-// false drops), so no phantom class is reported.
-
-// audit recomputes each selected rule's full LHS join from WM and checks
-// every supporting tuple's marker.
-func (k *marks) audit(m *Matcher, db *relation.DB, only map[string]bool, emit func(match.Divergence)) {
-	for _, r := range m.set.Rules {
-		if only != nil && !only[r.Name] {
-			continue
-		}
-		joiner.Enumerate(db, r, nil, m.stats, func(ids []relation.TupleID, _ []relation.Tuple, _ rules.Bindings) {
-			in := conflict.Instantiation{Rule: r, TupleIDs: ids}
-			if m.cs.HasFired(in.Key()) {
-				return
-			}
-			for i, ce := range r.CEs {
-				if !ce.Negated && !k.marked(ce.Class, ids[i], r) {
-					emit(match.Divergence{Class: match.DivMarkMissing, Rule: r.Name, CE: i,
-						Key:      fmt.Sprintf("%s:%d", ce.Class, ids[i]),
-						Expected: "tuple marked with rule", Actual: "no marker"})
-				}
-			}
-		})
-	}
-}
-
-// rebuild re-marks every tuple supporting a selected rule's LHS join.
-// Existing markers are left in place (stale ones are harmless).
-func (k *marks) rebuild(m *Matcher, db *relation.DB, only map[string]bool) error {
-	for _, r := range m.set.Rules {
-		if only != nil && !only[r.Name] {
-			continue
-		}
-		joiner.Enumerate(db, r, nil, m.stats, func(ids []relation.TupleID, _ []relation.Tuple, _ rules.Bindings) {
-			k.derived(r, ids)
-		})
-	}
-	m.stats.Inc(metrics.MatcherRebuilds)
-	return nil
-}
-
-// corrupt removes one marker required by a live instantiation,
-// simulating a lost mark bit.
-func (k *marks) corrupt(m *Matcher, rng *rand.Rand) string {
+// dump lists, per rule, each marker an eligible instantiation requires
+// and the tuple holds, once. Markers beyond the required ones are stale
+// by design (the scheme tolerates false drops), so they are not listed.
+func (k *marks) dump(m *Matcher, only map[string]bool, emit func(rule, line string)) {
 	type mark struct {
 		key  tupleKey
 		rule *rules.Rule
 	}
-	var live []mark
+	listed := map[mark]bool{}
 	for _, in := range m.cs.SelectAll() {
-		for i, ce := range in.Rule.CEs {
-			if !ce.Negated && k.marked(ce.Class, in.TupleIDs[i], in.Rule) {
-				live = append(live, mark{tupleKey{ce.Class, in.TupleIDs[i]}, in.Rule})
+		r := in.Rule
+		if only != nil && !only[r.Name] {
+			continue
+		}
+		for i, ce := range r.CEs {
+			mk := mark{tupleKey{class: ce.Class, id: in.TupleIDs[i]}, r}
+			if ce.Negated || listed[mk] || !k.marked(mk.key.class, mk.key.id, r) {
+				continue
 			}
+			listed[mk] = true
+			emit(r.Name, fmt.Sprintf("marker %s:%d", mk.key.class, mk.key.id))
 		}
 	}
-	if len(live) == 0 {
-		return ""
-	}
-	c := live[rng.Intn(len(live))]
-	delete(k.onTuple[c.key], c.rule)
-	if len(k.onTuple[c.key]) == 0 {
-		delete(k.onTuple, c.key)
-	}
-	return fmt.Sprintf("marker: unmarked %s:%d for rule %s", c.key.class, c.key.id, c.rule.Name)
 }

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"prodsys/internal/match"
-	"prodsys/internal/ptree"
-	"prodsys/internal/rules"
 	"prodsys/internal/value"
 )
 
@@ -44,28 +41,5 @@ func TestMatcherBehavesLikeRequery(t *testing.T) {
 	keys = cs.Keys()
 	if len(keys) != 2 {
 		t.Fatalf("after dept delete = %v", keys)
-	}
-}
-
-// TestIndexAuditFindsMissingAndPhantom swaps in an index built from
-// another rule set: each of the system's condition elements is missing,
-// the stranger's is a phantom, and only restricts the report.
-func TestIndexAuditFindsMissingAndPhantom(t *testing.T) {
-	f := setup(t, ptreeSrc, NewPTree)
-	foreign, _, err := rules.CompileSource("(literalize Dept dno dname)\n(p Stranger (Dept ^dname Shoe) --> (halt))")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.m.f.(*rtree).ix = ptree.NewIndex(foreign, f.st)
-	audit := func(only map[string]bool) map[string]int {
-		got := map[string]int{}
-		f.m.AuditDerived(f.db, only, func(d match.Divergence) { got[d.Class+" "+d.Rule]++ })
-		return got
-	}
-	if got := audit(nil); got[match.DivIndexPhantom+" Stranger"] != 1 || got[match.DivIndexMissing+" Toy"] != 2 || got[match.DivIndexMissing+" Old"] != 1 {
-		t.Fatalf("audit = %v", got)
-	}
-	if got := audit(map[string]bool{"Stranger": true}); len(got) != 1 {
-		t.Fatalf("audit only Stranger = %v", got)
 	}
 }

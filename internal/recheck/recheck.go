@@ -19,13 +19,11 @@ package recheck
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"time"
 
 	"prodsys/internal/conflict"
 	"prodsys/internal/joiner"
-	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/ptree"
 	"prodsys/internal/relation"
@@ -63,11 +61,8 @@ type filter interface {
 	deleted(m *Matcher, class string, entries []relation.DeltaEntry)
 	// derived sees every instantiation the pipeline derives.
 	derived(r *rules.Rule, ids []relation.TupleID)
-	// audit, rebuild and corrupt back AuditDerived, RebuildRules and
-	// CorruptDerived.
-	audit(m *Matcher, db *relation.DB, only map[string]bool, emit func(match.Divergence))
-	rebuild(m *Matcher, db *relation.DB, only map[string]bool) error
-	corrupt(m *Matcher, rng *rand.Rand) string
+	// dump backs DumpDerived.
+	dump(m *Matcher, only map[string]bool, emit func(rule, line string))
 }
 
 // NewRequery builds the simplified algorithm's matcher over the engine's
@@ -122,20 +117,10 @@ func (m *Matcher) DeleteBatch(class string, entries []relation.DeltaEntry) error
 	return nil
 }
 
-// AuditDerived implements match.Matcher over the filter's state.
-func (m *Matcher) AuditDerived(db *relation.DB, only map[string]bool, emit func(match.Divergence)) {
-	m.f.audit(m, db, only, emit)
+// DumpDerived implements match.Matcher over the filter's state.
+func (m *Matcher) DumpDerived(only map[string]bool, emit func(rule, line string)) {
+	m.f.dump(m, only, emit)
 }
-
-// RebuildRules implements match.Matcher over the filter's state.
-func (m *Matcher) RebuildRules(db *relation.DB, only map[string]bool) error {
-	return m.f.rebuild(m, db, only)
-}
-
-// CorruptDerived implements match.Matcher over the filter's state; it
-// returns "" when the filter keeps none, and audit.Corrupt damages the
-// conflict set instead.
-func (m *Matcher) CorruptDerived(rng *rand.Rand) string { return m.f.corrupt(m, rng) }
 
 // MarkCount reports the number of (tuple, rule) markers Basic Locking
 // stores — the space cost of the scheme, to compare against pattern and
@@ -245,18 +230,13 @@ func groupByJoinKey(ce *rules.CE, entries []relation.DeltaEntry) [][]relation.De
 	return groups
 }
 
-// stateless is the audit side of a filter that keeps no derived state
-// beyond the conflict set, which the auditor checks itself.
-type stateless struct{}
-
-func (stateless) derived(*rules.Rule, []relation.TupleID)                               {}
-func (stateless) audit(*Matcher, *relation.DB, map[string]bool, func(match.Divergence)) {}
-func (stateless) rebuild(*Matcher, *relation.DB, map[string]bool) error                 { return nil }
-func (stateless) corrupt(*Matcher, *rand.Rand) string                                   { return "" }
-
 // scan is the simplified algorithm's search (§4.1): every condition
 // element on the class is a candidate, alpha-tested against the entries.
-type scan struct{ stateless }
+// It keeps no state beyond the conflict set, so it has nothing to dump.
+type scan struct{}
+
+func (scan) derived(*rules.Rule, []relation.TupleID)                 {}
+func (scan) dump(*Matcher, map[string]bool, func(rule, line string)) {}
 
 // inserted verifies each condition element on the class against the
 // entries that pass its variable-free tests; a negated one, against all.

@@ -2,9 +2,7 @@ package recheck
 
 import (
 	"fmt"
-	"math/rand"
 
-	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/ptree"
 	"prodsys/internal/relation"
@@ -18,9 +16,11 @@ import (
 // alpha-verifies what it finds, so a batch's entries are grouped per
 // condition element and verified together.
 type rtree struct {
-	stateless // derived: the index does not depend on WM
-	ix        *ptree.Index
+	ix *ptree.Index
 }
+
+// derived is a no-op: the index does not depend on WM.
+func (*rtree) derived(*rules.Rule, []relation.TupleID) {}
 
 // probe returns the condition elements whose rectangles admit e.
 func (x *rtree) probe(m *Matcher, class string, e relation.DeltaEntry) []*rules.CE {
@@ -70,50 +70,15 @@ func (x *rtree) deleted(m *Matcher, class string, entries []relation.DeltaEntry)
 	}
 }
 
-// audit checks the index against the rule set: every condition element
-// is in its class's tree, and nothing else is. Rectangles are recomputed
-// from each element, so presence is the whole invariant.
-func (x *rtree) audit(m *Matcher, _ *relation.DB, only map[string]bool, emit func(match.Divergence)) {
+// dump lists the condition elements the R-tree indexes, per class. The
+// index depends on the rule set only, so a twin built from the same
+// rules lists exactly the elements a sound index holds.
+func (x *rtree) dump(m *Matcher, only map[string]bool, emit func(rule, line string)) {
 	for _, class := range m.set.ClassNames() {
-		// report emits a divergence for each of ces, within only, that
-		// others lacks.
-		report := func(ces, others []*rules.CE, div, expected, actual string) {
-			in := map[*rules.CE]bool{}
-			for _, ce := range others {
-				in[ce] = true
-			}
-			for _, ce := range ces {
-				if !in[ce] && (only == nil || only[ce.Rule.Name]) {
-					emit(match.Divergence{Class: div, Rule: ce.Rule.Name, CE: ce.Index,
-						Key: fmt.Sprintf("%s/%s#%d", class, ce.Rule.Name, ce.Index), Expected: expected, Actual: actual})
-				}
+		for _, ce := range x.ix.Conditions(class) {
+			if only == nil || only[ce.Rule.Name] {
+				emit(ce.Rule.Name, fmt.Sprintf("index %s ce%d", class, ce.Index))
 			}
 		}
-		indexed := x.ix.Conditions(class)
-		report(m.set.ByClass[class], indexed, match.DivIndexMissing, "condition element indexed", "absent from condition R-tree")
-		report(indexed, m.set.ByClass[class], match.DivIndexPhantom, "absent", "foreign entry in condition R-tree")
 	}
-}
-
-// rebuild reindexes everything regardless of only: the index is static
-// per rule set.
-func (x *rtree) rebuild(m *Matcher, _ *relation.DB, _ map[string]bool) error {
-	x.ix = ptree.NewIndex(m.set, m.stats)
-	m.stats.Inc(metrics.MatcherRebuilds)
-	return nil
-}
-
-// corrupt rebuilds the index with one randomly chosen condition element
-// left out — the derived-index analogue of a lost COND tuple.
-func (x *rtree) corrupt(m *Matcher, rng *rand.Rand) string {
-	var all []*rules.CE
-	for _, class := range m.set.ClassNames() {
-		all = append(all, m.set.ByClass[class]...)
-	}
-	if len(all) == 0 {
-		return ""
-	}
-	drop := all[rng.Intn(len(all))]
-	x.ix = ptree.NewIndex(m.set, m.stats, drop)
-	return fmt.Sprintf("ptree: dropped %s CE %d on %s from the condition index", drop.Rule.Name, drop.Index, drop.Class)
 }

@@ -21,6 +21,7 @@ package rete
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -82,8 +83,8 @@ type tokenSink interface {
 }
 
 // tokenStore is a node storing tokens a join can iterate (beta memory
-// or negative node); allTokens additionally exposes blocked tokens to
-// the integrity auditor.
+// or negative node); allTokens additionally lists blocked tokens, for
+// DumpDerived.
 type tokenStore interface {
 	eachToken(func(*token))
 	allTokens() []*token
@@ -174,8 +175,8 @@ func (bm *betaMemory) leftActivate(parent *token, w *WME, level int) {
 
 func (bm *betaMemory) removeToken(t *token) { delete(bm.items, t) }
 
-// allTokens returns every stored token (for the integrity auditor; at a
-// negative node this includes blocked tokens, which eachToken hides).
+// allTokens returns every stored token (for DumpDerived; at a negative
+// node this includes blocked tokens, which eachToken hides).
 func (bm *betaMemory) allTokens() []*token {
 	out := make([]*token, 0, len(bm.items))
 	for t := range bm.items {
@@ -384,9 +385,9 @@ type chainStep struct {
 }
 
 // ruleChain records, per rule, the token store reached after each
-// condition element plus the production node — the derived state the
-// integrity auditor recomputes from WM and diffs. Under beta-prefix
-// sharing the stores may be shared with other rules' chains.
+// condition element plus the production node — the derived state
+// DumpDerived lists per rule. Under beta-prefix sharing the stores may
+// be shared with other rules' chains.
 type ruleChain struct {
 	rule   *rules.Rule
 	stores []tokenStore // aligned with rule.CEs
@@ -541,8 +542,8 @@ func (net *Network) compileRule(r *rules.Rule) {
 		c.tokenAdded(net.dummyTop)
 	}
 
-	// chainStores records the store reached after each CE for the
-	// integrity auditor.
+	// chainStores records the store reached after each CE, for
+	// DumpDerived.
 	chainStores := make([]tokenStore, 0, len(r.CEs))
 
 	prefixSig := "⊤"
@@ -715,6 +716,67 @@ func (net *Network) removeInstantiation(r *rules.Rule, t *token) {
 	}
 	in := &conflict.Instantiation{Rule: r, TupleIDs: ids}
 	net.cs.Remove(in.Key())
+}
+
+// DumpDerived implements match.Matcher. With only nil it lists every
+// alpha-memory entry, under no rule: alpha memories are shared across
+// rules. Then, per rule, it lists each token of the store its chain
+// reaches after each condition element, and of its production node, by
+// level and the WM IDs at the token's positive levels; a negative-node
+// token names how many WMEs block it. A store shared under beta-prefix
+// sharing is listed under every rule whose chain reaches it, so New and
+// NewUnshared list the same lines.
+func (net *Network) DumpDerived(only map[string]bool, emit func(rule, line string)) {
+	if only == nil {
+		for sig, am := range net.alphaBySig {
+			for w := range am.items {
+				emit("", fmt.Sprintf("alpha %s id=%d", sig, w.ID))
+			}
+		}
+	}
+	for _, ch := range net.ruleChains {
+		rule := ch.rule.Name
+		if only != nil && !only[rule] {
+			continue
+		}
+		for i, st := range ch.stores {
+			level := "ce" + strconv.Itoa(i) + " "
+			for _, t := range st.allTokens() {
+				line := level + tokenSignature(t)
+				if n := len(t.joinResults); n > 0 {
+					line += " blocked×" + strconv.Itoa(n)
+				}
+				emit(rule, line)
+			}
+		}
+		for _, t := range ch.pn.allTokens() {
+			emit(rule, "pn "+tokenSignature(t))
+		}
+	}
+}
+
+// tokenSignature renders the positive WM IDs of a token's chain as
+// "level:id|…", ascending by level — the canonical name of the partial
+// match the token represents. A chain's levels fall strictly from a
+// token to its parents.
+func tokenSignature(t *token) string {
+	var buf [8]*token
+	chain := buf[:0]
+	for cur := t; cur != nil; cur = cur.parent {
+		if cur.level >= 0 && cur.wme != nil {
+			chain = append(chain, cur)
+		}
+	}
+	b := make([]byte, 0, 12*len(chain))
+	for i := len(chain) - 1; i >= 0; i-- {
+		if i < len(chain)-1 {
+			b = append(b, '|')
+		}
+		b = strconv.AppendInt(b, int64(chain[i].level), 10)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, uint64(chain[i].wme.ID), 10)
+	}
+	return string(b)
 }
 
 // TokenCount reports the number of stored tokens across beta memories,

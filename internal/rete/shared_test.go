@@ -3,6 +3,8 @@ package rete
 import (
 	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"prodsys/internal/conflict"
@@ -85,6 +87,44 @@ func TestSharedNetworkNameAndEquivalence(t *testing.T) {
 	delete1(shared, "Expression", 1, nil)
 	if plain.cs.Len() != 0 || shared.cs.Len() != 0 {
 		t.Fatalf("retraction: plain=%v shared=%v", plain.cs.Keys(), shared.cs.Keys())
+	}
+}
+
+// TestDumpIndependentOfSharing: the audit compares DumpDerived listings
+// across compiles, so the shared and unshared networks over the same WM
+// must list the same lines, a blocked negative-node token included.
+func TestDumpIndependentOfSharing(t *testing.T) {
+	src := prefixSharingSrc + `
+(p NoCtx
+    (Goal ^type Simplify ^object <N>)
+    (Expression ^name <N> ^arg1 0 ^op + ^arg2 <X>)
+    - (Ctx ^mode <X>)
+  -->
+    (remove 2))
+`
+	plain, shared, _, _ := buildBoth(t, src)
+	for i := 1; i <= 4; i++ {
+		feedBoth(plain, shared, "Goal", relation.TupleID(i), relation.Tuple{value.OfSym("Simplify"), value.OfSym(fmt.Sprintf("e%d", i))})
+		feedBoth(plain, shared, "Expression", relation.TupleID(i), relation.Tuple{value.OfSym(fmt.Sprintf("e%d", i)), value.OfInt(0), value.OfSym("+"), value.OfInt(int64(i))})
+	}
+	feedBoth(plain, shared, "Ctx", 1, relation.Tuple{value.OfSym("verbose")})
+	feedBoth(plain, shared, "Ctx", 2, relation.Tuple{value.OfInt(2)})
+	dump := func(net *Network) []string {
+		var out []string
+		net.DumpDerived(nil, func(rule, line string) { out = append(out, rule+" "+line) })
+		sort.Strings(out)
+		return out
+	}
+	p, s := dump(plain), dump(shared)
+	if !reflect.DeepEqual(p, s) {
+		t.Fatalf("listings differ:\nunshared: %v\nshared:   %v", p, s)
+	}
+	blocked := false
+	for _, line := range p {
+		blocked = blocked || strings.Contains(line, "blocked×1")
+	}
+	if !blocked {
+		t.Fatalf("no blocked negative-node token listed: %v", p)
 	}
 }
 

@@ -378,3 +378,21 @@ func (r *Rule) ResolveTerm(t lang.Term, b Bindings) (value.V, error) {
 	}
 	return value.V{}, fmt.Errorf("unbound variable <%s>", t.Var)
 }
+
+// Subset returns the rule set restricted to the named rules, over the
+// same class catalog and the same *Rule values, so rule indexes, class
+// IDs and conflict-set keys are those of s.
+func (s *Set) Subset(names map[string]bool) *Set {
+	sub := &Set{Classes: s.Classes, ByClass: make(map[string][]*CE), byName: make(map[string]*Rule), classIDs: s.classIDs}
+	for _, r := range s.Rules {
+		if !names[r.Name] {
+			continue
+		}
+		sub.Rules = append(sub.Rules, r)
+		sub.byName[r.Name] = r
+		for _, ce := range r.CEs {
+			sub.ByClass[ce.Class] = append(sub.ByClass[ce.Class], ce)
+		}
+	}
+	return sub
+}

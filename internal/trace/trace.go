@@ -47,8 +47,8 @@ const (
 	KindRecoveryReplay // recovery replayed the checkpoint + log tail (Count = units replayed)
 	// Integrity layer.
 	KindAuditRun        // an integrity audit pass completed (Count = divergences found)
-	KindAuditDivergence // one divergence between derived state and ground truth (Extra = detail)
-	KindRepair          // derived state was rebuilt after a divergence (Extra = scope)
+	KindAuditDivergence // one divergence between the live matcher and its from-scratch twin (Extra = detail)
+	KindRepair          // an audit repaired its divergences with a fresh matcher (Count = divergences, Extra = matcher)
 	KindPanicContained  // a panicking firing or maintenance step was absorbed (Extra = value)
 	KindReadOnly        // a WAL failure flipped the system read-only (Extra = cause)
 	// Replication layer.

@@ -211,7 +211,7 @@ type IntegrityStats struct {
 	AuditRulesChecked int64 // rules examined across audits
 	AuditDivergences  int64 // divergences detected
 	AuditRepairs      int64 // divergences repaired
-	MatcherRebuilds   int64 // rules (or whole matchers) rebuilt from WM
+	MatcherRebuilds   int64 // matchers rebuilt from WM by an audit's repair
 	PanicsContained   int64 // rule/maintenance panics absorbed
 }
 

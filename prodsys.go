@@ -49,7 +49,6 @@ import (
 	"prodsys/internal/fsx"
 	"prodsys/internal/joiner"
 	"prodsys/internal/lang"
-	"prodsys/internal/match"
 	"prodsys/internal/matchers"
 	"prodsys/internal/metrics"
 	"prodsys/internal/ptree"
@@ -215,12 +214,13 @@ type System struct {
 	prog    *lang.Program
 	db      *relation.DB
 	stats   *metrics.Set
-	matcher match.Matcher
-	eng     *engine.Engine
+	eng     *engine.Engine // owns the matcher, which an audit's repair may replace
 	quelIn  *quel.Interp
 	out     io.Writer
 	tracer  *trace.Tracer
 	planner *joiner.Planner // LHS joins of the matchers and of QUEL statements
+
+	matcherName string // the algorithm's name, fixed across repairs
 
 	ruleIndex func() *ptree.Index // the condition R-tree RulebaseQuery probes, built on first use
 
@@ -232,7 +232,9 @@ type System struct {
 	closeMu sync.Mutex // serializes Close against itself
 	closed  bool       // Close has run; later calls return nil
 
-	aud *audit.Auditor // lazily built by Audit; keeps the sampling cursor
+	// aud keeps the sampled audit's cursor; guarded by the maintenance
+	// lock, like the matcher it audits.
+	aud *audit.Auditor
 
 	views []*view.Manager // attached view sets; guarded by the maintenance lock
 }
@@ -266,16 +268,20 @@ func load(prog *lang.Program, opts Options) (*System, error) {
 	cs.SetTracer(tr)
 	sys := &System{set: set, prog: prog, db: db, stats: stats, tracer: tr,
 		planner:   joiner.NewPlanner(db, stats),
+		aud:       audit.New(set, db, stats),
 		ruleIndex: sync.OnceValue(func() *ptree.Index { return ptree.NewIndex(set, stats) })}
 	name := opts.Matcher
 	if name == "" {
 		name = MatcherCore
 	}
-	if sys.matcher, err = matchers.New(string(name), set, db, cs, stats); err != nil {
+	m, err := matchers.New(string(name), set, db, cs, stats)
+	if err != nil {
 		return nil, fmt.Errorf("prodsys: %w", err)
 	}
-	sys.matcher.SetTracer(tr)
-	sys.matcher.SetPlanner(sys.planner)
+	m.SetTracer(tr)
+	m.SetPlanner(sys.planner)
+	sys.matcherName = m.Name()
+	sys.aud.SetTracer(tr)
 	tr.SetPlanText(func(rule string) string { return sys.planText(rule) })
 	var strat conflict.Strategy
 	switch opts.Strategy {
@@ -295,7 +301,7 @@ func load(prog *lang.Program, opts Options) (*System, error) {
 		out = os.Stdout
 	}
 	sys.out = out
-	sys.eng = engine.New(set, db, sys.matcher, stats, engine.Config{
+	sys.eng = engine.New(set, db, m, stats, engine.Config{
 		Strategy:   strat,
 		MaxFirings: opts.MaxFirings,
 		Out:        out,
@@ -526,7 +532,7 @@ func (s *System) RuleNames() []string {
 }
 
 // MatcherName reports the active matching algorithm.
-func (s *System) MatcherName() string { return s.matcher.Name() }
+func (s *System) MatcherName() string { return s.matcherName }
 
 // RulebaseQuery answers "which rules have a condition on class whose
 // restriction of attr intersects [lo, hi]" (§4.2.3; nil bound =

@@ -79,9 +79,10 @@ func (s *System) ReplicaAdvanceEpoch(epoch uint64) error {
 //
 //  1. Truncate the mirrored log to its last complete committed-unit
 //     boundary, discarding any partially shipped (never applied) tail.
-//  2. Run the full integrity audit as a promotion gate: derived state
-//     must match ground truth exactly, or promotion is refused with
-//     ErrPromotionGate and the system stays a replica.
+//  2. Run the full integrity audit as a promotion gate: the matcher's
+//     state must match a twin built from scratch over the replica's WM
+//     exactly, or promotion is refused with ErrPromotionGate and the
+//     system stays a replica.
 //  3. Checkpoint under a bumped epoch — the fencing token that
 //     outdates the old primary's log — and open the write gate.
 //
@@ -94,14 +95,10 @@ func (s *System) Promote() (*AuditReport, error) {
 	if _, err := s.eng.PromoteTruncate(); err != nil {
 		return nil, fmt.Errorf("prodsys: promote truncate: %w", err)
 	}
-	if s.aud == nil {
-		s.aud = audit.New(s.set, s.db, s.matcher, s.stats)
-		s.aud.SetTracer(s.tracer)
-	}
 	var rep *audit.Report
 	var gateErr error
 	s.eng.WithMaintenanceLock(func() {
-		rep, gateErr = s.aud.Gate()
+		rep, gateErr = s.aud.Gate(s.eng.Matcher())
 	})
 	out := convertAuditReport(rep)
 	if gateErr != nil {
