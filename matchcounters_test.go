@@ -12,11 +12,12 @@ import (
 	"testing"
 )
 
-// This file pins the counters of the three filter-then-verify matchers
-// (requery, marker, ptree) to a golden file recorded before they shared
-// one pipeline. Result counters and conflict sets must never move. Work
-// counters must not move on tuple-at-a-time runs, nor on the batched
-// requery and marker runs; on batched ptree runs, which gained the
+// This file pins the counters of the four filter-then-verify matchers
+// (requery, marker, ptree and core) to a golden file: the first three
+// rows recorded before they shared one pipeline, core's before it joined
+// them. Result counters and conflict sets must never move. Work counters
+// must not move on tuple-at-a-time runs, nor on the batched requery,
+// marker and core runs; on batched ptree runs, which gained the
 // set-oriented path, they may only fall.
 
 const counterGolden = "testdata/match_counters.golden.json"
@@ -173,7 +174,7 @@ func runSnapWorkload(t *testing.T, w snapWorkload, m Matcher, batched bool) snap
 	return snapRow{Counters: sys.Metrics().Counters, Keys: sys.ConflictKeys()}
 }
 
-// TestMatchCounterSnapshot runs every workload under the three
+// TestMatchCounterSnapshot runs every workload under the four
 // filter-then-verify matchers, in both modes, and checks each row, keyed
 // "workload/mode/matcher", against the golden file.
 func TestMatchCounterSnapshot(t *testing.T) {
@@ -188,7 +189,7 @@ func TestMatchCounterSnapshot(t *testing.T) {
 	rows := 0
 	for _, w := range snapWorkloads() {
 		for _, mode := range []string{"tuple", "batch"} {
-			for _, m := range []Matcher{MatcherRequery, MatcherMarker, MatcherPTree} {
+			for _, m := range []Matcher{MatcherRequery, MatcherMarker, MatcherPTree, MatcherCore} {
 				name := fmt.Sprintf("%s/%s/%s", w.name, mode, m)
 				checkSnapRow(t, name, runSnapWorkload(t, w, m, mode == "batch"), golden[name])
 				rows++
