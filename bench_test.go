@@ -14,7 +14,6 @@ import (
 
 	"prodsys"
 	"prodsys/internal/conflict"
-	"prodsys/internal/core"
 	"prodsys/internal/engine"
 	"prodsys/internal/joiner"
 	"prodsys/internal/match"
@@ -178,7 +177,10 @@ func BenchmarkE7ConcurrentThroughput(b *testing.B) {
 		if err := rules.BuildDB(set, db); err != nil {
 			b.Fatal(err)
 		}
-		m := core.New(set, db, conflict.NewSet(set, stats), stats)
+		m, err := matchers.New("core", set, db, conflict.NewSet(set, stats), stats)
+		if err != nil {
+			b.Fatal(err)
+		}
 		e := engine.New(set, db, m, stats, engine.Config{Out: io.Discard})
 		for _, op := range facts {
 			if _, err := e.Assert(op.Class, op.Tuple); err != nil {

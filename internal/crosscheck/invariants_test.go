@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"prodsys/internal/conflict"
-	"prodsys/internal/core"
 	"prodsys/internal/joiner"
+	"prodsys/internal/matchers"
 	"prodsys/internal/metrics"
 	"prodsys/internal/recheck"
 	"prodsys/internal/relation"
@@ -33,7 +33,11 @@ func TestStorageDrainsToZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		reteM := rete.New(set, conflict.NewSet(set, nil), &metrics.Set{})
-		coreM := core.New(set, db, conflict.NewSet(set, nil), &metrics.Set{})
+		built, err := matchers.New("core", set, db, conflict.NewSet(set, nil), &metrics.Set{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coreM := built.(*recheck.Matcher)
 		markerM := recheck.NewMarker(set, db, conflict.NewSet(set, nil), &metrics.Set{})
 		matchers := []interface {
 			InsertBatch(string, []relation.DeltaEntry) error

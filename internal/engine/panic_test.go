@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"prodsys/internal/conflict"
-	"prodsys/internal/core"
 	"prodsys/internal/match"
+	"prodsys/internal/matchers"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
@@ -60,7 +60,11 @@ func panicHarness(t *testing.T, cfg Config) (*Engine, *metrics.Set) {
 		t.Fatal(err)
 	}
 	cs := conflict.NewSet(set, stats)
-	m := &panicOnClass{Matcher: core.New(set, db, cs, stats), class: "B"}
+	core, err := matchers.New("core", set, db, cs, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &panicOnClass{Matcher: core, class: "B"}
 	e := New(set, db, m, stats, cfg)
 	if err := e.LoadFacts(prog); err != nil {
 		t.Fatal(err)

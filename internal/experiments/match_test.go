@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"prodsys/internal/conflict"
-	"prodsys/internal/core"
 	"prodsys/internal/joiner"
 	"prodsys/internal/match"
 	"prodsys/internal/matchers"
@@ -279,10 +278,11 @@ func TestE3Shape(t *testing.T) {
 		switch m := s.matcher.(type) {
 		case *rete.Network:
 			stored[name] = int64(m.TokenCount())
-		case *core.Matcher:
-			stored[name] = int64(m.PatternCount())
 		case *recheck.Matcher:
-			if name == "marker" {
+			switch name {
+			case "core":
+				stored[name] = int64(m.PatternCount())
+			case "marker":
 				stored[name] = int64(m.MarkCount())
 			}
 		}

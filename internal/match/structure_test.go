@@ -18,7 +18,7 @@ import (
 // five names. In non-test Go outside benchmark/ it fails on a type
 // assertion or type switch to an interface declared in internal/match or
 // internal/audit (capabilities are methods of Matcher, not discovered at
-// run time), on internal/core importing sync (matchers run under the
+// run time), on internal/recheck importing sync (matchers run under the
 // engine's maintenance mutex), and on any identifier or string literal of
 // the deleted parallel core, the second Rete name and the six optional
 // capability interfaces.
@@ -44,8 +44,8 @@ func TestOneMatcherContract(t *testing.T) {
 		local := map[string]map[string]bool{}
 		for _, imp := range file.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
-			if p == "sync" && path.Dir(rel) == "internal/core" {
-				t.Errorf("%s: internal/core imports sync", rel)
+			if p == "sync" && path.Dir(rel) == "internal/recheck" {
+				t.Errorf("%s: internal/recheck imports sync", rel)
 			}
 			if set, ok := ifaces[p]; ok {
 				name := p[strings.LastIndex(p, "/")+1:]
@@ -154,22 +154,46 @@ func interfacesIn(t *testing.T, dir string) map[string]bool {
 }
 
 // TestOneFilterThenVerifyMatcher keeps the re-evaluating matchers in one
-// package: requery, marker and ptree are filters of internal/recheck, so
-// internal/requery and internal/marker do not exist, internal/ptree is
-// only the condition index (no Matcher type, no conflict, joiner or match
-// import), and outside tests only core, rete and recheck declare a type
-// with match.Matcher's method set.
+// package: core, requery, marker and ptree are filters of
+// internal/recheck, so internal/core, internal/requery and
+// internal/marker do not exist, internal/ptree is only the condition
+// index (no Matcher type, no conflict, joiner or match import), and
+// outside tests only rete and recheck declare a type with match.Matcher's
+// method set. The pipeline's negation is one copy: outside tests
+// conflict.Set.RemoveBlocked and an unpinned Planner.Enumerate (a nil
+// *joiner.Pin) are each called from one site, in
+// internal/recheck/recheck.go.
 func TestOneFilterThenVerifyMatcher(t *testing.T) {
 	const root = "../.."
-	for _, gone := range []string{"internal/requery", "internal/marker"} {
+	for _, gone := range []string{"internal/core", "internal/requery", "internal/marker"} {
 		if _, err := os.Stat(filepath.Join(root, gone)); err == nil {
 			t.Errorf("%s still exists", gone)
 		}
 	}
 	contract := reflect.TypeOf((*Matcher)(nil)).Elem()
 	methods := map[string]map[string]bool{} // "dir.Type" -> method names
+	sites := map[string][]string{}          // "RemoveBlocked" / "Enumerate" -> calling files
 	eachSourceFile(t, root, func(rel string, _ *token.FileSet, file *ast.File) {
 		dir := path.Dir(rel)
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			switch name := sel.Sel.Name; {
+			case name == "RemoveBlocked":
+				sites[name] = append(sites[name], rel)
+			case name == "Enumerate" && len(call.Args) == 5:
+				if id, ok := call.Args[2].(*ast.Ident); ok && id.Name == "nil" {
+					sites[name] = append(sites[name], rel)
+				}
+			}
+			return true
+		})
 		for _, imp := range file.Imports {
 			switch p, _ := strconv.Unquote(imp.Path.Value); p {
 			case "prodsys/internal/conflict", "prodsys/internal/joiner", "prodsys/internal/match":
@@ -211,13 +235,18 @@ func TestOneFilterThenVerifyMatcher(t *testing.T) {
 		}
 		if dir := key[:strings.LastIndex(key, ".")]; complete {
 			found[dir] = true
-			if dir != "internal/core" && dir != "internal/rete" && dir != "internal/recheck" {
+			if dir != "internal/rete" && dir != "internal/recheck" {
 				t.Errorf("%s implements match.Matcher", key)
 			}
 		}
 	}
 	if !found["internal/recheck"] {
 		t.Error("internal/recheck implements no match.Matcher; the method scan is broken")
+	}
+	for _, name := range []string{"RemoveBlocked", "Enumerate"} {
+		if got := sites[name]; !reflect.DeepEqual(got, []string{"internal/recheck/recheck.go"}) {
+			t.Errorf("%s calls outside tests at %v, want one in internal/recheck/recheck.go", name, got)
+		}
 	}
 }
 

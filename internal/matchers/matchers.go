@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"prodsys/internal/conflict"
-	"prodsys/internal/core"
 	"prodsys/internal/match"
 	"prodsys/internal/metrics"
 	"prodsys/internal/recheck"
@@ -38,7 +37,7 @@ var table = []struct {
 		return recheck.NewRequery(set, db, cs, stats)
 	}},
 	{"core", func(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set) match.Matcher {
-		return core.New(set, db, cs, stats)
+		return recheck.NewCore(set, db, cs, stats)
 	}},
 	{"marker", func(set *rules.Set, db *relation.DB, cs *conflict.Set, stats *metrics.Set) match.Matcher {
 		return recheck.NewMarker(set, db, cs, stats)

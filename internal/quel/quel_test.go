@@ -6,11 +6,11 @@ import (
 	"testing"
 
 	"prodsys/internal/conflict"
-	"prodsys/internal/core"
 	"prodsys/internal/engine"
 	"prodsys/internal/joiner"
 	"prodsys/internal/lang"
 	"prodsys/internal/match"
+	"prodsys/internal/matchers"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
@@ -189,7 +189,11 @@ func setupWrapped(t *testing.T, alwaysStmts []string, wrap func(match.Matcher) m
 		t.Fatal(err)
 	}
 	pl := joiner.NewPlanner(db, stats)
-	m := wrap(core.New(set, db, conflict.NewSet(set, stats), stats))
+	core, err := matchers.New("core", set, db, conflict.NewSet(set, stats), stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := wrap(core)
 	m.SetPlanner(pl)
 	eng := engine.New(set, db, m, stats, engine.Config{})
 	if err := eng.LoadFacts(prog); err != nil {

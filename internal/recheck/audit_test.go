@@ -13,12 +13,12 @@ import (
 	"prodsys/internal/rules"
 )
 
-// TestAuditCatchesCorruption: a lost marker (marker) or a lost index
-// entry (ptree) is a derived-state divergence, and the repair's fresh
-// matcher audits clean.
+// TestAuditCatchesCorruption: a damaged Mark counter (core), a lost
+// marker (marker) or a lost index entry (ptree) is a derived-state
+// divergence, and the repair's fresh matcher audits clean.
 func TestAuditCatchesCorruption(t *testing.T) {
 	for name, build := range map[string]func(*rules.Set, *relation.DB, *conflict.Set, *metrics.Set) *recheck.Matcher{
-		"marker": recheck.NewMarker, "ptree": recheck.NewPTree,
+		"core": recheck.NewCore, "marker": recheck.NewMarker, "ptree": recheck.NewPTree,
 	} {
 		t.Run(name, func(t *testing.T) { audittest.DetectAndRepair(t, build, recheck.CorruptDerived) })
 	}

@@ -1,13 +1,12 @@
-package core
+package recheck
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
-	"prodsys/internal/conflict"
 	"prodsys/internal/metrics"
-	"prodsys/internal/relation"
-	"prodsys/internal/rules"
 	"prodsys/internal/value"
 )
 
@@ -23,58 +22,11 @@ const threeWaySrc = `
     (halt))
 `
 
-type fixture struct {
-	m  *Matcher
-	db *relation.DB
-	cs *conflict.Set
-	st *metrics.Set
-}
-
-func setup(t *testing.T, src string) *fixture {
-	t.Helper()
-	set, _, err := rules.CompileSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &metrics.Set{}
-	db := relation.NewDB(st)
-	if err := rules.BuildDB(set, db); err != nil {
-		t.Fatal(err)
-	}
-	cs := conflict.NewSet(set, st)
-	return &fixture{m: New(set, db, cs, st), db: db, cs: cs, st: st}
-}
-
-func (f *fixture) insert(t *testing.T, class string, vals ...value.V) relation.TupleID {
-	t.Helper()
-	rel := f.db.MustGet(class)
-	id, err := rel.Insert(relation.Tuple(vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tup, _ := rel.Get(id)
-	if err := f.m.InsertBatch(class, []relation.DeltaEntry{{ID: id, Tuple: tup}}); err != nil {
-		t.Fatal(err)
-	}
-	return id
-}
-
-func (f *fixture) remove(t *testing.T, class string, id relation.TupleID) {
-	t.Helper()
-	tup, err := f.db.MustGet(class).Delete(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.m.DeleteBatch(class, []relation.DeltaEntry{{ID: id, Tuple: tup}}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestExample5PatternAccumulation replays the exact insertion sequence of
 // Example 5 and checks the COND relations accumulate matching patterns as
 // the paper's tables show.
 func TestExample5PatternAccumulation(t *testing.T) {
-	f := setup(t, threeWaySrc)
+	f := setup(t, threeWaySrc, NewCore)
 	// Originals only: one COND tuple per positive CE.
 	if got := f.st.Get(metrics.CondTuplesStored); got != 3 {
 		t.Fatalf("original COND tuples = %d, want 3", got)
@@ -85,19 +37,19 @@ func TestExample5PatternAccumulation(t *testing.T) {
 
 	f.insert(t, "B", value.OfInt(4), value.OfInt(5), value.OfSym("b"))
 	// B(4,5,b) specializes COND-A with x=4 and COND-C with y=5.
-	condA := strings.Join(f.m.DumpCond("A"), "\n")
+	condA := strings.Join(dumpCond(f.m, "A"), "\n")
 	if !strings.Contains(condA, "x=4") {
 		t.Fatalf("COND-A should hold pattern x=4 after B(4,5,b):\n%s", condA)
 	}
 
 	f.insert(t, "C", value.OfSym("c"), value.OfInt(7), value.OfInt(8))
 	// C(c,7,8) adds z=8 to COND-A (paper row "(x,a,8) 01").
-	condA = strings.Join(f.m.DumpCond("A"), "\n")
+	condA = strings.Join(dumpCond(f.m, "A"), "\n")
 	if !strings.Contains(condA, "z=8") {
 		t.Fatalf("COND-A should hold pattern z=8 after C(c,7,8):\n%s", condA)
 	}
 	// COND-B gains y=7 from C (paper row "(x,7,b) 01").
-	condB := strings.Join(f.m.DumpCond("B"), "\n")
+	condB := strings.Join(dumpCond(f.m, "B"), "\n")
 	if !strings.Contains(condB, "y=7") {
 		t.Fatalf("COND-B should hold pattern y=7 after C(c,7,8):\n%s", condB)
 	}
@@ -110,7 +62,7 @@ func TestExample5PatternAccumulation(t *testing.T) {
 	// additionally merges them into the doubly-marked row "(4,7,b) 11";
 	// this implementation keeps the singly-sourced rows and unions their
 	// marks at detection time — see the package comment).
-	condB = strings.Join(f.m.DumpCond("B"), "\n")
+	condB = strings.Join(dumpCond(f.m, "B"), "\n")
 	if !strings.Contains(condB, "x=4") || !strings.Contains(condB, "y=7") {
 		t.Fatalf("COND-B should hold x=4 and y=7 patterns:\n%s", condB)
 	}
@@ -126,7 +78,7 @@ func TestDetectionIsSingleRelationSearch(t *testing.T) {
 	// The final insert must not recompute a join to *detect* the firing:
 	// detection happens against COND-B alone, then one verification join
 	// materializes the tuples.
-	f := setup(t, threeWaySrc)
+	f := setup(t, threeWaySrc, NewCore)
 	f.insert(t, "B", value.OfInt(4), value.OfInt(5), value.OfSym("b"))
 	f.insert(t, "C", value.OfSym("c"), value.OfInt(7), value.OfInt(8))
 	f.insert(t, "A", value.OfInt(4), value.OfSym("a"), value.OfInt(8))
@@ -146,7 +98,7 @@ func TestDetectionIsSingleRelationSearch(t *testing.T) {
 }
 
 func TestDeletionWithdrawsSupport(t *testing.T) {
-	f := setup(t, threeWaySrc)
+	f := setup(t, threeWaySrc, NewCore)
 	b1 := f.insert(t, "B", value.OfInt(4), value.OfInt(7), value.OfSym("b"))
 	f.insert(t, "C", value.OfSym("c"), value.OfInt(7), value.OfInt(8))
 	grown := f.m.PatternCount()
@@ -157,18 +109,18 @@ func TestDeletionWithdrawsSupport(t *testing.T) {
 	f.remove(t, "C", 1)
 	if got := f.m.PatternCount(); got != 0 {
 		t.Fatalf("patterns after removing all support = %d:\nA: %v\nB: %v\nC: %v",
-			got, f.m.DumpCond("A"), f.m.DumpCond("B"), f.m.DumpCond("C"))
+			got, dumpCond(f.m, "A"), dumpCond(f.m, "B"), dumpCond(f.m, "C"))
 	}
 }
 
 func TestSharedSupporterSurvivesPartialDelete(t *testing.T) {
 	// Two B tuples share the pattern x=4 in COND-A; deleting one leaves
 	// the pattern supported (the paper's counter argument, §4.2.2).
-	f := setup(t, threeWaySrc)
+	f := setup(t, threeWaySrc, NewCore)
 	b1 := f.insert(t, "B", value.OfInt(4), value.OfInt(5), value.OfSym("b"))
 	f.insert(t, "B", value.OfInt(4), value.OfInt(6), value.OfSym("b"))
 	f.remove(t, "B", b1)
-	condA := strings.Join(f.m.DumpCond("A"), "\n")
+	condA := strings.Join(dumpCond(f.m, "A"), "\n")
 	if !strings.Contains(condA, "x=4") {
 		t.Fatalf("pattern x=4 should survive one deletion:\n%s", condA)
 	}
@@ -178,7 +130,7 @@ func TestFalseDropCounted(t *testing.T) {
 	// Construct a false drop: two C tuples contribute y=7 patterns with
 	// different z; the combined pattern in COND-B can carry supporters
 	// whose full combination does not join.
-	f := setup(t, threeWaySrc)
+	f := setup(t, threeWaySrc, NewCore)
 	f.insert(t, "C", value.OfSym("c"), value.OfInt(7), value.OfInt(8))
 	f.insert(t, "C", value.OfSym("c"), value.OfInt(7), value.OfInt(9))
 	f.insert(t, "A", value.OfInt(4), value.OfSym("a"), value.OfInt(8))
@@ -195,7 +147,7 @@ func TestFalseDropCounted(t *testing.T) {
 func TestSingleCERuleFiresImmediately(t *testing.T) {
 	f := setup(t, `
 (literalize A x)
-(p Solo (A ^x > 5) --> (halt))`)
+(p Solo (A ^x > 5) --> (halt))`, NewCore)
 	f.insert(t, "A", value.OfInt(3))
 	if f.cs.Len() != 0 {
 		t.Fatal("3 should not fire")
@@ -210,7 +162,7 @@ func TestNegationRetractAndUnblock(t *testing.T) {
 	f := setup(t, `
 (literalize Emp dno)
 (literalize Dept dno)
-(p Orphan (Emp ^dno <d>) - (Dept ^dno <d>) --> (halt))`)
+(p Orphan (Emp ^dno <d>) - (Dept ^dno <d>) --> (halt))`, NewCore)
 	f.insert(t, "Emp", value.OfInt(7))
 	if f.cs.Len() != 1 {
 		t.Fatalf("orphan should fire: %v", f.cs.Keys())
@@ -226,7 +178,7 @@ func TestNegationRetractAndUnblock(t *testing.T) {
 }
 
 func TestSpaceAccountingCounters(t *testing.T) {
-	f := setup(t, threeWaySrc)
+	f := setup(t, threeWaySrc, NewCore)
 	f.insert(t, "B", value.OfInt(4), value.OfInt(5), value.OfSym("b"))
 	if f.st.Get(metrics.PatternsStored) == 0 {
 		t.Error("PatternsStored should move")
@@ -238,15 +190,43 @@ func TestSpaceAccountingCounters(t *testing.T) {
 }
 
 func TestDumpCondUnknownClass(t *testing.T) {
-	f := setup(t, threeWaySrc)
-	if got := f.m.DumpCond("Nope"); got != nil {
+	f := setup(t, threeWaySrc, NewCore)
+	if got := dumpCond(f.m, "Nope"); got != nil {
 		t.Fatalf("unknown class dump = %v", got)
 	}
 }
 
 func TestAccessors(t *testing.T) {
-	f := setup(t, threeWaySrc)
+	f := setup(t, threeWaySrc, NewCore)
 	if f.m.ConflictSet() != f.cs {
 		t.Error("ConflictSet accessor")
 	}
+}
+
+// dumpCond renders one class's COND relation, mirroring the tables of
+// Example 5 in the paper.
+func dumpCond(m *Matcher, class string) []string {
+	c := m.f.(*cond)
+	st := c.stores[class]
+	if st == nil {
+		return nil
+	}
+	var out []string
+	for _, ci := range st.conds {
+		out = append(out, fmt.Sprintf("%s CEN=%d {} marks=[] (original)", ci.ce.Rule.Name, ci.ce.CEN()))
+		for _, sh := range ci.shapes {
+			sh.each(func(p *pattern) {
+				marks := make([]string, 0, len(p.support))
+				for _, s := range p.support {
+					marks = append(marks, fmt.Sprintf("%s:%d×%d", ci.ce.Rule.CEs[s.src].Class, s.src+1, len(s.ids)))
+				}
+				sort.Strings(marks)
+				var b strings.Builder
+				p.writeBindings(&b)
+				out = append(out, fmt.Sprintf("%s CEN=%d {%s} marks=%v", ci.ce.Rule.Name, ci.ce.CEN(), b.String(), marks))
+			})
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -1,7 +1,8 @@
-package core
+package recheck
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -168,7 +169,7 @@ type shape struct {
 func newShape(ci *condIndex, vars []string) *shape {
 	sh := &shape{ci: ci, vars: vars, pats: make(map[bindKey]*pattern)}
 	for _, vt := range ci.ce.VarTests {
-		if k := indexOf(vars, vt.Var); k >= 0 {
+		if k := slices.Index(vars, vt.Var); k >= 0 {
 			sh.tests = append(sh.tests, shapeTest{pos: vt.Pos, op: vt.Op, slot: k})
 		}
 	}
@@ -370,7 +371,7 @@ func (ci *condIndex) alone(t relation.Tuple) bool {
 // shapeFor returns the shape binding vars, creating it on first use.
 func (ci *condIndex) shapeFor(vars []string) *shape {
 	for _, sh := range ci.shapes {
-		if equalStrings(sh.vars, vars) {
+		if slices.Equal(sh.vars, vars) {
 			return sh
 		}
 	}
@@ -394,7 +395,7 @@ type detection struct {
 // tuple, one hash bucket per shape it keys, and every pattern of the
 // shapes reachable only through inequalities. The rule fires when the
 // union of marks across the matched patterns covers every contributor.
-func (m *Matcher) detect(ci *condIndex, t relation.Tuple) (d detection) {
+func (ci *condIndex) detect(t relation.Tuple) (d detection) {
 	d.checked = 1
 	if !ci.alone(t) {
 		return d
@@ -501,25 +502,4 @@ func eqPos(ce *rules.CE, v string) int {
 		}
 	}
 	return -1
-}
-
-func indexOf(list []string, s string) int {
-	for i, x := range list {
-		if x == s {
-			return i
-		}
-	}
-	return -1
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,4 +1,4 @@
-package core
+package recheck
 
 import (
 	"fmt"
@@ -12,7 +12,6 @@ import (
 	"prodsys/internal/joiner"
 	"prodsys/internal/match"
 	"prodsys/internal/metrics"
-	"prodsys/internal/recheck"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
 	"prodsys/internal/value"
@@ -21,7 +20,7 @@ import (
 // verifyAll is the test hook that turns exact detection off: every
 // candidate goes through the verification join, as before exactness.
 func (m *Matcher) verifyAll() {
-	for _, ci := range m.cond {
+	for _, ci := range m.f.(*cond).ces {
 		ci.partner = -1
 	}
 }
@@ -110,15 +109,15 @@ func runExactAgreement(t *testing.T, r *rand.Rand, src string, wantExact, batche
 		t.Fatal(err)
 	}
 	exactStats, verifyStats := &metrics.Set{}, &metrics.Set{}
-	exact := New(set, db, conflict.NewSet(set, exactStats), exactStats)
+	exact := NewCore(set, db, conflict.NewSet(set, exactStats), exactStats)
 	exact.SetPlanner(joiner.NewPlanner(db, exactStats))
-	verify := New(set, db, conflict.NewSet(set, verifyStats), verifyStats)
+	verify := NewCore(set, db, conflict.NewSet(set, verifyStats), verifyStats)
 	verify.SetPlanner(joiner.NewPlanner(db, verifyStats))
 	verify.verifyAll()
-	oracle := recheck.NewRequery(set, db, conflict.NewSet(set, nil), &metrics.Set{})
+	oracle := NewRequery(set, db, conflict.NewSet(set, nil), &metrics.Set{})
 	matchers := []match.Matcher{exact, verify, oracle}
 
-	for _, ci := range exact.cond {
+	for _, ci := range exact.f.(*cond).ces {
 		if got := ci.partner >= 0; got != wantExact {
 			t.Fatalf("%s: CE%d exact = %v, want %v", ctx, ci.ce.CEN(), got, wantExact)
 		}
@@ -196,12 +195,12 @@ func runExactAgreement(t *testing.T, r *rand.Rand, src string, wantExact, batche
 }
 
 // twinDiff is the integrity audit's comparison, made inside the package
-// (internal/audit imports core through internal/matchers): it builds a
+// (internal/audit imports recheck through internal/matchers): it builds a
 // core matcher from scratch over m's WM, fed one insert batch per class
 // and carrying m's refraction marks, and lists the DumpDerived lines and
 // eligible instantiation keys on which m and the twin differ.
 func twinDiff(m *Matcher) []string {
-	twin := New(m.set, m.db, m.cs.Scratch(), nil)
+	twin := NewCore(m.set, m.db, m.cs.Scratch(), nil)
 	d := relation.NewDelta()
 	for _, class := range m.set.ClassNames() {
 		m.db.MustGet(class).Scan(func(id relation.TupleID, t relation.Tuple) bool {
@@ -255,7 +254,7 @@ func TestExactEmissionAllocsPerInstantiation(t *testing.T) {
 	f := setup(t, `
 (literalize A a b)
 (literalize B a b)
-(p two (A ^a <x> ^b <y>) (B ^a <x> ^b <z>) --> (halt))`)
+(p two (A ^a <x> ^b <y>) (B ^a <x> ^b <z>) --> (halt))`, NewCore)
 	const n = 32
 	var partners []relation.TupleID
 	for i := 0; i < n; i++ {
@@ -267,12 +266,13 @@ func TestExactEmissionAllocsPerInstantiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	tup, _ := rel.Get(id)
-	ci := f.m.cond[f.m.set.Rules[0].CEs[0]]
+	c := f.m.f.(*cond)
+	ci := c.ces[f.m.set.Rules[0].CEs[0]]
 	if ci.partner < 0 {
 		t.Fatal("rule two should be exact")
 	}
 	emit := func() int {
-		ins := f.m.buildExact(ci, id, tup, partners)
+		ins := c.buildExact(f.m, ci, id, tup, partners)
 		clear(ins)
 		f.m.ins = ins[:0]
 		return len(ins)

@@ -1,10 +1,14 @@
 // Package recheck holds the filter-then-verify matchers: the paper's
-// simplified algorithm (§4.1) and the [STON86a] baselines of §2.3, Basic
-// Locking and Predicate Indexing. Each finds the condition elements a
-// working-memory change may affect, then re-evaluates each one's LHS
-// join pinned to the changed tuple; they differ only in the search. So
-// one Matcher runs one insert/delete/batch pipeline over a filter:
+// matching-pattern algorithm (§4.2), its simplified algorithm (§4.1) and
+// the [STON86a] baselines of §2.3, Basic Locking and Predicate Indexing.
+// Each finds the condition elements a working-memory change may affect,
+// then re-evaluates each one's LHS join pinned to the changed tuple; they
+// differ only in the search. So one Matcher runs one insert/delete/batch
+// pipeline over a filter:
 //
+//   - cond (NewCore) searches the COND relation of matching patterns the
+//     filter maintains, and emits an exact rule's instantiations straight
+//     from the marks;
 //   - scan (NewRequery) searches every condition element on the class,
 //     the COND relation of §4.1;
 //   - marks (NewMarker) wakes the rules marked on a tuple or on an index
@@ -12,9 +16,10 @@
 //     false drop;
 //   - rtree (NewPTree) probes the condition R-tree of internal/ptree.
 //
-// None stores matching patterns or tokens — minimal space against join
-// recomputation on every change. requery, a direct transcription of the
-// declarative semantics, is the other matchers' correctness oracle.
+// Only cond stores matching patterns; the other three trade that space
+// for join recomputation on every change. requery, a direct
+// transcription of the declarative semantics, is the other matchers'
+// correctness oracle.
 package recheck
 
 import (
@@ -122,6 +127,23 @@ func (m *Matcher) DumpDerived(only map[string]bool, emit func(rule, line string)
 	m.f.dump(m, only, emit)
 }
 
+// PatternCount reports the number of matching patterns core stores
+// (original COND tuples excluded) — the space cost of §4.2.3. The other
+// filters store none.
+func (m *Matcher) PatternCount() int {
+	n := 0
+	if c, ok := m.f.(*cond); ok {
+		for _, st := range c.stores {
+			for _, ci := range st.conds {
+				for _, sh := range ci.shapes {
+					n += sh.n
+				}
+			}
+		}
+	}
+	return n
+}
+
 // MarkCount reports the number of (tuple, rule) markers Basic Locking
 // stores — the space cost of the scheme, to compare against pattern and
 // token storage. The other filters store none.
@@ -182,6 +204,18 @@ func (m *Matcher) rederive(r *rules.Rule, ce int, class string) int64 {
 	n := m.addDerived()
 	m.emit(t0, trace.Event{Kind: trace.KindJoinEval, Rule: r.Name, CE: ce, Class: class, Count: n})
 	return n
+}
+
+// rederiveNegated re-derives, once per call, each rule with a negated
+// condition element on the class.
+func (m *Matcher) rederiveNegated(class string) {
+	seen := map[*rules.Rule]bool{}
+	for _, ce := range m.set.ByClass[class] {
+		if ce.Negated && !seen[ce.Rule] {
+			seen[ce.Rule] = true
+			m.rederive(ce.Rule, ce.Index, class)
+		}
+	}
 }
 
 // addDerived adds the buffered instantiations to the conflict set in one
@@ -263,15 +297,9 @@ func (scan) inserted(m *Matcher, class string, entries []relation.DeltaEntry) {
 	}
 }
 
-// deleted re-derives, once per batch, each rule with a negated condition
-// element on the class.
+// deleted counts a search of every condition element on the class and
+// re-derives, once per batch, each rule with a negated one.
 func (scan) deleted(m *Matcher, class string, _ []relation.DeltaEntry) {
-	seen := map[*rules.Rule]bool{}
-	for _, ce := range m.set.ByClass[class] {
-		m.stats.Inc(metrics.PatternSearches)
-		if ce.Negated && !seen[ce.Rule] {
-			seen[ce.Rule] = true
-			m.rederive(ce.Rule, ce.Index, class)
-		}
-	}
+	m.stats.Add(metrics.PatternSearches, int64(len(m.set.ByClass[class])))
+	m.rederiveNegated(class)
 }

@@ -40,19 +40,19 @@ func (x *rtree) inserted(m *Matcher, class string, entries []relation.DeltaEntry
 		}
 		return
 	}
-	byCE := map[*rules.CE][]relation.DeltaEntry{}
+	hits := map[*rules.CE][]relation.DeltaEntry{}
 	var ces []*rules.CE
 	for _, e := range entries {
 		for _, ce := range x.probe(m, class, e) {
 			m.stats.Inc(metrics.PatternSearches)
-			if byCE[ce] == nil {
+			if hits[ce] == nil {
 				ces = append(ces, ce)
 			}
-			byCE[ce] = append(byCE[ce], e)
+			hits[ce] = append(hits[ce], e)
 		}
 	}
 	for _, ce := range ces {
-		m.verify(ce, byCE[ce])
+		m.verify(ce, hits[ce])
 	}
 }
 

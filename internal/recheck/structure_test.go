@@ -1,4 +1,4 @@
-package core
+package recheck
 
 import (
 	"go/ast"
@@ -45,7 +45,7 @@ func TestCondIndexStructure(t *testing.T) {
 					if (strings.Contains(strings.ToLower(n.Name.Name), "key") || indexTypes[recv]) && callsFmt(n) {
 						t.Errorf("%s: %s builds strings with fmt on the pattern-key path", fset.Position(n.Pos()), n.Name.Name)
 					}
-					if recv == "Matcher" && n.Name.Name == "detectInserts" {
+					if recv == "cond" && n.Name.Name == "detectInserts" {
 						calls = methodsCalled(n)
 					}
 				}

@@ -18,8 +18,8 @@ import (
 	"sync"
 
 	"prodsys/internal/conflict"
-	"prodsys/internal/core"
 	"prodsys/internal/match"
+	"prodsys/internal/matchers"
 	"prodsys/internal/metrics"
 	"prodsys/internal/relation"
 	"prodsys/internal/rules"
@@ -175,7 +175,9 @@ func NewManager(src string, db *relation.DB, stats *metrics.Set) (*Manager, erro
 			v.apply(added, in)
 		}
 	})
-	mgr.matcher = core.New(set, db, cs, stats)
+	if mgr.matcher, err = matchers.New("core", set, db, cs, stats); err != nil {
+		return nil, err
+	}
 	return mgr, nil
 }
 
