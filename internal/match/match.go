@@ -1,9 +1,9 @@
 // Package match defines the one contract every matching algorithm in
-// this repository implements: the Rete network (internal/rete), the
-// matching-pattern algorithm that is the paper's contribution
-// (internal/core), and the filter-then-verify matchers of
-// internal/recheck — the paper's simplified re-evaluation algorithm and
-// the [STON86a] baselines Basic Locking and Predicate Indexing.
+// this repository implements: the Rete network (internal/rete) and the
+// filter-then-verify matchers of internal/recheck — the matching-pattern
+// algorithm that is the paper's contribution, the paper's simplified
+// re-evaluation algorithm and the [STON86a] baselines Basic Locking and
+// Predicate Indexing.
 //
 // A matcher observes working-memory changes and maintains a conflict set.
 // The engine owns the WM relations; every write unit — a batch, a rule

@@ -4,8 +4,8 @@
 // integrity audit's from-scratch twins, the experiment harness, the
 // conformance and crosscheck suites — goes
 // through New, so a matcher registered here is reachable, and tested,
-// everywhere at once. requery, marker and ptree are three filters of one
-// filter-then-verify matcher, internal/recheck; they keep their names
+// everywhere at once. core, requery, marker and ptree are four filters of
+// one filter-then-verify matcher, internal/recheck; they keep their names
 // because the experiments, the crosscheck suites and the benchmark sweep
 // select them by name.
 package matchers

@@ -59,7 +59,8 @@ type Matcher struct {
 // Matcher.verify and Matcher.rederive, and owns its derived state.
 type filter interface {
 	// inserted passes each condition element the inserted entries may
-	// satisfy to m.verify, with the entries to pin it to.
+	// satisfy to m.verify, with the entries to pin it to; cond adds an
+	// exact rule's instantiations from its marks instead.
 	inserted(m *Matcher, class string, entries []relation.DeltaEntry)
 	// deleted, called once the entries' instantiations are retracted,
 	// passes each rule the deletion may have unblocked to m.rederive.
