@@ -40,17 +40,26 @@ const firingOrderSrc = `
 `
 
 // firingOrderBatches are the commits of the firing-order run: six A,
-// then four B, then two C.
-var firingOrderBatches = [][]snapOp{
-	{snapAssert("A", 0, 1), snapAssert("A", 1, 2), snapAssert("A", 2, 3), snapAssert("A", 0, 4), snapAssert("A", 1, 5), snapAssert("A", 3, 6)},
-	{snapAssert("B", 1, 7), snapAssert("B", 0, 8), snapAssert("B", 2, 9), snapAssert("B", 1, 10)},
-	{snapAssert("C", 0), snapAssert("C", 1)},
+// then four B, then two C. With dup, the C batch carries a second C(1):
+// two entries that agree on every attribute t3 reads, each completing
+// four t3 matches, so the agenda shows whether a batch's candidates are
+// verified entry by entry or replayed per match.
+func firingOrderBatches(dup bool) [][]snapOp {
+	cs := []snapOp{snapAssert("C", 0), snapAssert("C", 1)}
+	if dup {
+		cs = append(cs, snapAssert("C", 1))
+	}
+	return [][]snapOp{
+		{snapAssert("A", 0, 1), snapAssert("A", 1, 2), snapAssert("A", 2, 3), snapAssert("A", 0, 4), snapAssert("A", 1, 5), snapAssert("A", 3, 6)},
+		{snapAssert("B", 1, 7), snapAssert("B", 0, 8), snapAssert("B", 2, 9), snapAssert("B", 1, 10)},
+		cs,
+	}
 }
 
-// coreFiringOrder commits firingOrderBatches under core, one commit per
-// batch or one per op, runs to quiescence under FIFO and returns what the
-// firings wrote.
-func coreFiringOrder(t *testing.T, batched bool) string {
+// coreFiringOrder commits firingOrderBatches(dup) under core, one commit
+// per batch or one per op, runs to quiescence under FIFO and returns what
+// the firings wrote.
+func coreFiringOrder(t *testing.T, batched, dup bool) string {
 	t.Helper()
 	var out strings.Builder
 	sys, err := Load(firingOrderSrc, Options{Matcher: MatcherCore, Strategy: StrategyFIFO, Out: &out})
@@ -58,7 +67,7 @@ func coreFiringOrder(t *testing.T, batched bool) string {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	for _, batch := range firingOrderBatches {
+	for _, batch := range firingOrderBatches(dup) {
 		commits := [][]snapOp{batch}
 		if !batched {
 			commits = nil
@@ -83,15 +92,16 @@ func coreFiringOrder(t *testing.T, batched bool) string {
 }
 
 // TestCoreFiringOrder compares core's FIFO firing sequence, in tuple and
-// in batch mode, with the golden file.
+// in batch mode, and in batch mode with a duplicate C, with the golden
+// file.
 func TestCoreFiringOrder(t *testing.T) {
 	want, err := os.ReadFile(firingOrderGolden)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got strings.Builder
-	for _, mode := range []string{"tuple", "batch"} {
-		fmt.Fprintf(&got, "# %s\n%s", mode, coreFiringOrder(t, mode == "batch"))
+	for _, mode := range []string{"tuple", "batch", "batch, duplicate C"} {
+		fmt.Fprintf(&got, "# %s\n%s", mode, coreFiringOrder(t, mode != "tuple", mode == "batch, duplicate C"))
 	}
 	if got.String() != string(want) {
 		t.Errorf("core fired\n%s\ngolden\n%s", got.String(), want)
