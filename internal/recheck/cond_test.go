@@ -61,7 +61,7 @@ func TestExample5PatternAccumulation(t *testing.T) {
 	// COND-B now holds A's contribution x=4 alongside C's y=7 (the paper
 	// additionally merges them into the doubly-marked row "(4,7,b) 11";
 	// this implementation keeps the singly-sourced rows and unions their
-	// marks at detection time — see the package comment).
+	// marks at detection time — see the cond type comment).
 	condB = strings.Join(dumpCond(f.m, "B"), "\n")
 	if !strings.Contains(condB, "x=4") || !strings.Contains(condB, "y=7") {
 		t.Fatalf("COND-B should hold x=4 and y=7 patterns:\n%s", condB)
