@@ -8,30 +8,93 @@ import (
 )
 
 // attrIndex is one secondary index over a single attribute position of
-// the row store. It pairs a hash map for O(1) equality probes with,
-// when ordered, sorted key lists for range probes — the "sorted in
-// addition to hash" access paths of ROADMAP item 3. Every change
-// memmoves the sorted lists, so an attribute only ever equality-probed
-// keeps the hash side alone. Keys are normalized with value.V.Key(), so
-// Int/Float and Str/Sym collapse the same way value.Equal does. Nil
-// values are not indexed: OPS5 equality and range comparisons never
-// admit nil, so a nil-valued tuple can never be an index hit (probing
-// for nil correctly yields nothing, matching the scan path).
+// the row store. Its hash side answers equality probes: three typed
+// maps, one per kind of Key()-normalized value (so Int/Float and
+// Str/Sym collapse the way value.Equal does), give each distinct key a
+// slot in buckets, the idList of the IDs carrying it. Emptied slots are
+// reused, so a key costs no allocation of its own. When ordered, sorted
+// key lists point at the same buckets and answer range probes; they
+// change only when a key appears or disappears, and a key that appears
+// inside the range of existing keys memmoves its list, so an attribute
+// only ever equality-probed keeps the hash side alone. Nil values are
+// not indexed: OPS5 equality and range comparisons never admit nil, so
+// a nil-valued tuple can never be an index hit (probing for nil
+// correctly yields nothing, matching the scan path).
 type attrIndex struct {
-	hash    map[value.V]map[TupleID]struct{}
+	ints    map[int64]int32
+	floats  map[float64]int32
+	strs    map[string]int32
+	buckets []idList
+	free    []int32 // slots of emptied buckets
 	ordered bool
-	num     []ordEntry // numeric keys, ascending by numeric value
-	txt     []ordEntry // textual keys, ascending by string
+	num     ordList // numeric keys, ascending by numeric value
+	txt     ordList // textual keys, ascending by string
 }
 
-// ordEntry groups the IDs carrying one distinct key value.
+// ordList is an ordered side's sorted key list. A key whose bucket
+// empties leaves a tombstone entry, which a reappearing key revives;
+// the list drops its tombstones once half its entries are dead.
+type ordList struct {
+	entries []ordEntry
+	ndead   int
+}
+
+// ordEntry is one distinct key and the slot of its bucket, or -1 for a
+// tombstone.
 type ordEntry struct {
-	key value.V
-	ids []TupleID // ascending
+	key  value.V
+	slot int32
 }
 
-func newAttrIndex(ordered bool) *attrIndex {
-	return &attrIndex{hash: make(map[value.V]map[TupleID]struct{}), ordered: ordered}
+func newAttrIndex() *attrIndex {
+	return &attrIndex{
+		ints:   make(map[int64]int32),
+		floats: make(map[float64]int32),
+		strs:   make(map[string]int32),
+	}
+}
+
+// slot returns the bucket slot of the normalized, non-nil key k.
+func (ix *attrIndex) slot(k value.V) (int32, bool) {
+	var s int32
+	var ok bool
+	switch k.Kind() {
+	case value.Int:
+		s, ok = ix.ints[k.AsInt()]
+	case value.Float:
+		s, ok = ix.floats[k.AsFloat()]
+	default:
+		s, ok = ix.strs[k.AsString()]
+	}
+	return s, ok
+}
+
+// setSlot maps the normalized key k to slot s, or unmaps it when s < 0.
+func (ix *attrIndex) setSlot(k value.V, s int32) {
+	switch k.Kind() {
+	case value.Int:
+		setOrDelete(ix.ints, k.AsInt(), s)
+	case value.Float:
+		setOrDelete(ix.floats, k.AsFloat(), s)
+	default:
+		setOrDelete(ix.strs, k.AsString(), s)
+	}
+}
+
+func setOrDelete[K comparable](m map[K]int32, k K, s int32) {
+	if s < 0 {
+		delete(m, k)
+	} else {
+		m[k] = s
+	}
+}
+
+// sorted returns the ordered side's key list for the normalized key k.
+func (ix *attrIndex) sorted(k value.V) *ordList {
+	if k.IsNumeric() {
+		return &ix.num
+	}
+	return &ix.txt
 }
 
 // order adds the ordered side to a hash-only index.
@@ -40,19 +103,21 @@ func (ix *attrIndex) order() {
 		return
 	}
 	ix.ordered = true
-	for k, set := range ix.hash {
-		for id := range set {
-			ix.addOrdered(k, id)
-		}
+	for k, s := range ix.ints {
+		ix.num.entries = append(ix.num.entries, ordEntry{value.OfInt(k), s})
 	}
-}
-
-func (ix *attrIndex) addOrdered(k value.V, id TupleID) {
-	if k.IsNumeric() {
-		ix.num = ordInsert(ix.num, k, id)
-	} else {
-		ix.txt = ordInsert(ix.txt, k, id)
+	for k, s := range ix.floats {
+		ix.num.entries = append(ix.num.entries, ordEntry{value.OfFloat(k), s})
 	}
+	for k, s := range ix.strs {
+		ix.txt.entries = append(ix.txt.entries, ordEntry{value.OfString(k), s})
+	}
+	byKey := func(a, b ordEntry) int {
+		cmp, _ := value.Compare(a.key, b.key)
+		return cmp
+	}
+	slices.SortFunc(ix.num.entries, byKey)
+	slices.SortFunc(ix.txt.entries, byKey)
 }
 
 func (ix *attrIndex) add(v value.V, id TupleID) {
@@ -60,15 +125,20 @@ func (ix *attrIndex) add(v value.V, id TupleID) {
 		return
 	}
 	k := v.Key()
-	set := ix.hash[k]
-	if set == nil {
-		set = make(map[TupleID]struct{})
-		ix.hash[k] = set
+	s, ok := ix.slot(k)
+	if !ok {
+		if n := len(ix.free); n > 0 {
+			s, ix.free = ix.free[n-1], ix.free[:n-1]
+		} else {
+			s = int32(len(ix.buckets))
+			ix.buckets = append(ix.buckets, idList{})
+		}
+		ix.setSlot(k, s)
+		if ix.ordered {
+			ix.sorted(k).put(k, s)
+		}
 	}
-	set[id] = struct{}{}
-	if ix.ordered {
-		ix.addOrdered(k, id)
-	}
+	ix.buckets[s].add(id)
 }
 
 func (ix *attrIndex) remove(v value.V, id TupleID) {
@@ -76,52 +146,38 @@ func (ix *attrIndex) remove(v value.V, id TupleID) {
 		return
 	}
 	k := v.Key()
-	if set := ix.hash[k]; set != nil {
-		delete(set, id)
-		if len(set) == 0 {
-			delete(ix.hash, k)
-		}
-	}
-	if !ix.ordered {
+	s, ok := ix.slot(k)
+	if !ok {
 		return
 	}
-	if k.IsNumeric() {
-		ix.num = ordRemove(ix.num, k, id)
-	} else {
-		ix.txt = ordRemove(ix.txt, k, id)
+	b := &ix.buckets[s]
+	b.remove(id)
+	if b.Len() > 0 {
+		return
+	}
+	ix.setSlot(k, -1)
+	ix.free = append(ix.free, s)
+	if ix.ordered {
+		ix.sorted(k).drop(k)
 	}
 }
 
-// lookup returns the ID set for an equality probe; nil probes hit
-// nothing by construction.
-func (ix *attrIndex) lookup(v value.V) map[TupleID]struct{} {
+// lookupIDs returns the IDs of an equality probe in ascending order;
+// nil probes hit nothing by construction.
+func (ix *attrIndex) lookupIDs(v value.V) []TupleID {
 	if v.IsNil() {
 		return nil
 	}
-	return ix.hash[v.Key()]
-}
-
-// lookupIDs materializes an equality probe in ascending ID order.
-func (ix *attrIndex) lookupIDs(v value.V) []TupleID {
-	set := ix.lookup(v)
-	if len(set) == 0 {
+	s, ok := ix.slot(v.Key())
+	if !ok {
 		return nil
 	}
-	out := make([]TupleID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
+	b := &ix.buckets[s]
+	return b.appendLive(make([]TupleID, 0, b.Len()))
 }
 
 // distinct returns the number of distinct live key values.
-func (ix *attrIndex) distinct() int { return len(ix.hash) }
-
-func (ix *attrIndex) clear() {
-	ix.hash = make(map[value.V]map[TupleID]struct{})
-	ix.num, ix.txt = nil, nil
-}
+func (ix *attrIndex) distinct() int { return len(ix.ints) + len(ix.floats) + len(ix.strs) }
 
 // rangeIDs collects the IDs of tuples whose key lies within b, in
 // ascending ID order. The bound values pick the category list; a range
@@ -139,10 +195,7 @@ func (ix *attrIndex) rangeIDs(b Bounds) []TupleID {
 			return nil // mixed-category bounds: nothing satisfies both
 		}
 	}
-	list := ix.txt
-	if bound.IsNumeric() {
-		list = ix.num
-	}
+	list := ix.sorted(bound).entries
 	lo := 0
 	if !b.Lo.IsNil() {
 		lo = sort.Search(len(list), func(i int) bool {
@@ -168,20 +221,25 @@ func (ix *attrIndex) rangeIDs(b Bounds) []TupleID {
 	}
 	n := 0
 	for _, e := range list[lo:hi] {
-		n += len(e.ids)
+		if e.slot >= 0 {
+			n += ix.buckets[e.slot].Len()
+		}
 	}
 	out := make([]TupleID, 0, n)
 	for _, e := range list[lo:hi] {
-		out = append(out, e.ids...)
+		if e.slot >= 0 {
+			out = ix.buckets[e.slot].appendLive(out)
+		}
 	}
 	slices.Sort(out)
 	return out
 }
 
-// ordFind locates the entry for key k (already Key()-normalized) in a
-// sorted entry list, returning the insertion point and whether the
-// entry exists.
-func ordFind(list []ordEntry, k value.V) (int, bool) {
+// search locates key k (Key()-normalized) in the list, returning its
+// entry's position, or the insertion point, and whether an entry, live
+// or tombstone, exists.
+func (l *ordList) search(k value.V) (int, bool) {
+	list := l.entries
 	i := sort.Search(len(list), func(i int) bool {
 		cmp, _ := value.Compare(list[i].key, k)
 		return cmp >= 0
@@ -194,54 +252,29 @@ func ordFind(list []ordEntry, k value.V) (int, bool) {
 	return i, false
 }
 
-// ordInsert adds (k, id) to the sorted entry list.
-func ordInsert(list []ordEntry, k value.V, id TupleID) []ordEntry {
-	i, found := ordFind(list, k)
-	if found {
-		list[i].ids = idInsert(list[i].ids, id)
-		return list
-	}
-	list = append(list, ordEntry{})
-	copy(list[i+1:], list[i:])
-	list[i] = ordEntry{key: k, ids: []TupleID{id}}
-	return list
-}
-
-// ordRemove drops (k, id) from the sorted entry list, deleting the
-// entry when its ID list empties.
-func ordRemove(list []ordEntry, k value.V, id TupleID) []ordEntry {
-	i, found := ordFind(list, k)
+// put records that key k now has a bucket, in slot s.
+func (l *ordList) put(k value.V, s int32) {
+	i, found := l.search(k)
 	if !found {
-		return list
+		l.entries = slices.Insert(l.entries, i, ordEntry{key: k, slot: s})
+		return
 	}
-	list[i].ids = idRemove(list[i].ids, id)
-	if len(list[i].ids) == 0 {
-		list = append(list[:i], list[i+1:]...)
+	if l.entries[i].slot < 0 {
+		l.ndead--
 	}
-	return list
+	l.entries[i].slot = s
 }
 
-// idInsert adds id to a sorted ID slice. IDs are assigned in increasing
-// order, so the common case is a plain append.
-func idInsert(ids []TupleID, id TupleID) []TupleID {
-	if n := len(ids); n == 0 || ids[n-1] < id {
-		return append(ids, id)
+// drop records that key k's bucket emptied.
+func (l *ordList) drop(k value.V) {
+	i, found := l.search(k)
+	if !found || l.entries[i].slot < 0 {
+		return
 	}
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i < len(ids) && ids[i] == id {
-		return ids
+	l.entries[i].slot = -1
+	l.ndead++
+	if 2*l.ndead >= len(l.entries) {
+		l.entries = slices.DeleteFunc(l.entries, func(e ordEntry) bool { return e.slot < 0 })
+		l.ndead = 0
 	}
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = id
-	return ids
-}
-
-// idRemove drops id from a sorted ID slice.
-func idRemove(ids []TupleID, id TupleID) []TupleID {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i < len(ids) && ids[i] == id {
-		return append(ids[:i], ids[i+1:]...)
-	}
-	return ids
 }

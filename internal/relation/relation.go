@@ -67,7 +67,7 @@ func (r *Relation) Schema() *Schema { return r.schema }
 func (r *Relation) Name() string { return r.schema.Name() }
 
 // Len returns the current live tuple count. The count moves only under
-// Insert/Delete/Clear; it is exact, never an estimate.
+// inserts and deletes; it is exact, never an estimate.
 func (r *Relation) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -232,13 +232,15 @@ func (r *Relation) Delete(id TupleID) (Tuple, error) {
 // Scan visits every tuple in ascending TupleID order — never Go map
 // iteration order, so a scan is deterministic for a given
 // working-memory state — until fn returns false. The visited tuples are
-// the live ones at call time, lent as Get lends them; fn must not mutate
-// the relation or the visited tuples.
+// the ones live at call time that are still live when reached, lent as
+// Get lends them; fn must not mutate the relation or the visited
+// tuples. The ID list is lent too, not copied.
 func (r *Relation) Scan(fn func(id TupleID, t Tuple) bool) {
 	r.mu.RLock()
-	ids := r.store.IDs()
+	ids := r.store.Order()
+	n := r.store.Len()
 	r.mu.RUnlock()
-	r.accountScan(len(ids))
+	r.accountScan(n)
 	for _, id := range ids {
 		r.mu.RLock()
 		t, ok := r.store.Get(id)
@@ -349,53 +351,14 @@ func (r *Relation) Select(rs []Restriction) []TupleID {
 	// access path, and each Select must count exactly one access path
 	// so planner Explain's actual-vs-estimated rows reconcile.
 	var out []TupleID
+	r.mu.RLock()
 	for _, id := range candidates {
-		r.mu.RLock()
-		t, ok := r.store.Get(id)
-		r.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		if SatisfiesAll(t, rs) {
+		if t, ok := r.store.Get(id); ok && SatisfiesAll(t, rs) {
 			out = append(out, id)
 		}
 	}
+	r.mu.RUnlock()
 	return out
-}
-
-// SelectTuples is Select but materializes the tuples alongside their IDs.
-func (r *Relation) SelectTuples(rs []Restriction) (ids []TupleID, tuples []Tuple) {
-	ids = r.Select(rs)
-	tuples = make([]Tuple, len(ids))
-	for i, id := range ids {
-		t, _ := r.Get(id)
-		tuples[i] = t
-	}
-	return ids, tuples
-}
-
-// FindEqual returns the ID of the oldest live tuple value-equal to t,
-// for delete-by-value semantics (OPS5 remove addresses the matched
-// element; the DBMS translation deletes an equal tuple). "Oldest" is
-// well-defined because Scan order is ascending TupleID.
-func (r *Relation) FindEqual(t Tuple) (TupleID, bool) {
-	var found TupleID
-	ok := false
-	r.Scan(func(id TupleID, u Tuple) bool {
-		if u.Equal(t) {
-			found, ok = id, true
-			return false
-		}
-		return true
-	})
-	return found, ok
-}
-
-// Clear removes all tuples but keeps indexes and the ID counter.
-func (r *Relation) Clear() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.store.Clear()
 }
 
 // DB is a catalog of relations sharing one metrics set and one
@@ -418,10 +381,6 @@ func NewDB(stats *metrics.Set) *DB {
 
 // Stats returns the catalog's metrics set.
 func (db *DB) Stats() *metrics.Set { return db.stats }
-
-// InternHits returns the number of string payloads the catalog's
-// interning cache has deduplicated.
-func (db *DB) InternHits() int64 { return db.intern.Hits() }
 
 // Create adds a new relation; it is an error if the name exists.
 func (db *DB) Create(name string, attrs ...string) (*Relation, error) {
@@ -466,13 +425,6 @@ func (db *DB) MustGet(name string) *Relation {
 		panic(err.Error())
 	}
 	return r
-}
-
-// Drop removes the named relation from the catalog.
-func (db *DB) Drop(name string) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	delete(db.rels, name)
 }
 
 // Names returns the catalog's relation names in sorted order.

@@ -250,13 +250,9 @@ func TestSelectWithRestrictions(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("Select found %d, want 4", len(got))
 	}
-	ids, tuples := r.SelectTuples(rs)
-	if len(ids) != len(tuples) || len(ids) != 4 {
-		t.Fatalf("SelectTuples sizes: %d, %d", len(ids), len(tuples))
-	}
-	for i, tup := range tuples {
-		if !SatisfiesAll(tup, rs) {
-			t.Fatalf("tuple %d does not satisfy: %v", ids[i], tup)
+	for _, id := range got {
+		if tup, _ := r.Get(id); !SatisfiesAll(tup, rs) {
+			t.Fatalf("tuple %d does not satisfy: %v", id, tup)
 		}
 	}
 }
@@ -269,37 +265,6 @@ func TestSelectNoIndexPath(t *testing.T) {
 	got := r.Select([]Restriction{{Pos: 1, Op: value.OpGe, Val: value.OfInt(2)}})
 	if len(got) != 2 {
 		t.Fatalf("Select = %v", got)
-	}
-}
-
-func TestFindEqual(t *testing.T) {
-	r := newEmp(t)
-	r.Insert(empTuple("a", 1, 1, "X"))
-	id2, _ := r.Insert(empTuple("b", 2, 2, "Y"))
-	got, ok := r.FindEqual(empTuple("b", 2, 2, "Y"))
-	if !ok || got != id2 {
-		t.Fatalf("FindEqual = %v,%v", got, ok)
-	}
-	if _, ok := r.FindEqual(empTuple("zz", 0, 0, "Q")); ok {
-		t.Error("FindEqual of absent tuple should fail")
-	}
-}
-
-func TestClear(t *testing.T) {
-	r := newEmp(t)
-	r.CreateIndex(3)
-	r.Insert(empTuple("a", 1, 1, "X"))
-	r.Clear()
-	if r.Len() != 0 {
-		t.Fatalf("Len after clear = %d", r.Len())
-	}
-	if got := r.SelectEq(3, value.OfSym("X")); len(got) != 0 {
-		t.Fatalf("index not cleared: %v", got)
-	}
-	// IDs keep increasing after Clear.
-	id, _ := r.Insert(empTuple("b", 2, 2, "Y"))
-	if id != 2 {
-		t.Fatalf("id after clear = %d, want 2", id)
 	}
 }
 
@@ -325,10 +290,6 @@ func TestDBCatalog(t *testing.T) {
 	}
 	if db.MustGet("Emp") != r1 {
 		t.Fatal("MustGet mismatch")
-	}
-	db.Drop("Dept")
-	if _, ok := db.Get("Dept"); ok {
-		t.Error("Drop failed")
 	}
 	func() {
 		defer func() {

@@ -106,24 +106,22 @@ type StoreStats struct {
 // array, so the string comparisons saturating the join/alpha hot path
 // short-circuit on the data pointer instead of comparing bytes —
 // janus-datalog measured 6.26× on comparison-bound workloads from
-// exactly this. hits counts payloads that were already present.
+// exactly this.
 type internTable struct {
 	mu   sync.Mutex
 	strs map[string]string
-	hits int64
 }
 
 func newInternTable() *internTable {
 	return &internTable{strs: make(map[string]string)}
 }
 
-// str returns the canonical copy of s, recording a hit when s was
-// already interned.
+// str returns the canonical copy of s and whether s was already
+// interned.
 func (it *internTable) str(s string) (string, bool) {
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	if c, ok := it.strs[s]; ok {
-		it.hits++
 		return c, true
 	}
 	it.strs[s] = s
@@ -145,14 +143,4 @@ func (it *internTable) val(v value.V) (value.V, bool) {
 		return value.OfSym(s), hit
 	}
 	return v, false
-}
-
-// Hits returns the number of interned (deduplicated) payloads so far.
-func (it *internTable) Hits() int64 {
-	if it == nil {
-		return 0
-	}
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	return it.hits
 }
