@@ -171,7 +171,8 @@ func (r *Relation) Insert(t Tuple) (TupleID, error) {
 
 // InsertBatch stores the tuples of entries in one storage operation,
 // assigning ascending IDs which are written back into the entries —
-// the set-oriented append path of ApplyDelta. Entry tuples are cloned.
+// the set-oriented append path of ApplyDelta. Entry tuples are cloned,
+// and each entry's Tuple is replaced by its stored clone.
 func (r *Relation) InsertBatch(entries []DeltaEntry) error {
 	for _, e := range entries {
 		if err := r.checkArity(e.Tuple); err != nil {
@@ -181,28 +182,21 @@ func (r *Relation) InsertBatch(entries []DeltaEntry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	staged := make([]DeltaEntry, len(entries))
-	for i, e := range entries {
-		ct := e.Tuple.Clone()
+	for i := range entries {
+		ct := entries[i].Tuple.Clone()
 		r.internTuple(ct)
-		staged[i] = DeltaEntry{Tuple: ct}
+		entries[i].Tuple = ct
 	}
 	r.mu.Lock()
-	for i := range staged {
+	for i := range entries {
 		r.next++
-		staged[i].ID = r.next
-	}
-	for _, e := range staged {
-		r.store.Insert(e.ID, e.Tuple)
+		entries[i].ID = r.next
+		r.store.Insert(entries[i].ID, entries[i].Tuple)
 	}
 	r.mu.Unlock()
-	for i := range staged {
-		entries[i].ID = staged[i].ID
-		entries[i].Tuple = staged[i].Tuple
-	}
 	r.stats.Inc(metrics.BatchInserts)
-	r.stats.Add(metrics.TuplesInserted, int64(len(staged)))
-	r.stats.Add(metrics.PagesWritten, int64((len(staged)+r.pageSize-1)/r.pageSize))
+	r.stats.Add(metrics.TuplesInserted, int64(len(entries)))
+	r.stats.Add(metrics.PagesWritten, int64((len(entries)+r.pageSize-1)/r.pageSize))
 	return nil
 }
 
@@ -231,10 +225,11 @@ func (r *Relation) Delete(id TupleID) (Tuple, error) {
 
 // Scan visits every tuple in ascending TupleID order — never Go map
 // iteration order, so a scan is deterministic for a given
-// working-memory state — until fn returns false. The visited tuples are
-// the ones live at call time that are still live when reached, lent as
-// Get lends them; fn must not mutate the relation or the visited
-// tuples. The ID list is lent too, not copied.
+// working-memory state — until fn returns false. Each tuple is lent as
+// Get lends it and is live when visited; a tuple inserted or deleted
+// concurrently may or may not be visited. fn must not mutate the
+// relation or the visited tuples. The scan walks the row store's ID
+// list, lent, not copied.
 func (r *Relation) Scan(fn func(id TupleID, t Tuple) bool) {
 	r.mu.RLock()
 	ids := r.store.Order()
