@@ -5,9 +5,10 @@ import "prodsys/internal/value"
 // rowStore holds a relation's tuples: a TupleID-keyed map plus an
 // idList of the live IDs, the scan order, with optional per-attribute
 // secondary indexes (hash for equality, ordered for ranges). Point
-// access is O(1) and so, amortized, is every change; scans follow the
-// ID list, so iteration order is ascending TupleID (never Go map
-// order). A rowStore is NOT safe for concurrent use — Relation
+// access is O(1) and so, amortized, is a change, except that an ordered
+// index memmoves its key list when a new key lands inside its range;
+// scans follow the ID list, so iteration order is ascending TupleID
+// (never Go map order). A rowStore is NOT safe for concurrent use — Relation
 // serializes access under its lock and layers cloning, ID assignment,
 // and I/O accounting on top. Tuples handed to Insert are owned by the
 // store; tuples returned by Get must not be mutated.
