@@ -12,7 +12,8 @@ import (
 // maps, one per kind of Key()-normalized value (so Int/Float and
 // Str/Sym collapse the way value.Equal does), give each distinct key a
 // slot in buckets, the idList of the IDs carrying it. Emptied slots are
-// reused, so a key costs no allocation of its own. When ordered, sorted
+// reused with their arrays, so in steady state a key costs no
+// allocation of its own. When ordered, sorted
 // key lists point at the same buckets and answer range probes; they
 // change only when a key appears or disappears, and a key that appears
 // inside the range of existing keys memmoves its list, so an attribute
