@@ -50,50 +50,59 @@ type Instantiation struct {
 	Seq uint64
 
 	// The owning Set's bookkeeping, guarded by its mutex: the agenda
-	// links, the supporting-tuple links, and whether the key was already
-	// fired when the instantiation arrived (a re-derivation that
-	// refraction keeps from being selected).
+	// links; the next live instantiation whose key hashes alike; one
+	// tupleLink per supporting tuple, threaded into byTuple while the
+	// instantiation is live and into firedBy while it is a refraction
+	// mark; and whether the key was already fired when the instantiation
+	// arrived (a re-derivation that refraction keeps from being
+	// selected).
 	prev, next *Instantiation
-	sup        *support
+	hnext      *Instantiation
+	links      []tupleLink
 	refracted  bool
 }
 
 // NewInstantiation returns an instantiation of r over copies of ids and
-// tuples — the slices a join lends its emit callback — made in one
-// allocation for rules of up to eight condition elements.
+// tuples — the slices a join lends its emit callback — made, with room
+// for its supporting-tuple links, in one allocation for rules of up to
+// eight condition elements.
 func NewInstantiation(r *rules.Rule, ids []relation.TupleID, tuples []relation.Tuple) *Instantiation {
 	n := len(ids)
 	var in *Instantiation
 	var idBuf []relation.TupleID
 	var tupBuf []relation.Tuple
+	var links []tupleLink
 	switch {
 	case n <= 2:
 		x := new(struct {
 			in     Instantiation
 			ids    [2]relation.TupleID
 			tuples [2]relation.Tuple
+			links  [2]tupleLink
 		})
-		in, idBuf, tupBuf = &x.in, x.ids[:n], x.tuples[:n]
+		in, idBuf, tupBuf, links = &x.in, x.ids[:n], x.tuples[:n], x.links[:0]
 	case n <= 4:
 		x := new(struct {
 			in     Instantiation
 			ids    [4]relation.TupleID
 			tuples [4]relation.Tuple
+			links  [4]tupleLink
 		})
-		in, idBuf, tupBuf = &x.in, x.ids[:n], x.tuples[:n]
+		in, idBuf, tupBuf, links = &x.in, x.ids[:n], x.tuples[:n], x.links[:0]
 	case n <= 8:
 		x := new(struct {
 			in     Instantiation
 			ids    [8]relation.TupleID
 			tuples [8]relation.Tuple
+			links  [8]tupleLink
 		})
-		in, idBuf, tupBuf = &x.in, x.ids[:n], x.tuples[:n]
+		in, idBuf, tupBuf, links = &x.in, x.ids[:n], x.tuples[:n], x.links[:0]
 	default:
 		in, idBuf, tupBuf = new(Instantiation), make([]relation.TupleID, n), make([]relation.Tuple, n)
 	}
 	copy(idBuf, ids)
 	copy(tupBuf, tuples)
-	in.Rule, in.TupleIDs, in.Tuples = r, idBuf, tupBuf
+	in.Rule, in.TupleIDs, in.Tuples, in.links = r, idBuf, tupBuf, links
 	return in
 }
 
@@ -115,9 +124,12 @@ type Key struct {
 
 // Key returns the instantiation's key. It allocates only for rules with
 // more than inlineIDs condition elements, or a tuple ID of 2^32 or more.
-func (in *Instantiation) Key() Key { return makeKey(in.Rule.Index, in.TupleIDs) }
+func (in *Instantiation) Key() Key { return MakeKey(in.Rule.Index, in.TupleIDs) }
 
-func makeKey(rule int, ids []relation.TupleID) Key {
+// MakeKey returns the key of the instantiation of the rule at index rule
+// over ids, one per condition element and zero at negated ones: what Key
+// returns, for a caller that holds only the IDs. It does not retain ids.
+func MakeKey(rule int, ids []relation.TupleID) Key {
 	k := Key{rule: int32(rule)}
 	if len(ids) <= inlineIDs {
 		inline := true
@@ -139,6 +151,21 @@ func makeKey(rule int, ids []relation.TupleID) Key {
 	}
 	k.spill = b.String()
 	return k
+}
+
+// hash mixes the key into the 64 bits a Set's items map is keyed by.
+func (k Key) hash() uint64 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(uint32(k.rule)) * m
+	for i := 0; i < inlineIDs; i += 2 {
+		h = (h ^ (uint64(k.ids[i]) | uint64(k.ids[i+1])<<32)) * m
+		h ^= h >> 32
+	}
+	for i := 0; i < len(k.spill); i++ {
+		h = (h ^ uint64(k.spill[i])) * m
+		h ^= h >> 32
+	}
+	return h
 }
 
 // KeyString renders the instantiation's key as "rule|id|id" (one ID per
@@ -164,7 +191,7 @@ func ParseKey(set *rules.Set, s string) (Key, bool) {
 	for i := strings.IndexByte(s, '|'); i >= 0; {
 		if r, ok := set.RuleByName(s[:i]); ok {
 			if ids, ok := parseIDs(s[i+1:], len(r.CEs)); ok {
-				return makeKey(r.Index, ids), true
+				return MakeKey(r.Index, ids), true
 			}
 		}
 		j := strings.IndexByte(s[i+1:], '|')
@@ -217,61 +244,45 @@ func (in *Instantiation) String() string {
 	return in.Rule.Name + "[" + strings.Join(ids, " ") + "]"
 }
 
-// tupleRef names one working-memory tuple: its class, by the rule set's
-// dense class ID, and its ID within the class.
-type tupleRef struct {
-	class int32
-	id    relation.TupleID
-}
-
-// support is what an instantiation rests on: one link per supporting
-// tuple. While the instantiation is live the links thread it into
-// byTuple. When it fires they move to firedBy, and the support outlives
-// the instantiation as its refraction mark.
-type support struct {
-	in     *Instantiation // the live instantiation; nil once it left the set
-	rule   *rules.Rule
-	links  []tupleLink
-	inline [2]tupleLink // the links of rules with at most two positive CEs
-}
-
-// key rebuilds the instantiation's key from the links, the IDs of
-// negated condition elements being zero.
-func (sup *support) key() Key {
-	n := len(sup.rule.CEs)
-	var buf [inlineIDs]relation.TupleID
-	ids := buf[:min(n, inlineIDs)]
-	if n > inlineIDs {
-		ids = make([]relation.TupleID, n)
-	}
-	for _, l := range sup.links {
-		ids[l.ce] = l.id
-	}
-	return makeKey(sup.rule.Index, ids)
-}
-
-// tupleLink is one node of a per-tuple list. Each list is circular and
-// doubly linked, its head held by a tupleIndex. Links are appended as
-// instantiations arrive, so a byTuple list is in Seq order, and the two
-// links of an instantiation that uses one tuple twice are adjacent.
+// tupleLink is one node of a per-tuple list, standing for one supporting
+// tuple of in. It lives in in.links, which NewInstantiation allocates
+// together with in, so it names its tuple through in rather than holding
+// it. Each list is circular and doubly linked, and its head — the link a
+// tupleIndex maps the tuple to — carries the head flag, so unlinking any
+// other link only moves pointers. Links are appended as instantiations
+// arrive, so a byTuple list is in Seq order, and the two links of an
+// instantiation that uses one tuple twice are adjacent.
 type tupleLink struct {
-	sup        *support
-	prev, next *tupleLink
-	id         relation.TupleID
-	class      int32 // the tuple's class ID
-	ce         int32 // the condition element the tuple fills
+	in         *Instantiation
+	prev, next *tupleLink // nil while not in a list
+	ce         int32      // the condition element the tuple fills
+	head       bool
 }
 
-func (l *tupleLink) ref() tupleRef { return tupleRef{class: l.class, id: l.id} }
+// tuple names the linked tuple: its dense class ID in the rule set and
+// its ID within the class.
+func (l *tupleLink) tuple() (class int, id relation.TupleID) {
+	return l.in.Rule.CEs[l.ce].ClassID, l.in.TupleIDs[l.ce]
+}
 
-// tupleIndex maps a tuple to the head of its list of links.
-type tupleIndex map[tupleRef]*tupleLink
+// tupleIndex maps a tuple to the head of its list of links: one
+// integer-keyed map per class, indexed by class ID.
+type tupleIndex []map[relation.TupleID]*tupleLink
+
+func newTupleIndex(classes int) tupleIndex {
+	ix := make(tupleIndex, classes)
+	for i := range ix {
+		ix[i] = make(map[relation.TupleID]*tupleLink)
+	}
+	return ix
+}
 
 func (ix tupleIndex) link(l *tupleLink) {
-	head := ix[l.ref()]
+	class, id := l.tuple()
+	head := ix[class][id]
 	if head == nil {
-		l.prev, l.next = l, l
-		ix[l.ref()] = l
+		l.prev, l.next, l.head = l, l, true
+		ix[class][id] = l
 		return
 	}
 	tail := head.prev
@@ -279,16 +290,48 @@ func (ix tupleIndex) link(l *tupleLink) {
 	tail.next, head.prev = l, l
 }
 
+// unlink takes l out of its list. A link whose list detach already took
+// out of the index is left alone.
 func (ix tupleIndex) unlink(l *tupleLink) {
-	if l.next == l {
-		delete(ix, l.ref())
-	} else {
+	switch {
+	case l.next == nil:
+		return
+	case l.next == l:
+		class, id := l.tuple()
+		delete(ix[class], id)
+	default:
 		l.prev.next, l.next.prev = l.next, l.prev
-		if ix[l.ref()] == l {
-			ix[l.ref()] = l.next
+		if l.head {
+			class, id := l.tuple()
+			l.next.head = true
+			ix[class][id] = l.next
 		}
 	}
-	l.prev, l.next = nil, nil
+	l.prev, l.next, l.head = nil, nil, false
+}
+
+// detach takes the tuple's whole list out of the index with one map
+// operation and appends the instantiations on it to dst, in list order
+// and each once. The detached links are out of every list; their
+// instantiations' other links are not.
+func (ix tupleIndex) detach(dst []*Instantiation, class int, id relation.TupleID) []*Instantiation {
+	head := ix[class][id]
+	if head == nil {
+		return dst
+	}
+	delete(ix[class], id)
+	start := len(dst)
+	for l := head; ; {
+		next := l.next
+		if len(dst) == start || dst[len(dst)-1] != l.in {
+			dst = append(dst, l.in)
+		}
+		l.prev, l.next, l.head = nil, nil, false
+		if next == head {
+			return dst
+		}
+		l = next
+	}
 }
 
 // Set is the conflict set. All methods are safe for concurrent use.
@@ -297,17 +340,20 @@ type Set struct {
 	// rules resolves class names to the dense class IDs tuples are
 	// indexed by.
 	rules *rules.Set
-	items map[Key]*Instantiation
+	// items finds a live instantiation by its key's hash; the rare keys
+	// that share a hash chain through hnext. live counts them.
+	items map[uint64]*Instantiation
+	live  int
 	// head and tail bound the agenda: every live instantiation, in Seq
 	// order.
 	head, tail *Instantiation
 	byTuple    tupleIndex
 	// fired holds the refraction marks. A mark made while its
-	// instantiation was live keeps that instantiation's support, linked
-	// into firedBy, so ForgetTuple can drop the marks a deleted tuple
+	// instantiation was live is that instantiation, its links moved into
+	// firedBy, so ForgetTuple can drop the marks a deleted tuple
 	// supported: tuple IDs are never reused, so such a key can never be
-	// derived again. A nil support marks a key for good.
-	fired    map[Key]*support
+	// derived again. A nil mark marks a key for good.
+	fired    map[Key]*Instantiation
 	firedBy  tupleIndex
 	cands    sync.Pool // *[]*Instantiation: Select's candidate buffers
 	seq      uint64
@@ -340,10 +386,10 @@ func (s *Set) SetObserver(fn func(added bool, in *Instantiation)) {
 func NewSet(rs *rules.Set, stats *metrics.Set) *Set {
 	return &Set{
 		rules:   rs,
-		items:   make(map[Key]*Instantiation),
-		byTuple: make(tupleIndex),
-		fired:   make(map[Key]*support),
-		firedBy: make(tupleIndex),
+		items:   make(map[uint64]*Instantiation),
+		byTuple: newTupleIndex(len(rs.Classes)),
+		fired:   make(map[Key]*Instantiation),
+		firedBy: newTupleIndex(len(rs.Classes)),
 		stats:   stats,
 	}
 }
@@ -362,14 +408,27 @@ func (s *Set) AddAll(ins []*Instantiation) int {
 	added := 0
 	for _, in := range ins {
 		key := in.Key()
-		if _, dup := s.items[key]; dup {
+		h := key.hash()
+		chain := s.items[h]
+		if find(chain, key) != nil {
 			continue
+		}
+		mark, refracted := s.fired[key]
+		if mark == in {
+			// in's links hold its own refraction mark: hand them to a
+			// copy, and in gets fresh ones.
+			mark = &Instantiation{Rule: in.Rule, TupleIDs: in.TupleIDs, Tuples: in.Tuples, Seq: in.Seq, links: in.links}
+			for i := range mark.links {
+				mark.links[i].in = mark
+			}
+			s.fired[key], in.links = mark, nil
 		}
 		s.seq++
 		in.Seq = s.seq
-		s.items[key] = in
+		in.hnext, s.items[h] = chain, in
+		s.live++
 		s.linkLocked(in)
-		_, in.refracted = s.fired[key]
+		in.refracted = refracted
 		s.stats.Inc(metrics.Instantiations)
 		if s.tr.Enabled() {
 			s.tr.Emit(trace.Event{
@@ -385,8 +444,9 @@ func (s *Set) AddAll(ins []*Instantiation) int {
 	return added
 }
 
-// linkLocked appends in to the agenda and threads a fresh support into
-// byTuple. Caller holds mu.
+// linkLocked appends in to the agenda and threads one link per
+// supporting tuple into byTuple, in the room NewInstantiation left.
+// Caller holds mu.
 func (s *Set) linkLocked(in *Instantiation) {
 	in.prev, in.next = s.tail, nil
 	if s.tail != nil {
@@ -396,35 +456,38 @@ func (s *Set) linkLocked(in *Instantiation) {
 	}
 	s.tail = in
 
-	n := 0
+	if cap(in.links) < len(in.TupleIDs) {
+		in.links = make([]tupleLink, 0, len(in.TupleIDs))
+	}
+	in.links = in.links[:0]
 	for i, id := range in.TupleIDs {
 		if !in.Rule.CEs[i].Negated && id != 0 {
-			n++
+			in.links = append(in.links, tupleLink{in: in, ce: int32(i)})
 		}
 	}
-	sup := &support{in: in, rule: in.Rule}
-	sup.links = sup.inline[:0]
-	if n > len(sup.inline) {
-		sup.links = make([]tupleLink, 0, n)
+	for i := range in.links {
+		s.byTuple.link(&in.links[i])
 	}
-	for i, id := range in.TupleIDs {
-		ce := in.Rule.CEs[i]
-		if ce.Negated || id == 0 {
-			continue
-		}
-		sup.links = append(sup.links, tupleLink{sup: sup, id: id, class: int32(ce.ClassID), ce: int32(i)})
-	}
-	for i := range sup.links {
-		s.byTuple.link(&sup.links[i])
-	}
-	in.sup = sup
 }
 
 // removeLocked takes a live instantiation off the agenda and out of
 // byTuple. Caller holds mu.
 func (s *Set) removeLocked(in *Instantiation) {
-	sup := in.sup
-	delete(s.items, in.Key())
+	h := in.Key().hash()
+	if c := s.items[h]; c == in {
+		if in.hnext == nil {
+			delete(s.items, h)
+		} else {
+			s.items[h] = in.hnext
+		}
+	} else {
+		for c.hnext != in {
+			c = c.hnext
+		}
+		c.hnext = in.hnext
+	}
+	in.hnext = nil
+	s.live--
 	if in.prev != nil {
 		in.prev.next = in.next
 	} else {
@@ -436,10 +499,9 @@ func (s *Set) removeLocked(in *Instantiation) {
 		s.tail = in.prev
 	}
 	in.prev, in.next = nil, nil
-	for i := range sup.links {
-		s.byTuple.unlink(&sup.links[i])
+	for i := range in.links {
+		s.byTuple.unlink(&in.links[i])
 	}
-	sup.in = nil
 	s.stats.Inc(metrics.Retractions)
 	if s.tr.Enabled() {
 		s.tr.Emit(trace.Event{
@@ -452,12 +514,25 @@ func (s *Set) removeLocked(in *Instantiation) {
 	}
 }
 
+// find returns the instantiation keyed key on the items chain from c.
+func find(c *Instantiation, key Key) *Instantiation {
+	for ; c != nil; c = c.hnext {
+		if c.Key() == key {
+			return c
+		}
+	}
+	return nil
+}
+
+// get returns the live instantiation keyed key, or nil. Caller holds mu.
+func (s *Set) get(key Key) *Instantiation { return find(s.items[key.hash()], key) }
+
 // Remove deletes the instantiation with the given key, reporting whether
 // it was present.
 func (s *Set) Remove(key Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	in := s.items[key]
+	in := s.get(key)
 	if in == nil {
 		return false
 	}
@@ -465,40 +540,23 @@ func (s *Set) Remove(key Key) bool {
 	return true
 }
 
-// resolve names a tuple of the named class; ok is false when the set's
-// rules.Set declares no such class.
-func (s *Set) resolve(class string, id relation.TupleID) (tupleRef, bool) {
-	cid, ok := s.rules.ClassID(class)
-	return tupleRef{class: int32(cid), id: id}, ok
-}
-
 // RemoveByTuple retracts every instantiation supported by the given
-// working-memory tuple when the tuple is deleted, and returns the
-// retracted instantiations in Seq order.
-func (s *Set) RemoveByTuple(class string, id relation.TupleID) []*Instantiation {
-	ref, ok := s.resolve(class, id)
+// working-memory tuple when the tuple is deleted, and appends the
+// retracted instantiations to dst in Seq order. The tuple's own list
+// leaves byTuple in one map operation.
+func (s *Set) RemoveByTuple(dst []*Instantiation, class string, id relation.TupleID) []*Instantiation {
+	cid, ok := s.rules.ClassID(class)
 	if !ok {
-		return nil
+		return dst
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	head := s.byTuple[ref]
-	if head == nil {
-		return nil
-	}
-	var out []*Instantiation
-	for l := head; ; {
-		if in := l.sup.in; len(out) == 0 || out[len(out)-1] != in {
-			out = append(out, in)
-		}
-		if l = l.next; l == head {
-			break
-		}
-	}
-	for _, in := range out {
+	start := len(dst)
+	dst = s.byTuple.detach(dst, cid, id)
+	for _, in := range dst[start:] {
 		s.removeLocked(in)
 	}
-	return out
+	return dst
 }
 
 // RemoveWhere retracts every instantiation for which pred returns true
@@ -542,22 +600,21 @@ func (s *Set) RemoveBlocked(ce *rules.CE, entries []relation.DeltaEntry) []*Inst
 func (s *Set) Contains(key Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.items[key]
-	return ok
+	return s.get(key) != nil
 }
 
 // Len returns the number of live instantiations.
 func (s *Set) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.items)
+	return s.live
 }
 
 // Items returns the live instantiations in Seq order.
 func (s *Set) Items() []*Instantiation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Instantiation, 0, len(s.items))
+	out := make([]*Instantiation, 0, s.live)
 	for in := s.head; in != nil; in = in.next {
 		out = append(out, in)
 	}
@@ -569,7 +626,7 @@ func (s *Set) Items() []*Instantiation {
 func (s *Set) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.items))
+	out := make([]string, 0, s.live)
 	for in := s.head; in != nil; in = in.next {
 		out = append(out, in.KeyString())
 	}
@@ -585,7 +642,7 @@ func (s *Set) Keys() []string {
 func (s *Set) MarkFired(key Key) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	in := s.items[key]
+	in := s.get(key)
 	if in != nil {
 		s.removeLocked(in)
 	}
@@ -596,11 +653,10 @@ func (s *Set) MarkFired(key Key) {
 		s.fired[key] = nil
 		return
 	}
-	sup := in.sup
-	for i := range sup.links {
-		s.firedBy.link(&sup.links[i])
+	for i := range in.links {
+		s.firedBy.link(&in.links[i])
 	}
-	s.fired[key] = sup
+	s.fired[key] = in
 }
 
 // Scratch returns an empty conflict set over s's rules that carries s's
@@ -636,20 +692,21 @@ func (s *Set) FiredLen() int {
 // the given working-memory tuple supported. The engine calls it once a
 // unit that deleted the tuple can no longer be rolled back.
 func (s *Set) ForgetTuple(class string, id relation.TupleID) {
-	ref, ok := s.resolve(class, id)
+	cid, ok := s.rules.ClassID(class)
 	if !ok {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for head := s.firedBy[ref]; head != nil; head = s.firedBy[ref] {
-		sup := head.sup
-		for i := range sup.links {
-			s.firedBy.unlink(&sup.links[i])
+	ix := s.firedBy[cid]
+	for head := ix[id]; head != nil; head = ix[id] {
+		mark := head.in
+		for i := range mark.links {
+			s.firedBy.unlink(&mark.links[i])
 		}
-		key := sup.key()
+		key := mark.Key()
 		delete(s.fired, key)
-		if in := s.items[key]; in != nil {
+		if in := s.get(key); in != nil {
 			in.refracted = false
 		}
 	}
@@ -697,7 +754,7 @@ func (s *Set) Select(strategy Strategy) *Instantiation {
 func (s *Set) SelectAll() []*Instantiation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Instantiation, 0, len(s.items))
+	out := make([]*Instantiation, 0, s.live)
 	for in := s.head; in != nil; in = in.next {
 		if !in.refracted {
 			out = append(out, in)
@@ -710,11 +767,11 @@ func (s *Set) SelectAll() []*Instantiation {
 func (s *Set) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.items = make(map[Key]*Instantiation)
+	s.items, s.live = make(map[uint64]*Instantiation), 0
 	s.head, s.tail = nil, nil
-	s.byTuple = make(tupleIndex)
-	s.fired = make(map[Key]*support)
-	s.firedBy = make(tupleIndex)
+	s.byTuple = newTupleIndex(len(s.rules.Classes))
+	s.fired = make(map[Key]*Instantiation)
+	s.firedBy = newTupleIndex(len(s.rules.Classes))
 	s.seq = 0
 }
 

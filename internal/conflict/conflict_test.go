@@ -81,7 +81,7 @@ func TestRemoveByTuple(t *testing.T) {
 	s.Add(inst(r1, 1, 2))
 	s.Add(inst(r1, 1, 3))
 	s.Add(inst(r2, 9))
-	removed := s.RemoveByTuple("A", 1)
+	removed := s.RemoveByTuple(nil, "A", 1)
 	if len(removed) != 2 {
 		t.Fatalf("removed %d, want 2", len(removed))
 	}
@@ -89,15 +89,15 @@ func TestRemoveByTuple(t *testing.T) {
 		t.Fatalf("Len = %d", s.Len())
 	}
 	// B tuple 2 no longer supports anything.
-	if got := s.RemoveByTuple("B", 2); len(got) != 0 {
+	if got := s.RemoveByTuple(nil, "B", 2); len(got) != 0 {
 		t.Fatalf("stale reverse index: %v", got)
 	}
 	// Class distinguishes tuples with the same ID.
-	if got := s.RemoveByTuple("A", 9); len(got) != 1 {
+	if got := s.RemoveByTuple(nil, "A", 9); len(got) != 1 {
 		t.Fatalf("A:9 should remove Second: %v", got)
 	}
 	// A class no rule mentions supports nothing.
-	if got := s.RemoveByTuple("Nope", 1); got != nil {
+	if got := s.RemoveByTuple(nil, "Nope", 1); got != nil {
 		t.Fatalf("unknown class removed %v", got)
 	}
 	s.ForgetTuple("Nope", 1)
@@ -191,9 +191,19 @@ func TestForgetTuplePrunesFiredKeys(t *testing.T) {
 	if s.FiredLen() != 1 || !s.HasFired(key(r2, 4)) {
 		t.Fatalf("FiredLen = %d after A:1 was deleted, want only Second|4", s.FiredLen())
 	}
-	if len(s.firedBy) != 1 {
-		t.Fatalf("reverse index holds %d tuples, want 1: %v", len(s.firedBy), s.firedBy)
+	if n := indexedTuples(s.firedBy); n != 1 {
+		t.Fatalf("reverse index holds %d tuples, want 1: %v", n, s.firedBy)
 	}
+}
+
+// indexedTuples counts the tuples a per-tuple index holds a list for,
+// across its class maps.
+func indexedTuples(ix tupleIndex) int {
+	n := 0
+	for _, m := range ix {
+		n += len(m)
+	}
+	return n
 }
 
 func TestSelectEmpty(t *testing.T) {
@@ -299,10 +309,10 @@ func TestNegatedCEZeroIDNotIndexed(t *testing.T) {
 	s := NewSet(set, nil)
 	s.Add(&Instantiation{Rule: r, TupleIDs: []relation.TupleID{4, 0}, Tuples: make([]relation.Tuple, 2)})
 	// Deleting B:0 (meaningless id) must not retract.
-	if got := s.RemoveByTuple("B", 0); len(got) != 0 {
+	if got := s.RemoveByTuple(nil, "B", 0); len(got) != 0 {
 		t.Fatalf("negated CE should not be tuple-indexed: %v", got)
 	}
-	if got := s.RemoveByTuple("A", 4); len(got) != 1 {
+	if got := s.RemoveByTuple(nil, "A", 4); len(got) != 1 {
 		t.Fatalf("positive CE should be indexed: %v", got)
 	}
 }
@@ -380,13 +390,14 @@ func TestRemovalsInSeqOrder(t *testing.T) {
 		}
 		seen = nil
 	}
-	check("RemoveByTuple", s.RemoveByTuple("A", 1), 64)
+	check("RemoveByTuple", s.RemoveByTuple(nil, "A", 1), 64)
 	check("RemoveWhere", s.RemoveWhere(func(in *Instantiation) bool { return in.TupleIDs[0]%2 == 0 }), 32)
 }
 
 // TestHotPathsDoNotAllocate pins the agenda and integer keys: FIFO
 // selection, and refraction checks and marks for rules of at most
-// inlineIDs condition elements, allocate nothing.
+// inlineIDs condition elements, allocate nothing; nor does adding and
+// retracting an instantiation, which is one allocation.
 func TestHotPathsDoNotAllocate(t *testing.T) {
 	set, r1, r2 := fixture(t)
 	s := NewSet(set, nil)
@@ -415,6 +426,24 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	}
 	if s.Len() != 100 {
 		t.Fatalf("Len = %d: MarkFired of a marked key must still retract its live re-derivation", s.Len())
+	}
+	// An instantiation is one object, its supporting-tuple links
+	// included, and churning it through the set allocates nothing.
+	ids, tuples := []relation.TupleID{5000, 6000}, make([]relation.Tuple, 2)
+	var in *Instantiation
+	if n := testing.AllocsPerRun(100, func() { in = NewInstantiation(r1, ids, tuples) }); n != 1 {
+		t.Errorf("NewInstantiation of a 2-CE rule makes %v allocations, want 1", n)
+	}
+	batch, dst := []*Instantiation{in}, make([]*Instantiation, 0, 1)
+	if n := testing.AllocsPerRun(100, func() {
+		if s.AddAll(batch) != 1 {
+			t.Fatal("AddAll added nothing")
+		}
+		if dst = s.RemoveByTuple(dst[:0], "B", 6000); len(dst) != 1 {
+			t.Fatalf("RemoveByTuple retracted %d", len(dst))
+		}
+	}); n != 0 {
+		t.Errorf("AddAll+RemoveByTuple allocate %v per call", n)
 	}
 	// The candidate buffers LEX and the others reuse must not keep
 	// retracted instantiations alive.
@@ -673,7 +702,7 @@ func TestSetMatchesOracle(t *testing.T) {
 				}
 			case op < 12:
 				class, id := classes[rng.Intn(2)], randID()
-				got := s.RemoveByTuple(class, id)
+				got := s.RemoveByTuple(nil, class, id)
 				same(step, "RemoveByTuple", got, bySeq(got))
 				same(step, "RemoveByTuple", got, bySeq(o.RemoveByTuple(class, id)))
 			case op < 13:
@@ -751,7 +780,7 @@ func TestConcurrentSelect(t *testing.T) {
 	for id := relation.TupleID(1); id <= 500; id++ {
 		s.AddAll([]*Instantiation{inst(r1, id, id+1), inst(r2, id)})
 		if id%3 == 0 {
-			s.RemoveByTuple("A", id-1)
+			s.RemoveByTuple(nil, "A", id-1)
 		}
 		if id%5 == 0 {
 			s.MarkFired(key(r2, id))
@@ -761,5 +790,40 @@ func TestConcurrentSelect(t *testing.T) {
 	wg.Wait()
 	if got := len(s.SelectAll()); got == 0 {
 		t.Fatal("nothing left to select")
+	}
+}
+
+// TestKeyHashCollisionsChain builds two keys whose hashes collide — the
+// first mixing round of Key.hash inverted — and checks that the set keeps
+// both instantiations apart through every operation.
+func TestKeyHashCollisionsChain(t *testing.T) {
+	set, r1, r2 := fixture(t)
+	const m = 0x9e3779b97f4a7c15
+	p := uint64(uint32(r2.Index))*m ^ uint64(uint32(r1.Index))*m ^ 7 // Second|7's first round, as First's
+	a, b := inst(r2, 7), inst(r1, relation.TupleID(uint32(p)), relation.TupleID(p>>32))
+	if a.Key().hash() != b.Key().hash() {
+		t.Fatal("the keys do not collide; rebuild them for the current Key.hash")
+	}
+	s := NewSet(set, nil)
+	if s.AddAll([]*Instantiation{a, b}) != 2 || s.Len() != 2 {
+		t.Fatalf("Len = %d after adding two colliding keys", s.Len())
+	}
+	if s.Add(inst(r2, 7)) || s.Add(inst(r1, b.TupleIDs...)) {
+		t.Fatal("a duplicate of a colliding key was added")
+	}
+	if !s.Remove(a.Key()) || s.Contains(a.Key()) || !s.Contains(b.Key()) {
+		t.Fatal("removing one colliding key disturbed the other")
+	}
+	s.Add(a) // a heads the chain now
+	if !s.Remove(a.Key()) || !s.Contains(b.Key()) {
+		t.Fatal("removing the head of a chain disturbed the rest")
+	}
+	s.Add(a)
+	if got := s.RemoveByTuple(nil, "B", b.TupleIDs[1]); len(got) != 1 || got[0] != b || !s.Contains(a.Key()) {
+		t.Fatalf("RemoveByTuple of b's tuple retracted %v", got)
+	}
+	s.MarkFired(a.Key())
+	if s.Len() != 0 || !s.HasFired(a.Key()) || s.HasFired(b.Key()) {
+		t.Fatalf("Len %d after firing the last colliding key", s.Len())
 	}
 }

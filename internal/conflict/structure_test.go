@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -87,4 +88,88 @@ func TestAgendaStructure(t *testing.T) {
 			return true
 		})
 	}
+}
+
+// TestNoInstantiationLiteralsOutside keeps every instantiation one
+// object: outside this package an Instantiation is made only by
+// NewInstantiation, which sizes its allocation to hold the links the Set
+// threads through it, never by a composite literal.
+func TestNoInstantiationLiteralsOutside(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	self, _ := filepath.Abs(".")
+	fset := token.NewFileSet()
+	files := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == self || (path != root && strings.HasPrefix(d.Name(), ".")) || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		files++
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			if isInstantiation(lit.Type) {
+				t.Errorf("%s: conflict.Instantiation literal; use conflict.NewInstantiation", fset.Position(lit.Pos()))
+			}
+			// Elided element types: []conflict.Instantiation{{...}}.
+			var elem ast.Expr
+			switch typ := lit.Type.(type) {
+			case *ast.ArrayType:
+				elem = typ.Elt
+			case *ast.MapType:
+				elem = typ.Value
+			}
+			if star, ok := elem.(*ast.StarExpr); ok {
+				elem = star.X
+			}
+			if isInstantiation(elem) {
+				for _, e := range lit.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						e = kv.Value
+					}
+					if u, ok := e.(*ast.UnaryExpr); ok {
+						e = u.X
+					}
+					if c, ok := e.(*ast.CompositeLit); ok && c.Type == nil {
+						t.Errorf("%s: conflict.Instantiation literal; use conflict.NewInstantiation", fset.Position(c.Pos()))
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 50 {
+		t.Fatalf("walked %d Go files under %s; expected the whole module", files, root)
+	}
+}
+
+// isInstantiation reports whether e spells conflict.Instantiation.
+func isInstantiation(e ast.Expr) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Instantiation" {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "conflict"
 }

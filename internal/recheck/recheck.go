@@ -47,11 +47,13 @@ type Matcher struct {
 	pl    *joiner.Planner
 	f     filter
 
-	// pass and ins are reused buffers: the entries passing a condition
-	// element's alpha tests, and the instantiations a re-evaluation
-	// derives. Every call runs under the engine's maintenance lock.
+	// pass, ins and gone are reused buffers: the entries passing a
+	// condition element's alpha tests, the instantiations a
+	// re-evaluation derives, and those a deleted tuple retracts. Every
+	// call runs under the engine's maintenance lock.
 	pass []relation.DeltaEntry
 	ins  []*conflict.Instantiation
+	gone []*conflict.Instantiation
 }
 
 // filter is one scheme's search for the condition elements a WM change
@@ -117,7 +119,8 @@ func (m *Matcher) InsertBatch(class string, entries []relation.DeltaEntry) error
 // deletion may have unblocked.
 func (m *Matcher) DeleteBatch(class string, entries []relation.DeltaEntry) error {
 	for _, e := range entries {
-		m.cs.RemoveByTuple(class, e.ID)
+		m.gone = m.cs.RemoveByTuple(m.gone[:0], class, e.ID)
+		clear(m.gone) // the buffer must not keep retracted instantiations alive
 	}
 	m.f.deleted(m, class, entries)
 	return nil

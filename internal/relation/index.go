@@ -17,9 +17,9 @@ import (
 // key lists point at the same buckets and answer range probes; they
 // change only when a key appears or disappears, and a key that appears
 // inside the range of existing keys memmoves its list, so an attribute
-// only ever equality-probed keeps the hash side alone. Nil values are
-// not indexed: OPS5 equality and range comparisons never admit nil, so
-// a nil-valued tuple can never be an index hit (probing for nil
+// only ever equality-probed keeps the hash side alone. Nil and NaN
+// values are not indexed: OPS5 equality and range comparisons admit
+// neither, so such a tuple can never be an index hit (probing for one
 // correctly yields nothing, matching the scan path).
 type attrIndex struct {
 	ints    map[int64]int32
@@ -121,8 +121,11 @@ func (ix *attrIndex) order() {
 	slices.SortFunc(ix.txt.entries, byKey)
 }
 
+// unindexed reports whether v is a value attrIndex leaves out.
+func unindexed(v value.V) bool { return v.IsNil() || v.IsNaN() }
+
 func (ix *attrIndex) add(v value.V, id TupleID) {
-	if v.IsNil() {
+	if unindexed(v) {
 		return
 	}
 	k := v.Key()
@@ -143,7 +146,7 @@ func (ix *attrIndex) add(v value.V, id TupleID) {
 }
 
 func (ix *attrIndex) remove(v value.V, id TupleID) {
-	if v.IsNil() {
+	if unindexed(v) {
 		return
 	}
 	k := v.Key()
@@ -164,9 +167,9 @@ func (ix *attrIndex) remove(v value.V, id TupleID) {
 }
 
 // lookupIDs returns the IDs of an equality probe in ascending order;
-// nil probes hit nothing by construction.
+// nil and NaN probes hit nothing by construction.
 func (ix *attrIndex) lookupIDs(v value.V) []TupleID {
-	if v.IsNil() {
+	if unindexed(v) {
 		return nil
 	}
 	s, ok := ix.slot(v.Key())
@@ -188,8 +191,8 @@ func (ix *attrIndex) rangeIDs(b Bounds) []TupleID {
 	if bound.IsNil() {
 		bound = b.Hi
 	}
-	if bound.IsNil() {
-		return nil
+	if bound.IsNil() || b.Lo.IsNaN() || b.Hi.IsNaN() {
+		return nil // a NaN bound admits nothing
 	}
 	if !b.Lo.IsNil() && !b.Hi.IsNil() {
 		if _, ok := value.Compare(b.Lo, b.Hi); !ok {

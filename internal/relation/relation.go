@@ -3,8 +3,10 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"prodsys/internal/metrics"
 	"prodsys/internal/value"
@@ -357,21 +359,21 @@ func (r *Relation) Select(rs []Restriction) []TupleID {
 }
 
 // DB is a catalog of relations sharing one metrics set and one
-// value-interning table.
+// value-interning table. The catalog changes only while rules load, so
+// it is published copy-on-write: Get and Names read the current map
+// without a lock, and Create, under mu, publishes a copy.
 type DB struct {
-	mu     sync.RWMutex
-	rels   map[string]*Relation
+	mu     sync.Mutex
+	rels   atomic.Pointer[map[string]*Relation]
 	stats  *metrics.Set
 	intern *internTable
 }
 
 // NewDB creates an empty catalog. stats may be nil.
 func NewDB(stats *metrics.Set) *DB {
-	return &DB{
-		rels:   make(map[string]*Relation),
-		stats:  stats,
-		intern: newInternTable(),
-	}
+	db := &DB{stats: stats, intern: newInternTable()}
+	db.rels.Store(&map[string]*Relation{})
+	return db
 }
 
 // Stats returns the catalog's metrics set.
@@ -385,19 +387,20 @@ func (db *DB) Create(name string, attrs ...string) (*Relation, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, dup := db.rels[name]; dup {
+	old := *db.rels.Load()
+	if _, dup := old[name]; dup {
 		return nil, fmt.Errorf("relation %s already exists", name)
 	}
 	r := newRelation(schema, db.stats, db.intern)
-	db.rels[name] = r
+	rels := maps.Clone(old)
+	rels[name] = r
+	db.rels.Store(&rels)
 	return r, nil
 }
 
 // Get returns the named relation.
 func (db *DB) Get(name string) (*Relation, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	r, ok := db.rels[name]
+	r, ok := (*db.rels.Load())[name]
 	return r, ok
 }
 
@@ -424,10 +427,9 @@ func (db *DB) MustGet(name string) *Relation {
 
 // Names returns the catalog's relation names in sorted order.
 func (db *DB) Names() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.rels))
-	for n := range db.rels {
+	rels := *db.rels.Load()
+	names := make([]string, 0, len(rels))
+	for n := range rels {
 		names = append(names, n)
 	}
 	sort.Strings(names)

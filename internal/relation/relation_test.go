@@ -3,6 +3,8 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +238,42 @@ func TestIndexNumericCoercion(t *testing.T) {
 	}
 }
 
+// TestNaNNeverIndexed pins NaN's treatment as incomparable: a NaN
+// tuple inserted and deleted over and over on an ordered index leaves no
+// key behind, and no range probe returns it, deleted or live.
+func TestNaNNeverIndexed(t *testing.T) {
+	r := New(MustSchema("R", "x"), nil)
+	r.CreateIndex(0)
+	nan := value.OfFloat(math.NaN())
+	for i := 0; i < 5; i++ {
+		id, err := r.Insert(Tuple{nan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := r.Stats().Indexes[0].Distinct; d != 0 {
+		t.Fatalf("index holds %d distinct keys after every NaN tuple left, want 0", d)
+	}
+	if got := r.SelectRange(0, Bounds{Lo: value.OfInt(0)}); len(got) != 0 {
+		t.Fatalf("SelectRange(> 0) = %v after every NaN tuple left", got)
+	}
+	id, _ := r.Insert(Tuple{nan})
+	for _, b := range []Bounds{{Lo: value.OfInt(0)}, {Hi: value.OfInt(0)}, {Lo: nan}, {Hi: nan, HiIncl: true}} {
+		if got := r.SelectRange(0, b); len(got) != 0 {
+			t.Errorf("SelectRange(%+v) = %v, want nothing: NaN orders with nothing", b, got)
+		}
+	}
+	if got := r.SelectEq(0, nan); len(got) != 0 {
+		t.Errorf("SelectEq(NaN) = %v, want nothing: NaN equals nothing", got)
+	}
+	if got := r.Select([]Restriction{{Pos: 0, Op: value.OpGt, Val: value.OfInt(0)}}); len(got) != 0 {
+		t.Errorf("Select(x > 0) = %v, want nothing (NaN tuple %d)", got, id)
+	}
+}
+
 func TestSelectWithRestrictions(t *testing.T) {
 	r := newEmp(t)
 	r.CreateIndex(3)
@@ -299,6 +337,47 @@ func TestDBCatalog(t *testing.T) {
 		}()
 		db.MustGet("Nope")
 	}()
+}
+
+// TestDBCatalogReadsDuringCreate reads the catalog from several
+// goroutines while relations are created: every reader sees each
+// published relation, and the catalog only grows.
+func TestDBCatalogReadsDuringCreate(t *testing.T) {
+	db := NewDB(nil)
+	base, _ := db.Create("Base", "x")
+	const creates = 40
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := 0
+			for seen <= creates {
+				if r, ok := db.Get("Base"); !ok || r != base {
+					t.Errorf("Get(Base) = %v, %v", r, ok)
+					return
+				}
+				names := db.Names()
+				if len(names) < seen {
+					t.Errorf("catalog shrank from %d to %d names", seen, len(names))
+					return
+				}
+				seen = len(names)
+				for _, n := range names {
+					if _, ok := db.Get(n); !ok {
+						t.Errorf("Names lists %s but Get misses it", n)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < creates; i++ {
+		if _, err := db.Create(fmt.Sprintf("R%02d", i), "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
 }
 
 func TestMetricsAccounting(t *testing.T) {

@@ -693,30 +693,45 @@ func removeTok(list []*token, t *token) []*token {
 	return list
 }
 
-// addInstantiation converts a complete token into a conflict-set entry.
+// addInstantiation converts a complete token into a conflict-set entry,
+// gathering its IDs and tuples on the stack for rules of up to
+// maxStackCEs condition elements.
 func (net *Network) addInstantiation(r *rules.Rule, t *token) {
-	ids := make([]relation.TupleID, len(r.CEs))
-	tuples := make([]relation.Tuple, len(r.CEs))
+	n := len(r.CEs)
+	var idBuf [maxStackCEs]relation.TupleID
+	var tupBuf [maxStackCEs]relation.Tuple
+	ids, tuples := idBuf[:min(n, maxStackCEs)], tupBuf[:min(n, maxStackCEs)]
+	if n > maxStackCEs {
+		ids, tuples = make([]relation.TupleID, n), make([]relation.Tuple, n)
+	}
 	for cur := t; cur != nil; cur = cur.parent {
 		if cur.level >= 0 && cur.wme != nil {
 			ids[cur.level] = cur.wme.ID
 			tuples[cur.level] = cur.wme.Tuple
 		}
 	}
-	net.cs.Add(&conflict.Instantiation{Rule: r, TupleIDs: ids, Tuples: tuples})
+	net.cs.Add(conflict.NewInstantiation(r, ids, tuples))
 }
 
 // removeInstantiation retracts the conflict-set entry for a dying token.
 func (net *Network) removeInstantiation(r *rules.Rule, t *token) {
-	ids := make([]relation.TupleID, len(r.CEs))
+	n := len(r.CEs)
+	var idBuf [maxStackCEs]relation.TupleID
+	ids := idBuf[:min(n, maxStackCEs)]
+	if n > maxStackCEs {
+		ids = make([]relation.TupleID, n)
+	}
 	for cur := t; cur != nil; cur = cur.parent {
 		if cur.level >= 0 && cur.wme != nil {
 			ids[cur.level] = cur.wme.ID
 		}
 	}
-	in := &conflict.Instantiation{Rule: r, TupleIDs: ids}
-	net.cs.Remove(in.Key())
+	net.cs.Remove(conflict.MakeKey(r.Index, ids))
 }
+
+// maxStackCEs is the most condition elements whose IDs addInstantiation
+// and removeInstantiation gather without allocating.
+const maxStackCEs = 8
 
 // DumpDerived implements match.Matcher. With only nil it lists every
 // alpha-memory entry, under no rule: alpha memories are shared across

@@ -83,6 +83,10 @@ func (v V) AsFloat() float64 { return v.f }
 // AsString returns the string payload of a Str or Sym value.
 func (v V) AsString() string { return v.s }
 
+// IsNaN reports whether v is a Float holding NaN, which orders and
+// equals nothing, itself included.
+func (v V) IsNaN() bool { return v.kind == Float && v.f != v.f }
+
 // IsNumeric reports whether v is an Int or Float.
 func (v V) IsNumeric() bool { return v.kind == Int || v.kind == Float }
 
@@ -138,12 +142,16 @@ func Equal(v, w V) bool {
 }
 
 // Less reports whether v orders before w. Only like-category values are
-// ordered; comparing a number with a string yields ok == false.
+// ordered; comparing a number with a string, or NaN with anything,
+// yields ok == false.
 func Less(v, w V) (less, ok bool) {
 	switch {
 	case v.IsNumeric() && w.IsNumeric():
 		if v.kind == Int && w.kind == Int {
 			return v.i < w.i, true
+		}
+		if v.IsNaN() || w.IsNaN() {
+			return false, false
 		}
 		return v.num() < w.num(), true
 	case v.isTextual() && w.isTextual():

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -75,6 +76,9 @@ func TestLessAndCompare(t *testing.T) {
 		{OfSym("a"), OfString("b"), true, true},
 		{OfInt(1), OfString("a"), false, false},
 		{V{}, OfInt(1), false, false},
+		{OfFloat(math.NaN()), OfInt(1), false, false},
+		{OfInt(1), OfFloat(math.NaN()), false, false},
+		{OfFloat(math.NaN()), OfFloat(math.NaN()), false, false},
 	}
 	for _, tc := range tests {
 		less, ok := Less(tc.a, tc.b)
@@ -93,6 +97,12 @@ func TestLessAndCompare(t *testing.T) {
 	}
 	if _, ok := Compare(OfInt(6), OfSym("a")); ok {
 		t.Error("Compare across categories should not be ok")
+	}
+	if _, ok := Compare(OfFloat(math.NaN()), OfInt(0)); ok {
+		t.Error("Compare with NaN should not be ok")
+	}
+	if OpGt.Apply(OfFloat(math.NaN()), OfInt(0)) || OpLe.Apply(OfFloat(math.NaN()), OfInt(0)) {
+		t.Error("a range operator admitted NaN")
 	}
 }
 
